@@ -2,7 +2,9 @@
 //!
 //! Paper columns per design: the TR transient time `t1000` (1000 pairs of
 //! substitutions at h = 10 ps) and total `tt_total`; MATEX's group count,
-//! max-node transient `trmatex` and total `tr_total`; Max./Avg. error
+//! max-node transient `trmatex` and total `tr_total` (one factorization
+//! per machine: the run's one preparation + the slowest node's DC +
+//! march); Max./Avg. error
 //! against a reference solution; Spdp4 = t1000/trmatex and Spdp5 =
 //! tt_total/tr_total.
 //!

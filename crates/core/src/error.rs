@@ -40,6 +40,20 @@ pub enum CoreError {
     },
 }
 
+/// Best-effort extraction of a panic payload's message (`&str` and
+/// `String` payloads cover `panic!`/`assert!`/`unwrap` in practice) —
+/// what every supervision layer puts in [`CoreError::Panicked`] or its
+/// own error text after a `catch_unwind`.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -99,5 +113,16 @@ mod tests {
         assert!(e.to_string().contains("underflow"));
         let wrapped = CoreError::from(matex_sparse::SparseError::Singular { column: 0 });
         assert!(wrapped.source().is_some());
+    }
+
+    #[test]
+    fn panic_payloads_become_messages() {
+        let caught = |f: fn()| panic_message(&*std::panic::catch_unwind(f).unwrap_err());
+        assert_eq!(caught(|| panic!("static")), "static");
+        assert_eq!(caught(|| panic!("formatted {}", 7)), "formatted 7");
+        assert_eq!(
+            caught(|| std::panic::panic_any(7_u8)),
+            "non-string panic payload"
+        );
     }
 }

@@ -54,7 +54,7 @@ mod tr_adaptive;
 pub use be::BackwardEuler;
 pub use cancel::CancelToken;
 pub use engine::{InputEval, Recorder, TransientEngine};
-pub use error::CoreError;
+pub use error::{panic_message, CoreError};
 pub use faults::{FaultHook, FaultKind, FaultPlan};
 pub use fp_terms::IntervalTerms;
 pub use matex_solver::{MatexOptions, MatexSolver};

@@ -10,19 +10,23 @@
 //!
 //! This crate is the master of Fig. 4:
 //!
-//! * [`run_distributed`] — group, analyze the two-phase LU symbolics
-//!   once and share them read-only with every node (each node's
-//!   factorizations become cheap numeric replays), schedule onto a
+//! * [`run_distributed`] — group, prepare **one**
+//!   [`MatexSetup`](matex_core::MatexSetup) per run on the master (one
+//!   analysis, one numeric factorization of `G` and `C + γG`; the node
+//!   matrices are identical, so no node ever factors), schedule onto a
 //!   worker pool (longest-processing-time order over a
 //!   [`std::thread::scope`]), run one masked solver per group against
-//!   the shared immutable system, and **stream** each finished node's
+//!   the shared immutable system and setup, and **stream** each
+//!   finished node's
 //!   samples into the combined result in the fixed, worker-independent
 //!   schedule order — numerics bitwise independent of the worker count,
 //!   peak memory independent of the group count,
 //! * [`DistributedRun`] — the combined result plus per-node accounting
 //!   ([`NodeRun`]) and the paper's one-instance-per-node makespan
-//!   emulation (`emulated_transient` / `emulated_total` are maxima over
-//!   nodes, matching Table 3's `trmatex` / `tr_total` columns),
+//!   emulation, matching Table 3's `trmatex` / `tr_total` columns
+//!   (`emulated_transient` is the slowest node's march;
+//!   `emulated_total` adds the run's one preparation and that node's DC
+//!   — one factorization per machine),
 //! * [`RunStats`] — per-group predicted-vs-measured scheduling costs
 //!   (the LTS-count proxy against `NodeRun::wall`), with
 //!   [`list_schedule_makespan`] to bound the proxy's scheduling error,

@@ -39,15 +39,17 @@ pub struct DistributedOptions {
     /// the per-node budget, so enabling more workers never changes the
     /// superposed waveform.
     pub par: ParOptions,
-    /// A pre-built shared symbolic analysis. `None` (default) analyzes
-    /// on the master, exactly as before; `Some` skips the analysis (a
-    /// scenario engine amortizes it across runs). Ignored when `setup`
-    /// is also injected — the setup already embeds the factors.
+    /// A pre-built symbolic analysis for the master's one preparation.
+    /// `None` (default) analyzes on the master; `Some` skips the
+    /// master's analysis (nothing per node — nodes never factor).
+    /// Ignored when `setup` is also injected — the setup already embeds
+    /// the factors.
     pub symbolic: Option<Arc<MatexSymbolic>>,
-    /// A pre-built solver setup shared by **every node** (the node
-    /// matrices are identical — masking only selects input columns).
-    /// `None` (default) lets each node factor for itself; `Some` skips
-    /// all per-node factorization. Must match `matex` (kind, γ) and the
+    /// A pre-built solver setup. Every run marches **all** its nodes
+    /// from one shared setup (the node matrices are identical — masking
+    /// only selects input columns): `None` (default) prepares it once on
+    /// the master, `Some` uses the given one (a scenario engine
+    /// amortizes it across runs). Must match `matex` (kind, γ) and the
     /// system, per [`MatexSetup::check`].
     pub setup: Option<Arc<MatexSetup>>,
     /// A pre-built group plan ([`crate::plan_groups`]). `None` (default)
@@ -60,7 +62,7 @@ pub struct DistributedOptions {
     /// and every in-flight node solver gives up at its next
     /// transient-step boundary; the run returns
     /// [`crate::DistError::Cancelled`]. Tokens never corrupt shared
-    /// artifacts — nodes only read the shared symbolic/setup.
+    /// artifacts — nodes only read the shared setup.
     pub cancel: Option<CancelToken>,
     /// Per-node retry budget: a node group whose solver fails or panics
     /// is re-dispatched to a surviving worker up to this many times
@@ -74,8 +76,9 @@ pub struct DistributedOptions {
     /// dispatch (including retries). Disarmed by default. Solver-level
     /// sites fire through `matex.faults` instead.
     pub faults: FaultHook,
-    /// Observability handle for master-level events: the shared symbolic
-    /// analysis span and one `dist.node` span per dispatch, labeled with
+    /// Observability handle for master-level events: the `dist.analyze`
+    /// and `dist.prepare` spans and one `dist.node` span per dispatch,
+    /// labeled with
     /// group / worker / retry. Node-internal phases record through
     /// `matex.obs`; point both at one recorder for a unified timeline.
     /// Disabled by default (one branch per event).

@@ -5,8 +5,8 @@ use crate::schedule::{NodeMeasurement, RunStats};
 use crate::{DistError, DistributedOptions};
 use matex_circuit::MnaSystem;
 use matex_core::{
-    CoreError, FaultKind, MatexSolver, MatexSymbolic, SolveStats, TransientEngine, TransientResult,
-    TransientSpec,
+    panic_message, CoreError, FaultKind, MatexSetup, MatexSolver, MatexSymbolic, SolveStats,
+    TransientEngine, TransientResult, TransientSpec,
 };
 use matex_par::ParPool;
 use matex_waveform::SpotSet;
@@ -45,14 +45,16 @@ pub struct DistributedRun {
     /// Global transition spots (union of all LTS).
     pub gts: SpotSet,
     /// Scheduling accounting: per-group predicted-vs-measured cost and
-    /// the master's symbolic-analysis time.
+    /// the master's analysis and preparation times.
     pub stats: RunStats,
     /// Makespan of the pure transient phase: the *maximum* node transient
     /// time, per the paper's one-instance-per-node accounting (Table 3's
     /// `trmatex`).
     pub emulated_transient: Duration,
-    /// Makespan including DC and factorization per node (Table 3's
-    /// `tr_total`).
+    /// The paper's one-factorization-per-machine makespan (Table 3's
+    /// `tr_total`): the run's one preparation
+    /// ([`RunStats::prepare_time`]) plus the slowest node's DC and
+    /// transient time.
     pub emulated_total: Duration,
     /// Wall time of the streaming superposition work on the master.
     pub superposition_time: Duration,
@@ -82,18 +84,6 @@ struct WorkQueue {
     next: usize,
     retry: Vec<usize>,
     done: bool,
-}
-
-/// Best-effort extraction of a panic payload's message (`&str` and
-/// `String` payloads cover `panic!`/`assert!`/`unwrap` in practice).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Streaming accumulator: superposes node results **in ascending group
@@ -165,10 +155,12 @@ impl Superposer {
 ///
 /// Sources are partitioned under `opts.strategy`; each group becomes one
 /// subtask running a masked [`MatexSolver`] with the group's LTS against
-/// the shared immutable `sys`. The master performs the two-phase LU
-/// analysis of `G` and `C + γG` **once** ([`MatexSymbolic`]) and shares
-/// it read-only with every worker, so each node's factorizations are
-/// cheap numeric replays. Subtasks are scheduled onto a scoped worker
+/// the shared immutable `sys`. The node matrices are identical —
+/// masking only selects input columns — so the master prepares **one**
+/// [`MatexSetup`] per run (the injected `opts.setup`, else one
+/// [`MatexSetup::prepare`] from the injected-or-fresh [`MatexSymbolic`])
+/// and shares it read-only with every worker: no node ever factors.
+/// Subtasks are scheduled onto a scoped worker
 /// pool in longest-processing-time order (cost estimate: LTS count) and
 /// every finished node's samples are immediately superposed into the
 /// combined result in that same fixed, worker-independent schedule
@@ -186,9 +178,9 @@ impl Superposer {
 ///
 /// # Errors
 ///
-/// Returns [`DistError::Analyze`] when the shared symbolic analysis
-/// fails, [`DistError::Node`] carrying the first terminal node failure
-/// (retry budget exhausted; panics arrive as
+/// Returns [`DistError::Analyze`] when the master's analysis or
+/// preparation fails, [`DistError::Node`] carrying the first terminal
+/// node failure (retry budget exhausted; panics arrive as
 /// [`CoreError::Panicked`]), or [`DistError::Superposition`] if result
 /// grids mismatch (internal invariant violation).
 pub fn run_distributed(
@@ -219,35 +211,6 @@ pub fn run_distributed(
     let jobs: &[PlanJob] = plan.jobs();
     let order: &[usize] = plan.order();
 
-    // One symbolic analysis on the unmasked system; every node replays
-    // it (the matrices are identical across nodes — masking only selects
-    // input columns). An injected analysis — or an injected full setup,
-    // which embeds the factors themselves — skips this master phase.
-    let mut analyze_time = Duration::ZERO;
-    let symbolic: Option<Arc<MatexSymbolic>> = if opts.setup.is_some() {
-        None
-    } else {
-        match &opts.symbolic {
-            Some(shared) => Some(shared.clone()),
-            None => {
-                let ta = Instant::now();
-                let s =
-                    Arc::new(MatexSymbolic::analyze(sys, &opts.matex).map_err(DistError::Analyze)?);
-                analyze_time = ta.elapsed();
-                opts.obs
-                    .record_span("dist.analyze", opts.obs.job(), ta, analyze_time, &[]);
-                opts.obs.observe("dist_analyze_seconds", analyze_time);
-                Some(s)
-            }
-        }
-    };
-
-    // rank[job] = position in the schedule (and summation) order.
-    let mut rank = vec![0usize; jobs.len()];
-    for (k, &j) in order.iter().enumerate() {
-        rank[j] = k;
-    }
-
     let workers = opts
         .workers
         .unwrap_or_else(|| {
@@ -265,6 +228,43 @@ pub fn run_distributed(
     // runs. Kernel results are bitwise-invariant in the pool width, so
     // the division (and the worker count) never changes the waveform.
     let kernel_budget = opts.par.resolve().map(|t| (t / workers).max(1));
+
+    // One preparation per run, on the master: the matrices are identical
+    // across nodes (masking only selects input columns), so every node
+    // marches from the same factors. An injected setup is used as is; an
+    // injected analysis skips only the master's own analysis.
+    let mut analyze_time = Duration::ZERO;
+    let setup: Arc<MatexSetup> = match &opts.setup {
+        Some(shared) => shared.clone(),
+        None => {
+            let fresh;
+            let symbolic: &MatexSymbolic = match &opts.symbolic {
+                Some(shared) => shared,
+                None => {
+                    let ta = Instant::now();
+                    fresh = MatexSymbolic::analyze(sys, &opts.matex).map_err(DistError::Analyze)?;
+                    analyze_time = ta.elapsed();
+                    opts.obs
+                        .record_span("dist.analyze", opts.obs.job(), ta, analyze_time, &[]);
+                    opts.obs.observe("dist_analyze_seconds", analyze_time);
+                    &fresh
+                }
+            };
+            let _sp = opts.obs.span("dist.prepare");
+            // Pooled nodes replay substitution schedules; build them once.
+            let pooled = kernel_budget.is_some();
+            Arc::new(
+                MatexSetup::prepare(sys, &opts.matex, Some(symbolic), pooled)
+                    .map_err(DistError::Analyze)?,
+            )
+        }
+    };
+
+    // rank[job] = position in the schedule (and summation) order.
+    let mut rank = vec![0usize; jobs.len()];
+    for (k, &j) in order.iter().enumerate() {
+        rank[j] = k;
+    }
 
     // Worker pool: a shared queue draining the LPT order (retries first);
     // finished subtasks stream back to the master, which superposes them
@@ -288,7 +288,7 @@ pub fn run_distributed(
     let mut attempts = vec![0usize; jobs.len()];
     let mut node_retries = 0usize;
     std::thread::scope(|scope| {
-        let (work, symbolic) = (&work, &symbolic);
+        let (work, setup) = (&work, &setup);
         for w in 0..workers {
             let tx = tx.clone();
             scope.spawn(move || {
@@ -347,7 +347,7 @@ pub fn run_distributed(
                             }
                             None => {}
                         }
-                        run_node(sys, spec, opts, &jobs[j], symbolic.clone(), pool.clone())
+                        run_node(sys, spec, opts, &jobs[j], setup.clone(), pool.clone())
                     }))
                     .unwrap_or_else(|payload| Err(CoreError::Panicked(panic_message(&*payload))));
                     node_span.label("ok", if outcome.is_ok() { "1" } else { "0" });
@@ -433,6 +433,11 @@ pub fn run_distributed(
     } = sup;
     let mut result = acc.expect("at least one job ran");
     result.stats = stats;
+    // Every node reports the shared setup's amortized factorization
+    // cost; the run performed it once.
+    result.stats.factorizations = setup.factorizations();
+    result.stats.refactorizations = setup.refactorizations();
+    result.stats.factor_time = setup.factor_time();
     result.engine = format!("MATEX-dist[{} x {}]", nodes.len(), engine);
     // Drained in schedule order; the public accounting is group order.
     nodes.sort_by_key(|n| n.group);
@@ -449,17 +454,19 @@ pub fn run_distributed(
             })
             .collect::<Vec<_>>(),
         analyze_time,
+        setup.factor_time(),
     );
     let emulated_transient = nodes
         .iter()
         .map(|n| n.stats.transient_time)
         .max()
         .unwrap_or_default();
-    let emulated_total = nodes
-        .iter()
-        .map(|n| n.stats.total_time())
-        .max()
-        .unwrap_or_default();
+    let emulated_total = setup.factor_time()
+        + nodes
+            .iter()
+            .map(|n| n.stats.dc_time + n.stats.transient_time)
+            .max()
+            .unwrap_or_default();
 
     Ok(DistributedRun {
         result,
@@ -474,25 +481,21 @@ pub fn run_distributed(
     })
 }
 
-/// Runs one group's masked solver (one slave node of Fig. 4).
+/// Runs one group's masked solver (one slave node of Fig. 4) from the
+/// run's shared preparation.
 fn run_node(
     sys: &MnaSystem,
     spec: &TransientSpec,
     opts: &DistributedOptions,
     job: &PlanJob,
-    symbolic: Option<Arc<MatexSymbolic>>,
+    setup: Arc<MatexSetup>,
     pool: Option<Arc<ParPool>>,
 ) -> NodeOutcome {
     let t0 = Instant::now();
     let mut solver = MatexSolver::new(opts.matex.clone())
         .with_source_mask(job.members.clone())
-        .with_lts(job.lts.clone());
-    if let Some(setup) = &opts.setup {
-        // Every node shares the one pre-built factorization set.
-        solver = solver.with_setup(setup.clone());
-    } else if let Some(sym) = symbolic {
-        solver = solver.with_symbolic(sym);
-    }
+        .with_lts(job.lts.clone())
+        .with_setup(setup);
     if let Some(pool) = pool {
         solver = solver.with_parallelism(pool);
     }
@@ -559,20 +562,39 @@ mod tests {
     }
 
     #[test]
-    fn nodes_replay_the_shared_symbolic_analysis() {
-        let sys = small_grid();
+    fn a_run_prepares_once_whatever_its_group_count() {
+        // 8 bump features + the supply group, and still the one
+        // preparation of a monolithic R-MATEX run: G and C + γG, both
+        // replays of the master's analysis, reported once.
+        let sys = PdnBuilder::new(8, 8)
+            .num_loads(16)
+            .num_features(8)
+            .window(1e-9)
+            .build()
+            .expect("grid builds");
         let spec = TransientSpec::new(0.0, 1e-9, 2e-11).unwrap();
         let run = run_distributed(&sys, &spec, &DistributedOptions::default()).unwrap();
-        for node in &run.nodes {
-            // Both per-node factorizations (G, C + γG) are replays of
-            // the master's single analysis.
-            assert_eq!(
-                node.stats.refactorizations, node.stats.factorizations,
-                "group {} did a full factorization despite the shared symbolic",
-                node.group
-            );
-        }
+        assert_eq!(run.num_groups(), 9);
+        assert_eq!(run.result.stats.factorizations, 2);
+        assert_eq!(run.result.stats.refactorizations, 2);
+        assert_eq!(run.result.stats.factor_time, run.stats.prepare_time);
         assert!(run.stats.analyze_time > Duration::ZERO);
+        assert!(run.stats.prepare_time > Duration::ZERO);
+        // Nodes report that same preparation (amortized), never their own.
+        for node in &run.nodes {
+            assert_eq!(node.stats.factor_time, run.stats.prepare_time);
+        }
+        // One factorization per machine: preparation + slowest DC + march.
+        let slowest = run
+            .nodes
+            .iter()
+            .map(|n| n.stats.dc_time + n.stats.transient_time)
+            .max()
+            .unwrap();
+        assert_eq!(run.emulated_total, run.stats.prepare_time + slowest);
+        // The other counters still sum over the nodes.
+        let pairs: usize = run.nodes.iter().map(|n| n.stats.substitution_pairs).sum();
+        assert_eq!(run.result.stats.substitution_pairs, pairs);
     }
 
     #[test]
@@ -654,9 +676,9 @@ mod tests {
 
     #[test]
     fn injected_artifacts_are_bitwise_invisible() {
-        // Pre-built plan / symbolic / setup — alone and together — must
-        // reproduce the self-computing run bit for bit: each artifact is
-        // exactly what the run would have derived.
+        // Pre-built plan / symbolic / setup — alone and together, at any
+        // worker count — must reproduce the self-computing run bit for
+        // bit: each artifact is exactly what the run would have derived.
         let sys = small_grid();
         let spec = TransientSpec::new(0.0, 1e-9, 2e-11).unwrap();
         let base_opts = DistributedOptions::default();
@@ -669,47 +691,52 @@ mod tests {
             matex_core::MatexSetup::prepare(&sys, &base_opts.matex, Some(&symbolic), false)
                 .unwrap(),
         );
-        let variants = [
-            DistributedOptions {
-                plan: Some(plan.clone()),
+        for workers in [Some(1), Some(2), Some(3)] {
+            let base_opts = DistributedOptions {
+                workers,
                 ..base_opts.clone()
-            },
-            DistributedOptions {
-                symbolic: Some(symbolic.clone()),
-                ..base_opts.clone()
-            },
-            DistributedOptions {
-                plan: Some(plan.clone()),
-                symbolic: Some(symbolic.clone()),
-                setup: Some(setup.clone()),
-                ..base_opts.clone()
-            },
-        ];
-        for (k, opts) in variants.iter().enumerate() {
-            let run = run_distributed(&sys, &spec, opts).unwrap();
-            assert_eq!(
-                reference.result.series(),
-                run.result.series(),
-                "variant {k} changed the waveform"
-            );
-            assert_eq!(
-                reference.result.final_state(),
-                run.result.final_state(),
-                "variant {k} changed the final state"
-            );
-            assert_eq!(reference.gts.as_slice(), run.gts.as_slice());
+            };
+            let variants = [
+                base_opts.clone(),
+                DistributedOptions {
+                    plan: Some(plan.clone()),
+                    ..base_opts.clone()
+                },
+                DistributedOptions {
+                    symbolic: Some(symbolic.clone()),
+                    ..base_opts.clone()
+                },
+                DistributedOptions {
+                    setup: Some(setup.clone()),
+                    ..base_opts.clone()
+                },
+                DistributedOptions {
+                    plan: Some(plan.clone()),
+                    symbolic: Some(symbolic.clone()),
+                    setup: Some(setup.clone()),
+                    ..base_opts.clone()
+                },
+            ];
+            for (k, opts) in variants.iter().enumerate() {
+                let run = run_distributed(&sys, &spec, opts).unwrap();
+                assert_eq!(
+                    reference.result.series(),
+                    run.result.series(),
+                    "variant {k} at {workers:?} workers changed the waveform"
+                );
+                assert_eq!(
+                    reference.result.final_state(),
+                    run.result.final_state(),
+                    "variant {k} at {workers:?} workers changed the final state"
+                );
+                assert_eq!(reference.gts.as_slice(), run.gts.as_slice());
+                // However the setup was obtained, it is reported once.
+                assert_eq!(run.result.stats.factorizations, 2, "variant {k}");
+                // Injected symbolic or setup: the master skips its analysis.
+                let analyzed = opts.symbolic.is_none() && opts.setup.is_none();
+                assert_eq!(run.stats.analyze_time > Duration::ZERO, analyzed);
+            }
         }
-        // Injected symbolic: the master skips its own analysis.
-        let injected = run_distributed(
-            &sys,
-            &spec,
-            &DistributedOptions {
-                symbolic: Some(symbolic),
-                ..base_opts.clone()
-            },
-        )
-        .unwrap();
-        assert_eq!(injected.stats.analyze_time, Duration::ZERO);
 
         // A plan for a different window is rejected, not silently used.
         let other_spec = TransientSpec::new(0.0, 2e-9, 2e-11).unwrap();

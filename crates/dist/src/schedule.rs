@@ -75,9 +75,13 @@ pub struct RunStats {
     /// `max_g |predicted_share − measured_share|` — 0 means the LTS
     /// proxy ranked the work exactly like the wall clock did.
     pub proxy_max_error: f64,
-    /// Wall time of the master's one-off symbolic analysis that every
-    /// node's refactorizations replay.
+    /// Wall time of the master's symbolic analysis (zero when an
+    /// analysis or a whole setup was injected).
     pub analyze_time: Duration,
+    /// Wall time of the run's one preparation — the factorizations every
+    /// node marches from ([`MatexSetup::factor_time`](matex_core::MatexSetup::factor_time);
+    /// the amortized cost when the setup was injected).
+    pub prepare_time: Duration,
     /// Sum of the nodes' `T_H` (small-expm) wall times. Together with
     /// [`RunStats::combine_time_total`] this rolls the paper's
     /// `T_H`/`T_e` split up to the run level — previously the per-node
@@ -105,6 +109,7 @@ impl RunStats {
     pub(crate) fn from_measurements(
         measurements: &[NodeMeasurement],
         analyze_time: Duration,
+        prepare_time: Duration,
     ) -> RunStats {
         let total_lts: usize = measurements.iter().map(|m| m.num_lts).sum();
         let total_wall: f64 = measurements.iter().map(|m| m.wall.as_secs_f64()).sum();
@@ -139,6 +144,7 @@ impl RunStats {
             groups,
             proxy_max_error,
             analyze_time,
+            prepare_time,
             expm_time_total: measurements.iter().map(|m| m.expm_time).sum(),
             combine_time_total: measurements.iter().map(|m| m.combine_time).sum(),
         }
@@ -186,7 +192,7 @@ mod tests {
             m(1, 6, Duration::from_millis(50)),
             m(2, 3, Duration::from_millis(40)),
         ];
-        let stats = RunStats::from_measurements(&m, Duration::ZERO);
+        let stats = RunStats::from_measurements(&m, Duration::ZERO, Duration::ZERO);
         let p: f64 = stats.groups.iter().map(|g| g.predicted_share).sum();
         let w: f64 = stats.groups.iter().map(|g| g.measured_share).sum();
         assert!((p - 1.0).abs() < 1e-12);
@@ -214,7 +220,7 @@ mod tests {
                 combine_time: Duration::from_micros(1_300),
             },
         ];
-        let stats = RunStats::from_measurements(&m, Duration::ZERO);
+        let stats = RunStats::from_measurements(&m, Duration::ZERO, Duration::ZERO);
         assert_eq!(stats.expm_time_total, Duration::from_micros(4_000));
         assert_eq!(stats.combine_time_total, Duration::from_micros(2_000));
         // The per-group records carry the same splits they were fed.
@@ -225,7 +231,7 @@ mod tests {
     #[test]
     fn degenerate_measurements_fall_back_to_even_shares() {
         let m = [m(0, 0, Duration::ZERO), m(1, 0, Duration::ZERO)];
-        let stats = RunStats::from_measurements(&m, Duration::ZERO);
+        let stats = RunStats::from_measurements(&m, Duration::ZERO, Duration::ZERO);
         for g in &stats.groups {
             assert_eq!(g.predicted_share, 0.5);
             assert_eq!(g.measured_share, 0.5);

@@ -31,8 +31,11 @@ pub struct SpeedupModel {
     pub t_h: f64,
     /// Cost of one small-exponential evaluation (`T_e`).
     pub t_e: f64,
-    /// Serial overhead common to both sides (DC solve, factorization);
-    /// zero for the pure-transient comparison of Eq. (12).
+    /// Serial overhead common to both sides — one factorization per
+    /// machine plus the DC solve, the same split
+    /// [`DistributedRun::emulated_total`](crate::DistributedRun::emulated_total)
+    /// adds to the slowest node's march; zero for the pure-transient
+    /// comparison of Eq. (12).
     pub t_serial: f64,
 }
 

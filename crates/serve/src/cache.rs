@@ -1,10 +1,17 @@
-//! The structure-fingerprint artifact cache.
+//! The artifact tier: one read-through path from memory to disk to
+//! compute.
 //!
 //! MATEX's economics: one circuit's expensive artifacts — the symbolic
 //! LU analysis of its MNA patterns, the numeric factors of `G` and
 //! `C + γG`, the DC operating point, and the source-group schedule —
-//! are all reusable across the many transients the circuit spawns. This
-//! cache keys them in two levels:
+//! are all reusable across the many transients the circuit spawns.
+//! [`ArtifactCache`] is the only place the engine obtains one: a lookup
+//! tries the in-memory cache, then the optional disk-backed
+//! [`ArtifactStore`], then computes, writes the result back to both, and
+//! bumps the hit / miss / store counters on the way — keyed at every
+//! level by the store's own key structs.
+//!
+//! In memory the cache keys in two levels:
 //!
 //! * the **circuit level** is the MNA *pattern* fingerprint
 //!   ([`MnaSystem::pattern_fingerprint`]): everything under one entry
@@ -24,60 +31,31 @@
 //! reuse never changes a waveform bit.
 //!
 //! Whole circuit entries are evicted least-recently-used beyond
-//! `max_circuits`.
+//! `max_circuits`. The store is an accelerator, never a correctness
+//! dependency: a failed read is a miss, a failed write is not counted,
+//! and either way the job computes through.
 
+use crate::engine::EngineOptions;
+use crate::job::{Hit, HitPath};
+use crate::stats::{Counter, Counters};
+use crate::ServeError;
 use matex_circuit::MnaSystem;
-use matex_core::{KrylovKind, MatexSetup, MatexSymbolic};
+use matex_core::{MatexSetup, MatexSymbolic};
 use matex_dist::GroupPlan;
+use matex_store::{ArtifactStore, DcStoreKey, PlanStoreKey, SetupStoreKey, SymbolicStoreKey};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex};
-
-/// Key of a numeric setup: exact matrix values, variant, γ bits, and —
-/// for MEXP, whose effective `C` depends on it — the regularization ε.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct SetupKey {
-    pub value_fp: u64,
-    pub kind: KrylovKind,
-    pub gamma_bits: u64,
-    pub regularize_bits: u64,
-    /// Whether the setup carries substitution schedules (pooled runs).
-    pub scheduled: bool,
-}
-
-/// Key of a DC operating point: matrix values, sources, start time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct DcKey {
-    pub value_fp: u64,
-    pub source_fp: u64,
-    pub t_start_bits: u64,
-}
-
-/// Key of a group plan: sources, strategy, window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct PlanKey {
-    pub source_fp: u64,
-    pub strategy: u64,
-    pub t_start_bits: u64,
-    pub t_stop_bits: u64,
-}
-
-/// One γ-decade symbolic anchor.
-#[derive(Debug, Clone)]
-struct Anchor {
-    decade: i32,
-    symbolic: Arc<MatexSymbolic>,
-}
 
 /// All cached artifacts of one circuit structure.
 #[derive(Debug, Default)]
-struct CircuitEntry {
-    /// R-MATEX symbolic analyses, one anchor per γ decade.
-    anchors: Vec<Anchor>,
-    /// γ-independent analyses for the other variants, by kind.
-    plain: HashMap<KrylovKind, Arc<MatexSymbolic>>,
-    setups: HashMap<SetupKey, Arc<MatexSetup>>,
-    dcs: HashMap<DcKey, Arc<Vec<f64>>>,
-    plans: HashMap<PlanKey, Arc<GroupPlan>>,
+pub(crate) struct CircuitEntry {
+    /// Symbolic analyses: one anchor per γ decade for R-MATEX, one per
+    /// variant otherwise (their keys pin decade 0).
+    symbolics: Vec<(SymbolicStoreKey, Arc<MatexSymbolic>)>,
+    setups: HashMap<SetupStoreKey, Arc<MatexSetup>>,
+    dcs: HashMap<DcStoreKey, Arc<Vec<f64>>>,
+    plans: HashMap<PlanStoreKey, Arc<GroupPlan>>,
     /// What-if base candidates: the systems whose setups were *fully*
     /// prepared (never corrected), keyed by value fingerprint,
     /// insertion-ordered and bounded. A later same-pattern job diffs
@@ -86,6 +64,82 @@ struct CircuitEntry {
     bases: Vec<(u64, Arc<MnaSystem>)>,
     /// LRU stamp (monotonic touch counter).
     touched: u64,
+}
+
+/// A keyed artifact class the tier resolves memory → disk → compute.
+pub(crate) trait Class {
+    type Key: Copy + Eq + Hash;
+    type Value;
+    /// Bumped when memory or disk served the lookup.
+    const HITS: Counter;
+    /// Bumped when the artifact had to be computed.
+    const MISSES: Option<Counter>;
+    fn slot(entry: &mut CircuitEntry) -> &mut HashMap<Self::Key, Arc<Self::Value>>;
+    fn load(store: &ArtifactStore, key: &Self::Key) -> Option<Self::Value>;
+    fn save(store: &ArtifactStore, key: &Self::Key, value: &Self::Value) -> std::io::Result<()>;
+    /// Whether `value` is exactly what a fresh computation under its key
+    /// yields. Inexact values (what-if corrections) stay memory-only.
+    fn is_exact(_value: &Self::Value) -> bool {
+        true
+    }
+}
+
+/// Numeric setups (factors + schedules).
+pub(crate) struct Setups;
+/// DC operating points.
+pub(crate) struct Dcs;
+/// Group plans.
+pub(crate) struct Plans;
+
+impl Class for Setups {
+    type Key = SetupStoreKey;
+    type Value = MatexSetup;
+    const HITS: Counter = Counter::SetupHits;
+    const MISSES: Option<Counter> = Some(Counter::SetupMisses);
+    fn slot(entry: &mut CircuitEntry) -> &mut HashMap<SetupStoreKey, Arc<MatexSetup>> {
+        &mut entry.setups
+    }
+    fn load(store: &ArtifactStore, key: &SetupStoreKey) -> Option<MatexSetup> {
+        store.load_setup(key)
+    }
+    fn save(store: &ArtifactStore, key: &SetupStoreKey, v: &MatexSetup) -> std::io::Result<()> {
+        store.save_setup(key, v)
+    }
+    fn is_exact(setup: &MatexSetup) -> bool {
+        !setup.is_corrected()
+    }
+}
+
+impl Class for Dcs {
+    type Key = DcStoreKey;
+    type Value = Vec<f64>;
+    const HITS: Counter = Counter::DcHits;
+    const MISSES: Option<Counter> = None;
+    fn slot(entry: &mut CircuitEntry) -> &mut HashMap<DcStoreKey, Arc<Vec<f64>>> {
+        &mut entry.dcs
+    }
+    fn load(store: &ArtifactStore, key: &DcStoreKey) -> Option<Vec<f64>> {
+        store.load_dc(key)
+    }
+    fn save(store: &ArtifactStore, key: &DcStoreKey, v: &Vec<f64>) -> std::io::Result<()> {
+        store.save_dc(key, v)
+    }
+}
+
+impl Class for Plans {
+    type Key = PlanStoreKey;
+    type Value = GroupPlan;
+    const HITS: Counter = Counter::PlanHits;
+    const MISSES: Option<Counter> = None;
+    fn slot(entry: &mut CircuitEntry) -> &mut HashMap<PlanStoreKey, Arc<GroupPlan>> {
+        &mut entry.plans
+    }
+    fn load(store: &ArtifactStore, key: &PlanStoreKey) -> Option<GroupPlan> {
+        store.load_plan(key)
+    }
+    fn save(store: &ArtifactStore, key: &PlanStoreKey, v: &GroupPlan) -> std::io::Result<()> {
+        store.save_plan(key, v)
+    }
 }
 
 /// Sizes of the cache, for stats reporting.
@@ -116,7 +170,7 @@ pub(crate) fn gamma_decade(gamma: f64) -> i32 {
     }
 }
 
-/// The thread-safe two-level artifact cache.
+/// The thread-safe read-through artifact tier.
 ///
 /// Artifact construction happens outside the lock (two racing cold jobs
 /// may both build; the first insert wins and the duplicate is dropped —
@@ -125,6 +179,8 @@ pub(crate) fn gamma_decade(gamma: f64) -> i32 {
 #[derive(Debug)]
 pub(crate) struct ArtifactCache {
     inner: Mutex<CacheInner>,
+    store: Option<Arc<ArtifactStore>>,
+    counters: Arc<Counters>,
 }
 
 #[derive(Debug)]
@@ -137,14 +193,17 @@ struct CacheInner {
 }
 
 impl ArtifactCache {
-    pub fn new(max_circuits: usize) -> ArtifactCache {
+    /// A cache of `opts.max_circuits` circuits over `opts.store`.
+    pub fn new(opts: &EngineOptions, counters: Arc<Counters>) -> ArtifactCache {
         ArtifactCache {
             inner: Mutex::new(CacheInner {
                 entries: HashMap::new(),
-                max_circuits: max_circuits.max(1),
+                max_circuits: opts.max_circuits.max(1),
                 clock: 0,
                 evictions: 0,
             }),
+            store: opts.store.clone(),
+            counters,
         }
     }
 
@@ -152,112 +211,130 @@ impl ArtifactCache {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Looks up a symbolic analysis for `(pattern, kind, γ)`. For
-    /// R-MATEX, returns the anchor of γ's decade, or the nearest anchor
-    /// within `span` decades (flagged `true`). Touches the entry.
-    pub fn symbolic(
+    /// Resolves the `C` artifact under `(pattern, key)`: memory, else
+    /// disk (hydrating memory), else `compute` (written back to memory
+    /// and, when exact, to disk). The returned path says which.
+    ///
+    /// # Errors
+    ///
+    /// Only what `compute` returns; store failures compute through.
+    pub fn resolve<C: Class>(
         &self,
         pattern: u64,
-        kind: KrylovKind,
-        gamma: f64,
+        key: C::Key,
+        compute: impl FnOnce() -> Result<C::Value, ServeError>,
+    ) -> Result<(Arc<C::Value>, HitPath), ServeError> {
+        if let Some(v) = self.peek::<C>(pattern, &key) {
+            self.counters.count(C::HITS, 1);
+            return Ok((v, HitPath::Cache));
+        }
+        if let Some(v) = self.store.as_ref().and_then(|s| C::load(s, &key)) {
+            let v = Arc::new(v);
+            self.insert::<C>(pattern, key, v.clone());
+            self.counters.count(C::HITS, 1);
+            self.counters.count(Counter::StoreHits, 1);
+            return Ok((v, HitPath::Store));
+        }
+        let v = Arc::new(compute()?);
+        self.insert::<C>(pattern, key, v.clone());
+        if !C::is_exact(&v) {
+            return Ok((v, HitPath::Whatif));
+        }
+        if let Some(misses) = C::MISSES {
+            self.counters.count(misses, 1);
+        }
+        self.persist(|store| C::save(store, &key, &v));
+        Ok((v, HitPath::Cold))
+    }
+
+    /// Best-effort write-back: a failed save is simply not counted.
+    fn persist(&self, save: impl FnOnce(&ArtifactStore) -> std::io::Result<()>) {
+        if self.store.as_deref().is_some_and(|s| save(s).is_ok()) {
+            self.counters.count(Counter::StoreWrites, 1);
+        }
+    }
+
+    /// The in-memory artifact under `(pattern, key)`, if any — no disk,
+    /// no counters. Touches the circuit's LRU stamp.
+    pub fn peek<C: Class>(&self, pattern: u64, key: &C::Key) -> Option<Arc<C::Value>> {
+        C::slot(self.lock().touch(pattern)?).get(key).cloned()
+    }
+
+    fn insert<C: Class>(&self, pattern: u64, key: C::Key, value: Arc<C::Value>) {
+        let mut inner = self.lock();
+        C::slot(inner.entry(pattern)).entry(key).or_insert(value);
+    }
+
+    /// Quarantine eviction: drops the in-memory artifact under `key` so
+    /// the next job re-resolves it instead of re-hitting an entry that
+    /// just served a failed execution. Returns whether anything was
+    /// evicted. Disk records are checksummed, so hydrating after the
+    /// eviction is safe; base candidates keep the *system* (pure input
+    /// data) and need no eviction.
+    pub fn remove<C: Class>(&self, pattern: u64, key: &C::Key) -> bool {
+        let mut inner = self.lock();
+        inner
+            .entries
+            .get_mut(&pattern)
+            .is_some_and(|e| C::slot(e).remove(key).is_some())
+    }
+
+    /// Resolves the symbolic analysis for `key` (which names its own
+    /// circuit): the in-memory anchor of its γ decade, or the nearest anchor of the same variant within
+    /// `span` decades ([`Hit::Neighbor`]); else the exact-decade disk
+    /// record; else `analyze`, planted in memory and on disk.
+    ///
+    /// # Errors
+    ///
+    /// Only what `analyze` returns.
+    pub fn symbolic(
+        &self,
+        key: SymbolicStoreKey,
+        span: i32,
+        analyze: impl FnOnce() -> Result<MatexSymbolic, ServeError>,
+    ) -> Result<(Arc<MatexSymbolic>, Hit), ServeError> {
+        if let Some((s, neighbor)) = self.nearest_symbolic(&key, span) {
+            self.counters.count(Counter::SymbolicHits, 1);
+            let hit = if neighbor { Hit::Neighbor } else { Hit::Hit };
+            return Ok((s, hit));
+        }
+        if let Some(s) = self.store.as_ref().and_then(|st| st.load_symbolic(&key)) {
+            let s = Arc::new(s);
+            self.lock().put_symbolic(key, s.clone());
+            self.counters.count(Counter::SymbolicHits, 1);
+            self.counters.count(Counter::StoreHits, 1);
+            return Ok((s, Hit::Hit));
+        }
+        let s = Arc::new(analyze()?);
+        self.plant_symbolic(key, s.clone());
+        Ok((s, Hit::Miss))
+    }
+
+    /// Plants a freshly computed analysis as the anchor for `key`
+    /// (replacing any anchor there) in memory and on disk.
+    pub fn plant_symbolic(&self, key: SymbolicStoreKey, s: Arc<MatexSymbolic>) {
+        self.lock().put_symbolic(key, s.clone());
+        self.counters.count(Counter::SymbolicMisses, 1);
+        self.persist(|store| store.save_symbolic(&key, &s));
+    }
+
+    /// The in-memory anchor of `key`'s variant nearest to its decade,
+    /// within `span` decades; the flag is `true` for a neighbouring
+    /// decade. Touches the entry.
+    fn nearest_symbolic(
+        &self,
+        key: &SymbolicStoreKey,
         span: i32,
     ) -> Option<(Arc<MatexSymbolic>, bool)> {
         let mut inner = self.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        let entry = inner.entries.get_mut(&pattern)?;
-        entry.touched = clock;
-        if kind != KrylovKind::Rational {
-            return entry.plain.get(&kind).map(|s| (s.clone(), false));
-        }
-        let decade = gamma_decade(gamma);
-        let best = entry
-            .anchors
+        let (anchor, s) = inner
+            .touch(key.pattern_fp)?
+            .symbolics
             .iter()
-            .min_by_key(|a| ((a.decade - decade).abs(), a.decade))?;
-        let dist = (best.decade - decade).abs();
-        if dist > span {
-            return None;
-        }
-        Some((best.symbolic.clone(), dist != 0))
-    }
-
-    /// Inserts (or replaces) the symbolic analysis anchored at γ's
-    /// decade.
-    pub fn store_symbolic(
-        &self,
-        pattern: u64,
-        kind: KrylovKind,
-        gamma: f64,
-        symbolic: Arc<MatexSymbolic>,
-    ) {
-        let mut inner = self.lock();
-        let entry = inner.entry(pattern);
-        if kind != KrylovKind::Rational {
-            entry.plain.insert(kind, symbolic);
-            return;
-        }
-        let decade = gamma_decade(gamma);
-        match entry.anchors.iter_mut().find(|a| a.decade == decade) {
-            Some(a) => a.symbolic = symbolic,
-            None => entry.anchors.push(Anchor { decade, symbolic }),
-        }
-    }
-
-    pub fn setup(&self, pattern: u64, key: &SetupKey) -> Option<Arc<MatexSetup>> {
-        let mut inner = self.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        let entry = inner.entries.get_mut(&pattern)?;
-        entry.touched = clock;
-        entry.setups.get(key).cloned()
-    }
-
-    pub fn store_setup(&self, pattern: u64, key: SetupKey, setup: Arc<MatexSetup>) {
-        let mut inner = self.lock();
-        inner.entry(pattern).setups.entry(key).or_insert(setup);
-    }
-
-    /// Quarantine eviction: drops the setup under `key` so the next job
-    /// recomputes it instead of re-hitting an entry that just served a
-    /// failed execution. Returns whether anything was evicted. Base
-    /// candidates keep the *system* (pure input data), so what-if bases
-    /// need no eviction — their corrected setups are keyed here too and
-    /// leave with the setup.
-    pub fn remove_setup(&self, pattern: u64, key: &SetupKey) -> bool {
-        let mut inner = self.lock();
-        inner
-            .entries
-            .get_mut(&pattern)
-            .is_some_and(|e| e.setups.remove(key).is_some())
-    }
-
-    /// Quarantine eviction of a DC operating point; see
-    /// [`ArtifactCache::remove_setup`].
-    pub fn remove_dc(&self, pattern: u64, key: &DcKey) -> bool {
-        let mut inner = self.lock();
-        inner
-            .entries
-            .get_mut(&pattern)
-            .is_some_and(|e| e.dcs.remove(key).is_some())
-    }
-
-    pub fn dc(&self, pattern: u64, key: &DcKey) -> Option<Arc<Vec<f64>>> {
-        self.lock().entries.get(&pattern)?.dcs.get(key).cloned()
-    }
-
-    pub fn store_dc(&self, pattern: u64, key: DcKey, x0: Arc<Vec<f64>>) {
-        let mut inner = self.lock();
-        inner.entry(pattern).dcs.entry(key).or_insert(x0);
-    }
-
-    pub fn plan(&self, pattern: u64, key: &PlanKey) -> Option<Arc<GroupPlan>> {
-        self.lock().entries.get(&pattern)?.plans.get(key).cloned()
-    }
-
-    pub fn store_plan(&self, pattern: u64, key: PlanKey, plan: Arc<GroupPlan>) {
-        let mut inner = self.lock();
-        inner.entry(pattern).plans.entry(key).or_insert(plan);
+            .filter(|(k, _)| k.kind_tag == key.kind_tag)
+            .min_by_key(|(k, _)| ((k.gamma_decade - key.gamma_decade).abs(), k.gamma_decade))?;
+        let dist = (anchor.gamma_decade - key.gamma_decade).abs();
+        (dist <= span).then(|| (s.clone(), dist != 0))
     }
 
     /// Records a fully-prepared system as a what-if base candidate
@@ -291,6 +368,11 @@ impl ArtifactCache {
         self.lock().evictions
     }
 
+    /// Store I/O failures absorbed so far (0 without a store).
+    pub fn store_errors(&self) -> u64 {
+        self.store.as_ref().map_or(0, |s| s.io_errors())
+    }
+
     /// Current artifact counts.
     pub fn sizes(&self) -> CacheSizes {
         let inner = self.lock();
@@ -299,7 +381,7 @@ impl ArtifactCache {
             ..CacheSizes::default()
         };
         for e in inner.entries.values() {
-            s.symbolics += e.anchors.len() + e.plain.len();
+            s.symbolics += e.symbolics.len();
             s.setups += e.setups.len();
             s.dcs += e.dcs.len();
             s.plans += e.plans.len();
@@ -309,6 +391,14 @@ impl ArtifactCache {
 }
 
 impl CacheInner {
+    /// The existing entry for `pattern`, LRU stamp refreshed.
+    fn touch(&mut self, pattern: u64) -> Option<&mut CircuitEntry> {
+        self.clock += 1;
+        let entry = self.entries.get_mut(&pattern)?;
+        entry.touched = self.clock;
+        Some(entry)
+    }
+
     /// The entry for `pattern`, creating it (and evicting the
     /// least-recently-touched circuit beyond capacity) as needed.
     fn entry(&mut self, pattern: u64) -> &mut CircuitEntry {
@@ -329,17 +419,292 @@ impl CacheInner {
         entry.touched = clock;
         entry
     }
+
+    /// Inserts (or replaces) the anchor under `key`.
+    fn put_symbolic(&mut self, key: SymbolicStoreKey, s: Arc<MatexSymbolic>) {
+        let symbolics = &mut self.entry(key.pattern_fp).symbolics;
+        match symbolics.iter_mut().find(|(k, _)| *k == key) {
+            Some(slot) => slot.1 = s,
+            None => symbolics.push((key, s)),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use matex_circuit::RcMeshBuilder;
-    use matex_core::MatexOptions;
+    use crate::stats::EngineStats;
+    use matex_circuit::PdnBuilder;
+    use matex_core::{FaultHook, FaultKind, FaultPlan, MatexOptions, SmwOptions, TransientSpec};
+    use matex_dist::plan_groups;
+    use matex_store::StoreOptions;
+    use matex_waveform::GroupingStrategy;
+    use std::path::PathBuf;
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("matex-tier-{}-{tag}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
+    fn tier_over(store: Option<ArtifactStore>, max_circuits: usize) -> ArtifactCache {
+        let opts = EngineOptions {
+            store: store.map(Arc::new),
+            max_circuits,
+            ..EngineOptions::default()
+        };
+        ArtifactCache::new(&opts, Arc::new(Counters::new(opts.obs.clone())))
+    }
+
+    fn tier(dir: &PathBuf) -> ArtifactCache {
+        tier_over(Some(ArtifactStore::open(dir).unwrap()), 4)
+    }
+
+    /// A tier whose store fails every read and write.
+    fn faulty_tier(dir: &PathBuf) -> ArtifactCache {
+        let faults = FaultHook::new(
+            FaultPlan::new()
+                .seeded(7, 1000, FaultKind::Error)
+                .on_sites(&["store.read", "store.write"]),
+        );
+        let opts = StoreOptions {
+            faults,
+            ..StoreOptions::default()
+        };
+        tier_over(Some(ArtifactStore::open_with(dir, opts).unwrap()), 4)
+    }
+
+    fn counted(cache: &ArtifactCache) -> EngineStats {
+        let mut s = EngineStats::default();
+        cache.counters.read_into(&mut s);
+        s
+    }
+
+    /// The snapshot a fresh table shows after exactly `events`.
+    fn exactly(events: &[(Counter, u64)]) -> EngineStats {
+        let cache = tier_over(None, 1);
+        for &(c, n) in events {
+            cache.counters.count(c, n);
+        }
+        counted(&cache)
+    }
+
+    fn sys() -> MnaSystem {
+        PdnBuilder::new(6, 6)
+            .num_loads(8)
+            .num_features(3)
+            .window(1e-9)
+            .seed(5)
+            .build()
+            .unwrap()
+    }
+
+    fn setup_of(sys: &MnaSystem) -> MatexSetup {
+        MatexSetup::prepare(sys, &MatexOptions::default(), None, false).unwrap()
+    }
+
+    fn setup_key(sys: &MnaSystem) -> SetupStoreKey {
+        let opts = MatexOptions::default();
+        SetupStoreKey {
+            value_fp: sys.value_fingerprint(),
+            kind_tag: 2,
+            gamma_bits: opts.gamma.to_bits(),
+            regularize_bits: opts.regularize_eps.to_bits(),
+            scheduled: false,
+        }
+    }
+
+    fn never<T>() -> Result<T, ServeError> {
+        panic!("resolved artifact was recomputed")
+    }
+
+    /// Every rung of the ladder for one class: compute (written back to
+    /// memory and disk), memory hit, disk hit after a restart
+    /// (hydrating memory), no store, and a store failing every read and
+    /// write — each moving exactly the counters it should, once.
+    fn check_read_through<C: Class>(tag: &str, key: C::Key, make: impl Fn() -> C::Value) {
+        const P: u64 = 42;
+        let miss: Vec<(Counter, u64)> = C::MISSES.map(|c| (c, 1)).into_iter().collect();
+        let with =
+            |base: &[(Counter, u64)], more: &[(Counter, u64)]| exactly(&[base, more].concat());
+        let dir = scratch(tag);
+        let a = tier(&dir);
+        let (_, path) = a.resolve::<C>(P, key, || Ok(make())).unwrap();
+        assert_eq!(path, HitPath::Cold);
+        assert_eq!(counted(&a), with(&miss, &[(Counter::StoreWrites, 1)]));
+        assert!(a.peek::<C>(P, &key).is_some(), "written back to memory");
+        assert!(
+            C::load(a.store.as_ref().unwrap(), &key).is_some(),
+            "written back to disk"
+        );
+        let (_, path) = a.resolve::<C>(P, key, never).unwrap();
+        assert_eq!(path, HitPath::Cache);
+        assert_eq!(
+            counted(&a),
+            with(&miss, &[(Counter::StoreWrites, 1), (C::HITS, 1)])
+        );
+
+        // A restarted tier over the same directory: one disk hit, which
+        // hydrates memory, so the repeat is a memory hit.
+        let b = tier(&dir);
+        let (_, path) = b.resolve::<C>(P, key, never).unwrap();
+        assert_eq!(path, HitPath::Store);
+        assert_eq!(
+            counted(&b),
+            exactly(&[(C::HITS, 1), (Counter::StoreHits, 1)])
+        );
+        let (_, path) = b.resolve::<C>(P, key, never).unwrap();
+        assert_eq!(path, HitPath::Cache);
+        assert_eq!(
+            counted(&b),
+            exactly(&[(C::HITS, 2), (Counter::StoreHits, 1)])
+        );
+        assert_eq!(b.store_errors(), 0);
+
+        // No store: compute, memory only.
+        let c = tier_over(None, 4);
+        assert_eq!(
+            c.resolve::<C>(P, key, || Ok(make())).unwrap().1,
+            HitPath::Cold
+        );
+        assert_eq!(counted(&c), exactly(&miss));
+        assert_eq!(c.resolve::<C>(P, key, never).unwrap().1, HitPath::Cache);
+
+        // Every read and write fails (the record IS on disk): the lookup
+        // computes through, nothing is counted as stored or hydrated,
+        // and memory still serves the repeat.
+        let d = faulty_tier(&dir);
+        assert_eq!(
+            d.resolve::<C>(P, key, || Ok(make())).unwrap().1,
+            HitPath::Cold
+        );
+        assert_eq!(counted(&d), exactly(&miss));
+        assert_eq!(d.store_errors(), 2, "one failed read, one failed write");
+        assert_eq!(d.resolve::<C>(P, key, never).unwrap().1, HitPath::Cache);
+        assert_eq!(counted(&d), with(&miss, &[(C::HITS, 1)]));
+
+        // Quarantine evicts memory only: the next lookup hydrates.
+        assert!(b.remove::<C>(P, &key));
+        assert!(!b.remove::<C>(P, &key));
+        assert_eq!(b.resolve::<C>(P, key, never).unwrap().1, HitPath::Store);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn setups_read_through_memory_disk_compute() {
+        let sys = sys();
+        check_read_through::<Setups>("setup", setup_key(&sys), || setup_of(&sys));
+    }
+
+    #[test]
+    fn dcs_read_through_memory_disk_compute() {
+        let key = DcStoreKey {
+            value_fp: 1,
+            source_fp: 2,
+            t_start_bits: 0,
+        };
+        check_read_through::<Dcs>("dc", key, || vec![1.0, -0.0, f64::MIN_POSITIVE]);
+    }
+
+    #[test]
+    fn plans_read_through_memory_disk_compute() {
+        let sys = sys();
+        let spec = TransientSpec::new(0.0, 1e-9, 2e-11).unwrap();
+        let key = PlanStoreKey {
+            source_fp: sys.source_fingerprint(),
+            strategy: 0,
+            t_start_bits: spec.t_start().to_bits(),
+            t_stop_bits: spec.t_stop().to_bits(),
+        };
+        check_read_through::<Plans>("plan", key, || {
+            plan_groups(&sys, &spec, GroupingStrategy::ByBumpFeature)
+        });
+    }
+
+    #[test]
+    fn corrected_setups_stay_in_memory() {
+        let dir = scratch("whatif");
+        let cache = tier(&dir);
+        let base_sys = sys();
+        let edited = base_sys.with_cap_scaled(7, 3.0).unwrap();
+        let diff = edited.value_diff(&base_sys).unwrap();
+        let key = setup_key(&edited);
+        let (setup, path) = cache
+            .resolve::<Setups>(9, key, || {
+                let base = Arc::new(setup_of(&base_sys));
+                Ok(MatexSetup::correct(base, &diff, &SmwOptions::default()).unwrap())
+            })
+            .unwrap();
+        assert!(setup.is_corrected());
+        assert_eq!(path, HitPath::Whatif);
+        // Neither a miss nor a store write: the correction is the
+        // engine's what-if hit, and it is never persisted.
+        assert_eq!(counted(&cache), exactly(&[]));
+        assert!(cache.store.as_ref().unwrap().load_setup(&key).is_none());
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+        // Memory serves the repeat; a restarted tier has nothing.
+        assert_eq!(
+            cache.resolve::<Setups>(9, key, never).unwrap().1,
+            HitPath::Cache
+        );
+        let restarted = tier(&dir);
+        let (_, path) = restarted
+            .resolve::<Setups>(9, key, || Ok(setup_of(&edited)))
+            .unwrap();
+        assert_eq!(path, HitPath::Cold);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     fn sample_symbolic() -> Arc<MatexSymbolic> {
-        let sys = RcMeshBuilder::new(3, 3).build().unwrap();
-        Arc::new(MatexSymbolic::analyze(&sys, &MatexOptions::default()).unwrap())
+        Arc::new(MatexSymbolic::analyze(&sys(), &MatexOptions::default()).unwrap())
+    }
+
+    fn anchor(pattern: u64, kind_tag: u8, gamma: f64) -> SymbolicStoreKey {
+        SymbolicStoreKey {
+            pattern_fp: pattern,
+            kind_tag,
+            gamma_decade: gamma_decade(gamma),
+        }
+    }
+
+    /// A symbolic lookup that must not analyze: `None` on a miss.
+    fn lookup(cache: &ArtifactCache, key: SymbolicStoreKey, span: i32) -> Option<Hit> {
+        let miss = || Err(ServeError::InvalidJob("miss".into()));
+        cache.symbolic(key, span, miss).ok().map(|(_, hit)| hit)
+    }
+
+    #[test]
+    fn symbolics_read_through_memory_disk_compute() {
+        let dir = scratch("symbolic");
+        let a = tier(&dir);
+        let key = anchor(7, 2, 1e-10);
+        let analyze = || Ok(MatexSymbolic::analyze(&sys(), &MatexOptions::default()).unwrap());
+        assert_eq!(a.symbolic(key, 1, analyze).unwrap().1, Hit::Miss);
+        let planted = [(Counter::SymbolicMisses, 1), (Counter::StoreWrites, 1)];
+        assert_eq!(counted(&a), exactly(&planted));
+        assert!(a.store.as_ref().unwrap().load_symbolic(&key).is_some());
+        // Memory: the exact decade, then a neighbour within the span.
+        assert_eq!(lookup(&a, key, 1), Some(Hit::Hit));
+        assert_eq!(lookup(&a, anchor(7, 2, 1e-9), 1), Some(Hit::Neighbor));
+        assert_eq!(
+            counted(&a),
+            exactly(&[planted[0], planted[1], (Counter::SymbolicHits, 2)])
+        );
+        // Disk after a restart: exact decade only, hydrating memory.
+        let b = tier(&dir);
+        assert_eq!(lookup(&b, anchor(7, 2, 1e-9), 1), None);
+        assert_eq!(lookup(&b, key, 1), Some(Hit::Hit));
+        assert_eq!(
+            counted(&b),
+            exactly(&[(Counter::SymbolicHits, 1), (Counter::StoreHits, 1)])
+        );
+        assert_eq!(lookup(&b, anchor(7, 2, 1e-9), 1), Some(Hit::Neighbor));
+        // A failing store: analyze, keep in memory, count no write.
+        let c = faulty_tier(&dir);
+        assert_eq!(c.symbolic(key, 1, analyze).unwrap().1, Hit::Miss);
+        assert_eq!(counted(&c), exactly(&[(Counter::SymbolicMisses, 1)]));
+        assert_eq!(lookup(&c, key, 0), Some(Hit::Hit));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -357,51 +722,55 @@ mod tests {
 
     #[test]
     fn degenerate_gamma_never_neighbors_a_real_anchor() {
-        let cache = ArtifactCache::new(4);
+        let cache = tier_over(None, 4);
         let sym = sample_symbolic();
         // An anchor at decade 0 (γ = 1.0) must not be handed to a γ = 0
         // job even with a huge span, and vice versa.
-        cache.store_symbolic(9, KrylovKind::Rational, 1.0, sym.clone());
-        assert!(cache.symbolic(9, KrylovKind::Rational, 0.0, 10).is_none());
-        cache.store_symbolic(9, KrylovKind::Rational, 0.0, sym);
-        let (_, neighbor) = cache.symbolic(9, KrylovKind::Rational, -2.0, 0).unwrap();
-        assert!(!neighbor, "degenerate γs share one exact slot");
-        assert!(cache.symbolic(9, KrylovKind::Rational, 1.0, 1).is_some());
+        cache.plant_symbolic(anchor(9, 2, 1.0), sym.clone());
+        assert_eq!(lookup(&cache, anchor(9, 2, 0.0), 10), None);
+        cache.plant_symbolic(anchor(9, 2, 0.0), sym);
+        assert_eq!(
+            lookup(&cache, anchor(9, 2, -2.0), 0),
+            Some(Hit::Hit),
+            "degenerate γs share one exact slot"
+        );
+        assert!(lookup(&cache, anchor(9, 2, 1.0), 1).is_some());
     }
 
     #[test]
     fn anchors_by_decade_with_span() {
-        let cache = ArtifactCache::new(4);
+        let cache = tier_over(None, 4);
         let sym = sample_symbolic();
-        cache.store_symbolic(7, KrylovKind::Rational, 1e-10, sym.clone());
+        cache.plant_symbolic(anchor(7, 2, 1e-10), sym.clone());
         // Same decade: exact hit.
-        let (_, neighbor) = cache.symbolic(7, KrylovKind::Rational, 3e-10, 1).unwrap();
-        assert!(!neighbor);
+        assert_eq!(lookup(&cache, anchor(7, 2, 3e-10), 1), Some(Hit::Hit));
         // One decade off, within span: neighbor hit.
-        let (_, neighbor) = cache.symbolic(7, KrylovKind::Rational, 1e-9, 1).unwrap();
-        assert!(neighbor);
+        assert_eq!(lookup(&cache, anchor(7, 2, 1e-9), 1), Some(Hit::Neighbor));
         // Two decades off, span 1: miss.
-        assert!(cache.symbolic(7, KrylovKind::Rational, 1e-8, 1).is_none());
+        assert_eq!(lookup(&cache, anchor(7, 2, 1e-8), 1), None);
         // Unknown circuit: miss.
-        assert!(cache.symbolic(8, KrylovKind::Rational, 1e-10, 1).is_none());
-        // Non-rational analyses are keyed by kind, not γ.
-        cache.store_symbolic(7, KrylovKind::Inverted, 0.0, sym);
-        assert!(cache.symbolic(7, KrylovKind::Inverted, 123.0, 0).is_some());
-        assert!(cache.symbolic(7, KrylovKind::Standard, 1e-10, 0).is_none());
+        assert_eq!(lookup(&cache, anchor(8, 2, 1e-10), 1), None);
+        // Anchors never cross variants.
+        cache.plant_symbolic(anchor(7, 1, 1.0), sym.clone());
+        assert_eq!(lookup(&cache, anchor(7, 1, 1.0), 0), Some(Hit::Hit));
+        assert_eq!(lookup(&cache, anchor(7, 0, 1e-10), 5), None);
+        // Replanting a decade replaces its anchor instead of adding one.
+        cache.plant_symbolic(anchor(7, 2, 2e-10), sym);
+        assert_eq!(cache.sizes().symbolics, 2);
     }
 
     #[test]
     fn lru_evicts_whole_circuits() {
-        let cache = ArtifactCache::new(2);
+        let cache = tier_over(None, 2);
         let sym = sample_symbolic();
-        cache.store_symbolic(1, KrylovKind::Rational, 1e-10, sym.clone());
-        cache.store_symbolic(2, KrylovKind::Rational, 1e-10, sym.clone());
+        cache.plant_symbolic(anchor(1, 2, 1e-10), sym.clone());
+        cache.plant_symbolic(anchor(2, 2, 1e-10), sym.clone());
         // Touch circuit 1 so circuit 2 is the LRU.
-        assert!(cache.symbolic(1, KrylovKind::Rational, 1e-10, 0).is_some());
-        cache.store_symbolic(3, KrylovKind::Rational, 1e-10, sym);
-        let sizes = cache.sizes();
-        assert_eq!(sizes.circuits, 2);
-        assert!(cache.symbolic(2, KrylovKind::Rational, 1e-10, 0).is_none());
-        assert!(cache.symbolic(1, KrylovKind::Rational, 1e-10, 0).is_some());
+        assert!(lookup(&cache, anchor(1, 2, 1e-10), 0).is_some());
+        cache.plant_symbolic(anchor(3, 2, 1e-10), sym);
+        assert_eq!(cache.sizes().circuits, 2);
+        assert_eq!(cache.evictions(), 1);
+        assert!(lookup(&cache, anchor(2, 2, 1e-10), 0).is_none());
+        assert!(lookup(&cache, anchor(1, 2, 1e-10), 0).is_some());
     }
 }

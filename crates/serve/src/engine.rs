@@ -1,19 +1,24 @@
 //! The scenario engine: cached, admission-controlled job execution.
+//!
+//! One [`Inner`] state is shared by the public [`ScenarioEngine`] handle
+//! and its executor threads. This module holds that state, the job
+//! table and the handle's lifecycle verbs; the behaviour lives along
+//! three seams:
+//!
+//! * `admission` — `submit`'s triage and the calibrated cost model,
+//! * `resolve` — where a job's artifacts come from (one key set per
+//!   job, one call per artifact class into the `cache` tier),
+//! * `execute` — the executor loop, thread admission, compute retry +
+//!   quarantine, and the solve itself.
 
-use crate::cache::{gamma_decade, ArtifactCache, CacheSizes, DcKey, PlanKey, SetupKey};
-use crate::job::{CacheReport, ExecutionMode, Hit, HitPath, JobId, JobOutcome, JobSpec, JobStatus};
+use crate::cache::ArtifactCache;
+use crate::job::{JobId, JobOutcome, JobSpec, JobStatus};
+use crate::stats::{Counter, Counters, EngineStats};
 use crate::ServeError;
-use matex_circuit::MnaSystem;
-use matex_core::{
-    CancelToken, FaultHook, KrylovKind, MatexOptions, MatexSetup, MatexSolver, MatexSymbolic,
-    SmwOptions, TransientEngine,
-};
-use matex_dist::{list_schedule_makespan, plan_groups, run_distributed, DistributedOptions};
-use matex_par::{AdmitError, AdmitRequest, ParOptions, ParPool, ThreadBudget};
-use matex_store::{ArtifactStore, DcStoreKey, PlanStoreKey, SetupStoreKey, SymbolicStoreKey};
-use matex_waveform::GroupingStrategy;
-use matex_waveform::SpotSet;
-use std::collections::VecDeque;
+use matex_core::{CancelToken, FaultHook};
+use matex_par::{ParPool, ThreadBudget};
+use matex_store::ArtifactStore;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -121,133 +126,23 @@ impl Default for EngineOptions {
     }
 }
 
-/// Monotonic counters of engine activity (a snapshot; see
-/// [`ScenarioEngine::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Jobs accepted by [`ScenarioEngine::submit`] or run synchronously.
-    pub submitted: u64,
-    /// Jobs finished successfully.
-    pub completed: u64,
-    /// Jobs that failed.
-    pub failed: u64,
-    /// Jobs that hit the full numeric-setup cache (skipped all
-    /// factorization).
-    pub warm_jobs: u64,
-    /// Symbolic-analysis cache hits (exact or neighbouring anchor).
-    pub symbolic_hits: u64,
-    /// Symbolic analyses performed (cache misses + replanted anchors).
-    pub symbolic_misses: u64,
-    /// Numeric-setup cache hits.
-    pub setup_hits: u64,
-    /// Numeric setups prepared.
-    pub setup_misses: u64,
-    /// DC-solution cache hits.
-    pub dc_hits: u64,
-    /// Group-plan cache hits.
-    pub plan_hits: u64,
-    /// Jobs served by the what-if fast path (low-rank correction of a
-    /// cached base setup instead of refactoring).
-    pub whatif_hits: u64,
-    /// Cumulative touched-row rank across what-if hits (average edit
-    /// rank = `whatif_rank / whatif_hits`).
-    pub whatif_rank: u64,
-    /// What-if candidates that fell back to a full preparation (edit
-    /// rank above the cap, or an ill-conditioned capture matrix).
-    pub whatif_fallbacks: u64,
-    /// Fresh symbolic anchors replanted after a cached anchor's pivots
-    /// stopped surviving replay.
-    pub anchor_plants: u64,
-    /// Jobs refused at submit time (queue full or deadline provably
-    /// unmeetable).
-    pub rejected: u64,
-    /// Jobs cancelled (queued or running).
-    pub cancelled: u64,
-    /// Deadlines missed: jobs dropped unstarted past their deadline,
-    /// jobs that gave up waiting for threads, and jobs that completed
-    /// late.
-    pub deadline_misses: u64,
-    /// Jobs currently waiting in the engine queue (a gauge, not a
-    /// counter).
-    pub queue_depth: u64,
-    /// Whole-circuit LRU evictions from the artifact cache.
-    pub evictions: u64,
-    /// Artifacts hydrated from the disk-backed store (cache misses
-    /// served without recomputation).
-    pub store_hits: u64,
-    /// Artifacts persisted to the disk-backed store.
-    pub store_writes: u64,
-    /// Store I/O failures absorbed by computing through (never
-    /// surfaced to jobs).
-    pub store_errors: u64,
-    /// Job panics contained by the engine's supervision (executor- or
-    /// compute-level), payload message preserved in the job error.
-    pub panics: u64,
-    /// Compute retries performed after a failed or panicked execution.
-    pub retries: u64,
-    /// Cached artifacts quarantined (evicted for recompute) after the
-    /// execution they served failed.
-    pub quarantined: u64,
-    /// Artifact counts currently cached.
-    pub cache: CacheSizes,
-}
-
-impl EngineStats {
-    /// Fraction of resolved jobs that ran on the warm path.
-    pub fn warm_rate(&self) -> f64 {
-        let done = self.completed.max(1);
-        self.warm_jobs as f64 / done as f64
-    }
-}
-
-#[derive(Debug, Default)]
-struct Counters {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    warm_jobs: AtomicU64,
-    symbolic_hits: AtomicU64,
-    symbolic_misses: AtomicU64,
-    setup_hits: AtomicU64,
-    setup_misses: AtomicU64,
-    dc_hits: AtomicU64,
-    plan_hits: AtomicU64,
-    whatif_hits: AtomicU64,
-    whatif_rank: AtomicU64,
-    whatif_fallbacks: AtomicU64,
-    anchor_plants: AtomicU64,
-    rejected: AtomicU64,
-    cancelled: AtomicU64,
-    deadline_misses: AtomicU64,
-    store_hits: AtomicU64,
-    store_writes: AtomicU64,
-    panics: AtomicU64,
-    retries: AtomicU64,
-    quarantined: AtomicU64,
-    /// Calibration: completed-job predicted units (scaled ×1024) and
-    /// measured execution nanoseconds, so admission converts LTS-count
-    /// cost estimates into seconds using observed service times.
-    calib_units: AtomicU64,
-    calib_nanos: AtomicU64,
-}
-
-struct JobRecord {
-    spec: JobSpec,
-    status: JobStatus,
-    submitted_at: Instant,
+pub(crate) struct JobRecord {
+    pub spec: JobSpec,
+    pub status: JobStatus,
+    pub submitted_at: Instant,
     /// Absolute deadline (submission time + the spec's relative one).
-    deadline_at: Option<Instant>,
+    pub deadline_at: Option<Instant>,
     /// Predicted service cost in LTS units (the `GroupPlan` makespan
     /// proxy), fixed at submission.
-    units: f64,
+    pub units: f64,
     /// Cooperative cancel token observed by the running solver.
-    cancel: CancelToken,
+    pub cancel: CancelToken,
 }
 
 impl JobRecord {
     /// Queue rank: strict priority class, then EDF (deadline-less jobs
     /// rank infinitely late and fall back to FIFO among themselves).
-    fn rank(&self, id: JobId) -> (u8, u8, Instant, JobId) {
+    pub fn rank(&self, id: JobId) -> (u8, u8, Instant, JobId) {
         match self.deadline_at {
             Some(d) => (self.spec.priority.class(), 0, d, id),
             None => (self.spec.priority.class(), 1, self.submitted_at, id),
@@ -256,25 +151,48 @@ impl JobRecord {
 }
 
 #[derive(Default)]
-struct JobTable {
-    records: Vec<JobRecord>,
-    queue: VecDeque<JobId>,
+pub(crate) struct JobTable {
+    /// The one id sequence: queued jobs and synchronous
+    /// [`ScenarioEngine::run`] jobs both draw from it, so an id names
+    /// one job on the trace timeline.
+    next_id: JobId,
+    /// Queued-job records by id (`run` jobs hold an id but no record).
+    pub records: HashMap<JobId, JobRecord>,
+    pub queue: VecDeque<JobId>,
     /// Resolved job ids in completion order, for outcome retention.
-    resolved: VecDeque<JobId>,
+    pub resolved: VecDeque<JobId>,
 }
 
-struct Inner {
-    opts: EngineOptions,
-    cache: ArtifactCache,
-    budget: ThreadBudget,
-    table: Mutex<JobTable>,
-    queue_cv: Condvar,
-    done_cv: Condvar,
-    shutdown: AtomicBool,
-    counters: Counters,
+impl JobTable {
+    /// The id the next [`JobTable::draw_id`] will return.
+    pub fn peek_id(&self) -> JobId {
+        self.next_id
+    }
+
+    pub fn draw_id(&mut self) -> JobId {
+        let id = self.next_id;
+        self.next_id += 1;
+        id
+    }
+}
+
+pub(crate) struct Inner {
+    pub opts: EngineOptions,
+    pub cache: ArtifactCache,
+    pub budget: ThreadBudget,
+    pub table: Mutex<JobTable>,
+    pub queue_cv: Condvar,
+    pub done_cv: Condvar,
+    pub shutdown: AtomicBool,
+    pub counters: Arc<Counters>,
+    /// Calibration: completed-job predicted units (scaled ×1024) and
+    /// measured execution nanoseconds, so admission converts LTS-count
+    /// cost estimates into seconds using observed service times.
+    pub calib_units: AtomicU64,
+    pub calib_nanos: AtomicU64,
     /// Idle kernel pools (each `kernel_threads` wide), reused across
     /// monolithic jobs so the warm fast path never pays thread spawn.
-    idle_pools: Mutex<Vec<Arc<ParPool>>>,
+    pub idle_pools: Mutex<Vec<Arc<ParPool>>>,
 }
 
 /// The scenario engine: accepts [`JobSpec`]s, amortizes per-circuit
@@ -302,7 +220,7 @@ struct Inner {
 /// # }
 /// ```
 pub struct ScenarioEngine {
-    inner: Arc<Inner>,
+    pub(crate) inner: Arc<Inner>,
     executors: Vec<JoinHandle<()>>,
 }
 
@@ -323,14 +241,17 @@ impl ScenarioEngine {
                 .map(|n| n.get())
                 .unwrap_or(1)
         });
+        let counters = Arc::new(Counters::new(opts.obs.clone()));
         let inner = Arc::new(Inner {
-            cache: ArtifactCache::new(opts.max_circuits),
+            cache: ArtifactCache::new(&opts, counters.clone()),
             budget: ThreadBudget::new(threads),
             table: Mutex::new(JobTable::default()),
             queue_cv: Condvar::new(),
             done_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            counters: Counters::default(),
+            counters,
+            calib_units: AtomicU64::new(0),
+            calib_nanos: AtomicU64::new(0),
             idle_pools: Mutex::new(Vec::new()),
             opts,
         });
@@ -339,7 +260,7 @@ impl ScenarioEngine {
                 let inner = inner.clone();
                 std::thread::Builder::new()
                     .name(format!("matex-serve-exec-{k}"))
-                    .spawn(move || executor_loop(&inner))
+                    .spawn(move || inner.executor_loop())
                     .expect("spawn engine executor")
             })
             .collect();
@@ -349,115 +270,6 @@ impl ScenarioEngine {
     /// The configured options.
     pub fn options(&self) -> &EngineOptions {
         &self.inner.opts
-    }
-
-    /// Queues a job; returns its id immediately. Queued jobs run in
-    /// strict priority order, EDF within a class (see
-    /// [`JobSpec::priority`] / [`JobSpec::deadline`]); the order never
-    /// changes any admitted job's waveform, only when it runs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::ShuttingDown`] after the engine began
-    /// shutting down, or [`ServeError::Rejected`] — with a
-    /// `retry_after` hint computed from the queued predicted cost —
-    /// when the queue is at `max_queue` or the job's deadline is
-    /// already unmeetable under the calibrated cost estimates.
-    pub fn submit(&self, spec: JobSpec) -> Result<JobId, ServeError> {
-        if self.inner.shutdown.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
-        let now = Instant::now();
-        let units = self.inner.predicted_units(&spec);
-        let deadline_at = spec.deadline.map(|d| now + d);
-        let mut table = self.inner.lock_table();
-        if table.queue.len() >= self.inner.opts.max_queue {
-            let retry_after = self.inner.drain_estimate(&table);
-            drop(table);
-            self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            self.inner.opts.obs.add_labeled(
-                "engine_rejected_total",
-                &[("reason", "queue_full")],
-                1,
-            );
-            return Err(ServeError::Rejected {
-                reason: format!("queue full ({} jobs)", self.inner.opts.max_queue),
-                retry_after,
-            });
-        }
-        let id = table.records.len() as JobId;
-        // Deadline triage: predicted completion = everything queued at
-        // or ahead of this job's rank (drained by `executors` threads in
-        // parallel) plus its own service time, converted to seconds via
-        // the calibrated per-unit cost. A deadline the estimate already
-        // rules out is refused now — cheaper for everyone than queueing
-        // a job that will be dropped at its deadline later.
-        if let (Some(d), unit_secs) = (spec.deadline, self.inner.unit_secs()) {
-            let probe = JobRecord {
-                spec: spec.clone(),
-                status: JobStatus::Queued,
-                submitted_at: now,
-                deadline_at,
-                units,
-                cancel: CancelToken::new(),
-            };
-            let my_rank = probe.rank(id);
-            let ahead: f64 = table
-                .queue
-                .iter()
-                .map(|&q| &table.records[q as usize])
-                .filter(|r| {
-                    // Rank against the queued job's own id (any id <
-                    // ours preserves its ordering vs our probe rank).
-                    r.rank(0) <= my_rank
-                })
-                .map(|r| r.units)
-                .sum();
-            let executors = self.inner.opts.executors.max(1) as f64;
-            let eta = (ahead / executors + units) * unit_secs;
-            if eta > d.as_secs_f64() {
-                let retry_after = self.inner.drain_estimate(&table);
-                drop(table);
-                self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                self.inner.opts.obs.add_labeled(
-                    "engine_rejected_total",
-                    &[("reason", "deadline")],
-                    1,
-                );
-                return Err(ServeError::Rejected {
-                    reason: format!(
-                        "deadline unmeetable (predicted {:.1}ms > deadline {:.1}ms)",
-                        eta * 1e3,
-                        d.as_secs_f64() * 1e3
-                    ),
-                    retry_after,
-                });
-            }
-        }
-        table.records.push(JobRecord {
-            spec,
-            status: JobStatus::Queued,
-            submitted_at: now,
-            deadline_at,
-            units,
-            cancel: CancelToken::new(),
-        });
-        table.queue.push_back(id);
-        let depth = table.queue.len();
-        drop(table);
-        self.inner
-            .counters
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
-        if self.inner.opts.obs.is_enabled() {
-            self.inner.opts.obs.add("engine_submitted_total", 1);
-            self.inner
-                .opts
-                .obs
-                .gauge("engine_queue_depth", depth as i64);
-        }
-        self.inner.queue_cv.notify_one();
-        Ok(id)
     }
 
     /// Cancels a job. A queued job is removed from the queue and
@@ -472,29 +284,23 @@ impl ScenarioEngine {
     /// other jobs' results or the artifact cache.
     pub fn cancel(&self, id: JobId) -> Option<JobStatus> {
         let mut table = self.inner.lock_table();
-        let status = table.records.get(id as usize)?.status.clone();
-        match status {
+        let rec = table.records.get_mut(&id)?;
+        match rec.status.clone() {
             JobStatus::Queued => {
-                table.queue.retain(|&q| q != id);
-                let rec = &mut table.records[id as usize];
                 rec.status = JobStatus::Cancelled;
                 // Trip the token too: an executor that popped the id
                 // concurrently must not start the solve.
                 rec.cancel.cancel();
+                table.queue.retain(|&q| q != id);
                 drop(table);
                 self.inner
                     .counters
-                    .cancelled
-                    .fetch_add(1, Ordering::Relaxed);
-                self.inner
-                    .opts
-                    .obs
-                    .add_labeled("engine_cancelled_total", &[("at", "queued")], 1);
+                    .count_labeled(Counter::Cancelled, &[("at", "queued")], 1);
                 self.inner.done_cv.notify_all();
                 Some(JobStatus::Cancelled)
             }
             JobStatus::Running => {
-                table.records[id as usize].cancel.cancel();
+                rec.cancel.cancel();
                 Some(JobStatus::Running)
             }
             other => Some(other),
@@ -504,7 +310,7 @@ impl ScenarioEngine {
     /// The job's current status, or `None` for an unknown id.
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
         let table = self.inner.lock_table();
-        table.records.get(id as usize).map(|r| r.status.clone())
+        table.records.get(&id).map(|r| r.status.clone())
     }
 
     /// Blocks until the job finishes; returns its outcome.
@@ -516,7 +322,7 @@ impl ScenarioEngine {
     pub fn wait(&self, id: JobId) -> Result<Arc<JobOutcome>, ServeError> {
         let mut table = self.inner.lock_table();
         loop {
-            match table.records.get(id as usize) {
+            match table.records.get(&id) {
                 None => return Err(ServeError::UnknownJob(id)),
                 Some(r) => match &r.status {
                     JobStatus::Done(out) => return Ok(out.clone()),
@@ -547,12 +353,10 @@ impl ScenarioEngine {
     ///
     /// Propagates circuit/solver/distributed failures.
     pub fn run(&self, spec: &JobSpec) -> Result<JobOutcome, ServeError> {
-        let seq = self
-            .inner
-            .counters
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
-        let out = self.inner.admit_and_execute(spec, seq);
+        let id = self.inner.lock_table().draw_id();
+        self.inner.counters.count(Counter::Submitted, 1);
+        let deadline_at = spec.deadline.map(|d| Instant::now() + d);
+        let out = self.inner.admit_and_execute(spec, deadline_at, None, id);
         self.inner.note_result(&out);
         out
     }
@@ -588,182 +392,22 @@ impl Drop for ScenarioEngine {
     }
 }
 
-fn executor_loop(inner: &Inner) {
-    loop {
-        let (id, spec, submitted_at, deadline_at, units, cancel) = {
-            let mut table = inner.lock_table();
-            loop {
-                // Pop the best-ranked queued job: strict priority class
-                // first, EDF within a class, FIFO among deadline-less
-                // peers. The queue is bounded (`max_queue`), so the
-                // linear scan stays cheap.
-                let best = table
-                    .queue
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &q)| table.records[q as usize].rank(q))
-                    .map(|(pos, _)| pos);
-                if let Some(pos) = best {
-                    let id = table.queue.remove(pos).expect("position just observed");
-                    let rec = &mut table.records[id as usize];
-                    rec.status = JobStatus::Running;
-                    break (
-                        id,
-                        rec.spec.clone(),
-                        rec.submitted_at,
-                        rec.deadline_at,
-                        rec.units,
-                        rec.cancel.clone(),
-                    );
-                }
-                if inner.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                table = inner
-                    .queue_cv
-                    .wait(table)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        let queue_wait = submitted_at.elapsed();
-        if inner.opts.obs.is_enabled() {
-            inner
-                .opts
-                .obs
-                .record_span("engine.queue_wait", id, submitted_at, queue_wait, &[]);
-            inner
-                .opts
-                .obs
-                .observe("engine_queue_wait_seconds", queue_wait);
-        }
-        // A job already past its deadline is dropped unstarted: running
-        // it would burn capacity on an answer nobody is waiting for.
-        let dead_on_arrival = deadline_at.is_some_and(|d| Instant::now() >= d);
-        let exec_started = Instant::now();
-        // Panic isolation: a job that panics must resolve to Failed —
-        // never leave its record stuck in Running (wedging every waiter)
-        // or kill this executor thread. The budget lease is RAII, so it
-        // is returned during the unwind.
-        let outcome = if dead_on_arrival {
-            Err(ServeError::DeadlineMissed(
-                "deadline passed while queued".into(),
-            ))
-        } else if cancel.is_cancelled() {
-            Err(ServeError::Cancelled(id))
-        } else {
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                inner.admit_and_execute_cancellable(&spec, deadline_at, Some(&cancel), id)
-            })) {
-                Ok(out) => out,
-                Err(payload) => {
-                    // Panics escaping the compute retry loop (admission,
-                    // bookkeeping): still contained, payload preserved.
-                    inner.counters.panics.fetch_add(1, Ordering::Relaxed);
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".into());
-                    Err(ServeError::InvalidJob(format!("job panicked: {msg}")))
-                }
-            }
-        };
-        // Accounting: cancellations are neither completions nor
-        // failures; deadline givenups count as misses; completed jobs
-        // calibrate the admission cost model and count as late when they
-        // resolve past their deadline.
-        match &outcome {
-            Ok(_) => {
-                if let Some(d) = deadline_at {
-                    if Instant::now() > d {
-                        inner
-                            .counters
-                            .deadline_misses
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                inner.calibrate(units, exec_started.elapsed());
-                inner.note_result(&outcome);
-            }
-            Err(e) if e.is_cancelled() => {
-                inner.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                inner
-                    .opts
-                    .obs
-                    .add_labeled("engine_cancelled_total", &[("at", "running")], 1);
-            }
-            Err(ServeError::DeadlineMissed(_)) => {
-                inner
-                    .counters
-                    .deadline_misses
-                    .fetch_add(1, Ordering::Relaxed);
-                inner.counters.failed.fetch_add(1, Ordering::Relaxed);
-                inner
-                    .opts
-                    .obs
-                    .add_labeled("engine_deadline_misses_total", &[("at", "queued")], 1);
-            }
-            Err(_) => inner.note_result(&outcome),
-        }
-        let mut table = inner.lock_table();
-        table.records[id as usize].status = match outcome {
-            Ok(mut out) => {
-                out.queue_wait = queue_wait;
-                JobStatus::Done(Arc::new(out))
-            }
-            Err(e) if e.is_cancelled() => JobStatus::Cancelled,
-            Err(e) => JobStatus::Failed(e.to_string()),
-        };
-        // Outcome retention: a long-running service must not accumulate
-        // every waveform it ever computed. Beyond the limit, the oldest
-        // resolved job keeps its id but drops its payload.
-        table.resolved.push_back(id);
-        while table.resolved.len() > inner.opts.max_retained.max(1) {
-            if let Some(old) = table.resolved.pop_front() {
-                table.records[old as usize].status = JobStatus::Expired;
-            }
-        }
-        drop(table);
-        inner.done_cv.notify_all();
-    }
-}
-
 impl Inner {
-    fn lock_table(&self) -> std::sync::MutexGuard<'_, JobTable> {
+    pub fn lock_table(&self) -> std::sync::MutexGuard<'_, JobTable> {
         self.table.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// One full read pass over every counter (torn when racing).
     fn read_stats(&self) -> EngineStats {
-        let c = &self.counters;
-        EngineStats {
-            submitted: c.submitted.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
-            warm_jobs: c.warm_jobs.load(Ordering::Relaxed),
-            symbolic_hits: c.symbolic_hits.load(Ordering::Relaxed),
-            symbolic_misses: c.symbolic_misses.load(Ordering::Relaxed),
-            setup_hits: c.setup_hits.load(Ordering::Relaxed),
-            setup_misses: c.setup_misses.load(Ordering::Relaxed),
-            dc_hits: c.dc_hits.load(Ordering::Relaxed),
-            plan_hits: c.plan_hits.load(Ordering::Relaxed),
-            whatif_hits: c.whatif_hits.load(Ordering::Relaxed),
-            whatif_rank: c.whatif_rank.load(Ordering::Relaxed),
-            whatif_fallbacks: c.whatif_fallbacks.load(Ordering::Relaxed),
-            anchor_plants: c.anchor_plants.load(Ordering::Relaxed),
-            rejected: c.rejected.load(Ordering::Relaxed),
-            cancelled: c.cancelled.load(Ordering::Relaxed),
-            deadline_misses: c.deadline_misses.load(Ordering::Relaxed),
+        let mut s = EngineStats {
             queue_depth: self.lock_table().queue.len() as u64,
             evictions: self.cache.evictions(),
-            store_hits: c.store_hits.load(Ordering::Relaxed),
-            store_writes: c.store_writes.load(Ordering::Relaxed),
-            store_errors: self.opts.store.as_ref().map_or(0, |s| s.io_errors()),
-            panics: c.panics.load(Ordering::Relaxed),
-            retries: c.retries.load(Ordering::Relaxed),
-            quarantined: c.quarantined.load(Ordering::Relaxed),
+            store_errors: self.cache.store_errors(),
             cache: self.cache.sizes(),
-        }
+            ..EngineStats::default()
+        };
+        self.counters.read_into(&mut s);
+        s
     }
 
     /// Double-read-until-stable snapshot: two identical consecutive
@@ -782,722 +426,16 @@ impl Inner {
         }
         prev
     }
-
-    fn note_result(&self, out: &Result<JobOutcome, ServeError>) {
-        match out {
-            Ok(o) => {
-                self.counters.completed.fetch_add(1, Ordering::Relaxed);
-                if o.cache.is_warm() {
-                    self.counters.warm_jobs.fetch_add(1, Ordering::Relaxed);
-                }
-                self.opts.obs.add("engine_completed_total", 1);
-            }
-            Err(_) => {
-                self.counters.failed.fetch_add(1, Ordering::Relaxed);
-                self.opts.obs.add("engine_failed_total", 1);
-            }
-        }
-    }
-
-    /// Threads the job will occupy while running.
-    fn demand(&self, spec: &JobSpec) -> usize {
-        match &spec.mode {
-            ExecutionMode::Monolithic => self.opts.kernel_threads.max(1),
-            ExecutionMode::Distributed { workers, .. } => {
-                let w = workers.unwrap_or(self.opts.dist_workers).max(1);
-                // Each worker owns max(1, kernel/workers) kernel threads.
-                w * (self.opts.kernel_threads / w).max(1)
-            }
-        }
-    }
-
-    fn admit_and_execute(&self, spec: &JobSpec, job_id: u64) -> Result<JobOutcome, ServeError> {
-        let deadline_at = spec.deadline.map(|d| Instant::now() + d);
-        self.admit_and_execute_cancellable(spec, deadline_at, None, job_id)
-    }
-
-    fn admit_and_execute_cancellable(
-        &self,
-        spec: &JobSpec,
-        deadline_at: Option<Instant>,
-        cancel: Option<&CancelToken>,
-        job_id: u64,
-    ) -> Result<JobOutcome, ServeError> {
-        let t0 = Instant::now();
-        // Thread admission inherits the job's class and deadline: a
-        // high-priority job outranks queued normal acquirers, and a job
-        // whose deadline passes while waiting for threads gives up
-        // instead of running uselessly late.
-        let mut req = AdmitRequest::new(self.demand(spec)).priority(spec.priority);
-        if let Some(d) = deadline_at {
-            req = req.deadline(d);
-        }
-        let lease = match self.budget.acquire_admit(req) {
-            Ok(l) => l,
-            Err(AdmitError::DeadlineExpired) => {
-                self.opts.obs.add_labeled(
-                    "engine_deadline_misses_total",
-                    &[("at", "admission")],
-                    1,
-                );
-                return Err(ServeError::DeadlineMissed(
-                    "deadline passed while waiting for threads".into(),
-                ));
-            }
-            Err(e) => {
-                self.opts
-                    .obs
-                    .add_labeled("engine_rejected_total", &[("reason", "admission")], 1);
-                return Err(ServeError::Rejected {
-                    reason: e.to_string(),
-                    retry_after: Duration::from_millis((self.unit_secs() * 1e3).clamp(
-                        1.0,
-                        (self.opts.retry_after_cap.as_secs_f64() * 1e3).max(1.0),
-                    ) as u64),
-                });
-            }
-        };
-        // Transient-failure recovery: each attempt runs under its own
-        // catch_unwind so solver panics are retryable too. A failed
-        // attempt quarantines the cached artifacts it executed against
-        // (evict + recompute) so one corrupted cache entry cannot poison
-        // every subsequent hit, then backs off and recomputes.
-        // Cancellations and missed deadlines are terminal.
-        let mut attempt = 0usize;
-        let mut out = loop {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.execute(spec, cancel, job_id)
-            }))
-            .unwrap_or_else(|payload| {
-                self.counters.panics.fetch_add(1, Ordering::Relaxed);
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".into());
-                Err(ServeError::InvalidJob(format!("job panicked: {msg}")))
-            });
-            match result {
-                Ok(out) => break out,
-                Err(e) => {
-                    let terminal = e.is_cancelled()
-                        || matches!(e, ServeError::DeadlineMissed(_))
-                        || cancel.is_some_and(|c| c.is_cancelled())
-                        || deadline_at.is_some_and(|d| Instant::now() >= d)
-                        || attempt >= self.opts.max_compute_retries;
-                    if terminal {
-                        return Err(e);
-                    }
-                    self.quarantine(spec);
-                    self.counters.retries.fetch_add(1, Ordering::Relaxed);
-                    self.opts.obs.add("engine_retries_total", 1);
-                    let backoff = self.opts.retry_backoff.saturating_mul(1 << attempt.min(16));
-                    if !backoff.is_zero() {
-                        let b0 = Instant::now();
-                        std::thread::sleep(backoff);
-                        self.opts
-                            .obs
-                            .record_span("engine.backoff", job_id, b0, b0.elapsed(), &[]);
-                    }
-                    attempt += 1;
-                }
-            }
-        };
-        drop(lease);
-        out.wall = t0.elapsed();
-        // The job span: admission wait + every attempt, labeled with
-        // the hit path the (final) execution actually took.
-        if self.opts.obs.is_enabled() {
-            let path = out.cache.hit_path.label();
-            self.opts
-                .obs
-                .record_span("engine.run", job_id, t0, out.wall, &[("path", path)]);
-            self.opts
-                .obs
-                .observe_labeled("engine_job_seconds", &[("path", path)], out.wall);
-            self.opts
-                .obs
-                .add_labeled("engine_jobs_total", &[("path", path)], 1);
-        }
-        Ok(out)
-    }
-
-    /// Evicts the cached numeric artifacts a failed execution ran
-    /// against — the setup and the DC solution for the job's exact keys
-    /// — so the retry (and every later job) recomputes them instead of
-    /// re-hitting a possibly corrupted entry. Disk-store records are
-    /// checksummed, so hydration after the eviction is safe.
-    fn quarantine(&self, job: &JobSpec) {
-        let Ok(sys) = job.effective_circuit() else {
-            return;
-        };
-        let opts = job.effective_options();
-        let pattern = sys.pattern_fingerprint();
-        let value_fp = sys.value_fingerprint();
-        let key = SetupKey {
-            value_fp,
-            kind: opts.kind,
-            gamma_bits: opts.gamma.to_bits(),
-            regularize_bits: opts.regularize_eps.to_bits(),
-            scheduled: self.opts.kernel_threads > 0,
-        };
-        let dc_key = DcKey {
-            value_fp,
-            source_fp: sys.source_fingerprint(),
-            t_start_bits: job.spec.t_start().to_bits(),
-        };
-        let mut evicted = 0;
-        if self.cache.remove_setup(pattern, &key) {
-            evicted += 1;
-        }
-        if self.cache.remove_dc(pattern, &dc_key) {
-            evicted += 1;
-        }
-        self.counters
-            .quarantined
-            .fetch_add(evicted, Ordering::Relaxed);
-        self.opts.obs.add("engine_quarantined_total", evicted);
-    }
-
-    /// Predicted service cost of a job in LTS units — the scheduling
-    /// currency the `GroupPlan` makespan model uses. Monolithic jobs
-    /// cost the union of their sources' transition spots (the number of
-    /// fresh Krylov subspaces the march must build); distributed jobs
-    /// cost the LPT makespan over the cached plan's group LTS counts
-    /// when the plan is cached, else an equal-split estimate. Pure
-    /// waveform arithmetic on the base circuit — never assembles or
-    /// factors anything, so `submit` stays cheap.
-    fn predicted_units(&self, job: &JobSpec) -> f64 {
-        let t0 = job.spec.t_start();
-        let t1 = job.spec.t_stop();
-        let spots: Vec<SpotSet> = job
-            .circuit
-            .sources()
-            .iter()
-            .map(|s| SpotSet::from_times(s.waveform.transition_spots(t1)))
-            .collect();
-        let total = SpotSet::union(&spots).clip(t0, t1).len().max(1) as f64;
-        match &job.mode {
-            ExecutionMode::Monolithic => total,
-            ExecutionMode::Distributed { strategy, workers } => {
-                let w = workers.unwrap_or(self.opts.dist_workers).max(1);
-                let pattern = job.circuit.pattern_fingerprint();
-                let plan_key = PlanKey {
-                    source_fp: job.circuit.source_fingerprint(),
-                    strategy: strategy_tag(*strategy),
-                    t_start_bits: t0.to_bits(),
-                    t_stop_bits: t1.to_bits(),
-                };
-                match self.cache.plan(pattern, &plan_key) {
-                    Some(plan) => {
-                        let costs: Vec<f64> =
-                            plan.jobs().iter().map(|j| j.lts.len() as f64).collect();
-                        list_schedule_makespan(plan.order(), &costs, w).max(1.0)
-                    }
-                    None => (total / w as f64).max(1.0),
-                }
-            }
-        }
-    }
-
-    /// Calibrated seconds per LTS unit, from completed-job measurements
-    /// (a conservative 1 ms/unit prior before any job completes).
-    fn unit_secs(&self) -> f64 {
-        let units = self.counters.calib_units.load(Ordering::Relaxed);
-        if units == 0 {
-            return 1e-3;
-        }
-        let nanos = self.counters.calib_nanos.load(Ordering::Relaxed);
-        (nanos as f64 / 1e9) / (units as f64 / 1024.0)
-    }
-
-    fn calibrate(&self, units: f64, wall: Duration) {
-        self.counters
-            .calib_units
-            .fetch_add((units * 1024.0) as u64, Ordering::Relaxed);
-        self.counters
-            .calib_nanos
-            .fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Estimated time for the current queue to drain — the structured
-    /// `retry_after` hint attached to rejections: total queued predicted
-    /// cost divided across the executor threads.
-    fn drain_estimate(&self, table: &JobTable) -> Duration {
-        let queued: f64 = table
-            .queue
-            .iter()
-            .map(|&q| table.records[q as usize].units)
-            .sum();
-        let secs = (queued / self.opts.executors.max(1) as f64) * self.unit_secs();
-        // Clamp to a sane hint window: at least 1ms (a plain busy signal
-        // still means "back off"), at most the configured ceiling — a
-        // miscalibrated cost model must not tell clients to disappear
-        // for minutes.
-        let cap = self.opts.retry_after_cap.as_secs_f64().max(1e-3);
-        Duration::from_secs_f64(secs.clamp(1e-3, cap))
-    }
-
-    /// Takes an idle kernel pool (or spawns one) when kernel threads
-    /// are configured. Pools are returned by [`Inner::return_pool`] and
-    /// reused, so warm jobs never pay per-job thread spawn.
-    fn take_pool(&self) -> Option<Arc<ParPool>> {
-        if self.opts.kernel_threads == 0 {
-            return None;
-        }
-        let recycled = self
-            .idle_pools
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop();
-        Some(recycled.unwrap_or_else(|| Arc::new(ParPool::new(self.opts.kernel_threads))))
-    }
-
-    /// Returns a pool to the idle list (bounded by the executor count —
-    /// beyond that the pool is simply dropped).
-    fn return_pool(&self, pool: Arc<ParPool>) {
-        let mut idle = self.idle_pools.lock().unwrap_or_else(|e| e.into_inner());
-        if idle.len() < self.opts.executors.max(1) + 1 {
-            idle.push(pool);
-        }
-    }
-
-    /// Resolves cached artifacts and runs the job. The cancel token, if
-    /// any, is observed by the solver between transient steps (and by
-    /// distributed workers between node runs) — never inside a
-    /// factorization or cache store, so cancellation cannot leave a
-    /// half-written artifact behind.
-    fn execute(
-        &self,
-        job: &JobSpec,
-        cancel: Option<&CancelToken>,
-        job_id: u64,
-    ) -> Result<JobOutcome, ServeError> {
-        let sys = job.effective_circuit()?;
-        let mut opts = job.effective_options();
-        // The engine's hook reaches the solver ("core.solver.run") of
-        // every job it executes; disarmed hooks are free.
-        opts.faults = self.opts.faults.clone();
-        // So do its spans: the solver's phase spans carry this job's id
-        // on the shared timeline. Disabled handles clone for free.
-        opts.obs = self.opts.obs.tagged(job_id);
-        let pattern = sys.pattern_fingerprint();
-        let value_fp = sys.value_fingerprint();
-        let mut report = CacheReport::default();
-        let (setup, symbolic_hit, setup_hit, hit_path) =
-            self.setup_for(&sys, &opts, pattern, value_fp)?;
-        report.symbolic = symbolic_hit;
-        report.setup = setup_hit;
-        report.hit_path = hit_path;
-
-        match &job.mode {
-            ExecutionMode::Monolithic => {
-                let source_fp = sys.source_fingerprint();
-                let dc_key = DcKey {
-                    value_fp,
-                    source_fp,
-                    t_start_bits: job.spec.t_start().to_bits(),
-                };
-                let dc_store_key = DcStoreKey {
-                    value_fp,
-                    source_fp,
-                    t_start_bits: dc_key.t_start_bits,
-                };
-                let (x0, dc_hit) = match self.cache.dc(pattern, &dc_key) {
-                    Some(x0) => (x0, Hit::Hit),
-                    None => match self
-                        .opts
-                        .store
-                        .as_ref()
-                        .and_then(|st| st.load_dc(&dc_store_key))
-                    {
-                        Some(dc) => {
-                            let x0 = Arc::new(dc);
-                            self.cache.store_dc(pattern, dc_key, x0.clone());
-                            self.counters.store_hits.fetch_add(1, Ordering::Relaxed);
-                            (x0, Hit::Hit)
-                        }
-                        None => {
-                            // The exact solve the solver would perform
-                            // (SMW-corrected for what-if setups).
-                            let x0 = Arc::new(setup.solve_g(&sys.bu_at(job.spec.t_start())));
-                            self.cache.store_dc(pattern, dc_key, x0.clone());
-                            if let Some(store) = &self.opts.store {
-                                if store.save_dc(&dc_store_key, &x0).is_ok() {
-                                    self.counters.store_writes.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            (x0, Hit::Miss)
-                        }
-                    },
-                };
-                if dc_hit == Hit::Hit {
-                    self.counters.dc_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                report.dc = dc_hit;
-                let mut solver = MatexSolver::new(opts).with_setup(setup).with_dc(x0);
-                if let Some(token) = cancel {
-                    solver = solver.with_cancel(token.clone());
-                }
-                let pool = self.take_pool();
-                if let Some(p) = &pool {
-                    solver = solver.with_parallelism(p.clone());
-                }
-                let result = solver.run(&sys, &job.spec);
-                if let Some(p) = pool {
-                    self.return_pool(p);
-                }
-                let result = result?;
-                Ok(JobOutcome {
-                    result,
-                    cache: report,
-                    groups: None,
-                    wall: Duration::ZERO,
-                    queue_wait: Duration::ZERO,
-                })
-            }
-            ExecutionMode::Distributed { strategy, workers } => {
-                let source_fp = sys.source_fingerprint();
-                let plan_key = PlanKey {
-                    source_fp,
-                    strategy: strategy_tag(*strategy),
-                    t_start_bits: job.spec.t_start().to_bits(),
-                    t_stop_bits: job.spec.t_stop().to_bits(),
-                };
-                let plan_store_key = PlanStoreKey {
-                    source_fp,
-                    strategy: plan_key.strategy,
-                    t_start_bits: plan_key.t_start_bits,
-                    t_stop_bits: plan_key.t_stop_bits,
-                };
-                let (plan, plan_hit) = match self.cache.plan(pattern, &plan_key) {
-                    Some(p) => (p, Hit::Hit),
-                    None => match self
-                        .opts
-                        .store
-                        .as_ref()
-                        .and_then(|st| st.load_plan(&plan_store_key))
-                    {
-                        Some(p) => {
-                            let p = Arc::new(p);
-                            self.cache.store_plan(pattern, plan_key, p.clone());
-                            self.counters.store_hits.fetch_add(1, Ordering::Relaxed);
-                            (p, Hit::Hit)
-                        }
-                        None => {
-                            let p = Arc::new(plan_groups(&sys, &job.spec, *strategy));
-                            self.cache.store_plan(pattern, plan_key, p.clone());
-                            if let Some(store) = &self.opts.store {
-                                if store.save_plan(&plan_store_key, &p).is_ok() {
-                                    self.counters.store_writes.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            (p, Hit::Miss)
-                        }
-                    },
-                };
-                if plan_hit == Hit::Hit {
-                    self.counters.plan_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                report.plan = plan_hit;
-                let groups = plan.num_jobs();
-                let job_obs = opts.obs.clone();
-                let dist_opts = DistributedOptions {
-                    matex: opts,
-                    strategy: *strategy,
-                    workers: Some(workers.unwrap_or(self.opts.dist_workers).max(1)),
-                    par: ParOptions::with_threads(self.opts.kernel_threads),
-                    symbolic: None,
-                    setup: Some(setup),
-                    plan: Some(plan),
-                    cancel: cancel.cloned(),
-                    max_node_retries: self.opts.max_node_retries,
-                    faults: self.opts.faults.clone(),
-                    obs: job_obs,
-                };
-                let run = run_distributed(&sys, &job.spec, &dist_opts)?;
-                Ok(JobOutcome {
-                    result: run.result,
-                    cache: report,
-                    groups: Some(groups),
-                    wall: Duration::ZERO,
-                    queue_wait: Duration::ZERO,
-                })
-            }
-        }
-    }
-
-    /// Resolves (or builds) the numeric setup for `(sys, opts)`:
-    /// exact-value cache hit, else the what-if fast path (a low-rank
-    /// correction of a retained base's factors), else a full
-    /// preparation consulting the γ-decade symbolic anchors.
-    fn setup_for(
-        &self,
-        sys: &Arc<MnaSystem>,
-        opts: &MatexOptions,
-        pattern: u64,
-        value_fp: u64,
-    ) -> Result<(Arc<MatexSetup>, Hit, Hit, HitPath), ServeError> {
-        let scheduled = self.opts.kernel_threads > 0;
-        let key = SetupKey {
-            value_fp,
-            kind: opts.kind,
-            gamma_bits: opts.gamma.to_bits(),
-            regularize_bits: opts.regularize_eps.to_bits(),
-            scheduled,
-        };
-        if let Some(setup) = self.cache.setup(pattern, &key) {
-            self.counters.setup_hits.fetch_add(1, Ordering::Relaxed);
-            // The symbolic layer was not even consulted.
-            return Ok((setup, Hit::Skipped, Hit::Hit, HitPath::Cache));
-        }
-        // An exact persisted setup beats the approximate what-if path:
-        // hydrating it replays the original factors bitwise.
-        if let Some(setup) = self
-            .opts
-            .store
-            .as_ref()
-            .and_then(|s| s.load_setup(&store_setup_key(&key)))
-        {
-            let setup = Arc::new(setup);
-            self.cache.store_setup(pattern, key, setup.clone());
-            self.counters.store_hits.fetch_add(1, Ordering::Relaxed);
-            // Persisted setups are uncorrected by construction, so the
-            // hydrated system is a valid what-if base too.
-            if self.opts.whatif_max_rank > 0 {
-                self.cache
-                    .record_base(pattern, value_fp, sys.clone(), self.opts.whatif_bases);
-            }
-            return Ok((setup, Hit::Skipped, Hit::Hit, HitPath::Store));
-        }
-        if let Some(setup) = self.try_whatif(sys, pattern, value_fp, &key) {
-            self.cache.store_setup(pattern, key, setup.clone());
-            return Ok((setup, Hit::Skipped, Hit::Whatif, HitPath::Whatif));
-        }
-        let sym_store_key = SymbolicStoreKey {
-            pattern_fp: pattern,
-            kind_tag: kind_wire_tag(opts.kind),
-            gamma_decade: gamma_decade(opts.gamma),
-        };
-        let (symbolic, mut sym_hit) =
-            match self
-                .cache
-                .symbolic(pattern, opts.kind, opts.gamma, self.opts.anchor_span)
-            {
-                Some((s, false)) => (s, Hit::Hit),
-                Some((s, true)) => (s, Hit::Neighbor),
-                None => {
-                    // Disk anchor before fresh analysis: a persisted
-                    // exact-decade anchor replays like a cache hit.
-                    let (s, hit) = match self
-                        .opts
-                        .store
-                        .as_ref()
-                        .and_then(|st| st.load_symbolic(&sym_store_key))
-                    {
-                        Some(s) => {
-                            self.counters.store_hits.fetch_add(1, Ordering::Relaxed);
-                            (Arc::new(s), Hit::Hit)
-                        }
-                        None => {
-                            let s = Arc::new(MatexSymbolic::analyze(sys, opts)?);
-                            self.persist_symbolic(&sym_store_key, &s);
-                            self.counters
-                                .symbolic_misses
-                                .fetch_add(1, Ordering::Relaxed);
-                            (s, Hit::Miss)
-                        }
-                    };
-                    self.cache
-                        .store_symbolic(pattern, opts.kind, opts.gamma, s.clone());
-                    (s, hit)
-                }
-            };
-        // The engine factors here (the solver is handed the prepared
-        // setup), so the solver's own factor span never fires on this
-        // path — record the equivalent span at this site instead.
-        let factor_t0 = opts.obs.is_enabled().then(Instant::now);
-        let setup = MatexSetup::prepare(sys, opts, Some(&symbolic), scheduled)?;
-        if let Some(t0) = factor_t0 {
-            let d = t0.elapsed();
-            opts.obs
-                .record_span("solver.factor", opts.obs.job(), t0, d, &[]);
-            opts.obs.observe("solver_factor_seconds", d);
-        }
-        // Survival check: a replay that fell back to full factorization
-        // means the anchor's pinned pivots no longer apply at this γ (or
-        // these values). The run is still bitwise-correct — the fallback
-        // IS the full factorization — but future jobs deserve a fresh
-        // anchor at this decade, so plant one.
-        let expected = match opts.kind {
-            KrylovKind::Rational => 2,
-            _ => 1,
-        };
-        if sym_hit.is_hit() {
-            if setup.refactorizations() < expected {
-                let fresh = Arc::new(MatexSymbolic::analyze(sys, opts)?);
-                self.persist_symbolic(&sym_store_key, &fresh);
-                self.cache
-                    .store_symbolic(pattern, opts.kind, opts.gamma, fresh);
-                self.counters
-                    .symbolic_misses
-                    .fetch_add(1, Ordering::Relaxed);
-                self.counters.anchor_plants.fetch_add(1, Ordering::Relaxed);
-                sym_hit = Hit::Miss;
-            } else {
-                self.counters.symbolic_hits.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let setup = Arc::new(setup);
-        self.cache.store_setup(pattern, key, setup.clone());
-        self.counters.setup_misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(store) = &self.opts.store {
-            if store.save_setup(&store_setup_key(&key), &setup).is_ok() {
-                self.counters.store_writes.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        // A fully-prepared (uncorrected) system is a base other
-        // same-pattern jobs can correct against.
-        if self.opts.whatif_max_rank > 0 {
-            self.cache
-                .record_base(pattern, value_fp, sys.clone(), self.opts.whatif_bases);
-        }
-        Ok((setup, sym_hit, Hit::Miss, HitPath::Cold))
-    }
-
-    /// The what-if fast path: finds the retained base whose values are
-    /// closest to `sys` (minimal touched-row rank, value fingerprint as
-    /// the deterministic tiebreak — independent of arrival order) and
-    /// wraps its cached setup with SMW corrections. `None` sends the
-    /// job to a full preparation.
-    fn try_whatif(
-        &self,
-        sys: &Arc<MnaSystem>,
-        pattern: u64,
-        value_fp: u64,
-        key: &SetupKey,
-    ) -> Option<Arc<MatexSetup>> {
-        if self.opts.whatif_max_rank == 0 || self.opts.whatif_bases == 0 {
-            return None;
-        }
-        let mut best: Option<(usize, u64, matex_circuit::ValueDiff, Arc<MatexSetup>)> = None;
-        let mut rejected = false;
-        for (base_fp, base_sys) in self.cache.bases(pattern) {
-            if base_fp == value_fp {
-                continue;
-            }
-            let Some(diff) = sys.value_diff(&base_sys) else {
-                continue;
-            };
-            let rank = diff.rank();
-            if rank > self.opts.whatif_max_rank {
-                rejected = true;
-                continue;
-            }
-            let base_key = SetupKey {
-                value_fp: base_fp,
-                ..*key
-            };
-            // The base's factors must still be cached — and uncorrected
-            // (corrections never chain).
-            let Some(base_setup) = self.cache.setup(pattern, &base_key) else {
-                continue;
-            };
-            if base_setup.is_corrected() {
-                continue;
-            }
-            if best
-                .as_ref()
-                .is_none_or(|(r, fp, _, _)| (rank, base_fp) < (*r, *fp))
-            {
-                best = Some((rank, base_fp, diff, base_setup));
-            }
-        }
-        let Some((rank, _, diff, base_setup)) = best else {
-            if rejected {
-                self.counters
-                    .whatif_fallbacks
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            return None;
-        };
-        match MatexSetup::correct(base_setup, &diff, &self.smw_options()) {
-            Ok(corrected) => {
-                self.counters.whatif_hits.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .whatif_rank
-                    .fetch_add(rank as u64, Ordering::Relaxed);
-                Some(Arc::new(corrected))
-            }
-            Err(_) => {
-                // Ill-conditioned capture (or over-rank per-matrix
-                // update): refactor instead — bitwise the cold path.
-                self.counters
-                    .whatif_fallbacks
-                    .fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn smw_options(&self) -> SmwOptions {
-        SmwOptions {
-            max_rank: self.opts.whatif_max_rank,
-            ..SmwOptions::default()
-        }
-    }
-
-    /// Best-effort write-back of a symbolic anchor (store failures are
-    /// silent: the store is an accelerator, never a correctness
-    /// dependency).
-    fn persist_symbolic(&self, key: &SymbolicStoreKey, sym: &MatexSymbolic) {
-        if let Some(store) = &self.opts.store {
-            if store.save_symbolic(key, sym).is_ok() {
-                self.counters.store_writes.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-/// Stable wire tag for a Krylov variant, shared with the store's key
-/// encoding.
-fn kind_wire_tag(kind: KrylovKind) -> u8 {
-    match kind {
-        KrylovKind::Standard => 0,
-        KrylovKind::Inverted => 1,
-        KrylovKind::Rational => 2,
-    }
-}
-
-/// The store-side mirror of an in-memory [`SetupKey`].
-fn store_setup_key(key: &SetupKey) -> SetupStoreKey {
-    SetupStoreKey {
-        value_fp: key.value_fp,
-        kind_tag: kind_wire_tag(key.kind),
-        gamma_bits: key.gamma_bits,
-        regularize_bits: key.regularize_bits,
-        scheduled: key.scheduled,
-    }
-}
-
-/// Stable tag for plan-cache keys (injective over the strategies).
-fn strategy_tag(s: GroupingStrategy) -> u64 {
-    match s {
-        GroupingStrategy::ByBumpFeature => 0,
-        GroupingStrategy::BySource => 1,
-        GroupingStrategy::Single => 2,
-        GroupingStrategy::MaxGroups(k) => 3 + ((k as u64) << 8),
-        // Future strategies fall into one shared slot; the run-time
-        // GroupPlan::check still rejects any true mismatch.
-        _ => u64::MAX,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use matex_circuit::PdnBuilder;
-    use matex_core::TransientSpec;
+    use crate::job::{ExecutionMode, Hit};
+    use matex_circuit::{MnaSystem, PdnBuilder};
+    use matex_core::{MatexSolver, TransientEngine, TransientSpec};
+    use matex_dist::{run_distributed, DistributedOptions};
+    use matex_waveform::GroupingStrategy;
 
     fn grid(seed: u64) -> Arc<MnaSystem> {
         Arc::new(
@@ -1673,6 +611,36 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.submitted, 4);
         assert_eq!(stats.completed, 4);
+    }
+
+    #[test]
+    fn run_and_submit_draw_trace_ids_from_one_sequence() {
+        let engine = ScenarioEngine::new(EngineOptions {
+            executors: 1,
+            obs: matex_obs::Obs::enabled(),
+            ..EngineOptions::default()
+        });
+        let job = JobSpec::new(grid(14), spec());
+        engine.run(&job).unwrap();
+        let queued = engine.submit(job.clone()).unwrap();
+        engine.wait(queued).unwrap();
+        engine.run(&job).unwrap();
+        assert_eq!(queued, 1, "the synchronous run before it took id 0");
+        // A synchronous job holds an id but no record.
+        assert!(engine.status(0).is_none() && engine.status(2).is_none());
+        // One `engine.run` span per job, each under its own id.
+        let trace = engine.obs().chrome_trace_events();
+        let mut ids: Vec<&str> = trace
+            .split("{\"name\":\"engine.run\"")
+            .skip(1)
+            .map(|ev| {
+                let id = &ev[ev.find("\"job\":").unwrap() + 6..];
+                &id[..id.find(|c: char| !c.is_ascii_digit()).unwrap()]
+            })
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(ids, ["0", "1", "2"]);
+        assert_eq!(engine.stats().submitted, 3);
     }
 
     #[test]

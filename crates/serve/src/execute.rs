@@ -1,0 +1,372 @@
+//! Execution: the executor loop, thread admission, compute retry +
+//! quarantine, and the solve itself.
+
+use crate::cache::{Dcs, Plans, Setups};
+use crate::engine::Inner;
+use crate::job::{CacheReport, ExecutionMode, JobOutcome, JobSpec, JobStatus};
+use crate::stats::Counter;
+use crate::ServeError;
+use matex_core::{panic_message, CancelToken, MatexSolver, TransientEngine};
+use matex_dist::{plan_groups, run_distributed, DistributedOptions};
+use matex_par::{AdmitError, AdmitRequest, ParOptions, ParPool};
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+impl Inner {
+    /// Drains the job queue until shutdown (one call per executor
+    /// thread).
+    pub(crate) fn executor_loop(&self) {
+        loop {
+            let (id, spec, submitted_at, deadline_at, units, cancel) = {
+                let mut table = self.lock_table();
+                loop {
+                    // Pop the best-ranked queued job: strict priority class
+                    // first, EDF within a class, FIFO among deadline-less
+                    // peers. The queue is bounded (`max_queue`), so the
+                    // linear scan stays cheap.
+                    let best = table
+                        .queue
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|&(_, q)| table.records[q].rank(*q))
+                        .map(|(pos, _)| pos);
+                    if let Some(pos) = best {
+                        let id = table.queue.remove(pos).expect("position just observed");
+                        let rec = table.records.get_mut(&id).expect("queued job has a record");
+                        rec.status = JobStatus::Running;
+                        break (
+                            id,
+                            rec.spec.clone(),
+                            rec.submitted_at,
+                            rec.deadline_at,
+                            rec.units,
+                            rec.cancel.clone(),
+                        );
+                    }
+                    if self.shutdown.load(Ordering::Acquire) {
+                        return;
+                    }
+                    table = self.queue_cv.wait(table).unwrap_or_else(|e| e.into_inner());
+                }
+            };
+            let queue_wait = submitted_at.elapsed();
+            if self.opts.obs.is_enabled() {
+                self.opts
+                    .obs
+                    .record_span("engine.queue_wait", id, submitted_at, queue_wait, &[]);
+                self.opts
+                    .obs
+                    .observe("engine_queue_wait_seconds", queue_wait);
+            }
+            let exec_started = Instant::now();
+            let outcome = if deadline_at.is_some_and(|d| exec_started >= d) {
+                // A job already past its deadline is dropped unstarted:
+                // running it would burn capacity on an answer nobody is
+                // waiting for.
+                self.counters
+                    .count_labeled(Counter::DeadlineMisses, &[("at", "queued")], 1);
+                Err(ServeError::DeadlineMissed(
+                    "deadline passed while queued".into(),
+                ))
+            } else if cancel.is_cancelled() {
+                Err(ServeError::Cancelled(id))
+            } else {
+                // Panic isolation: a job that panics must resolve to
+                // Failed — never leave its record stuck in Running
+                // (wedging every waiter) or kill this executor thread.
+                // The budget lease is RAII, so it is returned during the
+                // unwind. Panics reaching this boundary escaped the
+                // compute retry loop (admission, bookkeeping).
+                catch_unwind(AssertUnwindSafe(|| {
+                    self.admit_and_execute(&spec, deadline_at, Some(&cancel), id)
+                }))
+                .unwrap_or_else(|payload| Err(self.job_panicked(payload)))
+            };
+            // Accounting: cancellations are neither completions nor
+            // failures; completed jobs calibrate the admission cost model
+            // and count as late when they resolve past their deadline.
+            match &outcome {
+                Ok(_) => {
+                    if deadline_at.is_some_and(|d| Instant::now() > d) {
+                        self.counters.count_labeled(
+                            Counter::DeadlineMisses,
+                            &[("at", "completed")],
+                            1,
+                        );
+                    }
+                    self.calibrate(units, exec_started.elapsed());
+                    self.note_result(&outcome);
+                }
+                Err(e) if e.is_cancelled() => {
+                    self.counters
+                        .count_labeled(Counter::Cancelled, &[("at", "running")], 1);
+                }
+                Err(_) => self.note_result(&outcome),
+            }
+            let mut table = self.lock_table();
+            table
+                .records
+                .get_mut(&id)
+                .expect("running job has a record")
+                .status = match outcome {
+                Ok(mut out) => {
+                    out.queue_wait = queue_wait;
+                    JobStatus::Done(Arc::new(out))
+                }
+                Err(e) if e.is_cancelled() => JobStatus::Cancelled,
+                Err(e) => JobStatus::Failed(e.to_string()),
+            };
+            // Outcome retention: a long-running service must not
+            // accumulate every waveform it ever computed. Beyond the
+            // limit, the oldest resolved job keeps its id but drops its
+            // payload.
+            table.resolved.push_back(id);
+            while table.resolved.len() > self.opts.max_retained.max(1) {
+                if let Some(old) = table.resolved.pop_front() {
+                    if let Some(rec) = table.records.get_mut(&old) {
+                        rec.status = JobStatus::Expired;
+                    }
+                }
+            }
+            drop(table);
+            self.done_cv.notify_all();
+        }
+    }
+
+    pub(crate) fn note_result(&self, out: &Result<JobOutcome, ServeError>) {
+        match out {
+            Ok(o) => {
+                self.counters.count(Counter::Completed, 1);
+                if o.cache.is_warm() {
+                    self.counters.count(Counter::WarmJobs, 1);
+                }
+            }
+            Err(_) => self.counters.count(Counter::Failed, 1),
+        }
+    }
+
+    /// A contained job panic, counted, as the job's error (payload
+    /// message preserved).
+    fn job_panicked(&self, payload: Box<dyn Any + Send>) -> ServeError {
+        self.counters.count(Counter::Panics, 1);
+        ServeError::InvalidJob(format!("job panicked: {}", panic_message(&*payload)))
+    }
+
+    /// Acquires the job's threads, then executes it under the compute
+    /// retry budget. `job_id` tags the job's spans on the shared trace
+    /// timeline.
+    pub(crate) fn admit_and_execute(
+        &self,
+        spec: &JobSpec,
+        deadline_at: Option<Instant>,
+        cancel: Option<&CancelToken>,
+        job_id: u64,
+    ) -> Result<JobOutcome, ServeError> {
+        let t0 = Instant::now();
+        // Thread admission inherits the job's class and deadline: a
+        // high-priority job outranks queued normal acquirers, and a job
+        // whose deadline passes while waiting for threads gives up
+        // instead of running uselessly late.
+        let mut req = AdmitRequest::new(self.demand(spec)).priority(spec.priority);
+        if let Some(d) = deadline_at {
+            req = req.deadline(d);
+        }
+        let lease = match self.budget.acquire_admit(req) {
+            Ok(l) => l,
+            Err(AdmitError::DeadlineExpired) => {
+                self.counters
+                    .count_labeled(Counter::DeadlineMisses, &[("at", "admission")], 1);
+                return Err(ServeError::DeadlineMissed(
+                    "deadline passed while waiting for threads".into(),
+                ));
+            }
+            Err(e) => {
+                self.counters
+                    .count_labeled(Counter::Rejected, &[("reason", "admission")], 1);
+                return Err(ServeError::Rejected {
+                    reason: e.to_string(),
+                    retry_after: Duration::from_millis((self.unit_secs() * 1e3).clamp(
+                        1.0,
+                        (self.opts.retry_after_cap.as_secs_f64() * 1e3).max(1.0),
+                    ) as u64),
+                });
+            }
+        };
+        // Transient-failure recovery: each attempt runs under its own
+        // catch_unwind so solver panics are retryable too. A failed
+        // attempt quarantines the cached artifacts it executed against
+        // (evict + recompute) so one corrupted cache entry cannot poison
+        // every subsequent hit, then backs off and recomputes.
+        // Cancellations and missed deadlines are terminal.
+        let mut attempt = 0usize;
+        let mut out = loop {
+            let result = catch_unwind(AssertUnwindSafe(|| self.execute(spec, cancel, job_id)))
+                .unwrap_or_else(|payload| Err(self.job_panicked(payload)));
+            match result {
+                Ok(out) => break out,
+                Err(e) => {
+                    let terminal = e.is_cancelled()
+                        || matches!(e, ServeError::DeadlineMissed(_))
+                        || cancel.is_some_and(|c| c.is_cancelled())
+                        || deadline_at.is_some_and(|d| Instant::now() >= d)
+                        || attempt >= self.opts.max_compute_retries;
+                    if terminal {
+                        return Err(e);
+                    }
+                    self.quarantine(spec);
+                    self.counters.count(Counter::Retries, 1);
+                    let backoff = self.opts.retry_backoff.saturating_mul(1 << attempt.min(16));
+                    if !backoff.is_zero() {
+                        let b0 = Instant::now();
+                        std::thread::sleep(backoff);
+                        self.opts
+                            .obs
+                            .record_span("engine.backoff", job_id, b0, b0.elapsed(), &[]);
+                    }
+                    attempt += 1;
+                }
+            }
+        };
+        drop(lease);
+        out.wall = t0.elapsed();
+        // The job span: admission wait + every attempt, labeled with
+        // the hit path the (final) execution actually took.
+        if self.opts.obs.is_enabled() {
+            let path = out.cache.hit_path.label();
+            self.opts
+                .obs
+                .record_span("engine.run", job_id, t0, out.wall, &[("path", path)]);
+            self.opts
+                .obs
+                .observe_labeled("engine_job_seconds", &[("path", path)], out.wall);
+            self.opts
+                .obs
+                .add_labeled("engine_jobs_total", &[("path", path)], 1);
+        }
+        Ok(out)
+    }
+
+    /// Evicts the in-memory numeric artifacts a failed execution ran
+    /// against — the setup and the DC solution under the job's exact
+    /// keys — so the retry (and every later job) re-resolves them
+    /// instead of re-hitting a possibly corrupted entry.
+    fn quarantine(&self, job: &JobSpec) {
+        let Ok(sys) = job.effective_circuit() else {
+            return;
+        };
+        let keys = self.keys_for(job, &sys, &job.effective_options());
+        let evicted = u64::from(self.cache.remove::<Setups>(keys.pattern, &keys.setup))
+            + u64::from(self.cache.remove::<Dcs>(keys.pattern, &keys.dc));
+        self.counters.count(Counter::Quarantined, evicted);
+    }
+
+    /// Takes an idle kernel pool (or spawns one) when kernel threads
+    /// are configured. Pools are returned by [`Inner::return_pool`] and
+    /// reused, so warm jobs never pay per-job thread spawn.
+    fn take_pool(&self) -> Option<Arc<ParPool>> {
+        if self.opts.kernel_threads == 0 {
+            return None;
+        }
+        let recycled = self
+            .idle_pools
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .pop();
+        Some(recycled.unwrap_or_else(|| Arc::new(ParPool::new(self.opts.kernel_threads))))
+    }
+
+    /// Returns a pool to the idle list (bounded by the executor count —
+    /// beyond that the pool is simply dropped).
+    fn return_pool(&self, pool: Arc<ParPool>) {
+        let mut idle = self.idle_pools.lock().unwrap_or_else(|e| e.into_inner());
+        if idle.len() < self.opts.executors.max(1) + 1 {
+            idle.push(pool);
+        }
+    }
+
+    /// Resolves the job's artifacts and runs it. The cancel token, if
+    /// any, is observed by the solver between transient steps (and by
+    /// distributed workers between node runs) — never inside a
+    /// factorization or cache store, so cancellation cannot leave a
+    /// half-written artifact behind.
+    fn execute(
+        &self,
+        job: &JobSpec,
+        cancel: Option<&CancelToken>,
+        job_id: u64,
+    ) -> Result<JobOutcome, ServeError> {
+        let sys = job.effective_circuit()?;
+        let mut opts = job.effective_options();
+        // The engine's hook reaches the solver ("core.solver.run") of
+        // every job it executes; disarmed hooks are free.
+        opts.faults = self.opts.faults.clone();
+        // So do its spans: the solver's phase spans carry this job's id
+        // on the shared timeline. Disabled handles clone for free.
+        opts.obs = self.opts.obs.tagged(job_id);
+        let keys = self.keys_for(job, &sys, &opts);
+        let (setup, symbolic_hit, hit_path) = self.setup_for(&sys, &opts, &keys)?;
+        let mut report = CacheReport {
+            symbolic: symbolic_hit,
+            setup: hit_path.as_hit(),
+            hit_path,
+            ..CacheReport::default()
+        };
+        let (result, groups) = match &job.mode {
+            ExecutionMode::Monolithic => {
+                // The exact solve the solver would perform
+                // (SMW-corrected for what-if setups).
+                let (x0, dc_path) = self.cache.resolve::<Dcs>(keys.pattern, keys.dc, || {
+                    Ok(setup.solve_g(&sys.bu_at(job.spec.t_start())))
+                })?;
+                report.dc = dc_path.as_hit();
+                let mut solver = MatexSolver::new(opts).with_setup(setup).with_dc(x0);
+                if let Some(token) = cancel {
+                    solver = solver.with_cancel(token.clone());
+                }
+                let pool = self.take_pool();
+                if let Some(p) = &pool {
+                    solver = solver.with_parallelism(p.clone());
+                }
+                let result = solver.run(&sys, &job.spec);
+                if let Some(p) = pool {
+                    self.return_pool(p);
+                }
+                (result?, None)
+            }
+            ExecutionMode::Distributed { strategy, workers } => {
+                let plan_key = keys.plan.expect("distributed jobs key a plan");
+                let (plan, plan_path) =
+                    self.cache.resolve::<Plans>(keys.pattern, plan_key, || {
+                        Ok(plan_groups(&sys, &job.spec, *strategy))
+                    })?;
+                report.plan = plan_path.as_hit();
+                let groups = plan.num_jobs();
+                let dist_opts = DistributedOptions {
+                    obs: opts.obs.clone(),
+                    matex: opts,
+                    strategy: *strategy,
+                    workers: Some(workers.unwrap_or(self.opts.dist_workers).max(1)),
+                    par: ParOptions::with_threads(self.opts.kernel_threads),
+                    symbolic: None,
+                    setup: Some(setup),
+                    plan: Some(plan),
+                    cancel: cancel.cloned(),
+                    max_node_retries: self.opts.max_node_retries,
+                    faults: self.opts.faults.clone(),
+                };
+                let run = run_distributed(&sys, &job.spec, &dist_opts)?;
+                (run.result, Some(groups))
+            }
+        };
+        Ok(JobOutcome {
+            result,
+            cache: report,
+            groups,
+            wall: Duration::ZERO,
+            queue_wait: Duration::ZERO,
+        })
+    }
+}

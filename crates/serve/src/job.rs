@@ -388,6 +388,15 @@ impl HitPath {
             HitPath::Whatif => "whatif",
         }
     }
+
+    /// The per-artifact [`Hit`] this path reports as.
+    pub(crate) fn as_hit(self) -> Hit {
+        match self {
+            HitPath::Cold => Hit::Miss,
+            HitPath::Cache | HitPath::Store => Hit::Hit,
+            HitPath::Whatif => Hit::Whatif,
+        }
+    }
 }
 
 /// Which cached artifacts a job reused.

@@ -61,16 +61,20 @@
 //! # }
 //! ```
 
+mod admission;
 mod cache;
 mod engine;
 mod error;
+mod execute;
 mod job;
 mod json;
 mod loadgen;
+mod resolve;
 mod service;
+mod stats;
 
 pub use cache::CacheSizes;
-pub use engine::{EngineOptions, EngineStats, ScenarioEngine};
+pub use engine::{EngineOptions, ScenarioEngine};
 pub use error::ServeError;
 pub use job::{
     CacheReport, ExecutionMode, Hit, HitPath, JobId, JobOutcome, JobSpec, JobSpecBuilder,
@@ -79,6 +83,7 @@ pub use job::{
 pub use json::{parse_flat_json, JsonValue};
 pub use loadgen::{run_load, FrameMode, LoadJob, LoadMode, LoadReport, LoadSpec};
 pub use service::{serve, ServiceHandle, ServiceOptions, ServiceOptionsBuilder};
+pub use stats::EngineStats;
 
 // Admission vocabulary shared with the parallel layer: jobs carry a
 // `Priority`, and the engine's thread budget speaks `AdmitRequest`.

@@ -100,8 +100,9 @@ impl ArtifactClass {
     }
 }
 
-/// Key of a persisted symbolic analysis: the engine's anchor identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Key of a symbolic analysis: the engine's anchor identity, in memory
+/// and on disk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SymbolicStoreKey {
     /// MNA pattern fingerprint.
     pub pattern_fp: u64,
@@ -111,8 +112,9 @@ pub struct SymbolicStoreKey {
     pub gamma_decade: i32,
 }
 
-/// Key of a persisted numeric setup: the engine's `SetupKey` identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Key of a numeric setup: exact matrix values, variant, γ bits, and —
+/// for MEXP, whose effective `C` depends on it — the regularization ε.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SetupStoreKey {
     /// System value fingerprint.
     pub value_fp: u64,
@@ -126,8 +128,8 @@ pub struct SetupStoreKey {
     pub scheduled: bool,
 }
 
-/// Key of a persisted DC operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Key of a DC operating point: matrix values, sources, start time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DcStoreKey {
     /// System value fingerprint.
     pub value_fp: u64,
@@ -137,8 +139,8 @@ pub struct DcStoreKey {
     pub t_start_bits: u64,
 }
 
-/// Key of a persisted group plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Key of a group plan: sources, strategy, window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanStoreKey {
     /// Source-waveform fingerprint.
     pub source_fp: u64,
