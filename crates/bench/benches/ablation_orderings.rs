@@ -4,7 +4,9 @@
 //! substitution pairs (`T_bs`), whose cost is set by the LU fill. This
 //! ablation factors the MATEX matrices (`G` and `C + γG`) of a grid case
 //! under AMD / RCM / natural orderings and reports fill, factor time and
-//! solve time — justifying the default (AMD, as in UMFPACK's stack).
+//! solve time — and exits non-zero when the default (AMD, as in UMFPACK's
+//! stack) leaves more fill than either alternative: `nnz(L+U)` is a
+//! count and repeats exactly, so CI can hold the default to it.
 
 use matex_bench::{pg_suite, Scale, Table};
 use matex_sparse::{CsrMatrix, LuOptions, OrderingKind, SparseLu};
@@ -27,7 +29,9 @@ fn main() {
         "factor(ms)",
         "solve(µs)",
     ]);
+    let mut beaten = Vec::new();
     for (label, mat) in [("G", sys.g().clone()), ("C+γG", shifted)] {
+        let mut amd_fill = 0;
         for ordering in [OrderingKind::Amd, OrderingKind::Rcm, OrderingKind::Natural] {
             let opts = LuOptions {
                 ordering,
@@ -46,11 +50,19 @@ fn main() {
                 lu.solve_into(&b, &mut x, &mut w);
             }
             let t_solve = t1.elapsed() / reps;
+            let fill = lu.nnz_l() + lu.nnz_u();
+            if ordering == OrderingKind::Amd {
+                amd_fill = fill;
+            } else if amd_fill > fill {
+                beaten.push(format!(
+                    "{label}: AMD nnz(L+U) {amd_fill} > {ordering:?} {fill}"
+                ));
+            }
             table.row(vec![
                 label.to_string(),
                 format!("{ordering:?}"),
                 format!("{}", mat.nnz()),
-                format!("{}", lu.nnz_l() + lu.nnz_u()),
+                format!("{fill}"),
                 format!("{:.1}", lu.fill_factor(mat.nnz())),
                 format!("{:.2}", t_factor.as_secs_f64() * 1e3),
                 format!("{:.1}", t_solve.as_secs_f64() * 1e6),
@@ -60,4 +72,10 @@ fn main() {
     table.print();
     println!("\nshape check: AMD fill << natural fill on mesh-like PDN matrices;");
     println!("solve time tracks fill — this is the T_bs every table depends on.");
+    if !beaten.is_empty() {
+        for line in &beaten {
+            eprintln!("default ordering beaten on fill — {line}");
+        }
+        std::process::exit(1);
+    }
 }

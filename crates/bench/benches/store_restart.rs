@@ -13,7 +13,7 @@
 //!   the populated store: every artifact hydrates from disk, so only
 //!   decode + the numeric march remain.
 //!
-//! Tracks `restart_speedup = cold_s / restart_s` (expected ≥ 3X) and
+//! Tracks `restart_speedup = cold_s / restart_s` (expected ≥ 2.5X) and
 //! asserts the restarted waveform is **bitwise** identical to the run
 //! that populated the store — persistence must not perturb a single
 //! bit. The restart run must skip all symbolic analyses and setup

@@ -49,6 +49,28 @@ fn wait_until_running(engine: &ScenarioEngine, id: u64) {
     }
 }
 
+/// Occupies one executor with a march that outlasts any test by orders
+/// of magnitude (100k steps) and returns its id once it is running:
+/// whatever is submitted next stays queued until the caller cancels it —
+/// however fast a small job factors.
+fn hold_executor(engine: &ScenarioEngine) -> u64 {
+    let grid = Arc::new(
+        PdnBuilder::new(12, 12)
+            .num_loads(18)
+            .num_features(3)
+            .window(1e-6)
+            .seed(1)
+            .build()
+            .expect("grid builds"),
+    );
+    let spec = TransientSpec::new(0.0, 1e-6, 1e-11)
+        .expect("spec")
+        .observing(vec![0]);
+    let blocker = engine.submit(JobSpec::new(grid, spec)).expect("blocker");
+    wait_until_running(engine, blocker);
+    blocker
+}
+
 #[test]
 fn no_priority_class_is_starved() {
     // One executor, an interleaved mix of classes. Strict priority
@@ -102,24 +124,10 @@ fn edf_runs_the_tighter_deadline_first_within_a_class() {
         obs: matex_obs::Obs::enabled(),
         ..EngineOptions::default()
     });
-    // Hold the single executor with a march that outlasts this test by
-    // orders of magnitude (100k steps); it is cancelled only once both
-    // contenders are queued, so the executor's next pop chooses between
-    // them — never between one of them and an empty queue.
-    let grid = Arc::new(
-        PdnBuilder::new(12, 12)
-            .num_loads(18)
-            .num_features(3)
-            .window(1e-6)
-            .seed(1)
-            .build()
-            .expect("grid builds"),
-    );
-    let spec = TransientSpec::new(0.0, 1e-6, 1e-11)
-        .expect("spec")
-        .observing(vec![0]);
-    let blocker = engine.submit(JobSpec::new(grid, spec)).expect("blocker");
-    wait_until_running(&engine, blocker);
+    // The blocker is cancelled only once both contenders are queued, so
+    // the executor's next pop chooses between them — never between one
+    // of them and an empty queue.
+    let blocker = hold_executor(&engine);
     // Far deadline submitted first, near deadline second: EDF must run
     // the near one first even though FIFO would not.
     let far = engine
@@ -144,8 +152,7 @@ fn full_queue_and_unmeetable_deadlines_are_rejected_with_retry_hints() {
         max_queue: 2,
         ..EngineOptions::default()
     });
-    let blocker = engine.submit(job(7, 11)).expect("blocker");
-    wait_until_running(&engine, blocker);
+    let blocker = hold_executor(&engine);
     // A deadline no schedule can meet is refused at submit, not queued
     // and dropped later: even an empty queue predicts more than a
     // nanosecond of service time.
@@ -170,7 +177,8 @@ fn full_queue_and_unmeetable_deadlines_are_rejected_with_retry_hints() {
     }
     let s = engine.stats();
     assert_eq!(s.rejected, 2);
-    for id in [blocker, a, b] {
+    engine.cancel(blocker);
+    for id in [a, b] {
         engine.wait(id).expect("admitted jobs still complete");
     }
     assert_eq!(engine.stats().failed, 0);
@@ -188,8 +196,7 @@ fn retry_after_hints_are_clamped_to_the_configured_cap() {
         retry_after_cap: Duration::from_millis(5),
         ..EngineOptions::default()
     });
-    let blocker = engine.submit(job(7, 31)).expect("blocker");
-    wait_until_running(&engine, blocker);
+    let blocker = hold_executor(&engine);
     let queued = engine.submit(job(7, 32)).expect("fits the queue");
     match engine.submit(job(7, 33)) {
         Err(ServeError::Rejected { retry_after, .. }) => {
@@ -204,9 +211,8 @@ fn retry_after_hints_are_clamped_to_the_configured_cap() {
         }
         other => panic!("expected queue-full rejection, got {other:?}"),
     }
-    for id in [blocker, queued] {
-        engine.wait(id).expect("admitted jobs complete");
-    }
+    engine.cancel(blocker);
+    engine.wait(queued).expect("the admitted job completes");
 }
 
 #[test]
@@ -216,8 +222,7 @@ fn cancelling_a_queued_job_resolves_it_and_leaves_the_engine_consistent() {
         threads: Some(2),
         ..EngineOptions::default()
     });
-    let blocker = engine.submit(job(7, 21)).expect("blocker");
-    wait_until_running(&engine, blocker);
+    let blocker = hold_executor(&engine);
     let victim = engine.submit(job(6, 22)).expect("victim queues");
     let survivor = engine.submit(job(6, 23)).expect("survivor queues");
     assert!(matches!(engine.cancel(victim), Some(JobStatus::Cancelled)));
@@ -226,11 +231,11 @@ fn cancelling_a_queued_job_resolves_it_and_leaves_the_engine_consistent() {
         Ok(_) => panic!("cancelled job produced an outcome"),
     }
     // Everyone else is untouched.
-    engine.wait(blocker).expect("blocker completes");
+    engine.cancel(blocker);
     let survived = engine.wait(survivor).expect("survivor completes");
     let s = engine.stats();
-    assert_eq!(s.cancelled, 1);
-    assert_eq!(s.completed, 2);
+    assert_eq!(s.cancelled, 2);
+    assert_eq!(s.completed, 1);
     assert_eq!(s.failed, 0);
     assert_eq!(s.queue_depth, 0);
     // The cache the cancelled job never touched still serves the same
@@ -258,21 +263,7 @@ fn cancelling_a_running_job_frees_the_budget_within_a_step_boundary() {
         threads: Some(1),
         ..EngineOptions::default()
     });
-    // A deliberately long march: 400 output steps on a 12×12 grid.
-    let grid = Arc::new(
-        PdnBuilder::new(12, 12)
-            .num_loads(18)
-            .num_features(3)
-            .window(4e-9)
-            .seed(31)
-            .build()
-            .expect("grid builds"),
-    );
-    let spec = TransientSpec::new(0.0, 4e-9, 1e-11).expect("spec");
-    let long = engine
-        .submit(JobSpec::new(grid, spec))
-        .expect("long job submits");
-    wait_until_running(&engine, long);
+    let long = hold_executor(&engine);
     assert!(matches!(engine.cancel(long), Some(JobStatus::Running)));
     let t0 = Instant::now();
     match engine.wait(long) {

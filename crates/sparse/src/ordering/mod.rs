@@ -5,8 +5,11 @@
 //! what keeps the per-step forward/backward substitution cost `T_bs` low —
 //! the dominant term of MATEX's complexity model. We provide:
 //!
-//! * `amd` — approximate minimum degree on the pattern of `A + Aᵀ`
-//!   (the default, mirroring UMFPACK's symmetric strategy on MNA systems),
+//! * `amd` — the Amestoy–Davis–Duff approximate minimum degree on the
+//!   pattern of `A + Aᵀ`: approximate external degrees, aggressive
+//!   element absorption, mass elimination, supervariables, and an
+//!   assembly-tree postorder of the result (the default, mirroring
+//!   UMFPACK's symmetric strategy on MNA systems),
 //! * `rcm` — reverse Cuthill–McKee (bandwidth reduction),
 //! * natural (identity) ordering as the baseline for ablations.
 

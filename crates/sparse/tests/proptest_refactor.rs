@@ -3,7 +3,7 @@
 //! indistinguishable — bitwise, via nnz counts and solves — from a fresh
 //! `SparseLu::factor` of the same matrix, for every same-pattern value
 //! fill, on both the replay fast path and the pivot-degradation
-//! fallback.
+//! fallback; and so must the factors `analyze_with_factor` returns.
 
 use matex_sparse::{CooMatrix, CsrMatrix, LuOptions, OrderingKind, SparseLu, SymbolicLu};
 use proptest::prelude::*;
@@ -80,6 +80,11 @@ proptest! {
             [OrderingKind::Amd, OrderingKind::Rcm, OrderingKind::Natural][ordering_pick];
         let opts = LuOptions { ordering, ..LuOptions::default() };
         let sym = SymbolicLu::analyze(&a, &opts).expect("dd matrices analyze");
+        // The factors `analyze_with_factor` hands back are the ones a
+        // replay of the analyzed values produces: one numeric pass on a
+        // cold miss costs nothing in bits.
+        let (_, first) = SymbolicLu::analyze_with_factor(&a, &opts).expect("dd matrices analyze");
+        assert_factors_identical(&first, &sym.refactor(&a).expect("same pattern"), n);
         // Multiple value fills over one analysis, the analyzed values
         // included.
         let fills = [a.clone(), refill_dominant(&a, 0.4), refill_dominant(&a, 1.7)];

@@ -67,9 +67,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Record layout revision. Bumping it orphans (skips) every record an
+/// Record generation. Bumping it orphans (skips) every record an
 /// older build wrote; old processes likewise skip newer records.
-pub const SCHEMA_VERSION: u32 = 1;
+///
+/// 2: the AMD ordering changed. Version-1 analyses pin the old pivot
+/// order — still valid factorizations, but no longer bitwise what a
+/// fresh analysis produces, which the store guarantees.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Leading magic of every record file.
 const MAGIC: &[u8; 4] = b"MXST";
@@ -662,17 +666,19 @@ mod tests {
         store.save_dc(&key, &[4.0]).unwrap();
         let path = store.record_path(ArtifactClass::Dc, &key.fields());
         let mut record = std::fs::read(&path).unwrap();
-        // Bump the schema version and re-seal the checksum: a structurally
-        // valid record from a *different* store generation.
-        let future = (SCHEMA_VERSION + 1).to_le_bytes();
-        record[4..8].copy_from_slice(&future);
-        let body_len = record.len() - 8;
-        let mut h = Fnv64::new();
-        h.write_bytes(&record[..body_len]);
-        let sum = h.finish().to_le_bytes();
-        record[body_len..].copy_from_slice(&sum);
-        std::fs::write(&path, &record).unwrap();
-        assert!(store.load_dc(&key).is_none());
+        // Change the schema version and re-seal the checksum: a
+        // structurally valid record from a *different* store generation,
+        // the next one or the previous one.
+        for foreign in [SCHEMA_VERSION + 1, SCHEMA_VERSION - 1] {
+            record[4..8].copy_from_slice(&foreign.to_le_bytes());
+            let body_len = record.len() - 8;
+            let mut h = Fnv64::new();
+            h.write_bytes(&record[..body_len]);
+            let sum = h.finish().to_le_bytes();
+            record[body_len..].copy_from_slice(&sum);
+            std::fs::write(&path, &record).unwrap();
+            assert!(store.load_dc(&key).is_none(), "version {foreign}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
