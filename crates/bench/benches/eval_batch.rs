@@ -9,13 +9,14 @@
 //!   `expm(h·Hm)` per snapshot for value + estimate, a fresh halving
 //!   trial (another full `expm`) per rejected distance, and the
 //!   allocating per-call combination loop;
-//! * `batch` — the batched engine on the serial path: allocation-free
+//! * `batch` — the batched engine with no pool (the inline one-thread
+//!   pool): allocation-free
 //!   `expm_col0_into` weights for the whole window, the squaring
 //!   ladder for rejected times (staged depths, estimate-driven early
 //!   exit), one `Vᵀ·W` combination per round;
 //! * `batch(1/2/4)` — the same with the combination on pools of width
 //!   1/2/4. The bench **asserts** these are bitwise-identical to the
-//!   serial path, and that the accepted-prefix values are bitwise the
+//!   pool-less path, and that the accepted-prefix values are bitwise the
 //!   legacy values.
 //!
 //! Writes `BENCH_eval.json`; `speedup = legacy / batch` (single-thread)
@@ -158,7 +159,7 @@ fn legacy_window(
             }
         };
         outcomes[j] = outcome;
-        // The legacy combination loop (`KrylovBasis::eval_with_estimate`).
+        // The legacy per-call combination loop.
         let x = &mut out[j * n..(j + 1) * n];
         x.fill(0.0);
         for (ci, vi) in col.iter().zip(basis.vectors()) {

@@ -34,7 +34,7 @@ use crate::engine::InputEval;
 use crate::SolveStats;
 use matex_circuit::MnaSystem;
 use matex_par::ParPool;
-use matex_sparse::{SmwUpdate, SolveSchedule, SparseLu};
+use matex_sparse::{SmwUpdate, SparseLu};
 
 /// Precomputed input terms for one linear interval `[t0, t1]`, plus the
 /// persistent scratch that makes recomputation allocation-free.
@@ -110,39 +110,15 @@ impl IntervalTerms {
         t1: f64,
         stats: &mut SolveStats,
     ) {
-        self.recompute_with(sys, lu_g, input, t0, t1, stats, None);
+        self.recompute_corrected(sys, lu_g, input, t0, t1, stats, ParPool::inline(), None);
     }
 
-    /// [`IntervalTerms::recompute`] with an optional parallel context:
-    /// the worker pool plus `lu_g`'s level-scheduled substitution plan.
-    /// The substitutions then run level-parallel (bitwise identical to
-    /// the serial path — see
-    /// [`SparseLu::solve_into_par`](matex_sparse::SparseLu::solve_into_par))
-    /// and the call remains allocation-free: the pool dispatches through
-    /// a pre-allocated job slot and the solve reuses the same persistent
-    /// scratch (`tests/alloc_free.rs` covers this path too).
-    ///
-    /// # Panics
-    ///
-    /// As [`IntervalTerms::recompute`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn recompute_with(
-        &mut self,
-        sys: &MnaSystem,
-        lu_g: &SparseLu,
-        input: &InputEval<'_>,
-        t0: f64,
-        t1: f64,
-        stats: &mut SolveStats,
-        par: Option<(&ParPool, &SolveSchedule)>,
-    ) {
-        self.recompute_corrected(sys, lu_g, input, t0, t1, stats, par, None);
-    }
-
-    /// [`IntervalTerms::recompute_with`] with an optional
-    /// Sherman–Morrison–Woodbury correction built against `lu_g`: each
-    /// of the (up to three) substitution pairs is followed by
-    /// [`SmwUpdate::correct_in_place`], so the terms come out for the
+    /// [`IntervalTerms::recompute`] with the `C·qd` mat-vec on `pool`
+    /// (bitwise identical at every width, and still allocation-free:
+    /// the pool dispatches through a pre-allocated job slot) and an
+    /// optional Sherman–Morrison–Woodbury correction built against
+    /// `lu_g`: each of the (up to three) substitution pairs is followed
+    /// by [`SmwUpdate::correct_in_place`], so the terms come out for the
     /// *edited* `G` without refactoring — the what-if fast path. The
     /// correction's fixed evaluation order keeps the result bitwise
     /// identical across repeat calls and pool widths.
@@ -159,16 +135,13 @@ impl IntervalTerms {
         t0: f64,
         t1: f64,
         stats: &mut SolveStats,
-        par: Option<(&ParPool, &SolveSchedule)>,
+        pool: &ParPool,
         smw: Option<&SmwUpdate>,
     ) {
         assert!(t1 > t0, "interval must have positive length");
         self.t0 = t0;
         let solve = |b: &[f64], out: &mut [f64], work: &mut [f64]| {
-            match par {
-                None => lu_g.solve_into(b, out, work),
-                Some((pool, sched)) => lu_g.solve_into_par(b, out, work, sched, pool),
-            }
+            lu_g.solve_into(b, out, work);
             if let Some(smw) = smw {
                 smw.correct_in_place(out);
             }
@@ -190,10 +163,7 @@ impl IntervalTerms {
             // qd = G⁻¹ u̇-term, r = G⁻¹ C qd.
             solve(&self.rhs, &mut self.qd, &mut self.work);
             stats.substitution_pairs += 1;
-            match par {
-                None => sys.c().matvec_into(&self.qd, &mut self.rhs),
-                Some((pool, _)) => sys.c().matvec_into_par(&self.qd, &mut self.rhs, pool),
-            }
+            sys.c().matvec_into_par(&self.qd, &mut self.rhs, pool);
             solve(&self.rhs, &mut self.r, &mut self.work);
             stats.substitution_pairs += 1;
         }

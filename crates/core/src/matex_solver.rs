@@ -28,10 +28,9 @@ use matex_circuit::MnaSystem;
 use matex_dense::norm2;
 use matex_krylov::{
     build_basis_multi, ExpmParams, InvertedOp, KrylovBasis, KrylovError, KrylovKind, KrylovOp,
-    ParApply, RationalOp, SnapshotEvaluator, StandardOp,
+    RationalOp, SnapshotEvaluator, StandardOp,
 };
 use matex_par::ParPool;
-use matex_sparse::SolveSchedule;
 use matex_waveform::SpotSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -209,14 +208,12 @@ impl MatexSolver {
     }
 
     /// Runs this solver's intra-node kernels — the Krylov phase's
-    /// mat-vecs, forward/backward substitutions, and Gram–Schmidt
-    /// orthogonalization — on the given pool. After each factorization
-    /// the solver builds the level-scheduled substitution plan once and
-    /// reuses it for every solve of the run.
+    /// mat-vecs, Gram–Schmidt orthogonalization and snapshot
+    /// combinations — on the given pool. Without one they run on
+    /// [`ParPool::inline`], the same tiled kernels on the caller.
     ///
-    /// Results are **bitwise-invariant in the pool width** (a one-thread
-    /// pool is the reference; see `matex_par`'s determinism contract).
-    /// Without a pool the historical serial code paths run unchanged.
+    /// Results are **bitwise-invariant in the pool width**, with or
+    /// without a pool (see `matex_par`'s determinism contract).
     pub fn with_parallelism(mut self, pool: Arc<ParPool>) -> Self {
         self.pool = Some(pool);
         self
@@ -296,11 +293,11 @@ impl TransientEngine for MatexSolver {
             }
         };
 
-        // --- Preparation: factors of G and X1 plus their substitution
-        // schedules. Either injected ([`MatexSolver::with_setup`] — the
-        // scenario-cache fast path) or prepared here, exactly as every
-        // run historically did. The factors are identical either way, so
-        // the waveform is independent of where the setup came from.
+        // --- Preparation: factors of G and X1. Either injected
+        // ([`MatexSolver::with_setup`] — the scenario-cache fast path) or
+        // prepared here, exactly as every run historically did. The
+        // factors are identical either way, so the waveform is
+        // independent of where the setup came from.
         let prepared_storage;
         let setup: &MatexSetup = match &self.setup {
             Some(shared) => {
@@ -309,12 +306,8 @@ impl TransientEngine for MatexSolver {
             }
             None => {
                 let _sp = self.opts.obs.span("solver.factor");
-                prepared_storage = MatexSetup::prepare(
-                    sys,
-                    &self.opts,
-                    self.symbolic.as_deref(),
-                    self.pool.is_some(),
-                )?;
+                prepared_storage =
+                    MatexSetup::prepare(sys, &self.opts, self.symbolic.as_deref(), false)?;
                 &prepared_storage
             }
         };
@@ -353,50 +346,18 @@ impl TransientEngine for MatexSolver {
             self.opts.obs.observe("solver_dc_seconds", stats.dc_time);
         }
 
-        // With a pool: every substitution of the run (operator applies
-        // and input terms alike) replays a level-scheduled plan — taken
-        // from the setup when it carries one, built once here otherwise.
-        let mut sched_g_store: Option<SolveSchedule> = None;
-        let mut sched_x1_store: Option<SolveSchedule> = None;
-        let (sched_g, sched_x1): (Option<&SolveSchedule>, Option<&SolveSchedule>) =
-            if self.pool.is_some() {
-                let g = match setup.sched_g() {
-                    Some(s) => s,
-                    None => sched_g_store.insert(lu_g.solve_schedule()),
-                };
-                let x1 = match setup.lu_x1() {
-                    Some(lu) => Some(match setup.sched_x1() {
-                        Some(s) => s,
-                        None => &*sched_x1_store.insert(lu.solve_schedule()),
-                    }),
-                    None => None,
-                };
-                (Some(g), x1)
-            } else {
-                (None, None)
-            };
+        let pool: &ParPool = self.pool.as_deref().unwrap_or(ParPool::inline());
         let op_holder = match self.opts.kind {
             KrylovKind::Standard => {
-                let mut op = StandardOp::new(setup.lu_x1().expect("lu(C) present"), sys.g());
-                if let (Some(pool), Some(sched)) = (&self.pool, sched_x1) {
-                    op = op.with_parallelism(ParApply {
-                        pool: pool.as_ref(),
-                        sched,
-                    });
-                }
+                let mut op = StandardOp::new(setup.lu_x1().expect("lu(C) present"), sys.g())
+                    .with_parallelism(pool);
                 if let Some(smw) = setup.smw_x1() {
                     op = op.with_correction(smw);
                 }
                 OpHolder::Std(op)
             }
             KrylovKind::Inverted => {
-                let mut op = InvertedOp::new(lu_g, sys.c());
-                if let (Some(pool), Some(sched)) = (&self.pool, sched_g) {
-                    op = op.with_parallelism(ParApply {
-                        pool: pool.as_ref(),
-                        sched,
-                    });
-                }
+                let mut op = InvertedOp::new(lu_g, sys.c()).with_parallelism(pool);
                 if let Some(smw) = setup.smw_g() {
                     op = op.with_correction(smw);
                 }
@@ -407,13 +368,8 @@ impl TransientEngine for MatexSolver {
                     setup.lu_x1().expect("lu(C+γG) present"),
                     sys.c(),
                     self.opts.gamma,
-                );
-                if let (Some(pool), Some(sched)) = (&self.pool, sched_x1) {
-                    op = op.with_parallelism(ParApply {
-                        pool: pool.as_ref(),
-                        sched,
-                    });
-                }
+                )
+                .with_parallelism(pool);
                 if let Some(smw) = setup.smw_x1() {
                     op = op.with_correction(smw);
                 }
@@ -421,12 +377,6 @@ impl TransientEngine for MatexSolver {
             }
         };
         let op = op_holder.as_op();
-        // Parallel context for the input-terms substitutions (always
-        // against the G factorization).
-        let terms_par: Option<(&ParPool, &SolveSchedule)> = match (&self.pool, sched_g) {
-            (Some(pool), Some(sched)) => Some((pool.as_ref(), sched)),
-            _ => None,
-        };
 
         // --- Evaluation grid: output samples ∪ LTS.
         let mut eval = SpotSet::from_times(spec.sample_times());
@@ -460,7 +410,6 @@ impl TransientEngine for MatexSolver {
         let mut evaluator = SnapshotEvaluator::new();
         let mut hs_batch: Vec<f64> = Vec::new();
         let mut xbatch: Vec<f64> = Vec::new();
-        let pool_ref: Option<&ParPool> = self.pool.as_deref();
         let times: &[f64] = eval.as_slice();
         let mut t_expm = Duration::ZERO;
         let mut t_comb = Duration::ZERO;
@@ -497,7 +446,7 @@ impl TransientEngine for MatexSolver {
                     anchor_t,
                     win_end,
                     &mut stats,
-                    terms_par,
+                    pool,
                     setup.smw_g(),
                 );
                 terms_valid = true;
@@ -610,7 +559,7 @@ impl TransientEngine for MatexSolver {
             if accepted > 0 {
                 let t0 = Instant::now();
                 xbatch.resize(accepted * n, 0.0);
-                evaluator.combine_into(b, accepted, pool_ref, &mut xbatch);
+                evaluator.combine_into(b, accepted, Some(pool), &mut xbatch);
                 for j in 0..accepted {
                     terms.p_into(hs_batch[j], &mut pbuf);
                     for (x, p) in xbatch[j * n..(j + 1) * n].iter_mut().zip(&pbuf) {
@@ -681,7 +630,7 @@ impl TransientEngine for MatexSolver {
                     // The ladder's own full-step value passes: accept it.
                     let t0 = Instant::now();
                     xbatch.resize(n, 0.0);
-                    evaluator.combine_rung(b, 0, pool_ref, &mut xbatch[..n]);
+                    evaluator.combine_rung(b, 0, Some(pool), &mut xbatch[..n]);
                     terms.p_into(h_f, &mut pbuf);
                     for (x, p) in xbatch[..n].iter_mut().zip(&pbuf) {
                         *x -= p;
@@ -710,7 +659,7 @@ impl TransientEngine for MatexSolver {
                     let hs = h_f * 0.5_f64.powi(s as i32);
                     let t0 = Instant::now();
                     xbatch.resize(n, 0.0);
-                    evaluator.combine_rung(b, s, pool_ref, &mut xbatch[..n]);
+                    evaluator.combine_rung(b, s, Some(pool), &mut xbatch[..n]);
                     terms.p_into(hs, &mut pbuf);
                     for (x, p) in xbatch[..n].iter_mut().zip(&pbuf) {
                         *x -= p;
@@ -735,7 +684,7 @@ impl TransientEngine for MatexSolver {
                     }
                     let t0 = Instant::now();
                     xbatch.resize(n, 0.0);
-                    evaluator.combine_one(b, batch_col, pool_ref, &mut xbatch[..n]);
+                    evaluator.combine_one(b, batch_col, Some(pool), &mut xbatch[..n]);
                     terms.p_into(h_f, &mut pbuf);
                     for (x, p) in xbatch[..n].iter_mut().zip(&pbuf) {
                         *x -= p;
@@ -1041,41 +990,39 @@ mod tests {
     }
 
     #[test]
-    fn pooled_run_is_pool_width_invariant_and_close_to_serial() {
-        // The tentpole determinism contract at the solver level: any
-        // pool width produces bit-for-bit the waveform of the one-thread
-        // pool, and the pool-less legacy path agrees to rounding (the
-        // pooled orthogonalization is CGS2 instead of MGS2).
-        let sys = pulsed_rc();
-        let spec = TransientSpec::new(0.0, 1e-9, 1e-11).unwrap();
+    fn pool_less_run_matches_every_pool_width_bitwise() {
+        // The determinism contract at the solver level: a run without a
+        // pool (the inline one-thread pool) produces bit for bit the
+        // waveform of every pool width, on every variant. An RLC grid,
+        // so the Krylov bases are deep enough for the orthogonalization
+        // order to show in the last bits.
+        let sys = matex_circuit::PdnBuilder::new(4, 4)
+            .num_loads(4)
+            .num_features(2)
+            .window(1e-9)
+            .pad_inductance(1e-11)
+            .build()
+            .unwrap();
+        let spec = TransientSpec::new(0.0, 1e-9, 2e-11).unwrap();
         for kind in [
             KrylovKind::Rational,
             KrylovKind::Inverted,
             KrylovKind::Standard,
         ] {
             let opts = MatexOptions::new(kind);
-            let legacy = MatexSolver::new(opts.clone()).run(&sys, &spec).unwrap();
-            let reference = MatexSolver::new(opts.clone())
-                .with_parallelism(Arc::new(matex_par::ParPool::serial()))
-                .run(&sys, &spec)
-                .unwrap();
-            for threads in [2usize, 3] {
+            let reference = MatexSolver::new(opts.clone()).run(&sys, &spec).unwrap();
+            for threads in [1usize, 2, 4] {
                 let run = MatexSolver::new(opts.clone())
-                    .with_parallelism(Arc::new(matex_par::ParPool::new(threads)))
+                    .with_parallelism(Arc::new(ParPool::new(threads)))
                     .run(&sys, &spec)
                     .unwrap();
                 assert_eq!(
                     reference.series(),
                     run.series(),
-                    "{kind:?}: {threads}-thread waveform diverged from 1-thread"
+                    "{kind:?}: {threads}-thread waveform diverged from the pool-less run"
                 );
                 assert_eq!(reference.final_state(), run.final_state());
             }
-            let (max_err, _) = reference.error_vs(&legacy).unwrap();
-            assert!(
-                max_err < 1e-9,
-                "{kind:?}: pooled path deviates from legacy serial: {max_err:.3e}"
-            );
         }
     }
 
@@ -1144,18 +1091,13 @@ mod tests {
                 .run(&sys, &spec)
                 .unwrap();
             assert_eq!(fresh.series(), with_dc.series(), "{kind:?} with DC");
-            // A pooled run over a schedule-less setup builds schedules
-            // itself and stays bitwise equal to a pool-prepared run.
-            let pooled_fresh = MatexSolver::new(opts.clone())
-                .with_parallelism(Arc::new(matex_par::ParPool::new(2)))
-                .run(&sys, &spec)
-                .unwrap();
+            // One setup serves every pool width.
             let pooled_reused = MatexSolver::new(opts.clone())
                 .with_setup(setup)
-                .with_parallelism(Arc::new(matex_par::ParPool::new(2)))
+                .with_parallelism(Arc::new(ParPool::new(2)))
                 .run(&sys, &spec)
                 .unwrap();
-            assert_eq!(pooled_fresh.series(), pooled_reused.series());
+            assert_eq!(fresh.series(), pooled_reused.series());
             // Mismatched setups are rejected, not silently used.
             let wrong = Arc::new(
                 MatexSetup::prepare(&sys, &MatexOptions::default().gamma(3e-10), None, false)

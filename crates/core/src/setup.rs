@@ -3,11 +3,11 @@
 //!
 //! Everything [`MatexSolver::run`](crate::MatexSolver) does before its
 //! transient loop — factoring `G`, factoring the variant's `X1` matrix
-//! (`C + γG` for R-MATEX, a regularized `C` for MEXP), and building the
-//! level-scheduled substitution plans — depends only on the system
-//! matrices and `(kind, γ)`, never on the source waveforms, the time
-//! window, the source mask, or the tolerances. A [`MatexSetup`] captures
-//! exactly that prefix as an immutable artifact:
+//! (`C + γG` for R-MATEX, a regularized `C` for MEXP) — depends only on
+//! the system matrices and `(kind, γ)`, never on the source waveforms,
+//! the time window, the source mask, the tolerances, or the kernel pool
+//! width. A [`MatexSetup`] captures exactly that prefix as an immutable
+//! artifact:
 //!
 //! * a solver prepares one internally when none is injected (the
 //!   historical behavior, bit for bit),
@@ -26,16 +26,14 @@
 use crate::{CoreError, MatexOptions, MatexSymbolic, SolveStats};
 use matex_circuit::{regularize_c, MnaSystem, ValueDiff};
 use matex_krylov::{shifted_system, KrylovKind};
-use matex_sparse::{
-    CsrMatrix, LuOptions, SmwOptions, SmwRejection, SmwUpdate, SolveSchedule, SparseLu,
-};
+use matex_sparse::{CsrMatrix, LuOptions, SmwOptions, SmwRejection, SmwUpdate, SparseLu};
 use matex_sparse::{WireError, WireReader, WireWriter};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The immutable, shareable preparation of a MATEX run: factors of `G`
-/// and the variant matrix plus (optionally) their substitution
-/// schedules.
+/// and the variant matrix. One setup serves runs at every kernel pool
+/// width.
 ///
 /// # Example
 ///
@@ -74,10 +72,8 @@ pub struct MatexSetup {
     /// R-MATEX's shifted system `C + γG`.
     #[allow(dead_code)]
     shifted: Option<CsrMatrix>,
-    sched_g: Option<SolveSchedule>,
-    sched_x1: Option<SolveSchedule>,
     /// The uncorrected setup this one wraps (what-if fast path): all
-    /// factors and schedules come from here, with the SMW corrections
+    /// factors come from here, with the SMW corrections
     /// below turning its solves into edited-system solves.
     base: Option<Arc<MatexSetup>>,
     /// Correction turning `base`'s `lu_g` solves into `G_new` solves.
@@ -98,9 +94,9 @@ impl MatexSetup {
     ///
     /// With a shared `symbolic` analysis the factorizations become
     /// numeric replays (counted in [`MatexSetup::refactorizations`]).
-    /// `with_schedules` additionally builds the level-scheduled
-    /// substitution plans that pooled runs replay; a pooled run injected
-    /// with a schedule-less setup builds them itself.
+    /// `with_schedules` is ignored: every pool width runs the same
+    /// column solve against the factors, so there is nothing extra to
+    /// build. It stays for existing callers.
     ///
     /// # Errors
     ///
@@ -109,7 +105,7 @@ impl MatexSetup {
         sys: &MnaSystem,
         opts: &MatexOptions,
         symbolic: Option<&MatexSymbolic>,
-        with_schedules: bool,
+        _with_schedules: bool,
     ) -> Result<MatexSetup, CoreError> {
         let t0 = Instant::now();
         let mut counters = SolveStats::default();
@@ -151,11 +147,6 @@ impl MatexSetup {
                 shifted = Some(sh);
             }
         }
-        let sched_g = with_schedules.then(|| lu_g.solve_schedule());
-        let sched_x1 = match (&lu_x1, with_schedules) {
-            (Some(lu), true) => Some(lu.solve_schedule()),
-            _ => None,
-        };
         Ok(MatexSetup {
             kind: opts.kind,
             gamma: opts.gamma,
@@ -165,8 +156,6 @@ impl MatexSetup {
             lu_x1,
             c_reg,
             shifted,
-            sched_g,
-            sched_x1,
             base: None,
             smw_g: None,
             smw_x1: None,
@@ -256,8 +245,6 @@ impl MatexSetup {
             lu_x1: None,
             c_reg: None,
             shifted: None,
-            sched_g: None,
-            sched_x1: None,
             base: Some(base),
             smw_g,
             smw_x1,
@@ -343,22 +330,6 @@ impl MatexSetup {
         }
     }
 
-    /// The pre-built substitution schedule for `lu_g`, if prepared.
-    pub fn sched_g(&self) -> Option<&SolveSchedule> {
-        match &self.base {
-            Some(b) => b.sched_g(),
-            None => self.sched_g.as_ref(),
-        }
-    }
-
-    /// The pre-built substitution schedule for `lu_x1`, if prepared.
-    pub fn sched_x1(&self) -> Option<&SolveSchedule> {
-        match &self.base {
-            Some(b) => b.sched_x1(),
-            None => self.sched_x1.as_ref(),
-        }
-    }
-
     /// Whether this setup wraps a base with what-if corrections.
     pub fn is_corrected(&self) -> bool {
         self.base.is_some()
@@ -414,11 +385,6 @@ impl MatexSetup {
     /// bitwise, so persisting one would silently weaken the store's
     /// bitwise-restart guarantee.
     ///
-    /// Schedules are not serialized — only presence flags. A decode
-    /// rebuilds them with [`SparseLu::solve_schedule`], which is a pure
-    /// function of the factors, so the rebuilt schedules drive the same
-    /// substitutions bit for bit.
-    ///
     /// # Errors
     ///
     /// [`WireError::Invalid`] when the setup is corrected.
@@ -438,8 +404,6 @@ impl MatexSetup {
         if let Some(lu) = &self.lu_x1 {
             lu.wire_encode(w);
         }
-        w.u8(self.sched_g.is_some() as u8);
-        w.u8(self.sched_x1.is_some() as u8);
         Ok(())
     }
 
@@ -448,8 +412,8 @@ impl MatexSetup {
     ///
     /// The decoded setup is uncorrected, reports zero factorizations
     /// (nothing was factored — that is the point of the store) and a
-    /// zero preparation time; its factors and rebuilt schedules are
-    /// bitwise the ones that were encoded.
+    /// zero preparation time; its factors are bitwise the ones that were
+    /// encoded.
     ///
     /// # Errors
     ///
@@ -464,13 +428,6 @@ impl MatexSetup {
             0 => None,
             _ => Some(SparseLu::wire_decode(r)?),
         };
-        let with_sched_g = r.u8()? != 0;
-        let with_sched_x1 = r.u8()? != 0;
-        let sched_g = with_sched_g.then(|| lu_g.solve_schedule());
-        let sched_x1 = match (&lu_x1, with_sched_x1) {
-            (Some(lu), true) => Some(lu.solve_schedule()),
-            _ => None,
-        };
         Ok(MatexSetup {
             kind,
             gamma,
@@ -480,8 +437,6 @@ impl MatexSetup {
             lu_x1,
             c_reg: None,
             shifted: None,
-            sched_g,
-            sched_x1,
             base: None,
             smw_g: None,
             smw_x1: None,
@@ -525,7 +480,6 @@ mod tests {
         assert_eq!(setup.factorizations(), 2); // G and C + γG
         assert_eq!(setup.refactorizations(), 0);
         assert!(setup.lu_x1().is_some());
-        assert!(setup.sched_g().is_some() && setup.sched_x1().is_some());
         assert!(setup.check(&sys, &opts).is_ok());
         // γ mismatch is rejected for the rational variant.
         assert!(setup.check(&sys, &opts.clone().gamma(2e-10)).is_err());
@@ -556,7 +510,6 @@ mod tests {
         let setup = MatexSetup::prepare(&sys, &opts, Some(&symbolic), false).unwrap();
         assert_eq!(setup.factorizations(), 2);
         assert_eq!(setup.refactorizations(), 2);
-        assert!(setup.sched_g().is_none() && setup.sched_x1().is_none());
     }
 
     #[test]

@@ -30,13 +30,13 @@ pub struct DistributedOptions {
     /// `Some(1)` emulates the paper's dedicated-node cluster faithfully
     /// (every node's wall time is uncontended).
     pub workers: Option<usize>,
-    /// Intra-node kernel parallelism (the total `MATEX_THREADS` budget).
-    /// The budget is divided across the active workers — every worker
-    /// gets a pool of `max(1, total / workers)` threads for its nodes —
-    /// so a distributed run never oversubscribes the host. Off by
-    /// default (`MATEX_THREADS` unset): the legacy serial kernels run.
-    /// Node numerics are bitwise-invariant in both the worker count and
-    /// the per-node budget, so enabling more workers never changes the
+    /// Intra-node kernel parallelism (the total `MATEX_THREADS` budget,
+    /// at least 1; unset means 1). The budget is divided across the
+    /// active workers — every worker gets a pool of
+    /// `max(1, total / workers)` threads for its nodes — so a distributed
+    /// run never oversubscribes the host. Every width runs the same
+    /// kernels and node numerics are bitwise-invariant in both the worker
+    /// count and the per-node budget, so neither ever changes the
     /// superposed waveform.
     pub par: ParOptions,
     /// A pre-built symbolic analysis for the master's one preparation.

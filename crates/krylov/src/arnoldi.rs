@@ -1,28 +1,24 @@
 //! Incremental Arnoldi process (paper Alg. 1, "MATEX Arnoldi").
 
 use crate::{KrylovError, KrylovOp};
-use matex_dense::{dot, norm2, DMat};
+use matex_dense::DMat;
 
 /// An incrementally extensible Arnoldi factorization
 /// `Op·V_m = V_m·Ĥ_m + ĥ_{m+1,m}·v_{m+1}·e_mᵀ`.
 ///
-/// Uses modified Gram–Schmidt with one optional re-orthogonalization pass
-/// (on by default — stiff PDN systems quickly lose orthogonality without
-/// it). The basis can be *extended* after a convergence check fails, which
-/// is how the solver grows `m` without restarting (Alg. 1 lines 10–12).
-///
-/// When the operator advertises a pool ([`KrylovOp::pool`]), the
-/// orthogonalization switches to a **fused, tiled classical
-/// Gram–Schmidt** with the same number of passes: each pass computes all
+/// Orthogonalizes with a **fused, tiled classical Gram–Schmidt** on the
+/// operator's pool ([`KrylovOp::pool`]): each pass computes all
 /// projection coefficients in one dispatch ([`matex_par::multi_dot`])
 /// and removes them in a second ([`matex_par::subtract_combination`]).
-/// With two passes (`reorth`, the default) this is the classical
+/// With two passes (`reorth`, on by default — stiff PDN systems quickly
+/// lose orthogonality without it) this is the classical
 /// "CGS2/twice-is-enough" scheme, numerically equivalent to MGS with
 /// re-orthogonalization but with `O(m)` pool dispatches per step instead
-/// of `O(m²)` — the shape that actually scales over threads. The tiled
-/// reductions make the result bitwise-invariant in the pool width
-/// (`MATEX_THREADS` ∈ {1, 2, …} all agree exactly); the pool-less path
-/// remains byte-for-byte the historical serial MGS.
+/// of `O(m²)`. The tiled reductions make the result bitwise-invariant in
+/// the pool width (`MATEX_THREADS` ∈ {unset, 1, 2, …} all agree
+/// exactly). The basis can be *extended* after a convergence check
+/// fails, which is how the solver grows `m` without restarting (Alg. 1
+/// lines 10–12).
 pub struct Arnoldi<'a> {
     op: &'a dyn KrylovOp,
     beta: f64,
@@ -52,13 +48,9 @@ impl<'a> Arnoldi<'a> {
         if v.iter().any(|x| !x.is_finite()) {
             return Err(KrylovError::NotFinite { step: 0 });
         }
-        // With a pool, β comes from the tiled norm so the whole process
-        // is invariant in the pool width; the division is elementwise
-        // (identical at any width) either way.
-        let beta = match op.pool() {
-            None => norm2(v),
-            Some(pool) => matex_par::norm2(pool, v),
-        };
+        // β comes from the tiled norm so the whole process is invariant
+        // in the pool width.
+        let beta = matex_par::norm2(op.pool(), v);
         if beta == 0.0 {
             return Err(KrylovError::ZeroStartVector);
         }
@@ -105,50 +97,24 @@ impl<'a> Arnoldi<'a> {
         if w.iter().any(|x| !x.is_finite()) {
             return Err(KrylovError::NotFinite { step: j + 1 });
         }
+        let pool = self.op.pool();
         let mut hcol = vec![0.0; j + 2];
-        let (w_scale, hnext) = match self.op.pool() {
-            None => {
-                let w_scale = norm2(&w);
-                // Modified Gram–Schmidt.
-                for (i, vi) in self.vs.iter().enumerate() {
-                    let hij = dot(&w, vi);
-                    hcol[i] = hij;
-                    for (wk, vk) in w.iter_mut().zip(vi) {
-                        *wk -= hij * vk;
-                    }
-                }
-                if self.reorth {
-                    // Second MGS pass: corrections fold into the same
-                    // coefficients.
-                    for (i, vi) in self.vs.iter().enumerate() {
-                        let corr = dot(&w, vi);
-                        hcol[i] += corr;
-                        for (wk, vk) in w.iter_mut().zip(vi) {
-                            *wk -= corr * vk;
-                        }
-                    }
-                }
-                (w_scale, norm2(&w))
+        let w_scale = matex_par::norm2(pool, &w);
+        // Fused classical Gram–Schmidt: all coefficients in one tiled
+        // dispatch, all projections removed in a second.
+        matex_par::multi_dot(pool, &w, &self.vs, &mut hcol[..j + 1]);
+        matex_par::subtract_combination(pool, &mut w, &self.vs, &hcol[..j + 1]);
+        if self.reorth {
+            // CGS2: the correction pass restores orthogonality to working
+            // precision ("twice is enough").
+            let mut corr = vec![0.0; j + 1];
+            matex_par::multi_dot(pool, &w, &self.vs, &mut corr);
+            matex_par::subtract_combination(pool, &mut w, &self.vs, &corr);
+            for (h, c) in hcol.iter_mut().zip(&corr) {
+                *h += c;
             }
-            Some(pool) => {
-                let w_scale = matex_par::norm2(pool, &w);
-                // Fused classical Gram–Schmidt: all coefficients in one
-                // tiled dispatch, all projections removed in a second.
-                matex_par::multi_dot(pool, &w, &self.vs, &mut hcol[..j + 1]);
-                matex_par::subtract_combination(pool, &mut w, &self.vs, &hcol[..j + 1]);
-                if self.reorth {
-                    // CGS2: the correction pass restores orthogonality to
-                    // working precision ("twice is enough").
-                    let mut corr = vec![0.0; j + 1];
-                    matex_par::multi_dot(pool, &w, &self.vs, &mut corr);
-                    matex_par::subtract_combination(pool, &mut w, &self.vs, &corr);
-                    for (h, c) in hcol.iter_mut().zip(&corr) {
-                        *h += c;
-                    }
-                }
-                (w_scale, matex_par::norm2(pool, &w))
-            }
-        };
+        }
+        let hnext = matex_par::norm2(pool, &w);
         hcol[j + 1] = hnext;
         self.hcols.push(hcol);
         // Happy breakdown: the subspace is invariant; the projection is
@@ -157,14 +123,7 @@ impl<'a> Arnoldi<'a> {
             self.breakdown = Some(j + 1);
             return Ok(());
         }
-        match self.op.pool() {
-            None => {
-                for x in w.iter_mut() {
-                    *x /= hnext;
-                }
-            }
-            Some(pool) => matex_par::div_in_place(pool, &mut w, hnext),
-        }
+        matex_par::div_in_place(pool, &mut w, hnext);
         self.vs.push(w);
         Ok(())
     }
@@ -210,6 +169,7 @@ impl<'a> Arnoldi<'a> {
 mod tests {
     use super::*;
     use crate::{KrylovKind, StandardOp};
+    use matex_dense::{dot, norm2};
     use matex_sparse::{CsrMatrix, LuOptions, SparseLu};
 
     /// Dense operator for testing: applies an explicit matrix.

@@ -6,8 +6,7 @@
 //! for every snapshot time until the next input transition, by only
 //! rescaling `h` (Sec. 2.4 / Alg. 2 line 11).
 
-use crate::snapshot::with_shared;
-use crate::{Arnoldi, KrylovError, KrylovKind, KrylovOp};
+use crate::{Arnoldi, KrylovError, KrylovKind, KrylovOp, SnapshotEvaluator};
 use matex_dense::DMat;
 
 /// Parameters for building a Krylov basis.
@@ -19,7 +18,7 @@ pub struct ExpmParams {
     pub m_min: usize,
     /// Maximum subspace dimension.
     pub m_max: usize,
-    /// Re-orthogonalize the Arnoldi basis (second MGS pass).
+    /// Re-orthogonalize the Arnoldi basis (second Gram–Schmidt pass).
     pub reorth: bool,
 }
 
@@ -49,6 +48,7 @@ impl ExpmParams {
 /// Holds `(β, V_m, H_m, ĥ_{m+1,m})`; evaluation at any step `h` costs one
 /// small `expm` (`T_H = O(m³)`) plus the basis combination
 /// (`T_e = O(n·m)`) — the reuse the whole MATEX framework is built on.
+/// Evaluate through a [`SnapshotEvaluator`].
 #[derive(Debug, Clone)]
 pub struct KrylovBasis {
     kind: KrylovKind,
@@ -110,79 +110,14 @@ impl KrylovBasis {
         self.vm[0].len()
     }
 
-    /// Evaluates `e^{hA} v ≈ β · V_m · e^{h·H_m} · e₁`.
-    ///
-    /// A thin wrapper over the batched [`SnapshotEvaluator`] (this
-    /// thread's shared instance), so the per-call API no longer
-    /// allocates its dense intermediates — only the returned vector.
-    ///
-    /// [`SnapshotEvaluator`]: crate::SnapshotEvaluator
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KrylovError::Dense`] if the small exponential fails
-    /// (non-finite `h·H_m`).
-    pub fn eval(&self, h: f64) -> Result<Vec<f64>, KrylovError> {
-        with_shared(|ev| {
-            ev.weights_one(self, h)?;
-            let mut x = vec![0.0; self.dim()];
-            ev.combine_into(self, 1, None, &mut x);
-            Ok(x)
-        })
-    }
-
-    /// The combination weights `β · e^{h·H_m} · e₁` (an `m`-vector).
-    ///
-    /// # Errors
-    ///
-    /// As [`KrylovBasis::eval`].
-    pub fn eval_weights(&self, h: f64) -> Result<Vec<f64>, KrylovError> {
-        with_shared(|ev| {
-            ev.weights_one(self, h)?;
-            Ok(ev.weights()[..self.m()].to_vec())
-        })
-    }
-
-    /// Evaluates `e^{hA} v` and the posterior error estimate in one small
-    /// `expm` (the estimate reuses the same `e^{h·H_m}` column).
-    ///
-    /// # Errors
-    ///
-    /// As [`KrylovBasis::eval`].
-    pub fn eval_with_estimate(&self, h: f64) -> Result<(Vec<f64>, f64), KrylovError> {
-        with_shared(|ev| {
-            ev.weights_one(self, h)?;
-            let est = ev.estimates()[0];
-            let mut x = vec![0.0; self.dim()];
-            ev.combine_into(self, 1, None, &mut x);
-            Ok((x, est))
-        })
-    }
-
-    /// Posterior error estimate at step `h` (paper Eqs. (7)/(8)/(10),
-    /// regularization-free form of Sec. 3.3.3):
+    /// Posterior error estimate (paper Eqs. (7)/(8)/(10),
+    /// regularization-free form of Sec. 3.3.3) from a **raw** (not
+    /// β-scaled) `e^{h·Hm} e₁` column:
     ///
     /// `‖r_m(h)‖ ≈ ‖v‖ · |ĥ_{m+1,m} · e_mᵀ e^{h·H_m} e₁|`
     ///
-    /// Returns `0` after a happy breakdown (projection is exact).
-    ///
-    /// # Errors
-    ///
-    /// As [`KrylovBasis::eval`].
-    pub fn error_estimate(&self, h: f64) -> Result<f64, KrylovError> {
-        if self.breakdown {
-            return Ok(0.0);
-        }
-        with_shared(|ev| {
-            ev.weights_one(self, h)?;
-            Ok(ev.estimates()[0])
-        })
-    }
-
-    /// Residual estimate from a **raw** (not β-scaled) `e^{h·Hm} e₁`
-    /// column — the reusable core of [`KrylovBasis::error_estimate`],
-    /// public so batched callers and benches can estimate from columns
-    /// they already hold.
+    /// `0` after a happy breakdown (the projection is exact). Public so
+    /// benches can estimate from columns they already hold.
     pub fn residual_estimate(&self, col: &[f64]) -> f64 {
         self.estimate_from_col(col)
     }
@@ -270,6 +205,7 @@ pub fn build_basis_multi(
     let kind = op.kind();
     let mut arnoldi = Arnoldi::new(op, v, params.reorth)?;
     let beta = arnoldi.beta();
+    let mut ev = SnapshotEvaluator::new();
     // (m, hm, h_sub, rel_est, inv_last_row, prefactor)
     #[allow(clippy::type_complexity)]
     let mut best: Option<(usize, DMat, f64, f64, Option<Vec<f64>>, f64)> = None;
@@ -314,13 +250,16 @@ pub fn build_basis_multi(
         };
         let mut est = 0.0_f64;
         let mut est_failed = false;
-        for &h in hs {
-            match basis_probe.error_estimate(h) {
-                Ok(e) => est = est.max(e),
-                Err(e) => {
-                    last_dense_err = Some(e);
-                    est_failed = true;
-                    break;
+        // After a happy breakdown the projection is exact: estimate 0.
+        if !basis_probe.breakdown {
+            for &h in hs {
+                match ev.estimate_one(&basis_probe, h) {
+                    Ok(e) => est = est.max(e),
+                    Err(e) => {
+                        last_dense_err = Some(e);
+                        est_failed = true;
+                        break;
+                    }
                 }
             }
         }
@@ -411,6 +350,15 @@ mod tests {
     use matex_dense::expm;
     use matex_sparse::{CsrMatrix, LuOptions, SparseLu};
 
+    /// `e^{hA} v` from `basis` through a fresh evaluator.
+    fn eval(basis: &KrylovBasis, h: f64) -> Vec<f64> {
+        let mut x = vec![0.0; basis.dim()];
+        SnapshotEvaluator::new()
+            .eval_many_into(basis, &[h], None, &mut x)
+            .unwrap();
+        x
+    }
+
     /// Small RC-like test system: C diagonal, G tridiagonal SPD.
     fn system(n: usize) -> (CsrMatrix, CsrMatrix) {
         let mut ct = Vec::new();
@@ -451,7 +399,7 @@ mod tests {
             ..ExpmParams::default()
         };
         let out = build_basis(op, &v, h, &params).unwrap();
-        let x = out.basis.eval(h).unwrap();
+        let x = eval(&out.basis, h);
         let x_ref = dense_reference(c, g, &v, h);
         let err = x
             .iter()
@@ -508,7 +456,7 @@ mod tests {
         };
         let out = build_basis(&op, &v, 0.2, &params).unwrap();
         for &h in &[0.02, 0.05, 0.1, 0.2] {
-            let x = out.basis.eval(h).unwrap();
+            let x = eval(&out.basis, h);
             let x_ref = dense_reference(&c, &g, &v, h);
             let err = x
                 .iter()
@@ -590,7 +538,9 @@ mod tests {
         let op = InvertedOp::new(&lu, &c);
         let v = vec![2.0, 0.0, 0.0, 0.0, 0.0, 0.0];
         let out = build_basis(&op, &v, 0.1, &ExpmParams::with_tol(1e-10)).unwrap();
-        let w = out.basis.eval_weights(0.0).unwrap();
+        let mut ev = SnapshotEvaluator::new();
+        ev.weights_many(&out.basis, &[0.0]).unwrap();
+        let w = ev.weights();
         // At h = 0, e^{0} e1 = e1, so weights = (beta, 0, ..., 0).
         assert!((w[0] - 2.0).abs() < 1e-12);
         for wi in &w[1..] {

@@ -3,8 +3,8 @@
 //! Implements the paper's Alg. 1 ("MATEX Arnoldi") and its three operator
 //! variants, plus the reusable-basis evaluation that powers Alg. 2:
 //!
-//! * [`Arnoldi`] — incremental Arnoldi factorization with MGS +
-//!   re-orthogonalization,
+//! * [`Arnoldi`] — incremental Arnoldi factorization with fused, tiled
+//!   classical Gram–Schmidt + re-orthogonalization (CGS2),
 //! * [`StandardOp`] / [`InvertedOp`] / [`RationalOp`] — MEXP, I-MATEX and
 //!   R-MATEX iteration operators (each one forward/backward substitution
 //!   pair per step),
@@ -12,16 +12,16 @@
 //!   (`Ĥ`, `Ĥ⁻¹`, `(I−Ĥ⁻¹)/γ`),
 //! * [`build_basis`] — tolerance-driven subspace construction with the
 //!   paper's posterior error estimates,
-//! * [`KrylovBasis`] — `(β, V_m, H_m)` with `eval(h)` for snapshot reuse,
-//! * [`SnapshotEvaluator`] — batched, allocation-free snapshot
-//!   evaluation: pooled `Vᵀ·W` combination over a whole window of eval
+//! * [`KrylovBasis`] — `(β, V_m, H_m)`, reused across snapshots,
+//! * [`SnapshotEvaluator`] — the one way to evaluate a basis: batched,
+//!   allocation-free `Vᵀ·W` combination over a whole window of eval
 //!   times plus the `expm` squaring ladder that subsumes the sub-step
 //!   search (see `README.md` for the model).
 //!
 //! # Example
 //!
 //! ```
-//! use matex_krylov::{build_basis, ExpmParams, RationalOp};
+//! use matex_krylov::{build_basis, ExpmParams, RationalOp, SnapshotEvaluator};
 //! use matex_sparse::{CsrMatrix, LuOptions, SparseLu};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -35,7 +35,8 @@
 //!
 //! let v = vec![1.0, 0.0];
 //! let out = build_basis(&op, &v, 0.5, &ExpmParams::with_tol(1e-10))?;
-//! let x = out.basis.eval(0.5)?; // ≈ e^{0.5 A} v
+//! let mut x = vec![0.0; 2];
+//! SnapshotEvaluator::new().eval_many_into(&out.basis, &[0.5], None, &mut x)?; // ≈ e^{0.5 A} v
 //! assert!(x[0] < 1.0 && x[1] > 0.0); // charge spreads to node 2
 //! # Ok(())
 //! # }
@@ -51,7 +52,7 @@ mod variant;
 pub use arnoldi::Arnoldi;
 pub use error::KrylovError;
 pub use expmv::{build_basis, build_basis_multi, BuildOutcome, ExpmParams, KrylovBasis};
-pub use operator::{shifted_system, InvertedOp, KrylovOp, ParApply, RationalOp, StandardOp};
+pub use operator::{shifted_system, InvertedOp, KrylovOp, RationalOp, StandardOp};
 pub use snapshot::SnapshotEvaluator;
 pub use variant::KrylovKind;
 

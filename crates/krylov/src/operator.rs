@@ -11,24 +11,7 @@
 
 use crate::KrylovKind;
 use matex_par::ParPool;
-use matex_sparse::{
-    CsrMatrix, LuOptions, SmwUpdate, SolveSchedule, SparseError, SparseLu, SymbolicLu,
-};
-
-/// Parallel execution context for a Krylov operator: the pool the
-/// kernels dispatch on plus the level-scheduled substitution plan of the
-/// operator's factored matrix (`X1`).
-///
-/// Attach with the operators' `with_parallelism` builders; the operator
-/// then advertises the pool through [`KrylovOp::pool`], which is how the
-/// Arnoldi orthogonalization picks its tiled path.
-#[derive(Debug, Clone, Copy)]
-pub struct ParApply<'a> {
-    /// The shared worker pool.
-    pub pool: &'a ParPool,
-    /// Substitution plan built from the operator's `X1` factorization.
-    pub sched: &'a SolveSchedule,
-}
+use matex_sparse::{CsrMatrix, LuOptions, SmwUpdate, SparseError, SparseLu, SymbolicLu};
 
 /// One application of the Arnoldi iteration matrix.
 ///
@@ -54,12 +37,12 @@ pub trait KrylovOp {
         None
     }
 
-    /// The pool this operator's kernels dispatch on, when the operator
-    /// was built with a [`ParApply`] context. The Arnoldi process uses
-    /// the same pool for its orthogonalization kernels, so one setting
-    /// parallelizes the whole Krylov phase.
-    fn pool(&self) -> Option<&ParPool> {
-        None
+    /// The pool this operator's kernels dispatch on (the operators'
+    /// `with_parallelism` builders; [`ParPool::inline`] otherwise). The
+    /// Arnoldi process uses the same pool for its orthogonalization
+    /// kernels, so one setting parallelizes the whole Krylov phase.
+    fn pool(&self) -> &ParPool {
+        ParPool::inline()
     }
 }
 
@@ -71,7 +54,7 @@ pub trait KrylovOp {
 pub struct StandardOp<'a> {
     lu_c: &'a SparseLu,
     g: &'a CsrMatrix,
-    par: Option<ParApply<'a>>,
+    pool: &'a ParPool,
     smw: Option<&'a SmwUpdate>,
 }
 
@@ -86,15 +69,15 @@ impl<'a> StandardOp<'a> {
         StandardOp {
             lu_c,
             g,
-            par: None,
+            pool: ParPool::inline(),
             smw: None,
         }
     }
 
-    /// Runs this operator's mat-vec and substitutions on a pool
-    /// (`par.sched` must come from `lu_c`).
-    pub fn with_parallelism(mut self, par: ParApply<'a>) -> Self {
-        self.par = Some(par);
+    /// Runs this operator's mat-vec — and the Arnoldi
+    /// orthogonalization that drives it — on `pool`.
+    pub fn with_parallelism(mut self, pool: &'a ParPool) -> Self {
+        self.pool = pool;
         self
     }
 
@@ -116,17 +99,8 @@ impl KrylovOp for StandardOp<'_> {
     fn apply(&self, v: &[f64], out: &mut [f64]) {
         let mut gv = vec![0.0; self.dim()];
         let mut work = vec![0.0; self.dim()];
-        match &self.par {
-            None => {
-                self.g.matvec_into(v, &mut gv);
-                self.lu_c.solve_into(&gv, out, &mut work);
-            }
-            Some(p) => {
-                self.g.matvec_into_par(v, &mut gv, p.pool);
-                self.lu_c
-                    .solve_into_par(&gv, out, &mut work, p.sched, p.pool);
-            }
-        }
+        self.g.matvec_into_par(v, &mut gv, self.pool);
+        self.lu_c.solve_into(&gv, out, &mut work);
         if let Some(smw) = self.smw {
             smw.correct_in_place(out);
         }
@@ -139,8 +113,8 @@ impl KrylovOp for StandardOp<'_> {
         KrylovKind::Standard
     }
 
-    fn pool(&self) -> Option<&ParPool> {
-        self.par.as_ref().map(|p| p.pool)
+    fn pool(&self) -> &ParPool {
+        self.pool
     }
 }
 
@@ -151,7 +125,7 @@ impl KrylovOp for StandardOp<'_> {
 pub struct InvertedOp<'a> {
     lu_g: &'a SparseLu,
     c: &'a CsrMatrix,
-    par: Option<ParApply<'a>>,
+    pool: &'a ParPool,
     smw: Option<&'a SmwUpdate>,
 }
 
@@ -166,15 +140,15 @@ impl<'a> InvertedOp<'a> {
         InvertedOp {
             lu_g,
             c,
-            par: None,
+            pool: ParPool::inline(),
             smw: None,
         }
     }
 
-    /// Runs this operator's mat-vec and substitutions on a pool
-    /// (`par.sched` must come from `lu_g`).
-    pub fn with_parallelism(mut self, par: ParApply<'a>) -> Self {
-        self.par = Some(par);
+    /// Runs this operator's mat-vec — and the Arnoldi
+    /// orthogonalization that drives it — on `pool`.
+    pub fn with_parallelism(mut self, pool: &'a ParPool) -> Self {
+        self.pool = pool;
         self
     }
 
@@ -196,17 +170,8 @@ impl KrylovOp for InvertedOp<'_> {
     fn apply(&self, v: &[f64], out: &mut [f64]) {
         let mut cv = vec![0.0; self.dim()];
         let mut work = vec![0.0; self.dim()];
-        match &self.par {
-            None => {
-                self.c.matvec_into(v, &mut cv);
-                self.lu_g.solve_into(&cv, out, &mut work);
-            }
-            Some(p) => {
-                self.c.matvec_into_par(v, &mut cv, p.pool);
-                self.lu_g
-                    .solve_into_par(&cv, out, &mut work, p.sched, p.pool);
-            }
-        }
+        self.c.matvec_into_par(v, &mut cv, self.pool);
+        self.lu_g.solve_into(&cv, out, &mut work);
         if let Some(smw) = self.smw {
             smw.correct_in_place(out);
         }
@@ -219,8 +184,8 @@ impl KrylovOp for InvertedOp<'_> {
         KrylovKind::Inverted
     }
 
-    fn pool(&self) -> Option<&ParPool> {
-        self.par.as_ref().map(|p| p.pool)
+    fn pool(&self) -> &ParPool {
+        self.pool
     }
 }
 
@@ -233,7 +198,7 @@ pub struct RationalOp<'a> {
     lu_shift: &'a SparseLu,
     c: &'a CsrMatrix,
     gamma: f64,
-    par: Option<ParApply<'a>>,
+    pool: &'a ParPool,
     smw: Option<&'a SmwUpdate>,
 }
 
@@ -254,15 +219,15 @@ impl<'a> RationalOp<'a> {
             lu_shift,
             c,
             gamma,
-            par: None,
+            pool: ParPool::inline(),
             smw: None,
         }
     }
 
-    /// Runs this operator's mat-vec and substitutions on a pool
-    /// (`par.sched` must come from `lu_shift`).
-    pub fn with_parallelism(mut self, par: ParApply<'a>) -> Self {
-        self.par = Some(par);
+    /// Runs this operator's mat-vec — and the Arnoldi
+    /// orthogonalization that drives it — on `pool`.
+    pub fn with_parallelism(mut self, pool: &'a ParPool) -> Self {
+        self.pool = pool;
         self
     }
 
@@ -326,17 +291,8 @@ impl KrylovOp for RationalOp<'_> {
     fn apply(&self, v: &[f64], out: &mut [f64]) {
         let mut cv = vec![0.0; self.dim()];
         let mut work = vec![0.0; self.dim()];
-        match &self.par {
-            None => {
-                self.c.matvec_into(v, &mut cv);
-                self.lu_shift.solve_into(&cv, out, &mut work);
-            }
-            Some(p) => {
-                self.c.matvec_into_par(v, &mut cv, p.pool);
-                self.lu_shift
-                    .solve_into_par(&cv, out, &mut work, p.sched, p.pool);
-            }
-        }
+        self.c.matvec_into_par(v, &mut cv, self.pool);
+        self.lu_shift.solve_into(&cv, out, &mut work);
         if let Some(smw) = self.smw {
             smw.correct_in_place(out);
         }
@@ -350,8 +306,8 @@ impl KrylovOp for RationalOp<'_> {
         Some(self.gamma)
     }
 
-    fn pool(&self) -> Option<&ParPool> {
-        self.par.as_ref().map(|p| p.pool)
+    fn pool(&self) -> &ParPool {
+        self.pool
     }
 }
 
@@ -440,8 +396,8 @@ mod tests {
 
     #[test]
     fn parallel_apply_is_pool_width_invariant() {
-        // The pooled apply (tiled mat-vec + level-scheduled solve) must
-        // agree bitwise with the serial apply at every pool width.
+        // The row-tiled mat-vec plus the column solve agree bitwise with
+        // the inline apply at every pool width.
         let n = 400;
         let mut ct = Vec::new();
         let mut gt = Vec::new();
@@ -458,21 +414,17 @@ mod tests {
         let gamma = 1e-10;
         let shifted = CsrMatrix::linear_combination(1.0, &c, gamma, &g).unwrap();
         let lu = SparseLu::factor(&shifted, &LuOptions::default()).unwrap();
-        let sched = lu.solve_schedule();
         let v: Vec<f64> = (0..n).map(|i| ((i * 13 % 31) as f64) - 15.0).collect();
-        let mut serial_out = vec![0.0; n];
-        RationalOp::new(&lu, &c, gamma).apply(&v, &mut serial_out);
+        let mut inline_out = vec![0.0; n];
+        RationalOp::new(&lu, &c, gamma).apply(&v, &mut inline_out);
         for threads in [1usize, 2, 4] {
-            let pool = matex_par::ParPool::new(threads);
-            let op = RationalOp::new(&lu, &c, gamma).with_parallelism(ParApply {
-                pool: &pool,
-                sched: &sched,
-            });
-            assert!(op.pool().is_some());
+            let pool = ParPool::new(threads);
+            let op = RationalOp::new(&lu, &c, gamma).with_parallelism(&pool);
+            assert_eq!(op.pool().threads(), threads);
             let mut out = vec![0.0; n];
             op.apply(&v, &mut out);
             assert!(
-                serial_out
+                inline_out
                     .iter()
                     .zip(&out)
                     .all(|(a, b)| a.to_bits() == b.to_bits()),

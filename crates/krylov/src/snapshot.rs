@@ -18,16 +18,15 @@
 //!   `h/2^s`, so the whole halving ladder costs one Padé evaluation
 //!   plus one `O(m³)` square per rung.
 //!
-//! Determinism contract: the serial (`pool = None`) combination is
-//! byte-for-byte the legacy [`KrylovBasis::eval`] loop, and the pooled
-//! combination is bitwise-invariant in the pool width (see
-//! `matex_par`'s kernel contract). The weight and ladder computations
-//! are small dense serial code, identical on every path.
+//! Determinism contract: the combination is one tiled kernel at every
+//! pool width (`pool = None` is [`ParPool::inline`]), bitwise-invariant
+//! in the width (see `matex_par`'s kernel contract). The weight and
+//! ladder computations are small dense serial code, identical at every
+//! width.
 
 use crate::{KrylovBasis, KrylovError};
 use matex_dense::{expm_col0_into, expm_col0_ladder, DMat, DenseError, ExpmScratch};
 use matex_par::ParPool;
-use std::cell::RefCell;
 
 /// Reusable scratch and weight storage for batched snapshot evaluation.
 ///
@@ -53,9 +52,11 @@ use std::cell::RefCell;
 /// let mut ev = SnapshotEvaluator::new();
 /// let mut batch = vec![0.0; 2 * hs.len()];
 /// ev.eval_many_into(&out.basis, &hs, None, &mut batch)?;
-/// // Bitwise identical to the per-call sequence.
+/// // Bitwise identical to evaluating one snapshot at a time.
+/// let mut one = vec![0.0; 2];
 /// for (j, &h) in hs.iter().enumerate() {
-///     assert_eq!(out.basis.eval(h)?, batch[j * 2..(j + 1) * 2]);
+///     ev.eval_many_into(&out.basis, &[h], None, &mut one)?;
+///     assert_eq!(one, batch[j * 2..(j + 1) * 2]);
 /// }
 /// # Ok(())
 /// # }
@@ -99,27 +100,21 @@ impl SnapshotEvaluator {
         }
     }
 
-    /// Weights and estimate for a single step `h`, written to the first
-    /// batch column. Unlike [`SnapshotEvaluator::weights_many`] this
-    /// propagates a non-finite projected exponential as an error — the
-    /// legacy per-call contract the [`KrylovBasis`] wrappers keep.
-    pub(crate) fn weights_one(&mut self, basis: &KrylovBasis, h: f64) -> Result<(), KrylovError> {
+    /// Posterior estimate at a single step `h` — the check basis
+    /// construction makes at each dimension. Unlike
+    /// [`SnapshotEvaluator::weights_many`] this propagates a non-finite
+    /// projected exponential as an error: it fails the dimension, not a
+    /// snapshot.
+    pub(crate) fn estimate_one(&mut self, basis: &KrylovBasis, h: f64) -> Result<f64, KrylovError> {
         let m = basis.m();
         self.ensure_m(m);
         if self.weights.len() < m {
             self.weights.resize(m, 0.0);
         }
-        if self.estimates.is_empty() {
-            self.estimates.push(0.0);
-        }
         basis.hm().scaled_into(h, &mut self.scaled);
         let col = &mut self.weights[..m];
         expm_col0_into(&self.scaled, &mut self.scratch, col)?;
-        self.estimates[0] = basis.estimate_from_col(col);
-        for c in col.iter_mut() {
-            *c *= basis.beta();
-        }
-        Ok(())
+        Ok(basis.estimate_from_col(col))
     }
 
     /// Phase 1 (`T_H`): combination weights `β·e^{hⱼ·Hm}e₁` and the
@@ -175,9 +170,8 @@ impl SnapshotEvaluator {
     /// Phase 2 (`T_e`): combines the first `k` batch columns into state
     /// vectors: `out[j·n .. (j+1)·n] = Σᵢ wⱼ[i]·vᵢ`.
     ///
-    /// With a pool this is one tiled [`combine_columns`]
-    /// (bitwise-invariant in the pool width); without, byte-for-byte the
-    /// legacy per-call combination loop.
+    /// One tiled [`combine_columns`] on `pool` ([`ParPool::inline`] when
+    /// `None`), bitwise-invariant in the pool width.
     ///
     /// [`combine_columns`]: matex_par::combine_columns
     ///
@@ -257,8 +251,8 @@ impl SnapshotEvaluator {
 
     /// Convenience: [`SnapshotEvaluator::weights_many`] +
     /// [`SnapshotEvaluator::combine_into`] over the full batch. The
-    /// result is bitwise-identical to the per-call
-    /// [`KrylovBasis::eval`] sequence.
+    /// result is bitwise-identical to evaluating the snapshots one at a
+    /// time.
     ///
     /// # Errors
     ///
@@ -372,8 +366,8 @@ impl Default for SnapshotEvaluator {
     }
 }
 
-/// Shared combination body: pooled tiled kernel, or the byte-for-byte
-/// legacy serial loop when no pool is set.
+/// Shared combination body: one tiled kernel, on the inline pool when
+/// none is given.
 fn combine_slice(
     vs: &[Vec<f64>],
     weights: &[f64],
@@ -381,39 +375,7 @@ fn combine_slice(
     pool: Option<&ParPool>,
     out: &mut [f64],
 ) {
-    let m = vs.len();
-    let n = vs.first().map_or(0, Vec::len);
-    assert_eq!(out.len(), k * n, "combine: output length mismatch");
-    match pool {
-        Some(pool) => matex_par::combine_columns(pool, vs, weights, k, out),
-        None => {
-            for j in 0..k {
-                let w = &weights[j * m..(j + 1) * m];
-                let x = &mut out[j * n..(j + 1) * n];
-                x.fill(0.0);
-                for (wi, vi) in w.iter().zip(vs) {
-                    if *wi == 0.0 {
-                        continue;
-                    }
-                    for (xe, ve) in x.iter_mut().zip(vi) {
-                        *xe += wi * ve;
-                    }
-                }
-            }
-        }
-    }
-}
-
-thread_local! {
-    /// Per-thread evaluator backing the legacy [`KrylovBasis`] per-call
-    /// API, so even `eval`/`eval_weights`/`error_estimate` stop
-    /// allocating their dense intermediates.
-    static SHARED: RefCell<SnapshotEvaluator> = RefCell::new(SnapshotEvaluator::new());
-}
-
-/// Runs `f` against this thread's shared evaluator.
-pub(crate) fn with_shared<R>(f: impl FnOnce(&mut SnapshotEvaluator) -> R) -> R {
-    SHARED.with(|cell| f(&mut cell.borrow_mut()))
+    matex_par::combine_columns(pool.unwrap_or(ParPool::inline()), vs, weights, k, out);
 }
 
 #[cfg(test)]
@@ -449,8 +411,16 @@ mod tests {
         (out.basis, lu, c)
     }
 
+    /// One snapshot through a fresh evaluator: `(e^{hA}v, estimate)`.
+    fn eval_one(b: &KrylovBasis, h: f64) -> (Vec<f64>, f64) {
+        let mut ev = SnapshotEvaluator::new();
+        let mut x = vec![0.0; b.dim()];
+        ev.eval_many_into(b, &[h], None, &mut x).unwrap();
+        (x, ev.estimates()[0])
+    }
+
     #[test]
-    fn eval_many_matches_per_call_eval_bitwise() {
+    fn eval_many_matches_one_at_a_time_bitwise() {
         let hs = [0.02, 0.05, 0.11, 0.2];
         let (b, _lu, _c) = basis(12, &hs);
         let n = 12;
@@ -458,15 +428,14 @@ mod tests {
         let mut out = vec![0.0; n * hs.len()];
         ev.eval_many_into(&b, &hs, None, &mut out).unwrap();
         for (j, &h) in hs.iter().enumerate() {
-            let single = b.eval(h).unwrap();
+            let (single, est) = eval_one(&b, h);
             for (p, q) in single.iter().zip(&out[j * n..(j + 1) * n]) {
                 assert_eq!(p.to_bits(), q.to_bits(), "h = {h}");
             }
-        }
-        // Estimates match the per-call error_estimate.
-        for (j, &h) in hs.iter().enumerate() {
-            let est = b.error_estimate(h).unwrap();
+            // Estimates match the batch's and basis construction's.
             assert_eq!(est.to_bits(), ev.estimates()[j].to_bits());
+            let checked = SnapshotEvaluator::new().estimate_one(&b, h).unwrap();
+            assert_eq!(est.to_bits(), checked.to_bits());
         }
     }
 
@@ -493,7 +462,7 @@ mod tests {
     }
 
     #[test]
-    fn ladder_rungs_agree_with_per_call_eval() {
+    fn ladder_rungs_agree_with_one_snapshot_eval() {
         let (b, _lu, _c) = basis(10, &[0.4]);
         let mut ev = SnapshotEvaluator::new();
         let h = 0.4;
@@ -506,13 +475,12 @@ mod tests {
         for s in 0..=s_max {
             ev.combine_rung(&b, s, None, &mut out);
             let hs = h * 0.5_f64.powi(s as i32);
-            let reference = b.eval(hs).unwrap();
+            let (reference, est) = eval_one(&b, hs);
             let scale = reference.iter().fold(1.0_f64, |m, v| m.max(v.abs()));
             for (p, q) in out.iter().zip(&reference) {
                 assert!((p - q).abs() <= 1e-11 * scale, "rung {s}: {p} vs {q}");
             }
-            // And the rung estimate tracks the per-call estimate.
-            let est = b.error_estimate(hs).unwrap();
+            // And the rung estimate tracks the one-snapshot estimate.
             let lest = ev.ladder_estimates()[s];
             assert!(
                 (est - lest).abs() <= 1e-6 * est.max(1e-300) + 1e-300,

@@ -36,8 +36,8 @@ pub fn tile_span(t: usize, len: usize) -> Range<usize> {
 /// **tile-disjoint** writes (each item of a dispatch owns its own index
 /// range; reads may target locations no concurrent item writes).
 ///
-/// This is the escape hatch the tiled kernels and the level-scheduled
-/// triangular solve are built on; all accesses go through raw pointers
+/// This is the escape hatch the tiled kernels and the row-tiled sparse
+/// mat-vec are built on; all accesses go through raw pointers
 /// so no `&mut` aliasing is ever formed across threads.
 pub struct RawVec<'a> {
     ptr: *mut f64,
@@ -339,12 +339,12 @@ mod tests {
     fn dot_is_pool_width_invariant() {
         // Above PAR_MIN so the 4-thread pool genuinely dispatches.
         let (x, y) = vecs(3 * TILE + 123 + PAR_MIN);
-        let serial = ParPool::serial();
+        let serial = ParPool::inline();
         let wide = ParPool::new(4);
-        let a = dot(&serial, &x, &y);
+        let a = dot(serial, &x, &y);
         let b = dot(&wide, &x, &y);
         assert_eq!(a.to_bits(), b.to_bits());
-        assert_eq!(norm2(&serial, &x).to_bits(), norm2(&wide, &x).to_bits());
+        assert_eq!(norm2(serial, &x).to_bits(), norm2(&wide, &x).to_bits());
     }
 
     #[test]
@@ -354,17 +354,17 @@ mod tests {
         let vs: Vec<Vec<f64>> = (0..5)
             .map(|s| (0..n).map(|i| ((i * (s + 3) % 89) as f64) - 44.0).collect())
             .collect();
-        let serial = ParPool::serial();
+        let serial = ParPool::inline();
         let wide = ParPool::new(3);
         let mut a = vec![0.0; 5];
         let mut b = vec![0.0; 5];
-        multi_dot(&serial, &w, &vs, &mut a);
+        multi_dot(serial, &w, &vs, &mut a);
         multi_dot(&wide, &w, &vs, &mut b);
         for (p, q) in a.iter().zip(&b) {
             assert_eq!(p.to_bits(), q.to_bits());
         }
         for (i, v) in vs.iter().enumerate() {
-            assert_eq!(a[i].to_bits(), dot(&serial, &w, v).to_bits());
+            assert_eq!(a[i].to_bits(), dot(serial, &w, v).to_bits());
         }
     }
 
@@ -378,7 +378,7 @@ mod tests {
         let coef = [0.5, -1.25, 3.0, 0.125];
         let mut a = w0.clone();
         let mut b = w0.clone();
-        subtract_combination(&ParPool::serial(), &mut a, &vs, &coef);
+        subtract_combination(ParPool::inline(), &mut a, &vs, &coef);
         subtract_combination(&ParPool::new(4), &mut b, &vs, &coef);
         assert!(a.iter().zip(&b).all(|(p, q)| p.to_bits() == q.to_bits()));
     }
@@ -434,12 +434,12 @@ mod tests {
 
     #[test]
     fn combine_columns_empty_shapes() {
-        let pool = ParPool::serial();
+        let pool = ParPool::inline();
         let mut out: Vec<f64> = Vec::new();
-        combine_columns(&pool, &[], &[], 0, &mut out);
+        combine_columns(pool, &[], &[], 0, &mut out);
         // k = 0 with a nonempty basis: nothing to write.
         let vs = vec![vec![1.0, 2.0]];
-        combine_columns(&pool, &vs, &[], 0, &mut out);
+        combine_columns(pool, &vs, &[], 0, &mut out);
     }
 
     #[test]
@@ -448,7 +448,7 @@ mod tests {
         let (w0, _) = vecs(n);
         let mut a = w0.clone();
         let mut b = w0;
-        div_in_place(&ParPool::serial(), &mut a, 3.7);
+        div_in_place(ParPool::inline(), &mut a, 3.7);
         div_in_place(&ParPool::new(2), &mut b, 3.7);
         assert!(a.iter().zip(&b).all(|(p, q)| p.to_bits() == q.to_bits()));
     }

@@ -1,66 +1,46 @@
 //! Thread-count configuration (`MATEX_THREADS` + builder API).
 
-use crate::ParPool;
-
 /// How many threads the parallel kernels may use.
 ///
 /// Resolution order: an explicit [`ParOptions::threads`] wins; otherwise
-/// the `MATEX_THREADS` environment variable; otherwise parallelism is
-/// **off** (the legacy serial code paths run, byte-for-byte unchanged).
-/// `MATEX_THREADS=1` is *not* the same as off: it selects the tiled
-/// kernels on a one-thread pool, which is the reference point the
-/// thread-count-invariance guarantee is stated against.
+/// the `MATEX_THREADS` environment variable; otherwise one thread. There
+/// is no "off": a width of 1 — including `0`, unset, or unparseable —
+/// runs the tiled kernels inline on the caller
+/// ([`ParPool::inline`](crate::ParPool::inline)), and every width
+/// produces bit-for-bit the same results.
 ///
 /// # Example
 ///
 /// ```
 /// use matex_par::ParOptions;
 ///
-/// assert_eq!(ParOptions::with_threads(4).resolve(), Some(4));
-/// assert_eq!(ParOptions::with_threads(0).resolve(), None); // explicit off
+/// assert_eq!(ParOptions::with_threads(4).resolve(), 4);
+/// assert_eq!(ParOptions::with_threads(0).resolve(), 1); // inline
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParOptions {
-    /// Total threads (workers + caller). `Some(0)` disables parallelism
-    /// explicitly; `None` defers to `MATEX_THREADS`.
+    /// Total threads (workers + caller). `None` defers to
+    /// `MATEX_THREADS`; `Some(0)` means one thread, like `Some(1)`.
     pub threads: Option<usize>,
 }
 
 impl ParOptions {
-    /// Options pinning an explicit thread count (0 = off).
+    /// Options pinning an explicit thread count.
     pub fn with_threads(threads: usize) -> ParOptions {
         ParOptions {
             threads: Some(threads),
         }
     }
 
-    /// The effective thread count: `None` means "no parallel context"
-    /// (serial legacy path), `Some(k)` means a `k`-thread pool.
-    pub fn resolve(&self) -> Option<usize> {
-        match self.threads {
-            Some(0) => None,
-            Some(n) => Some(n),
-            None => env_threads(),
-        }
-    }
-
-    /// Builds the pool these options describe, or `None` when
-    /// parallelism is off.
-    pub fn build_pool(&self) -> Option<ParPool> {
-        self.resolve().map(ParPool::new)
+    /// The effective thread count, at least 1.
+    pub fn resolve(&self) -> usize {
+        self.threads.or_else(env_threads).unwrap_or(1).max(1)
     }
 }
 
-/// Parses `MATEX_THREADS`: unset, empty, `0`, or unparseable all mean
-/// "parallelism off".
-pub fn env_threads() -> Option<usize> {
-    match std::env::var("MATEX_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(0) | Err(_) => None,
-            Ok(n) => Some(n),
-        },
-        Err(_) => None,
-    }
+/// Parses `MATEX_THREADS`; `None` when unset or unparseable.
+fn env_threads() -> Option<usize> {
+    std::env::var("MATEX_THREADS").ok()?.trim().parse().ok()
 }
 
 #[cfg(test)]
@@ -69,19 +49,12 @@ mod tests {
 
     #[test]
     fn explicit_threads_win() {
-        assert_eq!(ParOptions::with_threads(7).resolve(), Some(7));
-        assert_eq!(ParOptions::with_threads(1).resolve(), Some(1));
+        assert_eq!(ParOptions::with_threads(7).resolve(), 7);
+        assert_eq!(ParOptions::with_threads(1).resolve(), 1);
     }
 
     #[test]
-    fn explicit_zero_is_off() {
-        assert_eq!(ParOptions::with_threads(0).resolve(), None);
-        assert!(ParOptions::with_threads(0).build_pool().is_none());
-    }
-
-    #[test]
-    fn build_pool_matches_resolution() {
-        let pool = ParOptions::with_threads(2).build_pool().unwrap();
-        assert_eq!(pool.threads(), 2);
+    fn explicit_zero_is_one_thread() {
+        assert_eq!(ParOptions::with_threads(0).resolve(), 1);
     }
 }

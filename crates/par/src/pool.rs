@@ -3,8 +3,8 @@
 //! Design constraints, in order:
 //!
 //! 1. **Low dispatch latency.** The kernels this pool serves are small
-//!    (a CSR mat-vec over a few thousand rows, one level of a triangular
-//!    solve), so a dispatch must cost far less than a thread spawn.
+//!    (a CSR mat-vec over a few thousand rows, one Gram–Schmidt pass),
+//!    so a dispatch must cost far less than a thread spawn.
 //!    Workers therefore persist across calls and spin briefly on an
 //!    epoch counter before parking on a condvar.
 //! 2. **No allocation per dispatch.** [`ParPool::run`] publishes a
@@ -19,7 +19,7 @@
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 /// Spin iterations on the epoch counter before a worker parks. Small on
@@ -138,12 +138,15 @@ impl ParPool {
         }
     }
 
-    /// A one-thread pool: every dispatch runs inline on the caller.
-    /// Kernels driven by a serial pool execute the *same tiled
-    /// algorithms* as any wider pool, which is what makes results
-    /// bitwise-invariant in `MATEX_THREADS`.
-    pub fn serial() -> ParPool {
-        ParPool::new(1)
+    /// The process-wide one-thread pool: no workers, every dispatch runs
+    /// inline on the caller. This is what "no pool" resolves to
+    /// everywhere — `MATEX_THREADS` unset, a width of 0, a `None` pool
+    /// argument — so the kernels run the *same tiled algorithms* at
+    /// every width, which is what makes results bitwise-invariant in
+    /// `MATEX_THREADS`.
+    pub fn inline() -> &'static ParPool {
+        static INLINE: OnceLock<ParPool> = OnceLock::new();
+        INLINE.get_or_init(|| ParPool::new(1))
     }
 
     /// Total threads a dispatch executes on (workers + caller).
@@ -346,8 +349,8 @@ mod tests {
     }
 
     #[test]
-    fn serial_pool_runs_inline_in_order() {
-        let pool = ParPool::serial();
+    fn inline_pool_runs_inline_in_order() {
+        let pool = ParPool::inline();
         assert_eq!(pool.threads(), 1);
         let seen = Mutex::new(Vec::new());
         pool.run(5, &|i| seen.lock().unwrap().push(i));

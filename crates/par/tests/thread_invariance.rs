@@ -1,6 +1,6 @@
 //! Property-based proof of the thread-count-invariance contract:
-//! `MATEX_THREADS ∈ {1, 2, 4, 7}` (expressed through the equivalent
-//! `ParOptions::with_threads` API, since tests cannot safely mutate the
+//! `MATEX_THREADS ∈ {unset, 1, 2, 4, 7}` (expressed through the
+//! equivalent `ParOptions` API, since tests cannot safely mutate the
 //! environment) must produce **bitwise-equal** results — for a raw
 //! Krylov `expmv` evaluation and for a full `run_distributed` waveform —
 //! because every tiled kernel reduces over fixed tile boundaries in a
@@ -9,7 +9,7 @@
 use matex_circuit::PdnBuilder;
 use matex_core::TransientSpec;
 use matex_dist::{run_distributed, DistributedOptions};
-use matex_krylov::{build_basis, ExpmParams, ParApply, RationalOp};
+use matex_krylov::{build_basis, ExpmParams, RationalOp, SnapshotEvaluator};
 use matex_par::{ParOptions, ParPool};
 use matex_sparse::{CsrMatrix, LuOptions, SparseLu};
 use proptest::prelude::*;
@@ -50,28 +50,27 @@ proptest! {
         let gamma = 0.05;
         let shifted = CsrMatrix::linear_combination(1.0, &c, gamma, &g).unwrap();
         let lu = SparseLu::factor(&shifted, &LuOptions::default()).unwrap();
-        let sched = lu.solve_schedule();
         let v: Vec<f64> = (0..n).map(|i| ((i * 11 % 23) as f64) - 11.0).collect();
         let params = ExpmParams { tol: 1e-8, ..ExpmParams::default() };
 
-        let mut reference: Option<Vec<u64>> = None;
-        for threads in THREADS {
-            let pool = ParPool::new(threads);
-            let op = RationalOp::new(&lu, &c, gamma)
-                .with_parallelism(ParApply { pool: &pool, sched: &sched });
+        let expmv = |pool: &ParPool| {
+            let op = RationalOp::new(&lu, &c, gamma).with_parallelism(pool);
             let out = build_basis(&op, &v, h, &params).unwrap();
-            let x = out.basis.eval(h).unwrap();
-            let x_bits = bits(&x);
-            match &reference {
-                None => reference = Some(x_bits),
-                Some(r) => prop_assert_eq!(
-                    r,
-                    &x_bits,
-                    "expmv diverged at {} threads (n = {})",
-                    threads,
-                    n
-                ),
-            }
+            let mut x = vec![0.0; n];
+            SnapshotEvaluator::new()
+                .eval_many_into(&out.basis, &[h], Some(pool), &mut x)
+                .unwrap();
+            bits(&x)
+        };
+        let reference = expmv(ParPool::inline());
+        for threads in THREADS {
+            prop_assert_eq!(
+                &reference,
+                &expmv(&ParPool::new(threads)),
+                "expmv diverged at {} threads (n = {})",
+                threads,
+                n
+            );
         }
     }
 }
@@ -80,8 +79,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The batched `Vᵀ·W` combination kernel is bitwise-equal at every
-    /// pool width and to the naive per-column loop (the legacy
-    /// `KrylovBasis::eval` combination).
+    /// pool width and to the naive per-column loop.
     #[test]
     fn combine_columns_is_thread_count_invariant(
         n in 1usize..40_000,
@@ -139,7 +137,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Full distributed waveforms are bitwise-equal at every kernel
-    /// thread budget.
+    /// thread budget, unset included.
     #[test]
     fn run_distributed_is_thread_count_invariant(
         dim in 4usize..7,
@@ -155,25 +153,23 @@ proptest! {
             .build()
             .unwrap();
         let spec = TransientSpec::new(0.0, 1e-9, 5e-11).unwrap();
-        let mut reference: Option<Vec<Vec<f64>>> = None;
-        for threads in THREADS {
+        let run_with = |threads: Option<usize>| {
             let opts = DistributedOptions {
-                par: ParOptions::with_threads(threads),
+                par: ParOptions { threads },
                 workers: Some(2),
                 ..DistributedOptions::default()
             };
-            let run = run_distributed(&sys, &spec, &opts).unwrap();
-            let series = run.result.series().to_vec();
-            match &reference {
-                None => reference = Some(series),
-                Some(r) => prop_assert_eq!(
-                    r,
-                    &series,
-                    "distributed waveform diverged at {} kernel threads (seed {})",
-                    threads,
-                    seed
-                ),
-            }
+            run_distributed(&sys, &spec, &opts).unwrap().result.series().to_vec()
+        };
+        let reference = run_with(None);
+        for threads in THREADS {
+            prop_assert_eq!(
+                &reference,
+                &run_with(Some(threads)),
+                "distributed waveform diverged at {} kernel threads (seed {})",
+                threads,
+                seed
+            );
         }
     }
 }

@@ -84,7 +84,7 @@ pub(crate) trait Class {
     }
 }
 
-/// Numeric setups (factors + schedules).
+/// Numeric setups (factors).
 pub(crate) struct Setups;
 /// DC operating points.
 pub(crate) struct Dcs;

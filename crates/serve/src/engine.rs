@@ -35,9 +35,11 @@ pub struct EngineOptions {
     /// jobs *attempting* admission at once).
     pub executors: usize,
     /// Kernel threads per monolithic job / total intra-node budget per
-    /// distributed job. `0` (default) runs the legacy serial kernels —
-    /// the reference point for bitwise comparisons against standalone
-    /// runs.
+    /// distributed job, at least 1: `0` (default) means one thread, the
+    /// kernels running inline on the job's executor. Every width runs
+    /// the same kernels and yields identical bits, so a job's waveform
+    /// equals a pool-less standalone run whatever this is set to, and
+    /// one cached setup serves every width.
     pub kernel_threads: usize,
     /// Default worker count for distributed jobs that leave `workers`
     /// unset.
@@ -705,6 +707,29 @@ mod tests {
         // width-invariant so the repeat is still bitwise identical.
         assert_eq!(engine.inner.idle_pools.lock().unwrap().len(), 1);
         assert_eq!(a.result.series(), b.result.series());
+    }
+
+    #[test]
+    fn one_cached_setup_serves_every_kernel_width() {
+        // A setup resolved by a pool-less job is a memory hit under the
+        // keys a 2-thread engine computes for the same job.
+        let inline = ScenarioEngine::new(EngineOptions::default());
+        let pooled = ScenarioEngine::new(EngineOptions {
+            kernel_threads: 2,
+            ..EngineOptions::default()
+        });
+        let job = JobSpec::new(grid(15), spec());
+        let cold = inline.run(&job).unwrap();
+        let sys = job.effective_circuit().unwrap();
+        let keys = pooled.inner.keys_for(&job, &sys, &job.effective_options());
+        let cached = inline
+            .inner
+            .cache
+            .peek::<crate::cache::Setups>(keys.pattern, &keys.setup);
+        assert!(cached.is_some(), "the 2-thread job missed the setup");
+        // And its waveform is the pool-less one, bit for bit.
+        let wide = pooled.run(&job).unwrap();
+        assert_eq!(cold.result.series(), wide.result.series());
     }
 
     #[test]

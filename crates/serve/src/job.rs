@@ -404,7 +404,7 @@ impl HitPath {
 pub struct CacheReport {
     /// Symbolic LU analysis (γ-decade anchored).
     pub symbolic: Hit,
-    /// Full numeric setup (factors + schedules).
+    /// Full numeric setup (factors).
     pub setup: Hit,
     /// DC operating point (monolithic jobs only).
     pub dc: Hit,
@@ -430,8 +430,8 @@ impl CacheReport {
 /// A completed job: the waveform plus reuse and timing accounting.
 #[derive(Debug, Clone)]
 pub struct JobOutcome {
-    /// The transient result (bitwise identical to a standalone run with
-    /// the same parallelism setting).
+    /// The transient result (bitwise identical to a standalone run, at
+    /// any kernel width).
     pub result: TransientResult,
     /// Which artifacts were reused.
     pub cache: CacheReport,

@@ -74,7 +74,7 @@ impl Inner {
                 kind_tag,
                 gamma_bits: opts.gamma.to_bits(),
                 regularize_bits: opts.regularize_eps.to_bits(),
-                scheduled: self.opts.kernel_threads > 0,
+                scheduled: false,
             },
             dc: DcStoreKey {
                 value_fp,
@@ -135,7 +135,7 @@ impl Inner {
         // setup), so the solver's own factor span never fires on this
         // path — record the equivalent span at this site instead.
         let factor_t0 = opts.obs.is_enabled().then(Instant::now);
-        let setup = MatexSetup::prepare(sys, opts, Some(&symbolic), keys.setup.scheduled)?;
+        let setup = MatexSetup::prepare(sys, opts, Some(&symbolic), false)?;
         if let Some(t0) = factor_t0 {
             let d = t0.elapsed();
             opts.obs

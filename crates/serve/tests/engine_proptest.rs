@@ -1,8 +1,8 @@
 //! Property test: any job run through the [`ScenarioEngine`] — cold or
 //! cache-hit, monolithic or distributed, any worker/kernel-thread count
 //! — yields **bitwise-identical** waveforms to a standalone
-//! `MatexSolver` / `run_distributed` call with the same parallelism
-//! setting.
+//! `MatexSolver` / `run_distributed` call with no kernel pool at all:
+//! every kernel width produces the same bits.
 //!
 //! This is the engine's whole contract: caching and admission are
 //! performance machinery, never numerics. Cold paths build exactly what
@@ -13,24 +13,20 @@
 use matex_circuit::PdnBuilder;
 use matex_core::{MatexSolver, TransientEngine, TransientSpec};
 use matex_dist::{run_distributed, DistributedOptions};
-use matex_par::{ParOptions, ParPool};
 use matex_serve::{EngineOptions, ExecutionMode, JobSpec, ScenarioEngine};
 use matex_waveform::GroupingStrategy;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Runs the job standalone — no engine, no cache — with the engine's
-/// parallelism setting mirrored exactly.
-fn standalone(job: &JobSpec, kernel_threads: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+/// Runs the job standalone — no engine, no cache, no kernel pool.
+fn standalone(job: &JobSpec) -> (Vec<Vec<f64>>, Vec<f64>) {
     let sys = job.effective_circuit().expect("circuit");
     let opts = job.effective_options();
     match &job.mode {
         ExecutionMode::Monolithic => {
-            let mut solver = MatexSolver::new(opts);
-            if kernel_threads > 0 {
-                solver = solver.with_parallelism(Arc::new(ParPool::new(kernel_threads)));
-            }
-            let r = solver.run(&sys, &job.spec).expect("standalone mono run");
+            let r = MatexSolver::new(opts)
+                .run(&sys, &job.spec)
+                .expect("standalone mono run");
             (r.series().to_vec(), r.final_state().to_vec())
         }
         ExecutionMode::Distributed { strategy, workers } => {
@@ -38,7 +34,6 @@ fn standalone(job: &JobSpec, kernel_threads: usize) -> (Vec<Vec<f64>>, Vec<f64>)
                 matex: opts,
                 strategy: *strategy,
                 workers: Some(workers.unwrap_or(2).max(1)),
-                par: ParOptions::with_threads(kernel_threads),
                 ..DistributedOptions::default()
             };
             let r = run_distributed(&sys, &job.spec, &dist).expect("standalone dist run");
@@ -100,7 +95,7 @@ proptest! {
         }
 
         for job in [&base, &varied] {
-            let (want_series, want_final) = standalone(job, kernel_threads);
+            let (want_series, want_final) = standalone(job);
             let cold = engine.run(job).expect("engine run");
             prop_assert_eq!(
                 cold.result.series(),

@@ -67,7 +67,7 @@ pub use ordering::OrderingKind;
 pub use perm::Permutation;
 pub use scaling::equilibrate;
 pub use smw::{SmwOptions, SmwRejection, SmwUpdate, SparseCol};
-pub use symbolic::{SolveSchedule, SymbolicLu};
+pub use symbolic::SymbolicLu;
 pub use wire::{WireError, WireReader, WireWriter};
 
 // Compile the crate README's code blocks as doctests so the documented

@@ -25,10 +25,9 @@
 //! Every floating-point reduction here runs in a fixed order — `W`
 //! columns ascending, `Vᵀy` dots in stored entry order, the final
 //! `y −= W·z` as one dense axpy per column ascending — so repeated calls
-//! are bitwise-identical. The base solve may also run through
-//! [`SparseLu::solve_into_par`], which is bitwise-identical to the
-//! serial substitution at every pool width, so corrected solves inherit
-//! pool-width invariance.
+//! are bitwise-identical. The base solve is [`SparseLu::solve_into`]
+//! at every pool width, so corrected solves are pool-width invariant
+//! too.
 //!
 //! # Fallback contract
 //!
@@ -472,8 +471,8 @@ mod tests {
     #[test]
     fn correction_composes_with_any_base_solve() {
         // correct_in_place applied to a separately computed base solve
-        // equals solve_into_smw — the composability the pooled path
-        // relies on.
+        // equals solve_into_smw — the composability the Krylov
+        // operators rely on.
         let a = chain(16);
         let lu = SparseLu::factor(&a, &LuOptions::default()).unwrap();
         let u = vec![vec![(4, 1.0)]];

@@ -56,7 +56,6 @@
 use crate::lu::UNPIVOTED;
 use crate::{equilibrate, CsrMatrix, LuOptions, Permutation, SparseError, SparseLu};
 use crate::{WireError, WireReader, WireWriter};
-use matex_par::{ParPool, RawVec};
 
 /// The reusable symbolic phase of a sparse LU factorization.
 ///
@@ -664,340 +663,6 @@ impl SymbolicLu {
     }
 }
 
-/// Rows per tile inside one substitution level (fixed, thread-count
-/// independent).
-const LEVEL_TILE_ROWS: usize = 32;
-/// Minimum level width before a level dispatches to the pool; narrower
-/// levels run inline on the caller (identical per-row arithmetic, so the
-/// cutoff never affects results).
-const LEVEL_PAR_MIN: usize = 96;
-/// Minimum dimension before the permutation/scaling passes dispatch.
-const PERM_PAR_MIN: usize = 8192;
-/// Elements per permutation/scaling tile.
-const PERM_TILE: usize = 1024;
-
-/// A level-scheduled execution plan for [`SparseLu::solve_into_par`].
-///
-/// The factors' forward/backward substitutions look inherently serial,
-/// but their dependency structure is a DAG: row `i` of `L y = b` only
-/// needs the rows referenced by its off-diagonal entries. Grouping rows
-/// by dependency depth ("level sets") exposes all the parallelism the
-/// DAG has — every row inside one level is independent.
-///
-/// The plan stores the factors **row-wise** (the column-oriented scatter
-/// of the serial solve, re-read as a per-row gather): row `i`'s update
-/// sequence is then exactly the serial one — ascending columns for `L`,
-/// descending columns followed by the diagonal division for `U` — which
-/// is what makes the level-scheduled solve **bitwise identical** to
-/// [`SparseLu::solve_into`] for any pool width.
-///
-/// Build once per factorization ([`SparseLu::solve_schedule`]), reuse
-/// across the thousands of substitution pairs a transient run performs.
-#[derive(Debug, Clone)]
-pub struct SolveSchedule {
-    n: usize,
-    /// Entry counts of the factor this plan was built from, for cheap
-    /// misuse detection in `solve_into_par`.
-    l_nnz: usize,
-    u_nnz: usize,
-    /// Strict lower triangle of `L`, row-wise, ascending columns.
-    l_rowptr: Vec<usize>,
-    l_cols: Vec<usize>,
-    l_vals: Vec<f64>,
-    /// Strict upper triangle of `U`, row-wise, **descending** columns
-    /// (the serial backward solve consumes columns high-to-low).
-    u_rowptr: Vec<usize>,
-    u_cols: Vec<usize>,
-    u_vals: Vec<f64>,
-    u_diag: Vec<f64>,
-    /// Rows grouped by dependency level, shallowest first.
-    l_level_ptr: Vec<usize>,
-    l_level_rows: Vec<usize>,
-    u_level_ptr: Vec<usize>,
-    u_level_rows: Vec<usize>,
-}
-
-impl SolveSchedule {
-    /// Builds the plan for a computed factorization.
-    pub fn build(lu: &SparseLu) -> SolveSchedule {
-        let n = lu.n;
-        // --- L: strict lower triangle, column storage → row storage.
-        // Columns are visited in ascending order, so each row's entries
-        // land in ascending column order.
-        let mut l_rowptr = vec![0usize; n + 1];
-        for j in 0..n {
-            for p in (lu.l_colptr[j] + 1)..lu.l_colptr[j + 1] {
-                l_rowptr[lu.l_rowidx[p] + 1] += 1;
-            }
-        }
-        for r in 0..n {
-            l_rowptr[r + 1] += l_rowptr[r];
-        }
-        let l_low_nnz = l_rowptr[n];
-        let mut l_cols = vec![0usize; l_low_nnz];
-        let mut l_vals = vec![0.0_f64; l_low_nnz];
-        let mut next = l_rowptr.clone();
-        for j in 0..n {
-            for p in (lu.l_colptr[j] + 1)..lu.l_colptr[j + 1] {
-                let r = lu.l_rowidx[p];
-                let dst = next[r];
-                next[r] += 1;
-                l_cols[dst] = j;
-                l_vals[dst] = lu.l_values[p];
-            }
-        }
-        // --- U: strict upper triangle, visited in descending column
-        // order so each row's entries land in descending column order.
-        let mut u_diag = vec![0.0_f64; n];
-        let mut u_rowptr = vec![0usize; n + 1];
-        for j in 0..n {
-            let dpos = lu.u_colptr[j + 1] - 1;
-            u_diag[j] = lu.u_values[dpos];
-            for p in lu.u_colptr[j]..dpos {
-                u_rowptr[lu.u_rowidx[p] + 1] += 1;
-            }
-        }
-        for r in 0..n {
-            u_rowptr[r + 1] += u_rowptr[r];
-        }
-        let u_up_nnz = u_rowptr[n];
-        let mut u_cols = vec![0usize; u_up_nnz];
-        let mut u_vals = vec![0.0_f64; u_up_nnz];
-        let mut next = u_rowptr.clone();
-        for j in (0..n).rev() {
-            let dpos = lu.u_colptr[j + 1] - 1;
-            for p in lu.u_colptr[j]..dpos {
-                let r = lu.u_rowidx[p];
-                let dst = next[r];
-                next[r] += 1;
-                u_cols[dst] = j;
-                u_vals[dst] = lu.u_values[p];
-            }
-        }
-        // --- Level sets: level(row) = 1 + max(level(dependency)).
-        let (l_level_ptr, l_level_rows) =
-            level_sets(n, &l_rowptr, &l_cols, /* ascending = */ true);
-        let (u_level_ptr, u_level_rows) =
-            level_sets(n, &u_rowptr, &u_cols, /* ascending = */ false);
-        SolveSchedule {
-            n,
-            l_nnz: lu.nnz_l(),
-            u_nnz: lu.nnz_u(),
-            l_rowptr,
-            l_cols,
-            l_vals,
-            u_rowptr,
-            u_cols,
-            u_vals,
-            u_diag,
-            l_level_ptr,
-            l_level_rows,
-            u_level_ptr,
-            u_level_rows,
-        }
-    }
-
-    /// Dimension of the factor this plan was built from.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Number of forward-substitution levels (the DAG depth of `L`).
-    pub fn levels_l(&self) -> usize {
-        self.l_level_ptr.len() - 1
-    }
-
-    /// Number of backward-substitution levels (the DAG depth of `U`).
-    pub fn levels_u(&self) -> usize {
-        self.u_level_ptr.len() - 1
-    }
-}
-
-/// Groups rows by dependency depth. `ascending` selects the processing
-/// direction (forward solve: row `i` depends on smaller rows; backward:
-/// on larger rows).
-fn level_sets(
-    n: usize,
-    rowptr: &[usize],
-    cols: &[usize],
-    ascending: bool,
-) -> (Vec<usize>, Vec<usize>) {
-    let mut level = vec![0usize; n];
-    let mut max_level = 0usize;
-    let order: Box<dyn Iterator<Item = usize>> = if ascending {
-        Box::new(0..n)
-    } else {
-        Box::new((0..n).rev())
-    };
-    for r in order {
-        let mut lvl = 0usize;
-        for &c in &cols[rowptr[r]..rowptr[r + 1]] {
-            lvl = lvl.max(level[c] + 1);
-        }
-        level[r] = lvl;
-        max_level = max_level.max(lvl);
-    }
-    let nlevels = max_level + 1;
-    let mut ptr = vec![0usize; nlevels + 1];
-    for &l in &level {
-        ptr[l + 1] += 1;
-    }
-    for l in 0..nlevels {
-        ptr[l + 1] += ptr[l];
-    }
-    let mut rows = vec![0usize; n];
-    let mut next = ptr.clone();
-    for r in 0..n {
-        let dst = next[level[r]];
-        next[level[r]] += 1;
-        rows[dst] = r;
-    }
-    (ptr, rows)
-}
-
-impl SparseLu {
-    /// Builds the level-scheduled execution plan for
-    /// [`SparseLu::solve_into_par`]. One plan serves every solve against
-    /// this factorization.
-    pub fn solve_schedule(&self) -> SolveSchedule {
-        SolveSchedule::build(self)
-    }
-
-    /// Level-scheduled parallel variant of [`SparseLu::solve_into`].
-    ///
-    /// Executes the same substitutions as the serial solve with rows
-    /// inside each dependency level distributed over the pool. The
-    /// result is **bitwise identical** to [`SparseLu::solve_into`] for
-    /// any pool width (each row performs the serial solve's exact
-    /// per-row operation sequence), and the call performs no heap
-    /// allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any length mismatch, or when `sched` was built from a
-    /// factorization of different shape.
-    pub fn solve_into_par(
-        &self,
-        b: &[f64],
-        out: &mut [f64],
-        work: &mut [f64],
-        sched: &SolveSchedule,
-        pool: &ParPool,
-    ) {
-        let n = self.n;
-        assert_eq!(sched.n, n, "solve_into_par: schedule dimension mismatch");
-        assert_eq!(
-            (sched.l_nnz, sched.u_nnz),
-            (self.nnz_l(), self.nnz_u()),
-            "solve_into_par: schedule built from a different factorization"
-        );
-        if pool.threads() == 1 {
-            // Bitwise-identical by construction; take the cheaper path.
-            return self.solve_into(b, out, work);
-        }
-        assert_eq!(b.len(), n, "solve: b length mismatch");
-        assert_eq!(out.len(), n, "solve: out length mismatch");
-        assert_eq!(work.len(), n, "solve: work length mismatch");
-        let shared = RawVec::new(work);
-        // work[pinv[i]] = rscale[i] * b[i]   (apply Dr and P)
-        if n < PERM_PAR_MIN {
-            for i in 0..n {
-                // SAFETY: exclusive access (no dispatch in flight).
-                unsafe { shared.set(self.pinv[i], self.rscale[i] * b[i]) };
-            }
-        } else {
-            pool.run(n.div_ceil(PERM_TILE), &|t| {
-                let start = t * PERM_TILE;
-                for i in start..(start + PERM_TILE).min(n) {
-                    // SAFETY: `pinv` is a permutation — writes disjoint.
-                    unsafe { shared.set(self.pinv[i], self.rscale[i] * b[i]) };
-                }
-            });
-        }
-        // Forward solve L y = work, one dependency level at a time. Row
-        // `r` gathers exactly the terms the serial column scatter would
-        // have applied to it, in the same (ascending column) order.
-        let l_row = |r: usize| {
-            let range = sched.l_rowptr[r]..sched.l_rowptr[r + 1];
-            // SAFETY: dependencies live in earlier levels (finalized);
-            // row `r` is written only by this item.
-            unsafe {
-                let mut xr = shared.get(r);
-                for (&c, &v) in sched.l_cols[range.clone()].iter().zip(&sched.l_vals[range]) {
-                    let xc = shared.get(c);
-                    if xc != 0.0 {
-                        xr -= v * xc;
-                    }
-                }
-                shared.set(r, xr);
-            }
-        };
-        run_levels(pool, &sched.l_level_ptr, &sched.l_level_rows, &l_row);
-        // Backward solve U z = y: descending-column gather, then the
-        // diagonal division — the serial solve's per-row sequence.
-        let u_row = |r: usize| {
-            let range = sched.u_rowptr[r]..sched.u_rowptr[r + 1];
-            // SAFETY: as for `l_row`.
-            unsafe {
-                let mut xr = shared.get(r);
-                for (&c, &v) in sched.u_cols[range.clone()].iter().zip(&sched.u_vals[range]) {
-                    let xc = shared.get(c);
-                    if xc != 0.0 {
-                        xr -= v * xc;
-                    }
-                }
-                shared.set(r, xr / sched.u_diag[r]);
-            }
-        };
-        run_levels(pool, &sched.u_level_ptr, &sched.u_level_rows, &u_row);
-        // out[q[k]] = cscale[q[k]] * work[k]   (undo Q and Dc)
-        if n < PERM_PAR_MIN {
-            for (k, &w) in work.iter().enumerate() {
-                let oc = self.q.old_of(k);
-                out[oc] = self.cscale[oc] * w;
-            }
-        } else {
-            let out_shared = RawVec::new(out);
-            pool.run(n.div_ceil(PERM_TILE), &|t| {
-                let start = t * PERM_TILE;
-                for k in start..(start + PERM_TILE).min(n) {
-                    let oc = self.q.old_of(k);
-                    // SAFETY: `q` is a permutation — writes disjoint;
-                    // `work` is only read here.
-                    unsafe { out_shared.set(oc, self.cscale[oc] * shared.get(k)) };
-                }
-            });
-        }
-    }
-}
-
-/// Executes `row_fn` for every row of every level, in level order. Wide
-/// levels tile over the pool; narrow levels run inline (the per-row
-/// arithmetic is identical either way).
-fn run_levels(
-    pool: &ParPool,
-    level_ptr: &[usize],
-    level_rows: &[usize],
-    row_fn: &(dyn Fn(usize) + Sync),
-) {
-    for l in 0..level_ptr.len() - 1 {
-        let rows = &level_rows[level_ptr[l]..level_ptr[l + 1]];
-        if rows.len() < LEVEL_PAR_MIN {
-            for &r in rows {
-                row_fn(r);
-            }
-        } else {
-            let ntiles = rows.len().div_ceil(LEVEL_TILE_ROWS);
-            pool.run(ntiles, &|t| {
-                let start = t * LEVEL_TILE_ROWS;
-                for &r in &rows[start..(start + LEVEL_TILE_ROWS).min(rows.len())] {
-                    row_fn(r);
-                }
-            });
-        }
-    }
-}
-
 /// Builds the CSC structure of `a`'s pattern and the CSR-position →
 /// CSC-position map, without touching values.
 fn csc_structure(a: &CsrMatrix) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
@@ -1253,84 +918,6 @@ mod tests {
         let lu = sym.refactor(&a).unwrap();
         assert_eq!(lu.dim(), 0);
         assert!(lu.solve(&[]).is_empty());
-    }
-
-    #[test]
-    fn level_scheduled_solve_is_bitwise_identical_to_serial() {
-        // The determinism contract of `solve_into_par`: per-row gathers
-        // replay the serial column scatter's exact operation order, so
-        // the result matches bit-for-bit at every pool width.
-        let a = grid_laplacian(23, 19);
-        let n = a.nrows();
-        for ordering in [OrderingKind::Amd, OrderingKind::Natural] {
-            let opts = LuOptions {
-                ordering,
-                ..LuOptions::default()
-            };
-            let lu = SparseLu::factor(&a, &opts).unwrap();
-            let sched = lu.solve_schedule();
-            assert!(sched.levels_l() >= 1 && sched.levels_u() >= 1);
-            assert_eq!(sched.dim(), n);
-            let b: Vec<f64> = (0..n).map(|i| ((i * 7 % 29) as f64) - 14.0).collect();
-            let mut serial = vec![0.0; n];
-            let mut work = vec![0.0; n];
-            lu.solve_into(&b, &mut serial, &mut work);
-            for threads in [1usize, 2, 4] {
-                let pool = ParPool::new(threads);
-                let mut par = vec![0.0; n];
-                lu.solve_into_par(&b, &mut par, &mut work, &sched, &pool);
-                assert!(
-                    serial
-                        .iter()
-                        .zip(&par)
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "{ordering:?}: {threads}-thread solve diverged from serial"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn level_solve_handles_zero_rhs_and_refactored_factors() {
-        // Zero right-hand side exercises the zero-skip branches; a
-        // replayed factorization exercises a schedule built from the
-        // refactor path.
-        let a = grid_laplacian(12, 12);
-        let n = a.nrows();
-        let sym = SymbolicLu::analyze(&a, &LuOptions::default()).unwrap();
-        let lu = sym.refactor(&revalued(&a, 1.0)).unwrap();
-        let sched = lu.solve_schedule();
-        let pool = ParPool::new(3);
-        let mut work = vec![0.0; n];
-        let mut serial = vec![0.0; n];
-        let mut par = vec![0.0; n];
-        for b in [vec![0.0; n], (0..n).map(|i| (i as f64).cos()).collect()] {
-            lu.solve_into(&b, &mut serial, &mut work);
-            lu.solve_into_par(&b, &mut par, &mut work, &sched, &pool);
-            assert!(serial
-                .iter()
-                .zip(&par)
-                .all(|(x, y)| x.to_bits() == y.to_bits()));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "different factorization")]
-    fn level_solve_rejects_mismatched_schedule() {
-        let a = grid_laplacian(6, 6);
-        let b = grid_laplacian(6, 6);
-        let lu_a = SparseLu::factor(&a, &LuOptions::default()).unwrap();
-        let lu_b = SparseLu::factor(&revalued(&b, 2.5), &LuOptions::default()).unwrap();
-        let sched = lu_b.solve_schedule();
-        let pool = ParPool::new(2);
-        let rhs = vec![1.0; 36];
-        let (mut out, mut work) = (vec![0.0; 36], vec![0.0; 36]);
-        // Same n, but entry counts differ (revalued keeps the pattern —
-        // force a different fill by factoring a *different* matrix).
-        let c = CsrMatrix::identity(36);
-        let lu_c = SparseLu::factor(&c, &LuOptions::default()).unwrap();
-        let _ = &lu_a;
-        lu_c.solve_into_par(&rhs, &mut out, &mut work, &sched, &pool);
     }
 
     #[test]

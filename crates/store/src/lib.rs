@@ -73,7 +73,10 @@ use std::time::Instant;
 /// 2: the AMD ordering changed. Version-1 analyses pin the old pivot
 /// order — still valid factorizations, but no longer bitwise what a
 /// fresh analysis produces, which the store guarantees.
-pub const SCHEMA_VERSION: u32 = 2;
+///
+/// 3: setup records lost their two substitution-schedule flag bytes,
+/// and setup keys their `scheduled` field.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Leading magic of every record file.
 const MAGIC: &[u8; 4] = b"MXST";
@@ -128,7 +131,10 @@ pub struct SetupStoreKey {
     pub gamma_bits: u64,
     /// Bit pattern of the MEXP regularization ε.
     pub regularize_bits: u64,
-    /// Whether substitution schedules were prepared.
+    /// Ignored: a setup serves every kernel pool width, so nothing
+    /// about it depends on how it will be run. The store leaves it out
+    /// of record names and keys; it stays for existing callers, which
+    /// should pass `false`.
     pub scheduled: bool,
 }
 
@@ -173,7 +179,6 @@ impl SetupStoreKey {
             self.kind_tag as u64,
             self.gamma_bits,
             self.regularize_bits,
-            self.scheduled as u64,
         ]
     }
 }
@@ -555,13 +560,13 @@ mod tests {
         let sys = sys();
         let opts = MatexOptions::default();
         let symbolic = MatexSymbolic::analyze(&sys, &opts).unwrap();
-        let setup = MatexSetup::prepare(&sys, &opts, Some(&symbolic), true).unwrap();
+        let setup = MatexSetup::prepare(&sys, &opts, Some(&symbolic), false).unwrap();
         let key = SetupStoreKey {
             value_fp: 0xAB,
             kind_tag: 2,
             gamma_bits: opts.gamma.to_bits(),
             regularize_bits: opts.regularize_eps.to_bits(),
-            scheduled: true,
+            scheduled: false,
         };
         let store = ArtifactStore::open(&dir).unwrap();
         store.save_setup(&key, &setup).unwrap();
@@ -569,11 +574,10 @@ mod tests {
         let back = store2.load_setup(&key).expect("hit");
         // Decoded setups factored nothing...
         assert_eq!(back.factorizations(), 0);
-        // ...and solve bitwise like the original (factors + schedules).
+        // ...and solve bitwise like the original.
         let b: Vec<f64> = (0..sys.dim()).map(|i| (i % 5) as f64 - 2.0).collect();
         let (x1, x2) = (setup.solve_g(&b), back.solve_g(&b));
         assert!(x1.iter().zip(&x2).all(|(a, c)| a.to_bits() == c.to_bits()));
-        assert_eq!(back.sched_g().is_some(), setup.sched_g().is_some());
         assert_eq!(back.kind(), setup.kind());
         // A different key is a miss, not a collision.
         let other = SetupStoreKey {
@@ -668,8 +672,8 @@ mod tests {
         let mut record = std::fs::read(&path).unwrap();
         // Change the schema version and re-seal the checksum: a
         // structurally valid record from a *different* store generation,
-        // the next one or the previous one.
-        for foreign in [SCHEMA_VERSION + 1, SCHEMA_VERSION - 1] {
+        // the next one or a past one.
+        for foreign in [SCHEMA_VERSION + 1, 2] {
             record[4..8].copy_from_slice(&foreign.to_le_bytes());
             let body_len = record.len() - 8;
             let mut h = Fnv64::new();
