@@ -57,4 +57,12 @@ mod tests {
     fn explicit_zero_is_one_thread() {
         assert_eq!(ParOptions::with_threads(0).resolve(), 1);
     }
+
+    #[test]
+    fn build_pool_matches_resolution() {
+        for (asked, width) in [(0, 1), (1, 1), (2, 2)] {
+            let pool = crate::ParPool::new(ParOptions::with_threads(asked).resolve());
+            assert_eq!(pool.threads(), width);
+        }
+    }
 }

@@ -921,6 +921,56 @@ mod tests {
     }
 
     #[test]
+    fn column_solve_handles_zero_rhs_and_refactored_factors() {
+        // A zero right-hand side takes every zero-skip branch; a replayed
+        // factorization must solve its own values, not the analysis'.
+        let a = grid_laplacian(12, 12);
+        let n = a.nrows();
+        let sym = SymbolicLu::analyze(&a, &LuOptions::default()).unwrap();
+        let m = revalued(&a, 1.0);
+        let lu = sym.refactor(&m).unwrap();
+        let (mut x, mut work) = (vec![1.0; n], vec![1.0; n]);
+        lu.solve_into(&vec![0.0; n], &mut x, &mut work);
+        assert!(x.iter().all(|&v| v == 0.0));
+        let b: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
+        lu.solve_into(&b, &mut x, &mut work);
+        let resid = m
+            .matvec(&x)
+            .iter()
+            .zip(&b)
+            .map(|(ax, bi)| (ax - bi).abs())
+            .fold(0.0, f64::max);
+        assert!(resid < 1e-12, "residual {resid:e}");
+    }
+
+    #[test]
+    fn column_solve_ignores_stale_out_and_work() {
+        // Callers reuse `out` and `work` across solves without clearing
+        // them: a solve into dirty buffers must match a fresh one bitwise.
+        let a = grid_laplacian(23, 19);
+        let n = a.nrows();
+        for ordering in [OrderingKind::Amd, OrderingKind::Natural] {
+            let opts = LuOptions {
+                ordering,
+                ..LuOptions::default()
+            };
+            let lu = SparseLu::factor(&a, &opts).unwrap();
+            let b: Vec<f64> = (0..n).map(|i| ((i * 7 % 29) as f64) - 14.0).collect();
+            let fresh = lu.solve(&b);
+            let mut out: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
+            let mut work = vec![f64::NAN; n];
+            lu.solve_into(&b, &mut out, &mut work);
+            assert!(
+                fresh
+                    .iter()
+                    .zip(&out)
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{ordering:?}: stale buffers changed the solve"
+            );
+        }
+    }
+
+    #[test]
     fn equilibration_scales_recomputed_per_refactor() {
         // Values spanning many decades: a correct refactor must compute
         // fresh scales for the *new* values, not reuse the analysis'.
