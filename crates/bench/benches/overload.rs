@@ -17,11 +17,10 @@
 //!    every submit carrying a deadline of ~1.5× the uncontended p99.
 //!    Admission rejects what the estimate says cannot meet it.
 //!
-//! Writes `BENCH_overload.json`; the gated metric is
+//! Writes `BENCH_overload.json` with
 //! `p99_guard = 2 × uncontended_p99 / admitted_p99` — the margin by
 //! which the admitted tail stays inside the 2× containment bound
-//! (higher is better; ≥ 1 is the hard acceptance floor, asserted
-//! here).
+//! (higher is better; ≥ 1 is the acceptance floor, asserted here).
 
 use matex_bench::{secs, Scale};
 use matex_serve::{
@@ -42,9 +41,7 @@ struct OverloadRow {
     p99_guard: f64,
 }
 
-/// Hand-rolled JSON (the workspace builds offline, without serde). The
-/// summary fields precede `rows` so the gate's row scanner — which
-/// starts at `"rows"` — sees only the per-design objects.
+/// Hand-rolled JSON (the workspace builds offline, without serde).
 fn write_json(scale: Scale, deterministic: bool, rows: &[OverloadRow]) {
     let mut out = String::from("{\n");
     out.push_str(&format!(

@@ -16,8 +16,6 @@ use matex_circuit::{CircuitError, MnaSystem, PdnBuilder, RcMeshBuilder};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-pub mod gate;
-
 /// Benchmark scale selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -301,6 +299,31 @@ mod tests {
         let s = t.render();
         assert!(s.contains("a  bb"));
         assert!(s.lines().count() == 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "table row width mismatch")]
+    fn table_rejects_a_row_of_the_wrong_width() {
+        Table::new(&["a", "bb"]).row(vec!["1".into()]);
+    }
+
+    #[test]
+    fn table_pads_every_column_to_its_widest_cell() {
+        let mut t = Table::new(&["case", "t"]);
+        t.row(vec!["pg1".into(), "12.345".into()]);
+        t.row(vec!["ibmpg6t".into(), "1".into()]);
+        let s = t.render();
+        let lines: Vec<&str> = s.lines().collect();
+        assert_eq!(lines[0], "   case       t");
+        assert_eq!(lines[1], "-".repeat(15));
+        assert_eq!(lines[2], "    pg1  12.345");
+        assert_eq!(lines[3], "ibmpg6t       1");
+    }
+
+    #[test]
+    fn secs_prints_three_decimals() {
+        assert_eq!(secs(Duration::from_millis(1500)), "1.500");
+        assert_eq!(secs(Duration::from_micros(250)), "0.000");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!
 //! The plan is consulted through a [`FaultHook`], modelled on
 //! [`CancelToken`](crate::CancelToken): a cheap `Clone` handle that is
-//! threaded through option structs (`MatexOptions`, `DistributedOptions`,
+//! threaded through option structs (`MatexOptions`, which a distributed
+//! run's `DistributedOptions::matex` carries to the master and every node,
 //! `EngineOptions`, `StoreOptions`) and defaults to a disarmed no-op so
 //! production paths pay one branch per site. Each call to
 //! [`FaultHook::check`] advances the per-site occurrence counter; the
@@ -294,5 +295,61 @@ mod tests {
         let hook = FaultHook::new(plan);
         assert_eq!(hook.check("s"), Some(FaultKind::Panic));
         assert_eq!(hook.check("s"), Some(FaultKind::Error));
+    }
+
+    #[test]
+    fn one_hook_holding_two_sites_fires_each_sites_own_schedule() {
+        // A distributed run hands its master and its nodes one hook: the
+        // merged plan must fire, site by site, what two hooks would.
+        let node = FaultPlan::new()
+            .fail_at("dist.node", 1, FaultKind::Panic)
+            .fail_at("dist.node", 3, FaultKind::Error);
+        let solver = FaultPlan::new().fail_at("core.solver.run", 0, FaultKind::Error);
+        let merged = FaultHook::new(node.clone().fail_at("core.solver.run", 0, FaultKind::Error));
+        let (node, solver) = (FaultHook::new(node), FaultHook::new(solver));
+        for _ in 0..5 {
+            assert_eq!(merged.check("dist.node"), node.check("dist.node"));
+            assert_eq!(
+                merged.check("core.solver.run"),
+                solver.check("core.solver.run")
+            );
+        }
+        assert_eq!(merged.injected(), node.injected() + solver.injected());
+        assert_eq!(merged.occurrences("dist.node"), 5);
+        assert_eq!(merged.occurrences("core.solver.run"), 5);
+    }
+
+    #[test]
+    fn seeded_site_schedule_ignores_traffic_at_other_sites() {
+        let plan = FaultPlan::new().seeded(11, 300, FaultKind::Error);
+        let alone = FaultHook::new(plan.clone());
+        let shared = FaultHook::new(plan);
+        let a: Vec<_> = (0..200).map(|_| alone.check("dist.node")).collect();
+        let b: Vec<_> = (0..200)
+            .map(|i| {
+                for _ in 0..i % 3 {
+                    let _ = shared.check("store.write");
+                }
+                shared.check("dist.node")
+            })
+            .collect();
+        assert_eq!(a, b);
+        assert!(
+            a.iter().any(Option::is_some),
+            "300‰ over 200 draws fired nothing"
+        );
+    }
+
+    #[test]
+    fn sites_without_entries_are_counted_but_never_fire() {
+        let hook = FaultHook::new(FaultPlan::new().fail_at("dist.node", 0, FaultKind::Panic));
+        for _ in 0..4 {
+            assert_eq!(hook.check("serve.job"), None);
+        }
+        assert_eq!(hook.occurrences("serve.job"), 4);
+        assert_eq!(hook.occurrences("dist.node"), 0);
+        assert_eq!(hook.injected(), 0);
+        // The untouched site still fires at its own first occurrence.
+        assert_eq!(hook.check("dist.node"), Some(FaultKind::Panic));
     }
 }

@@ -4,114 +4,14 @@
 //! `A = −C⁻¹G` (Sec. 4.1) and relies on spectral arguments (small-magnitude
 //! eigenvalues dominate the transient; rational Krylov captures them first).
 //! This module provides the small-scale eigenvalue machinery used to
-//! construct and verify the stiff test cases:
-//!
-//! * cyclic Jacobi for symmetric matrices (values + vectors),
-//! * Hessenberg reduction + Francis double-shift QR for general real
-//!   matrices (values only, possibly complex),
-//! * power / inverse iteration for dominant and targeted eigenpairs.
+//! construct and verify the stiff test cases: Hessenberg reduction +
+//! Francis double-shift QR for general real matrices (values only,
+//! possibly complex).
 
-use crate::vector::{norm2, normalize};
-use crate::{DMat, DenseError, DenseLu, Result};
+use crate::{DMat, DenseError, Result};
 
 /// A real or complex eigenvalue, stored as `(re, im)`.
 pub type Complex = (f64, f64);
-
-/// Eigen-decomposition of a symmetric matrix by the cyclic Jacobi method.
-///
-/// Returns `(eigenvalues, eigenvectors)` where column `k` of the returned
-/// matrix is the unit eigenvector for `eigenvalues[k]`. Eigenvalues are
-/// sorted ascending.
-///
-/// # Errors
-///
-/// * [`DenseError::NotSquare`] for rectangular input.
-/// * [`DenseError::NoConvergence`] if the off-diagonal mass fails to decay
-///   (does not occur for symmetric finite input).
-///
-/// # Example
-///
-/// ```
-/// use matex_dense::{DMat, eig::sym_eig};
-///
-/// # fn main() -> Result<(), matex_dense::DenseError> {
-/// let a = DMat::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]);
-/// let (vals, _vecs) = sym_eig(&a)?;
-/// assert!((vals[0] - 1.0).abs() < 1e-12);
-/// assert!((vals[1] - 3.0).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-pub fn sym_eig(a: &DMat) -> Result<(Vec<f64>, DMat)> {
-    if !a.is_square() {
-        return Err(DenseError::NotSquare {
-            rows: a.nrows(),
-            cols: a.ncols(),
-        });
-    }
-    let n = a.nrows();
-    let mut m = a.clone();
-    let mut v = DMat::identity(n);
-    let max_sweeps = 64;
-    for sweep in 0..=max_sweeps {
-        let mut off = 0.0;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                off += m[(i, j)] * m[(i, j)];
-            }
-        }
-        if off.sqrt() <= 1e-30 + 1e-15 * m.norm_fro() {
-            break;
-        }
-        if sweep == max_sweeps {
-            return Err(DenseError::NoConvergence {
-                iterations: max_sweeps,
-            });
-        }
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let apq = m[(p, q)];
-                if apq.abs() <= 1e-300 {
-                    continue;
-                }
-                let app = m[(p, p)];
-                let aqq = m[(q, q)];
-                let theta = (aqq - app) / (2.0 * apq);
-                let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
-                let c = 1.0 / (t * t + 1.0).sqrt();
-                let s = t * c;
-                // Apply rotation J(p,q,θ) on both sides.
-                for k in 0..n {
-                    let mkp = m[(k, p)];
-                    let mkq = m[(k, q)];
-                    m[(k, p)] = c * mkp - s * mkq;
-                    m[(k, q)] = s * mkp + c * mkq;
-                }
-                for k in 0..n {
-                    let mpk = m[(p, k)];
-                    let mqk = m[(q, k)];
-                    m[(p, k)] = c * mpk - s * mqk;
-                    m[(q, k)] = s * mpk + c * mqk;
-                }
-                for k in 0..n {
-                    let vkp = v[(k, p)];
-                    let vkq = v[(k, q)];
-                    v[(k, p)] = c * vkp - s * vkq;
-                    v[(k, q)] = s * vkp + c * vkq;
-                }
-            }
-        }
-    }
-    // Sort ascending, permuting eigenvector columns to match.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| m[(i, i)].partial_cmp(&m[(j, j)]).expect("finite"));
-    let vals: Vec<f64> = order.iter().map(|&i| m[(i, i)]).collect();
-    let mut vecs = DMat::zeros(n, n);
-    for (dst, &src) in order.iter().enumerate() {
-        vecs.set_col(dst, &v.col(src));
-    }
-    Ok((vals, vecs))
-}
 
 /// Reduces `a` to upper Hessenberg form by Householder similarity
 /// transformations (eigenvalue-preserving).
@@ -411,113 +311,9 @@ fn house2(x: f64, y: f64) -> ([f64; 2], f64) {
     (v, 2.0 / vnorm2)
 }
 
-/// Dominant eigenvalue magnitude estimate by power iteration.
-///
-/// Returns `(|λ_max| estimate, iterations used)`. For matrices with a real
-/// dominant eigenvalue (the RC-circuit case) the estimate converges
-/// geometrically.
-///
-/// # Panics
-///
-/// Panics if `a` is not square or `iters == 0`.
-pub fn power_iteration(a: &DMat, iters: usize) -> (f64, usize) {
-    assert!(a.is_square() && iters > 0);
-    let n = a.nrows();
-    let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.7).sin()).collect();
-    normalize(&mut v);
-    let mut lambda = 0.0;
-    for it in 0..iters {
-        let mut w = a.matvec(&v);
-        let nw = norm2(&w);
-        if nw == 0.0 {
-            return (0.0, it);
-        }
-        for x in w.iter_mut() {
-            *x /= nw;
-        }
-        let prev = lambda;
-        lambda = nw;
-        v = w;
-        if it > 2 && (lambda - prev).abs() <= 1e-12 * lambda.abs() {
-            return (lambda, it + 1);
-        }
-    }
-    (lambda, iters)
-}
-
-/// Eigenvector for a known (approximate) real eigenvalue via shifted inverse
-/// iteration.
-///
-/// # Errors
-///
-/// Returns [`DenseError::SingularPivot`] only if the shifted matrix is
-/// exactly singular *and* perturbing the shift fails.
-pub fn inverse_iteration(a: &DMat, lambda: f64, iters: usize) -> Result<Vec<f64>> {
-    let n = a.nrows();
-    // Shift slightly off the eigenvalue so the solve is merely
-    // ill-conditioned (which is exactly what makes it converge fast).
-    let scale = a.norm_inf().max(1.0);
-    let mut shift = lambda + 1e-10 * scale;
-    let shifted = |s: f64| {
-        let mut m = a.clone();
-        for i in 0..n {
-            m[(i, i)] -= s;
-        }
-        m
-    };
-    let lu = match DenseLu::factor(&shifted(shift)) {
-        Ok(f) => f,
-        Err(_) => {
-            shift = lambda + 1e-6 * scale;
-            DenseLu::factor(&shifted(shift))?
-        }
-    };
-    let mut v: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-    normalize(&mut v);
-    for _ in 0..iters {
-        lu.solve_in_place(&mut v);
-        if normalize(&mut v) == 0.0 {
-            break;
-        }
-    }
-    Ok(v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sym_eig_known_spectrum() {
-        // Tridiagonal [-2, 1] matrix of size 4: eigenvalues -2 + 2cos(kπ/5).
-        let n = 4;
-        let a = DMat::from_fn(n, n, |i, j| {
-            if i == j {
-                -2.0
-            } else if i.abs_diff(j) == 1 {
-                1.0
-            } else {
-                0.0
-            }
-        });
-        let (vals, vecs) = sym_eig(&a).unwrap();
-        let pi = std::f64::consts::PI;
-        let mut expect: Vec<f64> = (1..=n)
-            .map(|k| -2.0 + 2.0 * (k as f64 * pi / (n as f64 + 1.0)).cos())
-            .collect();
-        expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for (v, e) in vals.iter().zip(&expect) {
-            assert!((v - e).abs() < 1e-12, "{v} vs {e}");
-        }
-        // A v = λ v for each column.
-        for k in 0..n {
-            let v = vecs.col(k);
-            let av = a.matvec(&v);
-            for i in 0..n {
-                assert!((av[i] - vals[k] * v[i]).abs() < 1e-10);
-            }
-        }
-    }
 
     #[test]
     fn hessenberg_preserves_structure() {
@@ -572,21 +368,26 @@ mod tests {
 
     #[test]
     fn eig_vals_larger_spd() {
-        // Symmetric case cross-check against Jacobi.
+        // Symmetric tridiagonal Toeplitz [-0.5, 2, -0.5] of size 8:
+        // eigenvalues 2 - cos(kπ/9), k = 1..8.
         let n = 8;
         let a = DMat::from_fn(n, n, |i, j| {
             if i == j {
-                (i + 2) as f64
+                2.0
             } else if i.abs_diff(j) == 1 {
                 -0.5
             } else {
                 0.0
             }
         });
-        let (jac, _) = sym_eig(&a).unwrap();
+        let pi = std::f64::consts::PI;
+        let mut expect: Vec<f64> = (1..=n)
+            .map(|k| 2.0 - (k as f64 * pi / (n as f64 + 1.0)).cos())
+            .collect();
+        expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let mut qr: Vec<f64> = eig_vals(&a).unwrap().iter().map(|e| e.0).collect();
         qr.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for (x, y) in jac.iter().zip(&qr) {
+        for (x, y) in expect.iter().zip(&qr) {
             assert!((x - y).abs() < 1e-8, "{x} vs {y}");
         }
     }
@@ -602,26 +403,100 @@ mod tests {
     }
 
     #[test]
-    fn power_iteration_dominant() {
-        let a = DMat::from_diag(&[1.0, -5.0, 2.0]);
-        let (lam, _) = power_iteration(&a, 500);
-        assert!((lam - 5.0).abs() < 1e-6);
+    fn empty_matrix_ok() {
+        assert!(eig_vals(&DMat::zeros(0, 0)).unwrap().is_empty());
+    }
+
+    fn sorted(mut vals: Vec<Complex>) -> Vec<Complex> {
+        vals.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .unwrap()
+                .then(a.1.partial_cmp(&b.1).unwrap())
+        });
+        vals
     }
 
     #[test]
-    fn inverse_iteration_recovers_eigenvector() {
-        let a = DMat::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]);
-        // Eigenvalue 3 has eigenvector (1, 1)/sqrt(2).
-        let v = inverse_iteration(&a, 3.0, 8).unwrap();
-        assert!((v[0].abs() - v[1].abs()).abs() < 1e-8);
-        let av = a.matvec(&v);
-        for i in 0..2 {
-            assert!((av[i] - 3.0 * v[i]).abs() < 1e-6);
+    fn hessenberg_is_an_orthogonal_similarity() {
+        let a = DMat::from_fn(6, 6, |i, j| ((i * 7 + j * 3) % 11) as f64 - 5.0);
+        let h = hessenberg(&a);
+        // Orthogonal similarity keeps the Frobenius norm and the spectrum.
+        assert!((a.norm_fro() - h.norm_fro()).abs() < 1e-12 * a.norm_fro());
+        let (ea, eh) = (sorted(eig_vals(&a).unwrap()), sorted(eig_vals(&h).unwrap()));
+        for (x, y) in ea.iter().zip(&eh) {
+            assert!(
+                (x.0 - y.0).abs() < 1e-9 && (x.1 - y.1).abs() < 1e-9,
+                "{x:?} vs {y:?}"
+            );
         }
     }
 
     #[test]
-    fn empty_matrix_ok() {
-        assert!(eig_vals(&DMat::zeros(0, 0)).unwrap().is_empty());
+    fn hessenberg_leaves_small_matrices_unchanged() {
+        for a in [
+            DMat::zeros(0, 0),
+            DMat::from_rows(&[&[3.0]]),
+            DMat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]),
+        ] {
+            assert_eq!(hessenberg(&a), a);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must be square")]
+    fn hessenberg_rejects_rectangular_input() {
+        let _ = hessenberg(&DMat::zeros(2, 3));
+    }
+
+    #[test]
+    fn eig_vals_rejects_rectangular_and_non_finite_input() {
+        assert!(matches!(
+            eig_vals(&DMat::zeros(3, 2)),
+            Err(DenseError::NotSquare { rows: 3, cols: 2 })
+        ));
+        let mut a = DMat::identity(3);
+        a[(1, 2)] = f64::NAN;
+        assert!(matches!(eig_vals(&a), Err(DenseError::NotFinite)));
+        a[(1, 2)] = f64::INFINITY;
+        assert!(matches!(eig_vals(&a), Err(DenseError::NotFinite)));
+    }
+
+    #[test]
+    fn eig_vals_of_a_triangular_matrix_read_its_diagonal() {
+        // Non-symmetric upper triangular: the eigenvalues are the diagonal.
+        let a = DMat::from_rows(&[
+            &[4.0, 2.0, -1.0, 7.0],
+            &[0.0, -3.0, 5.0, 1.0],
+            &[0.0, 0.0, 0.5, -2.0],
+            &[0.0, 0.0, 0.0, 2.0],
+        ]);
+        let vals = sorted(eig_vals(&a).unwrap());
+        for (v, want) in vals.iter().zip([-3.0, 0.5, 2.0, 4.0]) {
+            assert!((v.0 - want).abs() < 1e-10 && v.1 == 0.0, "{v:?} vs {want}");
+        }
+    }
+
+    #[test]
+    fn eig_vals_recover_the_roots_of_a_companion_matrix() {
+        // (z − 1)(z + 2)(z² + 2z + 5) = z⁴ + 3z³ + 5z² + z − 10: roots
+        // 1, −2 and −1 ± 2i.
+        let coeffs = [3.0, 5.0, 1.0, -10.0];
+        let a = DMat::from_fn(4, 4, |i, j| {
+            if i == 0 {
+                -coeffs[j]
+            } else if i == j + 1 {
+                1.0
+            } else {
+                0.0
+            }
+        });
+        let vals = sorted(eig_vals(&a).unwrap());
+        let want = [(-2.0, 0.0), (-1.0, -2.0), (-1.0, 2.0), (1.0, 0.0)];
+        for (v, w) in vals.iter().zip(&want) {
+            assert!(
+                (v.0 - w.0).abs() < 1e-9 && (v.1 - w.1).abs() < 1e-9,
+                "{v:?} vs {w:?}"
+            );
+        }
     }
 }

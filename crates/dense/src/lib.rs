@@ -35,7 +35,6 @@ mod error;
 mod expm;
 mod lu;
 mod matrix;
-mod qr;
 mod vector;
 
 pub mod eig;
@@ -44,7 +43,6 @@ pub use error::DenseError;
 pub use expm::{expm, expm_col0, expm_col0_into, expm_col0_ladder, phi1, ExpmScratch};
 pub use lu::DenseLu;
 pub use matrix::DMat;
-pub use qr::DenseQr;
 pub use vector::{
     axpy, dot, lin_comb, norm1, norm2, norm_inf, normalize, scale_in_place, sub, unit_vector,
 };

@@ -1,8 +1,8 @@
-//! Property-based tests of the dense kernels: LU/QR identities, `expm`
+//! Property-based tests of the dense kernels: LU identities, `expm`
 //! group laws, and eigenvalue invariants on random matrices.
 
-use matex_dense::eig::{eig_vals, sym_eig};
-use matex_dense::{expm, DMat, DenseLu, DenseQr};
+use matex_dense::eig::{eig_vals, hessenberg};
+use matex_dense::{expm, DMat, DenseLu};
 use proptest::prelude::*;
 
 /// Random well-conditioned matrix: diagonally dominant with bounded
@@ -67,58 +67,6 @@ proptest! {
     }
 
     #[test]
-    fn qr_least_squares_residual_orthogonal(
-        m in 3usize..10,
-        vals in prop::collection::vec(-2.0..2.0_f64, 12),
-    ) {
-        // Residual of LS solution is orthogonal to the column space.
-        let n = 2usize;
-        let a = DMat::from_fn(m, n, |i, j| vals[(i * 3 + j) % vals.len()] + if j == 0 { 3.0 } else { 0.0 });
-        let b: Vec<f64> = (0..m).map(|i| vals[(i * 7) % vals.len()]).collect();
-        let qr = DenseQr::factor(&a).expect("factors");
-        match qr.solve_ls(&b) {
-            Ok(x) => {
-                let ax = a.matvec(&x);
-                let resid: Vec<f64> = b.iter().zip(&ax).map(|(p, q)| p - q).collect();
-                let atr = a.matvec_t(&resid);
-                for v in atr {
-                    prop_assert!(v.abs() < 1e-8, "residual not orthogonal: {v}");
-                }
-            }
-            Err(_) => {
-                // Rank-deficient random draw: acceptable outcome.
-            }
-        }
-    }
-
-    #[test]
-    fn sym_eig_reconstructs(
-        n in 1usize..8,
-        vals in prop::collection::vec(-2.0..2.0_f64, 10),
-    ) {
-        // Symmetric matrix: A == V diag(w) V^T, eigenvalues sum to trace.
-        let a = DMat::from_fn(n, n, |i, j| {
-            let (lo, hi) = (i.min(j), i.max(j));
-            vals[(lo * 7 + hi * 3) % vals.len()]
-        });
-        let (w, v) = sym_eig(&a).expect("symmetric eig");
-        let trace: f64 = (0..n).map(|i| a[(i, i)]).sum();
-        let sum_w: f64 = w.iter().sum();
-        prop_assert!((trace - sum_w).abs() < 1e-8 * trace.abs().max(1.0));
-        // Reconstruct.
-        let mut rec = DMat::zeros(n, n);
-        for (k, &wk) in w.iter().enumerate() {
-            let col = v.col(k);
-            for i in 0..n {
-                for j in 0..n {
-                    rec[(i, j)] += wk * col[i] * col[j];
-                }
-            }
-        }
-        prop_assert!(rec.max_abs_diff(&a) < 1e-8 * a.norm_inf().max(1.0));
-    }
-
-    #[test]
     fn general_eig_trace_and_det_invariants(
         n in 1usize..7,
         vals in prop::collection::vec(-2.0..2.0_f64, 10),
@@ -142,5 +90,83 @@ proptest! {
         let det = DenseLu::factor(&a).expect("factors").det();
         prop_assert!((re - det).abs() < 1e-5 * det.abs().max(1.0));
         prop_assert!(im.abs() < 1e-5 * det.abs().max(1.0));
+    }
+
+    #[test]
+    fn symmetric_eig_vals_are_real_and_carry_the_frobenius_norm(
+        n in 1usize..8,
+        vals in prop::collection::vec(-2.0..2.0_f64, 10),
+    ) {
+        // Symmetric A: every eigenvalue is real, they sum to the trace,
+        // and their squares sum to trace(A²) = ‖A‖_F².
+        let a = DMat::from_fn(n, n, |i, j| {
+            let (lo, hi) = (i.min(j), i.max(j));
+            vals[(lo * 7 + hi * 3) % vals.len()]
+        });
+        let eigs = eig_vals(&a).expect("converges");
+        prop_assert_eq!(eigs.len(), n);
+        let scale = a.norm_fro().max(1.0);
+        for e in &eigs {
+            prop_assert!(e.1.abs() < 1e-8 * scale, "complex eigenvalue {e:?} of a symmetric matrix");
+        }
+        let trace: f64 = (0..n).map(|i| a[(i, i)]).sum();
+        let sum: f64 = eigs.iter().map(|e| e.0).sum();
+        let sum_sq: f64 = eigs.iter().map(|e| e.0 * e.0).sum();
+        prop_assert!((sum - trace).abs() < 1e-8 * scale);
+        prop_assert!((sum_sq - a.norm_fro().powi(2)).abs() < 1e-8 * scale * scale);
+    }
+
+    #[test]
+    fn hessenberg_is_a_structured_similarity(
+        n in 1usize..9,
+        vals in prop::collection::vec(-3.0..3.0_f64, 12),
+    ) {
+        let a = DMat::from_fn(n, n, |i, j| vals[(i * 5 + j * 7) % vals.len()]);
+        let h = hessenberg(&a);
+        for i in 0..n {
+            for j in 0..i.saturating_sub(1) {
+                prop_assert_eq!(h[(i, j)], 0.0);
+            }
+        }
+        let trace = |m: &DMat| (0..n).map(|i| m[(i, i)]).sum::<f64>();
+        let scale = a.norm_fro().max(1.0);
+        prop_assert!((trace(&a) - trace(&h)).abs() < 1e-10 * scale);
+        prop_assert!((a.norm_fro() - h.norm_fro()).abs() < 1e-10 * scale);
+    }
+
+    #[test]
+    fn complex_eig_vals_come_in_conjugate_pairs(
+        n in 2usize..8,
+        vals in prop::collection::vec(-2.0..2.0_f64, 12),
+    ) {
+        let a = DMat::from_fn(n, n, |i, j| vals[(i * 3 + j * 5) % vals.len()]);
+        let eigs = eig_vals(&a).expect("converges");
+        for e in eigs.iter().filter(|e| e.1 != 0.0) {
+            prop_assert!(
+                eigs.iter().any(|c| c.0 == e.0 && c.1 == -e.1),
+                "{e:?} has no conjugate in {eigs:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn eig_vals_shift_with_the_identity(
+        n in 1usize..7,
+        vals in prop::collection::vec(-2.0..2.0_f64, 10),
+        s in -5.0..5.0_f64,
+    ) {
+        // eig(A + sI) = eig(A) + s, checked through the real-part sum and
+        // the sorted real parts of a diagonally dominant A.
+        let a = dd(n, &vals);
+        let shifted = DMat::from_fn(n, n, |i, j| a[(i, j)] + if i == j { s } else { 0.0 });
+        let re = |m: &DMat| {
+            let mut r: Vec<f64> = eig_vals(m).expect("converges").iter().map(|e| e.0).collect();
+            r.sort_by(|x, y| x.partial_cmp(y).unwrap());
+            r
+        };
+        let scale = a.norm_inf().max(1.0) + s.abs();
+        for (x, y) in re(&a).iter().zip(re(&shifted)) {
+            prop_assert!((x + s - y).abs() < 1e-8 * scale, "{x} + {s} vs {y}");
+        }
     }
 }

@@ -1,5 +1,5 @@
 use crate::GroupPlan;
-use matex_core::{CancelToken, FaultHook, MatexOptions, MatexSetup, MatexSymbolic};
+use matex_core::{CancelToken, MatexOptions, MatexSetup, MatexSymbolic};
 use matex_par::ParOptions;
 use matex_waveform::GroupingStrategy;
 use std::sync::Arc;
@@ -21,7 +21,11 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct DistributedOptions {
     /// Solver options handed to every node (the paper runs R-MATEX nodes;
-    /// that is [`MatexOptions::default`]).
+    /// that is [`MatexOptions::default`]). Their fault hook and recorder
+    /// serve the master too: it consults `matex.faults` at `"dist.node"`
+    /// once per node dispatch (including retries), and records its
+    /// `dist.analyze` / `dist.prepare` spans and one `dist.node` span per
+    /// dispatch (labeled group / worker / retry) through `matex.obs`.
     pub matex: MatexOptions,
     /// How to partition the sources into subtasks (default: by bump
     /// feature, the paper's Sec. 3.2 decomposition).
@@ -72,17 +76,6 @@ pub struct DistributedOptions {
     /// position, so recovery never changes the waveform. Default 1.
     /// Cancellations are never retried.
     pub max_node_retries: usize,
-    /// Fault-injection hook consulted at `"dist.node"` once per node
-    /// dispatch (including retries). Disarmed by default. Solver-level
-    /// sites fire through `matex.faults` instead.
-    pub faults: FaultHook,
-    /// Observability handle for master-level events: the `dist.analyze`
-    /// and `dist.prepare` spans and one `dist.node` span per dispatch,
-    /// labeled with
-    /// group / worker / retry. Node-internal phases record through
-    /// `matex.obs`; point both at one recorder for a unified timeline.
-    /// Disabled by default (one branch per event).
-    pub obs: matex_obs::Obs,
 }
 
 impl Default for DistributedOptions {
@@ -97,8 +90,6 @@ impl Default for DistributedOptions {
             plan: None,
             cancel: None,
             max_node_retries: 1,
-            faults: FaultHook::default(),
-            obs: matex_obs::Obs::disabled(),
         }
     }
 }
@@ -114,6 +105,6 @@ mod tests {
         assert!(o.workers.is_none());
         assert!(matches!(o.matex.kind, matex_core::KrylovKind::Rational));
         assert_eq!(o.max_node_retries, 1);
-        assert!(!o.faults.is_armed());
+        assert!(!o.matex.faults.is_armed());
     }
 }

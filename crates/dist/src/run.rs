@@ -245,13 +245,13 @@ pub fn run_distributed(
                     let ta = Instant::now();
                     fresh = MatexSymbolic::analyze(sys, &opts.matex).map_err(DistError::Analyze)?;
                     analyze_time = ta.elapsed();
-                    opts.obs
-                        .record_span("dist.analyze", opts.obs.job(), ta, analyze_time, &[]);
-                    opts.obs.observe("dist_analyze_seconds", analyze_time);
+                    let obs = &opts.matex.obs;
+                    obs.record_span("dist.analyze", obs.job(), ta, analyze_time, &[]);
+                    obs.observe("dist_analyze_seconds", analyze_time);
                     &fresh
                 }
             };
-            let _sp = opts.obs.span("dist.prepare");
+            let _sp = opts.matex.obs.span("dist.prepare");
             Arc::new(
                 MatexSetup::prepare(sys, &opts.matex, Some(symbolic), false)
                     .map_err(DistError::Analyze)?,
@@ -325,7 +325,7 @@ pub fn run_distributed(
                     // One span per dispatch: the timeline shows which
                     // worker ran which group, and whether the dispatch
                     // was a retry of a failed node.
-                    let mut node_span = opts.obs.span("dist.node");
+                    let mut node_span = opts.matex.obs.span("dist.node");
                     if node_span.is_armed() {
                         node_span.label("group", jobs[j].group.to_string());
                         node_span.label("worker", w.to_string());
@@ -335,7 +335,7 @@ pub fn run_distributed(
                     // error (payload message preserved) instead of
                     // poisoning the scope and aborting the process.
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        match opts.faults.check("dist.node") {
+                        match opts.matex.faults.check("dist.node") {
                             Some(FaultKind::Panic) => {
                                 panic!("injected fault: dist.node (group {})", jobs[j].group)
                             }
@@ -351,7 +351,7 @@ pub fn run_distributed(
                     .unwrap_or_else(|payload| Err(CoreError::Panicked(panic_message(&*payload))));
                     node_span.label("ok", if outcome.is_ok() { "1" } else { "0" });
                     drop(node_span);
-                    opts.obs.add_labeled(
+                    opts.matex.obs.add_labeled(
                         "dist_nodes_total",
                         &[("outcome", if outcome.is_ok() { "ok" } else { "err" })],
                         1,
@@ -382,7 +382,7 @@ pub fn run_distributed(
                     if retryable {
                         attempts[j] += 1;
                         node_retries += 1;
-                        opts.obs.add("dist_node_retries_total", 1);
+                        opts.matex.obs.add("dist_node_retries_total", 1);
                         let (queue, available) = &work;
                         queue.lock().expect("work queue poisoned").retry.push(j);
                         available.notify_all();
@@ -768,11 +768,14 @@ mod tests {
             .fail_at("dist.node", 3, FaultKind::Error);
         for workers in [Some(1), Some(3)] {
             let opts = DistributedOptions {
+                matex: MatexOptions {
+                    faults: FaultHook::new(plan.clone()),
+                    ..MatexOptions::default()
+                },
                 workers,
                 // Budget 2: with retries interleaving into the occurrence
                 // stream, both entries may land on the same group.
                 max_node_retries: 2,
-                faults: FaultHook::new(plan.clone()),
                 ..DistributedOptions::default()
             };
             let run = run_distributed(&sys, &spec, &opts).unwrap();
@@ -783,7 +786,7 @@ mod tests {
                 "recovery changed the waveform (workers {workers:?})"
             );
             assert_eq!(reference.result.final_state(), run.result.final_state());
-            assert_eq!(opts.faults.injected(), 2);
+            assert_eq!(opts.matex.faults.injected(), 2);
         }
     }
 
@@ -814,6 +817,88 @@ mod tests {
     }
 
     #[test]
+    fn one_hook_serves_the_node_site_and_the_solver_site() {
+        // The master's "dist.node" site and the nodes' solver sites read
+        // one hook: a plan holding both fires both, and the run heals.
+        use matex_core::{FaultHook, FaultKind, FaultPlan};
+        let sys = small_grid();
+        let spec = TransientSpec::new(0.0, 1e-9, 2e-11).unwrap();
+        let reference = run_distributed(&sys, &spec, &DistributedOptions::default()).unwrap();
+        let opts = DistributedOptions {
+            matex: MatexOptions {
+                faults: FaultHook::new(
+                    FaultPlan::new()
+                        .fail_at("dist.node", 1, FaultKind::Panic)
+                        .fail_at("core.solver.run", 0, FaultKind::Error),
+                ),
+                ..MatexOptions::default()
+            },
+            workers: Some(2),
+            max_node_retries: 2,
+            ..DistributedOptions::default()
+        };
+        let run = run_distributed(&sys, &spec, &opts).unwrap();
+        assert_eq!(opts.matex.faults.injected(), 2);
+        assert_eq!(run.node_retries, 2);
+        assert_eq!(reference.result.series(), run.result.series());
+        assert_eq!(reference.result.final_state(), run.result.final_state());
+    }
+
+    #[test]
+    fn every_dispatch_consults_the_node_site_once() {
+        // An armed hook whose entry never comes due: the run is unchanged
+        // and the "dist.node" counter reads one check per group.
+        use matex_core::{FaultHook, FaultKind, FaultPlan};
+        let sys = small_grid();
+        let spec = TransientSpec::new(0.0, 1e-9, 2e-11).unwrap();
+        let reference = run_distributed(&sys, &spec, &DistributedOptions::default()).unwrap();
+        let opts = DistributedOptions {
+            matex: MatexOptions {
+                faults: FaultHook::new(FaultPlan::new().fail_at(
+                    "dist.node",
+                    1_000_000,
+                    FaultKind::Panic,
+                )),
+                ..MatexOptions::default()
+            },
+            workers: Some(2),
+            ..DistributedOptions::default()
+        };
+        let run = run_distributed(&sys, &spec, &opts).unwrap();
+        assert_eq!(run.node_retries, 0);
+        assert_eq!(
+            opts.matex.faults.occurrences("dist.node"),
+            run.num_groups() as u64
+        );
+        assert_eq!(opts.matex.faults.injected(), 0);
+        assert_eq!(reference.result.series(), run.result.series());
+    }
+
+    #[test]
+    fn master_records_through_the_node_recorder() {
+        // One recorder for the whole run: the master's analysis,
+        // preparation and per-dispatch spans land beside the nodes'
+        // solver phases.
+        let sys = small_grid();
+        let spec = TransientSpec::new(0.0, 1e-9, 2e-11).unwrap();
+        let opts = DistributedOptions {
+            matex: MatexOptions {
+                obs: matex_obs::Obs::enabled(),
+                ..MatexOptions::default()
+            },
+            workers: Some(2),
+            ..DistributedOptions::default()
+        };
+        let run = run_distributed(&sys, &spec, &opts).unwrap();
+        let trace = opts.matex.obs.chrome_trace_events();
+        let spans = |name: &str| trace.matches(&format!("{{\"name\":\"{name}\"")).count();
+        assert_eq!(spans("dist.analyze"), 1);
+        assert_eq!(spans("dist.prepare"), 1);
+        assert_eq!(spans("dist.node"), run.num_groups());
+        assert!(spans("solver.dc") >= run.num_groups(), "{trace}");
+    }
+
+    #[test]
     fn exhausted_retry_budget_aborts_with_the_node_error() {
         use matex_core::{FaultHook, FaultKind, FaultPlan};
         let sys = small_grid();
@@ -822,13 +907,16 @@ mod tests {
         // the injected fault as a node error instead of panicking or
         // hanging.
         let opts = DistributedOptions {
+            matex: MatexOptions {
+                faults: FaultHook::new(
+                    FaultPlan::new()
+                        .seeded(9, 1000, FaultKind::Error)
+                        .on_sites(&["dist.node"]),
+                ),
+                ..MatexOptions::default()
+            },
             workers: Some(2),
             max_node_retries: 1,
-            faults: FaultHook::new(
-                FaultPlan::new()
-                    .seeded(9, 1000, FaultKind::Error)
-                    .on_sites(&["dist.node"]),
-            ),
             ..DistributedOptions::default()
         };
         match run_distributed(&sys, &spec, &opts) {
@@ -845,9 +933,12 @@ mod tests {
         let sys = small_grid();
         let spec = TransientSpec::new(0.0, 1e-9, 2e-11).unwrap();
         let opts = DistributedOptions {
+            matex: MatexOptions {
+                faults: FaultHook::new(FaultPlan::new().fail_at("dist.node", 0, FaultKind::Panic)),
+                ..MatexOptions::default()
+            },
             workers: Some(1),
             max_node_retries: 0,
-            faults: FaultHook::new(FaultPlan::new().fail_at("dist.node", 0, FaultKind::Panic)),
             ..DistributedOptions::default()
         };
         match run_distributed(&sys, &spec, &opts) {

@@ -117,7 +117,7 @@ impl KrylovBasis {
     /// `‖r_m(h)‖ ≈ ‖v‖ · |ĥ_{m+1,m} · e_mᵀ e^{h·H_m} e₁|`
     ///
     /// `0` after a happy breakdown (the projection is exact). Public so
-    /// benches can estimate from columns they already hold.
+    /// callers can estimate from columns they already hold.
     pub fn residual_estimate(&self, col: &[f64]) -> f64 {
         self.estimate_from_col(col)
     }

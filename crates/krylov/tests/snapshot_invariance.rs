@@ -1,11 +1,13 @@
 //! Property-based proof of the batched snapshot-evaluation contract:
 //! `eval_many_into` over a window is **bitwise** the same snapshots
-//! evaluated one at a time, and bitwise-invariant across pool widths
-//! {inline, 1, 2, 4, 7}. The ladder is *not* required to match the
-//! standalone evaluation bitwise (it pins the degree-13 Padé kernel);
-//! waveform-level accuracy is asserted in `matex-core` against the
-//! Trapezoidal reference instead.
+//! evaluated one at a time, every batch column is bitwise the
+//! full-`expm` per-call reference, and the batch is bitwise-invariant
+//! across pool widths {inline, 1, 2, 4, 7}. The ladder is *not*
+//! required to match the standalone evaluation bitwise (it pins the
+//! degree-13 Padé kernel); waveform-level accuracy is asserted in
+//! `matex-core` against the Trapezoidal reference instead.
 
+use matex_dense::expm;
 use matex_krylov::{build_basis_multi, ExpmParams, KrylovBasis, RationalOp, SnapshotEvaluator};
 use matex_par::ParPool;
 use matex_sparse::{CsrMatrix, LuOptions, SparseLu};
@@ -16,6 +18,12 @@ const THREADS: [usize; 4] = [1, 2, 4, 7];
 /// RC-ladder style system scaled O(1); returns a converged multi-step
 /// basis for the drawn snapshot window.
 fn window_basis(n: usize, cap_spread: f64, coupling: f64, hs: &[f64]) -> KrylovBasis {
+    capped_basis(n, cap_spread, coupling, hs, ExpmParams::default().m_max)
+}
+
+/// [`window_basis`] with the dimension capped at `m_max`: best effort
+/// when the cap binds, so snapshots beyond `hs` may reject.
+fn capped_basis(n: usize, cap_spread: f64, coupling: f64, hs: &[f64], m_max: usize) -> KrylovBasis {
     let mut ct = Vec::new();
     let mut gt = Vec::new();
     for i in 0..n {
@@ -35,6 +43,7 @@ fn window_basis(n: usize, cap_spread: f64, coupling: f64, hs: &[f64]) -> KrylovB
     let v: Vec<f64> = (0..n).map(|i| ((i * 11 % 23) as f64) - 11.0).collect();
     let params = ExpmParams {
         tol: 1e-8,
+        m_max,
         ..ExpmParams::default()
     };
     build_basis_multi(&op, &v, hs, &params).unwrap().basis
@@ -42,6 +51,22 @@ fn window_basis(n: usize, cap_spread: f64, coupling: f64, hs: &[f64]) -> KrylovB
 
 fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The per-call reference: the first column of one allocating full
+/// `expm(h·Hm)`, combined as `x += (β·cᵢ)·vᵢ` in basis order.
+fn per_call_combination(basis: &KrylovBasis, col: &[f64]) -> Vec<f64> {
+    let mut x = vec![0.0; basis.dim()];
+    for (c, v) in col.iter().zip(basis.vectors()) {
+        let w = basis.beta() * c;
+        if w == 0.0 {
+            continue;
+        }
+        for (xk, vk) in x.iter_mut().zip(v) {
+            *xk += w * vk;
+        }
+    }
+    x
 }
 
 /// One snapshot through a fresh evaluator, on the inline pool.
@@ -96,6 +121,49 @@ proptest! {
                 threads,
                 n
             );
+        }
+    }
+
+    /// Every batch column — accepted or rejected — is bitwise the
+    /// per-call full-`expm` reference, with a bitwise-equal estimate,
+    /// so the batch accepts exactly what per-call evaluation accepts.
+    /// The basis is built for the window's first snapshot under a
+    /// capped dimension, so the far end of the window rejects.
+    #[test]
+    fn batch_columns_are_bitwise_the_full_expm_reference(
+        n in 60usize..200,
+        cap_spread in 1.0f64..40.0,
+        coupling in 0.2f64..1.5,
+        h_max in 0.2f64..2.0,
+        m_max in 4usize..16,
+        k in 4usize..12,
+    ) {
+        let hs: Vec<f64> = (1..=k).map(|j| h_max * j as f64 / k as f64).collect();
+        let basis = capped_basis(n, cap_spread, coupling, &hs[..1], m_max);
+        let mut ev = SnapshotEvaluator::new();
+        ev.weights_many(&basis, &hs).unwrap();
+        let mut x = vec![0.0; n];
+        for (j, &h) in hs.iter().enumerate() {
+            match expm(&basis.hm().scaled(h)) {
+                Ok(full) => {
+                    let col = full.col(0);
+                    prop_assert_eq!(
+                        ev.estimates()[j].to_bits(),
+                        basis.residual_estimate(&col).to_bits(),
+                        "estimate diverged at h = {}",
+                        h
+                    );
+                    ev.combine_one(&basis, j, None, &mut x);
+                    prop_assert_eq!(
+                        bits(&x),
+                        bits(&per_call_combination(&basis, &col)),
+                        "snapshot diverged from the full-expm reference at h = {}",
+                        h
+                    );
+                }
+                // An overflowing projected exponential is a rejection.
+                Err(_) => prop_assert!(ev.estimates()[j].is_infinite()),
+            }
         }
     }
 

@@ -301,10 +301,12 @@ impl Inner {
         let sys = job.effective_circuit()?;
         let mut opts = job.effective_options();
         // The engine's hook reaches the solver ("core.solver.run") of
-        // every job it executes; disarmed hooks are free.
+        // every job it executes, and a distributed run's "dist.node"
+        // dispatches; disarmed hooks are free.
         opts.faults = self.opts.faults.clone();
-        // So do its spans: the solver's phase spans carry this job's id
-        // on the shared timeline. Disabled handles clone for free.
+        // So do its spans: the solver's phase spans (and a distributed
+        // run's master spans) carry this job's id on the shared
+        // timeline. Disabled handles clone for free.
         opts.obs = self.opts.obs.tagged(job_id);
         let keys = self.keys_for(job, &sys, &opts);
         let (setup, symbolic_hit, hit_path) = self.setup_for(&sys, &opts, &keys)?;
@@ -345,7 +347,6 @@ impl Inner {
                 report.plan = plan_path.as_hit();
                 let groups = plan.num_jobs();
                 let dist_opts = DistributedOptions {
-                    obs: opts.obs.clone(),
                     matex: opts,
                     strategy: *strategy,
                     workers: Some(workers.unwrap_or(self.opts.dist_workers).max(1)),
@@ -355,7 +356,6 @@ impl Inner {
                     plan: Some(plan),
                     cancel: cancel.cloned(),
                     max_node_retries: self.opts.max_node_retries,
-                    faults: self.opts.faults.clone(),
                 };
                 let run = run_distributed(&sys, &job.spec, &dist_opts)?;
                 (run.result, Some(groups))

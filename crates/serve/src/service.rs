@@ -37,7 +37,17 @@
 //! A `submit` names its circuit either inline (`"netlist"`: SPICE text,
 //! newlines escaped) or synthetically (`"pdn_nx"`/`"pdn_ny"` plus
 //! optional `pdn_loads`, `pdn_features`, `pdn_seed`, `pdn_window`), and
-//! the window via `t_stop` + `dt_out` (+ optional `t_start`). Optional
+//! the window via `t_stop` + `dt_out` (+ optional `t_start`). Counts and
+//! indices (`pdn_nx`, `pdn_ny`, `pdn_loads`, `pdn_features`, `pdn_seed`,
+//! `cap_row`, `workers`, and every `job` / `chunk`) must be non-negative
+//! integers no larger than 2^53; a synthetic grid is bounded:
+//!
+//! | bound | limit |
+//! |---|---|
+//! | `pdn_nx · pdn_ny` | `MAX_PDN_NODES` = 65,536 (256 × 256) |
+//! | `pdn_loads`, `pdn_features` | `MAX_PDN_LOADS` = 65,536 each |
+//!
+//! Anything else is answered `"code": "protocol"`. Optional
 //! scenario fields: `gamma`, `tol`, `scale`, `cap_row` + `cap_scale`
 //! (a what-if edit: scale one node's ground capacitance — served by
 //! low-rank correction of the cached base factorization when the base
@@ -467,14 +477,37 @@ fn hello_line(
 }
 
 fn job_id(req: &HashMap<String, JsonValue>) -> Result<JobId, ServeError> {
-    req.get("job")
-        .and_then(JsonValue::as_num)
-        .map(|v| v as JobId)
+    count(req, "job", MAX_COUNT)?
         .ok_or_else(|| ServeError::Protocol("request has no \"job\" id".into()))
 }
 
 fn num(req: &HashMap<String, JsonValue>, key: &str) -> Option<f64> {
     req.get(key).and_then(JsonValue::as_num)
+}
+
+/// Largest synthetic grid a `submit` may ask for, in fine-mesh nodes
+/// (`pdn_nx · pdn_ny`): one request line must not make a handler thread
+/// build an arbitrarily large netlist.
+const MAX_PDN_NODES: u64 = 1 << 16;
+
+/// Largest `pdn_loads` (and `pdn_features`) a `submit` may ask for.
+const MAX_PDN_LOADS: u64 = 1 << 16;
+
+/// Largest count or index a request may carry: the wire's numbers are
+/// `f64`s, which hold every integer up to 2^53 exactly.
+const MAX_COUNT: u64 = 1 << 53;
+
+/// A count or index field: absent, or an integer in `0..=max`. Anything
+/// else — non-finite, negative, fractional or too large — is a protocol
+/// error, never a saturating cast.
+fn count(req: &HashMap<String, JsonValue>, key: &str, max: u64) -> Result<Option<u64>, ServeError> {
+    match num(req, key) {
+        None => Ok(None),
+        Some(v) if v >= 0.0 && v.fract() == 0.0 && v <= max as f64 => Ok(Some(v as u64)),
+        Some(v) => Err(ServeError::Protocol(format!(
+            "\"{key}\" must be an integer in 0..={max}, got {v}"
+        ))),
+    }
 }
 
 fn status_line(id: JobId, state: &ServiceState) -> Result<String, ServeError> {
@@ -590,7 +623,7 @@ fn stream_payloads(
     let id = job_id(req)?;
     let out = state.engine.wait(id)?;
     let times = out.result.times();
-    let chunk = num(req, "chunk")
+    let chunk = count(req, "chunk", MAX_COUNT)?
         .map(|c| (c as usize).max(1))
         .unwrap_or(state.stream_chunk);
     let frames = times.len().div_ceil(chunk);
@@ -696,17 +729,16 @@ fn build_job(
     if let Some(k) = num(req, "scale") {
         job = job.source_scale(k);
     }
-    match (num(req, "cap_row"), num(req, "cap_scale")) {
+    match (count(req, "cap_row", MAX_COUNT)?, num(req, "cap_scale")) {
         (Some(row), Some(factor)) => {
             // Validate the row at the protocol boundary, like "rows".
-            let row = row as usize;
-            if row >= job.circuit.num_nodes() {
+            let nodes = job.circuit.num_nodes();
+            if row >= nodes as u64 {
                 return Err(ServeError::Protocol(format!(
-                    "cap_row {row} out of range for a {}-node circuit",
-                    job.circuit.num_nodes()
+                    "cap_row {row} out of range for a {nodes}-node circuit"
                 )));
             }
-            job = job.cap_scale(row, factor);
+            job = job.cap_scale(row as usize, factor);
         }
         (None, None) => {}
         _ => {
@@ -733,7 +765,7 @@ fn build_job(
         Some("dist") => {
             job = job.mode(ExecutionMode::Distributed {
                 strategy: GroupingStrategy::ByBumpFeature,
-                workers: num(req, "workers").map(|w| (w as usize).max(1)),
+                workers: count(req, "workers", MAX_COUNT)?.map(|w| (w as usize).max(1)),
             });
         }
         Some(other) => {
@@ -761,23 +793,32 @@ fn resolve_circuit(
         let sys = Arc::new(MnaSystem::assemble(&parsed.netlist)?);
         state.store_circuit(key, sys.clone());
         Ok(sys)
-    } else if let (Some(nx), Some(ny)) = (num(req, "pdn_nx"), num(req, "pdn_ny")) {
-        let loads = num(req, "pdn_loads").unwrap_or(8.0) as usize;
-        let features = num(req, "pdn_features").unwrap_or(3.0) as usize;
-        let seed = num(req, "pdn_seed").unwrap_or(1.0) as u64;
+    } else if let (Some(nx), Some(ny)) = (
+        count(req, "pdn_nx", MAX_PDN_NODES)?,
+        count(req, "pdn_ny", MAX_PDN_NODES)?,
+    ) {
+        if nx * ny > MAX_PDN_NODES {
+            return Err(ServeError::Protocol(format!(
+                "a {nx} x {ny} grid exceeds {MAX_PDN_NODES} nodes"
+            )));
+        }
+        let loads = count(req, "pdn_loads", MAX_PDN_LOADS)?.unwrap_or(8);
+        let features = count(req, "pdn_features", MAX_PDN_LOADS)?.unwrap_or(3);
+        let seed = count(req, "pdn_seed", MAX_COUNT)?.unwrap_or(1);
         let window = num(req, "pdn_window").unwrap_or(1e-9);
         h.write_u8(1);
-        for v in [nx, ny, loads as f64, features as f64, seed as f64, window] {
-            h.write_f64(v);
+        for v in [nx, ny, loads, features, seed] {
+            h.write_f64(v as f64);
         }
+        h.write_f64(window);
         let key = h.finish();
         if let Some(sys) = state.cached_circuit(key) {
             return Ok(sys);
         }
         let sys = Arc::new(
             PdnBuilder::new(nx as usize, ny as usize)
-                .num_loads(loads)
-                .num_features(features)
+                .num_loads(loads as usize)
+                .num_features(features as usize)
                 .seed(seed)
                 .window(window)
                 .build()?,
@@ -889,6 +930,179 @@ mod tests {
         // Unknown job ids carry their own stable code.
         let err = roundtrip(&mut conn, r#"{"cmd": "wait", "job": 999}"#);
         assert!(err[0].contains("\"code\": \"unknown_job\""), "{err:?}");
+        handle.stop();
+    }
+
+    #[test]
+    fn non_integral_counts_and_oversized_grids_are_protocol_errors() {
+        let (engine, handle) = start();
+        let mut conn = TcpStream::connect(handle.addr()).unwrap();
+        let grid = r#""pdn_nx": 6, "pdn_ny": 6, "t_stop": 1e-9, "dt_out": 2e-11"#;
+        for fields in [
+            format!(r#"{grid}, "cap_row": -1, "cap_scale": 2"#),
+            format!(r#"{grid}, "cap_row": 2.7, "cap_scale": 2"#),
+            r#""pdn_nx": -4, "pdn_ny": 6, "t_stop": 1e-9, "dt_out": 2e-11"#.to_string(),
+            format!(r#"{grid}, "mode": "dist", "workers": -3"#),
+            r#""pdn_nx": 1e6, "pdn_ny": 1e6, "t_stop": 1e-9, "dt_out": 2e-11"#.to_string(),
+            format!(r#"{grid}, "pdn_loads": 1e9"#),
+            format!(r#"{grid}, "pdn_seed": 1e300"#),
+        ] {
+            let err = roundtrip(&mut conn, &format!(r#"{{"cmd": "submit", {fields}}}"#));
+            assert!(
+                err[0].contains("\"code\": \"protocol\""),
+                "{fields}: {err:?}"
+            );
+        }
+        let err = roundtrip(&mut conn, r#"{"cmd": "poll", "job": -1}"#);
+        assert!(err[0].contains("\"code\": \"protocol\""), "{err:?}");
+        // None of them reached the engine; a well-formed edit still does.
+        assert_eq!(engine.stats().submitted, 0);
+        let ok = roundtrip(
+            &mut conn,
+            &format!(r#"{{"cmd": "submit", {grid}, "cap_row": 3, "cap_scale": 2}}"#),
+        );
+        assert!(ok[0].contains("\"job\": 0"), "{ok:?}");
+        handle.stop();
+    }
+
+    fn field(key: &str, v: f64) -> HashMap<String, JsonValue> {
+        HashMap::from([(key.to_string(), JsonValue::Num(v))])
+    }
+
+    fn is_protocol(r: Result<Option<u64>, ServeError>) -> bool {
+        matches!(r, Err(ServeError::Protocol(_)))
+    }
+
+    #[test]
+    fn count_reads_absent_and_integral_values() {
+        assert_eq!(count(&HashMap::new(), "job", MAX_COUNT).unwrap(), None);
+        // A non-numeric value is not a count: the field reads as absent.
+        let text = HashMap::from([("job".to_string(), JsonValue::Str("3".into()))]);
+        assert_eq!(count(&text, "job", MAX_COUNT).unwrap(), None);
+        for (v, want) in [(0.0, 0), (7.0, 7), (1e3, 1000), (65_536.0, 65_536)] {
+            assert_eq!(
+                count(&field("k", v), "k", MAX_PDN_NODES).unwrap(),
+                Some(want)
+            );
+        }
+        assert_eq!(
+            count(&field("k", MAX_COUNT as f64), "k", MAX_COUNT).unwrap(),
+            Some(MAX_COUNT)
+        );
+    }
+
+    #[test]
+    fn count_rejects_negative_values() {
+        for v in [-1.0, -3.0, -4.0, -1e300] {
+            assert!(is_protocol(count(&field("k", v), "k", MAX_COUNT)), "{v}");
+        }
+    }
+
+    #[test]
+    fn count_rejects_fractional_values() {
+        for v in [2.7, 0.5, 1e-300, 65_535.5] {
+            assert!(is_protocol(count(&field("k", v), "k", MAX_COUNT)), "{v}");
+        }
+    }
+
+    #[test]
+    fn count_rejects_non_finite_values() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(is_protocol(count(&field("k", v), "k", MAX_COUNT)), "{v}");
+        }
+    }
+
+    #[test]
+    fn count_rejects_values_above_its_bound() {
+        assert!(is_protocol(count(
+            &field("k", 65_537.0),
+            "k",
+            MAX_PDN_NODES
+        )));
+        // 2^53 + 2 is the first integer past the bound an f64 can carry.
+        assert!(is_protocol(count(
+            &field("k", (MAX_COUNT + 2) as f64),
+            "k",
+            MAX_COUNT
+        )));
+        assert!(is_protocol(count(&field("k", 1e300), "k", MAX_COUNT)));
+    }
+
+    fn state() -> ServiceState {
+        ServiceState {
+            engine: Arc::new(ScenarioEngine::new(EngineOptions {
+                executors: 1,
+                ..EngineOptions::default()
+            })),
+            circuits: Mutex::new(HashMap::new()),
+            stream_chunk: 64,
+        }
+    }
+
+    fn pdn_request(fields: &[(&str, f64)]) -> HashMap<String, JsonValue> {
+        fields
+            .iter()
+            .map(|(k, v)| ((*k).to_string(), JsonValue::Num(*v)))
+            .collect()
+    }
+
+    #[test]
+    fn grid_bounds_admit_the_benchmarks_largest_grid() {
+        // The benchmark's serve workloads submit grids up to 44 x 44 with
+        // n²/4 loads, 4 features and seeds below 2^40.
+        let n = 44.0;
+        let req = pdn_request(&[
+            ("pdn_nx", n),
+            ("pdn_ny", n),
+            ("pdn_loads", n * n / 4.0),
+            ("pdn_features", 4.0),
+            ("pdn_seed", ((1u64 << 40) - 1) as f64),
+        ]);
+        let sys = resolve_circuit(&req, &state()).unwrap();
+        assert!(sys.num_nodes() >= 44 * 44);
+        // Load generation walks sides 6 + 2g for g < 126: up to 256².
+        const { assert!(256 * 256 <= MAX_PDN_NODES) };
+    }
+
+    #[test]
+    fn grids_past_the_node_bound_are_rejected_before_building() {
+        let state = state();
+        for (nx, ny) in [(256.0, 257.0), (65_537.0, 1.0), (1.0, 65_537.0), (1e6, 1e6)] {
+            let req = pdn_request(&[("pdn_nx", nx), ("pdn_ny", ny)]);
+            assert!(
+                matches!(resolve_circuit(&req, &state), Err(ServeError::Protocol(_))),
+                "{nx} x {ny}"
+            );
+        }
+        let req = pdn_request(&[("pdn_nx", 6.0), ("pdn_ny", 6.0), ("pdn_features", 65_537.0)]);
+        assert!(matches!(
+            resolve_circuit(&req, &state),
+            Err(ServeError::Protocol(_))
+        ));
+        assert!(state.circuits.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn stream_chunks_and_job_ids_must_be_integral() {
+        let (_engine, handle) = start();
+        let mut conn = TcpStream::connect(handle.addr()).unwrap();
+        let sub = roundtrip(
+            &mut conn,
+            r#"{"cmd": "submit", "pdn_nx": 6, "pdn_ny": 6, "t_stop": 1e-9, "dt_out": 2e-11}"#,
+        );
+        assert!(sub[0].contains("\"job\": 0"), "{sub:?}");
+        for req in [
+            r#"{"cmd": "stream", "job": 0, "chunk": -5}"#,
+            r#"{"cmd": "stream", "job": 0, "chunk": 1.5}"#,
+            r#"{"cmd": "wait", "job": 0.5}"#,
+            r#"{"cmd": "cancel", "job": 1e300}"#,
+        ] {
+            let err = roundtrip(&mut conn, req);
+            assert!(err[0].contains("\"code\": \"protocol\""), "{req}: {err:?}");
+        }
+        // The job itself is untouched and streams normally.
+        let stream = roundtrip(&mut conn, r#"{"cmd": "stream", "job": 0, "chunk": 20}"#);
+        assert!(stream[0].contains("\"frames\": 3"), "{stream:?}");
         handle.stop();
     }
 

@@ -358,44 +358,6 @@ impl SparseLu {
             out[oc] = self.cscale[oc] * work[k];
         }
     }
-
-    /// Solves with iterative refinement against the original matrix.
-    ///
-    /// Performs `steps` rounds of `x ← x + A⁻¹(b − A x)`; useful on
-    /// extremely stiff systems where equilibrated pivoting still leaves a
-    /// large backward error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes are inconsistent.
-    pub fn solve_refined(&self, a: &CsrMatrix, b: &[f64], steps: usize) -> Vec<f64> {
-        let mut x = self.solve(b);
-        let mut out = vec![0.0; self.n];
-        let mut work = vec![0.0; self.n];
-        let mut resid = vec![0.0; self.n];
-        for _ in 0..steps {
-            a.matvec_into(&x, &mut resid);
-            for i in 0..self.n {
-                resid[i] = b[i] - resid[i];
-            }
-            self.solve_into(&resid, &mut out, &mut work);
-            for i in 0..self.n {
-                x[i] += out[i];
-            }
-        }
-        x
-    }
-
-    /// Maximum norm of the residual `‖A x − b‖∞ / ‖b‖∞` for diagnostics.
-    pub fn residual_norm(&self, a: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
-        let ax = a.matvec(x);
-        let num = ax
-            .iter()
-            .zip(b)
-            .fold(0.0_f64, |m, (p, q)| m.max((p - q).abs()));
-        let den = b.iter().fold(0.0_f64, |m, v| m.max(v.abs())).max(1e-300);
-        num / den
-    }
 }
 
 #[cfg(test)]
@@ -544,15 +506,51 @@ mod tests {
     }
 
     #[test]
-    fn refined_solve_improves_residual() {
+    fn plain_solve_residual_is_at_rounding_level_on_a_grid() {
         let a = grid_laplacian(8, 8);
         let n = a.nrows();
         let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
         let lu = SparseLu::factor(&a, &LuOptions::default()).unwrap();
-        let x0 = lu.solve(&b);
-        let x1 = lu.solve_refined(&a, &b, 2);
-        assert!(lu.residual_norm(&a, &x1, &b) <= lu.residual_norm(&a, &x0, &b) * 1.5);
-        assert!(lu.residual_norm(&a, &x1, &b) < 1e-12);
+        let ax = a.matvec(&lu.solve(&b));
+        let resid = ax
+            .iter()
+            .zip(&b)
+            .fold(0.0_f64, |m, (p, q)| m.max((p - q).abs()));
+        let bnorm = b.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+        assert!(resid < 1e-12 * bnorm, "{resid:.2e}");
+    }
+
+    #[test]
+    fn fill_accounting_on_a_diagonal_matrix() {
+        // No fill is possible: L holds its unit diagonal, U the pivots.
+        let a =
+            CsrMatrix::from_triplets(4, 4, &[(0, 0, 2.0), (1, 1, 3.0), (2, 2, 4.0), (3, 3, 5.0)]);
+        let lu = SparseLu::factor(&a, &LuOptions::default()).unwrap();
+        assert_eq!(lu.dim(), 4);
+        assert_eq!(lu.nnz_l(), 4);
+        assert_eq!(lu.nnz_u(), 4);
+        assert_eq!(lu.fill_factor(a.nnz()), 2.0);
+        // An empty A does not divide by zero.
+        assert_eq!(lu.fill_factor(0), 8.0);
+        for x in lu.solve(&[2.0, 3.0, 4.0, 5.0]) {
+            assert!((x - 1.0).abs() < 1e-15, "{x}");
+        }
+    }
+
+    #[test]
+    fn solve_into_overwrites_dirty_buffers() {
+        // Reused buffers hold the previous right-hand side's values (here
+        // NaN): every slot must be written before it is read.
+        let a = grid_laplacian(6, 5);
+        let n = a.nrows();
+        let lu = SparseLu::factor(&a, &LuOptions::default()).unwrap();
+        let mut out = vec![f64::NAN; n];
+        let mut work = vec![f64::NAN; n];
+        for k in 0..3 {
+            let b: Vec<f64> = (0..n).map(|i| ((i + k) as f64 * 0.4).cos()).collect();
+            lu.solve_into(&b, &mut out, &mut work);
+            assert_eq!(out, lu.solve(&b), "right-hand side {k}");
+        }
     }
 
     #[test]
