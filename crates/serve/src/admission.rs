@@ -23,7 +23,9 @@ impl ScenarioEngine {
     /// shutting down, or [`ServeError::Rejected`] — with a
     /// `retry_after` hint computed from the queued predicted cost —
     /// when the queue is at `max_queue` or the job's deadline is
-    /// already unmeetable under the calibrated cost estimates.
+    /// already unmeetable under the calibrated cost estimates;
+    /// [`ServeError::InvalidJob`] when the deadline lies beyond the
+    /// clock's range.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, ServeError> {
         let inner = &self.inner;
         if inner.shutdown.load(Ordering::Acquire) {
@@ -31,8 +33,8 @@ impl ScenarioEngine {
         }
         let now = Instant::now();
         let rec = JobRecord {
+            deadline_at: deadline_at(now, spec.deadline)?,
             units: inner.predicted_units(&spec),
-            deadline_at: spec.deadline.map(|d| now + d),
             spec,
             status: JobStatus::Queued,
             submitted_at: now,
@@ -92,6 +94,21 @@ impl ScenarioEngine {
         inner.queue_cv.notify_one();
         Ok(id)
     }
+}
+
+/// The absolute deadline `now + deadline`, or [`ServeError::InvalidJob`]
+/// when it lies beyond what the clock can represent.
+pub(crate) fn deadline_at(
+    now: Instant,
+    deadline: Option<Duration>,
+) -> Result<Option<Instant>, ServeError> {
+    deadline
+        .map(|d| {
+            now.checked_add(d).ok_or_else(|| {
+                ServeError::InvalidJob(format!("deadline {d:?} is beyond the clock's range"))
+            })
+        })
+        .transpose()
 }
 
 impl Inner {

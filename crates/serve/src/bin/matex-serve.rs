@@ -5,7 +5,6 @@
 //!                   [--store-dir PATH] [--obs]
 //! matex-serve load  --addr HOST:PORT [--clients 4] [--jobs 5] [--grids 2]
 //!                   [--mode scale|whatif|burst|heavytail|slowreader]
-//!                   [--frames json|binary|mixed]
 //!                   [--deadline-ms MS] [--frame-delay-ms MS]
 //!                   [--trace-out PATH]
 //! ```
@@ -18,11 +17,8 @@
 //! the run that populated the store. `load` drives `--clients`
 //! concurrent connections through `--jobs` repetitions over `--grids`
 //! distinct synthetic PDN circuits and prints throughput, latency
-//! percentiles, rejection rate, bytes on the wire per frame encoding,
-//! and the cross-client determinism verdict. `--frames` picks the frame
-//! encoding clients negotiate: `json` (protocol v1, the default),
-//! `binary` (protocol v2 `hello` handshake), or `mixed` (clients
-//! alternate — the cross-encoding determinism check). Modes:
+//! percentiles, rejection rate, stream bytes on the wire, and the
+//! cross-client determinism verdict. Modes:
 //!
 //! * `scale` — each grid's sequence is a base job plus source-scale
 //!   variants (the cache-friendly fleet workload).
@@ -50,8 +46,7 @@
 //! the client observed; client latency quantiles are also printed.
 
 use matex_serve::{
-    run_load, serve, EngineOptions, FrameMode, LoadJob, LoadMode, LoadSpec, ScenarioEngine,
-    ServiceOptions,
+    run_load, serve, EngineOptions, LoadJob, LoadMode, LoadSpec, ScenarioEngine, ServiceOptions,
 };
 use matex_store::ArtifactStore;
 use std::process::ExitCode;
@@ -134,7 +129,6 @@ fn cmd_load(mut args: impl Iterator<Item = String>) -> ExitCode {
     let mut jobs_per_grid = 5usize;
     let mut grids = 2usize;
     let mut mode = "scale".to_string();
-    let mut frames = "json".to_string();
     let mut deadline_ms: Option<f64> = None;
     let mut frame_delay_ms = 5.0f64;
     let mut retries = 0usize;
@@ -147,7 +141,6 @@ fn cmd_load(mut args: impl Iterator<Item = String>) -> ExitCode {
             "--jobs" => jobs_per_grid = take(&mut args, "--jobs").parse().expect("--jobs N"),
             "--grids" => grids = take(&mut args, "--grids").parse().expect("--grids N"),
             "--mode" => mode = take(&mut args, "--mode"),
-            "--frames" => frames = take(&mut args, "--frames"),
             "--deadline-ms" => {
                 deadline_ms = Some(
                     take(&mut args, "--deadline-ms")
@@ -175,15 +168,6 @@ fn cmd_load(mut args: impl Iterator<Item = String>) -> ExitCode {
         eprintln!("--mode must be scale, whatif, burst, heavytail, or slowreader, got {mode:?}");
         return ExitCode::from(2);
     }
-    let frame_modes = match frames.as_str() {
-        "json" => vec![FrameMode::Json],
-        "binary" => vec![FrameMode::Binary],
-        "mixed" => vec![FrameMode::Json, FrameMode::Binary],
-        other => {
-            eprintln!("--frames must be json, binary, or mixed, got {other:?}");
-            return ExitCode::from(2);
-        }
-    };
     // `grids` distinct structures, `jobs_per_grid` scenario variations
     // each — the repeated-structure workload the cache exists for. In
     // whatif mode, the variations are small cap edits instead of source
@@ -244,7 +228,6 @@ fn cmd_load(mut args: impl Iterator<Item = String>) -> ExitCode {
     match run_load(
         &LoadSpec::new(addr, clients, jobs)
             .mode(load_mode)
-            .frames(frame_modes)
             .retries(retries)
             .obs(client_obs.clone()),
     ) {
@@ -267,19 +250,7 @@ fn cmd_load(mut args: impl Iterator<Item = String>) -> ExitCode {
             if r.retries > 0 || r.reconnects > 0 {
                 println!("retries {}  reconnects {}", r.retries, r.reconnects);
             }
-            println!(
-                "stream bytes  json {}  binary {}{}",
-                r.json_bytes,
-                r.binary_bytes,
-                if r.json_bytes > 0 && r.binary_bytes > 0 {
-                    format!(
-                        "  (binary saves {:.1}x)",
-                        r.json_bytes as f64 / r.binary_bytes as f64
-                    )
-                } else {
-                    String::new()
-                }
-            );
+            println!("stream bytes {}", r.stream_bytes);
             if mode == "whatif" {
                 println!("whatif hits {}  rate {:.2}", r.whatif_hits, r.whatif_rate());
             }

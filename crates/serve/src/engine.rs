@@ -353,11 +353,13 @@ impl ScenarioEngine {
     ///
     /// # Errors
     ///
-    /// Propagates circuit/solver/distributed failures.
+    /// Propagates circuit/solver/distributed failures;
+    /// [`ServeError::InvalidJob`] when the deadline lies beyond the
+    /// clock's range.
     pub fn run(&self, spec: &JobSpec) -> Result<JobOutcome, ServeError> {
+        let deadline_at = crate::admission::deadline_at(Instant::now(), spec.deadline)?;
         let id = self.inner.lock_table().draw_id();
         self.inner.counters.count(Counter::Submitted, 1);
-        let deadline_at = spec.deadline.map(|d| Instant::now() + d);
         let out = self.inner.admit_and_execute(spec, deadline_at, None, id);
         self.inner.note_result(&out);
         out

@@ -284,6 +284,42 @@ mod tests {
     }
 
     #[test]
+    fn every_truncation_and_utf8_bit_flip_of_a_request_parses_or_errors() {
+        use crate::loadgen::{LoadJob, HELLO};
+        use crate::Priority;
+        let netlist = LoadJob::netlist("i1 0 a PULSE(0 1m 0.1n 50p 200p 50p)\nr1 a 0 1k\n.end")
+            .scaled(1.25)
+            .cap_scaled(1, 2.0)
+            .priority(Priority::High)
+            .deadline_ms(40.0);
+        let lines = [
+            HELLO.to_string(),
+            LoadJob::pdn(6, 6, 8, 3, 1).submit_line(),
+            netlist.submit_line(),
+            "{\"cmd\": \"stream\", \"job\": 12}".to_string(),
+        ];
+        for line in &lines {
+            // The pristine lines parse; what follows must never panic.
+            parse_flat_json(line).unwrap();
+            let bytes = line.as_bytes();
+            for cut in 0..bytes.len() {
+                if let Ok(text) = std::str::from_utf8(&bytes[..cut]) {
+                    let _ = parse_flat_json(text);
+                }
+            }
+            for pos in 0..bytes.len() {
+                for bit in 0..8 {
+                    let mut bad = bytes.to_vec();
+                    bad[pos] ^= 1 << bit;
+                    if let Ok(text) = std::str::from_utf8(&bad) {
+                        let _ = parse_flat_json(text);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn unicode_escapes_decode() {
         // Raw UTF-8 passthrough and \uXXXX escapes both decode.
         let m = parse_flat_json("{\"s\": \"Aé\", \"t\": \"A\\u00e9\"}").unwrap();

@@ -16,15 +16,13 @@
 //!   group plans per source fingerprint), admission-controlled over a
 //!   fixed thread budget ([`matex_par::ThreadBudget`]) so concurrent
 //!   jobs never oversubscribe the host,
-//! * [`serve`] / [`ServiceHandle`] — a versioned TCP front end
-//!   (hello / submit / poll / wait / stream / stats) over
-//!   [`std::net::TcpListener`]: JSON-lines protocol v1 by default, with
-//!   a `hello` capability handshake upgrading a connection to protocol
-//!   v2's length-prefixed binary waveform frames
-//!   ([`matex_waveform::WaveFrame`]),
+//! * [`serve`] / [`ServiceHandle`] — a TCP front end (hello / submit /
+//!   poll / wait / stream / stats) over [`std::net::TcpListener`]:
+//!   JSON-lines requests and control responses, with waveforms streamed
+//!   as length-prefixed binary [`matex_waveform::WaveFrame`] records,
 //! * [`run_load`] — a load generator measuring throughput, latency
-//!   percentiles, bytes-on-wire per frame encoding, and cross-client
-//!   (and cross-encoding) determinism.
+//!   percentiles, stream bytes on the wire, and cross-client
+//!   determinism.
 //!
 //! Pointing [`EngineOptions::store`] at a [`matex_store::ArtifactStore`]
 //! directory persists every computed artifact: a restarted engine
@@ -81,7 +79,7 @@ pub use job::{
     JobStatus, ScenarioOverrides, ScenarioOverridesBuilder,
 };
 pub use json::{parse_flat_json, JsonValue};
-pub use loadgen::{run_load, FrameMode, LoadJob, LoadMode, LoadReport, LoadSpec};
+pub use loadgen::{run_load, LoadJob, LoadMode, LoadReport, LoadSpec};
 pub use service::{serve, ServiceHandle, ServiceOptions, ServiceOptionsBuilder};
 pub use stats::EngineStats;
 

@@ -1,4 +1,4 @@
-//! The TCP front end: JSON-lines requests, versioned responses.
+//! The TCP front end: JSON-lines requests, binary waveform frames.
 //!
 //! One request per line, one-or-more responses per request, every
 //! response carrying the unified envelope fields `"ok"` (bool) and
@@ -9,30 +9,26 @@
 //!
 //! | request | response |
 //! |---|---|
-//! | `{"cmd":"hello","proto":2,"frames":"binary"\|"json"}` | `{"ok":true,"code":"ok","proto":P,"max_proto":2,"frames":...}` — negotiates the connection's protocol and frame encoding |
+//! | `{"cmd":"hello","proto":2,"frames":"binary"}` | `{"ok":true,"code":"ok","proto":2,"max_proto":2,"frames":"binary"}` — a version check: `proto` ≥ 2, `frames` absent or `"binary"` |
 //! | `{"cmd":"submit", ...}` | `{"ok":true,"code":"ok","job":N}` — or a rejection (below) |
 //! | `{"cmd":"poll","job":N}` | `{"ok":true,"code":"ok","job":N,"state":"queued\|running\|done\|failed\|cancelled",...}` |
 //! | `{"cmd":"wait","job":N}` | as `poll`, but blocks until resolved |
 //! | `{"cmd":"cancel","job":N}` | `{"ok":true,"code":"ok","job":N,"state":...}` — queued jobs drop, running jobs stop at the next step |
-//! | `{"cmd":"stream","job":N}` | a meta line, then `frames` waveform chunks in the negotiated encoding |
+//! | `{"cmd":"stream","job":N}` | a meta line, then `frames` binary waveform records |
 //! | `{"cmd":"stats"}` | engine counters (overload: `rejected`, `cancelled`, `deadline_misses`, `queue_depth`; store: `store_hits`, `store_writes`) and cache sizes — plus `job_p50_us`/`p90`/`p99` and `queue_wait_p50_us`/`p90`/`p99` histogram quantiles when the engine runs with observability enabled |
 //! | `{"cmd":"metrics"}` | `{"ok":true,"code":"ok","lines":N}`, then `N` raw Prometheus text-exposition lines from the engine's [`matex_obs`] recorder (comment-only page when observability is disabled) |
 //! | `{"cmd":"trace"}` | `{"ok":true,"code":"ok","events":[...]}` — the Chrome-trace event array (concatenable with a client's own events into one `chrome://tracing` timeline) |
 //!
-//! # Protocol versions and frame encodings
+//! # Wire format
 //!
-//! Every connection starts in **protocol v1**: streamed waveform chunks
-//! are JSON text lines, exactly as older clients expect (v1 clients
-//! never send `hello` and notice nothing). A client that sends
-//! `{"cmd":"hello","proto":2,"frames":"binary"}` switches the
-//! connection to **binary frames**: each `stream` response is still a
-//! JSON meta line (with `"encoding": "binary"`), followed by `frames`
-//! length-prefixed [`matex_waveform::WaveFrame`] records carrying raw
-//! little-endian `f64` bit patterns — the same values the JSON `{v:e}`
-//! formatting round-trips, at a fraction of the bytes. The decoded
-//! content of both encodings is identical (the canonical
-//! [`matex_waveform::WaveFrame::content_hash`] is encoding-independent),
-//! so mixed v1/v2 fleets can compare waveforms hash for hash.
+//! Requests and control responses are JSON lines. A `stream` response
+//! is one JSON meta line (with `"encoding": "binary"`) followed by
+//! `frames` length-prefixed [`matex_waveform::WaveFrame`] records
+//! carrying raw little-endian `f64` bit patterns. That is the only
+//! waveform framing, on every connection, whether or not it sent
+//! `hello`: the handshake changes no connection state, it only lets a
+//! client confirm the server speaks protocol 2. Protocol 1 and its JSON
+//! text frames are retired; asking for them is a `"protocol"` error.
 //!
 //! A `submit` names its circuit either inline (`"netlist"`: SPICE text,
 //! newlines escaped) or synthetically (`"pdn_nx"`/`"pdn_ny"` plus
@@ -73,9 +69,9 @@
 //!
 //! Responses to distinct requests never interleave on one connection;
 //! `stream` waveform frames are chunked so a client can process arrival
-//! by arrival. All numbers are emitted with full round-trip precision —
-//! two clients streaming the same job sequence receive byte-identical
-//! frame lines (the determinism check `run_load` performs).
+//! by arrival. Frames carry the exact `f64` bits — two clients streaming
+//! the same job sequence receive byte-identical records (the
+//! determinism check `run_load` performs).
 
 use crate::job::{ExecutionMode, JobSpec, JobStatus};
 use crate::json::{escape, parse_flat_json, JsonValue};
@@ -287,29 +283,20 @@ impl ServiceState {
     }
 }
 
-/// Flush cadence for multi-line responses: bounds the per-connection
-/// write buffer to a handful of frame lines, and surfaces a stalled
-/// peer (blocked flush + write timeout) early instead of after the
-/// whole response was materialized into the writer.
+/// Flush cadence for multi-part responses: bounds the per-connection
+/// write buffer to a handful of lines or frame records, and surfaces a
+/// stalled peer (blocked flush + write timeout) early instead of after
+/// the whole response was materialized into the writer.
 const FLUSH_EVERY_LINES: usize = 8;
 
-/// The highest protocol version this server speaks.
-const MAX_PROTO: u32 = 2;
+/// The only protocol version this server speaks.
+const PROTO: u64 = 2;
 
-/// One response unit: a JSON text line, or (protocol v2, binary frames
-/// negotiated) a length-prefixed binary record written verbatim.
+/// One response unit: a JSON text line, or a length-prefixed binary
+/// [`WaveFrame`] record written verbatim.
 enum Payload {
     Line(String),
     Bytes(Vec<u8>),
-}
-
-/// Per-connection negotiated state (the `hello` handshake mutates it;
-/// everything else reads it).
-#[derive(Default)]
-struct ConnState {
-    /// Stream waveform chunks as binary [`WaveFrame`] records instead
-    /// of JSON text lines.
-    frames_binary: bool,
 }
 
 /// Flushes the connection writer, timing the flush into the engine's
@@ -337,14 +324,13 @@ fn handle_connection(stream: TcpStream, state: &ServiceState) {
         Err(_) => return,
     });
     let mut writer = BufWriter::new(stream);
-    let mut conn = ConnState::default();
     let obs = state.engine.obs().clone();
     for line in reader.lines() {
         let Ok(line) = line else { break };
         if line.trim().is_empty() {
             continue;
         }
-        let responses = match handle_request(&line, state, &mut conn) {
+        let responses = match handle_request(&line, state) {
             Ok(payloads) => payloads,
             Err(e) => vec![Payload::Line(error_line(&e))],
         };
@@ -388,18 +374,14 @@ fn error_line(e: &ServeError) -> String {
     }
 }
 
-fn handle_request(
-    line: &str,
-    state: &ServiceState,
-    conn: &mut ConnState,
-) -> Result<Vec<Payload>, ServeError> {
+fn handle_request(line: &str, state: &ServiceState) -> Result<Vec<Payload>, ServeError> {
     let req = parse_flat_json(line).map_err(ServeError::Protocol)?;
     let cmd = req
         .get("cmd")
         .and_then(JsonValue::as_str)
         .ok_or_else(|| ServeError::Protocol("request has no \"cmd\"".into()))?;
     match cmd {
-        "hello" => Ok(vec![Payload::Line(hello_line(&req, conn)?)]),
+        "hello" => Ok(vec![Payload::Line(hello_line(&req)?)]),
         "submit" => {
             let spec = build_job(&req, state)?;
             let id = state.engine.submit(spec)?;
@@ -427,7 +409,7 @@ fn handle_request(
             state.engine.cancel(id).ok_or(ServeError::UnknownJob(id))?;
             Ok(vec![Payload::Line(status_line(id, state)?)])
         }
-        "stream" => stream_payloads(&req, state, conn),
+        "stream" => stream_payloads(&req, state),
         "stats" => Ok(vec![Payload::Line(stats_line(state))]),
         "metrics" => Ok(metrics_payloads(state)),
         "trace" => Ok(vec![Payload::Line(format!(
@@ -438,41 +420,33 @@ fn handle_request(
     }
 }
 
-/// The capability handshake: the client announces the protocol version
-/// and frame encoding it wants; the server answers with what it
-/// granted. Binary frames require protocol ≥ 2; unknown encodings are
-/// protocol errors (the connection stays on its current negotiation).
-fn hello_line(
-    req: &HashMap<String, JsonValue>,
-    conn: &mut ConnState,
-) -> Result<String, ServeError> {
-    let proto = num(req, "proto").unwrap_or(1.0) as u32;
-    if proto == 0 {
-        return Err(ServeError::Protocol("\"proto\" must be >= 1".into()));
+/// The handshake, a stateless version check: the client names the
+/// highest protocol it speaks (an integer ≥ 2) and may name the frame
+/// encoding (`"binary"`, the only one). Every connection streams binary
+/// frames whether or not it says hello.
+fn hello_line(req: &HashMap<String, JsonValue>) -> Result<String, ServeError> {
+    let proto = count(req, "proto", u32::MAX.into())?.unwrap_or(1);
+    if proto < PROTO {
+        return Err(ServeError::Protocol(format!(
+            "protocol {proto} is not served (protocol 1 and its JSON waveform frames \
+             are retired); send \"proto\": {PROTO}"
+        )));
     }
-    let frames = req
-        .get("frames")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("json");
-    let binary = match frames {
-        "json" => false,
-        "binary" if proto >= 2 => true,
-        "binary" => {
+    match req.get("frames").and_then(JsonValue::as_str) {
+        None | Some("binary") => {}
+        Some("json") => {
             return Err(ServeError::Protocol(
-                "binary frames require \"proto\": 2".into(),
+                "JSON waveform frames are retired: streams are binary WaveFrame records".into(),
             ))
         }
-        other => {
+        Some(other) => {
             return Err(ServeError::Protocol(format!(
                 "unknown frame encoding {other:?}"
             )))
         }
-    };
-    conn.frames_binary = binary;
+    }
     Ok(format!(
-        "{{\"ok\": true, \"code\": \"ok\", \"proto\": {}, \"max_proto\": {MAX_PROTO}, \"frames\": \"{}\"}}",
-        proto.min(MAX_PROTO),
-        if binary { "binary" } else { "json" }
+        "{{\"ok\": true, \"code\": \"ok\", \"proto\": {PROTO}, \"max_proto\": {PROTO}, \"frames\": \"binary\"}}"
     ))
 }
 
@@ -611,14 +585,11 @@ fn stats_line(state: &ServiceState) -> String {
     line
 }
 
-/// Emits a stream response: one meta line, then chunked waveform frames
-/// covering the whole sampled window — JSON text lines (protocol v1,
-/// the default) or length-prefixed binary [`WaveFrame`] records when
-/// the connection negotiated them.
+/// Emits a stream response: one meta line, then length-prefixed binary
+/// [`WaveFrame`] records covering the whole sampled window.
 fn stream_payloads(
     req: &HashMap<String, JsonValue>,
     state: &ServiceState,
-    conn: &ConnState,
 ) -> Result<Vec<Payload>, ServeError> {
     let id = job_id(req)?;
     let out = state.engine.wait(id)?;
@@ -630,10 +601,9 @@ fn stream_payloads(
     let mut payloads = Vec::with_capacity(frames + 1);
     payloads.push(Payload::Line(format!(
         "{{\"ok\": true, \"code\": \"ok\", \"job\": {id}, \"frames\": {frames}, \
-         \"rows\": {}, \"points\": {}, \"encoding\": \"{}\"}}",
+         \"rows\": {}, \"points\": {}, \"encoding\": \"binary\"}}",
         out.result.rows().len(),
         times.len(),
-        if conn.frames_binary { "binary" } else { "json" },
     )));
     for f in 0..frames {
         let start = f * chunk;
@@ -643,50 +613,20 @@ fn stream_payloads(
         // makes frame bytes comparable across clients (two clients
         // running the same job sequence receive identical frames even
         // though their engine-assigned ids differ).
-        if conn.frames_binary {
-            let wf = WaveFrame {
-                frame: f as u64,
-                start: start as u64,
-                times: times[start..end].to_vec(),
-                series: out
-                    .result
-                    .series()
-                    .iter()
-                    .map(|s| s[start..end].to_vec())
-                    .collect(),
-            };
-            payloads.push(Payload::Bytes(wf.encode()));
-            continue;
-        }
-        let mut line = format!(
-            "{{\"ok\": true, \"frame\": {f}, \"start\": {start}, \"count\": {}, \"times\": [",
-            end - start,
-        );
-        push_floats(&mut line, &times[start..end]);
-        line.push_str("], \"series\": [");
-        for (k, series) in out.result.series().iter().enumerate() {
-            if k > 0 {
-                line.push(',');
-            }
-            line.push('[');
-            push_floats(&mut line, &series[start..end]);
-            line.push(']');
-        }
-        line.push_str("]}");
-        payloads.push(Payload::Line(line));
+        let wf = WaveFrame {
+            frame: f as u64,
+            start: start as u64,
+            times: times[start..end].to_vec(),
+            series: out
+                .result
+                .series()
+                .iter()
+                .map(|s| s[start..end].to_vec())
+                .collect(),
+        };
+        payloads.push(Payload::Bytes(wf.encode()));
     }
     Ok(payloads)
-}
-
-/// Appends comma-separated floats with round-trip precision (the exact
-/// bytes are part of the cross-client determinism contract).
-fn push_floats(line: &mut String, values: &[f64]) {
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        line.push_str(&format!("{v:e}"));
-    }
 }
 
 /// Builds a [`JobSpec`] from a flat `submit` request.
@@ -758,7 +698,9 @@ fn build_job(
                 "\"deadline_ms\" must be a positive number, got {ms}"
             )));
         }
-        job = job.deadline(Duration::from_secs_f64(ms / 1e3));
+        let d = Duration::try_from_secs_f64(ms / 1e3)
+            .map_err(|_| ServeError::Protocol(format!("\"deadline_ms\" {ms} is out of range")))?;
+        job = job.deadline(d);
     }
     match req.get("mode").and_then(JsonValue::as_str) {
         None | Some("mono") => {}
@@ -836,7 +778,7 @@ fn resolve_circuit(
 mod tests {
     use super::*;
     use crate::EngineOptions;
-    use std::io::BufRead;
+    use std::io::{BufRead, Read};
 
     fn start() -> (Arc<ScenarioEngine>, ServiceHandle) {
         let engine = Arc::new(ScenarioEngine::new(EngineOptions {
@@ -847,29 +789,45 @@ mod tests {
         (engine, handle)
     }
 
-    fn roundtrip(stream: &mut TcpStream, req: &str) -> Vec<String> {
+    /// Sends one request and reads its whole response: the reply line,
+    /// then — when it announces a numeric `"frames"` count, as a
+    /// `stream` meta line does — that many binary records, each kept
+    /// whole (length prefix included).
+    fn exchange(stream: &mut TcpStream, req: &str) -> (Vec<String>, Vec<Vec<u8>>) {
         let mut w = stream.try_clone().unwrap();
         writeln!(w, "{req}").unwrap();
         w.flush().unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut first = String::new();
         reader.read_line(&mut first).unwrap();
-        let mut lines = vec![first.trim_end().to_string()];
-        // Stream responses announce their frame count up front. (A
-        // hello ack also has a "frames" field, but a non-numeric one.)
-        if let Some(at) = lines[0].find("\"frames\": ") {
-            let rest = &lines[0][at + 10..];
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            let n: usize = rest[..end].parse().unwrap_or(0);
-            for _ in 0..n {
-                let mut line = String::new();
-                reader.read_line(&mut line).unwrap();
-                lines.push(line.trim_end().to_string());
-            }
-        }
-        lines
+        let line = first.trim_end().to_string();
+        // A hello ack's "frames" is a string, not a count.
+        let frames = parse_flat_json(&line)
+            .ok()
+            .and_then(|r| r.get("frames")?.as_num())
+            .unwrap_or(0.0) as usize;
+        let records = (0..frames)
+            .map(|_| {
+                let mut record = vec![0u8; 8];
+                reader.read_exact(&mut record).unwrap();
+                let (len, _) = WaveFrame::decode_len(&record).unwrap();
+                record.resize(8 + len, 0);
+                reader.read_exact(&mut record[8..]).unwrap();
+                record
+            })
+            .collect();
+        (vec![line], records)
+    }
+
+    /// [`exchange`] for requests whose records the test ignores.
+    fn roundtrip(stream: &mut TcpStream, req: &str) -> Vec<String> {
+        exchange(stream, req).0
+    }
+
+    fn decode(record: &[u8]) -> WaveFrame {
+        let (len, _) = WaveFrame::decode_len(&record[..8]).unwrap();
+        assert_eq!(8 + len, record.len());
+        WaveFrame::decode_payload(&record[8..]).unwrap()
     }
 
     #[test]
@@ -884,10 +842,16 @@ mod tests {
         assert!(sub[0].contains("\"job\": 0"));
         let wait = roundtrip(&mut conn, r#"{"cmd": "wait", "job": 0}"#);
         assert!(wait[0].contains("\"state\": \"done\""), "{wait:?}");
-        let stream = roundtrip(&mut conn, r#"{"cmd": "stream", "job": 0, "chunk": 20}"#);
-        assert!(stream[0].contains("\"frames\": 3")); // 51 points / 20
-        assert_eq!(stream.len(), 4);
-        assert!(stream[1].contains("\"times\": [0e0,"));
+        let (meta, records) = exchange(&mut conn, r#"{"cmd": "stream", "job": 0, "chunk": 20}"#);
+        assert!(meta[0].contains("\"frames\": 3"), "{meta:?}"); // 51 points / 20
+        assert!(meta[0].contains("\"encoding\": \"binary\""), "{meta:?}");
+        let frames: Vec<WaveFrame> = records.iter().map(|r| decode(r)).collect();
+        let shape: Vec<_> = frames
+            .iter()
+            .map(|f| (f.frame, f.start, f.rows(), f.count()))
+            .collect();
+        assert_eq!(shape, [(0, 0, 2, 20), (1, 20, 2, 20), (2, 40, 2, 11)]);
+        assert_eq!(frames[0].times[0], 0.0);
         let stats = roundtrip(&mut conn, r#"{"cmd": "stats"}"#);
         assert!(stats[0].contains("\"completed\": 1"), "{stats:?}");
         handle.stop();
@@ -962,6 +926,51 @@ mod tests {
             &format!(r#"{{"cmd": "submit", {grid}, "cap_row": 3, "cap_scale": 2}}"#),
         );
         assert!(ok[0].contains("\"job\": 0"), "{ok:?}");
+        handle.stop();
+    }
+
+    #[test]
+    fn out_of_range_deadlines_and_protocol_versions_are_errors_not_panics() {
+        let (engine, handle) = start();
+        let mut conn = TcpStream::connect(handle.addr()).unwrap();
+        let grid = r#""pdn_nx": 6, "pdn_ny": 6, "t_stop": 1e-9, "dt_out": 2e-11"#;
+        for (req, code) in [
+            // Past `Duration`'s range.
+            (
+                format!(r#"{{"cmd": "submit", {grid}, "deadline_ms": 1e300}}"#),
+                "protocol",
+            ),
+            // A `Duration`, but past the clock's range once added to now.
+            (
+                format!(r#"{{"cmd": "submit", {grid}, "deadline_ms": 1e22}}"#),
+                "invalid_job",
+            ),
+            (r#"{"cmd": "hello", "proto": 2.5}"#.into(), "protocol"),
+            (
+                r#"{"cmd": "hello", "proto": 4294967296}"#.into(),
+                "protocol",
+            ),
+        ] {
+            let err = roundtrip(&mut conn, &req);
+            assert!(
+                err[0].contains(&format!("\"code\": \"{code}\"")),
+                "{req}: {err:?}"
+            );
+        }
+        let stats = roundtrip(&mut conn, r#"{"cmd": "stats"}"#);
+        assert!(stats[0].contains("\"submitted\": 0"), "{stats:?}");
+        // In process: the same refusal from `submit` and from `run`.
+        let job = JobSpec::new(
+            Arc::new(PdnBuilder::new(6, 6).build().unwrap()),
+            TransientSpec::new(0.0, 1e-9, 2e-11).unwrap(),
+        )
+        .deadline(Duration::MAX);
+        assert!(matches!(
+            engine.submit(job.clone()),
+            Err(ServeError::InvalidJob(_))
+        ));
+        assert!(matches!(engine.run(&job), Err(ServeError::InvalidJob(_))));
+        assert_eq!(engine.stats().submitted, 0);
         handle.stop();
     }
 
@@ -1182,99 +1191,94 @@ mod tests {
     }
 
     #[test]
-    fn hello_negotiates_binary_frames_bitwise_equal_to_json() {
-        use matex_waveform::Fnv64;
-        use std::io::Read;
+    fn hello_is_a_version_check_and_every_connection_streams_the_same_bytes() {
+        use matex_core::{MatexOptions, MatexSolver, TransientEngine};
         let (_engine, handle) = start();
+        let stream_job = r#"{"cmd": "stream", "job": 0, "chunk": 20}"#;
 
-        // Protocol v1 client (no hello): JSON frames, as always.
-        let mut v1 = TcpStream::connect(handle.addr()).unwrap();
+        // A client that never says hello.
+        let mut bare = TcpStream::connect(handle.addr()).unwrap();
         let sub = roundtrip(
-            &mut v1,
+            &mut bare,
             r#"{"cmd": "submit", "pdn_nx": 6, "pdn_ny": 6, "t_stop": 1e-9, "dt_out": 2e-11, "rows": "0,1,2"}"#,
         );
         assert!(sub[0].contains("\"code\": \"ok\""), "{sub:?}");
-        roundtrip(&mut v1, r#"{"cmd": "wait", "job": 0}"#);
-        let json_stream = roundtrip(&mut v1, r#"{"cmd": "stream", "job": 0, "chunk": 20}"#);
+        roundtrip(&mut bare, r#"{"cmd": "wait", "job": 0}"#);
+        let (bare_meta, bare_records) = exchange(&mut bare, stream_job);
         assert!(
-            json_stream[0].contains("\"encoding\": \"json\""),
-            "{}",
-            json_stream[0]
+            bare_meta[0].contains("\"encoding\": \"binary\""),
+            "{bare_meta:?}"
         );
-        let json_bytes: usize = json_stream[1..].iter().map(|l| l.len() + 1).sum();
-        // Decode the text frames back to canonical content: the floats
-        // are printed with round-trip precision, so this is bit-exact.
-        let mut json_hash = Fnv64::new();
-        for line in &json_stream[1..] {
-            crate::loadgen::parse_json_frame(line)
-                .unwrap_or_else(|| panic!("unparseable frame {line}"))
-                .feed(&mut json_hash);
-        }
 
-        // Protocol v2 client: hello upgrades the connection to binary.
-        let mut v2 = TcpStream::connect(handle.addr()).unwrap();
+        // A client that says hello first gets the same bytes. A newer
+        // client is granted protocol 2, and `frames` may be left out.
+        let mut greeted = TcpStream::connect(handle.addr()).unwrap();
         let ack = roundtrip(
-            &mut v2,
+            &mut greeted,
             r#"{"cmd": "hello", "proto": 2, "frames": "binary"}"#,
         );
-        assert!(
-            ack[0].contains("\"frames\": \"binary\"") && ack[0].contains("\"max_proto\": 2"),
-            "{ack:?}"
+        let granted =
+            r#"{"ok": true, "code": "ok", "proto": 2, "max_proto": 2, "frames": "binary"}"#;
+        assert_eq!(ack, [granted]);
+        assert_eq!(
+            roundtrip(&mut greeted, r#"{"cmd": "hello", "proto": 3}"#),
+            [granted]
         );
-        let mut w = v2.try_clone().unwrap();
-        writeln!(w, r#"{{"cmd": "stream", "job": 0, "chunk": 20}}"#).unwrap();
-        w.flush().unwrap();
-        let mut reader = BufReader::new(v2.try_clone().unwrap());
-        let mut meta = String::new();
-        reader.read_line(&mut meta).unwrap();
-        assert!(meta.contains("\"encoding\": \"binary\""), "{meta}");
-        let frames: usize = {
-            let at = meta.find("\"frames\": ").unwrap() + 10;
-            meta[at..at + 1].parse().unwrap()
-        };
-        let mut bin_bytes = 0usize;
-        let mut bin_hash = Fnv64::new();
-        for _ in 0..frames {
-            let mut prefix = [0u8; 8];
-            reader.read_exact(&mut prefix).unwrap();
-            let (len, _) = WaveFrame::decode_len(&prefix).unwrap();
-            let mut payload = vec![0u8; len];
-            reader.read_exact(&mut payload).unwrap();
-            bin_bytes += 8 + len;
-            WaveFrame::decode_payload(&payload)
-                .unwrap()
-                .feed(&mut bin_hash);
-        }
-        // Same floats bit for bit through either encoding, with binary
-        // at least halving the wire.
-        assert_eq!(json_hash.finish(), bin_hash.finish());
-        assert!(
-            bin_bytes * 2 <= json_bytes,
-            "json {json_bytes} vs binary {bin_bytes}"
+        assert_eq!(
+            exchange(&mut greeted, stream_job),
+            (bare_meta.clone(), bare_records.clone())
         );
-        // The upgraded connection still speaks JSON for control verbs.
-        let stats = roundtrip(&mut v2, r#"{"cmd": "stats"}"#);
-        assert!(stats[0].contains("\"store_hits\": 0"), "{stats:?}");
 
-        // Bad handshakes: binary needs proto >= 2; unknown encodings
-        // and proto 0 are refused. The connection survives all three.
-        let mut v3 = TcpStream::connect(handle.addr()).unwrap();
-        let err = roundtrip(
-            &mut v3,
-            r#"{"cmd": "hello", "proto": 1, "frames": "binary"}"#,
-        );
-        assert!(err[0].contains("\"code\": \"protocol\""), "{err:?}");
-        let err = roundtrip(
-            &mut v3,
+        // Those frames are the standalone solver's waveform, bit for bit.
+        let sys = PdnBuilder::new(6, 6)
+            .num_loads(8)
+            .num_features(3)
+            .seed(1)
+            .window(1e-9)
+            .build()
+            .unwrap();
+        let spec = TransientSpec::new(0.0, 1e-9, 2e-11)
+            .unwrap()
+            .observing(vec![0, 1, 2]);
+        let alone = MatexSolver::new(MatexOptions::default())
+            .run(&sys, &spec)
+            .unwrap();
+        let (times, series) = (alone.times(), alone.series());
+        let mut want = Fnv64::new();
+        for (f, start) in (0..times.len()).step_by(20).enumerate() {
+            let end = (start + 20).min(times.len());
+            WaveFrame {
+                frame: f as u64,
+                start: start as u64,
+                times: times[start..end].to_vec(),
+                series: series.iter().map(|s| s[start..end].to_vec()).collect(),
+            }
+            .feed(&mut want);
+        }
+        let mut got = Fnv64::new();
+        for r in &bare_records {
+            decode(r).feed(&mut got);
+        }
+        assert_eq!(got.finish(), want.finish());
+
+        // Refused handshakes are protocol errors; the connection that
+        // sent them still streams the same bytes afterwards.
+        for req in [
+            r#"{"cmd": "hello", "proto": 0}"#,
+            r#"{"cmd": "hello", "proto": 1}"#,
+            r#"{"cmd": "hello", "proto": 2.5}"#,
+            r#"{"cmd": "hello", "proto": 2, "frames": "json"}"#,
             r#"{"cmd": "hello", "proto": 2, "frames": "morse"}"#,
-        );
-        assert!(err[0].contains("\"code\": \"protocol\""), "{err:?}");
-        let err = roundtrip(&mut v3, r#"{"cmd": "hello", "proto": 0}"#);
-        assert!(err[0].contains("\"code\": \"protocol\""), "{err:?}");
-        let ok = roundtrip(&mut v3, r#"{"cmd": "hello", "proto": 1}"#);
-        assert!(
-            ok[0].contains("\"frames\": \"json\"") && ok[0].contains("\"proto\": 1"),
-            "{ok:?}"
+        ] {
+            let err = roundtrip(&mut greeted, req);
+            assert!(err[0].contains("\"code\": \"protocol\""), "{req}: {err:?}");
+            if req.contains("\"proto\": 1") || req.contains("json") {
+                assert!(err[0].contains("retired"), "{req}: {err:?}");
+            }
+        }
+        assert_eq!(
+            exchange(&mut greeted, stream_job),
+            (bare_meta, bare_records)
         );
         handle.stop();
     }

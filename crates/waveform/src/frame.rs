@@ -1,19 +1,15 @@
-//! Binary waveform stream frames (wire protocol v2).
+//! Binary waveform stream frames: the service's only waveform framing.
 //!
-//! Protocol v1 streams waveform chunks as JSON text lines; the `{v:e}`
-//! float formatting round-trips every `f64` bit pattern but costs ~3x
-//! the bytes of the raw values. A [`WaveFrame`] is the shared frame
-//! model for both encodings, and this module's binary codec is the v2
-//! alternative a client negotiates with the `hello` handshake:
-//! a little-endian length prefix followed by a fixed header and the raw
-//! `f64` bit patterns of the chunk.
+//! A `stream` response carries each chunk of a waveform as one
+//! [`WaveFrame`] record: a little-endian length prefix followed by a
+//! fixed header and the raw `f64` bit patterns of the chunk, so every
+//! value arrives bit for bit with no decimal printing.
 //!
-//! Frames deliberately carry no job id (matching the v1 JSON frames),
-//! so two clients streaming the same waveform can compare frame hashes
-//! byte for byte. [`WaveFrame::content_hash`] feeds the *decoded*
-//! content — header fields and value bits — into an [`Fnv64`], so the
-//! hash is a pure function of the waveform chunk, identical across the
-//! JSON and binary encodings.
+//! Frames deliberately carry no job id, so two clients streaming the
+//! same waveform can compare frames byte for byte.
+//! [`WaveFrame::content_hash`] feeds the *decoded* content — header
+//! fields and value bits — into an [`Fnv64`], so the hash is a pure
+//! function of the waveform chunk.
 //!
 //! ```text
 //! [payload_len: u64 LE]
@@ -125,7 +121,9 @@ impl WaveFrame {
     ///
     /// # Errors
     ///
-    /// [`FrameError`] when the payload size disagrees with its header.
+    /// [`FrameError`] when the payload size disagrees with its header
+    /// (including a header whose promised size overflows), or when a
+    /// frame without points claims rows.
     pub fn decode_payload(buf: &[u8]) -> Result<WaveFrame, FrameError> {
         if buf.len() < 32 {
             return Err(FrameError("frame header truncated".into()));
@@ -134,15 +132,26 @@ impl WaveFrame {
             |i: usize| u64::from_le_bytes(buf[8 * i..8 * i + 8].try_into().expect("8 bytes"));
         let frame = u64_at(0);
         let start = u64_at(1);
-        let rows = u64_at(2) as usize;
-        let count = u64_at(3) as usize;
-        let expect = 8 * (4 + count + rows.checked_mul(count).unwrap_or(usize::MAX / 16));
-        if buf.len() != expect {
+        let (rows, count) = (u64_at(2), u64_at(3));
+        // 8 bytes for each of the 4 header words, `count` times and
+        // `rows × count` values.
+        let expect = rows
+            .checked_add(1)
+            .and_then(|r| r.checked_mul(count))
+            .and_then(|v| v.checked_add(4))
+            .and_then(|w| w.checked_mul(8));
+        if expect != Some(buf.len() as u64) {
             return Err(FrameError(format!(
-                "frame payload is {} bytes, header promises {expect}",
+                "frame payload is {} bytes, header promises {rows} rows x {count} points",
                 buf.len()
             )));
         }
+        // Empty rows cost no bytes, so only a frame with points may
+        // have them: `rows` then stays below `buf.len() / 8`.
+        if count == 0 && rows > 0 {
+            return Err(FrameError(format!("frame has {rows} rows but no points")));
+        }
+        let (rows, count) = (rows as usize, count as usize);
         let f64_at = |i: usize| f64::from_bits(u64_at(i));
         let times: Vec<f64> = (4..4 + count).map(f64_at).collect();
         let series: Vec<Vec<f64>> = (0..rows)
@@ -160,8 +169,7 @@ impl WaveFrame {
     }
 
     /// The canonical FNV-1a content hash of the decoded frame: header
-    /// fields, then time and value bit patterns. Both wire encodings of
-    /// one chunk hash identically.
+    /// fields, then time and value bit patterns.
     pub fn content_hash(&self) -> u64 {
         let mut h = Fnv64::new();
         self.feed(&mut h);
@@ -216,44 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_is_at_least_2x_smaller_than_json_e_format() {
-        // The acceptance criterion in miniature: the `{v:e}` text form
-        // of a typical waveform chunk is ≥ 2x the binary bytes.
-        let f = WaveFrame {
-            frame: 0,
-            start: 0,
-            times: (0..32).map(|i| i as f64 * 2.4e-11).collect(),
-            // Full-precision doubles, as a solve produces them — not
-            // short decimal literals that happen to format compactly.
-            series: vec![
-                (0..32)
-                    .map(|i| 1.8 * (0.3 + i as f64 * 0.07).sin())
-                    .collect();
-                4
-            ],
-        };
-        let binary = f.encode().len();
-        let mut json = String::from("{\"ok\": true, \"frame\": 0, \"start\": 0, \"times\": [");
-        for t in &f.times {
-            json.push_str(&format!("{t:e},"));
-        }
-        json.push_str("], \"series\": [");
-        for row in &f.series {
-            json.push('[');
-            for v in row {
-                json.push_str(&format!("{v:e},"));
-            }
-            json.push_str("],");
-        }
-        json.push_str("]}");
-        assert!(
-            json.len() >= 2 * binary,
-            "json {} vs binary {binary}",
-            json.len()
-        );
-    }
-
-    #[test]
     fn truncation_and_size_lies_are_errors() {
         let bytes = sample().encode();
         assert!(WaveFrame::decode_len(&bytes[..4]).is_err());
@@ -262,6 +232,72 @@ mod tests {
         // An absurd length prefix is rejected before any read.
         let huge = (u64::MAX / 2).to_le_bytes();
         assert!(WaveFrame::decode_len(&huge).is_err());
+        // Headers whose promised size overflows, or wraps around to
+        // the buffer's own size, or that claim rows without points.
+        for (rows, count) in [
+            (0, 1 << 62),
+            (0, u64::MAX - 2),
+            (1, 1 << 63),
+            (u64::MAX, 1),
+            (1 << 61, 1 << 3),
+            (1 << 62, 0),
+            (u64::MAX, 0),
+        ] {
+            let mut header = vec![0u8; 32];
+            header[16..24].copy_from_slice(&rows.to_le_bytes());
+            header[24..32].copy_from_slice(&count.to_le_bytes());
+            let mut record = (header.len() as u64).to_le_bytes().to_vec();
+            record.extend_from_slice(&header);
+            assert_eq!(record.len(), 40);
+            let (len, _) = WaveFrame::decode_len(&record[..8]).unwrap();
+            assert!(
+                WaveFrame::decode_payload(&record[8..8 + len]).is_err(),
+                "{rows} rows x {count} points"
+            );
+        }
+    }
+
+    /// Feeds `bytes` through the decoder the way a client reads the
+    /// wire; every input must decode or fail with a [`FrameError`],
+    /// and a decoded frame holds no more values than its payload has
+    /// 8-byte words.
+    fn decode_checked(bytes: &[u8]) {
+        let Ok((len, _)) = WaveFrame::decode_len(bytes) else {
+            return;
+        };
+        for payload in [bytes.get(8..8 + len), bytes.get(8..)]
+            .into_iter()
+            .flatten()
+        {
+            if let Ok(f) = WaveFrame::decode_payload(payload) {
+                let values = f.count() * (1 + f.rows());
+                assert!(values <= payload.len() / 8, "{values} values");
+                assert!(f.rows() <= payload.len() / 8, "{} rows", f.rows());
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_every_bit_flip_decodes_or_errors() {
+        let pristine = WaveFrame {
+            frame: 5,
+            start: 160,
+            times: (0..7).map(|i| i as f64 * 2e-11).collect(),
+            series: (0..3)
+                .map(|r| (0..7).map(|i| (r * 7 + i) as f64 * 0.125).collect())
+                .collect(),
+        }
+        .encode();
+        for cut in 0..=pristine.len() {
+            decode_checked(&pristine[..cut]);
+        }
+        for pos in 0..pristine.len() {
+            for bit in 0..8 {
+                let mut bad = pristine.clone();
+                bad[pos] ^= 1 << bit;
+                decode_checked(&bad);
+            }
+        }
     }
 
     #[test]
