@@ -33,7 +33,6 @@
 use crate::engine::InputEval;
 use crate::SolveStats;
 use matex_circuit::MnaSystem;
-use matex_par::ParPool;
 use matex_sparse::{SmwUpdate, SparseLu};
 
 /// Precomputed input terms for one linear interval `[t0, t1]`, plus the
@@ -110,18 +109,16 @@ impl IntervalTerms {
         t1: f64,
         stats: &mut SolveStats,
     ) {
-        self.recompute_corrected(sys, lu_g, input, t0, t1, stats, ParPool::inline(), None);
+        self.recompute_corrected(sys, lu_g, input, t0, t1, stats, None);
     }
 
-    /// [`IntervalTerms::recompute`] with the `C·qd` mat-vec on `pool`
-    /// (bitwise identical at every width, and still allocation-free:
-    /// the pool dispatches through a pre-allocated job slot) and an
-    /// optional Sherman–Morrison–Woodbury correction built against
-    /// `lu_g`: each of the (up to three) substitution pairs is followed
-    /// by [`SmwUpdate::correct_in_place`], so the terms come out for the
+    /// [`IntervalTerms::recompute`] with an optional
+    /// Sherman–Morrison–Woodbury correction built against `lu_g`: each
+    /// of the (up to three) substitution pairs is followed by
+    /// [`SmwUpdate::correct_in_place`], so the terms come out for the
     /// *edited* `G` without refactoring — the what-if fast path. The
     /// correction's fixed evaluation order keeps the result bitwise
-    /// identical across repeat calls and pool widths.
+    /// identical across repeat calls.
     ///
     /// # Panics
     ///
@@ -135,7 +132,6 @@ impl IntervalTerms {
         t0: f64,
         t1: f64,
         stats: &mut SolveStats,
-        pool: &ParPool,
         smw: Option<&SmwUpdate>,
     ) {
         assert!(t1 > t0, "interval must have positive length");
@@ -163,7 +159,7 @@ impl IntervalTerms {
             // qd = G⁻¹ u̇-term, r = G⁻¹ C qd.
             solve(&self.rhs, &mut self.qd, &mut self.work);
             stats.substitution_pairs += 1;
-            sys.c().matvec_into_par(&self.qd, &mut self.rhs, pool);
+            sys.c().matvec_into(&self.qd, &mut self.rhs);
             solve(&self.rhs, &mut self.r, &mut self.work);
             stats.substitution_pairs += 1;
         }

@@ -30,7 +30,6 @@ use matex_krylov::{
     build_basis_multi, ExpmParams, InvertedOp, KrylovBasis, KrylovError, KrylovKind, KrylovOp,
     RationalOp, SnapshotEvaluator, StandardOp,
 };
-use matex_par::ParPool;
 use matex_waveform::SpotSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -137,7 +136,6 @@ pub struct MatexSolver {
     symbolic: Option<Arc<MatexSymbolic>>,
     setup: Option<Arc<MatexSetup>>,
     dc: Option<Arc<Vec<f64>>>,
-    pool: Option<Arc<ParPool>>,
     cancel: Option<CancelToken>,
 }
 
@@ -151,7 +149,6 @@ impl MatexSolver {
             symbolic: None,
             setup: None,
             dc: None,
-            pool: None,
             cancel: None,
         }
     }
@@ -204,18 +201,6 @@ impl MatexSolver {
     /// value and source fingerprints).
     pub fn with_dc(mut self, x0: Arc<Vec<f64>>) -> Self {
         self.dc = Some(x0);
-        self
-    }
-
-    /// Runs this solver's intra-node kernels — the Krylov phase's
-    /// mat-vecs, Gram–Schmidt orthogonalization and snapshot
-    /// combinations — on the given pool. Without one they run on
-    /// [`ParPool::inline`], the same tiled kernels on the caller.
-    ///
-    /// Results are **bitwise-invariant in the pool width**, with or
-    /// without a pool (see `matex_par`'s determinism contract).
-    pub fn with_parallelism(mut self, pool: Arc<ParPool>) -> Self {
-        self.pool = Some(pool);
         self
     }
 
@@ -346,18 +331,16 @@ impl TransientEngine for MatexSolver {
             self.opts.obs.observe("solver_dc_seconds", stats.dc_time);
         }
 
-        let pool: &ParPool = self.pool.as_deref().unwrap_or(ParPool::inline());
         let op_holder = match self.opts.kind {
             KrylovKind::Standard => {
-                let mut op = StandardOp::new(setup.lu_x1().expect("lu(C) present"), sys.g())
-                    .with_parallelism(pool);
+                let mut op = StandardOp::new(setup.lu_x1().expect("lu(C) present"), sys.g());
                 if let Some(smw) = setup.smw_x1() {
                     op = op.with_correction(smw);
                 }
                 OpHolder::Std(op)
             }
             KrylovKind::Inverted => {
-                let mut op = InvertedOp::new(lu_g, sys.c()).with_parallelism(pool);
+                let mut op = InvertedOp::new(lu_g, sys.c());
                 if let Some(smw) = setup.smw_g() {
                     op = op.with_correction(smw);
                 }
@@ -368,8 +351,7 @@ impl TransientEngine for MatexSolver {
                     setup.lu_x1().expect("lu(C+γG) present"),
                     sys.c(),
                     self.opts.gamma,
-                )
-                .with_parallelism(pool);
+                );
                 if let Some(smw) = setup.smw_x1() {
                     op = op.with_correction(smw);
                 }
@@ -404,7 +386,7 @@ impl TransientEngine for MatexSolver {
         let mut basis: Option<KrylovBasis> = None;
         let mut x_final = anchor_x.clone();
         // Batched snapshot evaluation: one weight batch (`T_H`) and one
-        // pooled combination (`T_e`) cover every eval time of a window;
+        // tiled combination (`T_e`) cover every eval time of a window;
         // the evaluator owns all scratch, so the whole eval path is
         // allocation-free after warm-up (see tests/alloc_free.rs).
         let mut evaluator = SnapshotEvaluator::new();
@@ -421,7 +403,7 @@ impl TransientEngine for MatexSolver {
         let mut rounds = 0usize;
         // Batch width, doubling after each fully accepted chunk and
         // resetting on any rejection or anchor change: an all-pass
-        // window quickly amortizes to wide pooled combinations, while a
+        // window quickly amortizes to wide combinations, while a
         // window that sub-steps never wastes more than half of its
         // evaluated prefix on to-be-discarded weight columns.
         let mut chunk_size = 1usize;
@@ -446,7 +428,6 @@ impl TransientEngine for MatexSolver {
                     anchor_t,
                     win_end,
                     &mut stats,
-                    pool,
                     setup.smw_g(),
                 );
                 terms_valid = true;
@@ -531,7 +512,7 @@ impl TransientEngine for MatexSolver {
 
             // Batch every eval time of the current window: they all
             // evaluate from the same anchor, so one weight batch + one
-            // pooled combination covers them. A non-finite projected
+            // tiled combination covers them. A non-finite projected
             // exponential (overflow from a sign-flipped Ritz artifact at
             // long reuse distances) surfaces as an ∞ estimate: force
             // sub-stepping, exactly like the per-call path did.
@@ -559,7 +540,7 @@ impl TransientEngine for MatexSolver {
             if accepted > 0 {
                 let t0 = Instant::now();
                 xbatch.resize(accepted * n, 0.0);
-                evaluator.combine_into(b, accepted, Some(pool), &mut xbatch);
+                evaluator.combine_into(b, accepted, None, &mut xbatch);
                 for j in 0..accepted {
                     terms.p_into(hs_batch[j], &mut pbuf);
                     for (x, p) in xbatch[j * n..(j + 1) * n].iter_mut().zip(&pbuf) {
@@ -630,7 +611,7 @@ impl TransientEngine for MatexSolver {
                     // The ladder's own full-step value passes: accept it.
                     let t0 = Instant::now();
                     xbatch.resize(n, 0.0);
-                    evaluator.combine_rung(b, 0, Some(pool), &mut xbatch[..n]);
+                    evaluator.combine_rung(b, 0, None, &mut xbatch[..n]);
                     terms.p_into(h_f, &mut pbuf);
                     for (x, p) in xbatch[..n].iter_mut().zip(&pbuf) {
                         *x -= p;
@@ -659,7 +640,7 @@ impl TransientEngine for MatexSolver {
                     let hs = h_f * 0.5_f64.powi(s as i32);
                     let t0 = Instant::now();
                     xbatch.resize(n, 0.0);
-                    evaluator.combine_rung(b, s, Some(pool), &mut xbatch[..n]);
+                    evaluator.combine_rung(b, s, None, &mut xbatch[..n]);
                     terms.p_into(hs, &mut pbuf);
                     for (x, p) in xbatch[..n].iter_mut().zip(&pbuf) {
                         *x -= p;
@@ -684,7 +665,7 @@ impl TransientEngine for MatexSolver {
                     }
                     let t0 = Instant::now();
                     xbatch.resize(n, 0.0);
-                    evaluator.combine_one(b, batch_col, Some(pool), &mut xbatch[..n]);
+                    evaluator.combine_one(b, batch_col, None, &mut xbatch[..n]);
                     terms.p_into(h_f, &mut pbuf);
                     for (x, p) in xbatch[..n].iter_mut().zip(&pbuf) {
                         *x -= p;
@@ -755,8 +736,8 @@ impl TransientEngine for MatexSolver {
 }
 
 /// Widest snapshot batch one weight/combination round may cover: bounds
-/// the `n × MAX_BATCH` output staging buffer while keeping the pooled
-/// combination wide enough to amortize dispatch.
+/// the `n × MAX_BATCH` output staging buffer while keeping the
+/// combination wide enough to amortize each round's fixed cost.
 const MAX_BATCH: usize = 32;
 
 /// Acceptance bookkeeping shared by every evaluation path: counts the
@@ -990,43 +971,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_less_run_matches_every_pool_width_bitwise() {
-        // The determinism contract at the solver level: a run without a
-        // pool (the inline one-thread pool) produces bit for bit the
-        // waveform of every pool width, on every variant. An RLC grid,
-        // so the Krylov bases are deep enough for the orthogonalization
-        // order to show in the last bits.
-        let sys = matex_circuit::PdnBuilder::new(4, 4)
-            .num_loads(4)
-            .num_features(2)
-            .window(1e-9)
-            .pad_inductance(1e-11)
-            .build()
-            .unwrap();
-        let spec = TransientSpec::new(0.0, 1e-9, 2e-11).unwrap();
-        for kind in [
-            KrylovKind::Rational,
-            KrylovKind::Inverted,
-            KrylovKind::Standard,
-        ] {
-            let opts = MatexOptions::new(kind);
-            let reference = MatexSolver::new(opts.clone()).run(&sys, &spec).unwrap();
-            for threads in [1usize, 2, 4] {
-                let run = MatexSolver::new(opts.clone())
-                    .with_parallelism(Arc::new(ParPool::new(threads)))
-                    .run(&sys, &spec)
-                    .unwrap();
-                assert_eq!(
-                    reference.series(),
-                    run.series(),
-                    "{kind:?}: {threads}-thread waveform diverged from the pool-less run"
-                );
-                assert_eq!(reference.final_state(), run.final_state());
-            }
-        }
-    }
-
-    #[test]
     fn ladder_substeps_engage_and_waveform_stays_accurate() {
         // Force the sub-step path with an RLC grid (oscillatory modes)
         // and a deliberately starved basis budget: the squaring ladder
@@ -1064,7 +1008,7 @@ mod tests {
     fn injected_setup_and_dc_are_bitwise_identical() {
         // The setup/run split contract: a shared MatexSetup (with or
         // without a cached DC solution) yields bit-for-bit the waveform
-        // of a self-preparing run, for every variant, pooled or not.
+        // of a self-preparing run, for every variant.
         let sys = pulsed_rc();
         let spec = TransientSpec::new(0.0, 1e-9, 1e-11).unwrap();
         for kind in [
@@ -1091,13 +1035,6 @@ mod tests {
                 .run(&sys, &spec)
                 .unwrap();
             assert_eq!(fresh.series(), with_dc.series(), "{kind:?} with DC");
-            // One setup serves every pool width.
-            let pooled_reused = MatexSolver::new(opts.clone())
-                .with_setup(setup)
-                .with_parallelism(Arc::new(ParPool::new(2)))
-                .run(&sys, &spec)
-                .unwrap();
-            assert_eq!(fresh.series(), pooled_reused.series());
             // Mismatched setups are rejected, not silently used.
             let wrong = Arc::new(
                 MatexSetup::prepare(&sys, &MatexOptions::default().gamma(3e-10), None, false)

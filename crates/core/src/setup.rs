@@ -5,9 +5,8 @@
 //! transient loop — factoring `G`, factoring the variant's `X1` matrix
 //! (`C + γG` for R-MATEX, a regularized `C` for MEXP) — depends only on
 //! the system matrices and `(kind, γ)`, never on the source waveforms,
-//! the time window, the source mask, the tolerances, or the kernel pool
-//! width. A [`MatexSetup`] captures exactly that prefix as an immutable
-//! artifact:
+//! the time window, the source mask, or the tolerances. A
+//! [`MatexSetup`] captures exactly that prefix as an immutable artifact:
 //!
 //! * a solver prepares one internally when none is injected (the
 //!   historical behavior, bit for bit),
@@ -32,8 +31,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The immutable, shareable preparation of a MATEX run: factors of `G`
-/// and the variant matrix. One setup serves runs at every kernel pool
-/// width.
+/// and the variant matrix.
 ///
 /// # Example
 ///
@@ -94,9 +92,9 @@ impl MatexSetup {
     ///
     /// With a shared `symbolic` analysis the factorizations become
     /// numeric replays (counted in [`MatexSetup::refactorizations`]).
-    /// `with_schedules` is ignored: every pool width runs the same
-    /// column solve against the factors, so there is nothing extra to
-    /// build. It stays for existing callers.
+    /// `with_schedules` is ignored: every run uses the one column solve
+    /// against the factors, so there is nothing extra to build. It
+    /// stays for existing callers.
     ///
     /// # Errors
     ///
@@ -178,8 +176,7 @@ impl MatexSetup {
     /// Costs `O(rank)` substitution pairs against `base`'s cached
     /// factors plus one `rank × rank` dense factorization; evaluation
     /// order is fixed, so corrected solves are bitwise-deterministic
-    /// across repeat runs and (via the pool-invariant base
-    /// substitutions) thread counts.
+    /// across repeat runs.
     ///
     /// # Errors
     ///

@@ -100,41 +100,6 @@ fn interval_terms_recompute_is_allocation_free_after_warmup() {
 }
 
 #[test]
-fn pooled_recompute_is_also_allocation_free() {
-    // A wider pool must stay allocation-free on the submitting thread
-    // too: the pool dispatches through a pre-allocated job slot and the
-    // solve reuses the same `work` scratch. (The counter is
-    // thread-local, so this measures exactly the hot path's own
-    // allocations.)
-    let sys = pulsed_rc();
-    let lu_g = SparseLu::factor(sys.g(), &LuOptions::default()).unwrap();
-    let pool = matex_par::ParPool::new(2);
-    let input = InputEval::new(&sys);
-    let mut stats = SolveStats::default();
-    let mut terms = IntervalTerms::new(sys.dim(), input.num_sources());
-    let mut recompute = |t0, t1, stats: &mut SolveStats| {
-        terms.recompute_corrected(&sys, &lu_g, &input, t0, t1, stats, &pool, None)
-    };
-    recompute(1.1e-10, 1.4e-10, &mut stats);
-    recompute(5e-10, 6e-10, &mut stats);
-
-    let before = allocations_so_far();
-    for k in 0..100 {
-        let (t0, t1) = if k % 2 == 0 {
-            (1.05e-10, 1.45e-10)
-        } else {
-            (6e-10, 8e-10)
-        };
-        recompute(t0, t1, &mut stats);
-    }
-    let allocated = allocations_so_far() - before;
-    assert_eq!(
-        allocated, 0,
-        "pooled substitution hot path allocated {allocated} times in 100 warm recomputes"
-    );
-}
-
-#[test]
 fn snapshot_evaluation_hot_path_is_allocation_free_after_warmup() {
     // The ISSUE 4 criterion: the whole snapshot-evaluation path —
     // batched weights (`T_H`), the sub-step squaring ladder, pooled and

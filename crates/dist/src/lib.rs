@@ -15,12 +15,13 @@
 //!   analysis, one numeric factorization of `G` and `C + γG`; the node
 //!   matrices are identical, so no node ever factors), schedule onto a
 //!   worker pool (longest-processing-time order over a
-//!   [`std::thread::scope`]), run one masked solver per group against
-//!   the shared immutable system and setup, and **stream** each
-//!   finished node's
-//!   samples into the combined result in the fixed, worker-independent
-//!   schedule order — numerics bitwise independent of the worker count,
-//!   peak memory independent of the group count,
+//!   [`std::thread::scope`]; each node runs serially on its worker —
+//!   the workers are the only parallelism), run one masked solver per
+//!   group against the shared immutable system and setup, and
+//!   **stream** each finished node's samples into the combined result
+//!   in the fixed, worker-independent schedule order — numerics bitwise
+//!   independent of the worker count, peak memory independent of the
+//!   group count,
 //! * [`DistributedRun`] — the combined result plus per-node accounting
 //!   ([`NodeRun`]) and the paper's one-instance-per-node makespan
 //!   emulation, matching Table 3's `trmatex` / `tr_total` columns

@@ -1,6 +1,5 @@
 use crate::GroupPlan;
 use matex_core::{CancelToken, MatexOptions, MatexSetup, MatexSymbolic};
-use matex_par::ParOptions;
 use matex_waveform::GroupingStrategy;
 use std::sync::Arc;
 
@@ -34,15 +33,6 @@ pub struct DistributedOptions {
     /// `Some(1)` emulates the paper's dedicated-node cluster faithfully
     /// (every node's wall time is uncontended).
     pub workers: Option<usize>,
-    /// Intra-node kernel parallelism (the total `MATEX_THREADS` budget,
-    /// at least 1; unset means 1). The budget is divided across the
-    /// active workers — every worker gets a pool of
-    /// `max(1, total / workers)` threads for its nodes — so a distributed
-    /// run never oversubscribes the host. Every width runs the same
-    /// kernels and node numerics are bitwise-invariant in both the worker
-    /// count and the per-node budget, so neither ever changes the
-    /// superposed waveform.
-    pub par: ParOptions,
     /// A pre-built symbolic analysis for the master's one preparation.
     /// `None` (default) analyzes on the master; `Some` skips the
     /// master's analysis (nothing per node — nodes never factor).
@@ -84,7 +74,6 @@ impl Default for DistributedOptions {
             matex: MatexOptions::default(),
             strategy: GroupingStrategy::default(),
             workers: None,
-            par: ParOptions::default(),
             symbolic: None,
             setup: None,
             plan: None,

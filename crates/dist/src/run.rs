@@ -8,7 +8,6 @@ use matex_core::{
     panic_message, CoreError, FaultKind, MatexSetup, MatexSolver, MatexSymbolic, SolveStats,
     TransientEngine, TransientResult, TransientSpec,
 };
-use matex_par::ParPool;
 use matex_waveform::SpotSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -221,15 +220,6 @@ pub fn run_distributed(
         .max(1)
         .min(jobs.len());
 
-    // Nested-parallelism policy: one total kernel-thread budget
-    // (`MATEX_THREADS` / `opts.par`, 1 when unset), divided across the
-    // active workers so node-level and kernel-level parallelism compose
-    // without oversubscribing. Each worker owns one pool for all the
-    // nodes it runs. Kernel results are bitwise-invariant in the pool
-    // width, so the division (and the worker count) never changes the
-    // waveform.
-    let kernel_budget = (opts.par.resolve() / workers).max(1);
-
     // One preparation per run, on the master: the matrices are identical
     // across nodes (masking only selects input columns), so every node
     // marches from the same factors. An injected setup is used as is; an
@@ -291,7 +281,6 @@ pub fn run_distributed(
         for w in 0..workers {
             let tx = tx.clone();
             scope.spawn(move || {
-                let pool = Arc::new(ParPool::new(kernel_budget));
                 let (queue, available) = work;
                 loop {
                     // Take a retry if one is queued, else advance the LPT
@@ -346,7 +335,7 @@ pub fn run_distributed(
                             }
                             None => {}
                         }
-                        run_node(sys, spec, opts, &jobs[j], setup.clone(), pool.clone())
+                        run_node(sys, spec, opts, &jobs[j], setup.clone())
                     }))
                     .unwrap_or_else(|payload| Err(CoreError::Panicked(panic_message(&*payload))));
                     node_span.label("ok", if outcome.is_ok() { "1" } else { "0" });
@@ -488,14 +477,12 @@ fn run_node(
     opts: &DistributedOptions,
     job: &PlanJob,
     setup: Arc<MatexSetup>,
-    pool: Arc<ParPool>,
 ) -> NodeOutcome {
     let t0 = Instant::now();
     let mut solver = MatexSolver::new(opts.matex.clone())
         .with_source_mask(job.members.clone())
         .with_lts(job.lts.clone())
-        .with_setup(setup)
-        .with_parallelism(pool);
+        .with_setup(setup);
     if let Some(token) = &opts.cancel {
         solver = solver.with_cancel(token.clone());
     }
@@ -640,12 +627,11 @@ mod tests {
     }
 
     #[test]
-    fn kernel_budget_never_changes_the_waveform() {
-        // The nested-parallelism contract: any MATEX_THREADS budget —
-        // unset included — at any worker count splitting it produces
-        // bitwise-identical superposed results. An RLC grid, so the
-        // Krylov bases are deep enough for the orthogonalization order
-        // to show in the last bits.
+    fn worker_count_never_changes_an_rlc_waveform() {
+        // Nodes run serially on whichever worker takes them and superpose
+        // in schedule order, so the worker count cannot move a bit. An
+        // RLC grid, so the Krylov bases are deep enough for any change
+        // in arithmetic order to show in the last bits.
         let sys = PdnBuilder::new(6, 6)
             .num_loads(8)
             .num_features(3)
@@ -654,25 +640,23 @@ mod tests {
             .build()
             .expect("grid builds");
         let spec = TransientSpec::new(0.0, 1e-9, 2e-11).unwrap();
-        let run_with = |threads: Option<usize>, workers: usize| {
+        let run_with = |workers: usize| {
             let opts = DistributedOptions {
-                par: matex_par::ParOptions { threads },
                 workers: Some(workers),
                 ..DistributedOptions::default()
             };
             run_distributed(&sys, &spec, &opts).unwrap()
         };
-        let reference = run_with(None, 1);
-        for threads in [None, Some(1), Some(2)] {
-            for workers in [1, 2] {
-                let run = run_with(threads, workers);
-                assert_eq!(
-                    reference.result.series(),
-                    run.result.series(),
-                    "budget {threads:?} / workers {workers} changed the waveform"
-                );
-                assert_eq!(reference.result.final_state(), run.result.final_state());
-            }
+        let reference = run_with(1);
+        assert_eq!(reference.num_groups(), 4);
+        for workers in [2, 3, 4] {
+            let run = run_with(workers);
+            assert_eq!(
+                reference.result.series(),
+                run.result.series(),
+                "{workers} workers changed the waveform"
+            );
+            assert_eq!(reference.result.final_state(), run.result.final_state());
         }
     }
 

@@ -2,23 +2,22 @@
 
 use crate::{KrylovError, KrylovOp};
 use matex_dense::DMat;
+use matex_par::ParPool;
 
 /// An incrementally extensible Arnoldi factorization
 /// `Op·V_m = V_m·Ĥ_m + ĥ_{m+1,m}·v_{m+1}·e_mᵀ`.
 ///
-/// Orthogonalizes with a **fused, tiled classical Gram–Schmidt** on the
-/// operator's pool ([`KrylovOp::pool`]): each pass computes all
-/// projection coefficients in one dispatch ([`matex_par::multi_dot`])
-/// and removes them in a second ([`matex_par::subtract_combination`]).
-/// With two passes (`reorth`, on by default — stiff PDN systems quickly
-/// lose orthogonality without it) this is the classical
+/// Orthogonalizes with a **fused, tiled classical Gram–Schmidt** run
+/// inline ([`ParPool::inline`]): each pass computes all projection
+/// coefficients in one sweep ([`matex_par::multi_dot`]) and removes them
+/// in a second ([`matex_par::subtract_combination`]). With two passes
+/// (`reorth`, on by default — stiff PDN systems quickly lose
+/// orthogonality without it) this is the classical
 /// "CGS2/twice-is-enough" scheme, numerically equivalent to MGS with
-/// re-orthogonalization but with `O(m)` pool dispatches per step instead
-/// of `O(m²)`. The tiled reductions make the result bitwise-invariant in
-/// the pool width (`MATEX_THREADS` ∈ {unset, 1, 2, …} all agree
-/// exactly). The basis can be *extended* after a convergence check
-/// fails, which is how the solver grows `m` without restarting (Alg. 1
-/// lines 10–12).
+/// re-orthogonalization but with `O(m)` kernel calls per step instead of
+/// `O(m²)`. The fixed tile boundaries set the arithmetic order. The
+/// basis can be *extended* after a convergence check fails, which is how
+/// the solver grows `m` without restarting (Alg. 1 lines 10–12).
 pub struct Arnoldi<'a> {
     op: &'a dyn KrylovOp,
     beta: f64,
@@ -48,9 +47,8 @@ impl<'a> Arnoldi<'a> {
         if v.iter().any(|x| !x.is_finite()) {
             return Err(KrylovError::NotFinite { step: 0 });
         }
-        // β comes from the tiled norm so the whole process is invariant
-        // in the pool width.
-        let beta = matex_par::norm2(op.pool(), v);
+        // β comes from the same tiled norm as every later column.
+        let beta = matex_par::norm2(ParPool::inline(), v);
         if beta == 0.0 {
             return Err(KrylovError::ZeroStartVector);
         }
@@ -97,11 +95,11 @@ impl<'a> Arnoldi<'a> {
         if w.iter().any(|x| !x.is_finite()) {
             return Err(KrylovError::NotFinite { step: j + 1 });
         }
-        let pool = self.op.pool();
+        let pool = ParPool::inline();
         let mut hcol = vec![0.0; j + 2];
         let w_scale = matex_par::norm2(pool, &w);
         // Fused classical Gram–Schmidt: all coefficients in one tiled
-        // dispatch, all projections removed in a second.
+        // sweep, all projections removed in a second.
         matex_par::multi_dot(pool, &w, &self.vs, &mut hcol[..j + 1]);
         matex_par::subtract_combination(pool, &mut w, &self.vs, &hcol[..j + 1]);
         if self.reorth {
@@ -212,6 +210,42 @@ mod tests {
         let basis = ar.basis(7);
         for i in 0..7 {
             for j in 0..7 {
+                let d = dot(&basis[i], &basis[j]);
+                let expect = if i == j { 1.0 } else { 0.0 };
+                assert!((d - expect).abs() < 1e-12, "V^T V [{i},{j}] = {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn basis_spanning_several_tiles_is_orthonormal() {
+        // Vectors longer than one reduction tile: the tiled CGS2 must
+        // combine its per-tile partials into an orthonormal basis.
+        struct DiagOp(Vec<f64>);
+        impl KrylovOp for DiagOp {
+            fn dim(&self) -> usize {
+                self.0.len()
+            }
+            fn apply(&self, v: &[f64], out: &mut [f64]) {
+                for ((o, d), x) in out.iter_mut().zip(&self.0).zip(v) {
+                    *o = d * x;
+                }
+            }
+            fn kind(&self) -> KrylovKind {
+                KrylovKind::Standard
+            }
+        }
+        let n = 3 * matex_par::TILE + 17;
+        let op = DiagOp((0..n).map(|i| -1.0 - (i % 97) as f64).collect());
+        let v: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos()).collect();
+        let mut ar = Arnoldi::new(&op, &v, true).unwrap();
+        for _ in 0..8 {
+            ar.step().unwrap();
+        }
+        assert_eq!(ar.m(), 8);
+        let basis = ar.basis(9);
+        for i in 0..9 {
+            for j in 0..9 {
                 let d = dot(&basis[i], &basis[j]);
                 let expect = if i == j { 1.0 } else { 0.0 };
                 assert!((d - expect).abs() < 1e-12, "V^T V [{i},{j}] = {d}");

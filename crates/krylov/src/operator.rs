@@ -10,7 +10,6 @@
 //! | rational | `(I−γA)⁻¹ v = (C+γG)⁻¹ (C v)`        | `C + γG`    | `C`  |
 
 use crate::KrylovKind;
-use matex_par::ParPool;
 use matex_sparse::{CsrMatrix, LuOptions, SmwUpdate, SparseError, SparseLu, SymbolicLu};
 
 /// One application of the Arnoldi iteration matrix.
@@ -36,14 +35,6 @@ pub trait KrylovOp {
     fn gamma(&self) -> Option<f64> {
         None
     }
-
-    /// The pool this operator's kernels dispatch on (the operators'
-    /// `with_parallelism` builders; [`ParPool::inline`] otherwise). The
-    /// Arnoldi process uses the same pool for its orthogonalization
-    /// kernels, so one setting parallelizes the whole Krylov phase.
-    fn pool(&self) -> &ParPool {
-        ParPool::inline()
-    }
 }
 
 /// Standard-Krylov operator `v ↦ A v = −C⁻¹(G v)` (the MEXP baseline).
@@ -54,7 +45,6 @@ pub trait KrylovOp {
 pub struct StandardOp<'a> {
     lu_c: &'a SparseLu,
     g: &'a CsrMatrix,
-    pool: &'a ParPool,
     smw: Option<&'a SmwUpdate>,
 }
 
@@ -66,19 +56,7 @@ impl<'a> StandardOp<'a> {
     /// Panics if dimensions disagree.
     pub fn new(lu_c: &'a SparseLu, g: &'a CsrMatrix) -> Self {
         assert_eq!(lu_c.dim(), g.nrows(), "dimension mismatch");
-        StandardOp {
-            lu_c,
-            g,
-            pool: ParPool::inline(),
-            smw: None,
-        }
-    }
-
-    /// Runs this operator's mat-vec — and the Arnoldi
-    /// orthogonalization that drives it — on `pool`.
-    pub fn with_parallelism(mut self, pool: &'a ParPool) -> Self {
-        self.pool = pool;
-        self
+        StandardOp { lu_c, g, smw: None }
     }
 
     /// Applies a Sherman–Morrison–Woodbury correction (built against
@@ -99,7 +77,7 @@ impl KrylovOp for StandardOp<'_> {
     fn apply(&self, v: &[f64], out: &mut [f64]) {
         let mut gv = vec![0.0; self.dim()];
         let mut work = vec![0.0; self.dim()];
-        self.g.matvec_into_par(v, &mut gv, self.pool);
+        self.g.matvec_into(v, &mut gv);
         self.lu_c.solve_into(&gv, out, &mut work);
         if let Some(smw) = self.smw {
             smw.correct_in_place(out);
@@ -112,10 +90,6 @@ impl KrylovOp for StandardOp<'_> {
     fn kind(&self) -> KrylovKind {
         KrylovKind::Standard
     }
-
-    fn pool(&self) -> &ParPool {
-        self.pool
-    }
 }
 
 /// Inverted-Krylov operator `v ↦ A⁻¹ v = −G⁻¹(C v)` (I-MATEX).
@@ -125,7 +99,6 @@ impl KrylovOp for StandardOp<'_> {
 pub struct InvertedOp<'a> {
     lu_g: &'a SparseLu,
     c: &'a CsrMatrix,
-    pool: &'a ParPool,
     smw: Option<&'a SmwUpdate>,
 }
 
@@ -137,19 +110,7 @@ impl<'a> InvertedOp<'a> {
     /// Panics if dimensions disagree.
     pub fn new(lu_g: &'a SparseLu, c: &'a CsrMatrix) -> Self {
         assert_eq!(lu_g.dim(), c.nrows(), "dimension mismatch");
-        InvertedOp {
-            lu_g,
-            c,
-            pool: ParPool::inline(),
-            smw: None,
-        }
-    }
-
-    /// Runs this operator's mat-vec — and the Arnoldi
-    /// orthogonalization that drives it — on `pool`.
-    pub fn with_parallelism(mut self, pool: &'a ParPool) -> Self {
-        self.pool = pool;
-        self
+        InvertedOp { lu_g, c, smw: None }
     }
 
     /// Applies a Sherman–Morrison–Woodbury correction (built against
@@ -170,7 +131,7 @@ impl KrylovOp for InvertedOp<'_> {
     fn apply(&self, v: &[f64], out: &mut [f64]) {
         let mut cv = vec![0.0; self.dim()];
         let mut work = vec![0.0; self.dim()];
-        self.c.matvec_into_par(v, &mut cv, self.pool);
+        self.c.matvec_into(v, &mut cv);
         self.lu_g.solve_into(&cv, out, &mut work);
         if let Some(smw) = self.smw {
             smw.correct_in_place(out);
@@ -183,10 +144,6 @@ impl KrylovOp for InvertedOp<'_> {
     fn kind(&self) -> KrylovKind {
         KrylovKind::Inverted
     }
-
-    fn pool(&self) -> &ParPool {
-        self.pool
-    }
 }
 
 /// Rational (shift-and-invert) Krylov operator
@@ -198,7 +155,6 @@ pub struct RationalOp<'a> {
     lu_shift: &'a SparseLu,
     c: &'a CsrMatrix,
     gamma: f64,
-    pool: &'a ParPool,
     smw: Option<&'a SmwUpdate>,
 }
 
@@ -219,16 +175,8 @@ impl<'a> RationalOp<'a> {
             lu_shift,
             c,
             gamma,
-            pool: ParPool::inline(),
             smw: None,
         }
-    }
-
-    /// Runs this operator's mat-vec — and the Arnoldi
-    /// orthogonalization that drives it — on `pool`.
-    pub fn with_parallelism(mut self, pool: &'a ParPool) -> Self {
-        self.pool = pool;
-        self
     }
 
     /// Applies a Sherman–Morrison–Woodbury correction (built against
@@ -291,7 +239,7 @@ impl KrylovOp for RationalOp<'_> {
     fn apply(&self, v: &[f64], out: &mut [f64]) {
         let mut cv = vec![0.0; self.dim()];
         let mut work = vec![0.0; self.dim()];
-        self.c.matvec_into_par(v, &mut cv, self.pool);
+        self.c.matvec_into(v, &mut cv);
         self.lu_shift.solve_into(&cv, out, &mut work);
         if let Some(smw) = self.smw {
             smw.correct_in_place(out);
@@ -304,10 +252,6 @@ impl KrylovOp for RationalOp<'_> {
 
     fn gamma(&self) -> Option<f64> {
         Some(self.gamma)
-    }
-
-    fn pool(&self) -> &ParPool {
-        self.pool
     }
 }
 
@@ -395,9 +339,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_apply_is_pool_width_invariant() {
-        // The row-tiled mat-vec plus the column solve agree bitwise with
-        // the inline apply at every pool width.
+    fn apply_is_one_matvec_then_one_solve_bitwise() {
+        // Each operator is exactly its mat-vec, one substitution pair
+        // and (standard/inverted) a negation — bit for bit.
         let n = 400;
         let mut ct = Vec::new();
         let mut gt = Vec::new();
@@ -412,25 +356,37 @@ mod tests {
         let c = CsrMatrix::from_triplets(n, n, &ct);
         let g = CsrMatrix::from_triplets(n, n, &gt);
         let gamma = 1e-10;
+        let opts = LuOptions::default();
         let shifted = CsrMatrix::linear_combination(1.0, &c, gamma, &g).unwrap();
-        let lu = SparseLu::factor(&shifted, &LuOptions::default()).unwrap();
+        let lu_s = SparseLu::factor(&shifted, &opts).unwrap();
+        let lu_c = SparseLu::factor(&c, &opts).unwrap();
+        let lu_g = SparseLu::factor(&g, &opts).unwrap();
         let v: Vec<f64> = (0..n).map(|i| ((i * 13 % 31) as f64) - 15.0).collect();
-        let mut inline_out = vec![0.0; n];
-        RationalOp::new(&lu, &c, gamma).apply(&v, &mut inline_out);
-        for threads in [1usize, 2, 4] {
-            let pool = ParPool::new(threads);
-            let op = RationalOp::new(&lu, &c, gamma).with_parallelism(&pool);
-            assert_eq!(op.pool().threads(), threads);
-            let mut out = vec![0.0; n];
+        let by_hand = |x2: &CsrMatrix, lu: &SparseLu, negate: bool| {
+            let mut out = lu.solve(&x2.matvec(&v));
+            if negate {
+                out.iter_mut().for_each(|x| *x = -*x);
+            }
+            out
+        };
+        let applied = |op: &dyn KrylovOp| {
+            let mut out = vec![f64::NAN; n];
             op.apply(&v, &mut out);
-            assert!(
-                inline_out
-                    .iter()
-                    .zip(&out)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{threads}-thread apply diverged"
-            );
-        }
+            out
+        };
+        let bits = |xs: Vec<f64>| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(applied(&RationalOp::new(&lu_s, &c, gamma))),
+            bits(by_hand(&c, &lu_s, false))
+        );
+        assert_eq!(
+            bits(applied(&InvertedOp::new(&lu_g, &c))),
+            bits(by_hand(&c, &lu_g, true))
+        );
+        assert_eq!(
+            bits(applied(&StandardOp::new(&lu_c, &g))),
+            bits(by_hand(&g, &lu_c, true))
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Thread-budget admission control for concurrent jobs.
 //!
 //! A scenario engine multiplexes many independent solver jobs over one
-//! machine. Each job brings its own worker threads and kernel pools; run
-//! enough of them at once and the host oversubscribes, wrecking every
-//! job's latency. [`ThreadBudget`] is the admission primitive: a
+//! machine. Each job occupies its executor's thread (a distributed job,
+//! one per worker); run enough of them at once and the host
+//! oversubscribes, wrecking every job's latency. [`ThreadBudget`] is the admission primitive: a
 //! counting semaphore over a fixed total thread budget. A job acquires
 //! a lease for the threads it will occupy before it starts and releases
 //! it (by dropping the [`BudgetLease`]) when it finishes, so the sum of

@@ -13,13 +13,13 @@ use std::marker::PhantomData;
 use std::ops::Range;
 
 /// Elements per reduction tile. Fixed (never derived from the thread
-/// count) so the combination order is invariant in `MATEX_THREADS`.
+/// count) so the combination order is invariant in the pool width.
 pub const TILE: usize = 1024;
 
 /// Below this many elements of work a kernel runs inline on the caller:
 /// dispatch latency would dominate. The inline path executes the same
 /// tiled arithmetic, so the cutoff never affects results.
-pub const PAR_MIN: usize = 8192;
+pub(crate) const PAR_MIN: usize = 8192;
 
 /// Number of [`TILE`]-sized tiles covering `len` elements.
 pub fn tiles(len: usize) -> usize {
@@ -36,10 +36,10 @@ pub fn tile_span(t: usize, len: usize) -> Range<usize> {
 /// **tile-disjoint** writes (each item of a dispatch owns its own index
 /// range; reads may target locations no concurrent item writes).
 ///
-/// This is the escape hatch the tiled kernels and the row-tiled sparse
-/// mat-vec are built on; all accesses go through raw pointers
-/// so no `&mut` aliasing is ever formed across threads.
-pub struct RawVec<'a> {
+/// This is the escape hatch the tiled kernels are built on; all
+/// accesses go through raw pointers so no `&mut` aliasing is ever formed
+/// across threads.
+pub(crate) struct RawVec<'a> {
     ptr: *mut f64,
     len: usize,
     _marker: PhantomData<&'a mut [f64]>,
@@ -56,16 +56,6 @@ impl<'a> RawVec<'a> {
             len: slice.len(),
             _marker: PhantomData,
         }
-    }
-
-    /// Buffer length.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Reads element `i`.

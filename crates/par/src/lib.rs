@@ -7,30 +7,27 @@
 //!
 //! * [`ParPool`] — a persistent, reusable worker pool (spin-then-park
 //!   dispatch, no allocation per call, caller participates),
-//! * [`ParOptions`] — thread-count resolution (`MATEX_THREADS` env var +
-//!   explicit API; unset means one thread, never "off"),
 //! * tiled kernels ([`dot`], [`norm2`], [`multi_dot`],
 //!   [`subtract_combination`], [`combine_columns`], [`div_in_place`])
 //!   with **fixed tile boundaries and deterministic tile-order
-//!   reductions**, so results are bitwise-invariant in the thread count,
-//! * [`RawVec`] — the tile-disjoint shared-write primitive the kernels
-//!   (and `matex_sparse`'s row-tiled mat-vec) build on.
+//!   reductions**, so results are bitwise-invariant in the thread count.
 //!
 //! # Determinism contract
 //!
 //! These kernels are the only ones: there is no separate serial copy.
 //! A kernel driven by a `k`-thread pool produces **bit-for-bit** the
 //! same output for every `k ≥ 1`: tiles are a function of the problem
-//! size alone and partials combine serially in tile order. "No pool"
-//! resolves to [`ParPool::inline`], a one-thread pool that runs the same
-//! tiled arithmetic on the caller.
+//! size alone and partials combine serially in tile order. Every solver,
+//! distributed node and engine job runs them on [`ParPool::inline`], a
+//! one-thread pool that runs the tiled arithmetic on the caller; the
+//! stack's parallelism is across superposition nodes and jobs
+//! ([`ThreadBudget`]), not inside a kernel.
 //!
 //! # Example
 //!
 //! ```
-//! use matex_par::{ParOptions, ParPool};
+//! use matex_par::ParPool;
 //!
-//! // Explicit thread count; ParOptions::default() reads MATEX_THREADS.
 //! let pool = ParPool::new(2);
 //! let x: Vec<f64> = (0..10_000).map(|i| i as f64).collect();
 //! // Bitwise equality across pool widths.
@@ -38,20 +35,17 @@
 //!     matex_par::dot(&pool, &x, &x).to_bits(),
 //!     matex_par::dot(ParPool::inline(), &x, &x).to_bits(),
 //! );
-//! assert_eq!(ParOptions::with_threads(0).resolve(), 1);
 //! ```
 
 mod budget;
 mod kernels;
-mod options;
 mod pool;
 
 pub use budget::{AdmitError, AdmitRequest, BudgetLease, Priority, ThreadBudget};
 pub use kernels::{
     combine_columns, div_in_place, dot, multi_dot, norm2, subtract_combination, tile_span, tiles,
-    RawVec, PAR_MIN, TILE,
+    TILE,
 };
-pub use options::ParOptions;
 pub use pool::ParPool;
 
 // Compile the crate README's code blocks as doctests so the documented

@@ -139,11 +139,10 @@ impl ParPool {
     }
 
     /// The process-wide one-thread pool: no workers, every dispatch runs
-    /// inline on the caller. This is what "no pool" resolves to
-    /// everywhere — `MATEX_THREADS` unset, a width of 0, a `None` pool
-    /// argument — so the kernels run the *same tiled algorithms* at
-    /// every width, which is what makes results bitwise-invariant in
-    /// `MATEX_THREADS`.
+    /// inline on the caller. Every solver, distributed node and engine
+    /// job runs its kernels here (so does a `None` pool argument); a
+    /// wider pool runs the *same tiled algorithms*, so results are
+    /// bitwise-invariant in the width.
     pub fn inline() -> &'static ParPool {
         static INLINE: OnceLock<ParPool> = OnceLock::new();
         INLINE.get_or_init(|| ParPool::new(1))

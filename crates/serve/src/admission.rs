@@ -112,14 +112,13 @@ pub(crate) fn deadline_at(
 }
 
 impl Inner {
-    /// Threads the job will occupy while running.
+    /// Threads the job will occupy while running: its executor's, or
+    /// one per worker of a distributed job (kernels run inline).
     pub(crate) fn demand(&self, spec: &JobSpec) -> usize {
         match &spec.mode {
-            ExecutionMode::Monolithic => self.opts.kernel_threads.max(1),
+            ExecutionMode::Monolithic => 1,
             ExecutionMode::Distributed { workers, .. } => {
-                let w = workers.unwrap_or(self.opts.dist_workers).max(1);
-                // Each worker owns max(1, kernel/workers) kernel threads.
-                w * (self.opts.kernel_threads / w).max(1)
+                workers.unwrap_or(self.opts.dist_workers).max(1)
             }
         }
     }

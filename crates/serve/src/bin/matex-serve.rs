@@ -10,7 +10,10 @@
 //! ```
 //!
 //! `serve` prints `listening on <addr>` once bound (port 0 picks a free
-//! port) and runs until killed. `--store-dir` opens (or creates) a
+//! port) and runs until killed. `--threads` is the engine's thread
+//! budget and `--executors` its queue-draining threads: a monolithic
+//! job occupies one thread and a distributed job one per worker, since
+//! kernels always run inline. `--store-dir` opens (or creates) a
 //! disk-backed artifact store there: computed symbolic analyses,
 //! setups, DC solutions, and group plans persist across restarts, so a
 //! relaunched service serves its first jobs warm — bitwise identical to
@@ -85,11 +88,6 @@ fn cmd_serve(mut args: impl Iterator<Item = String>) -> ExitCode {
                 opts.executors = take(&mut args, "--executors")
                     .parse()
                     .expect("--executors N")
-            }
-            "--kernel-threads" => {
-                opts.kernel_threads = take(&mut args, "--kernel-threads")
-                    .parse()
-                    .expect("--kernel-threads N")
             }
             "--store-dir" => {
                 let dir = take(&mut args, "--store-dir");

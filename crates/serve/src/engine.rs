@@ -16,7 +16,7 @@ use crate::job::{JobId, JobOutcome, JobSpec, JobStatus};
 use crate::stats::{Counter, Counters, EngineStats};
 use crate::ServeError;
 use matex_core::{CancelToken, FaultHook};
-use matex_par::{ParPool, ThreadBudget};
+use matex_par::ThreadBudget;
 use matex_store::ArtifactStore;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -34,13 +34,6 @@ pub struct EngineOptions {
     /// Executor threads draining the job queue (the maximum number of
     /// jobs *attempting* admission at once).
     pub executors: usize,
-    /// Kernel threads per monolithic job / total intra-node budget per
-    /// distributed job, at least 1: `0` (default) means one thread, the
-    /// kernels running inline on the job's executor. Every width runs
-    /// the same kernels and yields identical bits, so a job's waveform
-    /// equals a pool-less standalone run whatever this is set to, and
-    /// one cached setup serves every width.
-    pub kernel_threads: usize,
     /// Default worker count for distributed jobs that leave `workers`
     /// unset.
     pub dist_workers: usize,
@@ -109,7 +102,6 @@ impl Default for EngineOptions {
         EngineOptions {
             threads: None,
             executors: 2,
-            kernel_threads: 0,
             dist_workers: 2,
             max_circuits: 32,
             max_retained: 1024,
@@ -192,9 +184,6 @@ pub(crate) struct Inner {
     /// cost estimates into seconds using observed service times.
     pub calib_units: AtomicU64,
     pub calib_nanos: AtomicU64,
-    /// Idle kernel pools (each `kernel_threads` wide), reused across
-    /// monolithic jobs so the warm fast path never pays thread spawn.
-    pub idle_pools: Mutex<Vec<Arc<ParPool>>>,
 }
 
 /// The scenario engine: accepts [`JobSpec`]s, amortizes per-circuit
@@ -254,7 +243,6 @@ impl ScenarioEngine {
             counters,
             calib_units: AtomicU64::new(0),
             calib_nanos: AtomicU64::new(0),
-            idle_pools: Mutex::new(Vec::new()),
             opts,
         });
         let executors = (0..inner.opts.executors.max(1))
@@ -672,6 +660,27 @@ mod tests {
     }
 
     #[test]
+    fn a_job_demands_one_thread_or_one_per_worker() {
+        // Kernels run inline, so admission leases exactly the threads a
+        // job occupies: its executor, or each distributed worker.
+        let engine = ScenarioEngine::new(EngineOptions {
+            dist_workers: 3,
+            ..EngineOptions::default()
+        });
+        let job = JobSpec::new(grid(16), spec());
+        assert_eq!(engine.inner.demand(&job), 1);
+        let dist = |workers| {
+            job.clone().mode(ExecutionMode::Distributed {
+                strategy: GroupingStrategy::ByBumpFeature,
+                workers,
+            })
+        };
+        assert_eq!(engine.inner.demand(&dist(None)), 3);
+        assert_eq!(engine.inner.demand(&dist(Some(2))), 2);
+        assert_eq!(engine.inner.demand(&dist(Some(0))), 1);
+    }
+
+    #[test]
     fn panicking_job_fails_cleanly_and_executors_survive() {
         let engine = ScenarioEngine::new(EngineOptions {
             executors: 1,
@@ -690,48 +699,6 @@ mod tests {
         // The single executor must still be alive to serve the next job.
         let ok = engine.submit(JobSpec::new(sys, spec())).unwrap();
         assert!(engine.wait(ok).is_ok());
-    }
-
-    #[test]
-    fn kernel_pools_are_recycled_across_jobs() {
-        let engine = ScenarioEngine::new(EngineOptions {
-            executors: 1,
-            kernel_threads: 2,
-            threads: Some(2),
-            ..EngineOptions::default()
-        });
-        let sys = grid(8);
-        let job = JobSpec::new(sys, spec());
-        let a = engine.run(&job).unwrap();
-        assert_eq!(engine.inner.idle_pools.lock().unwrap().len(), 1);
-        let b = engine.run(&job).unwrap();
-        // Reuse keeps the list at one pool, and the pooled waveforms are
-        // width-invariant so the repeat is still bitwise identical.
-        assert_eq!(engine.inner.idle_pools.lock().unwrap().len(), 1);
-        assert_eq!(a.result.series(), b.result.series());
-    }
-
-    #[test]
-    fn one_cached_setup_serves_every_kernel_width() {
-        // A setup resolved by a pool-less job is a memory hit under the
-        // keys a 2-thread engine computes for the same job.
-        let inline = ScenarioEngine::new(EngineOptions::default());
-        let pooled = ScenarioEngine::new(EngineOptions {
-            kernel_threads: 2,
-            ..EngineOptions::default()
-        });
-        let job = JobSpec::new(grid(15), spec());
-        let cold = inline.run(&job).unwrap();
-        let sys = job.effective_circuit().unwrap();
-        let keys = pooled.inner.keys_for(&job, &sys, &job.effective_options());
-        let cached = inline
-            .inner
-            .cache
-            .peek::<crate::cache::Setups>(keys.pattern, &keys.setup);
-        assert!(cached.is_some(), "the 2-thread job missed the setup");
-        // And its waveform is the pool-less one, bit for bit.
-        let wide = pooled.run(&job).unwrap();
-        assert_eq!(cold.result.series(), wide.result.series());
     }
 
     #[test]

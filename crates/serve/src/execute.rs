@@ -8,7 +8,7 @@ use crate::stats::Counter;
 use crate::ServeError;
 use matex_core::{panic_message, CancelToken, MatexSolver, TransientEngine};
 use matex_dist::{plan_groups, run_distributed, DistributedOptions};
-use matex_par::{AdmitError, AdmitRequest, ParOptions, ParPool};
+use matex_par::{AdmitError, AdmitRequest};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -263,30 +263,6 @@ impl Inner {
         self.counters.count(Counter::Quarantined, evicted);
     }
 
-    /// Takes an idle kernel pool (or spawns one) when kernel threads
-    /// are configured. Pools are returned by [`Inner::return_pool`] and
-    /// reused, so warm jobs never pay per-job thread spawn.
-    fn take_pool(&self) -> Option<Arc<ParPool>> {
-        if self.opts.kernel_threads == 0 {
-            return None;
-        }
-        let recycled = self
-            .idle_pools
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop();
-        Some(recycled.unwrap_or_else(|| Arc::new(ParPool::new(self.opts.kernel_threads))))
-    }
-
-    /// Returns a pool to the idle list (bounded by the executor count —
-    /// beyond that the pool is simply dropped).
-    fn return_pool(&self, pool: Arc<ParPool>) {
-        let mut idle = self.idle_pools.lock().unwrap_or_else(|e| e.into_inner());
-        if idle.len() < self.opts.executors.max(1) + 1 {
-            idle.push(pool);
-        }
-    }
-
     /// Resolves the job's artifacts and runs it. The cancel token, if
     /// any, is observed by the solver between transient steps (and by
     /// distributed workers between node runs) — never inside a
@@ -328,15 +304,7 @@ impl Inner {
                 if let Some(token) = cancel {
                     solver = solver.with_cancel(token.clone());
                 }
-                let pool = self.take_pool();
-                if let Some(p) = &pool {
-                    solver = solver.with_parallelism(p.clone());
-                }
-                let result = solver.run(&sys, &job.spec);
-                if let Some(p) = pool {
-                    self.return_pool(p);
-                }
-                (result?, None)
+                (solver.run(&sys, &job.spec)?, None)
             }
             ExecutionMode::Distributed { strategy, workers } => {
                 let plan_key = keys.plan.expect("distributed jobs key a plan");
@@ -350,7 +318,6 @@ impl Inner {
                     matex: opts,
                     strategy: *strategy,
                     workers: Some(workers.unwrap_or(self.opts.dist_workers).max(1)),
-                    par: ParOptions::with_threads(self.opts.kernel_threads),
                     symbolic: None,
                     setup: Some(setup),
                     plan: Some(plan),

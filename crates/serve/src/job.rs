@@ -430,8 +430,7 @@ impl CacheReport {
 /// A completed job: the waveform plus reuse and timing accounting.
 #[derive(Debug, Clone)]
 pub struct JobOutcome {
-    /// The transient result (bitwise identical to a standalone run, at
-    /// any kernel width).
+    /// The transient result (bitwise identical to a standalone run).
     pub result: TransientResult,
     /// Which artifacts were reused.
     pub cache: CacheReport,

@@ -31,8 +31,8 @@
 //!
 //! **Determinism contract:** a job's waveform is bitwise identical to a
 //! standalone [`matex_core::MatexSolver`] /
-//! [`matex_dist::run_distributed`] call at any kernel width, whether
-//! the job ran cold or hit every cache. Cache hits
+//! [`matex_dist::run_distributed`] call, whether the job ran cold or
+//! hit every cache. Cache hits
 //! replay the very factors a fresh run would compute (see
 //! `matex_sparse::SymbolicLu`'s replay re-verification).
 //!

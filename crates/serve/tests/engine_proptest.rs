@@ -1,8 +1,7 @@
 //! Property test: any job run through the [`ScenarioEngine`] — cold or
-//! cache-hit, monolithic or distributed, any worker/kernel-thread count
-//! — yields **bitwise-identical** waveforms to a standalone
-//! `MatexSolver` / `run_distributed` call with no kernel pool at all:
-//! every kernel width produces the same bits.
+//! cache-hit, monolithic or distributed, any worker count — yields
+//! **bitwise-identical** waveforms to a standalone `MatexSolver` /
+//! `run_distributed` call.
 //!
 //! This is the engine's whole contract: caching and admission are
 //! performance machinery, never numerics. Cold paths build exactly what
@@ -18,7 +17,7 @@ use matex_waveform::GroupingStrategy;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Runs the job standalone — no engine, no cache, no kernel pool.
+/// Runs the job standalone — no engine, no cache.
 fn standalone(job: &JobSpec) -> (Vec<Vec<f64>>, Vec<f64>) {
     let sys = job.effective_circuit().expect("circuit");
     let opts = job.effective_options();
@@ -54,7 +53,6 @@ proptest! {
         seed in 0usize..1000,
         gamma_mul in 0.3..8.0_f64,
         scale in 0.5..2.0_f64,
-        kernel_threads in 0usize..3,
         workers in 1usize..3,
         flags in (0usize..2, 0usize..2, 0usize..2),
     ) {
@@ -71,7 +69,6 @@ proptest! {
         let spec = TransientSpec::new(0.0, 1e-9, 2.5e-11).expect("spec");
         let engine = ScenarioEngine::new(EngineOptions {
             threads: Some(4),
-            kernel_threads,
             ..EngineOptions::default()
         });
 

@@ -2,7 +2,6 @@
 
 use crate::{CooMatrix, CscMatrix, SparseError};
 use matex_dense::DMat;
-use matex_par::{ParPool, RawVec};
 
 /// A compressed-sparse-row (CSR) matrix.
 ///
@@ -67,11 +66,11 @@ impl CsrMatrix {
         indices: Vec<usize>,
         values: Vec<f64>,
     ) -> Result<Self, SparseError> {
-        if indptr.len() != nrows + 1 {
+        // `nrows + 1` would overflow for a hostile `nrows`.
+        if indptr.len().checked_sub(1) != Some(nrows) {
             return Err(SparseError::InvalidStructure(format!(
-                "indptr length {} != nrows+1 = {}",
+                "indptr length {} != nrows+1 for nrows = {nrows}",
                 indptr.len(),
-                nrows + 1
             )));
         }
         if indices.len() != values.len() {
@@ -85,12 +84,14 @@ impl CsrMatrix {
                 "indptr endpoints invalid".into(),
             ));
         }
+        // All pointers before any row is sliced: with the endpoints
+        // checked, monotone pointers keep every row inside `indices`.
+        if let Some(r) = indptr.windows(2).position(|p| p[0] > p[1]) {
+            return Err(SparseError::InvalidStructure(format!(
+                "indptr not monotone at row {r}"
+            )));
+        }
         for r in 0..nrows {
-            if indptr[r] > indptr[r + 1] {
-                return Err(SparseError::InvalidStructure(format!(
-                    "indptr not monotone at row {r}"
-                )));
-            }
             let mut prev: Option<usize> = None;
             for &c in &indices[indptr[r]..indptr[r + 1]] {
                 if c >= ncols {
@@ -202,19 +203,9 @@ impl CsrMatrix {
         y
     }
 
-    /// One row's dot with `x`, zipped (one bounds check per row, same
-    /// accumulation order as the historical indexed loop).
-    #[inline]
-    fn row_dot(&self, r: usize, x: &[f64]) -> f64 {
-        let range = self.indptr[r]..self.indptr[r + 1];
-        let mut s = 0.0;
-        for (&c, &v) in self.indices[range.clone()].iter().zip(&self.values[range]) {
-            s += v * x[c];
-        }
-        s
-    }
-
-    /// Matrix–vector product writing into an existing buffer.
+    /// Matrix–vector product writing into an existing buffer. Each row
+    /// is one zipped dot (one bounds check per row) in stored entry
+    /// order.
     ///
     /// # Panics
     ///
@@ -223,39 +214,13 @@ impl CsrMatrix {
         assert_eq!(x.len(), self.ncols, "matvec: x length mismatch");
         assert_eq!(y.len(), self.nrows, "matvec: y length mismatch");
         for (r, yr) in y.iter_mut().enumerate() {
-            *yr = self.row_dot(r, x);
-        }
-    }
-
-    /// Rows per parallel mat-vec tile (fixed — never derived from the
-    /// thread count, so tiling is invariant in `MATEX_THREADS`).
-    const MATVEC_TILE_ROWS: usize = 128;
-
-    /// Row-tiled parallel matrix–vector product.
-    ///
-    /// Each row is computed exactly as in [`CsrMatrix::matvec_into`]
-    /// (rows are independent), so the result is bitwise identical to the
-    /// serial product for any pool width. Small matrices run inline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != ncols` or `y.len() != nrows`.
-    pub fn matvec_into_par(&self, x: &[f64], y: &mut [f64], pool: &ParPool) {
-        if pool.threads() == 1 || self.nnz() < matex_par::PAR_MIN {
-            return self.matvec_into(x, y);
-        }
-        assert_eq!(x.len(), self.ncols, "matvec: x length mismatch");
-        assert_eq!(y.len(), self.nrows, "matvec: y length mismatch");
-        let ntiles = self.nrows.div_ceil(Self::MATVEC_TILE_ROWS);
-        let shared = RawVec::new(y);
-        pool.run(ntiles, &|t| {
-            let start = t * Self::MATVEC_TILE_ROWS;
-            let end = (start + Self::MATVEC_TILE_ROWS).min(self.nrows);
-            for r in start..end {
-                // SAFETY: row tiles are disjoint; `y[r]` belongs to tile `t`.
-                unsafe { shared.set(r, self.row_dot(r, x)) };
+            let range = self.indptr[r]..self.indptr[r + 1];
+            let mut s = 0.0;
+            for (&c, &v) in self.indices[range.clone()].iter().zip(&self.values[range]) {
+                s += v * x[c];
             }
-        });
+            *yr = s;
+        }
     }
 
     /// Transposed product `Aᵀ x`.
@@ -492,6 +457,25 @@ mod tests {
     fn matvec_known() {
         let a = sample();
         assert_eq!(a.matvec(&[1.0, 1.0, 1.0]), vec![3.0, 3.0, 9.0]);
+    }
+
+    #[test]
+    fn matvec_into_overwrites_a_dirty_output() {
+        let a = sample();
+        let mut y = vec![f64::NAN; 3];
+        a.matvec_into(&[1.0, -2.0, 0.5], &mut y);
+        assert_eq!(y, a.matvec(&[1.0, -2.0, 0.5]));
+        assert_eq!(y, vec![2.0, -6.0, 6.5]);
+    }
+
+    #[test]
+    fn raw_parts_with_pointers_past_the_entries_are_rejected() {
+        // A middle pointer beyond the entries (endpoints valid) must be
+        // an error before any row is sliced, not an index panic.
+        let bad = CsrMatrix::from_raw_parts(2, 2, vec![0, 9, 2], vec![0, 1], vec![1.0, 2.0]);
+        assert!(matches!(bad, Err(SparseError::InvalidStructure(_))));
+        let huge_rows = CsrMatrix::from_raw_parts(usize::MAX, 1, vec![0], vec![], vec![]);
+        assert!(matches!(huge_rows, Err(SparseError::InvalidStructure(_))));
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //! Every floating-point reduction here runs in a fixed order — `W`
 //! columns ascending, `Vᵀy` dots in stored entry order, the final
 //! `y −= W·z` as one dense axpy per column ascending — so repeated calls
-//! are bitwise-identical. The base solve is [`SparseLu::solve_into`]
-//! at every pool width, so corrected solves are pool-width invariant
-//! too.
+//! are bitwise-identical. The base solve is the one serial
+//! [`SparseLu::solve_into`], so corrected solves are reproducible on
+//! every caller.
 //!
 //! # Fallback contract
 //!
@@ -272,9 +272,9 @@ impl SmwUpdate {
     /// Turns a base-matrix solution `y = A⁻¹b` into the edited-matrix
     /// solution `(A + UVᵀ)⁻¹b` in place: `y ← y − W·S⁻¹·(Vᵀy)`.
     ///
-    /// Serial with a fixed reduction order; combined with a base solve
-    /// that is itself pool-width invariant, the corrected result is
-    /// bitwise-identical across thread counts.
+    /// Serial with a fixed reduction order; combined with the serial
+    /// base solve, the corrected result is bitwise-identical across
+    /// repeat calls.
     ///
     /// # Panics
     ///

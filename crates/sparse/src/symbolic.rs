@@ -633,34 +633,59 @@ impl SymbolicLu {
             csr_to_csc: r.usizes()?,
         };
         let bad = |m: &str| Err(WireError::Invalid(m.to_string()));
+        // Lengths first: `n` is bounded by a decoded vector before any
+        // `n + 1` is formed.
         if sym.q.len() != n || sym.pinv.len() != n || sym.pivot_row.len() != n {
             return bad("symbolic permutation vectors have the wrong length");
         }
-        for (ptr, rows, name) in [
-            (&sym.piv_ptr, sym.piv_rows.len(), "pivotal reach"),
-            (&sym.low_ptr, sym.low_rows.len(), "unpivoted reach"),
-        ] {
-            if ptr.len() != n + 1 || ptr.windows(2).any(|p| p[0] > p[1]) || ptr[n] != rows {
-                return Err(WireError::Invalid(format!(
-                    "symbolic {name} pointers are inconsistent"
-                )));
-            }
-        }
-        if sym.piv_cols.len() != sym.piv_rows.len() {
-            return bad("symbolic reach row/column lengths disagree");
+        // The pinned pivots: a row permutation and its inverse.
+        if Permutation::from_vec(sym.pinv.clone()).is_err()
+            || (0..n).any(|i| sym.pivot_row[sym.pinv[i]] != i)
+        {
+            return bad("symbolic pivot order is not a permutation");
         }
         let nnz = sym.a_indices.len();
-        if sym.a_indptr.len() != n + 1
-            || sym.a_indptr[n] != nnz
-            || sym.csc_colptr.len() != n + 1
-            || sym.csc_rowidx.len() != nnz
+        if !covers(&sym.piv_ptr, n, sym.piv_rows.len())
+            || !covers(&sym.low_ptr, n, sym.low_rows.len())
+            || !covers(&sym.a_indptr, n, nnz)
+            || !covers(&sym.csc_colptr, n, nnz)
+        {
+            return bad("symbolic pointers are inconsistent");
+        }
+        // Every row index the replay follows lands in `x`; every
+        // pivotal reach entry names an earlier column, its row's pivot.
+        if sym.piv_cols.len() != sym.piv_rows.len()
+            || sym.low_rows.iter().any(|&i| i >= n)
+            || (0..n).any(|k| {
+                (sym.piv_ptr[k]..sym.piv_ptr[k + 1]).any(|idx| {
+                    let i = sym.piv_rows[idx];
+                    i >= n || sym.piv_cols[idx] != sym.pinv[i] || sym.piv_cols[idx] >= k
+                })
+            })
+        {
+            return bad("symbolic reach is inconsistent");
+        }
+        // The replay preallocates these: `L` holds each column's
+        // unpivoted reach (the pinned pivot included), `U` its pivotal
+        // reach plus the diagonal.
+        if sym.lnnz != sym.low_rows.len() || sym.piv_rows.len().checked_add(n) != Some(sym.unnz) {
+            return bad("symbolic structural counts disagree with the reach");
+        }
+        if sym.csc_rowidx.len() != nnz
             || sym.csr_to_csc.len() != nnz
-            || sym.csr_to_csc.iter().any(|&p| p >= nnz.max(1))
+            || sym.a_indices.iter().chain(&sym.csc_rowidx).any(|&i| i >= n)
+            || sym.csr_to_csc.iter().any(|&p| p >= nnz)
         {
             return bad("symbolic pattern/gather maps are inconsistent");
         }
         Ok(sym)
     }
+}
+
+/// `true` when `ptr` is a pointer array over `n` segments of a
+/// `len`-entry vector: `n + 1` entries from 0, monotone, ending at `len`.
+fn covers(ptr: &[usize], n: usize, len: usize) -> bool {
+    ptr.len() == n + 1 && ptr[0] == 0 && ptr.windows(2).all(|p| p[0] <= p[1]) && ptr[n] == len
 }
 
 /// Builds the CSC structure of `a`'s pattern and the CSR-position →
@@ -995,5 +1020,59 @@ mod tests {
         let fast = sym.refactor(&b).unwrap();
         let full = SparseLu::factor(&b, &LuOptions::default()).unwrap();
         assert_same_factorization(&fast, &full, &b);
+    }
+
+    /// Re-encodes `sym` after `edit` and decodes the result.
+    fn redecoded(
+        sym: &SymbolicLu,
+        edit: impl Fn(&mut SymbolicLu),
+    ) -> Result<SymbolicLu, WireError> {
+        let mut lied = sym.clone();
+        edit(&mut lied);
+        let mut w = WireWriter::new();
+        lied.wire_encode(&mut w);
+        SymbolicLu::wire_decode(&mut WireReader::new(&w.into_bytes()))
+    }
+
+    #[test]
+    fn lying_structural_counts_are_rejected_before_any_allocation() {
+        let sym = SymbolicLu::analyze(&grid_laplacian(6, 6), &LuOptions::default()).unwrap();
+        assert!(redecoded(&sym, |_| {}).is_ok());
+        // Bit 31 of `lnnz` would have the replay reserve 16 GiB.
+        for edit in [
+            (|s: &mut SymbolicLu| s.lnnz ^= 1 << 31) as fn(&mut SymbolicLu),
+            |s| s.lnnz -= 1,
+            |s| s.unnz += 1,
+            |s| s.unnz = usize::MAX - 1,
+        ] {
+            assert!(matches!(redecoded(&sym, edit), Err(WireError::Invalid(_))));
+        }
+    }
+
+    #[test]
+    fn out_of_range_indices_are_rejected() {
+        let a = grid_laplacian(6, 6);
+        let n = a.nrows();
+        let sym = SymbolicLu::analyze(&a, &LuOptions::default()).unwrap();
+        let last_piv = sym.piv_rows.len() - 1;
+        for edit in [
+            (|s: &mut SymbolicLu| s.low_rows[0] = 36) as fn(&mut SymbolicLu),
+            |s| s.csc_rowidx[3] = 36,
+            |s| s.a_indices[5] = 99,
+            |s| s.csr_to_csc[0] = s.csr_to_csc.len(),
+            |s| s.pinv.swap(0, 1), // pivot_row no longer inverts it
+            |s| s.pivot_row[2] = 40,
+            |s| s.low_ptr[1] = s.low_ptr[2] + 1, // non-monotone
+            |s| s.a_indptr[0] = 1,
+        ] {
+            assert!(
+                matches!(redecoded(&sym, edit), Err(WireError::Invalid(_))),
+                "a corrupted index decoded (n = {n})"
+            );
+        }
+        // A pivotal reach entry must name an earlier column: its row's
+        // pinned position.
+        let bad_col = redecoded(&sym, |s| s.piv_cols[last_piv] = n - 1);
+        assert!(matches!(bad_col, Err(WireError::Invalid(_))));
     }
 }

@@ -28,7 +28,6 @@
 //! assert!(r.is_empty());
 //! ```
 
-use crate::lu::UNPIVOTED;
 use crate::{CsrMatrix, LuOptions, OrderingKind, Permutation, SparseLu};
 
 /// A wire decode failure. The store maps any variant to a cache miss.
@@ -377,11 +376,13 @@ impl SparseLu {
 fn check_factor_shapes(lu: &SparseLu) -> Result<(), WireError> {
     let n = lu.n;
     let bad = |m: &str| Err(WireError::Invalid(m.to_string()));
-    if lu.l_colptr.len() != n + 1 || lu.u_colptr.len() != n + 1 {
-        return bad("factor column pointers have the wrong length");
-    }
+    // Lengths first: `n` is bounded by a decoded vector before any
+    // `n + 1` is formed.
     if lu.q.len() != n || lu.pinv.len() != n || lu.rscale.len() != n || lu.cscale.len() != n {
         return bad("factor permutation/scaling vectors have the wrong length");
+    }
+    if lu.l_colptr.len() != n + 1 || lu.u_colptr.len() != n + 1 {
+        return bad("factor column pointers have the wrong length");
     }
     for (colptr, rowidx, values, name) in [
         (&lu.l_colptr, &lu.l_rowidx, &lu.l_values, "L"),
@@ -390,24 +391,20 @@ fn check_factor_shapes(lu: &SparseLu) -> Result<(), WireError> {
         if rowidx.len() != values.len() {
             return bad("factor index/value lengths disagree");
         }
-        let mut prev = 0usize;
-        for &p in colptr.iter() {
-            if p < prev || p > rowidx.len() {
-                return Err(WireError::Invalid(format!(
-                    "non-monotone {name} column pointers"
-                )));
-            }
-            prev = p;
-        }
-        if colptr[n] != rowidx.len() {
-            return bad("factor column pointers do not cover the entries");
+        // Every column holds at least its diagonal (L's unit first
+        // entry, U's pivot last), so the pointers rise strictly.
+        if colptr[0] != 0 || colptr.windows(2).any(|p| p[0] >= p[1]) || colptr[n] != rowidx.len() {
+            return Err(WireError::Invalid(format!(
+                "{name} column pointers are not strictly increasing over the entries"
+            )));
         }
         if rowidx.iter().any(|&i| i >= n) {
             return Err(WireError::Invalid(format!("{name} row index out of range")));
         }
     }
-    if lu.pinv.iter().any(|&p| p != UNPIVOTED && p >= n) {
-        return bad("pivot permutation entry out of range");
+    // A complete factorization pivots every row exactly once.
+    if Permutation::from_vec(lu.pinv.clone()).is_err() {
+        return bad("pivot permutation is not a permutation");
     }
     Ok(())
 }
@@ -542,5 +539,52 @@ mod tests {
         w.usizes(&[0, 0, 1]);
         let bytes = w.into_bytes();
         assert!(Permutation::wire_decode(&mut WireReader::new(&bytes)).is_err());
+    }
+
+    #[test]
+    fn a_sentinel_dimension_is_an_error_not_an_overflow() {
+        // 88 bytes: `n` = u64::MAX (the usize::MAX sentinel), then the
+        // ten vectors of a factorization, all empty.
+        let mut w = WireWriter::new();
+        w.u64(u64::MAX);
+        for _ in 0..10 {
+            w.u64(0);
+        }
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 88);
+        assert!(matches!(
+            SparseLu::wire_decode(&mut WireReader::new(&bytes)),
+            Err(WireError::Invalid(_))
+        ));
+        // The same sentinel as a matrix's row count.
+        let mut w = WireWriter::new();
+        w.u64(u64::MAX); // nrows
+        w.u64(0); // ncols
+        w.usizes(&[]); // indptr
+        w.u64(0); // nnz
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            CsrMatrix::wire_decode(&mut WireReader::new(&bytes)),
+            Err(WireError::Invalid(_))
+        ));
+    }
+
+    #[test]
+    fn decoded_factors_must_pivot_every_row_and_fill_every_column() {
+        let lu = SparseLu::factor(&sample_matrix(), &LuOptions::default()).unwrap();
+        assert!(check_factor_shapes(&lu).is_ok());
+        for edit in [
+            (|f: &mut SparseLu| f.pinv[1] = f.pinv[0]) as fn(&mut SparseLu),
+            |f| f.pinv[2] = 3,
+            // An empty L column: its pointer repeats the next one.
+            |f| f.l_colptr[1] = f.l_colptr[2],
+            // An empty U column.
+            |f| f.u_colptr[1] = f.u_colptr[0],
+            |f| f.u_rowidx[0] = 3,
+        ] {
+            let mut bad = lu.clone();
+            edit(&mut bad);
+            assert!(check_factor_shapes(&bad).is_err());
+        }
     }
 }

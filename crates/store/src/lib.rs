@@ -131,8 +131,8 @@ pub struct SetupStoreKey {
     pub gamma_bits: u64,
     /// Bit pattern of the MEXP regularization ε.
     pub regularize_bits: u64,
-    /// Ignored: a setup serves every kernel pool width, so nothing
-    /// about it depends on how it will be run. The store leaves it out
+    /// Ignored: every run uses a setup the same way, so nothing about
+    /// it depends on how it will be run. The store leaves it out
     /// of record names and keys; it stays for existing callers, which
     /// should pass `false`.
     pub scheduled: bool,
