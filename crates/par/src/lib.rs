@@ -20,8 +20,8 @@
 //! size alone and partials combine serially in tile order. Every solver,
 //! distributed node and engine job runs them on [`ParPool::inline`], a
 //! one-thread pool that runs the tiled arithmetic on the caller; the
-//! stack's parallelism is across superposition nodes and jobs
-//! ([`ThreadBudget`]), not inside a kernel.
+//! stack's parallelism is across superposition nodes and jobs, not
+//! inside a kernel.
 //!
 //! # Example
 //!
@@ -37,11 +37,9 @@
 //! );
 //! ```
 
-mod budget;
 mod kernels;
 mod pool;
 
-pub use budget::{AdmitError, AdmitRequest, BudgetLease, Priority, ThreadBudget};
 pub use kernels::{
     combine_columns, div_in_place, dot, multi_dot, norm2, subtract_combination, tile_span, tiles,
     TILE,

@@ -10,10 +10,11 @@
 //! ```
 //!
 //! `serve` prints `listening on <addr>` once bound (port 0 picks a free
-//! port) and runs until killed. `--threads` is the engine's thread
-//! budget and `--executors` its queue-draining threads: a monolithic
-//! job occupies one thread and a distributed job one per worker, since
-//! kernels always run inline. `--store-dir` opens (or creates) a
+//! port) and runs until killed. `--threads` is the thread count the
+//! engine's job table leases and `--executors` the threads that start
+//! queued jobs: a job starts once it heads the one admission queue and
+//! its threads fit — one for a monolithic job, one per worker for a
+//! distributed job, since kernels always run inline. `--store-dir` opens (or creates) a
 //! disk-backed artifact store there: computed symbolic analyses,
 //! setups, DC solutions, and group plans persist across restarts, so a
 //! relaunched service serves its first jobs warm — bitwise identical to

@@ -5,21 +5,21 @@
 //! table and the handle's lifecycle verbs; the behaviour lives along
 //! three seams:
 //!
-//! * `admission` — `submit`'s triage and the calibrated cost model,
+//! * `admission` — the one admission queue: `submit`'s triage, the
+//!   calibrated cost model, and the thread count the job table leases,
 //! * `resolve` — where a job's artifacts come from (one key set per
 //!   job, one call per artifact class into the `cache` tier),
-//! * `execute` — the executor loop, thread admission, compute retry +
-//!   quarantine, and the solve itself.
+//! * `execute` — the executor loop, compute retry + quarantine, and the
+//!   solve itself.
 
 use crate::cache::ArtifactCache;
-use crate::job::{JobId, JobOutcome, JobSpec, JobStatus};
+use crate::job::{JobId, JobOutcome, JobSpec, JobStatus, Priority};
 use crate::stats::{Counter, Counters, EngineStats};
 use crate::ServeError;
 use matex_core::{CancelToken, FaultHook};
-use matex_par::ThreadBudget;
 use matex_store::ArtifactStore;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -27,12 +27,13 @@ use std::time::{Duration, Instant};
 /// Configuration of a [`ScenarioEngine`].
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
-    /// Total thread budget shared by all concurrently running jobs
-    /// (admission control never oversubscribes it). `None` uses
-    /// [`std::thread::available_parallelism`].
+    /// Threads the job table leases to running jobs: a job starts only
+    /// once its demand (one thread, or one per distributed worker) fits
+    /// beside the running ones, so the host is never oversubscribed.
+    /// `None` uses [`std::thread::available_parallelism`].
     pub threads: Option<usize>,
-    /// Executor threads draining the job queue (the maximum number of
-    /// jobs *attempting* admission at once).
+    /// Executor threads that start submitted jobs (at most this many
+    /// submitted jobs run at once).
     pub executors: usize,
     /// Default worker count for distributed jobs that leave `workers`
     /// unset.
@@ -120,27 +121,39 @@ impl Default for EngineOptions {
     }
 }
 
+/// What the table keeps of a job once it holds an id: its status and
+/// its cancel token. The spec lives in the queue, so a resolved job
+/// retains no circuit.
 pub(crate) struct JobRecord {
-    pub spec: JobSpec,
     pub status: JobStatus,
+    /// Cooperative cancel token observed by the running solver.
+    pub cancel: CancelToken,
+}
+
+/// A job in the admission queue: what ranks, prices and starts it.
+pub(crate) struct Queued {
+    pub id: JobId,
+    pub spec: JobSpec,
     pub submitted_at: Instant,
     /// Absolute deadline (submission time + the spec's relative one).
     pub deadline_at: Option<Instant>,
     /// Predicted service cost in LTS units (the `GroupPlan` makespan
     /// proxy), fixed at submission.
     pub units: f64,
-    /// Cooperative cancel token observed by the running solver.
+    /// Threads the job holds while running, in `1..=Inner::threads`.
+    pub threads: usize,
+    /// `true` for a [`ScenarioEngine::run`] job, which starts on its
+    /// caller's thread; a submitted job starts on an executor.
+    pub on_caller: bool,
     pub cancel: CancelToken,
 }
 
-impl JobRecord {
+impl Queued {
     /// Queue rank: strict priority class, then EDF (deadline-less jobs
     /// rank infinitely late and fall back to FIFO among themselves).
-    pub fn rank(&self, id: JobId) -> (u8, u8, Instant, JobId) {
-        match self.deadline_at {
-            Some(d) => (self.spec.priority.class(), 0, d, id),
-            None => (self.spec.priority.class(), 1, self.submitted_at, id),
-        }
+    pub fn rank(&self) -> (Priority, bool, Instant, JobId) {
+        let at = self.deadline_at.unwrap_or(self.submitted_at);
+        (self.spec.priority, self.deadline_at.is_none(), at, self.id)
     }
 }
 
@@ -150,11 +163,21 @@ pub(crate) struct JobTable {
     /// [`ScenarioEngine::run`] jobs both draw from it, so an id names
     /// one job on the trace timeline.
     next_id: JobId,
-    /// Queued-job records by id (`run` jobs hold an id but no record).
+    /// Records by id: a submitted job's from submission on, a `run`
+    /// job's while it waits and runs.
     pub records: HashMap<JobId, JobRecord>,
-    pub queue: VecDeque<JobId>,
+    /// The one admission queue: every job waiting for its turn and its
+    /// threads, submitted or synchronous. Only the best-ranked job may
+    /// start, so a wide job at the head is never overtaken by narrow
+    /// ones behind it.
+    pub queue: Vec<Queued>,
     /// Resolved job ids in completion order, for outcome retention.
     pub resolved: VecDeque<JobId>,
+    /// Threads leased to running jobs; never above `Inner::threads`.
+    pub busy: usize,
+    /// Set once, when the engine is dropped. Under the table's lock, so
+    /// an executor cannot check it and then sleep through the wake-up.
+    pub shutdown: bool,
 }
 
 impl JobTable {
@@ -173,11 +196,14 @@ impl JobTable {
 pub(crate) struct Inner {
     pub opts: EngineOptions,
     pub cache: ArtifactCache,
-    pub budget: ThreadBudget,
+    /// Threads the job table leases ([`EngineOptions::threads`],
+    /// resolved).
+    pub threads: usize,
     pub table: Mutex<JobTable>,
+    /// Signalled whenever the queue's head may have become startable:
+    /// a job queued, started, finished or was cancelled.
     pub queue_cv: Condvar,
     pub done_cv: Condvar,
-    pub shutdown: AtomicBool,
     pub counters: Arc<Counters>,
     /// Calibration: completed-job predicted units (scaled ×1024) and
     /// measured execution nanoseconds, so admission converts LTS-count
@@ -188,7 +214,7 @@ pub(crate) struct Inner {
 
 /// The scenario engine: accepts [`JobSpec`]s, amortizes per-circuit
 /// analysis through a structure-fingerprint cache, and multiplexes
-/// concurrent jobs over a fixed thread budget.
+/// concurrent jobs over the fixed thread count its job table leases.
 ///
 /// # Example
 ///
@@ -235,11 +261,10 @@ impl ScenarioEngine {
         let counters = Arc::new(Counters::new(opts.obs.clone()));
         let inner = Arc::new(Inner {
             cache: ArtifactCache::new(&opts, counters.clone()),
-            budget: ThreadBudget::new(threads),
+            threads: threads.max(1),
             table: Mutex::new(JobTable::default()),
             queue_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
             counters,
             calib_units: AtomicU64::new(0),
             calib_nanos: AtomicU64::new(0),
@@ -262,12 +287,13 @@ impl ScenarioEngine {
         &self.inner.opts
     }
 
-    /// Cancels a job. A queued job is removed from the queue and
-    /// resolves to [`JobStatus::Cancelled`] immediately; a running job
-    /// has its cooperative token tripped and resolves to `Cancelled` at
-    /// the solver's next transient-step (or distributed node) boundary,
-    /// returning its thread lease with it. Jobs already resolved are
-    /// left untouched.
+    /// Cancels a job — a submitted one, or a synchronous
+    /// [`run`](ScenarioEngine::run) in progress. A queued job is removed
+    /// from the queue and resolves to [`JobStatus::Cancelled`]
+    /// immediately; a running job has its cooperative token tripped and
+    /// resolves to `Cancelled` at the solver's next transient-step (or
+    /// distributed node) boundary, returning its threads with it. Jobs
+    /// already resolved are left untouched.
     ///
     /// Returns the job's status as observed *after* the cancellation
     /// attempt, or `None` for an unknown id. Cancelling never perturbs
@@ -278,14 +304,14 @@ impl ScenarioEngine {
         match rec.status.clone() {
             JobStatus::Queued => {
                 rec.status = JobStatus::Cancelled;
-                // Trip the token too: an executor that popped the id
-                // concurrently must not start the solve.
-                rec.cancel.cancel();
-                table.queue.retain(|&q| q != id);
+                table.queue.retain(|q| q.id != id);
                 drop(table);
                 self.inner
                     .counters
                     .count_labeled(Counter::Cancelled, &[("at", "queued")], 1);
+                // A new head may start now; a `run` caller learns here
+                // that its job is gone.
+                self.inner.queue_cv.notify_all();
                 self.inner.done_cv.notify_all();
                 Some(JobStatus::Cancelled)
             }
@@ -335,21 +361,29 @@ impl ScenarioEngine {
         }
     }
 
-    /// Runs a job synchronously on the calling thread, still under
-    /// admission control and against the shared cache. This is the
-    /// engine's core execution path — the queued path calls it too.
+    /// Runs a job synchronously on the calling thread, against the
+    /// shared cache. It waits in the same admission queue as submitted
+    /// jobs — ranked by its priority and deadline, started when it heads
+    /// the queue and its threads fit — but skips `submit`'s triage.
+    /// Until this returns it holds an id and a record like a submitted
+    /// job's (so `stats().queue_depth` counts it while it waits).
     ///
     /// # Errors
     ///
     /// Propagates circuit/solver/distributed failures;
-    /// [`ServeError::InvalidJob`] when the deadline lies beyond the
-    /// clock's range.
+    /// [`ServeError::Cancelled`] when the job was cancelled;
+    /// [`ServeError::DeadlineMissed`] when its deadline passed while it
+    /// queued; [`ServeError::InvalidJob`] when the deadline lies beyond
+    /// the clock's range.
     pub fn run(&self, spec: &JobSpec) -> Result<JobOutcome, ServeError> {
-        let deadline_at = crate::admission::deadline_at(Instant::now(), spec.deadline)?;
-        let id = self.inner.lock_table().draw_id();
-        self.inner.counters.count(Counter::Submitted, 1);
-        let out = self.inner.admit_and_execute(spec, deadline_at, None, id);
-        self.inner.note_result(&out);
+        let inner = &self.inner;
+        let id = inner.enqueue(spec.clone(), true)?;
+        let out = match inner.admit(Some(id)) {
+            Some(job) => inner.start(job),
+            None => Err(ServeError::Cancelled(id)),
+        };
+        inner.lock_table().records.remove(&id);
+        inner.done_cv.notify_all();
         out
     }
 
@@ -376,7 +410,7 @@ impl ScenarioEngine {
 
 impl Drop for ScenarioEngine {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
+        self.inner.lock_table().shutdown = true;
         self.inner.queue_cv.notify_all();
         for h in self.executors.drain(..) {
             let _ = h.join();
@@ -662,8 +696,11 @@ mod tests {
     #[test]
     fn a_job_demands_one_thread_or_one_per_worker() {
         // Kernels run inline, so admission leases exactly the threads a
-        // job occupies: its executor, or each distributed worker.
+        // job occupies: its executor, or each distributed worker — but
+        // never more than the table holds, so a job asking for more
+        // than the whole machine runs alone rather than never.
         let engine = ScenarioEngine::new(EngineOptions {
+            threads: Some(4),
             dist_workers: 3,
             ..EngineOptions::default()
         });
@@ -678,6 +715,7 @@ mod tests {
         assert_eq!(engine.inner.demand(&dist(None)), 3);
         assert_eq!(engine.inner.demand(&dist(Some(2))), 2);
         assert_eq!(engine.inner.demand(&dist(Some(0))), 1);
+        assert_eq!(engine.inner.demand(&dist(Some(64))), 4);
     }
 
     #[test]
@@ -992,5 +1030,236 @@ mod tests {
         assert!(stats.store_errors > 0, "store faults were tallied");
         assert_eq!(stats.store_hits, 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn dist(job: JobSpec, workers: usize) -> JobSpec {
+        job.mode(ExecutionMode::Distributed {
+            strategy: GroupingStrategy::ByBumpFeature,
+            workers: Some(workers),
+        })
+    }
+
+    /// Submits a 100k-step march that outlasts any test and returns its
+    /// id once it holds its thread; the caller cancels it.
+    fn blocker(engine: &ScenarioEngine) -> JobId {
+        let grid = Arc::new(
+            PdnBuilder::new(12, 12)
+                .num_loads(18)
+                .num_features(3)
+                .window(1e-6)
+                .seed(1)
+                .build()
+                .unwrap(),
+        );
+        let spec = TransientSpec::new(0.0, 1e-6, 1e-11)
+            .unwrap()
+            .observing(vec![0]);
+        let id = engine.submit(JobSpec::new(grid, spec)).unwrap();
+        while matches!(engine.status(id), Some(JobStatus::Queued)) {
+            std::thread::yield_now();
+        }
+        id
+    }
+
+    /// Ids in the order the engine took them out of the queue.
+    fn start_order(engine: &ScenarioEngine) -> Vec<JobId> {
+        engine
+            .obs()
+            .chrome_trace_events()
+            .split("{\"name\":\"engine.queue_wait\"")
+            .skip(1)
+            .map(|ev| {
+                let id = &ev[ev.find("\"job\":").unwrap() + 6..];
+                id[..id.find(|c: char| !c.is_ascii_digit()).unwrap()]
+                    .parse()
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dropping_an_engine_never_strands_an_executor() {
+        // An executor that has just found the queue empty must not sleep
+        // through the shutdown wake-up: that would hang the drop.
+        for _ in 0..2000 {
+            drop(ScenarioEngine::new(EngineOptions {
+                executors: 4,
+                ..EngineOptions::default()
+            }));
+        }
+    }
+
+    #[test]
+    fn threads_are_never_oversubscribed_and_all_come_back() {
+        let engine = ScenarioEngine::new(EngineOptions {
+            threads: Some(3),
+            executors: 3,
+            ..EngineOptions::default()
+        });
+        let ids: Vec<JobId> = (0..9)
+            .map(|k| {
+                let job = JobSpec::new(grid(40 + k), spec());
+                let job = match k % 3 {
+                    0 => job,
+                    w => dist(job, w as usize + 1),
+                };
+                engine.submit(job).unwrap()
+            })
+            .collect();
+        let mut peak = 0;
+        while engine.stats().completed + engine.stats().failed < 9 {
+            peak = peak.max(engine.inner.lock_table().busy);
+            std::thread::yield_now();
+        }
+        for id in ids {
+            engine.wait(id).unwrap();
+        }
+        assert!(peak <= 3, "{peak} threads leased out of 3");
+        assert_eq!(engine.inner.lock_table().busy, 0);
+    }
+
+    #[test]
+    fn leases_come_back_after_panics_failures_and_cancellations() {
+        let engine = ScenarioEngine::new(EngineOptions {
+            threads: Some(1),
+            executors: 1,
+            retry_backoff: Duration::ZERO,
+            ..EngineOptions::default()
+        });
+        let long = blocker(&engine);
+        let panics = engine
+            .submit(JobSpec::new(grid(50), spec().observing(vec![99_999])))
+            .unwrap();
+        let fails = engine
+            .submit(JobSpec::new(grid(51), spec()).source_scale(f64::NAN))
+            .unwrap();
+        engine.cancel(long);
+        assert!(engine.wait(long).unwrap_err().is_cancelled());
+        assert!(engine.wait(panics).is_err());
+        assert!(engine.wait(fails).is_err());
+        assert_eq!(engine.inner.lock_table().busy, 0);
+        // The single thread is free for the next job.
+        engine.run(&JobSpec::new(grid(52), spec())).unwrap();
+        assert_eq!(engine.inner.lock_table().busy, 0);
+    }
+
+    #[test]
+    fn a_wide_head_is_not_overtaken_by_narrow_jobs() {
+        let engine = ScenarioEngine::new(EngineOptions {
+            threads: Some(2),
+            executors: 2,
+            obs: matex_obs::Obs::enabled(),
+            ..EngineOptions::default()
+        });
+        let long = blocker(&engine);
+        // One thread is free: enough for the narrow job, not the wide
+        // one ahead of it, so neither may start.
+        let wide = engine
+            .submit(dist(JobSpec::new(grid(60), spec()), 2))
+            .unwrap();
+        let narrow = engine.submit(JobSpec::new(grid(61), spec())).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(matches!(engine.status(narrow), Some(JobStatus::Queued)));
+        assert!(matches!(engine.status(wide), Some(JobStatus::Queued)));
+        engine.cancel(long);
+        engine.wait(wide).unwrap();
+        engine.wait(narrow).unwrap();
+        assert_eq!(start_order(&engine), vec![long, wide, narrow]);
+    }
+
+    #[test]
+    fn cancelling_a_blocked_head_starts_the_next_job() {
+        let engine = ScenarioEngine::new(EngineOptions {
+            threads: Some(2),
+            executors: 2,
+            ..EngineOptions::default()
+        });
+        let long = blocker(&engine);
+        let wide = engine
+            .submit(dist(JobSpec::new(grid(62), spec()), 2))
+            .unwrap();
+        let narrow = engine.submit(JobSpec::new(grid(63), spec())).unwrap();
+        engine.cancel(wide);
+        // The narrow job now heads the queue and fits beside the
+        // blocker, which is still running.
+        engine.wait(narrow).unwrap();
+        assert!(matches!(engine.status(long), Some(JobStatus::Running)));
+        engine.cancel(long);
+    }
+
+    #[test]
+    fn a_run_waits_in_the_one_queue_and_can_be_cancelled_there() {
+        let engine = ScenarioEngine::new(EngineOptions {
+            threads: Some(1),
+            executors: 1,
+            ..EngineOptions::default()
+        });
+        let long = blocker(&engine);
+        let job = JobSpec::new(grid(70), spec());
+        std::thread::scope(|s| {
+            let queued = s.spawn(|| engine.run(&job));
+            let id = loop {
+                if let Some(q) = engine.inner.lock_table().queue.first() {
+                    break q.id;
+                }
+                std::thread::yield_now();
+            };
+            assert!(matches!(engine.status(id), Some(JobStatus::Queued)));
+            assert_eq!(engine.stats().queue_depth, 1);
+            assert!(matches!(engine.cancel(id), Some(JobStatus::Cancelled)));
+            assert!(matches!(
+                queued.join().unwrap(),
+                Err(ServeError::Cancelled(c)) if c == id
+            ));
+            assert!(engine.status(id).is_none(), "a run leaves no record");
+        });
+        engine.cancel(long);
+        let out = engine.run(&job).unwrap();
+        let standalone = MatexSolver::new(job.effective_options())
+            .run(&job.circuit, &job.spec)
+            .unwrap();
+        assert_eq!(out.result.series(), standalone.series());
+        assert_eq!(engine.stats().cancelled, 2);
+    }
+
+    #[test]
+    fn resolved_jobs_release_their_circuit() {
+        // What-if bases are the one place the engine keeps a circuit on
+        // purpose; without them nothing outlives the job.
+        let engine = ScenarioEngine::new(EngineOptions {
+            whatif_max_rank: 0,
+            whatif_bases: 0,
+            ..EngineOptions::default()
+        });
+        let sys = grid(80);
+        let id = engine.submit(JobSpec::new(sys.clone(), spec())).unwrap();
+        engine.wait(id).unwrap();
+        assert!(matches!(engine.status(id), Some(JobStatus::Done(_))));
+        assert_eq!(Arc::strong_count(&sys), 1, "the record kept the circuit");
+        engine.run(&JobSpec::new(sys.clone(), spec())).unwrap();
+        assert_eq!(Arc::strong_count(&sys), 1);
+    }
+
+    #[test]
+    fn drain_estimates_count_threads_as_well_as_executors() {
+        // Four idle executors but one thread: queued jobs drain one at
+        // a time, so the hint is their whole cost, not a quarter of it.
+        let engine = ScenarioEngine::new(EngineOptions {
+            threads: Some(1),
+            executors: 4,
+            ..EngineOptions::default()
+        });
+        let long = blocker(&engine);
+        for k in 0..4 {
+            engine.submit(JobSpec::new(grid(90 + k), spec())).unwrap();
+        }
+        let table = engine.inner.lock_table();
+        assert_eq!(table.queue.len(), 4, "no job started without a thread");
+        let units: f64 = table.queue.iter().map(|q| q.units).sum();
+        let want = (units * engine.inner.unit_secs()).clamp(1e-3, 60.0);
+        let got = engine.inner.drain_estimate(&table).as_secs_f64();
+        assert!((got - want).abs() <= 1e-9 * want, "{got} s, want {want} s");
+        drop(table);
+        engine.cancel(long);
     }
 }

@@ -1,121 +1,32 @@
-//! Execution: the executor loop, thread admission, compute retry +
-//! quarantine, and the solve itself.
+//! Execution: the executor loop, compute retry + quarantine, and the
+//! solve itself.
 
 use crate::cache::{Dcs, Plans, Setups};
-use crate::engine::Inner;
+use crate::engine::{Inner, Queued};
 use crate::job::{CacheReport, ExecutionMode, JobOutcome, JobSpec, JobStatus};
 use crate::stats::Counter;
 use crate::ServeError;
 use matex_core::{panic_message, CancelToken, MatexSolver, TransientEngine};
 use matex_dist::{plan_groups, run_distributed, DistributedOptions};
-use matex_par::{AdmitError, AdmitRequest};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 impl Inner {
-    /// Drains the job queue until shutdown (one call per executor
+    /// Starts submitted jobs until shutdown (one call per executor
     /// thread).
     pub(crate) fn executor_loop(&self) {
-        loop {
-            let (id, spec, submitted_at, deadline_at, units, cancel) = {
-                let mut table = self.lock_table();
-                loop {
-                    // Pop the best-ranked queued job: strict priority class
-                    // first, EDF within a class, FIFO among deadline-less
-                    // peers. The queue is bounded (`max_queue`), so the
-                    // linear scan stays cheap.
-                    let best = table
-                        .queue
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(_, q)| table.records[q].rank(*q))
-                        .map(|(pos, _)| pos);
-                    if let Some(pos) = best {
-                        let id = table.queue.remove(pos).expect("position just observed");
-                        let rec = table.records.get_mut(&id).expect("queued job has a record");
-                        rec.status = JobStatus::Running;
-                        break (
-                            id,
-                            rec.spec.clone(),
-                            rec.submitted_at,
-                            rec.deadline_at,
-                            rec.units,
-                            rec.cancel.clone(),
-                        );
-                    }
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    table = self.queue_cv.wait(table).unwrap_or_else(|e| e.into_inner());
-                }
-            };
-            let queue_wait = submitted_at.elapsed();
-            if self.opts.obs.is_enabled() {
-                self.opts
-                    .obs
-                    .record_span("engine.queue_wait", id, submitted_at, queue_wait, &[]);
-                self.opts
-                    .obs
-                    .observe("engine_queue_wait_seconds", queue_wait);
-            }
-            let exec_started = Instant::now();
-            let outcome = if deadline_at.is_some_and(|d| exec_started >= d) {
-                // A job already past its deadline is dropped unstarted:
-                // running it would burn capacity on an answer nobody is
-                // waiting for.
-                self.counters
-                    .count_labeled(Counter::DeadlineMisses, &[("at", "queued")], 1);
-                Err(ServeError::DeadlineMissed(
-                    "deadline passed while queued".into(),
-                ))
-            } else if cancel.is_cancelled() {
-                Err(ServeError::Cancelled(id))
-            } else {
-                // Panic isolation: a job that panics must resolve to
-                // Failed — never leave its record stuck in Running
-                // (wedging every waiter) or kill this executor thread.
-                // The budget lease is RAII, so it is returned during the
-                // unwind. Panics reaching this boundary escaped the
-                // compute retry loop (admission, bookkeeping).
-                catch_unwind(AssertUnwindSafe(|| {
-                    self.admit_and_execute(&spec, deadline_at, Some(&cancel), id)
-                }))
-                .unwrap_or_else(|payload| Err(self.job_panicked(payload)))
-            };
-            // Accounting: cancellations are neither completions nor
-            // failures; completed jobs calibrate the admission cost model
-            // and count as late when they resolve past their deadline.
-            match &outcome {
-                Ok(_) => {
-                    if deadline_at.is_some_and(|d| Instant::now() > d) {
-                        self.counters.count_labeled(
-                            Counter::DeadlineMisses,
-                            &[("at", "completed")],
-                            1,
-                        );
-                    }
-                    self.calibrate(units, exec_started.elapsed());
-                    self.note_result(&outcome);
-                }
-                Err(e) if e.is_cancelled() => {
-                    self.counters
-                        .count_labeled(Counter::Cancelled, &[("at", "running")], 1);
-                }
-                Err(_) => self.note_result(&outcome),
-            }
+        while let Some(job) = self.admit(None) {
+            let id = job.id;
+            let outcome = self.start(job);
             let mut table = self.lock_table();
             table
                 .records
                 .get_mut(&id)
                 .expect("running job has a record")
                 .status = match outcome {
-                Ok(mut out) => {
-                    out.queue_wait = queue_wait;
-                    JobStatus::Done(Arc::new(out))
-                }
+                Ok(out) => JobStatus::Done(Arc::new(out)),
                 Err(e) if e.is_cancelled() => JobStatus::Cancelled,
                 Err(e) => JobStatus::Failed(e.to_string()),
             };
@@ -136,16 +47,69 @@ impl Inner {
         }
     }
 
-    pub(crate) fn note_result(&self, out: &Result<JobOutcome, ServeError>) {
-        match out {
-            Ok(o) => {
+    /// Runs an admitted job to its outcome and does its accounting, on
+    /// an executor or a `run` caller alike. A job whose deadline passed
+    /// while it queued, or that was cancelled as it left the queue, is
+    /// dropped unstarted; any other runs under the compute retry budget.
+    /// Its threads return to the table before the accounting.
+    pub(crate) fn start(&self, job: Queued) -> Result<JobOutcome, ServeError> {
+        let queue_wait = job.submitted_at.elapsed();
+        if self.opts.obs.is_enabled() {
+            self.opts.obs.record_span(
+                "engine.queue_wait",
+                job.id,
+                job.submitted_at,
+                queue_wait,
+                &[],
+            );
+            self.opts
+                .obs
+                .observe("engine_queue_wait_seconds", queue_wait);
+        }
+        let exec_started = Instant::now();
+        let outcome = if job.deadline_at.is_some_and(|d| exec_started >= d) {
+            // Running it would burn capacity on an answer nobody is
+            // waiting for.
+            self.counters
+                .count_labeled(Counter::DeadlineMisses, &[("at", "queued")], 1);
+            Err(ServeError::DeadlineMissed(
+                "deadline passed while queued".into(),
+            ))
+        } else if job.cancel.is_cancelled() {
+            Err(ServeError::Cancelled(job.id))
+        } else {
+            // Panic isolation: a job that panics must resolve to
+            // Failed — never leave its record stuck in Running
+            // (wedging every waiter), leak its threads, or kill an
+            // executor thread. Panics reaching this boundary escaped
+            // the compute retry loop (bookkeeping).
+            catch_unwind(AssertUnwindSafe(|| self.execute_with_retries(&job)))
+                .unwrap_or_else(|payload| Err(self.job_panicked(payload)))
+        };
+        self.lock_table().busy -= job.threads;
+        self.queue_cv.notify_all();
+        // Accounting: cancellations are neither completions nor
+        // failures; completed jobs calibrate the admission cost model
+        // and count as late when they resolve past their deadline.
+        match &outcome {
+            Ok(out) => {
+                if job.deadline_at.is_some_and(|d| Instant::now() > d) {
+                    self.counters
+                        .count_labeled(Counter::DeadlineMisses, &[("at", "completed")], 1);
+                }
+                self.calibrate(job.units, exec_started.elapsed());
                 self.counters.count(Counter::Completed, 1);
-                if o.cache.is_warm() {
+                if out.cache.is_warm() {
                     self.counters.count(Counter::WarmJobs, 1);
                 }
             }
+            Err(e) if e.is_cancelled() => {
+                self.counters
+                    .count_labeled(Counter::Cancelled, &[("at", "running")], 1);
+            }
             Err(_) => self.counters.count(Counter::Failed, 1),
         }
+        outcome.map(|out| JobOutcome { queue_wait, ..out })
     }
 
     /// A contained job panic, counted, as the job's error (payload
@@ -155,46 +119,11 @@ impl Inner {
         ServeError::InvalidJob(format!("job panicked: {}", panic_message(&*payload)))
     }
 
-    /// Acquires the job's threads, then executes it under the compute
-    /// retry budget. `job_id` tags the job's spans on the shared trace
-    /// timeline.
-    pub(crate) fn admit_and_execute(
-        &self,
-        spec: &JobSpec,
-        deadline_at: Option<Instant>,
-        cancel: Option<&CancelToken>,
-        job_id: u64,
-    ) -> Result<JobOutcome, ServeError> {
+    /// Executes the job under the compute retry budget; the job's id
+    /// tags its spans on the shared trace timeline.
+    fn execute_with_retries(&self, job: &Queued) -> Result<JobOutcome, ServeError> {
         let t0 = Instant::now();
-        // Thread admission inherits the job's class and deadline: a
-        // high-priority job outranks queued normal acquirers, and a job
-        // whose deadline passes while waiting for threads gives up
-        // instead of running uselessly late.
-        let mut req = AdmitRequest::new(self.demand(spec)).priority(spec.priority);
-        if let Some(d) = deadline_at {
-            req = req.deadline(d);
-        }
-        let lease = match self.budget.acquire_admit(req) {
-            Ok(l) => l,
-            Err(AdmitError::DeadlineExpired) => {
-                self.counters
-                    .count_labeled(Counter::DeadlineMisses, &[("at", "admission")], 1);
-                return Err(ServeError::DeadlineMissed(
-                    "deadline passed while waiting for threads".into(),
-                ));
-            }
-            Err(e) => {
-                self.counters
-                    .count_labeled(Counter::Rejected, &[("reason", "admission")], 1);
-                return Err(ServeError::Rejected {
-                    reason: e.to_string(),
-                    retry_after: Duration::from_millis((self.unit_secs() * 1e3).clamp(
-                        1.0,
-                        (self.opts.retry_after_cap.as_secs_f64() * 1e3).max(1.0),
-                    ) as u64),
-                });
-            }
-        };
+        let (spec, job_id, cancel) = (&job.spec, job.id, &job.cancel);
         // Transient-failure recovery: each attempt runs under its own
         // catch_unwind so solver panics are retryable too. A failed
         // attempt quarantines the cached artifacts it executed against
@@ -210,8 +139,8 @@ impl Inner {
                 Err(e) => {
                     let terminal = e.is_cancelled()
                         || matches!(e, ServeError::DeadlineMissed(_))
-                        || cancel.is_some_and(|c| c.is_cancelled())
-                        || deadline_at.is_some_and(|d| Instant::now() >= d)
+                        || cancel.is_cancelled()
+                        || job.deadline_at.is_some_and(|d| Instant::now() >= d)
                         || attempt >= self.opts.max_compute_retries;
                     if terminal {
                         return Err(e);
@@ -230,10 +159,9 @@ impl Inner {
                 }
             }
         };
-        drop(lease);
         out.wall = t0.elapsed();
-        // The job span: admission wait + every attempt, labeled with
-        // the hit path the (final) execution actually took.
+        // The job span: every attempt, labeled with the hit path the
+        // (final) execution actually took.
         if self.opts.obs.is_enabled() {
             let path = out.cache.hit_path.label();
             self.opts
@@ -263,15 +191,15 @@ impl Inner {
         self.counters.count(Counter::Quarantined, evicted);
     }
 
-    /// Resolves the job's artifacts and runs it. The cancel token, if
-    /// any, is observed by the solver between transient steps (and by
+    /// Resolves the job's artifacts and runs it. The cancel token is
+    /// observed by the solver between transient steps (and by
     /// distributed workers between node runs) — never inside a
     /// factorization or cache store, so cancellation cannot leave a
     /// half-written artifact behind.
     fn execute(
         &self,
         job: &JobSpec,
-        cancel: Option<&CancelToken>,
+        cancel: &CancelToken,
         job_id: u64,
     ) -> Result<JobOutcome, ServeError> {
         let sys = job.effective_circuit()?;
@@ -300,10 +228,10 @@ impl Inner {
                     Ok(setup.solve_g(&sys.bu_at(job.spec.t_start())))
                 })?;
                 report.dc = dc_path.as_hit();
-                let mut solver = MatexSolver::new(opts).with_setup(setup).with_dc(x0);
-                if let Some(token) = cancel {
-                    solver = solver.with_cancel(token.clone());
-                }
+                let solver = MatexSolver::new(opts)
+                    .with_setup(setup)
+                    .with_dc(x0)
+                    .with_cancel(cancel.clone());
                 (solver.run(&sys, &job.spec)?, None)
             }
             ExecutionMode::Distributed { strategy, workers } => {
@@ -321,7 +249,7 @@ impl Inner {
                     symbolic: None,
                     setup: Some(setup),
                     plan: Some(plan),
-                    cancel: cancel.cloned(),
+                    cancel: Some(cancel.clone()),
                     max_node_retries: self.opts.max_node_retries,
                 };
                 let run = run_distributed(&sys, &job.spec, &dist_opts)?;

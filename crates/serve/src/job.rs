@@ -3,7 +3,6 @@
 use crate::ServeError;
 use matex_circuit::MnaSystem;
 use matex_core::{MatexOptions, TransientResult, TransientSpec};
-use matex_par::Priority;
 use matex_waveform::GroupingStrategy;
 use std::sync::Arc;
 use std::time::Duration;
@@ -11,6 +10,52 @@ use std::time::Duration;
 /// Identifier of a submitted job (engine-scoped, monotonically
 /// increasing).
 pub type JobId = u64;
+
+/// Strict admission priority class: a queued job of a more urgent class
+/// always starts before queued jobs of less urgent ones (the variants
+/// order from most to least urgent).
+///
+/// # Example
+///
+/// ```
+/// use matex_serve::Priority;
+///
+/// assert!(Priority::High < Priority::Normal);
+/// assert_eq!(Priority::parse("low"), Some(Priority::Low));
+/// assert_eq!(Priority::default(), Priority::Normal);
+/// assert_eq!(Priority::High.as_str(), "high");
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+pub enum Priority {
+    /// Starts before everything else that is queued.
+    High,
+    /// The default class.
+    #[default]
+    Normal,
+    /// Background work: starts only when no more urgent job is queued.
+    Low,
+}
+
+impl Priority {
+    /// The canonical lowercase name (`"high"`/`"normal"`/`"low"`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Priority::High => "high",
+            Priority::Normal => "normal",
+            Priority::Low => "low",
+        }
+    }
+
+    /// Parses a canonical name; `None` for anything else.
+    pub fn parse(s: &str) -> Option<Priority> {
+        match s {
+            "high" => Some(Priority::High),
+            "normal" => Some(Priority::Normal),
+            "low" => Some(Priority::Low),
+            _ => None,
+        }
+    }
+}
 
 /// How a job's transient is computed.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -24,8 +69,8 @@ pub enum ExecutionMode {
     Distributed {
         /// Source partitioning strategy.
         strategy: GroupingStrategy,
-        /// Worker threads for this run's node pool (`None` lets the
-        /// engine pick from its thread budget).
+        /// Worker threads for this run's node pool (`None` uses
+        /// `EngineOptions::dist_workers`).
         workers: Option<usize>,
     },
 }
@@ -141,7 +186,7 @@ pub struct JobSpec {
     pub mode: ExecutionMode,
     /// Scenario overrides applied on top of `circuit` / `matex`.
     pub overrides: ScenarioOverrides,
-    /// Admission priority class (strict: queued high jobs always run
+    /// Admission priority class (strict: queued high jobs always start
     /// before queued normal ones). Never affects the numerics — only
     /// *when* the job runs, so admitted waveforms are bitwise-invariant
     /// in it.
@@ -436,19 +481,20 @@ pub struct JobOutcome {
     pub cache: CacheReport,
     /// Number of distributed groups (`None` for monolithic jobs).
     pub groups: Option<usize>,
-    /// Wall time of the execution itself (admission + solve).
+    /// Wall time of the execution itself: every attempt, from the moment
+    /// the job left the queue.
     pub wall: Duration,
-    /// Time spent queued before an executor picked the job up (zero for
-    /// synchronous [`ScenarioEngine::run`](crate::ScenarioEngine::run)).
+    /// Time spent in the admission queue, waiting for its turn and its
+    /// threads.
     pub queue_wait: Duration,
 }
 
-/// Lifecycle state of a submitted job.
+/// Lifecycle state of a job.
 #[derive(Debug, Clone)]
 pub enum JobStatus {
-    /// Waiting for an executor.
+    /// Waiting in the admission queue for its turn and its threads.
     Queued,
-    /// An executor is running it.
+    /// Holding its threads and running.
     Running,
     /// Finished successfully.
     Done(Arc<JobOutcome>),
@@ -533,6 +579,15 @@ mod tests {
             .cap_scale(2, 4.0)
             .build();
         assert_eq!(short.overrides, ov);
+    }
+
+    #[test]
+    fn priority_names_round_trip() {
+        for p in [Priority::High, Priority::Normal, Priority::Low] {
+            assert_eq!(Priority::parse(p.as_str()), Some(p));
+        }
+        assert_eq!(Priority::parse("urgent"), None);
+        assert_eq!(Priority::parse("High"), None);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! * [`ScenarioEngine`] — runs jobs against a two-level
 //!   structure-fingerprint cache (symbolic analyses anchored per
 //!   γ decade, numeric setups per value fingerprint, DC solutions and
-//!   group plans per source fingerprint), admission-controlled over a
-//!   fixed thread budget ([`matex_par::ThreadBudget`]) so concurrent
+//!   group plans per source fingerprint), admitted through one ranked
+//!   queue whose job table leases a fixed thread count, so concurrent
 //!   jobs never oversubscribe the host,
 //! * [`serve`] / [`ServiceHandle`] — a TCP front end (hello / submit /
 //!   poll / wait / stream / stats) over [`std::net::TcpListener`]:
@@ -76,17 +76,13 @@ pub use engine::{EngineOptions, ScenarioEngine};
 pub use error::ServeError;
 pub use job::{
     CacheReport, ExecutionMode, Hit, HitPath, JobId, JobOutcome, JobSpec, JobSpecBuilder,
-    JobStatus, ScenarioOverrides, ScenarioOverridesBuilder,
+    JobStatus, Priority, ScenarioOverrides, ScenarioOverridesBuilder,
 };
 pub use json::{parse_flat_json, JsonValue};
 pub use loadgen::{run_load, LoadJob, LoadMode, LoadReport, LoadSpec};
+pub use matex_core::CancelToken;
 pub use service::{serve, ServiceHandle, ServiceOptions, ServiceOptionsBuilder};
 pub use stats::EngineStats;
-
-// Admission vocabulary shared with the parallel layer: jobs carry a
-// `Priority`, and the engine's thread budget speaks `AdmitRequest`.
-pub use matex_core::CancelToken;
-pub use matex_par::{AdmitError, AdmitRequest, Priority};
 
 // Compile the crate README's code blocks as doctests so the documented
 // quickstart can never rot.

@@ -22,9 +22,8 @@
 //! `heavytail` mode).
 
 use crate::json::escape;
-use crate::ServeError;
+use crate::{Priority, ServeError};
 use matex_core::FaultHook;
-use matex_par::Priority;
 use matex_waveform::{Fnv64, WaveFrame};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -543,9 +542,12 @@ fn run_one_job(
         return Ok(JobTry::Failed);
     };
     if faults.check("loadgen.conn").is_some() {
-        // Sever the socket mid-stream: the reads below fail like a
-        // killed network path, and recovery must reconnect + resubmit.
+        // Sever the socket mid-stream, like a killed network path, and
+        // report it here: frames already in the receive buffer still
+        // read after the shutdown, so the reads below may not fail.
+        // Recovery must reconnect + resubmit.
         conn.reader.get_ref().shutdown(Shutdown::Both).ok();
+        return Err(ServeError::Io("injected connection kill".into()));
     }
     let mut ok = true;
     let mut job_hash = Fnv64::new();
@@ -911,6 +913,53 @@ mod tests {
             report.stream_hashes
         );
         handle.stop();
+    }
+
+    #[test]
+    fn an_injected_kill_fires_even_when_the_stream_is_already_buffered() {
+        use matex_core::{FaultKind, FaultPlan};
+        use std::io::{BufRead, Read};
+        // A one-frame stream sent in the same write as its meta line:
+        // the client holds the whole reply before the kill, so only a
+        // kill that reports itself costs the reconnect it promises.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            let frame = WaveFrame {
+                frame: 0,
+                start: 0,
+                times: vec![0.0],
+                series: vec![vec![1.0]],
+            };
+            let mut meta = b"{\"ok\": true, \"code\": \"ok\", \"frames\": 1}\n".to_vec();
+            meta.extend(frame.encode());
+            let replies = [
+                b"{\"ok\": true, \"code\": \"ok\", \"job\": 0}\n".to_vec(),
+                b"{\"ok\": true, \"code\": \"ok\", \"state\": \"done\"}\n".to_vec(),
+                meta,
+            ];
+            for reply in replies {
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                writer.write_all(&reply).unwrap();
+            }
+            // Hold the connection open until the client drops it.
+            let _ = reader.read_to_end(&mut Vec::new());
+        });
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut conn = Conn {
+            writer: BufWriter::new(stream.try_clone().unwrap()),
+            reader: BufReader::new(stream),
+        };
+        let faults = FaultHook::new(FaultPlan::new().fail_at("loadgen.conn", 0, FaultKind::Error));
+        let job = LoadJob::pdn(4, 4, 2, 1, 1);
+        let outcome = run_one_job(&mut conn, &job, None, &faults, &mut Fnv64::new(), &mut 0);
+        assert!(outcome.is_err(), "the kill did not fire");
+        drop(conn);
+        server.join().unwrap();
     }
 
     #[test]

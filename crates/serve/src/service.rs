@@ -73,12 +73,11 @@
 //! the same job sequence receive byte-identical records (the
 //! determinism check `run_load` performs).
 
-use crate::job::{ExecutionMode, JobSpec, JobStatus};
+use crate::job::{ExecutionMode, JobSpec, JobStatus, Priority};
 use crate::json::{escape, parse_flat_json, JsonValue};
 use crate::{JobId, ScenarioEngine, ServeError};
 use matex_circuit::{parse_netlist, MnaSystem, PdnBuilder};
 use matex_core::TransientSpec;
-use matex_par::Priority;
 use matex_waveform::{Fnv64, GroupingStrategy, WaveFrame};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};

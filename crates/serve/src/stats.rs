@@ -47,12 +47,12 @@ pub struct EngineStats {
     pub rejected: u64,
     /// Jobs cancelled (queued or running).
     pub cancelled: u64,
-    /// Deadlines missed: jobs dropped unstarted past their deadline,
-    /// jobs that gave up waiting for threads, and jobs that completed
-    /// late.
+    /// Deadlines missed: jobs dropped unstarted past their deadline
+    /// (still waiting for their turn or their threads) and jobs that
+    /// completed late.
     pub deadline_misses: u64,
-    /// Jobs currently waiting in the engine queue (a gauge, not a
-    /// counter).
+    /// Jobs currently waiting in the admission queue for their turn or
+    /// their threads, submitted or synchronous (a gauge, not a counter).
     pub queue_depth: u64,
     /// Whole-circuit LRU evictions from the artifact cache.
     pub evictions: u64,

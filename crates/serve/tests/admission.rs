@@ -1,15 +1,17 @@
-//! Overload-robust admission: priority ordering, EDF within a class,
-//! bounded-queue rejection, cancellation of queued and running jobs —
-//! and the contract that none of it ever changes an admitted job's
-//! bits.
+//! Overload-robust admission: one queue for every job, priority
+//! ordering, EDF within a class, bounded-queue rejection, cancellation
+//! of queued and running jobs — and the contract that none of it ever
+//! changes an admitted job's bits.
 //!
 //! The scheduler may only decide *when* a job runs. These tests pin
 //! the observable consequences: no class is starved, tighter deadlines
-//! run first among equals, shed load is rejected with a back-off hint
-//! instead of queued unboundedly, cancellation returns the thread
-//! lease promptly and leaves the engine's counters and artifact cache
-//! consistent, and admitted waveforms are bitwise-invariant to queue
-//! pressure, priorities, and concurrent cancellations of other jobs.
+//! run first among equals, synchronous runs rank beside submitted jobs,
+//! a job waiting for threads is still queued, shed load is rejected
+//! with a back-off hint instead of queued unboundedly, cancellation
+//! returns the job's threads promptly and leaves the engine's counters
+//! and artifact cache consistent, and admitted waveforms are
+//! bitwise-invariant to queue pressure, priorities, and concurrent
+//! cancellations of other jobs.
 
 use matex_circuit::PdnBuilder;
 use matex_core::TransientSpec;
@@ -145,6 +147,116 @@ fn edf_runs_the_tighter_deadline_first_within_a_class() {
 }
 
 #[test]
+fn strict_classes_then_edf_then_fifo_set_the_start_order() {
+    let engine = ScenarioEngine::new(EngineOptions {
+        executors: 1,
+        threads: Some(2),
+        obs: matex_obs::Obs::enabled(),
+        ..EngineOptions::default()
+    });
+    let blocker = hold_executor(&engine);
+    // Arrival order is the reverse of the start order.
+    let low = engine
+        .submit(job(5, 40).priority(Priority::Low))
+        .expect("low");
+    let normal = engine.submit(job(5, 41)).expect("normal");
+    let normal_deadline = engine
+        .submit(job(5, 42).deadline(Duration::from_secs(60)))
+        .expect("normal with a deadline");
+    let high = engine
+        .submit(job(5, 43).priority(Priority::High))
+        .expect("high");
+    engine.cancel(blocker);
+    for id in [low, normal, normal_deadline, high] {
+        engine.wait(id).expect("every job completes");
+    }
+    assert_eq!(
+        start_order(&engine),
+        vec![blocker, high, normal_deadline, normal, low]
+    );
+}
+
+#[test]
+fn a_run_ranks_in_the_same_queue_as_submitted_jobs() {
+    let engine = ScenarioEngine::new(EngineOptions {
+        executors: 1,
+        threads: Some(1),
+        obs: matex_obs::Obs::enabled(),
+        ..EngineOptions::default()
+    });
+    let blocker = hold_executor(&engine);
+    let queued = engine.submit(job(5, 44)).expect("normal submit");
+    std::thread::scope(|s| {
+        let urgent = s.spawn(|| engine.run(&job(5, 45).priority(Priority::High)));
+        while engine.stats().queue_depth < 2 {
+            std::thread::yield_now();
+        }
+        engine.cancel(blocker);
+        urgent.join().expect("caller").expect("high run completes");
+    });
+    engine
+        .wait(queued)
+        .expect("the submitted job completes after it");
+    // The run drew the id after the submitted job's, yet started first.
+    assert_eq!(start_order(&engine), vec![blocker, queued + 1, queued]);
+}
+
+#[test]
+fn jobs_waiting_for_threads_are_queued_not_running() {
+    // Three executors but one thread: the two jobs behind the blocker
+    // wait in the queue, where `queue_depth`, `max_queue` and the
+    // drain estimate all see them.
+    let engine = ScenarioEngine::new(EngineOptions {
+        executors: 3,
+        threads: Some(1),
+        max_queue: 2,
+        ..EngineOptions::default()
+    });
+    let blocker = hold_executor(&engine);
+    let a = engine.submit(job(5, 46)).expect("fits");
+    let b = engine.submit(job(5, 47)).expect("fits");
+    std::thread::sleep(Duration::from_millis(20));
+    for id in [a, b] {
+        assert!(matches!(engine.status(id), Some(JobStatus::Queued)));
+    }
+    assert_eq!(engine.stats().queue_depth, 2);
+    match engine.submit(job(5, 48)) {
+        Err(ServeError::Rejected { reason, .. }) => {
+            assert!(reason.contains("queue full"), "reason: {reason}");
+        }
+        other => panic!("expected queue-full rejection, got {other:?}"),
+    }
+    engine.cancel(blocker);
+    for id in [a, b] {
+        engine.wait(id).expect("queued jobs complete");
+    }
+}
+
+#[test]
+fn a_head_past_its_deadline_is_dropped_while_threads_are_busy() {
+    let engine = ScenarioEngine::new(EngineOptions {
+        executors: 2,
+        threads: Some(1),
+        ..EngineOptions::default()
+    });
+    let blocker = hold_executor(&engine);
+    let late = engine
+        .submit(job(5, 49).deadline(Duration::from_secs(1)))
+        .expect("meetable on an idle executor");
+    let err = engine.wait(late).expect_err("dropped at its deadline");
+    assert!(
+        err.to_string().contains("deadline passed while queued"),
+        "{err}"
+    );
+    // Dropped at its deadline, not when the blocker let go.
+    assert!(matches!(engine.status(blocker), Some(JobStatus::Running)));
+    let s = engine.stats();
+    assert_eq!(s.deadline_misses, 1);
+    assert_eq!(s.queue_depth, 0);
+    engine.cancel(blocker);
+}
+
+#[test]
 fn full_queue_and_unmeetable_deadlines_are_rejected_with_retry_hints() {
     let engine = ScenarioEngine::new(EngineOptions {
         executors: 1,
@@ -255,9 +367,9 @@ fn cancelling_a_queued_job_resolves_it_and_leaves_the_engine_consistent() {
 
 #[test]
 fn cancelling_a_running_job_frees_the_budget_within_a_step_boundary() {
-    // threads = 1: the whole budget belongs to the running job, so the
-    // follow-up run() below can only succeed if cancellation returned
-    // the lease.
+    // threads = 1: the job table's only thread belongs to the running
+    // job, so the follow-up run() below can only succeed if
+    // cancellation returned it.
     let engine = ScenarioEngine::new(EngineOptions {
         executors: 1,
         threads: Some(1),
@@ -280,8 +392,8 @@ fn cancelling_a_running_job_frees_the_budget_within_a_step_boundary() {
     let s = engine.stats();
     assert_eq!(s.cancelled, 1);
     assert_eq!(s.failed, 0);
-    // The budget lease came back: a fresh job can acquire the single
-    // thread and run to completion, with bits matching a pristine
+    // The thread came back: a fresh job can take it and run to
+    // completion, with bits matching a pristine
     // engine (the aborted march poisoned nothing).
     let out = engine.run(&job(5, 32)).expect("engine still serves");
     let pristine = ScenarioEngine::new(EngineOptions {
