@@ -41,11 +41,16 @@ pub struct EngineOptions {
     /// Maximum distinct circuit structures kept in the artifact cache
     /// (whole-circuit LRU eviction beyond this).
     pub max_circuits: usize,
-    /// Resolved job outcomes retained for polling/streaming. Beyond
-    /// this, the oldest resolved job's outcome (its full waveform) is
-    /// dropped and its status becomes [`JobStatus::Expired`], so a
-    /// long-running service's memory is bounded by recent traffic.
-    pub max_retained: usize,
+    /// Byte budget for the waveforms of finished jobs, kept for
+    /// polling and streaming (an outcome's bytes are its `times` and
+    /// `series` samples, 8 bytes each). Once the retained outcomes
+    /// exceed it, the oldest are dropped first and their status becomes
+    /// [`JobStatus::Expired`], so a long-running service's memory is
+    /// bounded by recent traffic. The newest outcome is always kept,
+    /// even when it alone exceeds the budget, so every job can be
+    /// streamed once it finishes. Failed and cancelled jobs hold no
+    /// waveform and never expire. Default 128 MiB.
+    pub max_retained_bytes: usize,
     /// How many γ decades away a symbolic anchor may be reused
     /// (`0` = exact decade only).
     pub anchor_span: i32,
@@ -105,7 +110,7 @@ impl Default for EngineOptions {
             executors: 2,
             dist_workers: 2,
             max_circuits: 32,
-            max_retained: 1024,
+            max_retained_bytes: 128 << 20,
             anchor_span: 1,
             whatif_max_rank: 16,
             whatif_bases: 4,
@@ -171,8 +176,11 @@ pub(crate) struct JobTable {
     /// start, so a wide job at the head is never overtaken by narrow
     /// ones behind it.
     pub queue: Vec<Queued>,
-    /// Resolved job ids in completion order, for outcome retention.
-    pub resolved: VecDeque<JobId>,
+    /// Finished jobs whose outcome is still retained, oldest first,
+    /// with the bytes each outcome holds.
+    pub retained: VecDeque<(JobId, usize)>,
+    /// Sum of the bytes in `retained`.
+    pub retained_bytes: usize,
     /// Threads leased to running jobs; never above `Inner::threads`.
     pub busy: usize,
     /// Set once, when the engine is dropped. Under the table's lock, so
@@ -190,6 +198,23 @@ impl JobTable {
         let id = self.next_id;
         self.next_id += 1;
         id
+    }
+
+    /// Outcome retention: records that job `id` finished holding `bytes`
+    /// of waveform, then expires the oldest retained outcomes until the
+    /// total fits `budget` — but never the newest, so a job can always
+    /// be streamed once it finishes. An expired job keeps its id and
+    /// record; only its waveform goes.
+    pub fn retain(&mut self, id: JobId, bytes: usize, budget: usize) {
+        self.retained.push_back((id, bytes));
+        self.retained_bytes += bytes;
+        while self.retained_bytes > budget && self.retained.len() > 1 {
+            let (old, freed) = self.retained.pop_front().expect("two or more retained");
+            self.retained_bytes -= freed;
+            if let Some(rec) = self.records.get_mut(&old) {
+                rec.status = JobStatus::Expired;
+            }
+        }
     }
 }
 
@@ -346,7 +371,8 @@ impl ScenarioEngine {
                     JobStatus::Cancelled => return Err(ServeError::Cancelled(id)),
                     JobStatus::Expired => {
                         return Err(ServeError::InvalidJob(format!(
-                            "job {id} resolved but its outcome expired (retention limit)"
+                            "job {id} resolved but its outcome expired \
+                             (max_retained_bytes retention budget)"
                         )))
                     }
                     _ => {
@@ -425,8 +451,18 @@ impl Inner {
 
     /// One full read pass over every counter (torn when racing).
     fn read_stats(&self) -> EngineStats {
+        let (queue_depth, retained_jobs, retained_bytes) = {
+            let table = self.lock_table();
+            (
+                table.queue.len() as u64,
+                table.retained.len() as u64,
+                table.retained_bytes as u64,
+            )
+        };
         let mut s = EngineStats {
-            queue_depth: self.lock_table().queue.len() as u64,
+            queue_depth,
+            retained_jobs,
+            retained_bytes,
             evictions: self.cache.evictions(),
             store_errors: self.cache.store_errors(),
             cache: self.cache.sizes(),
@@ -669,28 +705,80 @@ mod tests {
         assert_eq!(engine.stats().submitted, 3);
     }
 
+    /// The retained jobs and their bytes, as the records say.
+    fn live_outcomes(engine: &ScenarioEngine, ids: &[JobId]) -> (Vec<JobId>, usize) {
+        let mut live = Vec::new();
+        let mut bytes = 0;
+        for &id in ids {
+            if let Some(JobStatus::Done(out)) = engine.status(id) {
+                live.push(id);
+                bytes += out.waveform_bytes();
+            }
+        }
+        (live, bytes)
+    }
+
     #[test]
     fn outcome_retention_expires_oldest_jobs() {
+        // One grid, outcomes of different sizes: each job records a
+        // different number of state rows.
+        let sys = grid(6);
+        let job = |rows: usize| JobSpec::new(sys.clone(), spec().observing((0..rows).collect()));
+        let row_bytes = 51 * 8;
+        let bytes = |rows: usize| (rows + 1) * row_bytes;
+        let budget = bytes(12);
         let engine = ScenarioEngine::new(EngineOptions {
             executors: 1,
-            max_retained: 2,
+            max_retained_bytes: budget,
             ..EngineOptions::default()
         });
-        let sys = grid(6);
-        let ids: Vec<JobId> = (0..4)
-            .map(|_| engine.submit(JobSpec::new(sys.clone(), spec())).unwrap())
-            .collect();
-        // Resolve everything (single executor: completion order = ids).
-        engine.wait(ids[3]).unwrap();
+        let sizes = [4, 6, 2, 9, 5, 3, 7];
+        let mut ids = Vec::new();
+        for rows in sizes {
+            // One job at a time: completion order = submission order.
+            let id = engine.submit(job(rows)).unwrap();
+            let out = engine.wait(id).unwrap();
+            assert_eq!(out.waveform_bytes(), bytes(rows));
+            ids.push(id);
+            let (live, live_bytes) = live_outcomes(&engine, &ids);
+            let s = engine.stats();
+            assert_eq!(s.retained_bytes as usize, live_bytes, "after job {id}");
+            assert_eq!(s.retained_jobs as usize, live.len());
+            assert!(live_bytes <= budget + out.waveform_bytes());
+            // The survivors are the newest jobs, the newest always.
+            assert_eq!(live, ids[ids.len() - live.len()..]);
+            assert_eq!(live.last(), Some(&id));
+        }
+        // The last two outcomes (3 and 7 rows, plus the time column
+        // each) fit the budget; with the 5-row one before them they
+        // would not.
+        let (live, _) = live_outcomes(&engine, &ids);
+        assert_eq!(live, ids[5..]);
         assert!(matches!(engine.status(ids[0]), Some(JobStatus::Expired)));
-        assert!(matches!(engine.status(ids[1]), Some(JobStatus::Expired)));
-        assert!(matches!(engine.status(ids[3]), Some(JobStatus::Done(_))));
         assert!(matches!(
             engine.wait(ids[0]),
-            Err(ServeError::InvalidJob(_))
+            Err(ServeError::InvalidJob(msg)) if msg.contains("max_retained_bytes")
         ));
         // Expired ids still answer polls with a stable label.
         assert_eq!(engine.status(ids[0]).unwrap().label(), "expired");
+
+        // An outcome larger than the whole budget is still kept until a
+        // newer one replaces it, so it can be waited on and streamed.
+        let tiny = ScenarioEngine::new(EngineOptions {
+            executors: 1,
+            max_retained_bytes: 1,
+            ..EngineOptions::default()
+        });
+        let big = tiny.submit(job(9)).unwrap();
+        let out = tiny.wait(big).unwrap();
+        assert!(out.waveform_bytes() > 1);
+        assert!(matches!(tiny.wait(big), Ok(o) if o.result.series() == out.result.series()));
+        assert_eq!(tiny.stats().retained_bytes as usize, out.waveform_bytes());
+        let next = tiny.submit(job(2)).unwrap();
+        tiny.wait(next).unwrap();
+        assert!(matches!(tiny.status(big), Some(JobStatus::Expired)));
+        let s = tiny.stats();
+        assert_eq!((s.retained_jobs, s.retained_bytes as usize), (1, bytes(2)));
     }
 
     #[test]

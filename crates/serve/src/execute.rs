@@ -20,28 +20,22 @@ impl Inner {
         while let Some(job) = self.admit(None) {
             let id = job.id;
             let outcome = self.start(job);
-            let mut table = self.lock_table();
-            table
-                .records
-                .get_mut(&id)
-                .expect("running job has a record")
-                .status = match outcome {
+            let status = match outcome {
                 Ok(out) => JobStatus::Done(Arc::new(out)),
                 Err(e) if e.is_cancelled() => JobStatus::Cancelled,
                 Err(e) => JobStatus::Failed(e.to_string()),
             };
-            // Outcome retention: a long-running service must not
-            // accumulate every waveform it ever computed. Beyond the
-            // limit, the oldest resolved job keeps its id but drops its
-            // payload.
-            table.resolved.push_back(id);
-            while table.resolved.len() > self.opts.max_retained.max(1) {
-                if let Some(old) = table.resolved.pop_front() {
-                    if let Some(rec) = table.records.get_mut(&old) {
-                        rec.status = JobStatus::Expired;
-                    }
-                }
+            let mut table = self.lock_table();
+            // A long-running service must not keep every waveform it
+            // ever computed: retention is budgeted in bytes.
+            if let JobStatus::Done(out) = &status {
+                table.retain(id, out.waveform_bytes(), self.opts.max_retained_bytes);
             }
+            table
+                .records
+                .get_mut(&id)
+                .expect("running job has a record")
+                .status = status;
             drop(table);
             self.done_cv.notify_all();
         }

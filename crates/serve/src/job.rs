@@ -489,6 +489,19 @@ pub struct JobOutcome {
     pub queue_wait: Duration,
 }
 
+impl JobOutcome {
+    /// Bytes of waveform the outcome holds: every `times` and `series`
+    /// sample, 8 bytes each. What [`EngineOptions::max_retained_bytes`]
+    /// budgets.
+    ///
+    /// [`EngineOptions::max_retained_bytes`]: crate::EngineOptions::max_retained_bytes
+    pub(crate) fn waveform_bytes(&self) -> usize {
+        let samples =
+            self.result.times().len() + self.result.series().iter().map(Vec::len).sum::<usize>();
+        samples * std::mem::size_of::<f64>()
+    }
+}
+
 /// Lifecycle state of a job.
 #[derive(Debug, Clone)]
 pub enum JobStatus {
@@ -504,9 +517,10 @@ pub enum JobStatus {
     /// a transient-step boundary while running. Cancelled jobs never
     /// poison the artifact cache: partial results are dropped whole.
     Cancelled,
-    /// Resolved long ago; the outcome was dropped under the engine's
-    /// retention limit (`EngineOptions::max_retained`) so a long-running
-    /// service's memory stays bounded by its recent traffic.
+    /// Finished, but its waveform was dropped: newer outcomes filled the
+    /// engine's retention budget (`EngineOptions::max_retained_bytes`),
+    /// so a long-running service's memory stays bounded by its recent
+    /// traffic.
     Expired,
 }
 

@@ -466,6 +466,8 @@ struct Conn {
 impl Conn {
     fn connect(addr: &str) -> Result<Conn, ServeError> {
         let stream = TcpStream::connect(addr)?;
+        // Requests go out whole, not held behind an unacknowledged one.
+        stream.set_nodelay(true)?;
         let mut conn = Conn {
             writer: BufWriter::new(stream.try_clone()?),
             reader: BufReader::new(stream),

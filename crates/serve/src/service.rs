@@ -11,11 +11,11 @@
 //! |---|---|
 //! | `{"cmd":"hello","proto":2,"frames":"binary"}` | `{"ok":true,"code":"ok","proto":2,"max_proto":2,"frames":"binary"}` — a version check: `proto` ≥ 2, `frames` absent or `"binary"` |
 //! | `{"cmd":"submit", ...}` | `{"ok":true,"code":"ok","job":N}` — or a rejection (below) |
-//! | `{"cmd":"poll","job":N}` | `{"ok":true,"code":"ok","job":N,"state":"queued\|running\|done\|failed\|cancelled",...}` |
+//! | `{"cmd":"poll","job":N}` | `{"ok":true,"code":"ok","job":N,"state":"queued\|running\|done\|failed\|cancelled\|expired",...}` |
 //! | `{"cmd":"wait","job":N}` | as `poll`, but blocks until resolved |
 //! | `{"cmd":"cancel","job":N}` | `{"ok":true,"code":"ok","job":N,"state":...}` — queued jobs drop, running jobs stop at the next step |
 //! | `{"cmd":"stream","job":N}` | a meta line, then `frames` binary waveform records |
-//! | `{"cmd":"stats"}` | engine counters (overload: `rejected`, `cancelled`, `deadline_misses`, `queue_depth`; store: `store_hits`, `store_writes`) and cache sizes — plus `job_p50_us`/`p90`/`p99` and `queue_wait_p50_us`/`p90`/`p99` histogram quantiles when the engine runs with observability enabled |
+//! | `{"cmd":"stats"}` | engine counters (overload: `rejected`, `cancelled`, `deadline_misses`, `queue_depth`; retention: `retained_jobs`, `retained_bytes`; store: `store_hits`, `store_writes`) and cache sizes — plus `job_p50_us`/`p90`/`p99` and `queue_wait_p50_us`/`p90`/`p99` histogram quantiles when the engine runs with observability enabled |
 //! | `{"cmd":"metrics"}` | `{"ok":true,"code":"ok","lines":N}`, then `N` raw Prometheus text-exposition lines from the engine's [`matex_obs`] recorder (comment-only page when observability is disabled) |
 //! | `{"cmd":"trace"}` | `{"ok":true,"code":"ok","events":[...]}` — the Chrome-trace event array (concatenable with a client's own events into one `chrome://tracing` timeline) |
 //!
@@ -60,12 +60,23 @@
 //! submissions of one circuit assembles it once — and hits the engine's
 //! artifact cache underneath.
 //!
-//! The service defends itself against slow or stuck peers: accepted
-//! sockets carry read/write timeouts ([`ServiceOptions::io_timeout`]),
-//! so a connection that goes silent, or a client that stops draining
-//! its receive window mid-stream, is dropped instead of pinning a
-//! handler thread forever. Multi-line responses are flushed every few
-//! lines, bounding the per-connection write buffer.
+//! Each reply leaves in as few writes as its size allows: accepted
+//! sockets run with `TCP_NODELAY` (Nagle off), and every reply is
+//! written through one 64 KiB buffer that is flushed once, when the
+//! reply is complete. A reply that fits the buffer is one write, so no
+//! tail segment waits out the client's delayed ACK. A larger one (a
+//! full-state stream) spills as the buffer fills, so the writer never
+//! holds more than one buffer and a stalled peer trips the write
+//! timeout mid-reply.
+//!
+//! The service defends itself against slow, stuck or hostile peers:
+//! accepted sockets carry read/write timeouts
+//! ([`ServiceOptions::io_timeout`]), so a connection that goes silent,
+//! or a client that stops draining its receive window mid-stream, is
+//! dropped instead of pinning a handler thread forever. A request line
+//! longer than `MAX_REQUEST_BYTES` (16 MiB) is answered with a
+//! `"protocol"` error and the connection is closed, so a peer that
+//! never sends a newline cannot grow one line until the process dies.
 //!
 //! Responses to distinct requests never interleave on one connection;
 //! `stream` waveform frames are chunked so a client can process arrival
@@ -80,7 +91,7 @@ use matex_circuit::{parse_netlist, MnaSystem, PdnBuilder};
 use matex_core::TransientSpec;
 use matex_waveform::{Fnv64, GroupingStrategy, WaveFrame};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -222,12 +233,11 @@ pub fn serve(
                 while !shutdown.load(Ordering::Acquire) {
                     match listener.accept() {
                         Ok((stream, _)) => {
-                            // Slow-peer guard: a socket that stays
-                            // silent or stops draining for io_timeout
-                            // errors out of its blocking read/write,
-                            // and the handler thread exits.
-                            let _ = stream.set_read_timeout(opts.io_timeout);
-                            let _ = stream.set_write_timeout(opts.io_timeout);
+                            // A socket without its timeouts could pin a
+                            // handler thread forever: drop it instead.
+                            if configure_socket(&stream, opts.io_timeout).is_err() {
+                                continue;
+                            }
                             let state = state.clone();
                             let _ = std::thread::Builder::new()
                                 .name("matex-serve-conn".into())
@@ -282,11 +292,27 @@ impl ServiceState {
     }
 }
 
-/// Flush cadence for multi-part responses: bounds the per-connection
-/// write buffer to a handful of lines or frame records, and surfaces a
-/// stalled peer (blocked flush + write timeout) early instead of after
-/// the whole response was materialized into the writer.
-const FLUSH_EVERY_LINES: usize = 8;
+/// Per-socket setup of an accepted connection. `TCP_NODELAY` sends each
+/// flushed reply at once instead of holding its last segment until the
+/// peer acknowledges the previous one (the peer may delay that ACK by
+/// ~40 ms). The timeouts are the slow-peer guard: a socket that stays
+/// silent or stops draining for `io_timeout` errors out of its blocking
+/// read or write, and the handler thread exits.
+fn configure_socket(stream: &TcpStream, io_timeout: Option<Duration>) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(io_timeout)?;
+    stream.set_write_timeout(io_timeout)
+}
+
+/// Capacity of a connection's write buffer. A reply up to this size
+/// leaves in one write; a larger one spills as the buffer fills, so a
+/// stalled peer still trips the write timeout mid-reply.
+const REPLY_BUFFER_BYTES: usize = 64 * 1024;
+
+/// Longest request line the service reads, newline excluded. Far above
+/// any netlist a real client submits; a longer line is a protocol error
+/// that closes the connection.
+const MAX_REQUEST_BYTES: u64 = 16 << 20;
 
 /// The only protocol version this server speaks.
 const PROTO: u64 = 2;
@@ -298,12 +324,13 @@ enum Payload {
     Bytes(Vec<u8>),
 }
 
-/// Flushes the connection writer, timing the flush into the engine's
-/// `service_flush_seconds` histogram when observability is enabled. A
-/// slow flush here is the signature of a peer that stopped draining its
-/// receive window — the histogram's tail is the early-warning signal
-/// the `io_timeout` guard acts on.
-fn flush_timed(writer: &mut BufWriter<TcpStream>, obs: &matex_obs::Obs) -> std::io::Result<()> {
+/// Flushes the connection writer once a reply is complete, timing the
+/// flush into the engine's `service_flush_seconds` histogram when
+/// observability is enabled: one observation per request. A slow flush
+/// is the signature of a peer that stopped draining its receive window —
+/// the histogram's tail is the early-warning signal the `io_timeout`
+/// guard acts on.
+fn flush_timed<W: Write>(writer: &mut BufWriter<W>, obs: &matex_obs::Obs) -> std::io::Result<()> {
     if !obs.is_enabled() {
         return writer.flush();
     }
@@ -318,37 +345,61 @@ fn flush_timed(writer: &mut BufWriter<TcpStream>, obs: &matex_obs::Obs) -> std::
 }
 
 fn handle_connection(stream: TcpStream, state: &ServiceState) {
-    let reader = BufReader::new(match stream.try_clone() {
+    let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
     });
-    let mut writer = BufWriter::new(stream);
+    let mut writer = BufWriter::with_capacity(REPLY_BUFFER_BYTES, stream);
     let obs = state.engine.obs().clone();
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        match (&mut reader)
+            .take(MAX_REQUEST_BYTES + 1)
+            .read_until(b'\n', &mut line)
+        {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+        let ended = line.last() == Some(&b'\n');
+        if !ended && line.len() as u64 > MAX_REQUEST_BYTES {
+            let e = ServeError::Protocol(format!(
+                "request line exceeds {MAX_REQUEST_BYTES} bytes; closing the connection"
+            ));
+            let _ = write_reply(&mut writer, &[Payload::Line(error_line(&e))], &obs);
+            return;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            return;
+        };
+        let text = text.strip_suffix('\n').unwrap_or(text);
+        let text = text.strip_suffix('\r').unwrap_or(text);
+        if text.trim().is_empty() {
             continue;
         }
-        let responses = match handle_request(&line, state) {
+        let reply = match handle_request(text, state) {
             Ok(payloads) => payloads,
             Err(e) => vec![Payload::Line(error_line(&e))],
         };
-        for (i, r) in responses.iter().enumerate() {
-            let wrote = match r {
-                Payload::Line(l) => writeln!(writer, "{l}"),
-                Payload::Bytes(b) => writer.write_all(b),
-            };
-            if wrote.is_err() {
-                return;
-            }
-            if (i + 1) % FLUSH_EVERY_LINES == 0 && flush_timed(&mut writer, &obs).is_err() {
-                return;
-            }
-        }
-        if flush_timed(&mut writer, &obs).is_err() {
+        if write_reply(&mut writer, &reply, &obs).is_err() {
             return;
         }
     }
+}
+
+/// Writes one whole reply and flushes it once.
+fn write_reply<W: Write>(
+    writer: &mut BufWriter<W>,
+    reply: &[Payload],
+    obs: &matex_obs::Obs,
+) -> std::io::Result<()> {
+    for r in reply {
+        match r {
+            Payload::Line(l) => writeln!(writer, "{l}")?,
+            Payload::Bytes(b) => writer.write_all(b)?,
+        }
+    }
+    flush_timed(writer, obs)
 }
 
 /// Serializes an error envelope: `ok`, the stable [`ServeError::code`],
@@ -533,7 +584,7 @@ fn stats_line(state: &ServiceState) -> String {
         "{{\"ok\": true, \"code\": \"ok\", \
          \"submitted\": {}, \"completed\": {}, \"failed\": {}, \
          \"rejected\": {}, \"cancelled\": {}, \"deadline_misses\": {}, \
-         \"queue_depth\": {}, \
+         \"queue_depth\": {}, \"retained_jobs\": {}, \"retained_bytes\": {}, \
          \"warm_jobs\": {}, \"setup_hits\": {}, \"setup_misses\": {}, \
          \"symbolic_hits\": {}, \"dc_hits\": {}, \"plan_hits\": {}, \
          \"whatif_hits\": {}, \"whatif_rank\": {}, \"whatif_fallbacks\": {}, \
@@ -547,6 +598,8 @@ fn stats_line(state: &ServiceState) -> String {
         s.cancelled,
         s.deadline_misses,
         s.queue_depth,
+        s.retained_jobs,
+        s.retained_bytes,
         s.warm_jobs,
         s.setup_hits,
         s.setup_misses,
@@ -827,6 +880,48 @@ mod tests {
         let (len, _) = WaveFrame::decode_len(&record[..8]).unwrap();
         assert_eq!(8 + len, record.len());
         WaveFrame::decode_payload(&record[8..]).unwrap()
+    }
+
+    /// The `n × n` grid a `{"pdn_nx": n, "pdn_ny": n}` submit builds.
+    fn pdn(n: usize) -> MnaSystem {
+        PdnBuilder::new(n, n)
+            .num_loads(8)
+            .num_features(3)
+            .seed(1)
+            .window(1e-9)
+            .build()
+            .unwrap()
+    }
+
+    /// The chained frame hash of a standalone solver run, cut into
+    /// `chunk`-point frames the way the service cuts a stream.
+    fn standalone_hash(sys: &MnaSystem, spec: &TransientSpec, chunk: usize) -> u64 {
+        use matex_core::{MatexOptions, MatexSolver, TransientEngine};
+        let alone = MatexSolver::new(MatexOptions::default())
+            .run(sys, spec)
+            .unwrap();
+        let (times, series) = (alone.times(), alone.series());
+        let mut want = Fnv64::new();
+        for (f, start) in (0..times.len()).step_by(chunk).enumerate() {
+            let end = (start + chunk).min(times.len());
+            WaveFrame {
+                frame: f as u64,
+                start: start as u64,
+                times: times[start..end].to_vec(),
+                series: series.iter().map(|s| s[start..end].to_vec()).collect(),
+            }
+            .feed(&mut want);
+        }
+        want.finish()
+    }
+
+    /// The chained frame hash of streamed records.
+    fn records_hash(records: &[Vec<u8>]) -> u64 {
+        let mut got = Fnv64::new();
+        for r in records {
+            decode(r).feed(&mut got);
+        }
+        got.finish()
     }
 
     #[test]
@@ -1191,7 +1286,6 @@ mod tests {
 
     #[test]
     fn hello_is_a_version_check_and_every_connection_streams_the_same_bytes() {
-        use matex_core::{MatexOptions, MatexSolver, TransientEngine};
         let (_engine, handle) = start();
         let stream_job = r#"{"cmd": "stream", "job": 0, "chunk": 20}"#;
 
@@ -1229,36 +1323,13 @@ mod tests {
         );
 
         // Those frames are the standalone solver's waveform, bit for bit.
-        let sys = PdnBuilder::new(6, 6)
-            .num_loads(8)
-            .num_features(3)
-            .seed(1)
-            .window(1e-9)
-            .build()
-            .unwrap();
         let spec = TransientSpec::new(0.0, 1e-9, 2e-11)
             .unwrap()
             .observing(vec![0, 1, 2]);
-        let alone = MatexSolver::new(MatexOptions::default())
-            .run(&sys, &spec)
-            .unwrap();
-        let (times, series) = (alone.times(), alone.series());
-        let mut want = Fnv64::new();
-        for (f, start) in (0..times.len()).step_by(20).enumerate() {
-            let end = (start + 20).min(times.len());
-            WaveFrame {
-                frame: f as u64,
-                start: start as u64,
-                times: times[start..end].to_vec(),
-                series: series.iter().map(|s| s[start..end].to_vec()).collect(),
-            }
-            .feed(&mut want);
-        }
-        let mut got = Fnv64::new();
-        for r in &bare_records {
-            decode(r).feed(&mut got);
-        }
-        assert_eq!(got.finish(), want.finish());
+        assert_eq!(
+            records_hash(&bare_records),
+            standalone_hash(&pdn(6), &spec, 20)
+        );
 
         // Refused handshakes are protocol errors; the connection that
         // sent them still streams the same bytes afterwards.
@@ -1279,6 +1350,130 @@ mod tests {
             exchange(&mut greeted, stream_job),
             (bare_meta, bare_records)
         );
+        handle.stop();
+    }
+
+    /// A socket stand-in that counts the writes reaching it.
+    #[derive(Default)]
+    struct CountingSink {
+        writes: usize,
+        bytes: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes += buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_reply_under_the_buffer_is_one_write_and_one_flush() {
+        let state = ServiceState {
+            engine: Arc::new(ScenarioEngine::new(EngineOptions {
+                executors: 1,
+                obs: matex_obs::Obs::enabled(),
+                ..EngineOptions::default()
+            })),
+            circuits: Mutex::new(HashMap::new()),
+            stream_chunk: 8,
+        };
+        let obs = state.engine.obs().clone();
+        let flushes = || {
+            obs.recorder()
+                .unwrap()
+                .histogram_snapshot("service_flush_seconds")
+                .count()
+        };
+        let mut writer = BufWriter::with_capacity(REPLY_BUFFER_BYTES, CountingSink::default());
+        let requests = [
+            r#"{"cmd": "submit", "pdn_nx": 6, "pdn_ny": 6, "t_stop": 1e-9, "dt_out": 2e-11, "rows": "0,1"}"#,
+            r#"{"cmd": "wait", "job": 0}"#,
+            r#"{"cmd": "stream", "job": 0}"#,
+            r#"{"cmd": "stats"}"#,
+        ];
+        for (k, req) in requests.into_iter().enumerate() {
+            let reply = handle_request(req, &state).unwrap();
+            let before = (writer.get_ref().writes, writer.get_ref().bytes);
+            write_reply(&mut writer, &reply, &obs).unwrap();
+            assert_eq!(flushes(), k as u64 + 1, "{req}");
+            let sink = writer.get_ref();
+            assert_eq!(sink.writes, before.0 + 1, "{req}");
+            if req.contains("stream") {
+                // A meta line and seven frame records (51 points / 8),
+                // well under the buffer: one write.
+                assert_eq!(reply.len(), 8);
+                assert!(sink.bytes - before.1 < REPLY_BUFFER_BYTES);
+            }
+        }
+    }
+
+    #[test]
+    fn a_reply_over_the_buffer_streams_the_standalone_bits() {
+        // A retention budget of one byte: the outcome is larger than the
+        // whole budget and is still kept, as the newest, to stream.
+        let engine = Arc::new(ScenarioEngine::new(EngineOptions {
+            executors: 1,
+            max_retained_bytes: 1,
+            ..EngineOptions::default()
+        }));
+        let handle = serve(engine.clone(), &ServiceOptions::default()).unwrap();
+        let mut conn = TcpStream::connect(handle.addr()).unwrap();
+        let sub = roundtrip(
+            &mut conn,
+            r#"{"cmd": "submit", "pdn_nx": 16, "pdn_ny": 16, "t_stop": 1e-9, "dt_out": 2e-11}"#,
+        );
+        assert!(sub[0].contains("\"job\": 0"), "{sub:?}");
+        let (meta, records) = exchange(&mut conn, r#"{"cmd": "stream", "job": 0}"#);
+        assert!(meta[0].contains("\"frames\": 2"), "{meta:?}"); // 51 points / 32
+        let wire: usize = records.iter().map(Vec::len).sum();
+        assert!(wire > REPLY_BUFFER_BYTES, "{wire} bytes");
+        let spec = TransientSpec::new(0.0, 1e-9, 2e-11).unwrap();
+        assert_eq!(records_hash(&records), standalone_hash(&pdn(16), &spec, 32));
+        let stats = roundtrip(&mut conn, r#"{"cmd": "stats"}"#);
+        assert!(stats[0].contains("\"retained_jobs\": 1"), "{stats:?}");
+        assert_eq!(engine.stats().retained_jobs, 1);
+        handle.stop();
+    }
+
+    #[test]
+    fn accepted_sockets_run_without_nagle_and_with_timeouts() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let timeout = Some(Duration::from_secs(3));
+        configure_socket(&accepted, timeout).unwrap();
+        assert!(accepted.nodelay().unwrap());
+        assert_eq!(accepted.read_timeout().unwrap(), timeout);
+        assert_eq!(accepted.write_timeout().unwrap(), timeout);
+    }
+
+    #[test]
+    fn an_over_long_request_line_is_refused_and_closes_the_connection() {
+        let (_engine, handle) = start();
+        let mut conn = TcpStream::connect(handle.addr()).unwrap();
+        // One byte past the cap, and no newline.
+        let line = vec![b'x'; MAX_REQUEST_BYTES as usize + 1];
+        conn.write_all(&line).unwrap();
+        conn.flush().unwrap();
+        let mut reader = BufReader::new(conn);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert!(reply.contains("\"ok\": false"), "{reply}");
+        assert!(reply.contains("\"code\": \"protocol\""), "{reply}");
+        assert!(reply.contains("exceeds"), "{reply}");
+        // Closed: nothing follows the error envelope.
+        let mut rest = Vec::new();
+        assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0);
+        // The server itself still serves a new connection.
+        let mut next = TcpStream::connect(handle.addr()).unwrap();
+        let stats = roundtrip(&mut next, r#"{"cmd": "stats"}"#);
+        assert!(stats[0].contains("\"ok\": true"), "{stats:?}");
         handle.stop();
     }
 }
