@@ -41,12 +41,13 @@ pub struct EngineOptions {
     /// Maximum distinct circuit structures kept in the artifact cache
     /// (whole-circuit LRU eviction beyond this).
     pub max_circuits: usize,
-    /// Byte budget for the waveforms of finished jobs, kept for
-    /// polling and streaming (an outcome's bytes are its `times` and
-    /// `series` samples, 8 bytes each). Once the retained outcomes
-    /// exceed it, the oldest are dropped first and their status becomes
-    /// [`JobStatus::Expired`], so a long-running service's memory is
-    /// bounded by recent traffic. The newest outcome is always kept,
+    /// Byte budget for the results of finished jobs, kept for polling
+    /// and streaming (an outcome's bytes are its `times`, `series` and
+    /// `final_state` samples, 8 bytes each, plus its observed row
+    /// indices). Once the retained outcomes exceed it, the oldest are
+    /// dropped first and their status becomes [`JobStatus::Expired`], so
+    /// a long-running service's memory is bounded by recent traffic,
+    /// however few rows each job watches. The newest outcome is always kept,
     /// even when it alone exceeds the budget, so every job can be
     /// streamed once it finishes. Failed and cancelled jobs hold no
     /// waveform and never expire. Default 128 MiB.
@@ -712,7 +713,7 @@ mod tests {
         for &id in ids {
             if let Some(JobStatus::Done(out)) = engine.status(id) {
                 live.push(id);
-                bytes += out.waveform_bytes();
+                bytes += out.held_bytes();
             }
         }
         (live, bytes)
@@ -724,8 +725,9 @@ mod tests {
         // different number of state rows.
         let sys = grid(6);
         let job = |rows: usize| JobSpec::new(sys.clone(), spec().observing((0..rows).collect()));
-        let row_bytes = 51 * 8;
-        let bytes = |rows: usize| (rows + 1) * row_bytes;
+        // 51 time points; per observed row a series and its index; and
+        // the final state, one sample per circuit state.
+        let bytes = |rows: usize| (rows + 1) * 51 * 8 + rows * 8 + sys.dim() * 8;
         let budget = bytes(12);
         let engine = ScenarioEngine::new(EngineOptions {
             executors: 1,
@@ -738,20 +740,20 @@ mod tests {
             // One job at a time: completion order = submission order.
             let id = engine.submit(job(rows)).unwrap();
             let out = engine.wait(id).unwrap();
-            assert_eq!(out.waveform_bytes(), bytes(rows));
+            assert_eq!(out.held_bytes(), bytes(rows));
             ids.push(id);
             let (live, live_bytes) = live_outcomes(&engine, &ids);
             let s = engine.stats();
             assert_eq!(s.retained_bytes as usize, live_bytes, "after job {id}");
             assert_eq!(s.retained_jobs as usize, live.len());
-            assert!(live_bytes <= budget + out.waveform_bytes());
+            assert!(live_bytes <= budget + out.held_bytes());
             // The survivors are the newest jobs, the newest always.
             assert_eq!(live, ids[ids.len() - live.len()..]);
             assert_eq!(live.last(), Some(&id));
         }
         // The last two outcomes (3 and 7 rows, plus the time column
-        // each) fit the budget; with the 5-row one before them they
-        // would not.
+        // and final state each) fit the budget; with the 5-row one
+        // before them they would not.
         let (live, _) = live_outcomes(&engine, &ids);
         assert_eq!(live, ids[5..]);
         assert!(matches!(engine.status(ids[0]), Some(JobStatus::Expired)));
@@ -771,14 +773,49 @@ mod tests {
         });
         let big = tiny.submit(job(9)).unwrap();
         let out = tiny.wait(big).unwrap();
-        assert!(out.waveform_bytes() > 1);
+        assert!(out.held_bytes() > 1);
         assert!(matches!(tiny.wait(big), Ok(o) if o.result.series() == out.result.series()));
-        assert_eq!(tiny.stats().retained_bytes as usize, out.waveform_bytes());
+        assert_eq!(tiny.stats().retained_bytes as usize, out.held_bytes());
         let next = tiny.submit(job(2)).unwrap();
         tiny.wait(next).unwrap();
         assert!(matches!(tiny.status(big), Some(JobStatus::Expired)));
         let s = tiny.stats();
         assert_eq!((s.retained_jobs, s.retained_bytes as usize), (1, bytes(2)));
+
+        // A large circuit watched through one row: the final state, not
+        // the one-row series, is most of what each outcome holds, and
+        // the budget counts it. By their samples alone all five outcomes
+        // would fit; in full, only the newest two do.
+        let large = Arc::new(
+            PdnBuilder::new(40, 40)
+                .num_loads(8)
+                .num_features(3)
+                .window(1e-9)
+                .seed(3)
+                .build()
+                .unwrap(),
+        );
+        let state_bytes = large.dim() * 8;
+        let one_row = JobSpec::new(large, spec().observing(vec![0]));
+        let engine = ScenarioEngine::new(EngineOptions {
+            executors: 1,
+            max_retained_bytes: 3 * state_bytes,
+            ..EngineOptions::default()
+        });
+        let mut ids = Vec::new();
+        for _ in 0..5 {
+            let id = engine.submit(one_row.clone()).unwrap();
+            let out = engine.wait(id).unwrap();
+            assert_eq!(out.held_bytes(), 2 * 51 * 8 + 8 + state_bytes);
+            ids.push(id);
+            let (live, live_bytes) = live_outcomes(&engine, &ids);
+            assert_eq!(engine.stats().retained_bytes as usize, live_bytes);
+            assert!(live_bytes <= 3 * state_bytes);
+            assert_eq!(live, ids[ids.len() - live.len()..]);
+        }
+        let (live, _) = live_outcomes(&engine, &ids);
+        assert_eq!(live, ids[3..]);
+        assert!(matches!(engine.status(ids[0]), Some(JobStatus::Expired)));
     }
 
     #[test]
@@ -1302,6 +1339,9 @@ mod tests {
             assert!(engine.status(id).is_none(), "a run leaves no record");
         });
         engine.cancel(long);
+        // The blocker's threads return before its cancellation is
+        // counted; its status settles only after both.
+        assert!(engine.wait(long).unwrap_err().is_cancelled());
         let out = engine.run(&job).unwrap();
         let standalone = MatexSolver::new(job.effective_options())
             .run(&job.circuit, &job.spec)

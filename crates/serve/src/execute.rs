@@ -29,7 +29,7 @@ impl Inner {
             // A long-running service must not keep every waveform it
             // ever computed: retention is budgeted in bytes.
             if let JobStatus::Done(out) = &status {
-                table.retain(id, out.waveform_bytes(), self.opts.max_retained_bytes);
+                table.retain(id, out.held_bytes(), self.opts.max_retained_bytes);
             }
             table
                 .records

@@ -490,15 +490,19 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
-    /// Bytes of waveform the outcome holds: every `times` and `series`
-    /// sample, 8 bytes each. What [`EngineOptions::max_retained_bytes`]
-    /// budgets.
+    /// Bytes the outcome's result holds: every `times`, `series` and
+    /// `final_state` sample, 8 bytes each, plus its observed row
+    /// indices. What [`EngineOptions::max_retained_bytes`] budgets. The
+    /// final state is a full state vector, so a job that watches one row
+    /// of a large circuit still counts that circuit's size.
     ///
     /// [`EngineOptions::max_retained_bytes`]: crate::EngineOptions::max_retained_bytes
-    pub(crate) fn waveform_bytes(&self) -> usize {
-        let samples =
-            self.result.times().len() + self.result.series().iter().map(Vec::len).sum::<usize>();
-        samples * std::mem::size_of::<f64>()
+    pub(crate) fn held_bytes(&self) -> usize {
+        let r = &self.result;
+        let samples = r.times().len()
+            + r.series().iter().map(Vec::len).sum::<usize>()
+            + r.final_state().len();
+        samples * std::mem::size_of::<f64>() + std::mem::size_of_val(r.rows())
     }
 }
 

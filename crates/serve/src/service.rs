@@ -77,6 +77,9 @@
 //! longer than `MAX_REQUEST_BYTES` (16 MiB) is answered with a
 //! `"protocol"` error and the connection is closed, so a peer that
 //! never sends a newline cannot grow one line until the process dies.
+//! The close is graceful: the server half-closes, then discards up to
+//! another `MAX_REQUEST_BYTES` of what the peer is still sending, so
+//! the peer reads the error instead of a connection reset.
 //!
 //! Responses to distinct requests never interleave on one connection;
 //! `stream` waveform frames are chunked so a client can process arrival
@@ -92,7 +95,7 @@ use matex_core::TransientSpec;
 use matex_waveform::{Fnv64, GroupingStrategy, WaveFrame};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -351,9 +354,10 @@ fn handle_connection(stream: TcpStream, state: &ServiceState) {
     });
     let mut writer = BufWriter::with_capacity(REPLY_BUFFER_BYTES, stream);
     let obs = state.engine.obs().clone();
-    let mut line = Vec::new();
     loop {
-        line.clear();
+        // A fresh buffer per request: one large netlist must not leave
+        // its capacity pinned on an idle connection.
+        let mut line = Vec::new();
         match (&mut reader)
             .take(MAX_REQUEST_BYTES + 1)
             .read_until(b'\n', &mut line)
@@ -367,6 +371,12 @@ fn handle_connection(stream: TcpStream, state: &ServiceState) {
                 "request line exceeds {MAX_REQUEST_BYTES} bytes; closing the connection"
             ));
             let _ = write_reply(&mut writer, &[Payload::Line(error_line(&e))], &obs);
+            // Half-close, then discard what the peer is still sending
+            // (bounded by the cap and the read timeout): closing with
+            // unread bytes makes the kernel answer with a reset, and
+            // the peer would see ECONNRESET instead of the envelope.
+            let _ = writer.get_ref().shutdown(Shutdown::Write);
+            let _ = std::io::copy(&mut reader.take(MAX_REQUEST_BYTES), &mut std::io::sink());
             return;
         }
         let Ok(text) = std::str::from_utf8(&line) else {
@@ -1457,8 +1467,10 @@ mod tests {
     fn an_over_long_request_line_is_refused_and_closes_the_connection() {
         let (_engine, handle) = start();
         let mut conn = TcpStream::connect(handle.addr()).unwrap();
-        // One byte past the cap, and no newline.
-        let line = vec![b'x'; MAX_REQUEST_BYTES as usize + 1];
+        // Well past the cap, and no newline: the peer is still sending
+        // when the server refuses the line. Every byte is accepted (no
+        // reset), and the envelope arrives before the server's EOF.
+        let line = vec![b'x'; MAX_REQUEST_BYTES as usize + (4 << 20)];
         conn.write_all(&line).unwrap();
         conn.flush().unwrap();
         let mut reader = BufReader::new(conn);

@@ -54,10 +54,11 @@ pub struct EngineStats {
     /// Jobs currently waiting in the admission queue for their turn or
     /// their threads, submitted or synchronous (a gauge, not a counter).
     pub queue_depth: u64,
-    /// Finished jobs whose waveform the engine still holds for `wait`
+    /// Finished jobs whose result the engine still holds for `wait`
     /// and `stream` (a gauge).
     pub retained_jobs: u64,
-    /// Bytes of those waveforms, at most
+    /// Bytes those results hold (samples, final state and row indices),
+    /// at most
     /// [`EngineOptions::max_retained_bytes`](crate::EngineOptions::max_retained_bytes)
     /// plus the newest outcome (a gauge).
     pub retained_bytes: u64,
