@@ -14,8 +14,8 @@
 
 use matex_bench::{pg_suite, secs, timed, Scale, Table};
 use matex_core::{
-    reference_solution, MatexOptions, MatexSolver, MatexSymbolic, ReferenceMethod, TransientEngine,
-    TransientSpec,
+    reference_solution, MatexOptions, MatexSetup, MatexSolver, MatexSymbolic, ReferenceMethod,
+    TransientEngine, TransientSpec,
 };
 use std::sync::Arc;
 
@@ -33,9 +33,8 @@ fn main() {
 
     // One symbolic analysis for the whole sweep (G and the C + γG
     // pattern, analyzed at the default γ).
-    let (symbolic, analyze_wall) = timed(|| {
-        Arc::new(MatexSymbolic::analyze(&sys, &MatexOptions::default()).expect("analysis"))
-    });
+    let (symbolic, analyze_wall) =
+        timed(|| MatexSymbolic::analyze(&sys, &MatexOptions::default()).expect("analysis"));
 
     let mut table = Table::new(&[
         "gamma",
@@ -56,8 +55,10 @@ fn main() {
             .run(&sys, &spec)
             .expect("R-MATEX run");
         let (result, _) = timed(|| {
+            let setup = MatexSetup::prepare(&sys, &opts, Some(&symbolic), false)
+                .expect("R-MATEX setup (symbolic reuse)");
             MatexSolver::new(opts)
-                .with_symbolic(symbolic.clone())
+                .with_setup(Arc::new(setup))
                 .run(&sys, &spec)
                 .expect("R-MATEX run (symbolic reuse)")
         });

@@ -39,7 +39,7 @@ fn main() {
     let v: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 7 % 13) as f64) / 13.0).collect();
     let beta = matex_dense::norm2(&v);
     let m_max = 10usize;
-    let mut arnoldi = Arnoldi::new(&op, &v, true).expect("nonzero start");
+    let mut arnoldi = Arnoldi::new(&op, &v).expect("nonzero start");
     for _ in 0..m_max {
         arnoldi.step().expect("arnoldi step");
     }

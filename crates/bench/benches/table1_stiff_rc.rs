@@ -10,8 +10,8 @@
 
 use matex_bench::{stiff_rc_case, timed, Scale, Table};
 use matex_core::{
-    measure_stiffness, reference_solution, KrylovKind, MatexOptions, MatexSolver, MatexSymbolic,
-    ReferenceMethod, TransientEngine, TransientSpec,
+    measure_stiffness, reference_solution, KrylovKind, MatexOptions, MatexSetup, MatexSolver,
+    MatexSymbolic, ReferenceMethod, TransientEngine, TransientSpec,
 };
 use std::sync::Arc;
 
@@ -56,19 +56,24 @@ fn main() {
         // One symbolic analysis per mesh, shared by all three variants:
         // every solver's G factorization (and the rational solver's
         // C + γG) replays it instead of re-running AMD + reach DFS.
-        let symbolic = Arc::new(
+        let symbolic =
             MatexSymbolic::analyze(&sys, &MatexOptions::new(KrylovKind::Rational).tol(1e-7))
-                .expect("symbolic analysis"),
-        );
+                .expect("symbolic analysis");
         let mut mexp_time = None;
         for kind in [
             KrylovKind::Standard,
             KrylovKind::Inverted,
             KrylovKind::Rational,
         ] {
-            let solver =
-                MatexSolver::new(MatexOptions::new(kind).tol(1e-7)).with_symbolic(symbolic.clone());
-            let (result, wall) = timed(|| solver.run(&sys, &spec).expect("solver run"));
+            let opts = MatexOptions::new(kind).tol(1e-7);
+            let (result, wall) = timed(|| {
+                let setup =
+                    MatexSetup::prepare(&sys, &opts, Some(&symbolic), false).expect("solver setup");
+                MatexSolver::new(opts.clone())
+                    .with_setup(Arc::new(setup))
+                    .run(&sys, &spec)
+                    .expect("solver run")
+            });
             let (max_err, _) = result.error_vs(&reference).expect("comparable");
             let err_pct = 100.0 * max_err / ref_peak;
             let spdp = match kind {

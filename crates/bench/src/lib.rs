@@ -11,6 +11,8 @@
 //! paper's node counts (hundreds of thousands of unknowns) and takes
 //! correspondingly longer.
 
+#![warn(unreachable_pub)]
+
 use matex_circuit::ibmpg::load_ibmpg_netlist;
 use matex_circuit::{CircuitError, MnaSystem, PdnBuilder, RcMeshBuilder};
 use std::path::{Path, PathBuf};

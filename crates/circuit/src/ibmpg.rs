@@ -179,17 +179,6 @@ impl Solution {
         Solution::new(times, names, data)
     }
 
-    /// Writes TSV to a file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::InvalidNetlist`] on I/O failure.
-    pub fn write_tsv(&self, path: &Path) -> Result<(), CircuitError> {
-        std::fs::write(path, self.to_tsv()).map_err(|e| {
-            CircuitError::InvalidNetlist(format!("cannot write {}: {e}", path.display()))
-        })
-    }
-
     /// Maximum and average absolute difference against a reference
     /// solution on the shared time axis (series matched by name).
     ///

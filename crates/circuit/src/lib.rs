@@ -28,6 +28,8 @@
 //! # }
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod dc;
 mod elements;
 mod error;

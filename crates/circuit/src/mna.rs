@@ -582,7 +582,7 @@ pub struct ValueDiff {
 
 /// The `U`/`V` column pairs of a rank-`k` edit `A' = A + U·Vᵀ`, in the
 /// form [`matex_sparse::SmwUpdate::build`] consumes.
-pub type UpdateCols = (Vec<SparseCol>, Vec<SparseCol>);
+pub(crate) type UpdateCols = (Vec<SparseCol>, Vec<SparseCol>);
 
 impl ValueDiff {
     /// Dimension of the differed systems.

@@ -64,15 +64,6 @@ impl Netlist {
         n
     }
 
-    /// Looks up an existing node by name without creating it.
-    pub fn find_node(&self, name: &str) -> Option<Node> {
-        let lower = name.to_ascii_lowercase();
-        if lower == "0" || lower == "gnd" || lower == "gnd!" {
-            return Some(Node::GROUND);
-        }
-        self.node_index.get(&lower).copied()
-    }
-
     /// Name of a node.
     ///
     /// # Panics
@@ -302,14 +293,6 @@ mod tests {
         assert_eq!(nl.node("0"), Node::GROUND);
         assert_eq!(nl.num_nodes(), 1);
         assert_eq!(nl.node_name(a), "a");
-    }
-
-    #[test]
-    fn find_node_does_not_create() {
-        let mut nl = Netlist::new();
-        assert!(nl.find_node("x").is_none());
-        nl.node("x");
-        assert!(nl.find_node("X").is_some());
     }
 
     #[test]

@@ -450,8 +450,11 @@ mod tests {
     #[test]
     fn ibm_style_node_names() {
         let text = "r1 n1_123_456 n1_123_789 0.02\nv1 n1_123_456 0 1.8\n";
-        let p = parse_netlist(text).unwrap();
-        assert!(p.netlist.find_node("n1_123_456").is_some());
-        assert_eq!(p.netlist.num_nodes(), 2);
+        let mut nl = parse_netlist(text).unwrap().netlist;
+        assert_eq!(nl.num_nodes(), 2);
+        // Both names were already interned: looking one up adds nothing.
+        let n = nl.node("N1_123_456");
+        assert_eq!(nl.node_name(n), "n1_123_456");
+        assert_eq!(nl.num_nodes(), 2);
     }
 }

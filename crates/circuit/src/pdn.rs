@@ -45,8 +45,6 @@ pub struct RcMeshBuilder {
     stiffness_ratio: f64,
     fast_fraction: f64,
     pad_ohms: f64,
-    loads: Vec<((usize, usize), Waveform)>,
-    add_default_load: bool,
 }
 
 impl RcMeshBuilder {
@@ -61,8 +59,6 @@ impl RcMeshBuilder {
             stiffness_ratio: 1.0,
             fast_fraction: 0.25,
             pad_ohms: 0.01,
-            loads: Vec::new(),
-            add_default_load: true,
         }
     }
 
@@ -89,20 +85,6 @@ impl RcMeshBuilder {
     /// Fraction of nodes given the fast (small) capacitance.
     pub fn fast_fraction(mut self, f: f64) -> Self {
         self.fast_fraction = f.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Adds a current load (drawing from the node to ground) at grid
-    /// position `(x, y)`.
-    pub fn load_at(mut self, x: usize, y: usize, waveform: Waveform) -> Self {
-        self.loads.push(((x, y), waveform));
-        self.add_default_load = false;
-        self
-    }
-
-    /// Disables the default center-node pulse load.
-    pub fn no_default_load(mut self) -> Self {
-        self.add_default_load = false;
         self
     }
 
@@ -159,23 +141,10 @@ impl RcMeshBuilder {
             let n = nl.node(&name(x, y));
             nl.add_resistor(&format!("rpad_{i}"), n, Netlist::ground(), self.pad_ohms)?;
         }
-        // Loads.
-        if self.add_default_load {
-            let (cx, cy) = (self.nx / 2, self.ny / 2);
-            let n = nl.node(&name(cx, cy));
-            let pulse = Pulse::new(0.0, 1e-3, 1e-11, 1e-11, 5e-11, 1e-11)?;
-            nl.add_isource("iload_center", n, Netlist::ground(), Waveform::Pulse(pulse))?;
-        }
-        for (i, ((x, y), w)) in self.loads.iter().enumerate() {
-            if *x >= self.nx || *y >= self.ny {
-                return Err(CircuitError::InvalidNetlist(format!(
-                    "load {i} at ({x},{y}) outside {}x{} mesh",
-                    self.nx, self.ny
-                )));
-            }
-            let n = nl.node(&name(*x, *y));
-            nl.add_isource(&format!("iload_{i}"), n, Netlist::ground(), w.clone())?;
-        }
+        // One pulse load at the center node.
+        let n = nl.node(&name(self.nx / 2, self.ny / 2));
+        let pulse = Pulse::new(0.0, 1e-3, 1e-11, 1e-11, 5e-11, 1e-11)?;
+        nl.add_isource("iload_center", n, Netlist::ground(), Waveform::Pulse(pulse))?;
         Ok(nl)
     }
 
@@ -496,12 +465,6 @@ mod tests {
     fn rc_mesh_g_nonsingular() {
         let sys = RcMeshBuilder::new(5, 5).build().unwrap();
         assert!(crate::dc_operating_point(&sys).is_ok());
-    }
-
-    #[test]
-    fn load_out_of_bounds_rejected() {
-        let b = RcMeshBuilder::new(2, 2).load_at(5, 5, Waveform::Dc(1e-3));
-        assert!(b.build().is_err());
     }
 
     #[test]

@@ -17,6 +17,12 @@ pub enum CoreError {
         /// The rejected step size.
         h: f64,
     },
+    /// The march produced a non-finite state (NaN or ±∞): the run stops
+    /// there instead of returning a poisoned waveform.
+    NotFinite {
+        /// Time of the first non-finite state.
+        at: f64,
+    },
     /// Two results could not be compared (different grids/rows).
     Incomparable(String),
     /// The run's [`CancelToken`](crate::CancelToken) was tripped; the
@@ -62,6 +68,7 @@ impl fmt::Display for CoreError {
             CoreError::StepUnderflow { at, h } => {
                 write!(f, "adaptive step underflow at t = {at:.3e} (h = {h:.3e})")
             }
+            CoreError::NotFinite { at } => write!(f, "non-finite state at t = {at:.3e}"),
             CoreError::Incomparable(m) => write!(f, "results are not comparable: {m}"),
             CoreError::Cancelled => write!(f, "run cancelled"),
             CoreError::Circuit(e) => write!(f, "circuit error: {e}"),

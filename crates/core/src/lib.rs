@@ -34,6 +34,8 @@
 //! # }
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod be;
 mod cancel;
 mod engine;

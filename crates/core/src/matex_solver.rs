@@ -21,8 +21,8 @@
 use crate::engine::{InputEval, Recorder, TransientEngine};
 use crate::fp_terms::IntervalTerms;
 use crate::{
-    CancelToken, CoreError, FaultHook, FaultKind, MatexSetup, MatexSymbolic, SolveStats,
-    TransientResult, TransientSpec,
+    CancelToken, CoreError, FaultHook, FaultKind, MatexSetup, SolveStats, TransientResult,
+    TransientSpec,
 };
 use matex_circuit::MnaSystem;
 use matex_dense::norm2;
@@ -43,7 +43,7 @@ pub struct MatexOptions {
     /// "around the order of the time steps used" — 1e-10 s for the IBM
     /// grids (Sec. 4.3) — and shows low sensitivity.
     pub gamma: f64,
-    /// Krylov construction parameters (tolerance, m bounds, reorth).
+    /// Krylov construction parameters (tolerance, `m` budget).
     pub expm: ExpmParams,
     /// Relative ε for regularizing a singular `C` (standard variant
     /// only; see Sec. 3.3.3 — the other variants never regularize).
@@ -78,12 +78,7 @@ impl MatexOptions {
         MatexOptions {
             kind,
             gamma: 1e-10,
-            expm: ExpmParams {
-                tol: 1e-6,
-                m_min: 2,
-                m_max,
-                reorth: true,
-            },
+            expm: ExpmParams { tol: 1e-6, m_max },
             regularize_eps: 1e-3,
             max_substeps: 30,
             faults: FaultHook::default(),
@@ -133,7 +128,6 @@ pub struct MatexSolver {
     opts: MatexOptions,
     mask: Option<Vec<usize>>,
     lts_override: Option<SpotSet>,
-    symbolic: Option<Arc<MatexSymbolic>>,
     setup: Option<Arc<MatexSetup>>,
     dc: Option<Arc<Vec<f64>>>,
     cancel: Option<CancelToken>,
@@ -146,7 +140,6 @@ impl MatexSolver {
             opts,
             mask: None,
             lts_override: None,
-            symbolic: None,
             setup: None,
             dc: None,
             cancel: None,
@@ -164,18 +157,6 @@ impl MatexSolver {
     /// the scheduler hands each node its group's LTS).
     pub fn with_lts(mut self, lts: SpotSet) -> Self {
         self.lts_override = Some(lts);
-        self
-    }
-
-    /// Reuses a shared symbolic analysis ([`MatexSymbolic::analyze`])
-    /// for this run's factorizations: `G` and — on the rational variant
-    /// — `C + γG` become cheap numeric replays (counted in
-    /// `stats.refactorizations`) instead of full factorizations. The
-    /// numerics are bitwise-unchanged: a replay produces the same
-    /// factors a full factorization would, and degraded pivots fall
-    /// back transparently.
-    pub fn with_symbolic(mut self, symbolic: Arc<MatexSymbolic>) -> Self {
-        self.symbolic = Some(symbolic);
         self
     }
 
@@ -291,8 +272,7 @@ impl TransientEngine for MatexSolver {
             }
             None => {
                 let _sp = self.opts.obs.span("solver.factor");
-                prepared_storage =
-                    MatexSetup::prepare(sys, &self.opts, self.symbolic.as_deref(), false)?;
+                prepared_storage = MatexSetup::prepare(sys, &self.opts, None, false)?;
                 &prepared_storage
             }
         };
@@ -370,6 +350,7 @@ impl TransientEngine for MatexSolver {
 
         let tt = Instant::now();
         let mut rec = Recorder::new(spec, sys.dim());
+        ensure_finite(t_start, &x0)?;
         rec.record_at_sample(t_start, &x0);
 
         let n = sys.dim();
@@ -457,7 +438,7 @@ impl TransientEngine for MatexSolver {
                     &mut win_end,
                     &mut terms_valid,
                     &mut basis,
-                );
+                )?;
                 idx += 1;
                 rounds = 0;
                 continue;
@@ -494,7 +475,7 @@ impl TransientEngine for MatexSolver {
                             &mut win_end,
                             &mut terms_valid,
                             &mut basis,
-                        );
+                        )?;
                         idx += 1;
                         rounds = 0;
                         continue;
@@ -561,7 +542,7 @@ impl TransientEngine for MatexSolver {
                         &mut win_end,
                         &mut terms_valid,
                         &mut basis,
-                    );
+                    )?;
                 }
                 t_comb += t0.elapsed();
                 idx += accepted;
@@ -629,7 +610,7 @@ impl TransientEngine for MatexSolver {
                         &mut win_end,
                         &mut terms_valid,
                         &mut basis,
-                    );
+                    )?;
                     t_comb += t0.elapsed();
                     idx += 1;
                     rounds = 0;
@@ -683,7 +664,7 @@ impl TransientEngine for MatexSolver {
                         &mut win_end,
                         &mut terms_valid,
                         &mut basis,
-                    );
+                    )?;
                     t_comb += t0.elapsed();
                     idx += 1;
                     rounds = 0;
@@ -744,7 +725,8 @@ const MAX_BATCH: usize = 32;
 /// step, records the value if it lands on the next output sample, tracks
 /// the final state, and advances the window when the accepted point is a
 /// local transition spot or the window end (a new Krylov subspace is
-/// required there — the input slope changes).
+/// required there — the input slope changes). A non-finite state fails
+/// the run with [`CoreError::NotFinite`] before anything is recorded.
 #[allow(clippy::too_many_arguments)]
 fn accept_point(
     te: f64,
@@ -759,7 +741,8 @@ fn accept_point(
     win_end: &mut f64,
     terms_valid: &mut bool,
     basis: &mut Option<KrylovBasis>,
-) {
+) -> Result<(), CoreError> {
+    ensure_finite(te, x_te)?;
     stats.steps += 1;
     if let Some(ts) = rec.next_sample() {
         if (ts - te).abs() <= 1e-9 * ts.abs().max(1e-30) + 1e-30 {
@@ -773,6 +756,16 @@ fn accept_point(
         *terms_valid = false;
         *basis = None;
         *win_end = next_window_end(lts, te, t_stop);
+    }
+    Ok(())
+}
+
+/// [`CoreError::NotFinite`] when the state at `t` holds a NaN or ±∞.
+fn ensure_finite(t: f64, x: &[f64]) -> Result<(), CoreError> {
+    if x.iter().all(|v| v.is_finite()) {
+        Ok(())
+    } else {
+        Err(CoreError::NotFinite { at: t })
     }
 }
 
@@ -788,7 +781,7 @@ fn next_window_end(lts: &SpotSet, t: f64, t_stop: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Trapezoidal;
+    use crate::{MatexSymbolic, Trapezoidal};
     use matex_circuit::{Netlist, RcMeshBuilder};
     use matex_waveform::{Pulse, Waveform};
 
@@ -929,18 +922,29 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_states_fail_with_the_time_they_appeared() {
+        assert!(ensure_finite(1e-9, &[0.0, -1.5, 1e300]).is_ok());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = ensure_finite(2e-10, &[1.0, bad]).unwrap_err();
+            assert!(matches!(err, CoreError::NotFinite { at } if at == 2e-10));
+            assert_eq!(err.to_string(), "non-finite state at t = 2.000e-10");
+        }
+    }
+
+    #[test]
     fn symbolic_reuse_is_bitwise_identical_across_gammas() {
         // The two-phase contract at the solver level: a γ sweep over one
         // shared analysis produces exactly the waveforms the fresh-factor
         // path produces, while every factorization becomes a replay.
         let sys = pulsed_rc();
         let spec = TransientSpec::new(0.0, 1e-9, 1e-11).unwrap();
-        let symbolic = Arc::new(MatexSymbolic::analyze(&sys, &MatexOptions::default()).unwrap());
+        let symbolic = MatexSymbolic::analyze(&sys, &MatexOptions::default()).unwrap();
         for gamma in [5e-11, 1e-10, 4e-10] {
             let opts = MatexOptions::default().gamma(gamma);
             let fresh = MatexSolver::new(opts.clone()).run(&sys, &spec).unwrap();
+            let setup = MatexSetup::prepare(&sys, &opts, Some(&symbolic), false).unwrap();
             let reused = MatexSolver::new(opts)
-                .with_symbolic(symbolic.clone())
+                .with_setup(Arc::new(setup))
                 .run(&sys, &spec)
                 .unwrap();
             assert_eq!(fresh.series(), reused.series(), "γ={gamma}");
@@ -958,10 +962,11 @@ mod tests {
         let spec = TransientSpec::new(0.0, 1e-9, 1e-11).unwrap();
         for kind in [KrylovKind::Inverted, KrylovKind::Standard] {
             let opts = MatexOptions::new(kind);
-            let symbolic = Arc::new(MatexSymbolic::analyze(&sys, &opts).unwrap());
+            let symbolic = MatexSymbolic::analyze(&sys, &opts).unwrap();
             let fresh = MatexSolver::new(opts.clone()).run(&sys, &spec).unwrap();
+            let setup = MatexSetup::prepare(&sys, &opts, Some(&symbolic), false).unwrap();
             let reused = MatexSolver::new(opts)
-                .with_symbolic(symbolic)
+                .with_setup(Arc::new(setup))
                 .run(&sys, &spec)
                 .unwrap();
             assert_eq!(fresh.series(), reused.series());

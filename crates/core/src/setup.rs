@@ -25,7 +25,7 @@
 use crate::{CoreError, MatexOptions, MatexSymbolic, SolveStats};
 use matex_circuit::{regularize_c, MnaSystem, ValueDiff};
 use matex_krylov::{shifted_system, KrylovKind};
-use matex_sparse::{CsrMatrix, LuOptions, SmwOptions, SmwRejection, SmwUpdate, SparseLu};
+use matex_sparse::{LuOptions, SmwOptions, SmwRejection, SmwUpdate, SparseLu};
 use matex_sparse::{WireError, WireReader, WireWriter};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -64,12 +64,6 @@ pub struct MatexSetup {
     /// The variant's `X1` factorization; `None` for I-MATEX, which
     /// reuses `lu_g`, and for corrected setups.
     lu_x1: Option<SparseLu>,
-    /// MEXP's (possibly regularized) effective `C`.
-    #[allow(dead_code)]
-    c_reg: Option<CsrMatrix>,
-    /// R-MATEX's shifted system `C + γG`.
-    #[allow(dead_code)]
-    shifted: Option<CsrMatrix>,
     /// The uncorrected setup this one wraps (what-if fast path): all
     /// factors come from here, with the SMW corrections
     /// below turning its solves into edited-system solves.
@@ -114,37 +108,31 @@ impl MatexSetup {
                 SparseLu::factor(sys.g(), &LuOptions::default())?
             }
         };
-        let mut c_reg = None;
-        let mut shifted = None;
-        let mut lu_x1 = None;
-        match opts.kind {
+        let lu_x1 = match opts.kind {
             KrylovKind::Standard => {
                 let c_eff = if sys.zero_c_rows().is_empty() {
                     sys.c().clone()
                 } else {
                     regularize_c(sys, opts.regularize_eps).c
                 };
-                lu_x1 = Some(SparseLu::factor(&c_eff, &LuOptions::default())?);
                 counters.factorizations += 1;
-                c_reg = Some(c_eff);
+                Some(SparseLu::factor(&c_eff, &LuOptions::default())?)
             }
-            KrylovKind::Inverted => {
-                // X1 = G: reuse the DC factorization — zero extra cost.
-            }
+            // X1 = G: reuse the DC factorization — zero extra cost.
+            KrylovKind::Inverted => None,
             KrylovKind::Rational => {
-                let (sh, lu, reused) = shifted_system(
+                let (_, lu, reused) = shifted_system(
                     sys.c(),
                     sys.g(),
                     opts.gamma,
                     symbolic.and_then(|s| s.shifted()),
                     &LuOptions::default(),
                 )?;
-                lu_x1 = Some(lu);
                 counters.factorizations += 1;
                 counters.refactorizations += usize::from(reused);
-                shifted = Some(sh);
+                Some(lu)
             }
-        }
+        };
         Ok(MatexSetup {
             kind: opts.kind,
             gamma: opts.gamma,
@@ -152,8 +140,6 @@ impl MatexSetup {
             dim: sys.dim(),
             lu_g: Some(lu_g),
             lu_x1,
-            c_reg,
-            shifted,
             base: None,
             smw_g: None,
             smw_x1: None,
@@ -240,8 +226,6 @@ impl MatexSetup {
             dim: base.dim,
             lu_g: None,
             lu_x1: None,
-            c_reg: None,
-            shifted: None,
             base: Some(base),
             smw_g,
             smw_x1,
@@ -432,8 +416,6 @@ impl MatexSetup {
             dim,
             lu_g: Some(lu_g),
             lu_x1,
-            c_reg: None,
-            shifted: None,
             base: None,
             smw_g: None,
             smw_x1: None,
@@ -613,10 +595,7 @@ mod tests {
         let opts = MatexOptions::default();
         let base = Arc::new(MatexSetup::prepare(&base_sys, &opts, None, false).unwrap());
         let diff = edited.value_diff(&base_sys).unwrap();
-        let tight = SmwOptions {
-            max_rank: 0,
-            ..SmwOptions::default()
-        };
+        let tight = SmwOptions { max_rank: 0 };
         match MatexSetup::correct(base, &diff, &tight) {
             Err(SmwRejection::RankExceeded { rank, max_rank }) => {
                 assert_eq!(rank, diff.rank_c());

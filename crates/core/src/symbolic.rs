@@ -26,7 +26,9 @@ use matex_sparse::{WireError, WireReader, WireWriter};
 ///
 /// ```
 /// use matex_circuit::RcMeshBuilder;
-/// use matex_core::{MatexOptions, MatexSolver, MatexSymbolic, TransientEngine, TransientSpec};
+/// use matex_core::{
+///     MatexOptions, MatexSetup, MatexSolver, MatexSymbolic, TransientEngine, TransientSpec,
+/// };
 /// use std::sync::Arc;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,10 +36,11 @@ use matex_sparse::{WireError, WireReader, WireWriter};
 /// let spec = TransientSpec::new(0.0, 1e-9, 1e-11)?;
 /// let opts = MatexOptions::default();
 /// // Analyze once, then sweep γ with numeric-replay factorizations.
-/// let symbolic = Arc::new(MatexSymbolic::analyze(&sys, &opts)?);
+/// let symbolic = MatexSymbolic::analyze(&sys, &opts)?;
 /// for gamma in [5e-11, 1e-10, 2e-10] {
-///     let solver = MatexSolver::new(opts.clone().gamma(gamma))
-///         .with_symbolic(symbolic.clone());
+///     let opts = opts.clone().gamma(gamma);
+///     let setup = MatexSetup::prepare(&sys, &opts, Some(&symbolic), false)?;
+///     let solver = MatexSolver::new(opts).with_setup(Arc::new(setup));
 ///     let result = solver.run(&sys, &spec)?;
 ///     // Both factorizations replayed the shared analysis.
 ///     assert_eq!(result.stats.refactorizations, 2);
@@ -87,11 +90,6 @@ impl MatexSymbolic {
     /// analyzed options used the rational variant.
     pub fn shifted(&self) -> Option<&SymbolicLu> {
         self.shifted.as_ref()
-    }
-
-    /// The LU options the analyses were performed with.
-    pub fn lu_options(&self) -> &LuOptions {
-        &self.lu_opts
     }
 
     /// Appends the full analysis bundle to `w` for the artifact store.

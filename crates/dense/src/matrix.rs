@@ -142,16 +142,6 @@ impl DMat {
         &self.data[i * self.ncols..(i + 1) * self.ncols]
     }
 
-    /// Mutable row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        assert!(i < self.nrows, "row index out of bounds");
-        &mut self.data[i * self.ncols..(i + 1) * self.ncols]
-    }
-
     /// Column `j` copied into a new vector.
     ///
     /// # Panics
@@ -365,11 +355,6 @@ impl DMat {
             .fold(0.0_f64, f64::max)
     }
 
-    /// Frobenius norm.
-    pub fn norm_fro(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Largest absolute entry-wise difference to `other`.
     ///
     /// # Panics
@@ -545,7 +530,6 @@ mod tests {
         let a = DMat::from_rows(&[&[1.0, -2.0], &[-3.0, 4.0]]);
         assert_eq!(a.norm_one(), 6.0); // col 1: 1+3=4, col 2: 2+4=6
         assert_eq!(a.norm_inf(), 7.0); // row 2: 3+4=7
-        assert!((a.norm_fro() - 30.0_f64.sqrt()).abs() < 1e-15);
     }
 
     #[test]

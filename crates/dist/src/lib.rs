@@ -50,6 +50,8 @@
 //! # }
 //! ```
 
+#![warn(unreachable_pub)]
+
 // Compile the README's examples as doctests so the documented recovery
 // workflow can never drift from the code.
 #[cfg(doctest)]

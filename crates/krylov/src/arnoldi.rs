@@ -10,9 +10,9 @@ use matex_par::ParPool;
 /// Orthogonalizes with a **fused, tiled classical Gram–Schmidt** run
 /// inline ([`ParPool::inline`]): each pass computes all projection
 /// coefficients in one sweep ([`matex_par::multi_dot`]) and removes them
-/// in a second ([`matex_par::subtract_combination`]). With two passes
-/// (`reorth`, on by default — stiff PDN systems quickly lose
-/// orthogonality without it) this is the classical
+/// in a second ([`matex_par::subtract_combination`]). It always runs two
+/// passes — stiff PDN systems quickly lose orthogonality with one — so
+/// this is the classical
 /// "CGS2/twice-is-enough" scheme, numerically equivalent to MGS with
 /// re-orthogonalization but with `O(m)` kernel calls per step instead of
 /// `O(m²)`. The fixed tile boundaries set the arithmetic order. The
@@ -28,7 +28,6 @@ pub struct Arnoldi<'a> {
     hcols: Vec<Vec<f64>>,
     /// Set when an invariant subspace was hit at dimension `m`.
     breakdown: Option<usize>,
-    reorth: bool,
 }
 
 impl<'a> Arnoldi<'a> {
@@ -42,7 +41,7 @@ impl<'a> Arnoldi<'a> {
     /// # Panics
     ///
     /// Panics if `v.len() != op.dim()`.
-    pub fn new(op: &'a dyn KrylovOp, v: &[f64], reorth: bool) -> Result<Self, KrylovError> {
+    pub fn new(op: &'a dyn KrylovOp, v: &[f64]) -> Result<Self, KrylovError> {
         assert_eq!(v.len(), op.dim(), "arnoldi: vector length mismatch");
         if v.iter().any(|x| !x.is_finite()) {
             return Err(KrylovError::NotFinite { step: 0 });
@@ -59,7 +58,6 @@ impl<'a> Arnoldi<'a> {
             vs: vec![v1],
             hcols: Vec::new(),
             breakdown: None,
-            reorth,
         })
     }
 
@@ -102,15 +100,13 @@ impl<'a> Arnoldi<'a> {
         // sweep, all projections removed in a second.
         matex_par::multi_dot(pool, &w, &self.vs, &mut hcol[..j + 1]);
         matex_par::subtract_combination(pool, &mut w, &self.vs, &hcol[..j + 1]);
-        if self.reorth {
-            // CGS2: the correction pass restores orthogonality to working
-            // precision ("twice is enough").
-            let mut corr = vec![0.0; j + 1];
-            matex_par::multi_dot(pool, &w, &self.vs, &mut corr);
-            matex_par::subtract_combination(pool, &mut w, &self.vs, &corr);
-            for (h, c) in hcol.iter_mut().zip(&corr) {
-                *h += c;
-            }
+        // CGS2: the correction pass restores orthogonality to working
+        // precision ("twice is enough").
+        let mut corr = vec![0.0; j + 1];
+        matex_par::multi_dot(pool, &w, &self.vs, &mut corr);
+        matex_par::subtract_combination(pool, &mut w, &self.vs, &corr);
+        for (h, c) in hcol.iter_mut().zip(&corr) {
+            *h += c;
         }
         let hnext = matex_par::norm2(pool, &w);
         hcol[j + 1] = hnext;
@@ -203,7 +199,7 @@ mod tests {
     fn basis_is_orthonormal() {
         let op = DenseOp { a: test_matrix(12) };
         let v: Vec<f64> = (0..12).map(|i| (i as f64 + 1.0).sin()).collect();
-        let mut ar = Arnoldi::new(&op, &v, true).unwrap();
+        let mut ar = Arnoldi::new(&op, &v).unwrap();
         for _ in 0..6 {
             ar.step().unwrap();
         }
@@ -238,7 +234,7 @@ mod tests {
         let n = 3 * matex_par::TILE + 17;
         let op = DiagOp((0..n).map(|i| -1.0 - (i % 97) as f64).collect());
         let v: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos()).collect();
-        let mut ar = Arnoldi::new(&op, &v, true).unwrap();
+        let mut ar = Arnoldi::new(&op, &v).unwrap();
         for _ in 0..8 {
             ar.step().unwrap();
         }
@@ -258,7 +254,7 @@ mod tests {
         // Op·V_m = V_m·Ĥ_m + ĥ_{m+1,m} v_{m+1} e_mᵀ
         let op = DenseOp { a: test_matrix(10) };
         let v: Vec<f64> = (0..10).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        let mut ar = Arnoldi::new(&op, &v, true).unwrap();
+        let mut ar = Arnoldi::new(&op, &v).unwrap();
         let m = 5;
         for _ in 0..m {
             ar.step().unwrap();
@@ -291,7 +287,7 @@ mod tests {
     fn zero_vector_rejected() {
         let op = DenseOp { a: test_matrix(3) };
         assert!(matches!(
-            Arnoldi::new(&op, &[0.0; 3], true),
+            Arnoldi::new(&op, &[0.0; 3]),
             Err(KrylovError::ZeroStartVector)
         ));
     }
@@ -302,7 +298,7 @@ mod tests {
         let op = DenseOp {
             a: DMat::from_diag(&[-1.0, -2.0, -3.0]),
         };
-        let mut ar = Arnoldi::new(&op, &[0.0, 1.0, 0.0], true).unwrap();
+        let mut ar = Arnoldi::new(&op, &[0.0, 1.0, 0.0]).unwrap();
         ar.step().unwrap();
         assert!(ar.broke_down());
         assert_eq!(ar.m(), 1);
@@ -330,7 +326,7 @@ mod tests {
         );
         let lu = SparseLu::factor(&c, &LuOptions::default()).unwrap();
         let op = StandardOp::new(&lu, &g);
-        let mut ar = Arnoldi::new(&op, &[1.0, 2.0, 3.0, 4.0], true).unwrap();
+        let mut ar = Arnoldi::new(&op, &[1.0, 2.0, 3.0, 4.0]).unwrap();
         for _ in 0..3 {
             ar.step().unwrap();
         }

@@ -14,21 +14,15 @@ use matex_dense::DMat;
 pub struct ExpmParams {
     /// Posterior error tolerance, *relative* to `‖v‖`.
     pub tol: f64,
-    /// Minimum subspace dimension before convergence checks begin.
-    pub m_min: usize,
     /// Maximum subspace dimension.
     pub m_max: usize,
-    /// Re-orthogonalize the Arnoldi basis (second Gram–Schmidt pass).
-    pub reorth: bool,
 }
 
 impl Default for ExpmParams {
     fn default() -> Self {
         ExpmParams {
             tol: 1e-6,
-            m_min: 2,
             m_max: 100,
-            reorth: true,
         }
     }
 }
@@ -188,6 +182,9 @@ pub fn build_basis(
     build_basis_multi(op, v, &[h], params)
 }
 
+/// Minimum subspace dimension before convergence checks begin.
+const M_MIN: usize = 2;
+
 /// Like [`build_basis`] but requires the posterior estimate to meet the
 /// tolerance at *every* step in `hs` — used when one basis will be reused
 /// across a whole snapshot window (paper Alg. 2 line 11).
@@ -203,7 +200,7 @@ pub fn build_basis_multi(
 ) -> Result<BuildOutcome, KrylovError> {
     let gamma = op.gamma().unwrap_or(0.0);
     let kind = op.kind();
-    let mut arnoldi = Arnoldi::new(op, v, params.reorth)?;
+    let mut arnoldi = Arnoldi::new(op, v)?;
     let beta = arnoldi.beta();
     let mut ev = SnapshotEvaluator::new();
     // (m, hm, h_sub, rel_est, inv_last_row, prefactor)
@@ -221,8 +218,7 @@ pub fn build_basis_multi(
         // Convergence checks are O(m³); check every step while small,
         // then stride to amortize (large m only happens for MEXP on
         // stiff circuits, where per-step checks would dominate).
-        let check =
-            m >= params.m_min && (m <= 32 || m % 4 == 0 || m == m_cap || arnoldi.broke_down());
+        let check = m >= M_MIN && (m <= 32 || m % 4 == 0 || m == m_cap || arnoldi.broke_down());
         if !check {
             continue;
         }
@@ -396,7 +392,6 @@ mod tests {
         let params = ExpmParams {
             tol: 1e-10,
             m_max: n,
-            ..ExpmParams::default()
         };
         let out = build_basis(op, &v, h, &params).unwrap();
         let x = eval(&out.basis, h);
@@ -452,7 +447,6 @@ mod tests {
         let params = ExpmParams {
             tol: 1e-11,
             m_max: 8,
-            ..ExpmParams::default()
         };
         let out = build_basis(&op, &v, 0.2, &params).unwrap();
         for &h in &[0.02, 0.05, 0.1, 0.2] {
@@ -488,7 +482,6 @@ mod tests {
         let params = ExpmParams {
             tol: 1e-8,
             m_max: n,
-            ..ExpmParams::default()
         };
 
         let lu_c = SparseLu::factor(&c, &LuOptions::default()).unwrap();
@@ -523,7 +516,6 @@ mod tests {
         let params = ExpmParams {
             tol: 1e-14,
             m_max: 3,
-            ..ExpmParams::default()
         };
         let out = build_basis(&op, &v, 5.0, &params).unwrap();
         assert!(!out.converged);

@@ -42,6 +42,8 @@
 //! # }
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod arnoldi;
 mod error;
 mod expmv;

@@ -405,7 +405,6 @@ mod tests {
         let params = ExpmParams {
             tol: 1e-11,
             m_max: n,
-            ..ExpmParams::default()
         };
         let out = build_basis_multi(&op, &v, hs, &params).unwrap();
         (out.basis, lu, c)

@@ -41,11 +41,7 @@ fn capped_basis(n: usize, cap_spread: f64, coupling: f64, hs: &[f64], m_max: usi
     let lu = SparseLu::factor(&shifted, &LuOptions::default()).unwrap();
     let op = RationalOp::new(&lu, &c, gamma);
     let v: Vec<f64> = (0..n).map(|i| ((i * 11 % 23) as f64) - 11.0).collect();
-    let params = ExpmParams {
-        tol: 1e-8,
-        m_max,
-        ..ExpmParams::default()
-    };
+    let params = ExpmParams { tol: 1e-8, m_max };
     build_basis_multi(&op, &v, hs, &params).unwrap().basis
 }
 

@@ -55,6 +55,8 @@
 //! off.add("never_recorded_total", 1);
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod export;
 pub mod hist;
 
@@ -225,22 +227,6 @@ impl Obs {
         {
             Obs {
                 inner: Some(Arc::new(Recorder::new())),
-                job: 0,
-            }
-        }
-    }
-
-    /// A handle sharing an existing recorder.
-    pub fn with_recorder(rec: Arc<Recorder>) -> Obs {
-        #[cfg(feature = "off")]
-        {
-            let _ = rec;
-            Obs::default()
-        }
-        #[cfg(not(feature = "off"))]
-        {
-            Obs {
-                inner: Some(rec),
                 job: 0,
             }
         }
@@ -428,13 +414,6 @@ impl Span {
                 Some(slot) => slot.1 = value,
                 None => inner.labels.push((key, value)),
             }
-        }
-    }
-
-    /// Re-tags the span's job id (when it was not known at open time).
-    pub fn set_job(&mut self, job: u64) {
-        if let Some(inner) = &mut self.inner {
-            inner.job = job;
         }
     }
 

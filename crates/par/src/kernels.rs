@@ -50,7 +50,7 @@ unsafe impl Sync for RawVec<'_> {}
 
 impl<'a> RawVec<'a> {
     /// Wraps a mutable slice for the duration of one dispatch.
-    pub fn new(slice: &'a mut [f64]) -> RawVec<'a> {
+    pub(crate) fn new(slice: &'a mut [f64]) -> RawVec<'a> {
         RawVec {
             ptr: slice.as_mut_ptr(),
             len: slice.len(),
@@ -65,7 +65,7 @@ impl<'a> RawVec<'a> {
     /// `i < len`, and no concurrently running item may write element `i`
     /// during this dispatch.
     #[inline]
-    pub unsafe fn get(&self, i: usize) -> f64 {
+    pub(crate) unsafe fn get(&self, i: usize) -> f64 {
         debug_assert!(i < self.len);
         *self.ptr.add(i)
     }
@@ -77,7 +77,7 @@ impl<'a> RawVec<'a> {
     /// `i < len`, and element `i` must be owned by the calling item (no
     /// other item reads or writes it during this dispatch).
     #[inline]
-    pub unsafe fn set(&self, i: usize, v: f64) {
+    pub(crate) unsafe fn set(&self, i: usize, v: f64) {
         debug_assert!(i < self.len);
         *self.ptr.add(i) = v;
     }
@@ -90,7 +90,7 @@ impl<'a> RawVec<'a> {
     /// calling item for the duration of the dispatch.
     #[inline]
     #[allow(clippy::mut_from_ref)] // disjointness is the caller's contract
-    pub unsafe fn range_mut(&self, r: Range<usize>) -> &mut [f64] {
+    pub(crate) unsafe fn range_mut(&self, r: Range<usize>) -> &mut [f64] {
         debug_assert!(r.end <= self.len);
         std::slice::from_raw_parts_mut(self.ptr.add(r.start), r.len())
     }

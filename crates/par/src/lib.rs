@@ -37,6 +37,8 @@
 //! );
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod kernels;
 mod pool;
 

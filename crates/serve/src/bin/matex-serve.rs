@@ -49,6 +49,8 @@
 //! to read each job's T_H/T_e/factorization split next to the latency
 //! the client observed; client latency quantiles are also printed.
 
+#![warn(unreachable_pub)]
+
 use matex_serve::{
     run_load, serve, EngineOptions, LoadJob, LoadMode, LoadSpec, ScenarioEngine, ServiceOptions,
 };
@@ -108,7 +110,11 @@ fn cmd_serve(mut args: impl Iterator<Item = String>) -> ExitCode {
         }
     }
     let engine = Arc::new(ScenarioEngine::new(opts));
-    let handle = match serve(engine, &ServiceOptions::builder().addr(addr).build()) {
+    let service = ServiceOptions {
+        addr,
+        ..ServiceOptions::default()
+    };
+    let handle = match serve(engine, &service) {
         Ok(h) => h,
         Err(e) => {
             eprintln!("matex-serve: {e}");

@@ -31,7 +31,7 @@
 //! reuse never changes a waveform bit.
 //!
 //! Whole circuit entries are evicted least-recently-used beyond
-//! `max_circuits`. The store is an accelerator, never a correctness
+//! `MAX_CIRCUITS`. The store is an accelerator, never a correctness
 //! dependency: a failed read is a miss, a failed write is not counted,
 //! and either way the job computes through.
 
@@ -46,6 +46,10 @@ use matex_store::{ArtifactStore, DcStoreKey, PlanStoreKey, SetupStoreKey, Symbol
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
+
+/// Distinct circuit structures kept in memory; whole circuits are
+/// evicted least-recently-used beyond this.
+const MAX_CIRCUITS: usize = 32;
 
 /// All cached artifacts of one circuit structure.
 #[derive(Debug, Default)]
@@ -193,12 +197,12 @@ struct CacheInner {
 }
 
 impl ArtifactCache {
-    /// A cache of `opts.max_circuits` circuits over `opts.store`.
-    pub fn new(opts: &EngineOptions, counters: Arc<Counters>) -> ArtifactCache {
+    /// A cache of [`MAX_CIRCUITS`] circuits over `opts.store`.
+    pub(crate) fn new(opts: &EngineOptions, counters: Arc<Counters>) -> ArtifactCache {
         ArtifactCache {
             inner: Mutex::new(CacheInner {
                 entries: HashMap::new(),
-                max_circuits: opts.max_circuits.max(1),
+                max_circuits: MAX_CIRCUITS,
                 clock: 0,
                 evictions: 0,
             }),
@@ -218,7 +222,7 @@ impl ArtifactCache {
     /// # Errors
     ///
     /// Only what `compute` returns; store failures compute through.
-    pub fn resolve<C: Class>(
+    pub(crate) fn resolve<C: Class>(
         &self,
         pattern: u64,
         key: C::Key,
@@ -256,7 +260,7 @@ impl ArtifactCache {
 
     /// The in-memory artifact under `(pattern, key)`, if any — no disk,
     /// no counters. Touches the circuit's LRU stamp.
-    pub fn peek<C: Class>(&self, pattern: u64, key: &C::Key) -> Option<Arc<C::Value>> {
+    pub(crate) fn peek<C: Class>(&self, pattern: u64, key: &C::Key) -> Option<Arc<C::Value>> {
         C::slot(self.lock().touch(pattern)?).get(key).cloned()
     }
 
@@ -271,7 +275,7 @@ impl ArtifactCache {
     /// evicted. Disk records are checksummed, so hydrating after the
     /// eviction is safe; base candidates keep the *system* (pure input
     /// data) and need no eviction.
-    pub fn remove<C: Class>(&self, pattern: u64, key: &C::Key) -> bool {
+    pub(crate) fn remove<C: Class>(&self, pattern: u64, key: &C::Key) -> bool {
         let mut inner = self.lock();
         inner
             .entries
@@ -287,7 +291,7 @@ impl ArtifactCache {
     /// # Errors
     ///
     /// Only what `analyze` returns.
-    pub fn symbolic(
+    pub(crate) fn symbolic(
         &self,
         key: SymbolicStoreKey,
         span: i32,
@@ -312,7 +316,7 @@ impl ArtifactCache {
 
     /// Plants a freshly computed analysis as the anchor for `key`
     /// (replacing any anchor there) in memory and on disk.
-    pub fn plant_symbolic(&self, key: SymbolicStoreKey, s: Arc<MatexSymbolic>) {
+    pub(crate) fn plant_symbolic(&self, key: SymbolicStoreKey, s: Arc<MatexSymbolic>) {
         self.lock().put_symbolic(key, s.clone());
         self.counters.count(Counter::SymbolicMisses, 1);
         self.persist(|store| store.save_symbolic(&key, &s));
@@ -339,7 +343,7 @@ impl ArtifactCache {
 
     /// Records a fully-prepared system as a what-if base candidate
     /// (deduplicated by value fingerprint; oldest dropped beyond `max`).
-    pub fn record_base(&self, pattern: u64, value_fp: u64, sys: Arc<MnaSystem>, max: usize) {
+    pub(crate) fn record_base(&self, pattern: u64, value_fp: u64, sys: Arc<MnaSystem>, max: usize) {
         if max == 0 {
             return;
         }
@@ -355,7 +359,7 @@ impl ArtifactCache {
     }
 
     /// The retained what-if base candidates for `pattern`.
-    pub fn bases(&self, pattern: u64) -> Vec<(u64, Arc<MnaSystem>)> {
+    pub(crate) fn bases(&self, pattern: u64) -> Vec<(u64, Arc<MnaSystem>)> {
         self.lock()
             .entries
             .get(&pattern)
@@ -364,17 +368,17 @@ impl ArtifactCache {
     }
 
     /// Whole-circuit LRU evictions performed so far.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.lock().evictions
     }
 
     /// Store I/O failures absorbed so far (0 without a store).
-    pub fn store_errors(&self) -> u64 {
+    pub(crate) fn store_errors(&self) -> u64 {
         self.store.as_ref().map_or(0, |s| s.io_errors())
     }
 
     /// Current artifact counts.
-    pub fn sizes(&self) -> CacheSizes {
+    pub(crate) fn sizes(&self) -> CacheSizes {
         let inner = self.lock();
         let mut s = CacheSizes {
             circuits: inner.entries.len(),
@@ -450,10 +454,11 @@ mod tests {
     fn tier_over(store: Option<ArtifactStore>, max_circuits: usize) -> ArtifactCache {
         let opts = EngineOptions {
             store: store.map(Arc::new),
-            max_circuits,
             ..EngineOptions::default()
         };
-        ArtifactCache::new(&opts, Arc::new(Counters::new(opts.obs.clone())))
+        let cache = ArtifactCache::new(&opts, Arc::new(Counters::new(opts.obs.clone())));
+        cache.lock().max_circuits = max_circuits;
+        cache
     }
 
     fn tier(dir: &PathBuf) -> ArtifactCache {
@@ -757,6 +762,21 @@ mod tests {
         // Replanting a decade replaces its anchor instead of adding one.
         cache.plant_symbolic(anchor(7, 2, 2e-10), sym);
         assert_eq!(cache.sizes().symbolics, 2);
+    }
+
+    #[test]
+    fn default_cache_holds_max_circuits_then_evicts() {
+        let cache = ArtifactCache::new(
+            &EngineOptions::default(),
+            Arc::new(Counters::new(matex_obs::Obs::disabled())),
+        );
+        let sym = sample_symbolic();
+        for pattern in 0..MAX_CIRCUITS as u64 {
+            cache.plant_symbolic(anchor(pattern, 2, 1e-10), sym.clone());
+        }
+        assert_eq!((cache.sizes().circuits, cache.evictions()), (32, 0));
+        cache.plant_symbolic(anchor(99, 2, 1e-10), sym);
+        assert_eq!((cache.sizes().circuits, cache.evictions()), (32, 1));
     }
 
     #[test]

@@ -38,9 +38,6 @@ pub struct EngineOptions {
     /// Default worker count for distributed jobs that leave `workers`
     /// unset.
     pub dist_workers: usize,
-    /// Maximum distinct circuit structures kept in the artifact cache
-    /// (whole-circuit LRU eviction beyond this).
-    pub max_circuits: usize,
     /// Byte budget for the results of finished jobs, kept for polling
     /// and streaming (an outcome's bytes are its `times`, `series` and
     /// `final_state` samples, 8 bytes each, plus its observed row
@@ -52,9 +49,6 @@ pub struct EngineOptions {
     /// streamed once it finishes. Failed and cancelled jobs hold no
     /// waveform and never expire. Default 128 MiB.
     pub max_retained_bytes: usize,
-    /// How many γ decades away a symbolic anchor may be reused
-    /// (`0` = exact decade only).
-    pub anchor_span: i32,
     /// Maximum touched-row rank a value edit may have to be served by
     /// the what-if fast path (Sherman–Morrison–Woodbury correction of a
     /// cached base factorization). `0` disables the fast path.
@@ -110,9 +104,7 @@ impl Default for EngineOptions {
             threads: None,
             executors: 2,
             dist_workers: 2,
-            max_circuits: 32,
             max_retained_bytes: 128 << 20,
-            anchor_span: 1,
             whatif_max_rank: 16,
             whatif_bases: 4,
             max_queue: 256,
@@ -157,7 +149,7 @@ pub(crate) struct Queued {
 impl Queued {
     /// Queue rank: strict priority class, then EDF (deadline-less jobs
     /// rank infinitely late and fall back to FIFO among themselves).
-    pub fn rank(&self) -> (Priority, bool, Instant, JobId) {
+    pub(crate) fn rank(&self) -> (Priority, bool, Instant, JobId) {
         let at = self.deadline_at.unwrap_or(self.submitted_at);
         (self.spec.priority, self.deadline_at.is_none(), at, self.id)
     }
@@ -191,11 +183,11 @@ pub(crate) struct JobTable {
 
 impl JobTable {
     /// The id the next [`JobTable::draw_id`] will return.
-    pub fn peek_id(&self) -> JobId {
+    pub(crate) fn peek_id(&self) -> JobId {
         self.next_id
     }
 
-    pub fn draw_id(&mut self) -> JobId {
+    pub(crate) fn draw_id(&mut self) -> JobId {
         let id = self.next_id;
         self.next_id += 1;
         id
@@ -206,7 +198,7 @@ impl JobTable {
     /// total fits `budget` — but never the newest, so a job can always
     /// be streamed once it finishes. An expired job keeps its id and
     /// record; only its waveform goes.
-    pub fn retain(&mut self, id: JobId, bytes: usize, budget: usize) {
+    pub(crate) fn retain(&mut self, id: JobId, bytes: usize, budget: usize) {
         self.retained.push_back((id, bytes));
         self.retained_bytes += bytes;
         while self.retained_bytes > budget && self.retained.len() > 1 {
@@ -446,7 +438,7 @@ impl Drop for ScenarioEngine {
 }
 
 impl Inner {
-    pub fn lock_table(&self) -> std::sync::MutexGuard<'_, JobTable> {
+    pub(crate) fn lock_table(&self) -> std::sync::MutexGuard<'_, JobTable> {
         self.table.lock().unwrap_or_else(|e| e.into_inner())
     }
 

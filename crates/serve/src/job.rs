@@ -98,59 +98,12 @@ pub struct ScenarioOverrides {
 }
 
 impl ScenarioOverrides {
-    /// A builder over the empty overrides — the preferred construction
-    /// (field-struct literals are deprecated in favor of it: the
-    /// builder stays source-compatible as override kinds grow).
-    pub fn builder() -> ScenarioOverridesBuilder {
-        ScenarioOverridesBuilder {
-            overrides: ScenarioOverrides::default(),
-        }
-    }
-
     /// `true` when no override is set (the job runs the base scenario).
     pub fn is_empty(&self) -> bool {
         self.gamma.is_none()
             && self.tol.is_none()
             && self.source_scale.is_none()
             && self.cap_scale.is_none()
-    }
-}
-
-/// Builder for [`ScenarioOverrides`] (see
-/// [`ScenarioOverrides::builder`]).
-#[derive(Debug, Clone, Default)]
-pub struct ScenarioOverridesBuilder {
-    overrides: ScenarioOverrides,
-}
-
-impl ScenarioOverridesBuilder {
-    /// Overrides γ (the R-MATEX shift).
-    pub fn gamma(mut self, gamma: f64) -> Self {
-        self.overrides.gamma = Some(gamma);
-        self
-    }
-
-    /// Overrides the Krylov tolerance.
-    pub fn tol(mut self, tol: f64) -> Self {
-        self.overrides.tol = Some(tol);
-        self
-    }
-
-    /// Scales every source waveform.
-    pub fn source_scale(mut self, k: f64) -> Self {
-        self.overrides.source_scale = Some(k);
-        self
-    }
-
-    /// Scales one node's ground capacitance (a what-if edit).
-    pub fn cap_scale(mut self, row: usize, factor: f64) -> Self {
-        self.overrides.cap_scale = Some((row, factor));
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> ScenarioOverrides {
-        self.overrides
     }
 }
 
@@ -209,34 +162,6 @@ impl JobSpec {
             overrides: ScenarioOverrides::default(),
             priority: Priority::Normal,
             deadline: None,
-        }
-    }
-
-    /// A builder rooted at the required fields — the preferred
-    /// construction when several options are set at once (field-struct
-    /// literals are deprecated in favor of it: the builder stays
-    /// source-compatible as the spec grows).
-    ///
-    /// ```
-    /// use matex_circuit::PdnBuilder;
-    /// use matex_core::TransientSpec;
-    /// use matex_serve::{JobSpec, Priority};
-    /// use std::sync::Arc;
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let grid = Arc::new(PdnBuilder::new(6, 6).num_loads(8).window(1e-9).build()?);
-    /// let spec = TransientSpec::new(0.0, 1e-9, 2e-11)?;
-    /// let job = JobSpec::builder(grid, spec)
-    ///     .gamma(2e-10)
-    ///     .priority(Priority::High)
-    ///     .build();
-    /// assert!(!job.overrides.is_empty());
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn builder(circuit: Arc<MnaSystem>, spec: TransientSpec) -> JobSpecBuilder {
-        JobSpecBuilder {
-            job: JobSpec::new(circuit, spec),
         }
     }
 
@@ -310,74 +235,6 @@ impl JobSpec {
             sys = Arc::new(sys.with_cap_scaled(row, factor)?);
         }
         Ok(sys)
-    }
-}
-
-/// Builder for [`JobSpec`] (see [`JobSpec::builder`]).
-#[derive(Debug, Clone)]
-pub struct JobSpecBuilder {
-    job: JobSpec,
-}
-
-impl JobSpecBuilder {
-    /// Sets the base solver options (kind, γ, tolerances).
-    pub fn matex(mut self, opts: MatexOptions) -> Self {
-        self.job.matex = opts;
-        self
-    }
-
-    /// Sets the execution mode.
-    pub fn mode(mut self, mode: ExecutionMode) -> Self {
-        self.job.mode = mode;
-        self
-    }
-
-    /// Sets the admission priority class.
-    pub fn priority(mut self, p: Priority) -> Self {
-        self.job.priority = p;
-        self
-    }
-
-    /// Sets a deadline relative to submission.
-    pub fn deadline(mut self, d: Duration) -> Self {
-        self.job.deadline = Some(d);
-        self
-    }
-
-    /// Overrides γ (the R-MATEX shift).
-    pub fn gamma(mut self, gamma: f64) -> Self {
-        self.job.overrides.gamma = Some(gamma);
-        self
-    }
-
-    /// Overrides the Krylov tolerance.
-    pub fn tol(mut self, tol: f64) -> Self {
-        self.job.overrides.tol = Some(tol);
-        self
-    }
-
-    /// Scales every source waveform.
-    pub fn source_scale(mut self, k: f64) -> Self {
-        self.job.overrides.source_scale = Some(k);
-        self
-    }
-
-    /// Scales one node's ground capacitance — a what-if edit.
-    pub fn cap_scale(mut self, row: usize, factor: f64) -> Self {
-        self.job.overrides.cap_scale = Some((row, factor));
-        self
-    }
-
-    /// Replaces the whole override set (e.g. one built with
-    /// [`ScenarioOverrides::builder`]).
-    pub fn overrides(mut self, overrides: ScenarioOverrides) -> Self {
-        self.job.overrides = overrides;
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> JobSpec {
-        self.job
     }
 }
 
@@ -565,38 +422,30 @@ mod tests {
     }
 
     #[test]
-    fn builders_cover_every_field() {
+    fn setters_cover_every_field() {
         let sys = Arc::new(RcMeshBuilder::new(3, 3).build().unwrap());
         let spec = TransientSpec::new(0.0, 1e-9, 1e-11).unwrap();
-        let ov = ScenarioOverrides::builder()
-            .gamma(3e-10)
-            .tol(1e-8)
-            .source_scale(1.5)
-            .cap_scale(2, 4.0)
-            .build();
-        assert_eq!(ov.gamma, Some(3e-10));
-        assert_eq!(ov.cap_scale, Some((2, 4.0)));
-        let job = JobSpec::builder(sys.clone(), spec)
+        let ov = ScenarioOverrides {
+            gamma: Some(3e-10),
+            tol: Some(1e-8),
+            source_scale: Some(1.5),
+            cap_scale: Some((2, 4.0)),
+        };
+        let job = JobSpec::new(sys, spec)
             .mode(ExecutionMode::Distributed {
                 strategy: GroupingStrategy::default(),
                 workers: Some(2),
             })
             .priority(Priority::High)
             .deadline(Duration::from_secs(1))
-            .overrides(ov.clone())
-            .build();
+            .gamma(3e-10)
+            .tol(1e-8)
+            .source_scale(1.5)
+            .cap_scale(2, 4.0);
         assert_eq!(job.overrides, ov);
         assert_eq!(job.priority, Priority::High);
         assert_eq!(job.deadline, Some(Duration::from_secs(1)));
         assert!(matches!(job.mode, ExecutionMode::Distributed { .. }));
-        // Shorthand setters on the builder match the override builder.
-        let short = JobSpec::builder(sys, job.spec.clone())
-            .gamma(3e-10)
-            .tol(1e-8)
-            .source_scale(1.5)
-            .cap_scale(2, 4.0)
-            .build();
-        assert_eq!(short.overrides, ov);
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub fn parse_flat_json(text: &str) -> Result<HashMap<String, JsonValue>, String>
 }
 
 /// Escapes a string for inclusion in emitted JSON (quotes not added).
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

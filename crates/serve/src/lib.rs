@@ -59,6 +59,8 @@
 //! # }
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod admission;
 mod cache;
 mod engine;
@@ -75,13 +77,13 @@ pub use cache::CacheSizes;
 pub use engine::{EngineOptions, ScenarioEngine};
 pub use error::ServeError;
 pub use job::{
-    CacheReport, ExecutionMode, Hit, HitPath, JobId, JobOutcome, JobSpec, JobSpecBuilder,
-    JobStatus, Priority, ScenarioOverrides, ScenarioOverridesBuilder,
+    CacheReport, ExecutionMode, Hit, HitPath, JobId, JobOutcome, JobSpec, JobStatus, Priority,
+    ScenarioOverrides,
 };
 pub use json::{parse_flat_json, JsonValue};
 pub use loadgen::{run_load, LoadJob, LoadMode, LoadReport, LoadSpec};
 pub use matex_core::CancelToken;
-pub use service::{serve, ServiceHandle, ServiceOptions, ServiceOptionsBuilder};
+pub use service::{serve, ServiceHandle, ServiceOptions};
 pub use stats::EngineStats;
 
 // Compile the crate README's code blocks as doctests so the documented

@@ -13,6 +13,10 @@ use matex_waveform::GroupingStrategy;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// How many γ decades away a cached symbolic anchor may be reused
+/// (`0` would mean the exact decade only).
+const ANCHOR_SPAN: i32 = 1;
+
 /// The keys of every artifact a job can touch, in memory and on disk.
 pub(crate) struct Keys {
     /// Circuit level of the cache: the MNA pattern fingerprint.
@@ -128,9 +132,7 @@ impl Inner {
         keys: &Keys,
     ) -> Result<(MatexSetup, Hit), ServeError> {
         let analyze = || MatexSymbolic::analyze(sys, opts).map_err(ServeError::from);
-        let (symbolic, mut sym_hit) =
-            self.cache
-                .symbolic(keys.symbolic, self.opts.anchor_span, analyze)?;
+        let (symbolic, mut sym_hit) = self.cache.symbolic(keys.symbolic, ANCHOR_SPAN, analyze)?;
         // The engine factors here (the solver is handed the prepared
         // setup), so the solver's own factor span never fires on this
         // path — record the equivalent span at this site instead.
@@ -210,7 +212,6 @@ impl Inner {
         };
         let smw = SmwOptions {
             max_rank: self.opts.whatif_max_rank,
-            ..SmwOptions::default()
         };
         match MatexSetup::correct(base_setup, &diff, &smw) {
             Ok(corrected) => {

@@ -117,18 +117,6 @@ pub struct ServiceOptions {
     pub io_timeout: Option<Duration>,
 }
 
-impl ServiceOptions {
-    /// A builder starting from the defaults — the preferred way to
-    /// configure a service (field-struct literals are deprecated in
-    /// favor of it: the builder stays source-compatible as options
-    /// grow).
-    pub fn builder() -> ServiceOptionsBuilder {
-        ServiceOptionsBuilder {
-            opts: ServiceOptions::default(),
-        }
-    }
-}
-
 impl Default for ServiceOptions {
     fn default() -> Self {
         ServiceOptions {
@@ -136,37 +124,6 @@ impl Default for ServiceOptions {
             stream_chunk: 32,
             io_timeout: Some(Duration::from_secs(30)),
         }
-    }
-}
-
-/// Builder for [`ServiceOptions`] (see [`ServiceOptions::builder`]).
-#[derive(Debug, Clone)]
-pub struct ServiceOptionsBuilder {
-    opts: ServiceOptions,
-}
-
-impl ServiceOptionsBuilder {
-    /// Sets the bind address (port 0 picks a free port).
-    pub fn addr(mut self, addr: impl Into<String>) -> Self {
-        self.opts.addr = addr.into();
-        self
-    }
-
-    /// Sets the output samples per streamed waveform frame.
-    pub fn stream_chunk(mut self, chunk: usize) -> Self {
-        self.opts.stream_chunk = chunk;
-        self
-    }
-
-    /// Sets (or disables, with `None`) the per-socket I/O timeout.
-    pub fn io_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.opts.io_timeout = timeout;
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> ServiceOptions {
-        self.opts
     }
 }
 

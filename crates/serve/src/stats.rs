@@ -148,7 +148,7 @@ pub(crate) struct Counters {
 }
 
 impl Counters {
-    pub fn new(obs: Obs) -> Counters {
+    pub(crate) fn new(obs: Obs) -> Counters {
         Counters {
             table: std::array::from_fn(|_| AtomicU64::new(0)),
             obs,
@@ -156,20 +156,20 @@ impl Counters {
     }
 
     /// Adds `n` to counter `c` and to its `engine_*_total` obs counter.
-    pub fn count(&self, c: Counter, n: u64) {
+    pub(crate) fn count(&self, c: Counter, n: u64) {
         self.count_labeled(c, &[], n);
     }
 
     /// [`Counters::count`] with labels on the obs side (the rejection
     /// reason, where a cancellation or deadline miss was detected).
-    pub fn count_labeled(&self, c: Counter, labels: &[(&'static str, &str)], n: u64) {
+    pub(crate) fn count_labeled(&self, c: Counter, labels: &[(&'static str, &str)], n: u64) {
         self.table[c as usize].fetch_add(n, Ordering::Relaxed);
         self.obs.add_labeled(OBS_NAMES[c as usize], labels, n);
     }
 
     /// One read pass over the table into `stats` (torn when racing;
     /// the engine's snapshot re-reads until two passes agree).
-    pub fn read_into(&self, stats: &mut EngineStats) {
+    pub(crate) fn read_into(&self, stats: &mut EngineStats) {
         let mut snapshot = [0u64; OBS_NAMES.len()];
         for (slot, cell) in snapshot.iter_mut().zip(&self.table) {
             *slot = cell.load(Ordering::Relaxed);

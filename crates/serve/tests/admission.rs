@@ -51,13 +51,14 @@ fn wait_until_running(engine: &ScenarioEngine, id: u64) {
     }
 }
 
-/// Occupies one executor with a march that outlasts any test by orders
-/// of magnitude (100k steps) and returns its id once it is running:
-/// whatever is submitted next stays queued until the caller cancels it —
-/// however fast a small job factors.
+/// Occupies one executor with a march that outlasts every deadline a
+/// test here waits out, in release builds too (a million steps over a
+/// 1708-row grid: seconds even optimized), and returns its id once it is
+/// running: whatever is submitted next stays queued until the caller
+/// cancels it — however fast a small job factors.
 fn hold_executor(engine: &ScenarioEngine) -> u64 {
     let grid = Arc::new(
-        PdnBuilder::new(12, 12)
+        PdnBuilder::new(40, 40)
             .num_loads(18)
             .num_features(3)
             .window(1e-6)
@@ -65,7 +66,7 @@ fn hold_executor(engine: &ScenarioEngine) -> u64 {
             .build()
             .expect("grid builds"),
     );
-    let spec = TransientSpec::new(0.0, 1e-6, 1e-11)
+    let spec = TransientSpec::new(0.0, 1e-6, 1e-12)
         .expect("spec")
         .observing(vec![0]);
     let blocker = engine.submit(JobSpec::new(grid, spec)).expect("blocker");

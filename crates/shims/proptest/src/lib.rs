@@ -14,6 +14,8 @@
 //! failures reproduce exactly. There is no shrinking: a failing case
 //! reports its case index and panics with the assertion message.
 
+#![warn(unreachable_pub)]
+
 use std::ops::Range;
 
 /// Runner configuration. Only the case count is honoured.

@@ -8,6 +8,8 @@
 //! workspace depends on upstream's exact values, only on determinism per
 //! seed.
 
+#![warn(unreachable_pub)]
+
 use std::ops::Range;
 
 /// Sources of randomness: the core 64-bit generator.

@@ -1,6 +1,6 @@
 //! Coordinate-format (triplet) sparse matrix builder.
 
-use crate::{CsrMatrix, SparseError};
+use crate::CsrMatrix;
 
 /// A coordinate-format sparse matrix accumulator.
 ///
@@ -58,11 +58,6 @@ impl CooMatrix {
         self.ncols
     }
 
-    /// Number of raw triplets pushed so far (duplicates not yet merged).
-    pub fn num_triplets(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Adds `value` at `(row, col)`; duplicates are summed at conversion.
     ///
     /// Zero values are kept (they may pin structure for later refactoring).
@@ -78,22 +73,6 @@ impl CooMatrix {
             self.ncols
         );
         self.entries.push((row, col, value));
-    }
-
-    /// Fallible variant of [`CooMatrix::push`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::InvalidStructure`] for out-of-range positions.
-    pub fn try_push(&mut self, row: usize, col: usize, value: f64) -> Result<(), SparseError> {
-        if row >= self.nrows || col >= self.ncols {
-            return Err(SparseError::InvalidStructure(format!(
-                "triplet ({row},{col}) out of bounds for {}x{}",
-                self.nrows, self.ncols
-            )));
-        }
-        self.entries.push((row, col, value));
-        Ok(())
     }
 
     /// Converts to CSR, summing duplicate entries. Explicit zeros that
@@ -189,13 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn try_push_rejects_out_of_bounds() {
-        let mut a = CooMatrix::new(1, 1);
-        assert!(a.try_push(1, 0, 1.0).is_err());
-        assert!(a.try_push(0, 0, 1.0).is_ok());
-    }
-
-    #[test]
     #[should_panic(expected = "out of bounds")]
     fn push_panics_out_of_bounds() {
         CooMatrix::new(1, 1).push(0, 5, 1.0);
@@ -205,7 +177,8 @@ mod tests {
     fn extend_collects_triplets() {
         let mut a = CooMatrix::new(2, 2);
         a.extend(vec![(0, 0, 1.0), (1, 1, 2.0)]);
-        assert_eq!(a.num_triplets(), 2);
+        let csr = a.to_csr();
+        assert_eq!((csr.get(0, 0), csr.get(1, 1)), (1.0, 2.0));
     }
 
     #[test]

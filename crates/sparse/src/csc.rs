@@ -169,11 +169,6 @@ impl CscMatrix {
         }
         y
     }
-
-    /// Extracts the raw parts `(colptr, rowidx, values)`.
-    pub fn into_raw_parts(self) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
-        (self.colptr, self.rowidx, self.values)
-    }
 }
 
 #[cfg(test)]

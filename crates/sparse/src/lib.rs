@@ -39,6 +39,7 @@
 //! # }
 //! ```
 
+#![warn(unreachable_pub)]
 // Index loops mirror the CSparse-style formulations these kernels are
 // transcribed from; iterator rewrites obscure the math.
 #![allow(clippy::needless_range_loop)]

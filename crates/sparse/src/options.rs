@@ -36,17 +36,6 @@ impl Default for LuOptions {
     }
 }
 
-impl LuOptions {
-    /// Options with strict partial pivoting (maximum robustness, more
-    /// fill).
-    pub fn strict_pivoting() -> Self {
-        LuOptions {
-            pivot_threshold: 1.0,
-            ..LuOptions::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,10 +49,5 @@ mod tests {
         // The refactor stability floor must be at most as strict as the
         // pivoting threshold, or the fast path could never be taken.
         assert!(o.pivot_tol > 0.0 && o.pivot_tol <= o.pivot_threshold);
-    }
-
-    #[test]
-    fn strict_pivoting_threshold_is_one() {
-        assert_eq!(LuOptions::strict_pivoting().pivot_threshold, 1.0);
     }
 }

@@ -53,21 +53,19 @@ pub struct SmwOptions {
     /// extra work per solve, so past a few dozen columns a numeric
     /// refactor wins outright.
     pub max_rank: usize,
-    /// Relative floor for the capture matrix's smallest pivot: the
-    /// update is rejected when `min_pivot < capture_tol · max(max|S|, 1)`,
-    /// meaning the edit moves the matrix (numerically) toward
-    /// singularity and the correction would amplify rounding error.
-    pub capture_tol: f64,
 }
 
 impl Default for SmwOptions {
     fn default() -> Self {
-        SmwOptions {
-            max_rank: 16,
-            capture_tol: 1e-12,
-        }
+        SmwOptions { max_rank: 16 }
     }
 }
+
+/// Relative floor for the capture matrix's smallest pivot: an update is
+/// rejected when `min_pivot < CAPTURE_TOL · max(max|S|, 1)`, meaning the
+/// edit moves the matrix (numerically) toward singularity and the
+/// correction would amplify rounding error.
+const CAPTURE_TOL: f64 = 1e-12;
 
 /// Why [`SmwUpdate::build`] refused an edit set. Every variant means
 /// "refactor instead"; none is an error in the base factorization.
@@ -81,7 +79,7 @@ pub enum SmwRejection {
         max_rank: usize,
     },
     /// The capture matrix `S = I + VᵀW` is singular or its smallest
-    /// pivot falls below the [`SmwOptions::capture_tol`] floor.
+    /// pivot falls below the `CAPTURE_TOL` floor.
     IllConditioned {
         /// Smallest pivot magnitude of the factored capture matrix
         /// (0.0 when the dense factorization failed outright).
@@ -241,7 +239,7 @@ impl SmwUpdate {
         // floor the relative test at 1 or a rank-1 singular edit (single
         // pivot == single entry == max|S|) could never trip it.
         let min_pivot = capture.min_pivot();
-        if min_pivot < opts.capture_tol * s_max.max(1.0) {
+        if min_pivot < CAPTURE_TOL * s_max.max(1.0) {
             return Err(SmwRejection::IllConditioned { min_pivot });
         }
         Ok(SmwUpdate {
@@ -440,10 +438,7 @@ mod tests {
     fn over_rank_edit_is_rejected() {
         let a = chain(8);
         let lu = SparseLu::factor(&a, &LuOptions::default()).unwrap();
-        let opts = SmwOptions {
-            max_rank: 2,
-            ..SmwOptions::default()
-        };
+        let opts = SmwOptions { max_rank: 2 };
         let u: Vec<SparseCol> = (0..3).map(|i| vec![(i, 1.0)]).collect();
         let v: Vec<SparseCol> = (0..3).map(|i| vec![(i, 0.1)]).collect();
         assert_eq!(
@@ -466,6 +461,23 @@ mod tests {
             Err(SmwRejection::IllConditioned { .. }) => {}
             other => panic!("expected ill-conditioned rejection, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn capture_floor_is_relative_to_unit_scale() {
+        // A = [2], edit −2(1 − δ) → S = I + VᵀA⁻¹U = δ: below the 1e-12
+        // floor the edit is refused, above it the correction is built.
+        let a = CsrMatrix::from_triplets(1, 1, &[(0, 0, 2.0)]);
+        let lu = SparseLu::factor(&a, &LuOptions::default()).unwrap();
+        let build = |delta: f64| {
+            let v = vec![vec![(0, -2.0 * (1.0 - delta))]];
+            SmwUpdate::build(&lu, &[vec![(0, 1.0)]], &v, &SmwOptions::default())
+        };
+        assert!(matches!(
+            build(1e-13),
+            Err(SmwRejection::IllConditioned { .. })
+        ));
+        assert!(build(1e-10).is_ok());
     }
 
     #[test]

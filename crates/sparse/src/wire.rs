@@ -513,7 +513,10 @@ mod tests {
     fn options_and_permutations_round_trip() {
         for opts in [
             LuOptions::default(),
-            LuOptions::strict_pivoting(),
+            LuOptions {
+                pivot_threshold: 1.0,
+                ..LuOptions::default()
+            },
             LuOptions {
                 ordering: OrderingKind::Natural,
                 equilibrate: false,

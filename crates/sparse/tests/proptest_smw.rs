@@ -169,7 +169,7 @@ proptest! {
             return;
         }
         let lu = SparseLu::factor(&a, &LuOptions::default()).unwrap();
-        let tight = SmwOptions { max_rank: u_cols.len() - 1, ..SmwOptions::default() };
+        let tight = SmwOptions { max_rank: u_cols.len() - 1 };
         let err = SmwUpdate::build(&lu, &u_cols, &v_cols, &tight).err();
         prop_assert_eq!(
             err,

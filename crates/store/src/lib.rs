@@ -58,6 +58,8 @@
 //! # }
 //! ```
 
+#![warn(unreachable_pub)]
+
 use matex_core::{FaultHook, FaultKind, MatexSetup, MatexSymbolic};
 use matex_dist::GroupPlan;
 use matex_sparse::{WireReader, WireWriter};

@@ -32,6 +32,8 @@
 //! # }
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod error;
 mod features;
 mod fingerprint;

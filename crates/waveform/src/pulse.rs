@@ -138,11 +138,6 @@ impl Pulse {
         Ok(())
     }
 
-    /// Duration of one active bump (rise + width + fall).
-    pub fn shape_duration(&self) -> f64 {
-        self.t_rise + self.t_width + self.t_fall
-    }
-
     /// Value at time `t` (seconds).
     pub fn value(&self, t: f64) -> f64 {
         if t < self.t_delay {
@@ -262,10 +257,5 @@ mod tests {
         // v1 == v2 makes zero ramps fine (it is a constant).
         let p = Pulse::new(3.0, 3.0, 0.0, 0.0, 1.0, 0.0).unwrap();
         assert_eq!(p.value(0.5), 3.0);
-    }
-
-    #[test]
-    fn shape_duration_sums() {
-        assert_eq!(sample().shape_duration(), 8.0);
     }
 }

@@ -76,11 +76,6 @@ impl Waveform {
         }
     }
 
-    /// The value the waveform holds at `t = 0⁻` (used for DC analysis).
-    pub fn initial_value(&self) -> f64 {
-        self.value(0.0)
-    }
-
     /// The waveform scaled by `k` in value: `w'(t) = k · w(t)`.
     ///
     /// Timing (and therefore every transition spot) is unchanged, which

@@ -51,6 +51,8 @@
 //! # }
 //! ```
 
+#![warn(unreachable_pub)]
+
 // Compile the README's code blocks as doctests so the documented
 // quickstarts can never rot.
 #[cfg(doctest)]

@@ -87,3 +87,50 @@ fn netlist_file_roundtrip_via_fs() {
     assert_eq!(parsed.netlist.num_elements(), 10);
     std::fs::remove_file(&path).ok();
 }
+
+/// Parses and assembles `bytes` (lossily decoded, as a reader of an
+/// untrusted file would). Any panic fails the test: there is no
+/// `catch_unwind`, so the only acceptable outcomes are `Ok` and a typed
+/// error.
+fn parse_and_assemble(bytes: &[u8]) -> bool {
+    let text = String::from_utf8_lossy(bytes);
+    match parse_netlist(&text) {
+        Ok(parsed) => MnaSystem::assemble(&parsed.netlist).is_ok(),
+        Err(e) => {
+            assert!(!e.to_string().is_empty());
+            false
+        }
+    }
+}
+
+#[test]
+fn every_mutation_of_the_rail_is_ok_or_a_typed_error() {
+    let rail = RAIL.as_bytes();
+    assert!(parse_and_assemble(rail));
+    let mut outcomes = [0usize; 2];
+    // Every truncation.
+    for len in 0..rail.len() {
+        outcomes[usize::from(parse_and_assemble(&rail[..len]))] += 1;
+    }
+    // Every single-bit flip.
+    let mut mutant = rail.to_vec();
+    for i in 0..rail.len() {
+        for bit in 0..8 {
+            mutant[i] ^= 1 << bit;
+            outcomes[usize::from(parse_and_assemble(&mutant))] += 1;
+            mutant[i] = rail[i];
+        }
+    }
+    // Every byte replaced by each token-shaping byte: digits, signs,
+    // separators, unit letters, parentheses, comment and continuation
+    // markers, and bytes that are not valid UTF-8 on their own.
+    for i in 0..rail.len() {
+        for &b in b"0 19-+.eEgGmMpP()*\n\t=,;xX\x00\x7f\xc3\xff" {
+            mutant[i] = b;
+            outcomes[usize::from(parse_and_assemble(&mutant))] += 1;
+        }
+        mutant[i] = rail[i];
+    }
+    // The sweep reaches both outcomes: it is not all rejected at line 1.
+    assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
+}
