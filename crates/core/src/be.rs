@@ -5,11 +5,10 @@
 //! tiny-step accuracy reference (paper Table 1 compares against BE at
 //! 0.05 ps).
 
-use crate::engine::{InputEval, Recorder, TransientEngine};
-use crate::{CoreError, SolveStats, TransientResult, TransientSpec};
+use crate::engine::{InputEval, TransientEngine};
+use crate::fixed_step::{self, Rule};
+use crate::{CoreError, TransientResult, TransientSpec};
 use matex_circuit::MnaSystem;
-use matex_sparse::{CsrMatrix, LuOptions, SparseLu};
-use std::time::Instant;
 
 /// Fixed-step backward Euler engine.
 ///
@@ -31,7 +30,6 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct BackwardEuler {
     h: f64,
-    mask: Option<Vec<usize>>,
 }
 
 impl BackwardEuler {
@@ -42,91 +40,14 @@ impl BackwardEuler {
     /// Panics if `h` is not positive and finite.
     pub fn new(h: f64) -> Self {
         assert!(h.is_finite() && h > 0.0, "step size must be positive");
-        BackwardEuler { h, mask: None }
-    }
-
-    /// Restricts the active sources (superposition subtask mode).
-    pub fn with_source_mask(mut self, members: Vec<usize>) -> Self {
-        self.mask = Some(members);
-        self
-    }
-
-    /// The fixed step size.
-    pub fn h(&self) -> f64 {
-        self.h
+        BackwardEuler { h }
     }
 }
 
 impl TransientEngine for BackwardEuler {
     fn run(&self, sys: &MnaSystem, spec: &TransientSpec) -> Result<TransientResult, CoreError> {
-        let mut stats = SolveStats::default();
-        let input = match &self.mask {
-            None => InputEval::new(sys),
-            Some(m) => InputEval::masked(sys, m),
-        };
-
-        // DC initial condition.
-        let t0 = Instant::now();
-        let lu_g = SparseLu::factor(sys.g(), &LuOptions::default())?;
-        let mut x = lu_g.solve(&input.bu_at(spec.t_start()));
-        stats.substitution_pairs += 1;
-        stats.factorizations += 1;
-        stats.dc_time = t0.elapsed();
-
-        // Factor (C/h + G).
-        let tf = Instant::now();
-        let lhs = CsrMatrix::linear_combination(1.0 / self.h, sys.c(), 1.0, sys.g())?;
-        let lu = SparseLu::factor(&lhs, &LuOptions::default())?;
-        stats.factorizations += 1;
-        stats.factor_time = tf.elapsed();
-
-        let tt = Instant::now();
-        let c_over_h = sys.c().scaled(1.0 / self.h);
-        let mut rec = Recorder::new(spec, sys.dim());
-        rec.record_step(spec.t_start(), &x, spec.t_start(), &x);
-        let mut t = spec.t_start();
-        let mut out = vec![0.0; sys.dim()];
-        let mut work = vec![0.0; sys.dim()];
-        let mut rhs = vec![0.0; sys.dim()];
-        while t < spec.t_stop() - 1e-12 * self.h {
-            let h = self.h.min(spec.t_stop() - t);
-            let tn = t + h;
-            // rhs = (C/h) x_n + B u(t_{n+1}); on a (shorter) final step the
-            // matrix would change, so clamp only within float tolerance.
-            if (h - self.h).abs() > 1e-9 * self.h {
-                // Final ragged step: refactor for the shortened h.
-                let lhs2 = CsrMatrix::linear_combination(1.0 / h, sys.c(), 1.0, sys.g())?;
-                let lu2 = SparseLu::factor(&lhs2, &LuOptions::default())?;
-                stats.factorizations += 1;
-                let ch = sys.c().scaled(1.0 / h);
-                ch.matvec_into(&x, &mut rhs);
-                for (r, b) in rhs.iter_mut().zip(input.bu_at(tn)) {
-                    *r += b;
-                }
-                lu2.solve_into(&rhs, &mut out, &mut work);
-            } else {
-                c_over_h.matvec_into(&x, &mut rhs);
-                for (r, b) in rhs.iter_mut().zip(input.bu_at(tn)) {
-                    *r += b;
-                }
-                lu.solve_into(&rhs, &mut out, &mut work);
-            }
-            stats.substitution_pairs += 1;
-            stats.steps += 1;
-            rec.record_step(t, &x, tn, &out);
-            x.copy_from_slice(&out);
-            t = tn;
-        }
-        stats.transient_time = tt.elapsed();
-        let (times, rows, series) = rec.finish();
-        Ok(TransientResult::new(
-            self.name(),
-            times,
-            rows,
-            series,
-            x,
-            stats,
-        ))
+        let input = InputEval::new(sys);
+        fixed_step::march(Rule::BackwardEuler, self.h, self.name(), sys, &input, spec)
     }
 
     fn name(&self) -> String {

@@ -1,7 +1,7 @@
 //! Shared engine infrastructure: the [`TransientEngine`] trait, masked
 //! input evaluation, and output-grid recording.
 
-use crate::{CoreError, TransientResult, TransientSpec};
+use crate::{CoreError, SolveStats, TransientResult, TransientSpec};
 use matex_circuit::MnaSystem;
 
 /// A transient simulation engine.
@@ -44,17 +44,12 @@ impl<'a> InputEval<'a> {
         }
     }
 
-    /// The (masked) input vector `u(t)`.
-    pub fn u_at(&self, t: f64) -> Vec<f64> {
-        match self.mask {
-            None => self.sys.input_at(t),
-            Some(members) => self.sys.input_masked_at(t, members),
-        }
-    }
-
     /// The (masked) right-hand side `B u(t)`.
     pub fn bu_at(&self, t: f64) -> Vec<f64> {
-        self.sys.b().matvec(&self.u_at(t))
+        let mut u = vec![0.0; self.num_sources()];
+        let mut out = vec![0.0; self.sys.dim()];
+        self.bu_into(t, &mut out, &mut u);
+        out
     }
 
     /// Allocation-free variant of [`InputEval::bu_at`]: fills `out` with
@@ -88,8 +83,12 @@ impl<'a> InputEval<'a> {
     }
 }
 
-/// Records solution values onto the spec's output sample grid, linearly
-/// interpolating when an engine's accepted steps do not land on samples.
+/// Records solution values onto the spec's output sample grid, one
+/// sample at a time and by index: an engine says which sample it fills,
+/// and either hands over the state there or the step that spans it.
+///
+/// Samples must be filled in order. A sample offered out of turn is not
+/// recorded, so [`Recorder::finish`] reports it as unfilled.
 #[derive(Debug)]
 pub struct Recorder {
     sample_times: Vec<f64>,
@@ -100,21 +99,30 @@ pub struct Recorder {
 
 impl Recorder {
     /// Creates a recorder for the spec over a system of dimension `dim`.
-    pub fn new(spec: &TransientSpec, dim: usize) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidSpec`] when an observed row is not below `dim`.
+    pub fn new(spec: &TransientSpec, dim: usize) -> Result<Self, CoreError> {
         let sample_times = spec.sample_times();
         let rows = spec.observed_rows(dim);
+        if let Some(row) = rows.iter().find(|&&r| r >= dim) {
+            return Err(CoreError::InvalidSpec(format!(
+                "observed row {row} is outside the system's {dim} rows"
+            )));
+        }
         // Not `vec![Vec::with_capacity(..); k]`: cloning an empty Vec
         // drops its capacity, which would make recording reallocate as
         // samples accumulate (the hot path must stay allocation-free).
         let series = (0..rows.len())
             .map(|_| Vec::with_capacity(sample_times.len()))
             .collect();
-        Recorder {
+        Ok(Recorder {
             sample_times,
             rows,
             series,
             next: 0,
-        }
+        })
     }
 
     /// The output grid.
@@ -122,72 +130,57 @@ impl Recorder {
         &self.sample_times
     }
 
-    /// `true` once every sample has been filled.
-    pub fn is_complete(&self) -> bool {
-        self.next >= self.sample_times.len()
+    /// Records `x` as sample `k`.
+    pub fn record(&mut self, k: usize, x: &[f64]) {
+        // A zero-length step is its end state.
+        self.record_within(k, 0.0, x, 0.0, x);
     }
 
-    /// Time of the next unfilled sample, if any.
-    pub fn next_sample(&self) -> Option<f64> {
-        self.sample_times.get(self.next).copied()
-    }
-
-    /// Records the exact state at the next sample time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if all samples are already filled or `t` is not (close to)
-    /// the next sample time.
-    pub fn record_at_sample(&mut self, t: f64, x: &[f64]) {
-        let expect = self.sample_times[self.next];
-        assert!(
-            (t - expect).abs() <= 1e-9 * expect.abs().max(1e-30) + 1e-30,
-            "record_at_sample: t = {t} but next sample is {expect}"
-        );
-        for (k, &row) in self.rows.iter().enumerate() {
-            self.series[k].push(x[row]);
+    /// Records sample `k` from the step `(t0, x0) → (t1, x1)` that spans
+    /// it, by linear interpolation; a sample time outside `[t0, t1]`
+    /// takes the nearer end's state.
+    pub fn record_within(&mut self, k: usize, t0: f64, x0: &[f64], t1: f64, x1: &[f64]) {
+        let Some(&ts) = self.sample_times.get(k).filter(|_| k == self.next) else {
+            return;
+        };
+        let w = if t1 > t0 {
+            ((ts - t0) / (t1 - t0)).clamp(0.0, 1.0)
+        } else {
+            1.0
+        };
+        for (s, &row) in self.series.iter_mut().zip(&self.rows) {
+            s.push(x0[row] * (1.0 - w) + x1[row] * w);
         }
         self.next += 1;
     }
 
-    /// Records an accepted step `(t0, x0) → (t1, x1)`, filling every
-    /// sample in `(t0, t1]` by linear interpolation. Call once with
-    /// `t0 == t1 == t_start` to capture an initial sample.
-    pub fn record_step(&mut self, t0: f64, x0: &[f64], t1: f64, x1: &[f64]) {
-        while let Some(ts) = self.next_sample() {
-            let within = if t0 == t1 {
-                (ts - t1).abs() <= 1e-12 * t1.abs().max(1e-30) + 1e-300
-            } else {
-                ts <= t1 + 1e-12 * t1.abs().max(1e-30)
-            };
-            if !within {
-                break;
-            }
-            let w = if t1 == t0 {
-                1.0
-            } else {
-                ((ts - t0) / (t1 - t0)).clamp(0.0, 1.0)
-            };
-            for (k, &row) in self.rows.iter().enumerate() {
-                self.series[k].push(x0[row] * (1.0 - w) + x1[row] * w);
-            }
-            self.next += 1;
+    /// Finalizes into the run's result.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::SamplesUnfilled`] when the engine left a sample
+    /// unrecorded.
+    pub fn finish(
+        self,
+        engine: String,
+        final_state: Vec<f64>,
+        stats: SolveStats,
+    ) -> Result<TransientResult, CoreError> {
+        if self.next < self.sample_times.len() {
+            return Err(CoreError::SamplesUnfilled {
+                filled: self.next,
+                total: self.sample_times.len(),
+            });
         }
-    }
-
-    /// Finalizes into `(times, rows, series)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any sample was left unfilled (engine bug).
-    pub fn finish(self) -> (Vec<f64>, Vec<usize>, Vec<Vec<f64>>) {
-        assert!(
-            self.is_complete(),
-            "recorder: {} of {} samples unfilled",
-            self.sample_times.len() - self.next,
-            self.sample_times.len()
-        );
-        (self.sample_times, self.rows, self.series)
+        let (times, rows, series) = (self.sample_times, self.rows, self.series);
+        Ok(TransientResult::new(
+            engine,
+            times,
+            rows,
+            series,
+            final_state,
+            stats,
+        ))
     }
 }
 
@@ -222,35 +215,57 @@ mod tests {
     #[test]
     fn recorder_interpolates() {
         let spec = TransientSpec::new(0.0, 1.0, 0.5).unwrap();
-        let mut rec = Recorder::new(&spec, 1);
-        let x0 = [0.0];
-        rec.record_step(0.0, &x0, 0.0, &x0); // initial point
-        let x1 = [2.0];
-        rec.record_step(0.0, &x0, 0.8, &x1); // covers sample 0.5
-        let x2 = [3.0];
-        rec.record_step(0.8, &x1, 1.0, &x2); // covers sample 1.0
-        let (times, rows, series) = rec.finish();
-        assert_eq!(times, vec![0.0, 0.5, 1.0]);
-        assert_eq!(rows, vec![0]);
-        assert_eq!(series[0], vec![0.0, 1.25, 3.0]);
+        let mut rec = Recorder::new(&spec, 1).unwrap();
+        let (x0, x1, x2) = ([0.0], [2.0], [3.0]);
+        rec.record(0, &x0);
+        rec.record_within(1, 0.0, &x0, 0.8, &x1); // sample 0.5
+        rec.record_within(2, 0.8, &x1, 1.0, &x2); // sample 1.0
+        let r = rec.finish("test".into(), vec![3.0], SolveStats::default());
+        let r = r.unwrap();
+        assert_eq!(r.times(), &[0.0, 0.5, 1.0]);
+        assert_eq!(r.rows(), &[0]);
+        assert_eq!(r.series()[0], vec![0.0, 1.25, 3.0]);
     }
 
     #[test]
     fn recorder_exact_samples() {
         let spec = TransientSpec::new(0.0, 1.0, 1.0).unwrap();
-        let mut rec = Recorder::new(&spec, 2);
-        rec.record_at_sample(0.0, &[1.0, 2.0]);
-        rec.record_at_sample(1.0, &[3.0, 4.0]);
-        let (_, _, series) = rec.finish();
+        let mut rec = Recorder::new(&spec, 2).unwrap();
+        rec.record(0, &[1.0, 2.0]);
+        rec.record(1, &[3.0, 4.0]);
+        let r = rec.finish("test".into(), vec![3.0, 4.0], SolveStats::default());
+        let series = r.unwrap().series().to_vec();
         assert_eq!(series[0], vec![1.0, 3.0]);
         assert_eq!(series[1], vec![2.0, 4.0]);
     }
 
     #[test]
-    #[should_panic(expected = "unfilled")]
-    fn unfinished_recorder_panics() {
+    fn unfilled_and_out_of_turn_samples_are_a_typed_error() {
         let spec = TransientSpec::new(0.0, 1.0, 0.5).unwrap();
-        let rec = Recorder::new(&spec, 1);
-        let _ = rec.finish();
+        let mut rec = Recorder::new(&spec, 1).unwrap();
+        rec.record(0, &[1.0]);
+        rec.record(2, &[2.0]); // out of turn: sample 1 comes first
+        rec.record(0, &[3.0]); // already filled
+        let err = rec
+            .finish("test".into(), vec![3.0], SolveStats::default())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::SamplesUnfilled {
+                filled: 1,
+                total: 3
+            }
+        );
+        assert_eq!(err.to_string(), "2 of 3 samples unfilled");
+    }
+
+    #[test]
+    fn out_of_range_rows_are_a_typed_error() {
+        let spec = TransientSpec::new(0.0, 1.0, 0.5)
+            .unwrap()
+            .observing(vec![0, 2]);
+        let err = Recorder::new(&spec, 2).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidSpec(_)), "{err}");
+        assert!(Recorder::new(&spec, 3).is_ok());
     }
 }

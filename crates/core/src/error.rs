@@ -23,6 +23,13 @@ pub enum CoreError {
         /// Time of the first non-finite state.
         at: f64,
     },
+    /// The engine ended its march with output samples unrecorded.
+    SamplesUnfilled {
+        /// Samples recorded, in order from the first.
+        filled: usize,
+        /// Samples on the grid.
+        total: usize,
+    },
     /// Two results could not be compared (different grids/rows).
     Incomparable(String),
     /// The run's [`CancelToken`](crate::CancelToken) was tripped; the
@@ -69,6 +76,13 @@ impl fmt::Display for CoreError {
                 write!(f, "adaptive step underflow at t = {at:.3e} (h = {h:.3e})")
             }
             CoreError::NotFinite { at } => write!(f, "non-finite state at t = {at:.3e}"),
+            CoreError::SamplesUnfilled { filled, total } => {
+                write!(
+                    f,
+                    "{} of {total} samples unfilled",
+                    total.saturating_sub(*filled)
+                )
+            }
             CoreError::Incomparable(m) => write!(f, "results are not comparable: {m}"),
             CoreError::Cancelled => write!(f, "run cancelled"),
             CoreError::Circuit(e) => write!(f, "circuit error: {e}"),

@@ -1,19 +1,23 @@
 //! MATEX transient-simulation engines.
 //!
-//! Four interchangeable engines over the MNA system `C x' = -G x + B u(t)`:
+//! Six interchangeable engines over the MNA system `C x' = -G x + B u(t)`,
+//! all implementing [`TransientEngine`]:
 //!
-//! * [`BackwardEuler`] — fixed-step BE (accuracy reference),
+//! * [`MatexSolver`] in its three [`KrylovKind`]s — the paper's
+//!   contribution: matrix-exponential stepping with a standard (MEXP),
+//!   inverted (I-MATEX) or rational (R-MATEX) Krylov subspace, subspace
+//!   reuse at snapshots, and *zero* refactorization,
 //! * [`Trapezoidal`] — fixed-step TR, the TAU-contest-style baseline the
-//!   paper compares against (Table 3),
+//!   paper compares against (Table 3) and the accuracy reference,
+//! * [`BackwardEuler`] — fixed-step BE, which shares TR's step loop,
 //! * [`TrapezoidalAdaptive`] — LTE-controlled TR that re-factorizes on
-//!   step changes (Table 2 baseline),
-//! * [`MatexSolver`] — the paper's contribution: matrix-exponential
-//!   stepping with standard/inverted/rational Krylov subspaces, subspace
-//!   reuse at snapshots, and *zero* refactorization.
+//!   step changes (Table 2 baseline).
 //!
-//! Plus shared plumbing: [`TransientSpec`] / [`TransientResult`] /
-//! [`SolveStats`] and the superposition-ready source masking that the
-//! distributed framework builds on.
+//! Plus shared plumbing: [`TransientSpec`], the one definition of the
+//! output grid, which every engine fills by sample index;
+//! [`TransientResult`] / [`SolveStats`]; and the source masking of
+//! [`MatexSolver::with_source_mask`] (and [`Trapezoidal`]'s, for
+//! superposition checks) that the distributed framework builds on.
 //!
 //! # Example
 //!
@@ -41,6 +45,7 @@ mod cancel;
 mod engine;
 mod error;
 mod faults;
+mod fixed_step;
 mod fp_terms;
 mod matex_solver;
 mod reference;

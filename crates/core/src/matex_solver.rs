@@ -340,18 +340,12 @@ impl TransientEngine for MatexSolver {
         };
         let op = op_holder.as_op();
 
-        // --- Evaluation grid: output samples ∪ LTS.
-        let mut eval = SpotSet::from_times(spec.sample_times());
-        for &t in lts.iter() {
-            if t > t_start {
-                eval.insert(t);
-            }
-        }
+        let (times, sample_at) = eval_grid(spec, &lts);
 
         let tt = Instant::now();
-        let mut rec = Recorder::new(spec, sys.dim());
+        let mut rec = Recorder::new(spec, sys.dim())?;
         ensure_finite(t_start, &x0)?;
-        rec.record_at_sample(t_start, &x0);
+        rec.record(0, &x0);
 
         let n = sys.dim();
         let mut anchor_t = t_start;
@@ -373,7 +367,6 @@ impl TransientEngine for MatexSolver {
         let mut evaluator = SnapshotEvaluator::new();
         let mut hs_batch: Vec<f64> = Vec::new();
         let mut xbatch: Vec<f64> = Vec::new();
-        let times: &[f64] = eval.as_slice();
         let mut t_expm = Duration::ZERO;
         let mut t_comb = Duration::ZERO;
         let s_cap = self.opts.max_substeps.max(1);
@@ -427,6 +420,7 @@ impl TransientEngine for MatexSolver {
                 }
                 accept_point(
                     te,
+                    sample_at[idx],
                     &xbatch[..n],
                     &mut rec,
                     &mut x_final,
@@ -464,6 +458,7 @@ impl TransientEngine for MatexSolver {
                         }
                         accept_point(
                             te,
+                            sample_at[idx],
                             &xbatch[..n],
                             &mut rec,
                             &mut x_final,
@@ -531,6 +526,7 @@ impl TransientEngine for MatexSolver {
                 for j in 0..accepted {
                     accept_point(
                         times[idx + j],
+                        sample_at[idx + j],
                         &xbatch[j * n..(j + 1) * n],
                         &mut rec,
                         &mut x_final,
@@ -599,6 +595,7 @@ impl TransientEngine for MatexSolver {
                     }
                     accept_point(
                         te_f,
+                        sample_at[idx],
                         &xbatch[..n],
                         &mut rec,
                         &mut x_final,
@@ -653,6 +650,7 @@ impl TransientEngine for MatexSolver {
                     }
                     accept_point(
                         te_f,
+                        sample_at[idx],
                         &xbatch[..n],
                         &mut rec,
                         &mut x_final,
@@ -697,15 +695,7 @@ impl TransientEngine for MatexSolver {
             obs.add("solver_runs_total", 1);
             obs.add("solver_krylov_bases_total", stats.krylov_bases as u64);
         }
-        let (times, rows, series) = rec.finish();
-        Ok(TransientResult::new(
-            self.name(),
-            times,
-            rows,
-            series,
-            x_final,
-            stats,
-        ))
+        rec.finish(self.name(), x_final, stats)
     }
 
     fn name(&self) -> String {
@@ -721,15 +711,37 @@ impl TransientEngine for MatexSolver {
 /// combination wide enough to amortize each round's fixed cost.
 const MAX_BATCH: usize = 32;
 
+/// The evaluation grid of a run: every output sample, tagged with its
+/// index, merged with the local transition spots (clipped to the window).
+/// An LTS that [`SpotSet`]'s tolerance places on a sample is evaluated as
+/// that sample rather than beside it.
+fn eval_grid(spec: &TransientSpec, lts: &SpotSet) -> (Vec<f64>, Vec<Option<usize>>) {
+    let samples = spec.sample_times();
+    let spots = lts.difference(&SpotSet::from_times(samples.clone()));
+    let mut spots = spots.iter().peekable();
+    let mut times = Vec::with_capacity(samples.len() + lts.len());
+    let mut sample_at = Vec::with_capacity(times.capacity());
+    for (k, &ts) in samples.iter().enumerate() {
+        while let Some(&t) = spots.next_if(|&&t| t < ts) {
+            times.push(t);
+            sample_at.push(None);
+        }
+        times.push(ts);
+        sample_at.push(Some(k));
+    }
+    (times, sample_at)
+}
+
 /// Acceptance bookkeeping shared by every evaluation path: counts the
-/// step, records the value if it lands on the next output sample, tracks
-/// the final state, and advances the window when the accepted point is a
+/// step, records the value if the point is an output sample, tracks the
+/// final state, and advances the window when the accepted point is a
 /// local transition spot or the window end (a new Krylov subspace is
 /// required there — the input slope changes). A non-finite state fails
 /// the run with [`CoreError::NotFinite`] before anything is recorded.
 #[allow(clippy::too_many_arguments)]
 fn accept_point(
     te: f64,
+    sample: Option<usize>,
     x_te: &[f64],
     rec: &mut Recorder,
     x_final: &mut [f64],
@@ -744,10 +756,8 @@ fn accept_point(
 ) -> Result<(), CoreError> {
     ensure_finite(te, x_te)?;
     stats.steps += 1;
-    if let Some(ts) = rec.next_sample() {
-        if (ts - te).abs() <= 1e-9 * ts.abs().max(1e-30) + 1e-30 {
-            rec.record_at_sample(te, x_te);
-        }
+    if let Some(k) = sample {
+        rec.record(k, x_te);
     }
     x_final.copy_from_slice(x_te);
     if lts.contains(te) || te >= *win_end * (1.0 - 1e-12) {

@@ -91,23 +91,10 @@ impl TransientResult {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Incomparable`] when the time grids differ or
-    /// no rows are shared.
+    /// Returns [`CoreError::Incomparable`] when the sample times differ
+    /// in any bit or no rows are shared.
     pub fn error_vs(&self, reference: &TransientResult) -> Result<(f64, f64), CoreError> {
-        if self.times.len() != reference.times.len() {
-            return Err(CoreError::Incomparable(format!(
-                "time grids differ: {} vs {} points",
-                self.times.len(),
-                reference.times.len()
-            )));
-        }
-        for (a, b) in self.times.iter().zip(&reference.times) {
-            if (a - b).abs() > 1e-9 * b.abs().max(1e-30) {
-                return Err(CoreError::Incomparable(format!(
-                    "time grids differ at t = {a} vs {b}"
-                )));
-            }
-        }
+        self.same_grid(reference)?;
         let mut max_err = 0.0_f64;
         let mut sum = 0.0_f64;
         let mut count = 0usize;
@@ -135,15 +122,13 @@ impl TransientResult {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Incomparable`] when grids, rows, or state
-    /// dimensions differ.
+    /// Returns [`CoreError::Incomparable`] when the sample times differ
+    /// in any bit, or the rows or state dimensions differ.
     pub fn add_scaled(&mut self, other: &TransientResult, scale: f64) -> Result<(), CoreError> {
-        if self.times.len() != other.times.len()
-            || self.rows != other.rows
-            || self.final_state.len() != other.final_state.len()
-        {
+        self.same_grid(other)?;
+        if self.rows != other.rows || self.final_state.len() != other.final_state.len() {
             return Err(CoreError::Incomparable(
-                "superposition requires identical grids, rows and dimensions".into(),
+                "superposition requires identical rows and dimensions".into(),
             ));
         }
         for (mine, theirs) in self.series.iter_mut().zip(&other.series) {
@@ -155,6 +140,24 @@ impl TransientResult {
             *a += scale * b;
         }
         Ok(())
+    }
+
+    /// Checks that `other` sampled the same grid: the same times, bit for
+    /// bit. One rule ([`TransientSpec`](crate::TransientSpec)) produces
+    /// every grid, so equal specs give equal times and any difference is
+    /// a different grid.
+    fn same_grid(&self, other: &TransientResult) -> Result<(), CoreError> {
+        let same = |(a, b): (&f64, &f64)| a.to_bits() == b.to_bits();
+        if self.times.len() == other.times.len() && self.times.iter().zip(&other.times).all(same) {
+            return Ok(());
+        }
+        Err(CoreError::Incomparable(format!(
+            "time grids differ: {} points from {:?} vs {} from {:?}",
+            self.times.len(),
+            self.times.first(),
+            other.times.len(),
+            other.times.first(),
+        )))
     }
 
     /// A zero result on the same grid/rows (identity for superposition).
@@ -209,6 +212,34 @@ mod tests {
         let mut b = sample(&[1.0, 2.0]);
         b.times = vec![0.0, 2.0];
         assert!(a.error_vs(&b).is_err());
+    }
+
+    #[test]
+    fn shifted_grid_of_the_same_length_is_incomparable() {
+        let spec = |t0: f64| crate::TransientSpec::new(t0, t0 + 1e-9, 1e-10).unwrap();
+        let on = |spec: crate::TransientSpec| {
+            let times = spec.sample_times();
+            let vals = vec![1.0; times.len()];
+            TransientResult::new(
+                "test",
+                times,
+                vec![0],
+                vec![vals],
+                vec![1.0],
+                SolveStats::default(),
+            )
+        };
+        let mut a = on(spec(0.0));
+        let b = on(spec(1e-10));
+        assert_eq!(a.num_time_points(), b.num_time_points());
+        assert!(matches!(
+            a.add_scaled(&b, 1.0),
+            Err(CoreError::Incomparable(_))
+        ));
+        assert!(matches!(a.error_vs(&b), Err(CoreError::Incomparable(_))));
+        // Untouched by the refused superposition, and fine on its own grid.
+        assert_eq!(a.waveform(0).unwrap()[0], 1.0);
+        assert!(a.add_scaled(&on(spec(0.0)), 1.0).is_ok());
     }
 
     #[test]

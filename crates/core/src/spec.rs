@@ -17,10 +17,23 @@ pub enum ObserveSpec {
 /// A transient-analysis request: the window `[t_start, t_stop]` and the
 /// output sampling step.
 ///
+/// The spec is the only definition of the output grid. It counts the
+/// grid's intervals once, `K = ⌈(t_stop − t_start)/dt_out − 10⁻⁹⌉` (at
+/// least 1), and every sample time comes from `K`: sample `k` is
+/// `t_start + k·dt_out` for `k < K`, and sample `K` is `t_stop`. So the
+/// grid holds `K + 1` samples and ends exactly on `t_stop`.
+///
+/// The last interval is ragged when `dt_out` does not divide the window,
+/// but never a sliver: a remainder of at most `10⁻⁹·dt_out`, or one that
+/// rounding in `t_start + k·dt_out` leaves that short, is absorbed into
+/// the interval before it. So whenever `dt_out` is well above the float
+/// resolution of the times, every interval is longer than
+/// `10⁻⁹·dt_out` and the grid strictly increases.
+///
 /// All engines emit their solution *on the sample grid* (MATEX evaluates
 /// there directly via Krylov reuse; fixed-step engines land on or
-/// interpolate onto it), so results from different engines are directly
-/// comparable.
+/// interpolate onto it) and record it by sample index, so results from
+/// different engines are directly comparable.
 ///
 /// # Example
 ///
@@ -35,9 +48,7 @@ pub enum ObserveSpec {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransientSpec {
-    t_start: f64,
-    t_stop: f64,
-    dt_out: f64,
+    grid: Grid,
     /// Which rows to record.
     pub observe: ObserveSpec,
 }
@@ -69,9 +80,7 @@ impl TransientSpec {
             )));
         }
         Ok(TransientSpec {
-            t_start,
-            t_stop,
-            dt_out,
+            grid: Grid::new(t_start, t_stop, dt_out),
             observe: ObserveSpec::All,
         })
     }
@@ -84,34 +93,25 @@ impl TransientSpec {
 
     /// Window start, seconds.
     pub fn t_start(&self) -> f64 {
-        self.t_start
+        self.grid.start
     }
 
     /// Window end, seconds.
     pub fn t_stop(&self) -> f64 {
-        self.t_stop
+        self.grid.stop
     }
 
     /// Output sampling step, seconds.
     pub fn dt_out(&self) -> f64 {
-        self.dt_out
+        self.grid.step
     }
 
-    /// The output sample grid (includes both endpoints; the last interval
-    /// may be short).
+    /// The output sample grid: `K + 1` times from `t_start` to `t_stop`
+    /// (see the type docs for the rule and the ragged last interval).
     pub fn sample_times(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        let mut k = 0usize;
-        loop {
-            let t = self.t_start + k as f64 * self.dt_out;
-            if t >= self.t_stop - 1e-12 * self.dt_out {
-                break;
-            }
-            out.push(t);
-            k += 1;
-        }
-        out.push(self.t_stop);
-        out
+        (0..=self.grid.intervals)
+            .map(|k| self.grid.point(k))
+            .collect()
     }
 
     /// Resolves the observation row list for a system dimension.
@@ -121,6 +121,73 @@ impl TransientSpec {
             ObserveSpec::Rows(rows) => rows.clone(),
         }
     }
+}
+
+/// A remainder of at most this fraction of a step is absorbed into the
+/// interval before it instead of becoming an interval of its own.
+const SLIVER: f64 = 1e-9;
+
+/// A uniform grid over `[start, stop]`: `intervals` intervals, each one
+/// `step` long except the last, which ends on `stop`. It is the rule of
+/// the output grid ([`TransientSpec`]) and of the fixed-step engines'
+/// step count.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Grid {
+    start: f64,
+    stop: f64,
+    step: f64,
+    /// Number of intervals, at least 1.
+    pub(crate) intervals: usize,
+}
+
+impl Grid {
+    pub(crate) fn new(start: f64, stop: f64, step: f64) -> Self {
+        let intervals = intervals_until(start, stop, step).max(1);
+        let grid = Grid {
+            start,
+            stop,
+            step,
+            intervals,
+        };
+        // The ratio is exact to within rounding, but `start + k·step`
+        // rounds to the resolution of `stop`: when that puts the last
+        // point within a sliver of `stop`, absorb it as well.
+        if intervals > 1 && stop - grid.point(intervals - 1) <= SLIVER * step {
+            return Grid {
+                intervals: intervals - 1,
+                ..grid
+            };
+        }
+        grid
+    }
+
+    /// Point `k`: `start + k·step` for `k < intervals`, `stop` from there
+    /// on. The one place a grid time is computed.
+    pub(crate) fn point(&self, k: usize) -> f64 {
+        if k < self.intervals {
+            self.start + k as f64 * self.step
+        } else {
+            self.stop
+        }
+    }
+
+    /// `true` when the last interval is a whole step (within the sliver
+    /// fraction), `false` when it is ragged.
+    pub(crate) fn last_is_whole(&self) -> bool {
+        (self.stop - self.start) / self.step >= self.intervals as f64 - SLIVER
+    }
+
+    /// The interval (numbered from 1) that ends at or after `t`: `0` for
+    /// `t` at the start, `intervals` at most.
+    pub(crate) fn interval_of(&self, t: f64) -> usize {
+        intervals_until(self.start, t, self.step).min(self.intervals)
+    }
+}
+
+/// `⌈(to − from)/step − SLIVER⌉`, floored at 0.
+fn intervals_until(from: f64, to: f64, step: f64) -> usize {
+    // A float-to-int `as` cast saturates: negative and NaN give 0.
+    ((to - from) / step - SLIVER).ceil() as usize
 }
 
 #[cfg(test)]

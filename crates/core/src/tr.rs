@@ -6,11 +6,10 @@
 //! Table 3 compares distributed MATEX against exactly this engine at
 //! `h = 10 ps` (1000 steps over 10 ns → the `t1000` column).
 
-use crate::engine::{InputEval, Recorder, TransientEngine};
-use crate::{CoreError, SolveStats, TransientResult, TransientSpec};
+use crate::engine::{InputEval, TransientEngine};
+use crate::fixed_step::{self, Rule};
+use crate::{CoreError, TransientResult, TransientSpec};
 use matex_circuit::MnaSystem;
-use matex_sparse::{CsrMatrix, LuOptions, SparseLu};
-use std::time::Instant;
 
 /// Fixed-step trapezoidal engine.
 ///
@@ -50,83 +49,15 @@ impl Trapezoidal {
         self.mask = Some(members);
         self
     }
-
-    /// The fixed step size.
-    pub fn h(&self) -> f64 {
-        self.h
-    }
 }
 
 impl TransientEngine for Trapezoidal {
     fn run(&self, sys: &MnaSystem, spec: &TransientSpec) -> Result<TransientResult, CoreError> {
-        let mut stats = SolveStats::default();
         let input = match &self.mask {
             None => InputEval::new(sys),
             Some(m) => InputEval::masked(sys, m),
         };
-
-        let t0 = Instant::now();
-        let lu_g = SparseLu::factor(sys.g(), &LuOptions::default())?;
-        let mut x = lu_g.solve(&input.bu_at(spec.t_start()));
-        stats.substitution_pairs += 1;
-        stats.factorizations += 1;
-        stats.dc_time = t0.elapsed();
-
-        // Factor (C/h + G/2); keep (C/h − G/2) for the step mat-vec.
-        let tf = Instant::now();
-        let lhs = CsrMatrix::linear_combination(1.0 / self.h, sys.c(), 0.5, sys.g())?;
-        let rhs_mat = CsrMatrix::linear_combination(1.0 / self.h, sys.c(), -0.5, sys.g())?;
-        let lu = SparseLu::factor(&lhs, &LuOptions::default())?;
-        stats.factorizations += 1;
-        stats.factor_time = tf.elapsed();
-
-        let tt = Instant::now();
-        let mut rec = Recorder::new(spec, sys.dim());
-        rec.record_step(spec.t_start(), &x, spec.t_start(), &x);
-        let mut t = spec.t_start();
-        let mut out = vec![0.0; sys.dim()];
-        let mut work = vec![0.0; sys.dim()];
-        let mut rhs = vec![0.0; sys.dim()];
-        let mut bu_now = input.bu_at(t);
-        while t < spec.t_stop() - 1e-12 * self.h {
-            let h = self.h.min(spec.t_stop() - t);
-            let tn = t + h;
-            let bu_next = input.bu_at(tn);
-            if (h - self.h).abs() > 1e-9 * self.h {
-                // Ragged final step: refactor at the shortened h.
-                let lhs2 = CsrMatrix::linear_combination(1.0 / h, sys.c(), 0.5, sys.g())?;
-                let rhs2 = CsrMatrix::linear_combination(1.0 / h, sys.c(), -0.5, sys.g())?;
-                let lu2 = SparseLu::factor(&lhs2, &LuOptions::default())?;
-                stats.factorizations += 1;
-                rhs2.matvec_into(&x, &mut rhs);
-                for i in 0..rhs.len() {
-                    rhs[i] += 0.5 * (bu_now[i] + bu_next[i]);
-                }
-                lu2.solve_into(&rhs, &mut out, &mut work);
-            } else {
-                rhs_mat.matvec_into(&x, &mut rhs);
-                for i in 0..rhs.len() {
-                    rhs[i] += 0.5 * (bu_now[i] + bu_next[i]);
-                }
-                lu.solve_into(&rhs, &mut out, &mut work);
-            }
-            stats.substitution_pairs += 1;
-            stats.steps += 1;
-            rec.record_step(t, &x, tn, &out);
-            x.copy_from_slice(&out);
-            bu_now = bu_next;
-            t = tn;
-        }
-        stats.transient_time = tt.elapsed();
-        let (times, rows, series) = rec.finish();
-        Ok(TransientResult::new(
-            self.name(),
-            times,
-            rows,
-            series,
-            x,
-            stats,
-        ))
+        fixed_step::march(Rule::Trapezoidal, self.h, self.name(), sys, &input, spec)
     }
 
     fn name(&self) -> String {

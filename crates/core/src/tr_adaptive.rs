@@ -39,7 +39,6 @@ pub struct TrapezoidalAdaptive {
     pub h_min: f64,
     /// Largest allowed step.
     pub h_max: f64,
-    mask: Option<Vec<usize>>,
 }
 
 impl TrapezoidalAdaptive {
@@ -60,14 +59,7 @@ impl TrapezoidalAdaptive {
             h_init,
             h_min: h_init * 1e-6,
             h_max: h_init * 1e4,
-            mask: None,
         }
-    }
-
-    /// Restricts the active sources (superposition subtask mode).
-    pub fn with_source_mask(mut self, members: Vec<usize>) -> Self {
-        self.mask = Some(members);
-        self
     }
 
     /// Weighted LTE norm against tolerance: ≤ 1 means acceptable.
@@ -83,17 +75,12 @@ impl TrapezoidalAdaptive {
 impl TransientEngine for TrapezoidalAdaptive {
     fn run(&self, sys: &MnaSystem, spec: &TransientSpec) -> Result<TransientResult, CoreError> {
         let mut stats = SolveStats::default();
-        let input = match &self.mask {
-            None => InputEval::new(sys),
-            Some(m) => InputEval::masked(sys, m),
-        };
-        // Transition spots of the active sources: mandatory landing points.
-        let spots: Vec<SpotSet> = input
-            .active_columns()
+        let input = InputEval::new(sys);
+        // Transition spots of the sources: mandatory landing points.
+        let spots: Vec<SpotSet> = sys
+            .sources()
             .iter()
-            .map(|&c| {
-                SpotSet::from_times(sys.sources()[c].waveform.transition_spots(spec.t_stop()))
-            })
+            .map(|s| SpotSet::from_times(s.waveform.transition_spots(spec.t_stop())))
             .collect();
         let breakpoints = SpotSet::union(&spots).clip(spec.t_start(), spec.t_stop());
 
@@ -105,8 +92,9 @@ impl TransientEngine for TrapezoidalAdaptive {
         stats.dc_time = t0.elapsed();
 
         let tt = Instant::now();
-        let mut rec = Recorder::new(spec, sys.dim());
-        rec.record_step(spec.t_start(), &x, spec.t_start(), &x);
+        let mut rec = Recorder::new(spec, sys.dim())?;
+        rec.record(0, &x);
+        let mut k = 1;
 
         // Current factorization state. The LHS pattern is h-independent,
         // so one symbolic analysis serves every step-size change.
@@ -125,7 +113,7 @@ impl TransientEngine for TrapezoidalAdaptive {
         let mut work = vec![0.0; sys.dim()];
         let mut rhs = vec![0.0; sys.dim()];
         let mut rejects_in_a_row = 0usize;
-        while t < spec.t_stop() - 1e-15 * spec.t_stop().abs().max(1e-30) {
+        while t < spec.t_stop() {
             // Clamp to breakpoints and the window end.
             let mut h_step = h.clamp(self.h_min, self.h_max);
             if let Some(bp) = breakpoints.next_after(t) {
@@ -134,7 +122,12 @@ impl TransientEngine for TrapezoidalAdaptive {
                 }
             }
             h_step = h_step.min(spec.t_stop() - t);
-            let tn = t + h_step;
+            // The final step lands on `t_stop` exactly.
+            let tn = if h_step < spec.t_stop() - t {
+                t + h_step
+            } else {
+                spec.t_stop()
+            };
 
             // (Re)factor when the step changed materially: symbolic
             // analysis on the first step, numeric replay thereafter.
@@ -211,7 +204,10 @@ impl TransientEngine for TrapezoidalAdaptive {
 
             if accept {
                 rejects_in_a_row = 0;
-                rec.record_step(t, &x, tn, &out);
+                while rec.sample_times().get(k).is_some_and(|&ts| ts <= tn) {
+                    rec.record_within(k, t, &x, tn, &out);
+                    k += 1;
+                }
                 x.copy_from_slice(&out);
                 t = tn;
                 history.push((t, x.clone()));
@@ -229,15 +225,7 @@ impl TransientEngine for TrapezoidalAdaptive {
         }
         stats.factor_time = factor_time;
         stats.transient_time = tt.elapsed().saturating_sub(factor_time);
-        let (times, rows, series) = rec.finish();
-        Ok(TransientResult::new(
-            self.name(),
-            times,
-            rows,
-            series,
-            x,
-            stats,
-        ))
+        rec.finish(self.name(), x, stats)
     }
 
     fn name(&self) -> String {

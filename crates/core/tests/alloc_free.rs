@@ -122,8 +122,7 @@ fn snapshot_evaluation_hot_path_is_allocation_free_after_warmup() {
     let mut batch = vec![0.0; n * hs.len()];
     let mut one = vec![0.0; n];
     let spec = TransientSpec::new(0.0, 1.0, 1.0 / 256.0).unwrap();
-    let mut rec = Recorder::new(&spec, n);
-    let sample_times = rec.sample_times().to_vec();
+    let mut rec = Recorder::new(&spec, n).unwrap();
 
     // Warm-up: touch every path once (batch weights, serial + pooled
     // combination, ladder, rung combination, recording).
@@ -132,7 +131,7 @@ fn snapshot_evaluation_hot_path_is_allocation_free_after_warmup() {
         .unwrap();
     ev.eval_ladder(&basis, 2e-10, 6, f64::INFINITY).unwrap();
     ev.combine_rung(&basis, 1, Some(&pool), &mut one);
-    rec.record_at_sample(sample_times[0], &one);
+    rec.record(0, &one);
 
     let before = allocations_so_far();
     for k in 0..100 {
@@ -141,7 +140,7 @@ fn snapshot_evaluation_hot_path_is_allocation_free_after_warmup() {
         ev.combine_into(&basis, hs.len(), Some(&pool), &mut batch);
         ev.eval_ladder(&basis, 2e-10, 6, f64::INFINITY).unwrap();
         ev.combine_rung(&basis, 1, Some(&pool), &mut one);
-        rec.record_at_sample(sample_times[k + 1], &one);
+        rec.record(k + 1, &one);
     }
     let allocated = allocations_so_far() - before;
     assert_eq!(

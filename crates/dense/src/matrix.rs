@@ -73,16 +73,6 @@ impl DMat {
         m
     }
 
-    /// Builds a matrix from a row-major data vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != nrows * ncols`.
-    pub fn from_row_major(nrows: usize, ncols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), nrows * ncols, "from_row_major: length mismatch");
-        DMat { nrows, ncols, data }
-    }
-
     /// Builds a diagonal matrix from the given diagonal entries.
     pub fn from_diag(diag: &[f64]) -> Self {
         let n = diag.len();

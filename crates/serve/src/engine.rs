@@ -837,15 +837,21 @@ mod tests {
 
     #[test]
     fn panicking_job_fails_cleanly_and_executors_survive() {
+        use matex_core::{FaultKind, FaultPlan};
+        // Both attempts (the first and its one retry) panic in the solver.
+        let site = "core.solver.run";
         let engine = ScenarioEngine::new(EngineOptions {
             executors: 1,
+            faults: FaultHook::new(FaultPlan::new().fail_at(site, 0, FaultKind::Panic).fail_at(
+                site,
+                1,
+                FaultKind::Panic,
+            )),
+            retry_backoff: Duration::ZERO,
             ..EngineOptions::default()
         });
         let sys = grid(7);
-        // An out-of-range observed row panics inside the recorder (the
-        // TCP layer validates this; the direct API can still trigger it).
-        let bad_spec = spec().observing(vec![99_999]);
-        let id = engine.submit(JobSpec::new(sys.clone(), bad_spec)).unwrap();
+        let id = engine.submit(JobSpec::new(sys.clone(), spec())).unwrap();
         let err = engine.wait(id).unwrap_err();
         assert!(
             err.to_string().contains("panicked"),
@@ -1055,6 +1061,31 @@ mod tests {
     }
 
     #[test]
+    fn ragged_grid_runs_without_panics_or_retries() {
+        // This window once gave a 7-sample grid whose last two samples
+        // were 1 ulp apart; the solver could fill only one of them, so
+        // the job panicked, was retried, panicked again and failed.
+        let engine = ScenarioEngine::new(EngineOptions {
+            retry_backoff: Duration::ZERO,
+            ..EngineOptions::default()
+        });
+        let sys = Arc::new(
+            PdnBuilder::new(8, 8)
+                .num_loads(8)
+                .num_features(3)
+                .window(3.0015e-8)
+                .seed(1)
+                .build()
+                .unwrap(),
+        );
+        let spec = TransientSpec::new(3e-8, 3.0015e-8, 3e-12).unwrap();
+        let out = engine.run(&JobSpec::new(sys, spec)).unwrap();
+        assert_eq!(out.result.num_time_points(), 6);
+        let stats = engine.stats();
+        assert_eq!((stats.panics, stats.retries, stats.failed), (0, 0, 0));
+    }
+
+    #[test]
     fn solver_panic_is_contained_counted_and_retried() {
         use matex_core::{FaultKind, FaultPlan};
         let sys = grid(32);
@@ -1244,7 +1275,7 @@ mod tests {
             ..EngineOptions::default()
         });
         let long = blocker(&engine);
-        let panics = engine
+        let bad_rows = engine
             .submit(JobSpec::new(grid(50), spec().observing(vec![99_999])))
             .unwrap();
         let fails = engine
@@ -1252,7 +1283,7 @@ mod tests {
             .unwrap();
         engine.cancel(long);
         assert!(engine.wait(long).unwrap_err().is_cancelled());
-        assert!(engine.wait(panics).is_err());
+        assert!(engine.wait(bad_rows).is_err());
         assert!(engine.wait(fails).is_err());
         assert_eq!(engine.inner.lock_table().busy, 0);
         // The single thread is free for the next job.
