@@ -11,6 +11,7 @@
 //! paper's node counts (hundreds of thousands of unknowns) and takes
 //! correspondingly longer.
 
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 use matex_circuit::ibmpg::load_ibmpg_netlist;

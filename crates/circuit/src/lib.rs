@@ -28,6 +28,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 mod dc;

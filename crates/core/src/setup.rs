@@ -396,9 +396,14 @@ impl MatexSetup {
     /// zero preparation time; its factors are bitwise the ones that were
     /// encoded.
     ///
+    /// The record must end after the setup, and it must be runnable: an
+    /// `X1` factor exactly when the variant has one (all but I-MATEX),
+    /// and every factor of dimension `dim`.
+    ///
     /// # Errors
     ///
-    /// [`WireError`] on truncation or structurally invalid factors.
+    /// [`WireError`] on truncation, trailing bytes, structurally invalid
+    /// factors or factors that do not fit the variant and dimension.
     pub fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let kind = kind_from_tag(r.u8()?)?;
         let gamma = r.f64()?;
@@ -407,8 +412,26 @@ impl MatexSetup {
         let lu_g = SparseLu::wire_decode(r)?;
         let lu_x1 = match r.u8()? {
             0 => None,
-            _ => Some(SparseLu::wire_decode(r)?),
+            1 => Some(SparseLu::wire_decode(r)?),
+            t => return Err(WireError::Invalid(format!("X1 presence byte {t}"))),
         };
+        if lu_x1.is_some() != (kind != KrylovKind::Inverted) {
+            return Err(WireError::Invalid(format!(
+                "{kind:?} setup with X1 factor present: {}",
+                lu_x1.is_some()
+            )));
+        }
+        if lu_g.dim() != dim || lu_x1.as_ref().is_some_and(|lu| lu.dim() != dim) {
+            return Err(WireError::Invalid(format!(
+                "setup factors do not have the setup's dimension {dim}"
+            )));
+        }
+        if !r.is_empty() {
+            return Err(WireError::Invalid(format!(
+                "{} trailing bytes after the setup",
+                r.remaining()
+            )));
+        }
         Ok(MatexSetup {
             kind,
             gamma,

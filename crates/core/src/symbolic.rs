@@ -107,16 +107,26 @@ impl MatexSymbolic {
     /// Decodes a bundle previously written by
     /// [`MatexSymbolic::wire_encode`].
     ///
+    /// The record must end after the bundle.
+    ///
     /// # Errors
     ///
-    /// [`WireError`] on truncation or structurally invalid analyses.
+    /// [`WireError`] on truncation, trailing bytes or structurally
+    /// invalid analyses.
     pub fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let lu_opts = LuOptions::wire_decode(r)?;
         let g = SymbolicLu::wire_decode(r)?;
         let shifted = match r.u8()? {
             0 => None,
-            _ => Some(SymbolicLu::wire_decode(r)?),
+            1 => Some(SymbolicLu::wire_decode(r)?),
+            t => return Err(WireError::Invalid(format!("shifted presence byte {t}"))),
         };
+        if !r.is_empty() {
+            return Err(WireError::Invalid(format!(
+                "{} trailing bytes after the analysis",
+                r.remaining()
+            )));
+        }
         Ok(MatexSymbolic {
             lu_opts,
             g,

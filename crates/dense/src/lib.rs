@@ -16,6 +16,7 @@
 //! nasty" regime (stiffness ratios up to `1e16`), not for large-matrix BLAS
 //! throughput.
 
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 // Index loops mirror the reference LAPACK-style formulations these
 // kernels are transcribed from; iterator rewrites obscure the math.

@@ -50,6 +50,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 // Compile the README's examples as doctests so the documented recovery

@@ -85,15 +85,16 @@ struct WorkQueue {
     done: bool,
 }
 
-/// Streaming accumulator: superposes node results **in ascending group
+/// Streaming accumulator: superposes node results **in LPT schedule
 /// order** as they arrive, buffering only out-of-order completions, so
 /// the combined numerics stay bitwise independent of the worker count
 /// while full per-node series are dropped as soon as they are summed.
 ///
-/// The summation order is the **LPT schedule order** — a fixed
-/// permutation of the groups determined by the jobs alone, never by the
-/// worker count (that fixedness is what makes the result bitwise
-/// worker-invariant). Because workers also *dispatch* in that order,
+/// The schedule order is a fixed permutation of the groups determined
+/// by the jobs alone, never by the worker count (that fixedness is what
+/// makes the result bitwise worker-invariant). It is not ascending group
+/// order: a change to the cost estimate reorders the sum and so moves
+/// waveform bits. Because workers also *dispatch* in that order,
 /// completions arrive approximately in drain order and the out-of-order
 /// buffer stays bounded by the in-flight worker count, instead of
 /// growing with the group count as an ascending-group drain would when

@@ -42,6 +42,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 mod arnoldi;

@@ -55,6 +55,7 @@
 //! off.add("never_recorded_total", 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 mod export;

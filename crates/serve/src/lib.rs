@@ -59,6 +59,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 mod admission;

@@ -14,6 +14,7 @@
 //! failures reproduce exactly. There is no shrinking: a failing case
 //! reports its case index and panics with the assertion message.
 
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 use std::ops::Range;

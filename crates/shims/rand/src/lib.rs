@@ -8,6 +8,7 @@
 //! workspace depends on upstream's exact values, only on determinism per
 //! seed.
 
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 use std::ops::Range;

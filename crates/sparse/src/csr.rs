@@ -1,6 +1,6 @@
 //! Compressed sparse row matrices.
 
-use crate::{CooMatrix, CscMatrix, SparseError};
+use crate::{CooMatrix, SparseError};
 use matex_dense::DMat;
 
 /// A compressed-sparse-row (CSR) matrix.
@@ -223,26 +223,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Transposed product `Aᵀ x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != nrows`.
-    pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.nrows, "matvec_t: x length mismatch");
-        let mut y = vec![0.0; self.ncols];
-        for r in 0..self.nrows {
-            let xr = x[r];
-            if xr == 0.0 {
-                continue;
-            }
-            for (idx, &c) in self.row_indices(r).iter().enumerate() {
-                y[c] += self.values[self.indptr[r] + idx] * xr;
-            }
-        }
-        y
-    }
-
     /// Linear combination `alpha·A + beta·B` with merged patterns.
     ///
     /// This is how MATEX builds `C + γG` (rational Krylov) and
@@ -309,80 +289,6 @@ impl CsrMatrix {
         out
     }
 
-    /// Scales row `r` by `s[r]` in place (`A ← diag(s) A`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s.len() != nrows`.
-    pub fn scale_rows(&mut self, s: &[f64]) {
-        assert_eq!(s.len(), self.nrows, "scale_rows: length mismatch");
-        for r in 0..self.nrows {
-            let f = s[r];
-            for v in self.row_values_mut(r) {
-                *v *= f;
-            }
-        }
-    }
-
-    /// Scales column `c` by `s[c]` in place (`A ← A diag(s)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s.len() != ncols`.
-    pub fn scale_cols(&mut self, s: &[f64]) {
-        assert_eq!(s.len(), self.ncols, "scale_cols: length mismatch");
-        for k in 0..self.indices.len() {
-            self.values[k] *= s[self.indices[k]];
-        }
-    }
-
-    /// Transpose as a new CSR matrix.
-    pub fn transpose(&self) -> CsrMatrix {
-        let mut counts = vec![0usize; self.ncols + 1];
-        for &c in &self.indices {
-            counts[c + 1] += 1;
-        }
-        for i in 0..self.ncols {
-            counts[i + 1] += counts[i];
-        }
-        let mut indptr = counts.clone();
-        let mut indices = vec![0usize; self.nnz()];
-        let mut values = vec![0.0; self.nnz()];
-        let mut next = counts;
-        for r in 0..self.nrows {
-            for (idx, &c) in self.row_indices(r).iter().enumerate() {
-                let pos = next[c];
-                indices[pos] = r;
-                values[pos] = self.values[self.indptr[r] + idx];
-                next[c] += 1;
-            }
-        }
-        indptr.truncate(self.ncols + 1);
-        // Rebuild proper indptr (counts was mutated into next).
-        let mut ptr = vec![0usize; self.ncols + 1];
-        for &c in &self.indices {
-            ptr[c + 1] += 1;
-        }
-        for i in 0..self.ncols {
-            ptr[i + 1] += ptr[i];
-        }
-        CsrMatrix {
-            nrows: self.ncols,
-            ncols: self.nrows,
-            indptr: ptr,
-            indices,
-            values,
-        }
-    }
-
-    /// Converts to CSC format.
-    pub fn to_csc(&self) -> CscMatrix {
-        let t = self.transpose();
-        // Transposed CSR rows are exactly CSC columns of the original.
-        CscMatrix::from_raw_parts(self.nrows, self.ncols, t.indptr, t.indices, t.values)
-            .expect("transpose produces valid structure")
-    }
-
     /// Densifies (small matrices only; intended for tests/diagnostics).
     pub fn to_dense(&self) -> DMat {
         let mut d = DMat::zeros(self.nrows, self.ncols);
@@ -417,13 +323,6 @@ impl CsrMatrix {
             l.dedup();
         }
         adj
-    }
-
-    /// Infinity norm (max absolute row sum).
-    pub fn norm_inf(&self) -> f64 {
-        (0..self.nrows)
-            .map(|r| self.row_values(r).iter().map(|v| v.abs()).sum::<f64>())
-            .fold(0.0_f64, f64::max)
     }
 
     /// `true` when all values are finite.
@@ -479,19 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_t_matches_transpose() {
-        let a = sample();
-        let x = vec![1.0, 2.0, 3.0];
-        assert_eq!(a.matvec_t(&x), a.transpose().matvec(&x));
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = sample();
-        assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
     fn get_missing_is_zero() {
         let a = sample();
         assert_eq!(a.get(0, 1), 0.0);
@@ -515,24 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_rows_and_cols() {
-        let mut a = sample();
-        a.scale_rows(&[1.0, 2.0, 3.0]);
-        assert_eq!(a.get(1, 1), 6.0);
-        a.scale_cols(&[1.0, 1.0, 0.5]);
-        assert_eq!(a.get(2, 2), 7.5);
-    }
-
-    #[test]
-    fn to_csc_roundtrip_values() {
-        let a = sample();
-        let csc = a.to_csc();
-        assert_eq!(csc.get(2, 0), 4.0);
-        assert_eq!(csc.get(0, 2), 2.0);
-        assert_eq!(csc.nnz(), a.nnz());
-    }
-
-    #[test]
     fn symmetric_adjacency_of_asymmetric_pattern() {
         let a = CsrMatrix::from_triplets(3, 3, &[(0, 1, 1.0), (2, 0, 1.0)]);
         let adj = a.symmetric_adjacency();
@@ -549,11 +417,6 @@ mod tests {
         assert!(CsrMatrix::from_raw_parts(1, 3, vec![0, 2], vec![1, 1], vec![1.0, 2.0]).is_err());
         // Bad indptr.
         assert!(CsrMatrix::from_raw_parts(2, 2, vec![0, 2], vec![0], vec![1.0]).is_err());
-    }
-
-    #[test]
-    fn norm_inf_known() {
-        assert_eq!(sample().norm_inf(), 9.0);
     }
 
     #[test]

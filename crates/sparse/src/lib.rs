@@ -8,8 +8,9 @@
 //!
 //! * [`CooMatrix`] — triplet assembly (duplicates summed, as MNA stamps
 //!   require),
-//! * [`CsrMatrix`] / [`CscMatrix`] — compressed storage with mat-vecs and
-//!   pattern-merged linear combinations,
+//! * [`CsrMatrix`] — compressed row storage with mat-vecs and
+//!   pattern-merged linear combinations (the only stored format: the
+//!   factorization reads `A`'s columns through a CSR → CSC gather map),
 //! * [`OrderingKind`] — AMD / RCM / natural fill-reducing orderings,
 //! * [`equilibrate`] — power-of-two row/column scaling,
 //! * [`SparseLu`] — left-looking Gilbert–Peierls LU with threshold partial
@@ -17,7 +18,8 @@
 //! * [`SymbolicLu`] — the two-phase split of that factorization: pay for
 //!   ordering + reach analysis once, then numerically refactor every
 //!   same-pattern matrix (the `C + γG` sweep hot path) at a fraction of
-//!   the cost.
+//!   the cost. [`SparseLu::factor`] and [`SymbolicLu::analyze_with_factor`]
+//!   run one elimination loop, with recording off and on.
 //!
 //! # Example
 //!
@@ -39,13 +41,13 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 // Index loops mirror the CSparse-style formulations these kernels are
 // transcribed from; iterator rewrites obscure the math.
 #![allow(clippy::needless_range_loop)]
 
 mod coo;
-mod csc;
 mod csr;
 mod error;
 mod lu;
@@ -59,7 +61,6 @@ mod wire;
 pub mod ordering;
 
 pub use coo::CooMatrix;
-pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use error::SparseError;
 pub use lu::SparseLu;

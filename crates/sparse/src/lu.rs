@@ -14,9 +14,12 @@
 //!    number of floating-point operations, not to `n`,
 //! 3. threshold partial pivoting with diagonal preference.
 //!
-//! When many matrices share one nonzero pattern (the `C + γG` sweep),
-//! the two-phase split in [`crate::SymbolicLu`] performs steps 1–2 once
-//! and replays only the numeric updates per matrix.
+//! `eliminate` is that loop, once. [`SparseLu::factor`] runs it with
+//! recording off. When many matrices share one nonzero pattern (the
+//! `C + γG` sweep), [`crate::SymbolicLu::analyze_with_factor`] runs it
+//! with recording on, keeping the ordering, the structural reach and the
+//! pivot order, and the two-phase split then replays only the numeric
+//! updates per matrix.
 
 use crate::{equilibrate, CsrMatrix, LuOptions, Permutation, SparseError};
 
@@ -77,195 +80,7 @@ impl SparseLu {
     /// * [`SparseError::Singular`] when no acceptable pivot exists in some
     ///   column (structurally or numerically singular matrix).
     pub fn factor(a: &CsrMatrix, opts: &LuOptions) -> Result<Self, SparseError> {
-        if !a.is_square() {
-            return Err(SparseError::NotSquare {
-                rows: a.nrows(),
-                cols: a.ncols(),
-            });
-        }
-        if !a.is_finite() {
-            return Err(SparseError::NotFinite);
-        }
-        let n = a.nrows();
-        let (rscale, cscale) = if opts.equilibrate {
-            equilibrate(a)
-        } else {
-            (vec![1.0; n], vec![1.0; n])
-        };
-        // CSC working copy. Cloning and rescaling the full matrix is only
-        // worth it when some scale differs from 1.0 (equilibration off, or
-        // an already well-scaled matrix): otherwise convert directly.
-        let needs_scaling = rscale.iter().chain(cscale.iter()).any(|&s| s != 1.0);
-        let acsc = if needs_scaling {
-            let mut scaled = a.clone();
-            scaled.scale_rows(&rscale);
-            scaled.scale_cols(&cscale);
-            scaled.to_csc()
-        } else {
-            a.to_csc()
-        };
-        let q = opts.ordering.order(a);
-
-        let nnz_guess = (4 * a.nnz()).max(16 * n);
-        let mut l_colptr = Vec::with_capacity(n + 1);
-        let mut l_rowidx: Vec<usize> = Vec::with_capacity(nnz_guess);
-        let mut l_values: Vec<f64> = Vec::with_capacity(nnz_guess);
-        let mut u_colptr = Vec::with_capacity(n + 1);
-        let mut u_rowidx: Vec<usize> = Vec::with_capacity(nnz_guess);
-        let mut u_values: Vec<f64> = Vec::with_capacity(nnz_guess);
-        let mut pinv = vec![UNPIVOTED; n];
-
-        // Workspaces.
-        let mut x = vec![0.0_f64; n];
-        let mut pattern: Vec<usize> = Vec::with_capacity(n); // topological pattern
-        let mut dfs_stack: Vec<usize> = Vec::with_capacity(n);
-        let mut dfs_ptr: Vec<usize> = Vec::with_capacity(n);
-        let mut mark = vec![0u64; n];
-        let mut generation = 0u64;
-
-        for k in 0..n {
-            l_colptr.push(l_rowidx.len());
-            u_colptr.push(u_rowidx.len());
-            let col = q.old_of(k);
-
-            // --- Symbolic: reach of A[:, col] through L (DFS, postorder).
-            generation += 1;
-            pattern.clear();
-            let (acol_rows, acol_vals) = (acsc.col_indices(col), acsc.col_values(col));
-            for &seed in acol_rows {
-                if mark[seed] == generation {
-                    continue;
-                }
-                // Iterative DFS from `seed`.
-                dfs_stack.clear();
-                dfs_ptr.clear();
-                dfs_stack.push(seed);
-                dfs_ptr.push(0);
-                mark[seed] = generation;
-                while let Some(&node) = dfs_stack.last() {
-                    let jcol = pinv[node];
-                    let (start, end) = if jcol == UNPIVOTED {
-                        (0, 0) // unpivoted rows have no L column yet
-                    } else {
-                        // Skip the unit-diagonal first entry.
-                        (
-                            l_colptr[jcol] + 1,
-                            *l_colptr.get(jcol + 1).unwrap_or(&l_rowidx.len()),
-                        )
-                    };
-                    let ptr = dfs_ptr.last_mut().expect("stack nonempty");
-                    let mut descended = false;
-                    while start + *ptr < end {
-                        let child = l_rowidx[start + *ptr];
-                        *ptr += 1;
-                        if mark[child] != generation {
-                            mark[child] = generation;
-                            dfs_stack.push(child);
-                            dfs_ptr.push(0);
-                            descended = true;
-                            break;
-                        }
-                    }
-                    if !descended {
-                        pattern.push(node);
-                        dfs_stack.pop();
-                        dfs_ptr.pop();
-                    }
-                }
-            }
-            // `pattern` is in postorder: descendants (larger pivot
-            // positions) first. Numeric phase must go ancestors-first, so
-            // iterate in reverse.
-
-            // --- Numeric: x = L \ A[:, col] on the discovered pattern.
-            for &i in pattern.iter() {
-                x[i] = 0.0;
-            }
-            for (idx, &i) in acol_rows.iter().enumerate() {
-                x[i] = acol_vals[idx];
-            }
-            for &j in pattern.iter().rev() {
-                let jcol = pinv[j];
-                if jcol == UNPIVOTED {
-                    continue;
-                }
-                let xj = x[j];
-                if xj == 0.0 {
-                    continue;
-                }
-                let start = l_colptr[jcol] + 1;
-                let end = *l_colptr.get(jcol + 1).unwrap_or(&l_rowidx.len());
-                // Zipped slices instead of indexed access: one bounds
-                // check per column, same operations in the same order.
-                for (&r, &v) in l_rowidx[start..end].iter().zip(&l_values[start..end]) {
-                    x[r] -= v * xj;
-                }
-            }
-
-            // --- Pivot search among unpivoted rows.
-            let mut best = 0.0_f64;
-            let mut ipiv = UNPIVOTED;
-            for &i in pattern.iter() {
-                if pinv[i] == UNPIVOTED {
-                    let v = x[i].abs();
-                    if v > best {
-                        best = v;
-                        ipiv = i;
-                    }
-                }
-            }
-            if ipiv == UNPIVOTED || best == 0.0 || !best.is_finite() {
-                return Err(SparseError::Singular { column: k });
-            }
-            // Diagonal preference: keep A(col, col) as pivot when it is
-            // within `pivot_threshold` of the best magnitude.
-            if pinv[col] == UNPIVOTED
-                && x[col] != 0.0
-                && x[col].abs() >= opts.pivot_threshold * best
-            {
-                ipiv = col;
-            }
-            let pivot = x[ipiv];
-
-            // --- Emit column k of U (rows already pivotal) and L.
-            for &i in pattern.iter() {
-                if pinv[i] != UNPIVOTED {
-                    u_rowidx.push(pinv[i]);
-                    u_values.push(x[i]);
-                }
-            }
-            u_rowidx.push(k);
-            u_values.push(pivot);
-            pinv[ipiv] = k;
-            l_rowidx.push(ipiv); // unit diagonal, original index for now
-            l_values.push(1.0);
-            for &i in pattern.iter() {
-                if pinv[i] == UNPIVOTED && x[i] != 0.0 {
-                    l_rowidx.push(i);
-                    l_values.push(x[i] / pivot);
-                }
-                x[i] = 0.0;
-            }
-        }
-        l_colptr.push(l_rowidx.len());
-        u_colptr.push(u_rowidx.len());
-        // Remap L's row indices into pivot order.
-        for r in l_rowidx.iter_mut() {
-            *r = pinv[*r];
-        }
-        Ok(SparseLu {
-            n,
-            l_colptr,
-            l_rowidx,
-            l_values,
-            u_colptr,
-            u_rowidx,
-            u_values,
-            pinv,
-            q,
-            rscale,
-            cscale,
-        })
+        eliminate::<false>(a, opts).map(|(lu, _)| lu)
     }
 
     /// Dimension of the factored matrix.
@@ -356,6 +171,328 @@ impl SparseLu {
         for k in 0..n {
             let oc = self.q.old_of(k);
             out[oc] = self.cscale[oc] * work[k];
+        }
+    }
+}
+
+/// What the recording instantiation of [`eliminate`] keeps besides the
+/// factor: the raw material of a [`crate::SymbolicLu`]. Empty when
+/// recording is off.
+#[derive(Default)]
+pub(crate) struct Recording {
+    /// `A`'s CSC pattern and its CSR-position → CSC-position gather map.
+    pub(crate) csc_colptr: Vec<usize>,
+    pub(crate) csc_rowidx: Vec<usize>,
+    pub(crate) csr_to_csc: Vec<usize>,
+    /// `pivot_row[k]`: the original row that pivots column `k`.
+    pub(crate) pivot_row: Vec<usize>,
+    /// Each column's structural reach in DFS postorder, split by pivotal
+    /// state: the rows already pivotal (with their pivot positions) and
+    /// the then-unpivoted rows, the pivot among them.
+    pub(crate) piv_ptr: Vec<usize>,
+    pub(crate) piv_rows: Vec<usize>,
+    pub(crate) piv_cols: Vec<usize>,
+    pub(crate) low_ptr: Vec<usize>,
+    pub(crate) low_rows: Vec<usize>,
+}
+
+/// The left-looking Gilbert–Peierls elimination: the one loop behind
+/// [`SparseLu::factor`] (`RECORD = false`) and
+/// [`crate::SymbolicLu::analyze_with_factor`] (`RECORD = true`).
+///
+/// For each column `k` it finds the reach of `A[:, q(k)]` through `L`
+/// by DFS, solves `x = L \ A[:, q(k)]` on that reach, searches the pivot
+/// and emits `U[:, k]` and `L[:, k]`. Without recording, the working `L`
+/// drops explicit zeros and is the returned `L`. With recording, the
+/// working `L` keeps them, so the reach it yields is structural (valid
+/// for every matrix with `A`'s pattern), and a zero-free copy is emitted
+/// as the returned `L`. A kept zero only subtracts `0·xj`, so both
+/// modes search pivots on the same values and emit the same factor;
+/// only an exact cancellation, which leaves `factor`'s value reach
+/// smaller than the structural one, can make their `U` differ by
+/// explicit zeros.
+pub(crate) fn eliminate<const RECORD: bool>(
+    a: &CsrMatrix,
+    opts: &LuOptions,
+) -> Result<(SparseLu, Recording), SparseError> {
+    if !a.is_square() {
+        return Err(SparseError::NotSquare {
+            rows: a.nrows(),
+            cols: a.ncols(),
+        });
+    }
+    if !a.is_finite() {
+        return Err(SparseError::NotFinite);
+    }
+    let n = a.nrows();
+    let (rscale, cscale) = if opts.equilibrate {
+        equilibrate(a)
+    } else {
+        (vec![1.0; n], vec![1.0; n])
+    };
+    let (colptr, rowidx, csr_to_csc) = csc_structure(a);
+    let mut values = vec![0.0; a.nnz()];
+    gather_scaled(a, &rscale, &cscale, &csr_to_csc, &mut values);
+    // Only a recording keeps the gather map (its replays gather with it).
+    let csr_to_csc = if RECORD { csr_to_csc } else { Vec::new() };
+    let q = opts.ordering.order(a);
+
+    // The working L holds original row indices while later columns
+    // consume it; the pivot-order remap happens once at the end.
+    let nnz_guess = (4 * a.nnz()).max(16 * n);
+    let mut l_colptr = Vec::with_capacity(n + 1);
+    let mut l_rowidx: Vec<usize> = Vec::with_capacity(nnz_guess);
+    let mut l_values: Vec<f64> = Vec::with_capacity(nnz_guess);
+    let mut u_colptr = Vec::with_capacity(n + 1);
+    let mut u_rowidx: Vec<usize> = Vec::with_capacity(nnz_guess);
+    let mut u_values: Vec<f64> = Vec::with_capacity(nnz_guess);
+    let mut pinv = vec![UNPIVOTED; n];
+    // Recording only: the zero-free L that is returned, and the reach.
+    let nl_guess = if RECORD { nnz_guess } else { 0 };
+    let mut nl_colptr: Vec<usize> = Vec::new();
+    let mut nl_rowidx: Vec<usize> = Vec::with_capacity(nl_guess);
+    let mut nl_values: Vec<f64> = Vec::with_capacity(nl_guess);
+    let mut rec = Recording::default();
+
+    // Workspaces.
+    let mut x = vec![0.0_f64; n];
+    let mut pattern: Vec<usize> = Vec::with_capacity(n); // topological pattern
+    let mut dfs_stack: Vec<usize> = Vec::with_capacity(n);
+    let mut dfs_ptr: Vec<usize> = Vec::with_capacity(n);
+    let mut mark = vec![0u64; n];
+    let mut generation = 0u64;
+
+    for k in 0..n {
+        l_colptr.push(l_rowidx.len());
+        u_colptr.push(u_rowidx.len());
+        if RECORD {
+            nl_colptr.push(nl_rowidx.len());
+            rec.piv_ptr.push(rec.piv_rows.len());
+            rec.low_ptr.push(rec.low_rows.len());
+        }
+        let col = q.old_of(k);
+        let acol = colptr[col]..colptr[col + 1];
+
+        // --- Symbolic: reach of A[:, col] through L (DFS, postorder).
+        generation += 1;
+        pattern.clear();
+        for &seed in &rowidx[acol.clone()] {
+            if mark[seed] == generation {
+                continue;
+            }
+            // Iterative DFS from `seed`.
+            dfs_stack.clear();
+            dfs_ptr.clear();
+            dfs_stack.push(seed);
+            dfs_ptr.push(0);
+            mark[seed] = generation;
+            while let Some(&node) = dfs_stack.last() {
+                let jcol = pinv[node];
+                let (start, end) = if jcol == UNPIVOTED {
+                    (0, 0) // unpivoted rows have no L column yet
+                } else {
+                    // Skip the unit-diagonal first entry.
+                    (
+                        l_colptr[jcol] + 1,
+                        *l_colptr.get(jcol + 1).unwrap_or(&l_rowidx.len()),
+                    )
+                };
+                let ptr = dfs_ptr.last_mut().expect("stack nonempty");
+                let mut descended = false;
+                while start + *ptr < end {
+                    let child = l_rowidx[start + *ptr];
+                    *ptr += 1;
+                    if mark[child] != generation {
+                        mark[child] = generation;
+                        dfs_stack.push(child);
+                        dfs_ptr.push(0);
+                        descended = true;
+                        break;
+                    }
+                }
+                if !descended {
+                    pattern.push(node);
+                    dfs_stack.pop();
+                    dfs_ptr.pop();
+                }
+            }
+        }
+        // `pattern` is in postorder: descendants (larger pivot
+        // positions) first. Numeric phase must go ancestors-first, so
+        // iterate in reverse.
+
+        // --- Numeric: x = L \ A[:, col] on the discovered pattern.
+        for &i in pattern.iter() {
+            x[i] = 0.0;
+        }
+        for (&i, &v) in rowidx[acol.clone()].iter().zip(&values[acol]) {
+            x[i] = v;
+        }
+        for &j in pattern.iter().rev() {
+            let jcol = pinv[j];
+            if jcol == UNPIVOTED {
+                continue;
+            }
+            let xj = x[j];
+            if xj == 0.0 {
+                continue;
+            }
+            let start = l_colptr[jcol] + 1;
+            let end = *l_colptr.get(jcol + 1).unwrap_or(&l_rowidx.len());
+            // Zipped slices instead of indexed access: one bounds
+            // check per column, same operations in the same order.
+            for (&r, &v) in l_rowidx[start..end].iter().zip(&l_values[start..end]) {
+                x[r] -= v * xj;
+            }
+        }
+
+        // --- Pivot search among unpivoted rows.
+        let mut best = 0.0_f64;
+        let mut ipiv = UNPIVOTED;
+        for &i in pattern.iter() {
+            if pinv[i] == UNPIVOTED {
+                let v = x[i].abs();
+                if v > best {
+                    best = v;
+                    ipiv = i;
+                }
+            }
+        }
+        if ipiv == UNPIVOTED || best == 0.0 || !best.is_finite() {
+            return Err(SparseError::Singular { column: k });
+        }
+        // Diagonal preference: keep A(col, col) as pivot when it is
+        // within `pivot_threshold` of the best magnitude.
+        if pinv[col] == UNPIVOTED && x[col] != 0.0 && x[col].abs() >= opts.pivot_threshold * best {
+            ipiv = col;
+        }
+        let pivot = x[ipiv];
+
+        // --- Emit column k of U (rows already pivotal) and L.
+        for &i in pattern.iter() {
+            if pinv[i] != UNPIVOTED {
+                u_rowidx.push(pinv[i]);
+                u_values.push(x[i]);
+                if RECORD {
+                    rec.piv_rows.push(i);
+                    rec.piv_cols.push(pinv[i]);
+                }
+            } else if RECORD {
+                rec.low_rows.push(i);
+            }
+        }
+        u_rowidx.push(k);
+        u_values.push(pivot);
+        pinv[ipiv] = k;
+        l_rowidx.push(ipiv); // unit diagonal, original index for now
+        l_values.push(1.0);
+        if RECORD {
+            rec.pivot_row.push(ipiv);
+            nl_rowidx.push(ipiv);
+            nl_values.push(1.0);
+        }
+        for &i in pattern.iter() {
+            if pinv[i] == UNPIVOTED {
+                if RECORD {
+                    // Keep zeros: structural superset of the value reach.
+                    let lik = x[i] / pivot;
+                    l_rowidx.push(i);
+                    l_values.push(lik);
+                    if x[i] != 0.0 {
+                        nl_rowidx.push(i);
+                        nl_values.push(lik);
+                    }
+                } else if x[i] != 0.0 {
+                    l_rowidx.push(i);
+                    l_values.push(x[i] / pivot);
+                }
+            }
+            x[i] = 0.0;
+        }
+    }
+    u_colptr.push(u_rowidx.len());
+    let (l_colptr, mut l_rowidx, l_values) = if RECORD {
+        nl_colptr.push(nl_rowidx.len());
+        rec.piv_ptr.push(rec.piv_rows.len());
+        rec.low_ptr.push(rec.low_rows.len());
+        (rec.csc_colptr, rec.csc_rowidx, rec.csr_to_csc) = (colptr, rowidx, csr_to_csc);
+        (nl_colptr, nl_rowidx, nl_values)
+    } else {
+        l_colptr.push(l_rowidx.len());
+        (l_colptr, l_rowidx, l_values)
+    };
+    // Remap L's row indices into pivot order.
+    for r in l_rowidx.iter_mut() {
+        *r = pinv[*r];
+    }
+    let lu = SparseLu {
+        n,
+        l_colptr,
+        l_rowidx,
+        l_values,
+        u_colptr,
+        u_rowidx,
+        u_values,
+        pinv,
+        q,
+        rscale,
+        cscale,
+    };
+    Ok((lu, rec))
+}
+
+/// Builds the CSC structure of `a`'s pattern and the CSR-position →
+/// CSC-position map, without touching values.
+fn csc_structure(a: &CsrMatrix) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
+    let n = a.ncols();
+    let nnz = a.nnz();
+    let mut colptr = vec![0usize; n + 1];
+    for r in 0..a.nrows() {
+        for &c in a.row_indices(r) {
+            colptr[c + 1] += 1;
+        }
+    }
+    for c in 0..n {
+        colptr[c + 1] += colptr[c];
+    }
+    let mut next = colptr.clone();
+    let mut rowidx = vec![0usize; nnz];
+    let mut map = vec![0usize; nnz];
+    let mut p = 0usize;
+    for r in 0..a.nrows() {
+        for &c in a.row_indices(r) {
+            let dst = next[c];
+            next[c] += 1;
+            rowidx[dst] = r;
+            map[p] = dst;
+            p += 1;
+        }
+    }
+    (colptr, rowidx, map)
+}
+
+/// Gathers `a`'s values into CSC positions as `(v·r)·c`: the row scale
+/// first, then the column scale (exact anyway: scales are powers of
+/// two).
+pub(crate) fn gather_scaled(
+    a: &CsrMatrix,
+    rscale: &[f64],
+    cscale: &[f64],
+    csr_to_csc: &[usize],
+    csc_values: &mut [f64],
+) {
+    let needs_scaling = rscale.iter().chain(cscale.iter()).any(|&s| s != 1.0);
+    let mut p = 0usize;
+    for r in 0..a.nrows() {
+        let vals = a.row_values(r);
+        for (k, &c) in a.row_indices(r).iter().enumerate() {
+            let v = if needs_scaling {
+                (vals[k] * rscale[r]) * cscale[c]
+            } else {
+                vals[k]
+            };
+            csc_values[csr_to_csc[p]] = v;
+            p += 1;
         }
     }
 }
@@ -567,17 +704,17 @@ mod tests {
 
     #[test]
     fn no_equilibration_skips_scaled_copy_and_still_solves() {
-        // The direct-CSC fast path (no scaled clone) must give exactly the
-        // same factorization as before: identical solves, pivot for pivot.
+        // The unscaled gather (no scale multiplications) must give a
+        // working factorization.
         let a = grid_laplacian(9, 7);
         let opts = LuOptions {
             equilibrate: false,
             ..LuOptions::default()
         };
         assert!(solve_roundtrip(&a, &opts) < 1e-9);
-        // A well-scaled matrix takes the fast path under equilibration
-        // too (all computed scales are 1.0) and must agree bitwise with
-        // the unequilibrated factorization.
+        // A well-scaled matrix takes the unscaled gather under
+        // equilibration too (all computed scales are 1.0) and must agree
+        // bitwise with the unequilibrated factorization.
         let ones = CsrMatrix::from_triplets(
             2,
             2,
@@ -618,5 +755,143 @@ mod tests {
             ],
         );
         assert!(solve_roundtrip(&a, &LuOptions::default()) < 1e-10);
+    }
+
+    /// `a` as the elimination reads it: CSC pointers, row indices and
+    /// the gathered values, gathered into a buffer of NaNs so that a
+    /// slot the gather misses shows.
+    fn column_view(
+        a: &CsrMatrix,
+        rscale: &[f64],
+        cscale: &[f64],
+    ) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+        let (colptr, rowidx, map) = csc_structure(a);
+        let mut values = vec![f64::NAN; a.nnz()];
+        gather_scaled(a, rscale, cscale, &map, &mut values);
+        (colptr, rowidx, values)
+    }
+
+    #[test]
+    fn column_view_of_a_rectangular_matrix() {
+        let a = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0), (0, 2, 2.0), (1, 1, 3.0)]);
+        let (colptr, rowidx, values) = column_view(&a, &[1.0; 2], &[1.0; 3]);
+        assert_eq!(colptr, vec![0, 1, 2, 3]);
+        assert_eq!(rowidx, vec![0, 1, 0]);
+        assert_eq!(values, vec![1.0, 3.0, 2.0]);
+    }
+
+    #[test]
+    fn column_view_of_an_empty_matrix_has_no_entries() {
+        let (colptr, rowidx, values) = column_view(&CsrMatrix::zeros(4, 4), &[1.0; 4], &[1.0; 4]);
+        assert_eq!(colptr, vec![0; 5]);
+        assert!(rowidx.is_empty() && values.is_empty());
+    }
+
+    #[test]
+    fn column_view_matvec_matches_csr() {
+        let a = CsrMatrix::from_triplets(
+            3,
+            3,
+            &[
+                (0, 0, 1.0),
+                (0, 2, 2.0),
+                (1, 1, 3.0),
+                (2, 0, 4.0),
+                (2, 2, 5.0),
+            ],
+        );
+        let (colptr, rowidx, values) = column_view(&a, &[1.0; 3], &[1.0; 3]);
+        let x = [1.0, -2.0, 0.5];
+        let mut y = vec![0.0; 3];
+        for (c, &xc) in x.iter().enumerate() {
+            for p in colptr[c]..colptr[c + 1] {
+                y[rowidx[p]] += values[p] * xc;
+            }
+        }
+        assert_eq!(y, a.matvec(&x));
+    }
+
+    #[test]
+    fn gather_scales_rows_then_columns() {
+        let a = CsrMatrix::from_triplets(
+            3,
+            3,
+            &[
+                (0, 0, 1.0),
+                (0, 2, 2.0),
+                (1, 1, 3.0),
+                (2, 0, 4.0),
+                (2, 2, 5.0),
+            ],
+        );
+        let (rs, cs) = ([1.0, 2.0, 3.0], [1.0, 1.0, 0.5]);
+        let (colptr, rowidx, values) = column_view(&a, &rs, &cs);
+        for c in 0..3 {
+            for p in colptr[c]..colptr[c + 1] {
+                let r = rowidx[p];
+                assert_eq!(
+                    values[p].to_bits(),
+                    ((a.get(r, c) * rs[r]) * cs[c]).to_bits()
+                );
+            }
+        }
+        // Column 1 holds row 1 only; column 2 holds rows 0 and 2.
+        assert_eq!(values[colptr[1]], 6.0);
+        assert_eq!(values[colptr[3] - 1], 7.5);
+    }
+
+    #[test]
+    fn gather_overwrites_every_slot_of_a_reused_buffer() {
+        // `try_refactor` gathers into the analysis's buffer again and
+        // again: a second gather with other scales leaves nothing of the
+        // first behind.
+        let a = grid_laplacian(4, 3);
+        let n = a.nrows();
+        let (_, _, map) = csc_structure(&a);
+        let mut values = vec![f64::NAN; a.nnz()];
+        gather_scaled(&a, &vec![4.0; n], &vec![2.0; n], &map, &mut values);
+        let (_, _, fresh) = column_view(&a, &vec![1.0; n], &vec![1.0; n]);
+        assert!(values.iter().zip(&fresh).all(|(v, f)| *v == 8.0 * f));
+        gather_scaled(&a, &vec![1.0; n], &vec![1.0; n], &map, &mut values);
+        assert_eq!(values, fresh);
+    }
+
+    mod column_view_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Every stored entry lands once in its column, rows ascending
+            /// within a column, with the value `(v·r)·c`.
+            #[test]
+            fn column_view_roundtrips_random_matrices(
+                nrows in 1usize..20,
+                ncols in 1usize..20,
+                entries in prop::collection::vec(
+                    (0usize..1000, 0usize..1000, -5.0..5.0_f64), 0..80),
+                exps in prop::collection::vec(0usize..7, 40),
+            ) {
+                let t: Vec<(usize, usize, f64)> =
+                    entries.iter().map(|&(r, c, v)| (r % nrows, c % ncols, v)).collect();
+                let a = CsrMatrix::from_triplets(nrows, ncols, &t);
+                let rs: Vec<f64> = exps[..nrows].iter().map(|&e| 2f64.powi(e as i32 - 3)).collect();
+                let cs: Vec<f64> = exps[20..20 + ncols].iter().map(|&e| 2f64.powi(e as i32 - 3)).collect();
+                let (colptr, rowidx, values) = column_view(&a, &rs, &cs);
+                prop_assert_eq!(colptr.len(), ncols + 1);
+                prop_assert_eq!(colptr[ncols], a.nnz());
+                for c in 0..ncols {
+                    let rows = &rowidx[colptr[c]..colptr[c + 1]];
+                    prop_assert!(rows.windows(2).all(|w| w[0] < w[1]));
+                    for (p, &r) in (colptr[c]..colptr[c + 1]).zip(rows) {
+                        let want = (a.get(r, c) * rs[r]) * cs[c];
+                        prop_assert_eq!(values[p].to_bits(), want.to_bits());
+                    }
+                }
+                let stored: usize = (0..nrows).map(|r| a.row_indices(r).len()).sum();
+                prop_assert_eq!(stored, a.nnz());
+            }
+        }
     }
 }

@@ -14,9 +14,8 @@ use crate::SparseError;
 ///
 /// # fn main() -> Result<(), matex_sparse::SparseError> {
 /// let p = Permutation::from_vec(vec![2, 0, 1])?;
-/// assert_eq!(p.apply(&[10.0, 20.0, 30.0]), vec![30.0, 10.0, 20.0]);
-/// let inv = p.inverse();
-/// assert_eq!(inv.apply(&p.apply(&[1.0, 2.0, 3.0])), vec![1.0, 2.0, 3.0]);
+/// assert_eq!(p.old_of(0), 2);
+/// assert_eq!(p.inverse().as_slice(), &[1, 2, 0]);
 /// # Ok(())
 /// # }
 /// ```
@@ -85,29 +84,6 @@ impl Permutation {
         }
         Permutation { perm: inv }
     }
-
-    /// Gathers `x` into a new vector: `out[new] = x[perm[new]]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != len`.
-    pub fn apply<T: Copy>(&self, x: &[T]) -> Vec<T> {
-        assert_eq!(x.len(), self.perm.len(), "apply: length mismatch");
-        self.perm.iter().map(|&old| x[old]).collect()
-    }
-
-    /// Composition `self ∘ other`: applying the result equals applying
-    /// `other` first, then `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn compose(&self, other: &Permutation) -> Permutation {
-        assert_eq!(self.len(), other.len(), "compose: length mismatch");
-        Permutation {
-            perm: self.perm.iter().map(|&i| other.perm[i]).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -117,32 +93,24 @@ mod tests {
     #[test]
     fn identity_applies_unchanged() {
         let p = Permutation::identity(3);
-        assert_eq!(p.apply(&[5, 6, 7]), vec![5, 6, 7]);
+        assert_eq!(p.as_slice(), &[0, 1, 2]);
+        assert_eq!(p.inverse(), p);
     }
 
     #[test]
     fn inverse_roundtrip() {
         let p = Permutation::from_vec(vec![3, 1, 0, 2]).unwrap();
         let inv = p.inverse();
-        let x = [9.0, 8.0, 7.0, 6.0];
-        assert_eq!(inv.apply(&p.apply(&x)), x.to_vec());
-        assert_eq!(p.apply(&inv.apply(&x)), x.to_vec());
+        for new in 0..4 {
+            assert_eq!(inv.old_of(p.old_of(new)), new);
+        }
+        assert_eq!(inv.inverse(), p);
     }
 
     #[test]
     fn rejects_non_permutation() {
         assert!(Permutation::from_vec(vec![0, 0]).is_err());
         assert!(Permutation::from_vec(vec![0, 5]).is_err());
-    }
-
-    #[test]
-    fn compose_applies_right_then_left() {
-        // other: reverse; self: rotate.
-        let rev = Permutation::from_vec(vec![2, 1, 0]).unwrap();
-        let rot = Permutation::from_vec(vec![1, 2, 0]).unwrap();
-        let c = rot.compose(&rev);
-        let x = [1, 2, 3];
-        assert_eq!(c.apply(&x), rot.apply(&rev.apply(&x)));
     }
 
     #[test]

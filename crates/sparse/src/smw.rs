@@ -16,9 +16,9 @@
 //! ```
 //!
 //! [`SmwUpdate::build`] pays `k` substitution pairs plus one `k×k` dense
-//! factorization once per edit set; every subsequent
-//! [`SmwUpdate::solve_into_smw`] costs one cached substitution pair plus
-//! `O(nk)` dense work.
+//! factorization once per edit set; every subsequent corrected solve
+//! costs one cached substitution pair ([`SparseLu::solve_into`]) plus
+//! the `O(nk)` dense work of [`SmwUpdate::correct_in_place`].
 //!
 //! # Determinism
 //!
@@ -126,7 +126,8 @@ impl std::fmt::Display for SmwRejection {
 ///     &SmwOptions::default(),
 /// )
 /// .expect("rank-1 edit accepted");
-/// let x = upd.solve_smw(&lu, &[10.0, 4.0]);
+/// let mut x = lu.solve(&[10.0, 4.0]);
+/// upd.correct_in_place(&mut x);
 /// // Same answer as factoring the edited matrix from scratch.
 /// let edited = CsrMatrix::from_triplets(2, 2, &[(0, 0, 5.0), (0, 1, 1.0), (1, 1, 2.0)]);
 /// let full = SparseLu::factor(&edited, &LuOptions::default())?.solve(&[10.0, 4.0]);
@@ -144,8 +145,6 @@ pub struct SmwUpdate {
     w: Vec<f64>,
     /// Factored capture matrix `S = I + VᵀW`.
     capture: DenseLu,
-    /// Smallest pivot of the capture factorization (diagnostic).
-    min_pivot: f64,
 }
 
 impl SmwUpdate {
@@ -199,7 +198,6 @@ impl SmwUpdate {
                 v_cols: Vec::new(),
                 w: Vec::new(),
                 capture: DenseLu::factor(&DMat::identity(0)).expect("0x0 factors"),
-                min_pivot: f64::INFINITY,
             });
         }
         // W = A⁻¹U, one column at a time in ascending order.
@@ -248,23 +246,12 @@ impl SmwUpdate {
             v_cols: v_cols.to_vec(),
             w,
             capture,
-            min_pivot,
         })
     }
 
     /// Dimension of the corrected system.
     pub fn dim(&self) -> usize {
         self.n
-    }
-
-    /// Rank of the edit.
-    pub fn rank(&self) -> usize {
-        self.k
-    }
-
-    /// Smallest pivot of the capture factorization (∞ for rank 0).
-    pub fn min_pivot(&self) -> f64 {
-        self.min_pivot
     }
 
     /// Turns a base-matrix solution `y = A⁻¹b` into the edited-matrix
@@ -301,27 +288,6 @@ impl SmwUpdate {
             }
         }
     }
-
-    /// Corrected solve `out = (A + UVᵀ)⁻¹ b`: one cached substitution
-    /// pair through `lu` (the factorization this update was built
-    /// against) followed by [`SmwUpdate::correct_in_place`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths differ from [`SmwUpdate::dim`].
-    pub fn solve_into_smw(&self, lu: &SparseLu, b: &[f64], out: &mut [f64], work: &mut [f64]) {
-        assert_eq!(lu.dim(), self.n, "solve_into_smw: factorization mismatch");
-        lu.solve_into(b, out, work);
-        self.correct_in_place(out);
-    }
-
-    /// Allocating convenience wrapper over [`SmwUpdate::solve_into_smw`].
-    pub fn solve_smw(&self, lu: &SparseLu, b: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.n];
-        let mut work = vec![0.0; self.n];
-        self.solve_into_smw(lu, b, &mut out, &mut work);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -340,6 +306,14 @@ mod tests {
             }
         }
         CsrMatrix::from_triplets(n, n, &t)
+    }
+
+    /// `(A + UVᵀ)⁻¹ b` as every caller computes it: the base solve,
+    /// then the correction.
+    fn corrected(upd: &SmwUpdate, lu: &SparseLu, b: &[f64]) -> Vec<f64> {
+        let mut x = lu.solve(b);
+        upd.correct_in_place(&mut x);
+        x
     }
 
     /// Applies the edit columns densely: `A + U·Vᵀ` as triplets.
@@ -369,9 +343,8 @@ mod tests {
         let u = vec![vec![(3, 1.0)]];
         let v = vec![vec![(3, 0.5)]];
         let upd = SmwUpdate::build(&lu, &u, &v, &SmwOptions::default()).unwrap();
-        assert_eq!(upd.rank(), 1);
         let b: Vec<f64> = (0..12).map(|i| (i as f64) - 4.0).collect();
-        let x = upd.solve_smw(&lu, &b);
+        let x = corrected(&upd, &lu, &b);
         let full = SparseLu::factor(&edited(&a, &u, &v), &LuOptions::default())
             .unwrap()
             .solve(&b);
@@ -390,9 +363,8 @@ mod tests {
         let u = vec![vec![(2, 1.0)], vec![(5, 1.0)]];
         let v = vec![vec![(2, dg), (5, -dg)], vec![(2, -dg), (5, dg)]];
         let upd = SmwUpdate::build(&lu, &u, &v, &SmwOptions::default()).unwrap();
-        assert_eq!(upd.rank(), 2);
         let b = vec![1.0; 10];
-        let x = upd.solve_smw(&lu, &b);
+        let x = corrected(&upd, &lu, &b);
         let full = SparseLu::factor(&edited(&a, &u, &v), &LuOptions::default())
             .unwrap()
             .solve(&b);
@@ -411,9 +383,9 @@ mod tests {
         let upd = SmwUpdate::build(&lu, &u, &v, &opts).unwrap();
         let upd2 = SmwUpdate::build(&lu, &u, &v, &opts).unwrap();
         let b: Vec<f64> = (0..30).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
-        let x1 = upd.solve_smw(&lu, &b);
-        let x2 = upd.solve_smw(&lu, &b);
-        let x3 = upd2.solve_smw(&lu, &b);
+        let x1 = corrected(&upd, &lu, &b);
+        let x2 = corrected(&upd, &lu, &b);
+        let x3 = corrected(&upd2, &lu, &b);
         for ((p, q), r) in x1.iter().zip(&x2).zip(&x3) {
             assert_eq!(p.to_bits(), q.to_bits());
             assert_eq!(p.to_bits(), r.to_bits());
@@ -425,10 +397,9 @@ mod tests {
         let a = chain(6);
         let lu = SparseLu::factor(&a, &LuOptions::default()).unwrap();
         let upd = SmwUpdate::build(&lu, &[], &[], &SmwOptions::default()).unwrap();
-        assert_eq!(upd.rank(), 0);
         let b = vec![2.0; 6];
         let base = lu.solve(&b);
-        let x = upd.solve_smw(&lu, &b);
+        let x = corrected(&upd, &lu, &b);
         for (p, q) in x.iter().zip(&base) {
             assert_eq!(p.to_bits(), q.to_bits());
         }
@@ -478,24 +449,5 @@ mod tests {
             Err(SmwRejection::IllConditioned { .. })
         ));
         assert!(build(1e-10).is_ok());
-    }
-
-    #[test]
-    fn correction_composes_with_any_base_solve() {
-        // correct_in_place applied to a separately computed base solve
-        // equals solve_into_smw — the composability the Krylov
-        // operators rely on.
-        let a = chain(16);
-        let lu = SparseLu::factor(&a, &LuOptions::default()).unwrap();
-        let u = vec![vec![(4, 1.0)]];
-        let v = vec![vec![(4, 0.7)]];
-        let upd = SmwUpdate::build(&lu, &u, &v, &SmwOptions::default()).unwrap();
-        let b = vec![1.5; 16];
-        let direct = upd.solve_smw(&lu, &b);
-        let mut composed = lu.solve(&b);
-        upd.correct_in_place(&mut composed);
-        for (p, q) in direct.iter().zip(&composed) {
-            assert_eq!(p.to_bits(), q.to_bits());
-        }
     }
 }

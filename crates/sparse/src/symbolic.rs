@@ -53,7 +53,7 @@
 //! # }
 //! ```
 
-use crate::lu::UNPIVOTED;
+use crate::lu::{eliminate, gather_scaled, UNPIVOTED};
 use crate::{equilibrate, CsrMatrix, LuOptions, Permutation, SparseError, SparseLu};
 use crate::{WireError, WireReader, WireWriter};
 
@@ -92,7 +92,7 @@ pub struct SymbolicLu {
     a_indptr: Vec<usize>,
     a_indices: Vec<usize>,
     /// CSC structure of that pattern plus the CSR-position → CSC-position
-    /// gather map, so a replay never calls `to_csc`.
+    /// gather map, so a replay reads `A`'s columns without a conversion.
     csc_colptr: Vec<usize>,
     csc_rowidx: Vec<usize>,
     csr_to_csc: Vec<usize>,
@@ -124,245 +124,30 @@ impl SymbolicLu {
         a: &CsrMatrix,
         opts: &LuOptions,
     ) -> Result<(Self, SparseLu), SparseError> {
-        if !a.is_square() {
-            return Err(SparseError::NotSquare {
-                rows: a.nrows(),
-                cols: a.ncols(),
-            });
-        }
-        if !a.is_finite() {
-            return Err(SparseError::NotFinite);
-        }
-        let n = a.nrows();
-        let nnz = a.nnz();
-        let (csc_colptr, csc_rowidx, csr_to_csc) = csc_structure(a);
-        let (rscale, cscale) = if opts.equilibrate {
-            equilibrate(a)
-        } else {
-            (vec![1.0; n], vec![1.0; n])
-        };
-        let mut csc_values = vec![0.0; nnz];
-        gather_scaled(a, &rscale, &cscale, &csr_to_csc, &mut csc_values);
-        let q = opts.ordering.order(a);
-
-        // Structural L: every reach entry is kept, numerically-zero or
-        // not, so the recorded pattern stays valid for any same-pattern
-        // matrix. The kept zero values contribute nothing to the updates
-        // (`xj == 0` entries are skipped), so the pivot pinning below
-        // sees exactly the values `SparseLu::factor` would.
-        let nnz_guess = (4 * nnz).max(16 * n);
-        let mut l_colptr: Vec<usize> = Vec::with_capacity(n + 1);
-        let mut l_rowidx: Vec<usize> = Vec::with_capacity(nnz_guess);
-        let mut l_values: Vec<f64> = Vec::with_capacity(nnz_guess);
-        let mut unnz = 0usize;
-        // The returned numeric factorization of `a` itself: L with
-        // explicit zeros dropped (as `SparseLu::factor` stores it) and
-        // the full U.
-        let mut nl_colptr: Vec<usize> = Vec::with_capacity(n + 1);
-        let mut nl_rowidx: Vec<usize> = Vec::with_capacity(nnz_guess);
-        let mut nl_values: Vec<f64> = Vec::with_capacity(nnz_guess);
-        let mut u_colptr: Vec<usize> = Vec::with_capacity(n + 1);
-        let mut u_rowidx: Vec<usize> = Vec::with_capacity(nnz_guess);
-        let mut u_values: Vec<f64> = Vec::with_capacity(nnz_guess);
-        let mut pinv = vec![UNPIVOTED; n];
-        let mut pivot_row = vec![UNPIVOTED; n];
-        let mut piv_ptr: Vec<usize> = Vec::with_capacity(n + 1);
-        let mut piv_rows: Vec<usize> = Vec::new();
-        let mut piv_cols: Vec<usize> = Vec::new();
-        let mut low_ptr: Vec<usize> = Vec::with_capacity(n + 1);
-        let mut low_rows: Vec<usize> = Vec::new();
-
-        // Workspaces, as in `SparseLu::factor`.
-        let mut x = vec![0.0_f64; n];
-        let mut pattern: Vec<usize> = Vec::with_capacity(n);
-        let mut dfs_stack: Vec<usize> = Vec::with_capacity(n);
-        let mut dfs_ptr: Vec<usize> = Vec::with_capacity(n);
-        let mut mark = vec![0u64; n];
-        let mut generation = 0u64;
-
-        for k in 0..n {
-            l_colptr.push(l_rowidx.len());
-            nl_colptr.push(nl_rowidx.len());
-            u_colptr.push(u_rowidx.len());
-            piv_ptr.push(piv_rows.len());
-            low_ptr.push(low_rows.len());
-            let col = q.old_of(k);
-
-            // --- Symbolic: reach of A[:, col] through structural L.
-            generation += 1;
-            pattern.clear();
-            let acol_rows = &csc_rowidx[csc_colptr[col]..csc_colptr[col + 1]];
-            let acol_vals = &csc_values[csc_colptr[col]..csc_colptr[col + 1]];
-            for &seed in acol_rows {
-                if mark[seed] == generation {
-                    continue;
-                }
-                dfs_stack.clear();
-                dfs_ptr.clear();
-                dfs_stack.push(seed);
-                dfs_ptr.push(0);
-                mark[seed] = generation;
-                while let Some(&node) = dfs_stack.last() {
-                    let jcol = pinv[node];
-                    let (start, end) = if jcol == UNPIVOTED {
-                        (0, 0)
-                    } else {
-                        (
-                            l_colptr[jcol] + 1,
-                            *l_colptr.get(jcol + 1).unwrap_or(&l_rowidx.len()),
-                        )
-                    };
-                    let ptr = dfs_ptr.last_mut().expect("stack nonempty");
-                    let mut descended = false;
-                    while start + *ptr < end {
-                        let child = l_rowidx[start + *ptr];
-                        *ptr += 1;
-                        if mark[child] != generation {
-                            mark[child] = generation;
-                            dfs_stack.push(child);
-                            dfs_ptr.push(0);
-                            descended = true;
-                            break;
-                        }
-                    }
-                    if !descended {
-                        pattern.push(node);
-                        dfs_stack.pop();
-                        dfs_ptr.pop();
-                    }
-                }
-            }
-
-            // --- Numeric: x = L \ A[:, col] (values only pin pivots).
-            for &i in pattern.iter() {
-                x[i] = 0.0;
-            }
-            for (idx, &i) in acol_rows.iter().enumerate() {
-                x[i] = acol_vals[idx];
-            }
-            for &j in pattern.iter().rev() {
-                let jcol = pinv[j];
-                if jcol == UNPIVOTED {
-                    continue;
-                }
-                let xj = x[j];
-                if xj == 0.0 {
-                    continue;
-                }
-                let start = l_colptr[jcol] + 1;
-                let end = *l_colptr.get(jcol + 1).unwrap_or(&l_rowidx.len());
-                // Zip-kernel idiom, as in `SparseLu::factor`'s numeric
-                // phase: same operations, one bounds check per column.
-                for (&r, &v) in l_rowidx[start..end].iter().zip(&l_values[start..end]) {
-                    x[r] -= v * xj;
-                }
-            }
-
-            // --- Pivot pinning: same search as `SparseLu::factor`.
-            let mut best = 0.0_f64;
-            let mut ipiv = UNPIVOTED;
-            for &i in pattern.iter() {
-                if pinv[i] == UNPIVOTED {
-                    let v = x[i].abs();
-                    if v > best {
-                        best = v;
-                        ipiv = i;
-                    }
-                }
-            }
-            if ipiv == UNPIVOTED || best == 0.0 || !best.is_finite() {
-                return Err(SparseError::Singular { column: k });
-            }
-            if pinv[col] == UNPIVOTED
-                && x[col] != 0.0
-                && x[col].abs() >= opts.pivot_threshold * best
-            {
-                ipiv = col;
-            }
-            let pivot = x[ipiv];
-
-            // --- Record the structural column, split by pivotal state
-            // (the split the replay would otherwise re-derive from pinv
-            // on every pattern visit), and emit the numeric factors.
-            for &i in pattern.iter() {
-                if pinv[i] != UNPIVOTED {
-                    piv_rows.push(i);
-                    piv_cols.push(pinv[i]);
-                    u_rowidx.push(pinv[i]);
-                    u_values.push(x[i]);
-                    unnz += 1;
-                } else {
-                    low_rows.push(i);
-                }
-            }
-            u_rowidx.push(k);
-            u_values.push(pivot);
-            unnz += 1; // diagonal
-            pinv[ipiv] = k;
-            pivot_row[k] = ipiv;
-            l_rowidx.push(ipiv);
-            l_values.push(1.0);
-            nl_rowidx.push(ipiv);
-            nl_values.push(1.0);
-            for &i in pattern.iter() {
-                if pinv[i] == UNPIVOTED {
-                    // Keep zeros: structural superset of the value reach.
-                    let lik = x[i] / pivot;
-                    l_rowidx.push(i);
-                    l_values.push(lik);
-                    if x[i] != 0.0 {
-                        nl_rowidx.push(i);
-                        nl_values.push(lik);
-                    }
-                }
-                x[i] = 0.0;
-            }
-        }
-        l_colptr.push(l_rowidx.len());
-        nl_colptr.push(nl_rowidx.len());
-        u_colptr.push(u_rowidx.len());
-        piv_ptr.push(piv_rows.len());
-        low_ptr.push(low_rows.len());
-        for r in nl_rowidx.iter_mut() {
-            *r = pinv[*r];
-        }
-        let lnnz = l_rowidx.len();
-
-        let mut a_indices = Vec::with_capacity(nnz);
-        for r in 0..n {
+        let (factor, rec) = eliminate::<true>(a, opts)?;
+        let mut a_indices = Vec::with_capacity(a.nnz());
+        for r in 0..factor.n {
             a_indices.extend_from_slice(a.row_indices(r));
         }
-        let factor = SparseLu {
-            n,
-            l_colptr: nl_colptr,
-            l_rowidx: nl_rowidx,
-            l_values: nl_values,
-            u_colptr,
-            u_rowidx,
-            u_values,
-            pinv: pinv.clone(),
-            q: q.clone(),
-            rscale,
-            cscale,
-        };
         let symbolic = SymbolicLu {
-            n,
+            n: factor.n,
             opts: opts.clone(),
-            q,
-            pinv,
-            pivot_row,
-            piv_ptr,
-            piv_rows,
-            piv_cols,
-            low_ptr,
-            low_rows,
-            lnnz,
-            unnz,
+            q: factor.q.clone(),
+            pinv: factor.pinv.clone(),
+            pivot_row: rec.pivot_row,
+            piv_ptr: rec.piv_ptr,
+            piv_rows: rec.piv_rows,
+            piv_cols: rec.piv_cols,
+            low_ptr: rec.low_ptr,
+            // The structural L holds each column's unpivoted reach.
+            lnnz: rec.low_rows.len(),
+            low_rows: rec.low_rows,
+            unnz: factor.nnz_u(),
             a_indptr: a.indptr().to_vec(),
             a_indices,
-            csc_colptr,
-            csc_rowidx,
-            csr_to_csc,
+            csc_colptr: rec.csc_colptr,
+            csc_rowidx: rec.csc_rowidx,
+            csr_to_csc: rec.csr_to_csc,
         };
         Ok((symbolic, factor))
     }
@@ -688,63 +473,6 @@ fn covers(ptr: &[usize], n: usize, len: usize) -> bool {
     ptr.len() == n + 1 && ptr[0] == 0 && ptr.windows(2).all(|p| p[0] <= p[1]) && ptr[n] == len
 }
 
-/// Builds the CSC structure of `a`'s pattern and the CSR-position →
-/// CSC-position map, without touching values.
-fn csc_structure(a: &CsrMatrix) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
-    let n = a.ncols();
-    let nnz = a.nnz();
-    let mut colptr = vec![0usize; n + 1];
-    for r in 0..a.nrows() {
-        for &c in a.row_indices(r) {
-            colptr[c + 1] += 1;
-        }
-    }
-    for c in 0..n {
-        colptr[c + 1] += colptr[c];
-    }
-    let mut next = colptr.clone();
-    let mut rowidx = vec![0usize; nnz];
-    let mut map = vec![0usize; nnz];
-    let mut p = 0usize;
-    for r in 0..a.nrows() {
-        for &c in a.row_indices(r) {
-            let dst = next[c];
-            next[c] += 1;
-            rowidx[dst] = r;
-            map[p] = dst;
-            p += 1;
-        }
-    }
-    (colptr, rowidx, map)
-}
-
-/// Gathers `a`'s values into CSC positions, applying the equilibration
-/// scales with the same multiplication order as `SparseLu::factor`'s
-/// `scale_rows` / `scale_cols` pipeline (exact anyway: scales are powers
-/// of two).
-fn gather_scaled(
-    a: &CsrMatrix,
-    rscale: &[f64],
-    cscale: &[f64],
-    csr_to_csc: &[usize],
-    csc_values: &mut [f64],
-) {
-    let needs_scaling = rscale.iter().chain(cscale.iter()).any(|&s| s != 1.0);
-    let mut p = 0usize;
-    for r in 0..a.nrows() {
-        let vals = a.row_values(r);
-        for (k, &c) in a.row_indices(r).iter().enumerate() {
-            let v = if needs_scaling {
-                (vals[k] * rscale[r]) * cscale[c]
-            } else {
-                vals[k]
-            };
-            csc_values[csr_to_csc[p]] = v;
-            p += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -785,6 +513,12 @@ mod tests {
     fn assert_same_factorization(x: &SparseLu, y: &SparseLu, a: &CsrMatrix) {
         assert_eq!(x.nnz_l(), y.nnz_l());
         assert_eq!(x.nnz_u(), y.nnz_u());
+        let encoded = |lu: &SparseLu| {
+            let mut w = WireWriter::new();
+            lu.wire_encode(&mut w);
+            w.into_bytes()
+        };
+        assert!(encoded(x) == encoded(y), "encoded factors differ");
         let n = a.nrows();
         let b: Vec<f64> = (0..n).map(|i| ((i * 5 % 11) as f64) - 4.0).collect();
         assert_eq!(x.solve(&b), y.solve(&b));

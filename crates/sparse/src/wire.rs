@@ -62,16 +62,6 @@ impl WireWriter {
         WireWriter::default()
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` before the first field.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);

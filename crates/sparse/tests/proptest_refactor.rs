@@ -1,11 +1,13 @@
 //! Property-based contract of the two-phase factorization:
 //! `SymbolicLu::analyze` + `refactor` must produce factors
-//! indistinguishable — bitwise, via nnz counts and solves — from a fresh
+//! indistinguishable — bitwise, via encoded bytes and solves — from a fresh
 //! `SparseLu::factor` of the same matrix, for every same-pattern value
 //! fill, on both the replay fast path and the pivot-degradation
 //! fallback; and so must the factors `analyze_with_factor` returns.
 
-use matex_sparse::{CooMatrix, CsrMatrix, LuOptions, OrderingKind, SparseLu, SymbolicLu};
+use matex_sparse::{
+    CooMatrix, CsrMatrix, LuOptions, OrderingKind, SparseLu, SymbolicLu, WireWriter,
+};
 use proptest::prelude::*;
 
 /// Random diagonally-dominant sparse matrix (guaranteed nonsingular).
@@ -52,9 +54,17 @@ fn refill_dominant(a: &CsrMatrix, seed: f64) -> CsrMatrix {
     b
 }
 
+fn encoded(lu: &SparseLu) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    lu.wire_encode(&mut w);
+    w.into_bytes()
+}
+
 fn assert_factors_identical(x: &SparseLu, y: &SparseLu, n: usize) {
     assert_eq!(x.nnz_l(), y.nnz_l(), "L nnz differs");
     assert_eq!(x.nnz_u(), y.nnz_u(), "U nnz differs");
+    // Every stored index, value, pivot and scale, byte for byte.
+    assert!(encoded(x) == encoded(y), "encoded factors differ");
     for probe in 0..3usize {
         let b: Vec<f64> = (0..n)
             .map(|i| ((i * 7 + probe * 13) % 9) as f64 - 4.0)

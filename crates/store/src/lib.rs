@@ -58,6 +58,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 use matex_core::{FaultHook, FaultKind, MatexSetup, MatexSymbolic};

@@ -51,6 +51,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 // Compile the README's code blocks as doctests so the documented
