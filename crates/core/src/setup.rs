@@ -22,7 +22,7 @@
 //! every substitution of the run) are the same objects a fresh
 //! preparation would produce.
 
-use crate::{CoreError, MatexOptions, MatexSymbolic, SolveStats};
+use crate::{CoreError, MatexOptions, MatexSymbolic};
 use matex_circuit::{regularize_c, MnaSystem, ValueDiff};
 use matex_krylov::{shifted_system, KrylovKind};
 use matex_sparse::{LuOptions, SmwOptions, SmwRejection, SmwUpdate, SparseLu};
@@ -90,6 +90,10 @@ impl MatexSetup {
     /// against the factors, so there is nothing extra to build. It
     /// stays for existing callers.
     ///
+    /// The two factorizations run one after the other on the calling
+    /// thread; [`MatexSetup::prepare_with`] lets the caller run them
+    /// side by side.
+    ///
     /// # Errors
     ///
     /// Propagates factorization failures ([`CoreError::Sparse`]).
@@ -99,55 +103,107 @@ impl MatexSetup {
         symbolic: Option<&MatexSymbolic>,
         _with_schedules: bool,
     ) -> Result<MatexSetup, CoreError> {
+        Self::prepare_with(sys, opts, symbolic, |g, x1| {
+            g();
+            x1();
+        })
+    }
+
+    /// [`MatexSetup::prepare`] with the scheduling of its two independent
+    /// factorizations left to `join`: it receives the `G` task and the
+    /// variant's `X1` task and must run both before it returns, in any
+    /// order and on any threads. Each task is a pure function of its
+    /// matrix, so the setup is bitwise the one `prepare` builds however
+    /// `join` runs them.
+    ///
+    /// [`MatexSetup::factor_time`] is the wall time of the whole
+    /// preparation, `join` included.
+    ///
+    /// # Errors
+    ///
+    /// As [`MatexSetup::prepare`]; when both factorizations fail, `G`'s
+    /// error is returned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `join` returns without running both tasks.
+    pub fn prepare_with(
+        sys: &MnaSystem,
+        opts: &MatexOptions,
+        symbolic: Option<&MatexSymbolic>,
+        join: impl FnOnce(&mut (dyn FnMut() + Send), &mut (dyn FnMut() + Send)),
+    ) -> Result<MatexSetup, CoreError> {
         let t0 = Instant::now();
-        let mut counters = SolveStats::default();
-        let lu_g = match symbolic {
-            Some(sym) => sym.refactor_g(sys.g(), &mut counters)?,
-            None => {
-                counters.factorizations += 1;
-                SparseLu::factor(sys.g(), &LuOptions::default())?
-            }
-        };
-        let lu_x1 = match opts.kind {
-            KrylovKind::Standard => {
-                let c_eff = if sys.zero_c_rows().is_empty() {
-                    sys.c().clone()
-                } else {
-                    regularize_c(sys, opts.regularize_eps).c
-                };
-                counters.factorizations += 1;
-                Some(SparseLu::factor(&c_eff, &LuOptions::default())?)
-            }
-            // X1 = G: reuse the DC factorization — zero extra cost.
-            KrylovKind::Inverted => None,
-            KrylovKind::Rational => {
-                let (_, lu, reused) = shifted_system(
-                    sys.c(),
-                    sys.g(),
-                    opts.gamma,
-                    symbolic.and_then(|s| s.shifted()),
-                    &LuOptions::default(),
-                )?;
-                counters.factorizations += 1;
-                counters.refactorizations += usize::from(reused);
-                Some(lu)
-            }
-        };
-        Ok(MatexSetup {
+        // Each task yields its factor and whether it replayed the shared
+        // analysis; `X1` is `None` for I-MATEX, which reuses `G`'s factor.
+        let mut g_out: Option<Result<(SparseLu, bool), CoreError>> = None;
+        let mut x1_out: Option<Result<Option<(SparseLu, bool)>, CoreError>> = None;
+        join(
+            &mut || {
+                g_out = Some(match symbolic {
+                    Some(sym) => sym.refactor_g(sys.g()),
+                    None => SparseLu::factor(sys.g(), &LuOptions::default())
+                        .map(|lu| (lu, false))
+                        .map_err(CoreError::from),
+                });
+            },
+            &mut || {
+                x1_out = Some(match opts.kind {
+                    KrylovKind::Standard => standard_x1(sys, opts).map(|lu| Some((lu, false))),
+                    // X1 = G: reuse the DC factorization — zero extra cost.
+                    KrylovKind::Inverted => Ok(None),
+                    KrylovKind::Rational => shifted_system(
+                        sys.c(),
+                        sys.g(),
+                        opts.gamma,
+                        symbolic.and_then(|s| s.shifted()),
+                        &LuOptions::default(),
+                    )
+                    .map(|(_, lu, reused)| Some((lu, reused)))
+                    .map_err(CoreError::from),
+                });
+            },
+        );
+        let (lu_g, g_replayed) = g_out.expect("join ran the G task")?;
+        let x1 = x1_out.expect("join ran the X1 task")?;
+        let refactorizations =
+            usize::from(g_replayed) + usize::from(x1.as_ref().is_some_and(|(_, r)| *r));
+        let lu_x1 = x1.map(|(lu, _)| lu);
+        Ok(Self::from_factors(
+            sys,
+            opts,
+            lu_g,
+            lu_x1,
+            refactorizations,
+            t0,
+        ))
+    }
+
+    /// An uncorrected setup of the given factors, `refactorizations` of
+    /// them replays, timed from `t0`.
+    pub(crate) fn from_factors(
+        sys: &MnaSystem,
+        opts: &MatexOptions,
+        lu_g: SparseLu,
+        lu_x1: Option<SparseLu>,
+        refactorizations: usize,
+        t0: Instant,
+    ) -> MatexSetup {
+        MatexSetup {
             kind: opts.kind,
             gamma: opts.gamma,
             regularize_eps: opts.regularize_eps,
             dim: sys.dim(),
+            factorizations: 1 + usize::from(lu_x1.is_some()),
             lu_g: Some(lu_g),
             lu_x1,
             base: None,
             smw_g: None,
             smw_x1: None,
             whatif_rank: 0,
-            factorizations: counters.factorizations,
-            refactorizations: counters.refactorizations,
+            refactorizations,
             factor_time: t0.elapsed(),
-        })
+        }
     }
 
     /// Wraps `base` with Sherman–Morrison–Woodbury corrections for the
@@ -450,6 +506,19 @@ impl MatexSetup {
     }
 }
 
+/// MEXP's `X1`: the factor of `C`, regularized when some rows of `C`
+/// are empty. It never replays an analysis: the regularized `C` has a
+/// pattern of its own.
+pub(crate) fn standard_x1(sys: &MnaSystem, opts: &MatexOptions) -> Result<SparseLu, CoreError> {
+    let lu_opts = LuOptions::default();
+    let lu = if sys.zero_c_rows().is_empty() {
+        SparseLu::factor(sys.c(), &lu_opts)?
+    } else {
+        SparseLu::factor(&regularize_c(sys, opts.regularize_eps).c, &lu_opts)?
+    };
+    Ok(lu)
+}
+
 /// Stable wire tag for a Krylov variant.
 fn kind_tag(kind: KrylovKind) -> u8 {
     match kind {
@@ -512,6 +581,60 @@ mod tests {
         let setup = MatexSetup::prepare(&sys, &opts, Some(&symbolic), false).unwrap();
         assert_eq!(setup.factorizations(), 2);
         assert_eq!(setup.refactorizations(), 2);
+    }
+
+    fn encoded(setup: &MatexSetup) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        setup.wire_encode(&mut w).unwrap();
+        w.into_bytes()
+    }
+
+    const KINDS: [KrylovKind; 3] = [
+        KrylovKind::Rational,
+        KrylovKind::Inverted,
+        KrylovKind::Standard,
+    ];
+
+    #[test]
+    fn any_join_builds_the_sequential_setup() {
+        // X1 before G, and on another thread: the same bytes and counts.
+        let sys = RcMeshBuilder::new(4, 4).build().unwrap();
+        for kind in KINDS {
+            let opts = MatexOptions::new(kind);
+            let sequential = MatexSetup::prepare(&sys, &opts, None, false).unwrap();
+            let joined = MatexSetup::prepare_with(&sys, &opts, None, |g, x1| {
+                std::thread::scope(|s| {
+                    s.spawn(x1).join().unwrap();
+                    g();
+                });
+            })
+            .unwrap();
+            assert!(encoded(&joined) == encoded(&sequential), "{kind:?}");
+            assert_eq!(joined.factorizations(), sequential.factorizations());
+            assert_eq!(joined.refactorizations(), 0);
+        }
+    }
+
+    #[test]
+    fn one_pass_analysis_yields_the_prepared_setup() {
+        // The analysis's own recording factors are the setup: bitwise
+        // `prepare`'s, with the analysis `analyze` returns.
+        let sys = RcMeshBuilder::new(4, 4).build().unwrap();
+        for kind in KINDS {
+            let opts = MatexOptions::new(kind);
+            let (symbolic, setup) = MatexSymbolic::analyze_with_setup(&sys, &opts).unwrap();
+            let prepared = MatexSetup::prepare(&sys, &opts, None, false).unwrap();
+            assert!(encoded(&setup) == encoded(&prepared), "{kind:?}");
+            assert_eq!(setup.factorizations(), prepared.factorizations());
+            assert_eq!(setup.refactorizations(), 0);
+            assert!(setup.check(&sys, &opts).is_ok());
+            let (mut a, mut b) = (WireWriter::new(), WireWriter::new());
+            symbolic.wire_encode(&mut a);
+            MatexSymbolic::analyze(&sys, &opts)
+                .unwrap()
+                .wire_encode(&mut b);
+            assert!(a.into_bytes() == b.into_bytes(), "{kind:?}");
+        }
     }
 
     #[test]

@@ -3,22 +3,27 @@
 //! Every [`MatexSolver`](crate::MatexSolver) run factors `G` (for the DC
 //! condition and the input terms) and — on the rational variant — the
 //! shifted system `C + γG`. Across a γ sweep, across the engine
-//! comparisons of Table 1, and across the distributed framework's
-//! per-node runs, those matrices keep one nonzero pattern: only the
-//! values change (or nothing at all, for the masked node runs). A
-//! [`MatexSymbolic`] performs the sparsity analysis once and lets every
-//! subsequent run replay cheap numeric refactorizations, skipping the
-//! AMD ordering and the Gilbert–Peierls reach DFS entirely.
+//! comparisons of Table 1, and across a scenario engine's jobs on one
+//! circuit, those matrices keep one nonzero pattern: only the values
+//! change. A [`MatexSymbolic`] performs the sparsity analysis once and
+//! lets every subsequent preparation replay cheap numeric
+//! refactorizations, skipping the AMD ordering and the Gilbert–Peierls
+//! reach DFS entirely. An analysis costs a recording factorization, so
+//! it pays only when something replays it:
+//! [`MatexSymbolic::analyze_with_setup`] keeps that first
+//! factorization as the analyzed system's own setup, and a distributed
+//! run, which prepares once, does not analyze at all.
 //!
 //! The object is immutable after [`MatexSymbolic::analyze`], so a single
-//! `Arc<MatexSymbolic>` is shared read-only across distributed worker
-//! threads (see `matex_dist::run_distributed`).
+//! `Arc<MatexSymbolic>` is shared read-only across threads.
 
-use crate::{CoreError, SolveStats};
+use crate::setup::standard_x1;
+use crate::{CoreError, MatexSetup};
 use matex_circuit::MnaSystem;
 use matex_krylov::KrylovKind;
 use matex_sparse::{CsrMatrix, LuOptions, SparseLu, SymbolicLu};
 use matex_sparse::{WireError, WireReader, WireWriter};
+use std::time::Instant;
 
 /// One system's reusable symbolic factorizations.
 ///
@@ -63,22 +68,61 @@ impl MatexSymbolic {
     ///
     /// Propagates sparse analysis failures ([`CoreError::Sparse`]).
     pub fn analyze(sys: &MnaSystem, opts: &crate::MatexOptions) -> Result<Self, CoreError> {
+        Self::record(sys, opts).map(|(symbolic, _, _)| symbolic)
+    }
+
+    /// [`MatexSymbolic::analyze`] plus the [`MatexSetup`] of `(sys,
+    /// opts)`, in one pass: the recording factorizations of the analysis
+    /// are the setup's `G` and `C + γG` factors (MEXP's regularized `C`,
+    /// which has no analysis, is factored directly). The setup is bitwise
+    /// the one [`MatexSetup::prepare`] builds by replaying this analysis,
+    /// and reports its factorizations with no replays.
+    ///
+    /// # Errors
+    ///
+    /// Propagates sparse analysis and factorization failures
+    /// ([`CoreError::Sparse`]).
+    pub fn analyze_with_setup(
+        sys: &MnaSystem,
+        opts: &crate::MatexOptions,
+    ) -> Result<(Self, MatexSetup), CoreError> {
+        let t0 = Instant::now();
+        let (symbolic, lu_g, lu_shifted) = Self::record(sys, opts)?;
+        let lu_x1 = match opts.kind {
+            KrylovKind::Standard => Some(standard_x1(sys, opts)?),
+            _ => lu_shifted,
+        };
+        // The recorded factors grew amid the recordings' scratch; the
+        // setup outlives both (a service caches it), so it keeps compact
+        // copies, laid out as a replay's exactly sized factors would be.
+        let setup = MatexSetup::from_factors(sys, opts, lu_g.clone(), lu_x1.clone(), 0, t0);
+        Ok((symbolic, setup))
+    }
+
+    /// The analysis together with the factors its recording passes
+    /// computed: `G`'s, and `C + γG`'s for the rational variant.
+    fn record(
+        sys: &MnaSystem,
+        opts: &crate::MatexOptions,
+    ) -> Result<(Self, SparseLu, Option<SparseLu>), CoreError> {
         let lu_opts = LuOptions::default();
-        let g = SymbolicLu::analyze(sys.g(), &lu_opts)?;
-        let shifted = match opts.kind {
+        let (g, lu_g) = SymbolicLu::analyze_with_factor(sys.g(), &lu_opts)?;
+        let (shifted, lu_shifted) = match opts.kind {
             KrylovKind::Rational => {
                 let m = CsrMatrix::linear_combination(1.0, sys.c(), opts.gamma, sys.g())?;
-                Some(SymbolicLu::analyze(&m, &lu_opts)?)
+                let (sym, lu) = SymbolicLu::analyze_with_factor(&m, &lu_opts)?;
+                (Some(sym), Some(lu))
             }
             // The inverted variant factors only G; the standard variant
             // factors a (possibly regularized) C with its own pattern.
-            _ => None,
+            _ => (None, None),
         };
-        Ok(MatexSymbolic {
+        let symbolic = MatexSymbolic {
             lu_opts,
             g,
             shifted,
-        })
+        };
+        Ok((symbolic, lu_g, lu_shifted))
     }
 
     /// The symbolic analysis of `G`.
@@ -135,19 +179,12 @@ impl MatexSymbolic {
     }
 
     /// Factors `g` by numeric replay, falling back to a full
-    /// factorization on pivot degradation; updates the counters.
-    pub(crate) fn refactor_g(
-        &self,
-        g: &CsrMatrix,
-        stats: &mut SolveStats,
-    ) -> Result<SparseLu, CoreError> {
-        stats.factorizations += 1;
-        match self.g.try_refactor(g)? {
-            Some(lu) => {
-                stats.refactorizations += 1;
-                Ok(lu)
-            }
-            None => Ok(SparseLu::factor(g, &self.lu_opts)?),
-        }
+    /// factorization on pivot degradation; the flag is `true` for a
+    /// replay.
+    pub(crate) fn refactor_g(&self, g: &CsrMatrix) -> Result<(SparseLu, bool), CoreError> {
+        Ok(match self.g.try_refactor(g)? {
+            Some(lu) => (lu, true),
+            None => (SparseLu::factor(g, &self.lu_opts)?, false),
+        })
     }
 }

@@ -15,8 +15,8 @@ pub enum DistError {
     /// The superposition step failed (mismatched grids — an internal
     /// invariant violation, since every node shares one spec).
     Superposition(CoreError),
-    /// The master's shared symbolic analysis or numeric preparation
-    /// failed before any node was scheduled.
+    /// The master's one preparation (the factorizations every node
+    /// marches from) failed before any node was scheduled.
     Analyze(CoreError),
     /// An injected pre-built group plan does not match this run's
     /// system, spec, or grouping strategy.
@@ -33,7 +33,7 @@ impl fmt::Display for DistError {
                 write!(f, "distributed node for group {group} failed: {source}")
             }
             DistError::Superposition(e) => write!(f, "superposition failed: {e}"),
-            DistError::Analyze(e) => write!(f, "shared analysis/preparation failed: {e}"),
+            DistError::Analyze(e) => write!(f, "shared preparation failed: {e}"),
             DistError::Plan(msg) => write!(f, "injected plan mismatch: {msg}"),
             DistError::Cancelled => write!(f, "distributed run cancelled"),
         }

@@ -12,8 +12,9 @@
 //!
 //! * [`run_distributed`] — group, prepare **one**
 //!   [`MatexSetup`](matex_core::MatexSetup) per run on the master (one
-//!   analysis, one numeric factorization of `G` and `C + γG`; the node
-//!   matrices are identical, so no node ever factors), schedule onto a
+//!   factorization each of `G` and `C + γG`, side by side when the run
+//!   has two workers, and no symbolic analysis; the node matrices are
+//!   identical, so no node ever factors), schedule onto a
 //!   worker pool (longest-processing-time order over a
 //!   [`std::thread::scope`]; each node runs serially on its worker —
 //!   the workers are the only parallelism), run one masked solver per
@@ -70,5 +71,5 @@ pub use error::DistError;
 pub use options::DistributedOptions;
 pub use plan::{plan_groups, GroupPlan, PlanJob};
 pub use run::{run_distributed, DistributedRun, NodeRun};
-pub use schedule::{list_schedule_makespan, lpt_order, GroupCost, RunStats};
+pub use schedule::{list_schedule_makespan, GroupCost, RunStats};
 pub use speedup::SpeedupModel;

@@ -23,8 +23,8 @@ pub struct DistributedOptions {
     /// that is [`MatexOptions::default`]). Their fault hook and recorder
     /// serve the master too: it consults `matex.faults` at `"dist.node"`
     /// once per node dispatch (including retries), and records its
-    /// `dist.analyze` / `dist.prepare` spans and one `dist.node` span per
-    /// dispatch (labeled group / worker / retry) through `matex.obs`.
+    /// `dist.prepare` span and one `dist.node` span per dispatch
+    /// (labeled group / worker / retry) through `matex.obs`.
     pub matex: MatexOptions,
     /// How to partition the sources into subtasks (default: by bump
     /// feature, the paper's Sec. 3.2 decomposition).
@@ -34,15 +34,19 @@ pub struct DistributedOptions {
     /// (every node's wall time is uncontended).
     pub workers: Option<usize>,
     /// A pre-built symbolic analysis for the master's one preparation.
-    /// `None` (default) analyzes on the master; `Some` skips the
-    /// master's analysis (nothing per node — nodes never factor).
-    /// Ignored when `setup` is also injected — the setup already embeds
-    /// the factors.
+    /// `None` (default) factors `G` and the variant's `X1` directly —
+    /// an analysis of its own would be replayed once and dropped;
+    /// `Some` turns those factorizations into numeric replays of it
+    /// (nothing per node — nodes never factor). Either way the factors
+    /// are bitwise the same, absent an exact cancellation (see
+    /// `matex_sparse::SymbolicLu`). Ignored when `setup` is also
+    /// injected — the setup already embeds the factors.
     pub symbolic: Option<Arc<MatexSymbolic>>,
     /// A pre-built solver setup. Every run marches **all** its nodes
     /// from one shared setup (the node matrices are identical — masking
     /// only selects input columns): `None` (default) prepares it once on
-    /// the master, `Some` uses the given one (a scenario engine
+    /// the master, running its two factorizations side by side when
+    /// the run has two workers; `Some` uses the given one (a scenario engine
     /// amortizes it across runs). Must match `matex` (kind, γ) and the
     /// system, per [`MatexSetup::check`].
     pub setup: Option<Arc<MatexSetup>>,

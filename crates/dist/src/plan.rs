@@ -80,11 +80,6 @@ impl GroupPlan {
         &self.order
     }
 
-    /// The strategy the plan was derived under.
-    pub fn strategy(&self) -> GroupingStrategy {
-        self.strategy
-    }
-
     /// Verifies this plan fits a run. The source *waveforms* are the
     /// caller's contract (a scenario engine keys plans by the system's
     /// source fingerprint); the cheap invariants — source count and the
@@ -169,9 +164,16 @@ impl GroupPlan {
     /// sort-and-dedup is the identity on the already-canonical encoded
     /// data — the decoded spots are bitwise the encoded ones.
     ///
+    /// The record must end after the plan, and the plan must be one a
+    /// run can drain: at least one job, a schedule order that is a
+    /// permutation of the jobs, and every source index below the source
+    /// count in exactly one job.
+    ///
     /// # Errors
     ///
-    /// [`WireError`] on truncation or an inconsistent schedule order.
+    /// [`WireError`] on truncation, trailing bytes, an order that is not
+    /// a permutation, or sources that are out of range, repeated or left
+    /// out.
     pub fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let tag = r.u8()?;
         let k = r.usize()?;
@@ -201,10 +203,22 @@ impl GroupPlan {
         }
         let gts = SpotSet::from_times(r.f64s()?);
         let order = r.usizes()?;
-        if order.len() != jobs.len() || order.iter().any(|&i| i >= jobs.len()) {
+        if !r.is_empty() {
+            return Err(WireError::Invalid(format!(
+                "{} trailing bytes after the plan",
+                r.remaining()
+            )));
+        }
+        if jobs.is_empty() || !is_permutation(order.iter().copied(), jobs.len()) {
             return Err(WireError::Invalid(
-                "schedule order does not index the jobs".into(),
+                "schedule order is not a permutation of the jobs".into(),
             ));
+        }
+        let members = jobs.iter().flat_map(|j| j.members.iter().copied());
+        if !is_permutation(members, num_sources) {
+            return Err(WireError::Invalid(format!(
+                "jobs do not hold each of the {num_sources} sources exactly once"
+            )));
         }
         Ok(GroupPlan {
             strategy,
@@ -216,6 +230,17 @@ impl GroupPlan {
             order,
         })
     }
+}
+
+/// `true` when `indices` lists every index below `n` exactly once. The
+/// count is compared first, so `n` from a corrupt record never sizes an
+/// allocation larger than the record's own list.
+fn is_permutation(mut indices: impl Iterator<Item = usize> + Clone, n: usize) -> bool {
+    if indices.clone().count() != n {
+        return false;
+    }
+    let mut seen = vec![false; n];
+    indices.all(|i| i < n && !std::mem::replace(&mut seen[i], true))
 }
 
 /// Derives the group plan [`run_distributed`](crate::run_distributed)

@@ -5,8 +5,8 @@ use crate::schedule::{NodeMeasurement, RunStats};
 use crate::{DistError, DistributedOptions};
 use matex_circuit::MnaSystem;
 use matex_core::{
-    panic_message, CoreError, FaultKind, MatexSetup, MatexSolver, MatexSymbolic, SolveStats,
-    TransientEngine, TransientResult, TransientSpec,
+    panic_message, CoreError, FaultKind, MatexSetup, MatexSolver, SolveStats, TransientEngine,
+    TransientResult, TransientSpec,
 };
 use matex_waveform::SpotSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,7 +44,7 @@ pub struct DistributedRun {
     /// Global transition spots (union of all LTS).
     pub gts: SpotSet,
     /// Scheduling accounting: per-group predicted-vs-measured cost and
-    /// the master's analysis and preparation times.
+    /// the master's preparation time.
     pub stats: RunStats,
     /// Makespan of the pure transient phase: the *maximum* node transient
     /// time, per the paper's one-instance-per-node accounting (Table 3's
@@ -157,9 +157,13 @@ impl Superposer {
 /// subtask running a masked [`MatexSolver`] with the group's LTS against
 /// the shared immutable `sys`. The node matrices are identical —
 /// masking only selects input columns — so the master prepares **one**
-/// [`MatexSetup`] per run (the injected `opts.setup`, else one
-/// [`MatexSetup::prepare`] from the injected-or-fresh [`MatexSymbolic`])
-/// and shares it read-only with every worker: no node ever factors.
+/// [`MatexSetup`] per run and shares it read-only with every worker: no
+/// node ever factors. The setup is the injected `opts.setup`, else
+/// [`MatexSetup::prepare_with`] factors `G` and the variant's `X1`
+/// directly (replays them, with an injected `opts.symbolic`), the two
+/// side by side on a scoped thread when the run has two or more
+/// workers. The width never moves a bit: each factor is a pure function
+/// of its matrix.
 /// Subtasks are scheduled onto a scoped worker
 /// pool in longest-processing-time order (cost estimate: LTS count) and
 /// every finished node's samples are immediately superposed into the
@@ -178,11 +182,12 @@ impl Superposer {
 ///
 /// # Errors
 ///
-/// Returns [`DistError::Analyze`] when the master's analysis or
-/// preparation fails, [`DistError::Node`] carrying the first terminal
-/// node failure (retry budget exhausted; panics arrive as
-/// [`CoreError::Panicked`]), or [`DistError::Superposition`] if result
-/// grids mismatch (internal invariant violation).
+/// Returns [`DistError::Analyze`] when the master's preparation fails
+/// (`G`'s error when both factorizations do), [`DistError::Node`]
+/// carrying the first terminal node failure (retry budget exhausted;
+/// panics arrive as [`CoreError::Panicked`]), or
+/// [`DistError::Superposition`] if result grids mismatch (internal
+/// invariant violation).
 pub fn run_distributed(
     sys: &MnaSystem,
     spec: &TransientSpec,
@@ -221,34 +226,7 @@ pub fn run_distributed(
         .max(1)
         .min(jobs.len());
 
-    // One preparation per run, on the master: the matrices are identical
-    // across nodes (masking only selects input columns), so every node
-    // marches from the same factors. An injected setup is used as is; an
-    // injected analysis skips only the master's own analysis.
-    let mut analyze_time = Duration::ZERO;
-    let setup: Arc<MatexSetup> = match &opts.setup {
-        Some(shared) => shared.clone(),
-        None => {
-            let fresh;
-            let symbolic: &MatexSymbolic = match &opts.symbolic {
-                Some(shared) => shared,
-                None => {
-                    let ta = Instant::now();
-                    fresh = MatexSymbolic::analyze(sys, &opts.matex).map_err(DistError::Analyze)?;
-                    analyze_time = ta.elapsed();
-                    let obs = &opts.matex.obs;
-                    obs.record_span("dist.analyze", obs.job(), ta, analyze_time, &[]);
-                    obs.observe("dist_analyze_seconds", analyze_time);
-                    &fresh
-                }
-            };
-            let _sp = opts.matex.obs.span("dist.prepare");
-            Arc::new(
-                MatexSetup::prepare(sys, &opts.matex, Some(symbolic), false)
-                    .map_err(DistError::Analyze)?,
-            )
-        }
-    };
+    let setup = prepare(sys, opts, workers)?;
 
     // rank[job] = position in the schedule (and summation) order.
     let mut rank = vec![0usize; jobs.len()];
@@ -442,7 +420,6 @@ pub fn run_distributed(
                 combine_time: n.stats.combine_time,
             })
             .collect::<Vec<_>>(),
-        analyze_time,
         setup.factor_time(),
     );
     let emulated_transient = nodes
@@ -468,6 +445,40 @@ pub fn run_distributed(
         wall_time: wall0.elapsed(),
         node_retries,
     })
+}
+
+/// The run's one preparation, on the master: the node matrices are
+/// identical (masking only selects input columns), so every node marches
+/// from the same factors. An injected setup is used as is; otherwise `G`
+/// and the variant's `X1` are factored — or, with an injected analysis,
+/// replayed — side by side when the run holds two workers. Each factor
+/// is a pure function of its matrix, so the width never moves a bit.
+fn prepare(
+    sys: &MnaSystem,
+    opts: &DistributedOptions,
+    workers: usize,
+) -> Result<Arc<MatexSetup>, DistError> {
+    if let Some(shared) = &opts.setup {
+        return Ok(shared.clone());
+    }
+    let _sp = opts.matex.obs.span("dist.prepare");
+    let symbolic = opts.symbolic.as_deref();
+    let setup = MatexSetup::prepare_with(sys, &opts.matex, symbolic, |g, x1| {
+        if workers < 2 {
+            g();
+            x1();
+            return;
+        }
+        std::thread::scope(|scope| {
+            let x1 = scope.spawn(x1);
+            g();
+            if let Err(payload) = x1.join() {
+                std::panic::resume_unwind(payload);
+            }
+        });
+    })
+    .map_err(DistError::Analyze)?;
+    Ok(Arc::new(setup))
 }
 
 /// Runs one group's masked solver (one slave node of Fig. 4) from the
@@ -549,8 +560,8 @@ mod tests {
     #[test]
     fn a_run_prepares_once_whatever_its_group_count() {
         // 8 bump features + the supply group, and still the one
-        // preparation of a monolithic R-MATEX run: G and C + γG, both
-        // replays of the master's analysis, reported once.
+        // preparation of a monolithic R-MATEX run: G and C + γG, factored
+        // directly (no analysis that nothing reuses), reported once.
         let sys = PdnBuilder::new(8, 8)
             .num_loads(16)
             .num_features(8)
@@ -561,9 +572,8 @@ mod tests {
         let run = run_distributed(&sys, &spec, &DistributedOptions::default()).unwrap();
         assert_eq!(run.num_groups(), 9);
         assert_eq!(run.result.stats.factorizations, 2);
-        assert_eq!(run.result.stats.refactorizations, 2);
+        assert_eq!(run.result.stats.refactorizations, 0);
         assert_eq!(run.result.stats.factor_time, run.stats.prepare_time);
-        assert!(run.stats.analyze_time > Duration::ZERO);
         assert!(run.stats.prepare_time > Duration::ZERO);
         // Nodes report that same preparation (amortized), never their own.
         for node in &run.nodes {
@@ -580,6 +590,81 @@ mod tests {
         // The other counters still sum over the nodes.
         let pairs: usize = run.nodes.iter().map(|n| n.stats.substitution_pairs).sum();
         assert_eq!(run.result.stats.substitution_pairs, pairs);
+    }
+
+    fn encoded(setup: &MatexSetup) -> Vec<u8> {
+        let mut w = matex_sparse::WireWriter::new();
+        setup.wire_encode(&mut w).unwrap();
+        w.into_bytes()
+    }
+
+    #[test]
+    fn the_setup_a_run_marches_from_is_bitwise_the_sequential_preparation() {
+        // Side by side or in sequence, factored or replayed: the factors
+        // are byte for byte those of `MatexSetup::prepare`.
+        use matex_core::{KrylovKind, MatexSymbolic};
+        let sys = small_grid();
+        for kind in [KrylovKind::Rational, KrylovKind::Standard] {
+            let matex = MatexOptions::new(kind);
+            let expected = encoded(&MatexSetup::prepare(&sys, &matex, None, false).unwrap());
+            let symbolic = Arc::new(MatexSymbolic::analyze(&sys, &matex).unwrap());
+            for workers in [1, 2] {
+                for symbolic in [None, Some(symbolic.clone())] {
+                    // MEXP's regularized C has no analysis to replay.
+                    let replays = match (&symbolic, kind) {
+                        (None, _) => 0,
+                        (Some(_), KrylovKind::Rational) => 2,
+                        (Some(_), _) => 1,
+                    };
+                    let opts = DistributedOptions {
+                        matex: matex.clone(),
+                        symbolic,
+                        ..DistributedOptions::default()
+                    };
+                    let setup = prepare(&sys, &opts, workers).unwrap();
+                    let at = format!("{kind:?}, {workers} workers, {replays} replays");
+                    assert!(encoded(&setup) == expected, "{at}");
+                    assert_eq!(setup.factorizations(), 2, "{at}");
+                    assert_eq!(setup.refactorizations(), replays, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_singular_g_fails_the_preparation_at_any_width() {
+        // A node reached only through a capacitor: G is singular, while
+        // C + γG is not. The side-by-side preparation reports G's error
+        // exactly as the sequential one does. Two sources, one job each,
+        // so that two workers stay two.
+        let p = |d: f64| Waveform::Pulse(Pulse::new(0.0, 1e-3, d, 1e-11, 1e-10, 1e-11).unwrap());
+        let mut nl = Netlist::new();
+        let (a, b) = (nl.node("a"), nl.node("b"));
+        nl.add_resistor("r", a, Netlist::ground(), 1.0).unwrap();
+        nl.add_capacitor("ca", a, Netlist::ground(), 1e-12).unwrap();
+        nl.add_capacitor("cb", a, b, 1e-12).unwrap();
+        nl.add_isource("i0", Netlist::ground(), a, p(1e-10))
+            .unwrap();
+        nl.add_isource("i1", Netlist::ground(), a, p(3e-10))
+            .unwrap();
+        let sys = MnaSystem::assemble(&nl).unwrap();
+        let spec = TransientSpec::new(0.0, 1e-9, 1e-10).unwrap();
+        let sequential = MatexSetup::prepare(&sys, &MatexOptions::default(), None, false);
+        let Err(expected) = sequential else {
+            panic!("G of a capacitor-only node factored");
+        };
+        for workers in [1, 2] {
+            let opts = DistributedOptions {
+                strategy: GroupingStrategy::BySource,
+                workers: Some(workers),
+                ..DistributedOptions::default()
+            };
+            assert_eq!(crate::plan_groups(&sys, &spec, opts.strategy).num_jobs(), 2);
+            match run_distributed(&sys, &spec, &opts) {
+                Err(DistError::Analyze(e)) => assert_eq!(e, expected, "{workers} workers"),
+                other => panic!("expected the preparation's error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -717,11 +802,15 @@ mod tests {
                     "variant {k} at {workers:?} workers changed the final state"
                 );
                 assert_eq!(reference.gts.as_slice(), run.gts.as_slice());
-                // However the setup was obtained, it is reported once.
+                // However the setup was obtained, it is reported once;
+                // only an injected analysis makes it replays.
                 assert_eq!(run.result.stats.factorizations, 2, "variant {k}");
-                // Injected symbolic or setup: the master skips its analysis.
-                let analyzed = opts.symbolic.is_none() && opts.setup.is_none();
-                assert_eq!(run.stats.analyze_time > Duration::ZERO, analyzed);
+                let replays = if opts.setup.is_some() || opts.symbolic.is_some() {
+                    2
+                } else {
+                    0
+                };
+                assert_eq!(run.result.stats.refactorizations, replays, "variant {k}");
             }
         }
 
@@ -861,9 +950,9 @@ mod tests {
 
     #[test]
     fn master_records_through_the_node_recorder() {
-        // One recorder for the whole run: the master's analysis,
-        // preparation and per-dispatch spans land beside the nodes'
-        // solver phases.
+        // One recorder for the whole run: the master's preparation and
+        // per-dispatch spans land beside the nodes' solver phases. There
+        // is no analysis to record.
         let sys = small_grid();
         let spec = TransientSpec::new(0.0, 1e-9, 2e-11).unwrap();
         let opts = DistributedOptions {
@@ -877,7 +966,7 @@ mod tests {
         let run = run_distributed(&sys, &spec, &opts).unwrap();
         let trace = opts.matex.obs.chrome_trace_events();
         let spans = |name: &str| trace.matches(&format!("{{\"name\":\"{name}\"")).count();
-        assert_eq!(spans("dist.analyze"), 1);
+        assert_eq!(spans("dist.analyze"), 0);
         assert_eq!(spans("dist.prepare"), 1);
         assert_eq!(spans("dist.node"), run.num_groups());
         assert!(spans("solver.dc") >= run.num_groups(), "{trace}");

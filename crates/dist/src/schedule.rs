@@ -12,7 +12,7 @@ use std::time::Duration;
 
 /// LPT order over job costs: indices sorted by descending cost, ties
 /// broken by ascending index so the schedule is deterministic.
-pub fn lpt_order(costs: &[usize]) -> Vec<usize> {
+pub(crate) fn lpt_order(costs: &[usize]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..costs.len()).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
     order
@@ -75,20 +75,12 @@ pub struct RunStats {
     /// `max_g |predicted_share − measured_share|` — 0 means the LTS
     /// proxy ranked the work exactly like the wall clock did.
     pub proxy_max_error: f64,
-    /// Wall time of the master's symbolic analysis (zero when an
-    /// analysis or a whole setup was injected).
-    pub analyze_time: Duration,
-    /// Wall time of the run's one preparation — the factorizations every
-    /// node marches from ([`MatexSetup::factor_time`](matex_core::MatexSetup::factor_time);
+    /// Wall time of the run's one preparation — the factorizations of
+    /// `G` and the variant's `X1` every node marches from, side by side
+    /// when the run has two workers
+    /// ([`MatexSetup::factor_time`](matex_core::MatexSetup::factor_time);
     /// the amortized cost when the setup was injected).
     pub prepare_time: Duration,
-    /// Sum of the nodes' `T_H` (small-expm) wall times. Together with
-    /// [`RunStats::combine_time_total`] this rolls the paper's
-    /// `T_H`/`T_e` split up to the run level — previously the per-node
-    /// splits were measured but dropped unless the Table 3 bench ran.
-    pub expm_time_total: Duration,
-    /// Sum of the nodes' `T_e` (combination) wall times.
-    pub combine_time_total: Duration,
 }
 
 /// One node's raw scheduling measurement, fed to
@@ -108,7 +100,6 @@ impl RunStats {
     /// Builds the record from per-node measurements.
     pub(crate) fn from_measurements(
         measurements: &[NodeMeasurement],
-        analyze_time: Duration,
         prepare_time: Duration,
     ) -> RunStats {
         let total_lts: usize = measurements.iter().map(|m| m.num_lts).sum();
@@ -143,10 +134,7 @@ impl RunStats {
         RunStats {
             groups,
             proxy_max_error,
-            analyze_time,
             prepare_time,
-            expm_time_total: measurements.iter().map(|m| m.expm_time).sum(),
-            combine_time_total: measurements.iter().map(|m| m.combine_time).sum(),
         }
     }
 }
@@ -192,7 +180,7 @@ mod tests {
             m(1, 6, Duration::from_millis(50)),
             m(2, 3, Duration::from_millis(40)),
         ];
-        let stats = RunStats::from_measurements(&m, Duration::ZERO, Duration::ZERO);
+        let stats = RunStats::from_measurements(&m, Duration::ZERO);
         let p: f64 = stats.groups.iter().map(|g| g.predicted_share).sum();
         let w: f64 = stats.groups.iter().map(|g| g.measured_share).sum();
         assert!((p - 1.0).abs() < 1e-12);
@@ -201,9 +189,9 @@ mod tests {
     }
 
     #[test]
-    fn expm_and_combine_rollups_sum_per_node_splits() {
-        // Satellite: the per-node T_H/T_e measurements must survive into
-        // run-level totals. Pinned exactly — Duration sums are integral.
+    fn group_costs_carry_the_node_splits() {
+        // The per-node T_H/T_e measurements survive into the per-group
+        // records.
         let m = [
             NodeMeasurement {
                 group: 0,
@@ -220,10 +208,7 @@ mod tests {
                 combine_time: Duration::from_micros(1_300),
             },
         ];
-        let stats = RunStats::from_measurements(&m, Duration::ZERO, Duration::ZERO);
-        assert_eq!(stats.expm_time_total, Duration::from_micros(4_000));
-        assert_eq!(stats.combine_time_total, Duration::from_micros(2_000));
-        // The per-group records carry the same splits they were fed.
+        let stats = RunStats::from_measurements(&m, Duration::ZERO);
         assert_eq!(stats.groups[0].expm_time, Duration::from_micros(1_500));
         assert_eq!(stats.groups[1].combine_time, Duration::from_micros(1_300));
     }
@@ -231,7 +216,7 @@ mod tests {
     #[test]
     fn degenerate_measurements_fall_back_to_even_shares() {
         let m = [m(0, 0, Duration::ZERO), m(1, 0, Duration::ZERO)];
-        let stats = RunStats::from_measurements(&m, Duration::ZERO, Duration::ZERO);
+        let stats = RunStats::from_measurements(&m, Duration::ZERO);
         for g in &stats.groups {
             assert_eq!(g.predicted_share, 0.5);
             assert_eq!(g.measured_share, 0.5);

@@ -42,13 +42,13 @@ pub struct SpeedupModel {
 impl SpeedupModel {
     /// Modeled transient cost of the busiest distributed node:
     /// `k·m·T_bs + K·(T_H + T_e)`.
-    pub fn node_cost(&self) -> f64 {
+    fn node_cost(&self) -> f64 {
         self.lts_points as f64 * self.m * self.t_bs + self.gts_points as f64 * (self.t_h + self.t_e)
     }
 
     /// Modeled transient cost of single-node (undecomposed) MATEX:
     /// `K·(m·T_bs + T_H + T_e)`.
-    pub fn single_node_cost(&self) -> f64 {
+    fn single_node_cost(&self) -> f64 {
         self.gts_points as f64 * (self.m * self.t_bs + self.t_h + self.t_e)
     }
 

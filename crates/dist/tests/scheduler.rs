@@ -6,7 +6,7 @@
 use matex_circuit::PdnBuilder;
 use matex_core::{MatexOptions, TransientSpec};
 use matex_dist::{
-    list_schedule_makespan, lpt_order, run_distributed, DistributedOptions, DistributedRun,
+    list_schedule_makespan, plan_groups, run_distributed, DistributedOptions, DistributedRun,
 };
 use matex_waveform::GroupingStrategy;
 
@@ -61,8 +61,8 @@ fn worker_count_does_not_change_results() {
 
 /// Every node factors at most twice (G, and C + γG for R-MATEX) no
 /// matter how many transition spots it marches through — the paper's
-/// zero-refactorization contract, per node. With the shared symbolic
-/// analysis, those factorizations are numeric replays.
+/// zero-refactorization contract, per node. The run factors them
+/// directly, once, on the master: no node replays an analysis.
 #[test]
 fn per_node_factorization_budget() {
     let run = run_with(Some(2));
@@ -75,8 +75,8 @@ fn per_node_factorization_budget() {
             node.stats.factorizations
         );
         assert_eq!(
-            node.stats.refactorizations, node.stats.factorizations,
-            "group {} skipped the shared symbolic analysis",
+            node.stats.refactorizations, 0,
+            "group {} replayed an analysis",
             node.group
         );
     }
@@ -134,6 +134,14 @@ fn lts_accounting_per_node() {
     assert!(busiest < 200, "busiest node spent {busiest} pairs");
 }
 
+/// LPT order over job costs: indices by descending cost, ties on
+/// ascending index (the order `plan_groups` fixes over LTS counts).
+fn lpt_order(costs: &[usize]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
+    order
+}
+
 /// Calibration of the LPT cost proxy: schedule the *measured* wall times
 /// (uncontended, `workers = 1` run) in the order the LTS-count proxy
 /// dictates, and compare the makespan against scheduling the measured
@@ -156,6 +164,10 @@ fn lts_proxy_makespan_within_list_scheduling_bound() {
     // Measured costs in their own LPT order (descending wall time).
     let scaled: Vec<usize> = walls.iter().map(|&w| (w * 1e9) as usize).collect();
     let measured_order = lpt_order(&scaled);
+    // The run dispatched in the proxy's order.
+    let (sys, spec) = grid_and_spec();
+    let plan = plan_groups(&sys, &spec, GroupingStrategy::ByBumpFeature);
+    assert_eq!(plan.order(), proxy_order.as_slice());
     for workers in [2usize, 3, 4] {
         let proxy = list_schedule_makespan(&proxy_order, &walls, workers);
         let measured = list_schedule_makespan(&measured_order, &walls, workers);

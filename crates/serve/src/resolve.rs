@@ -123,23 +123,35 @@ impl Inner {
         Ok((setup, sym_hit, path))
     }
 
-    /// A full preparation: resolve the symbolic anchor, replay it, and
-    /// replant the anchor when its pivots did not survive.
+    /// A full preparation: resolve the symbolic anchor and replay it, or,
+    /// on a miss, take the setup from the new anchor's own recording
+    /// factorizations; replant the anchor when its pivots did not survive.
     fn prepare_cold(
         &self,
         sys: &MnaSystem,
         opts: &MatexOptions,
         keys: &Keys,
     ) -> Result<(MatexSetup, Hit), ServeError> {
-        let analyze = || MatexSymbolic::analyze(sys, opts).map_err(ServeError::from);
-        let (symbolic, mut sym_hit) = self.cache.symbolic(keys.symbolic, ANCHOR_SPAN, analyze)?;
+        let mut analyzed = None;
+        let (symbolic, mut sym_hit) = self.cache.symbolic(keys.symbolic, ANCHOR_SPAN, || {
+            let t0 = Instant::now();
+            let (symbolic, setup) = MatexSymbolic::analyze_with_setup(sys, opts)?;
+            analyzed = Some((setup, t0));
+            Ok(symbolic)
+        })?;
+        let (setup, t0) = match analyzed {
+            Some(fresh) => fresh,
+            None => {
+                let t0 = Instant::now();
+                (MatexSetup::prepare(sys, opts, Some(&symbolic), false)?, t0)
+            }
+        };
         // The engine factors here (the solver is handed the prepared
         // setup), so the solver's own factor span never fires on this
-        // path — record the equivalent span at this site instead.
-        let factor_t0 = opts.obs.is_enabled().then(Instant::now);
-        let setup = MatexSetup::prepare(sys, opts, Some(&symbolic), false)?;
-        if let Some(t0) = factor_t0 {
-            let d = t0.elapsed();
+        // path — record the equivalent span at this site instead. On a
+        // miss it covers the one pass that analyzes and factors.
+        if opts.obs.is_enabled() {
+            let d = setup.factor_time();
             opts.obs
                 .record_span("solver.factor", opts.obs.job(), t0, d, &[]);
             opts.obs.observe("solver_factor_seconds", d);
@@ -154,7 +166,7 @@ impl Inner {
             _ => 1,
         };
         if sym_hit.is_hit() && setup.refactorizations() < expected {
-            let fresh = Arc::new(analyze()?);
+            let fresh = Arc::new(MatexSymbolic::analyze(sys, opts)?);
             self.cache.plant_symbolic(keys.symbolic, fresh);
             self.counters.count(Counter::AnchorPlants, 1);
             sym_hit = Hit::Miss;

@@ -836,6 +836,16 @@ mod tests {
                 assert_eq!(a.members, b.members);
                 assert_eq!(a.lts.as_slice(), b.lts.as_slice());
             }
+            // A sealed record with a byte after the plan is a miss, as
+            // for a DC record.
+            let mut w = WireWriter::new();
+            plan.wire_encode(&mut w).unwrap();
+            let mut payload = w.into_bytes();
+            payload.push(0);
+            store
+                .save_raw(ArtifactClass::Plan, &key.fields(), &payload)
+                .unwrap();
+            assert!(store.load_plan(&key).is_none(), "strategy {strategy:?}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
