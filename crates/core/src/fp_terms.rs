@@ -45,8 +45,6 @@ pub struct IntervalTerms {
     qd: Vec<f64>,
     /// `r = G⁻¹ C qd = A⁻² s`.
     r: Vec<f64>,
-    /// Interval start.
-    t0: f64,
     /// Right-hand-side scratch (`B u`, then the slope, then `C qd`).
     rhs: Vec<f64>,
     /// Input-vector scratch (`u(t)`, one entry per source column).
@@ -64,7 +62,6 @@ impl IntervalTerms {
             q0: vec![0.0; dim],
             qd: vec![0.0; dim],
             r: vec![0.0; dim],
-            t0: 0.0,
             rhs: vec![0.0; dim],
             u: vec![0.0; num_sources],
             work: vec![0.0; dim],
@@ -72,29 +69,9 @@ impl IntervalTerms {
     }
 
     /// Computes the terms for the interval `[t0, t1]`, on which the
-    /// (masked) input must be linear. Updates substitution counters in
-    /// `stats`. Allocates the buffers once; prefer
-    /// [`IntervalTerms::new`] + [`IntervalTerms::recompute`] on hot
-    /// paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t1 <= t0`.
-    pub fn compute(
-        sys: &MnaSystem,
-        lu_g: &SparseLu,
-        input: &InputEval<'_>,
-        t0: f64,
-        t1: f64,
-        stats: &mut SolveStats,
-    ) -> IntervalTerms {
-        let mut terms = IntervalTerms::new(sys.dim(), input.num_sources());
-        terms.recompute(sys, lu_g, input, t0, t1, stats);
-        terms
-    }
-
-    /// Recomputes the terms for `[t0, t1]` in place, reusing every
-    /// buffer: zero heap allocations per invocation.
+    /// (masked) input must be linear, in place, reusing every buffer:
+    /// zero heap allocations per invocation. Updates substitution
+    /// counters in `stats`.
     ///
     /// # Panics
     ///
@@ -135,7 +112,6 @@ impl IntervalTerms {
         smw: Option<&SmwUpdate>,
     ) {
         assert!(t1 > t0, "interval must have positive length");
-        self.t0 = t0;
         let solve = |b: &[f64], out: &mut [f64], work: &mut [f64]| {
             lu_g.solve_into(b, out, work);
             if let Some(smw) = smw {
@@ -165,14 +141,8 @@ impl IntervalTerms {
         }
     }
 
-    /// `F(t0) = −q0 + r`: added to the state before projection.
-    pub fn f(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.q0.len()];
-        self.f_into(&mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`IntervalTerms::f`].
+    /// Writes `F(t0) = −q0 + r`, added to the state before projection,
+    /// into `out`.
     ///
     /// # Panics
     ///
@@ -184,18 +154,8 @@ impl IntervalTerms {
         }
     }
 
-    /// `P(t0, h) = −(q0 + h·qd) + r`: subtracted after projection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h < 0`.
-    pub fn p(&self, h: f64) -> Vec<f64> {
-        let mut out = vec![0.0; self.q0.len()];
-        self.p_into(h, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`IntervalTerms::p`].
+    /// Writes `P(t0, h) = −(q0 + h·qd) + r`, subtracted after
+    /// projection, into `out`.
     ///
     /// # Panics
     ///
@@ -206,11 +166,6 @@ impl IntervalTerms {
         for (i, o) in out.iter_mut().enumerate() {
             *o = -(self.q0[i] + h * self.qd[i]) + self.r[i];
         }
-    }
-
-    /// Interval start time.
-    pub fn t0(&self) -> f64 {
-        self.t0
     }
 }
 
@@ -232,6 +187,31 @@ mod tests {
         MnaSystem::assemble(&nl).unwrap()
     }
 
+    /// Fresh terms for `[t0, t1]`.
+    fn terms(
+        sys: &MnaSystem,
+        lu_g: &SparseLu,
+        input: &InputEval<'_>,
+        (t0, t1): (f64, f64),
+        stats: &mut SolveStats,
+    ) -> IntervalTerms {
+        let mut terms = IntervalTerms::new(sys.dim(), input.num_sources());
+        terms.recompute(sys, lu_g, input, t0, t1, stats);
+        terms
+    }
+
+    fn f(terms: &IntervalTerms) -> Vec<f64> {
+        let mut out = vec![0.0; terms.q0.len()];
+        terms.f_into(&mut out);
+        out
+    }
+
+    fn p(terms: &IntervalTerms, h: f64) -> Vec<f64> {
+        let mut out = vec![0.0; terms.q0.len()];
+        terms.p_into(h, &mut out);
+        out
+    }
+
     #[test]
     fn steady_state_identity() {
         // For constant input: F = -q0 and P(h) = -q0, and the DC solution
@@ -246,9 +226,9 @@ mod tests {
         let lu_g = SparseLu::factor(sys.g(), &LuOptions::default()).unwrap();
         let input = InputEval::new(&sys);
         let mut stats = SolveStats::default();
-        let terms = IntervalTerms::compute(&sys, &lu_g, &input, 0.0, 1e-9, &mut stats);
+        let terms = terms(&sys, &lu_g, &input, (0.0, 1e-9), &mut stats);
         let x_dc = lu_g.solve(&input.bu_at(0.0));
-        let f = terms.f();
+        let f = f(&terms);
         for i in 0..sys.dim() {
             assert!((x_dc[i] + f[i]).abs() < 1e-15, "steady-state v != 0");
         }
@@ -265,7 +245,7 @@ mod tests {
         let input = InputEval::new(&sys);
         let mut stats = SolveStats::default();
         let (t0, t1) = (2e-10, 6e-10); // inside the 0..1ns ramp
-        let terms = IntervalTerms::compute(&sys, &lu_g, &input, t0, t1, &mut stats);
+        let terms = terms(&sys, &lu_g, &input, (t0, t1), &mut stats);
         assert_eq!(stats.substitution_pairs, 3);
         // Manual computation.
         let bu0 = input.bu_at(t0);
@@ -278,12 +258,12 @@ mod tests {
             .collect();
         let qd = lu_g.solve(&udot);
         let r = lu_g.solve(&sys.c().matvec(&qd));
-        let f = terms.f();
+        let f = f(&terms);
         for i in 0..sys.dim() {
             assert!((f[i] - (-q0[i] + r[i])).abs() < 1e-18);
         }
         let h = 1e-10;
-        let p = terms.p(h);
+        let p = p(&terms, h);
         for i in 0..sys.dim() {
             assert!((p[i] - (-(q0[i] + h * qd[i]) + r[i])).abs() < 1e-18);
         }
@@ -292,7 +272,7 @@ mod tests {
     #[test]
     fn recompute_matches_fresh_compute() {
         // One struct recomputed across intervals (incl. a zero-slope one)
-        // gives exactly the same terms as freshly computed ones.
+        // gives exactly the same terms as freshly built ones.
         let sys = rc();
         let lu_g = SparseLu::factor(sys.g(), &LuOptions::default()).unwrap();
         let input = InputEval::new(&sys);
@@ -300,25 +280,10 @@ mod tests {
         let mut reused = IntervalTerms::new(sys.dim(), input.num_sources());
         for (t0, t1) in [(0.0, 4e-10), (4e-10, 1e-9), (2.5e-9, 3e-9)] {
             reused.recompute(&sys, &lu_g, &input, t0, t1, &mut stats);
-            let fresh = IntervalTerms::compute(&sys, &lu_g, &input, t0, t1, &mut stats);
-            assert_eq!(reused.f(), fresh.f());
-            assert_eq!(reused.p(7e-11), fresh.p(7e-11));
-            assert_eq!(reused.t0(), fresh.t0());
+            let fresh = terms(&sys, &lu_g, &input, (t0, t1), &mut stats);
+            assert_eq!(f(&reused), f(&fresh));
+            assert_eq!(p(&reused, 7e-11), p(&fresh, 7e-11));
         }
-    }
-
-    #[test]
-    fn into_variants_match_allocating_ones() {
-        let sys = rc();
-        let lu_g = SparseLu::factor(sys.g(), &LuOptions::default()).unwrap();
-        let input = InputEval::new(&sys);
-        let mut stats = SolveStats::default();
-        let terms = IntervalTerms::compute(&sys, &lu_g, &input, 1e-10, 6e-10, &mut stats);
-        let mut buf = vec![0.0; sys.dim()];
-        terms.f_into(&mut buf);
-        assert_eq!(buf, terms.f());
-        terms.p_into(3e-11, &mut buf);
-        assert_eq!(buf, terms.p(3e-11));
     }
 
     #[test]
@@ -328,7 +293,7 @@ mod tests {
         let lu_g = SparseLu::factor(sys.g(), &LuOptions::default()).unwrap();
         let input = InputEval::new(&sys);
         let mut stats = SolveStats::default();
-        let terms = IntervalTerms::compute(&sys, &lu_g, &input, 0.0, 1e-9, &mut stats);
-        let _ = terms.p(-1.0);
+        let terms = terms(&sys, &lu_g, &input, (0.0, 1e-9), &mut stats);
+        let _ = p(&terms, -1.0);
     }
 }

@@ -13,6 +13,16 @@
 //!   inserts pseudo-anchors (sub-steps) and rebuilds — the adaptive
 //!   stepping of Alg. 2, still with the original factorization.
 //!
+//! [`MatexSolver::run`] prepares (fault check, LTS, factors, DC, the
+//! variant's operator) and then drives a private `March`, which holds
+//! everything the loop updates: the anchor, the window's input terms and
+//! basis, the recorder, the counters and the scratch. Every point the
+//! march reaches — a batch of snapshots, a steady-state point
+//! (`x + F = 0`), a ladder rung, the best-effort value of an exhausted
+//! sub-step search — is landed by one helper as `x = V·w − P(h)` and, if
+//! it is not a pseudo-anchor, accepted by one method, the only place
+//! that records a point and moves the window.
+//!
 //! In distributed mode ([`MatexSolver::with_source_mask`] +
 //! [`MatexSolver::with_lts`]) the solver becomes one slave node of the
 //! paper's Fig. 4: it simulates only its source group but evaluates on the
@@ -31,8 +41,9 @@ use matex_krylov::{
     RationalOp, SnapshotEvaluator, StandardOp,
 };
 use matex_waveform::SpotSet;
+use std::ops::Range;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Options for the MATEX solver.
 #[derive(Debug, Clone)]
@@ -147,7 +158,8 @@ impl MatexSolver {
     }
 
     /// Restricts the active sources to the listed `B` columns
-    /// (superposition subtask mode).
+    /// (superposition subtask mode). A run whose mask names a column
+    /// past the system's sources fails with [`CoreError::InvalidSpec`].
     pub fn with_source_mask(mut self, members: Vec<usize>) -> Self {
         self.mask = Some(members);
         self
@@ -202,21 +214,12 @@ impl MatexSolver {
     pub fn options(&self) -> &MatexOptions {
         &self.opts
     }
-}
 
-/// Owns whichever matrices the variant needs, so the operator can borrow.
-enum OpHolder<'a> {
-    Std(StandardOp<'a>),
-    Inv(InvertedOp<'a>),
-    Rat(RationalOp<'a>),
-}
-
-impl OpHolder<'_> {
-    fn as_op(&self) -> &dyn KrylovOp {
-        match self {
-            OpHolder::Std(o) => o,
-            OpHolder::Inv(o) => o,
-            OpHolder::Rat(o) => o,
+    /// The run's input, restricted to the source mask if one is set.
+    fn input<'a>(&'a self, sys: &'a MnaSystem) -> InputEval<'a> {
+        match &self.mask {
+            None => InputEval::new(sys),
+            Some(m) => InputEval::masked(sys, m),
         }
     }
 }
@@ -237,10 +240,14 @@ impl TransientEngine for MatexSolver {
             None => {}
         }
         let mut stats = SolveStats::default();
-        let input = match &self.mask {
-            None => InputEval::new(sys),
-            Some(m) => InputEval::masked(sys, m),
-        };
+        let mask = self.mask.as_deref().unwrap_or_default();
+        if let Some(c) = mask.iter().find(|&&c| c >= sys.num_sources()) {
+            return Err(CoreError::InvalidSpec(format!(
+                "source mask names column {c}, system has {} sources",
+                sys.num_sources()
+            )));
+        }
+        let input = self.input(sys);
         let t_start = spec.t_start();
         let t_stop = spec.t_stop();
 
@@ -282,7 +289,6 @@ impl TransientEngine for MatexSolver {
         self.opts
             .obs
             .observe("solver_factor_seconds", stats.factor_time);
-        let lu_g = setup.lu_g();
 
         // --- DC initial condition, unless a cached one was injected.
         let t0 = Instant::now();
@@ -311,20 +317,20 @@ impl TransientEngine for MatexSolver {
             self.opts.obs.observe("solver_dc_seconds", stats.dc_time);
         }
 
-        let op_holder = match self.opts.kind {
+        let op: Box<dyn KrylovOp + '_> = match self.opts.kind {
             KrylovKind::Standard => {
                 let mut op = StandardOp::new(setup.lu_x1().expect("lu(C) present"), sys.g());
                 if let Some(smw) = setup.smw_x1() {
                     op = op.with_correction(smw);
                 }
-                OpHolder::Std(op)
+                Box::new(op)
             }
             KrylovKind::Inverted => {
-                let mut op = InvertedOp::new(lu_g, sys.c());
+                let mut op = InvertedOp::new(setup.lu_g(), sys.c());
                 if let Some(smw) = setup.smw_g() {
                     op = op.with_correction(smw);
                 }
-                OpHolder::Inv(op)
+                Box::new(op)
             }
             KrylovKind::Rational => {
                 let mut op = RationalOp::new(
@@ -335,343 +341,30 @@ impl TransientEngine for MatexSolver {
                 if let Some(smw) = setup.smw_x1() {
                     op = op.with_correction(smw);
                 }
-                OpHolder::Rat(op)
+                Box::new(op)
             }
         };
-        let op = op_holder.as_op();
 
         let (times, sample_at) = eval_grid(spec, &lts);
-
         let tt = Instant::now();
-        let mut rec = Recorder::new(spec, sys.dim())?;
-        ensure_finite(t_start, &x0)?;
-        rec.record(0, &x0);
-
-        let n = sys.dim();
-        let mut anchor_t = t_start;
-        let mut anchor_x = x0;
-        let mut win_end = next_window_end(&lts, anchor_t, t_stop);
-        // Persistent input terms + scratch: the substitution hot path is
-        // allocation-free after this point (see fp_terms.rs).
-        let mut terms = IntervalTerms::new(n, input.num_sources());
-        let mut terms_valid = false;
-        let mut fbuf = vec![0.0; n];
-        let mut pbuf = vec![0.0; n];
-        let mut v = vec![0.0; n];
-        let mut basis: Option<KrylovBasis> = None;
-        let mut x_final = anchor_x.clone();
-        // Batched snapshot evaluation: one weight batch (`T_H`) and one
-        // tiled combination (`T_e`) cover every eval time of a window;
-        // the evaluator owns all scratch, so the whole eval path is
-        // allocation-free after warm-up (see tests/alloc_free.rs).
-        let mut evaluator = SnapshotEvaluator::new();
-        let mut hs_batch: Vec<f64> = Vec::new();
-        let mut xbatch: Vec<f64> = Vec::new();
-        let mut t_expm = Duration::ZERO;
-        let mut t_comb = Duration::ZERO;
-        let s_cap = self.opts.max_substeps.max(1);
-
-        let mut idx = 0usize;
-        // Ladder re-anchors spent on the current eval point (the legacy
-        // per-point sub-step budget).
-        let mut rounds = 0usize;
-        // Batch width, doubling after each fully accepted chunk and
-        // resetting on any rejection or anchor change: an all-pass
-        // window quickly amortizes to wide combinations, while a
-        // window that sub-steps never wastes more than half of its
-        // evaluated prefix on to-be-discarded weight columns.
-        let mut chunk_size = 1usize;
+        let mut march = March::new(self, sys, setup, op, lts, spec, x0)?;
+        let mut idx = 0;
         while idx < times.len() {
             // Cooperative cancellation: give up between steps, never
             // inside one, so leases and caches unwind cleanly.
             if self.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
                 return Err(CoreError::Cancelled);
             }
-            let te = times[idx];
-            if te <= anchor_t + 1e-30 || te <= t_start {
-                idx += 1;
-                rounds = 0;
-                continue;
-            }
-            let h = te - anchor_t;
-            if !terms_valid {
-                terms.recompute_corrected(
-                    sys,
-                    lu_g,
-                    &input,
-                    anchor_t,
-                    win_end,
-                    &mut stats,
-                    setup.smw_g(),
-                );
-                terms_valid = true;
-            }
-            // v = x(anchor) + F(anchor)
-            terms.f_into(&mut fbuf);
-            for ((vi, x), f) in v.iter_mut().zip(&anchor_x).zip(&fbuf) {
-                *vi = x + f;
-            }
-            if norm2(&v) == 0.0 {
-                // Pure steady state: x(t+h) = −P(h).
-                terms.p_into(h, &mut pbuf);
-                xbatch.resize(n, 0.0);
-                for (x, q) in xbatch.iter_mut().zip(&pbuf) {
-                    *x = -q;
-                }
-                accept_point(
-                    te,
-                    sample_at[idx],
-                    &xbatch[..n],
-                    &mut rec,
-                    &mut x_final,
-                    &mut stats,
-                    &lts,
-                    t_stop,
-                    &mut anchor_t,
-                    &mut anchor_x,
-                    &mut win_end,
-                    &mut terms_valid,
-                    &mut basis,
-                )?;
-                idx += 1;
-                rounds = 0;
-                continue;
-            }
-            if basis.is_none() {
-                // Build for the current target and the window end, so
-                // snapshot reuse across the window holds; also check
-                // intermediate offsets — on stiff systems the
-                // residual at the window end underflows (all modes
-                // decayed) while mid-window it is still large.
-                let hw = (win_end - anchor_t).max(h);
-                let checks = [h, hw, hw / 8.0, hw / 64.0];
-                let arnoldi_span = self.opts.obs.span("solver.arnoldi");
-                let built = build_basis_multi(op, &v, &checks, &self.opts.expm);
-                drop(arnoldi_span);
-                let outcome = match built {
-                    Ok(o) => o,
-                    Err(KrylovError::ZeroStartVector) => {
-                        terms.p_into(h, &mut pbuf);
-                        xbatch.resize(n, 0.0);
-                        for (x, q) in xbatch.iter_mut().zip(&pbuf) {
-                            *x = -q;
-                        }
-                        accept_point(
-                            te,
-                            sample_at[idx],
-                            &xbatch[..n],
-                            &mut rec,
-                            &mut x_final,
-                            &mut stats,
-                            &lts,
-                            t_stop,
-                            &mut anchor_t,
-                            &mut anchor_x,
-                            &mut win_end,
-                            &mut terms_valid,
-                            &mut basis,
-                        )?;
-                        idx += 1;
-                        rounds = 0;
-                        continue;
-                    }
-                    Err(e) => return Err(e.into()),
-                };
-                stats.krylov_bases += 1;
-                stats.krylov_dim_sum += outcome.basis.m();
-                stats.krylov_dim_peak = stats.krylov_dim_peak.max(outcome.basis.m());
-                stats.substitution_pairs += outcome.substitutions;
-                basis = Some(outcome.basis);
-            }
-            let b = basis.as_ref().expect("basis present");
-            let tol_abs = self.opts.expm.tol * b.beta();
-
-            // Batch every eval time of the current window: they all
-            // evaluate from the same anchor, so one weight batch + one
-            // tiled combination covers them. A non-finite projected
-            // exponential (overflow from a sign-flipped Ritz artifact at
-            // long reuse distances) surfaces as an ∞ estimate: force
-            // sub-stepping, exactly like the per-call path did.
-            hs_batch.clear();
-            let mut jend = idx;
-            while jend < times.len()
-                && hs_batch.len() < chunk_size
-                && times[jend] <= win_end * (1.0 + 1e-12)
-            {
-                hs_batch.push(times[jend] - anchor_t);
-                jend += 1;
-            }
-            if hs_batch.is_empty() {
-                hs_batch.push(h);
-            }
-            let t0 = Instant::now();
-            evaluator.weights_many(b, &hs_batch)?;
-            t_expm += t0.elapsed();
-            stats.expm_evals += hs_batch.len();
-            let accepted = evaluator
-                .estimates()
-                .iter()
-                .take_while(|&&e| e <= tol_abs)
-                .count();
-            if accepted > 0 {
-                let t0 = Instant::now();
-                xbatch.resize(accepted * n, 0.0);
-                evaluator.combine_into(b, accepted, None, &mut xbatch);
-                for j in 0..accepted {
-                    terms.p_into(hs_batch[j], &mut pbuf);
-                    for (x, p) in xbatch[j * n..(j + 1) * n].iter_mut().zip(&pbuf) {
-                        *x -= p;
-                    }
-                }
-                for j in 0..accepted {
-                    accept_point(
-                        times[idx + j],
-                        sample_at[idx + j],
-                        &xbatch[j * n..(j + 1) * n],
-                        &mut rec,
-                        &mut x_final,
-                        &mut stats,
-                        &lts,
-                        t_stop,
-                        &mut anchor_t,
-                        &mut anchor_x,
-                        &mut win_end,
-                        &mut terms_valid,
-                        &mut basis,
-                    )?;
-                }
-                t_comb += t0.elapsed();
-                idx += accepted;
-                rounds = 0;
-                if accepted == hs_batch.len() {
-                    chunk_size = if basis.is_none() {
-                        1 // window advanced: the next window starts cautious
-                    } else {
-                        (chunk_size * 2).min(MAX_BATCH)
-                    };
-                    continue;
-                }
-            }
-            chunk_size = 1;
-
-            // First rejected time: one squaring ladder replaces the
-            // legacy halving retry loop — its intermediates are exactly
-            // the exponentials at the halved trial distances.
-            let te_f = times[idx];
-            let h_f = te_f - anchor_t;
-            let b = basis.as_ref().expect("basis survives a partial batch");
-            // With the per-point budget exhausted, skip straight to the
-            // best-effort acceptance (rung = None) instead of laddering.
-            // Depths are staged (shallow first): the common shallow
-            // sub-step finds its rung for a handful of squarings, and
-            // only a genuinely stiff rejection pays the full ladder.
-            let mut rung = None;
-            if rounds < s_cap {
-                let t0 = Instant::now();
-                for depth in [4usize, 12, s_cap] {
-                    let depth = depth.min(s_cap);
-                    evaluator.eval_ladder(b, h_f, depth, tol_abs)?;
-                    stats.expm_evals += 1;
-                    rung = evaluator.best_rung(tol_abs);
-                    if rung.is_some() || depth == s_cap {
-                        break;
-                    }
-                }
-                let d = t0.elapsed();
-                t_expm += d;
-                self.opts
-                    .obs
-                    .record_span("solver.expm_ladder", self.opts.obs.job(), t0, d, &[]);
-            }
-            match rung {
-                Some(0) => {
-                    // The ladder's own full-step value passes: accept it.
-                    let t0 = Instant::now();
-                    xbatch.resize(n, 0.0);
-                    evaluator.combine_rung(b, 0, None, &mut xbatch[..n]);
-                    terms.p_into(h_f, &mut pbuf);
-                    for (x, p) in xbatch[..n].iter_mut().zip(&pbuf) {
-                        *x -= p;
-                    }
-                    accept_point(
-                        te_f,
-                        sample_at[idx],
-                        &xbatch[..n],
-                        &mut rec,
-                        &mut x_final,
-                        &mut stats,
-                        &lts,
-                        t_stop,
-                        &mut anchor_t,
-                        &mut anchor_x,
-                        &mut win_end,
-                        &mut terms_valid,
-                        &mut basis,
-                    )?;
-                    t_comb += t0.elapsed();
-                    idx += 1;
-                    rounds = 0;
-                }
-                Some(s) => {
-                    // Re-anchor at the longest passing rung h/2^s (a
-                    // pseudo-anchor of Alg. 2) and rebuild there.
-                    let hs = h_f * 0.5_f64.powi(s as i32);
-                    let t0 = Instant::now();
-                    xbatch.resize(n, 0.0);
-                    evaluator.combine_rung(b, s, None, &mut xbatch[..n]);
-                    terms.p_into(hs, &mut pbuf);
-                    for (x, p) in xbatch[..n].iter_mut().zip(&pbuf) {
-                        *x -= p;
-                    }
-                    t_comb += t0.elapsed();
-                    anchor_t += hs;
-                    anchor_x.copy_from_slice(&xbatch[..n]);
-                    basis = None;
-                    terms_valid = false;
-                    stats.substeps += s;
-                    rounds += 1;
-                }
-                None => {
-                    // No rung passed (or the per-point budget ran out):
-                    // accept the best-effort full-step value, or fail
-                    // hard if it never went finite — legacy semantics.
-                    let batch_col = accepted;
-                    if !evaluator.estimates()[batch_col].is_finite() {
-                        return Err(CoreError::Krylov(KrylovError::Dense(
-                            matex_dense::DenseError::NotFinite,
-                        )));
-                    }
-                    let t0 = Instant::now();
-                    xbatch.resize(n, 0.0);
-                    evaluator.combine_one(b, batch_col, None, &mut xbatch[..n]);
-                    terms.p_into(h_f, &mut pbuf);
-                    for (x, p) in xbatch[..n].iter_mut().zip(&pbuf) {
-                        *x -= p;
-                    }
-                    accept_point(
-                        te_f,
-                        sample_at[idx],
-                        &xbatch[..n],
-                        &mut rec,
-                        &mut x_final,
-                        &mut stats,
-                        &lts,
-                        t_stop,
-                        &mut anchor_t,
-                        &mut anchor_x,
-                        &mut win_end,
-                        &mut terms_valid,
-                        &mut basis,
-                    )?;
-                    t_comb += t0.elapsed();
-                    idx += 1;
-                    rounds = 0;
-                }
-            }
+            idx += march.step(&times[idx..], &sample_at[idx..])?;
         }
+        let March {
+            rec,
+            x_final,
+            stats: march_stats,
+            ..
+        } = march;
+        stats.absorb(&march_stats);
         stats.transient_time = tt.elapsed();
-        stats.expm_time = t_expm;
-        stats.combine_time = t_comb;
         // Formalize the paper's cost split on the timeline and the
         // metrics page: `T_H` (Krylov weights + ladder) vs `T_e`
         // (snapshot combination) vs the one-time factorization. The
@@ -687,11 +380,17 @@ impl TransientEngine for MatexSolver {
                 stats.transient_time,
                 &[("variant", self.opts.kind.label())],
             );
-            obs.record_span("solver.expm", job, tt, t_expm, &[("phase", "T_H")]);
-            obs.record_span("solver.combine", job, tt, t_comb, &[("phase", "T_e")]);
+            obs.record_span("solver.expm", job, tt, stats.expm_time, &[("phase", "T_H")]);
+            obs.record_span(
+                "solver.combine",
+                job,
+                tt,
+                stats.combine_time,
+                &[("phase", "T_e")],
+            );
             obs.observe("solver_transient_seconds", stats.transient_time);
-            obs.observe("solver_expm_seconds", t_expm);
-            obs.observe("solver_combine_seconds", t_comb);
+            obs.observe("solver_expm_seconds", stats.expm_time);
+            obs.observe("solver_combine_seconds", stats.combine_time);
             obs.add("solver_runs_total", 1);
             obs.add("solver_krylov_bases_total", stats.krylov_bases as u64);
         }
@@ -732,42 +431,348 @@ fn eval_grid(spec: &TransientSpec, lts: &SpotSet) -> (Vec<f64>, Vec<Option<usize
     (times, sample_at)
 }
 
-/// Acceptance bookkeeping shared by every evaluation path: counts the
-/// step, records the value if the point is an output sample, tracks the
-/// final state, and advances the window when the accepted point is a
-/// local transition spot or the window end (a new Krylov subspace is
-/// required there — the input slope changes). A non-finite state fails
-/// the run with [`CoreError::NotFinite`] before anything is recorded.
-#[allow(clippy::too_many_arguments)]
-fn accept_point(
-    te: f64,
-    sample: Option<usize>,
-    x_te: &[f64],
-    rec: &mut Recorder,
-    x_final: &mut [f64],
-    stats: &mut SolveStats,
-    lts: &SpotSet,
+/// The weights `w` a landing `x = V·w − P(h)` combines.
+enum Weights {
+    /// No weights: `v = x + F` is zero, so the state is `−P(h)` alone.
+    Steady(f64),
+    /// These columns of the last batch, each at its own step.
+    Batch(Range<usize>),
+    /// Rung `s` of the last ladder, at the step `h/2^s` given.
+    Rung(usize, f64),
+}
+
+/// One run's march over its evaluation grid (Alg. 2). Everything the
+/// march updates lives here: the anchor every point is evaluated from,
+/// the input window's terms and Krylov basis, the output recorder, the
+/// counters and the evaluation scratch. `step` lands points with
+/// [`March::land`] and accepts them with [`March::accept`], the one
+/// place a point is recorded.
+struct March<'a> {
+    sys: &'a MnaSystem,
+    setup: &'a MatexSetup,
+    input: InputEval<'a>,
+    op: Box<dyn KrylovOp + 'a>,
+    opts: &'a MatexOptions,
+    lts: SpotSet,
+    t_start: f64,
     t_stop: f64,
-    anchor_t: &mut f64,
-    anchor_x: &mut [f64],
-    win_end: &mut f64,
-    terms_valid: &mut bool,
-    basis: &mut Option<KrylovBasis>,
-) -> Result<(), CoreError> {
-    ensure_finite(te, x_te)?;
-    stats.steps += 1;
-    if let Some(k) = sample {
-        rec.record(k, x_te);
+    /// The point every evaluation starts from: the run start, the last
+    /// window boundary, or a pseudo-anchor.
+    anchor_t: f64,
+    anchor_x: Vec<f64>,
+    /// End of the input-linearity window the anchor opens.
+    win_end: f64,
+    /// `F` and `P` of `[anchor_t, win_end]`, valid until the anchor
+    /// moves. They and the scratch below keep the march allocation-free
+    /// after warm-up (see fp_terms.rs and tests/alloc_free.rs).
+    terms: IntervalTerms,
+    terms_valid: bool,
+    /// The subspace built at the anchor, reused for every point of the
+    /// window until the anchor moves.
+    basis: Option<KrylovBasis>,
+    rec: Recorder,
+    x_final: Vec<f64>,
+    /// The march's own costs; `run` adds them to the preparation's.
+    stats: SolveStats,
+    /// Batched snapshot evaluation: one weight batch (`T_H`) and one
+    /// tiled combination (`T_e`) cover every eval time of a window.
+    evaluator: SnapshotEvaluator,
+    /// The current batch's steps from the anchor.
+    hs: Vec<f64>,
+    /// Landed states, one `n`-column per landed step.
+    xs: Vec<f64>,
+    /// `v = x + F`, the start vector of a basis.
+    v: Vec<f64>,
+    /// `P(h)` of the step being landed.
+    p: Vec<f64>,
+    /// Batch width, doubling after each fully accepted chunk and
+    /// resetting on any rejection or anchor change: an all-pass window
+    /// quickly amortizes to wide combinations, while a window that
+    /// sub-steps never wastes more than half of its evaluated prefix on
+    /// to-be-discarded weight columns.
+    chunk: usize,
+    /// Ladder re-anchors spent on the current eval point, at most
+    /// `max_substeps`.
+    rounds: usize,
+}
+
+impl<'a> March<'a> {
+    /// Starts `solver`'s march at the run's start state `x0`, recorded
+    /// as sample 0.
+    fn new(
+        solver: &'a MatexSolver,
+        sys: &'a MnaSystem,
+        setup: &'a MatexSetup,
+        op: Box<dyn KrylovOp + 'a>,
+        lts: SpotSet,
+        spec: &TransientSpec,
+        x0: Vec<f64>,
+    ) -> Result<Self, CoreError> {
+        let n = sys.dim();
+        let (t_start, t_stop) = (spec.t_start(), spec.t_stop());
+        let mut rec = Recorder::new(spec, n)?;
+        ensure_finite(t_start, &x0)?;
+        rec.record(0, &x0);
+        Ok(March {
+            sys,
+            setup,
+            terms: IntervalTerms::new(n, sys.num_sources()),
+            input: solver.input(sys),
+            op,
+            opts: &solver.opts,
+            win_end: next_window_end(&lts, t_start, t_stop),
+            lts,
+            t_start,
+            t_stop,
+            anchor_t: t_start,
+            x_final: x0.clone(),
+            anchor_x: x0,
+            terms_valid: false,
+            basis: None,
+            rec,
+            stats: SolveStats::default(),
+            evaluator: SnapshotEvaluator::new(),
+            hs: Vec::new(),
+            xs: Vec::new(),
+            v: vec![0.0; n],
+            p: vec![0.0; n],
+            chunk: 1,
+            rounds: 0,
+        })
     }
-    x_final.copy_from_slice(x_te);
-    if lts.contains(te) || te >= *win_end * (1.0 - 1e-12) {
-        *anchor_t = te;
-        anchor_x.copy_from_slice(x_te);
-        *terms_valid = false;
-        *basis = None;
-        *win_end = next_window_end(lts, te, t_stop);
+
+    /// Advances from the anchor towards the grid points `times` (with
+    /// their sample indices): accepts a batch of them, or sub-steps to
+    /// a pseudo-anchor short of the first. Returns how many of them it
+    /// accepted (or skipped, when already behind the anchor).
+    fn step(&mut self, times: &[f64], samples: &[Option<usize>]) -> Result<usize, CoreError> {
+        let te = times[0];
+        if te <= self.anchor_t + 1e-30 || te <= self.t_start {
+            self.rounds = 0;
+            return Ok(1);
+        }
+        let h = te - self.anchor_t;
+        if !self.terms_valid {
+            self.terms.recompute_corrected(
+                self.sys,
+                self.setup.lu_g(),
+                &self.input,
+                self.anchor_t,
+                self.win_end,
+                &mut self.stats,
+                self.setup.smw_g(),
+            );
+            self.terms_valid = true;
+        }
+        if self.basis.is_none() {
+            // v = x(anchor) + F(anchor). The basis goes whenever the
+            // anchor or the terms change, so v only changes here.
+            self.terms.f_into(&mut self.v);
+            for (v, x) in self.v.iter_mut().zip(&self.anchor_x) {
+                *v += x;
+            }
+            if norm2(&self.v) == 0.0 {
+                // Pure steady state: x(t+h) = −P(h).
+                self.land(Weights::Steady(h));
+                self.accept(te, samples[0], 0)?;
+                self.rounds = 0;
+                return Ok(1);
+            }
+            // Build for the current target and the window end, so
+            // snapshot reuse across the window holds; also check
+            // intermediate offsets — on stiff systems the residual at
+            // the window end underflows (all modes decayed) while
+            // mid-window it is still large.
+            let hw = (self.win_end - self.anchor_t).max(h);
+            let checks = [h, hw, hw / 8.0, hw / 64.0];
+            let arnoldi_span = self.opts.obs.span("solver.arnoldi");
+            let built = build_basis_multi(&*self.op, &self.v, &checks, &self.opts.expm);
+            drop(arnoldi_span);
+            let outcome = built?;
+            self.stats.krylov_bases += 1;
+            self.stats.krylov_dim_sum += outcome.basis.m();
+            self.stats.krylov_dim_peak = self.stats.krylov_dim_peak.max(outcome.basis.m());
+            self.stats.substitution_pairs += outcome.substitutions;
+            self.basis = Some(outcome.basis);
+        }
+        let b = self.basis.as_ref().expect("basis present");
+        let tol_abs = self.opts.expm.tol * b.beta();
+
+        // Batch every eval time of the current window: they all
+        // evaluate from the same anchor, so one weight batch + one tiled
+        // combination covers them. A non-finite projected exponential
+        // (overflow from a sign-flipped Ritz artifact at long reuse
+        // distances) surfaces as an ∞ estimate: force sub-stepping.
+        let last = self.win_end * (1.0 + 1e-12);
+        let window = times.iter().take(self.chunk).take_while(|&&t| t <= last);
+        self.hs.clear();
+        self.hs.extend(window.map(|t| t - self.anchor_t));
+        if self.hs.is_empty() {
+            self.hs.push(h);
+        }
+        let t0 = Instant::now();
+        self.evaluator.weights_many(b, &self.hs)?;
+        self.stats.expm_time += t0.elapsed();
+        self.stats.expm_evals += self.hs.len();
+        let accepted = self
+            .evaluator
+            .estimates()
+            .iter()
+            .take_while(|&&e| e <= tol_abs)
+            .count();
+        if accepted > 0 {
+            let t0 = Instant::now();
+            self.land(Weights::Batch(0..accepted));
+            for j in 0..accepted {
+                self.accept(times[j], samples[j], j)?;
+            }
+            self.stats.combine_time += t0.elapsed();
+            self.rounds = 0;
+            if accepted == self.hs.len() {
+                self.chunk = if self.basis.is_none() {
+                    1 // window advanced: the next window starts cautious
+                } else {
+                    (self.chunk * 2).min(MAX_BATCH)
+                };
+                return Ok(accepted);
+            }
+        }
+        self.chunk = 1;
+
+        // First rejected time: one squaring ladder, whose intermediates
+        // are exactly the exponentials at the halved trial distances.
+        let te_f = times[accepted];
+        let h_f = te_f - self.anchor_t;
+        let b = self.basis.as_ref().expect("basis survives a partial batch");
+        // With the per-point budget exhausted, skip straight to the
+        // best-effort acceptance (rung = None) instead of laddering.
+        // Depths are staged (shallow first): the common shallow sub-step
+        // finds its rung for a handful of squarings, and only a
+        // genuinely stiff rejection pays the full ladder.
+        let s_cap = self.opts.max_substeps.max(1);
+        let mut rung = None;
+        if self.rounds < s_cap {
+            let t0 = Instant::now();
+            for depth in [4usize, 12, s_cap] {
+                let depth = depth.min(s_cap);
+                self.evaluator.eval_ladder(b, h_f, depth, tol_abs)?;
+                self.stats.expm_evals += 1;
+                rung = self.evaluator.best_rung(tol_abs);
+                if rung.is_some() || depth == s_cap {
+                    break;
+                }
+            }
+            let d = t0.elapsed();
+            self.stats.expm_time += d;
+            let obs = &self.opts.obs;
+            obs.record_span("solver.expm_ladder", obs.job(), t0, d, &[]);
+        }
+        let t0 = Instant::now();
+        match rung {
+            // The ladder's own full-step value passes: accept it.
+            Some(0) => self.land(Weights::Rung(0, h_f)),
+            Some(s) => {
+                // Re-anchor at the longest passing rung h/2^s (a
+                // pseudo-anchor of Alg. 2) and rebuild there.
+                let hs = h_f * 0.5_f64.powi(s as i32);
+                self.land(Weights::Rung(s, hs));
+                self.stats.combine_time += t0.elapsed();
+                self.move_anchor(self.anchor_t + hs, 0);
+                self.stats.substeps += s;
+                self.rounds += 1;
+                return Ok(accepted);
+            }
+            None => {
+                // No rung passed (or the per-point budget ran out):
+                // accept the best-effort full-step value, or fail if it
+                // never went finite.
+                if !self.evaluator.estimates()[accepted].is_finite() {
+                    return Err(CoreError::Krylov(KrylovError::Dense(
+                        matex_dense::DenseError::NotFinite,
+                    )));
+                }
+                self.stats.best_effort_steps += 1;
+                self.land(Weights::Batch(accepted..accepted + 1));
+            }
+        }
+        self.accept(te_f, samples[accepted], 0)?;
+        self.stats.combine_time += t0.elapsed();
+        self.rounds = 0;
+        Ok(accepted + 1)
     }
-    Ok(())
+
+    /// Lands `x = V·w − P(h)` for each step of `w`, column `j` of the
+    /// staging buffer holding the `j`-th.
+    fn land(&mut self, w: Weights) {
+        let n = self.anchor_x.len();
+        let b = self.basis.as_ref();
+        let k = match &w {
+            Weights::Steady(_) => {
+                // No basis term: from −0.0, `x −= p` is −p bit for bit,
+                // signed zeros included.
+                self.xs.clear();
+                self.xs.resize(n, -0.0);
+                1
+            }
+            Weights::Batch(cols) => {
+                self.xs.resize(cols.len() * n, 0.0);
+                let b = b.expect("a batch has a basis");
+                self.evaluator
+                    .combine_range(b, cols.start, cols.end, None, &mut self.xs);
+                cols.len()
+            }
+            Weights::Rung(s, _) => {
+                self.xs.resize(n, 0.0);
+                let b = b.expect("a ladder has a basis");
+                self.evaluator.combine_rung(b, *s, None, &mut self.xs);
+                1
+            }
+        };
+        for j in 0..k {
+            let h = match &w {
+                Weights::Batch(cols) => self.hs[cols.start + j],
+                Weights::Steady(h) | Weights::Rung(_, h) => *h,
+            };
+            self.terms.p_into(h, &mut self.p);
+            for (x, p) in self.xs[j * n..(j + 1) * n].iter_mut().zip(&self.p) {
+                *x -= p;
+            }
+        }
+    }
+
+    /// Accepts the landed column `col` as the state at `te`, the grid
+    /// point of output sample `sample` if it is one: counts the step,
+    /// records the sample, tracks the final state, and advances the
+    /// window when `te` is a local transition spot or the window end (a
+    /// new Krylov subspace is required there — the input slope
+    /// changes). A non-finite state fails the run with
+    /// [`CoreError::NotFinite`] before anything is recorded.
+    fn accept(&mut self, te: f64, sample: Option<usize>, col: usize) -> Result<(), CoreError> {
+        let n = self.anchor_x.len();
+        let x = &self.xs[col * n..(col + 1) * n];
+        ensure_finite(te, x)?;
+        self.stats.steps += 1;
+        if let Some(k) = sample {
+            self.rec.record(k, x);
+        }
+        self.x_final.copy_from_slice(x);
+        if self.lts.contains(te) || te >= self.win_end * (1.0 - 1e-12) {
+            self.win_end = next_window_end(&self.lts, te, self.t_stop);
+            self.move_anchor(te, col);
+        }
+        Ok(())
+    }
+
+    /// Moves the anchor to `t` with the state of landed column `col`:
+    /// the window's terms and basis belong to the old anchor.
+    fn move_anchor(&mut self, t: f64, col: usize) {
+        let n = self.anchor_x.len();
+        self.anchor_t = t;
+        self.anchor_x
+            .copy_from_slice(&self.xs[col * n..(col + 1) * n]);
+        self.terms_valid = false;
+        self.basis = None;
+    }
 }
 
 /// [`CoreError::NotFinite`] when the state at `t` holds a NaN or ±∞.
@@ -929,6 +934,30 @@ mod tests {
         sum.add_scaled(&sub2, 1.0).unwrap();
         let (max_err, _) = sum.error_vs(&full).unwrap();
         assert!(max_err < 1e-7, "superposition violated: {max_err:.3e}");
+    }
+
+    #[test]
+    fn a_mask_member_past_the_sources_fails_before_any_factorization() {
+        // Node a floats in G (its only element besides the source is a
+        // capacitor), so any factorization of G fails: the mask check
+        // must come first.
+        let mut nl = Netlist::new();
+        let a = nl.node("a");
+        nl.add_isource("i", Netlist::ground(), a, Waveform::Dc(1e-3))
+            .unwrap();
+        nl.add_capacitor("c", a, Netlist::ground(), 1e-13).unwrap();
+        let sys = MnaSystem::assemble(&nl).unwrap();
+        let spec = TransientSpec::new(0.0, 1e-9, 1e-11).unwrap();
+        let run = |members: Vec<usize>| {
+            MatexSolver::new(MatexOptions::default())
+                .with_source_mask(members)
+                .run(&sys, &spec)
+                .unwrap_err()
+        };
+        let err = run(vec![0, sys.num_sources()]);
+        assert!(matches!(err, CoreError::InvalidSpec(_)), "{err}");
+        assert!(err.to_string().contains("column 1"), "{err}");
+        assert!(!matches!(run(vec![0]), CoreError::InvalidSpec(_)));
     }
 
     #[test]

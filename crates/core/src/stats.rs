@@ -33,6 +33,10 @@ pub struct SolveStats {
     pub expm_evals: usize,
     /// Sub-step bisections forced by non-converged subspaces.
     pub substeps: usize,
+    /// Of the accepted steps, how many took the best-effort value of an
+    /// exhausted sub-step search (MATEX only): their posterior estimate
+    /// did not meet the tolerance.
+    pub best_effort_steps: usize,
     /// Wall time of DC analysis.
     pub dc_time: Duration,
     /// Wall time of matrix factorization(s).
@@ -80,6 +84,7 @@ impl SolveStats {
         self.krylov_dim_peak = self.krylov_dim_peak.max(other.krylov_dim_peak);
         self.expm_evals += other.expm_evals;
         self.substeps += other.substeps;
+        self.best_effort_steps += other.best_effort_steps;
         self.dc_time += other.dc_time;
         self.factor_time += other.factor_time;
         self.transient_time += other.transient_time;
@@ -106,15 +111,18 @@ mod tests {
         let mut a = SolveStats {
             substitution_pairs: 10,
             krylov_dim_peak: 5,
+            best_effort_steps: 2,
             ..SolveStats::default()
         };
         let b = SolveStats {
             substitution_pairs: 7,
             krylov_dim_peak: 9,
+            best_effort_steps: 3,
             ..SolveStats::default()
         };
         a.absorb(&b);
         assert_eq!(a.substitution_pairs, 17);
         assert_eq!(a.krylov_dim_peak, 9);
+        assert_eq!(a.best_effort_steps, 5);
     }
 }

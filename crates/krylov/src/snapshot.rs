@@ -191,8 +191,8 @@ impl SnapshotEvaluator {
 
     /// Combines the contiguous batch columns `[start, end)` — the
     /// general form behind [`SnapshotEvaluator::combine_into`], for
-    /// callers whose accepted snapshots are not a prefix (on stiff
-    /// bases the *short* distances are the ones that reject).
+    /// callers whose accepted snapshots are not a prefix (a single
+    /// column is the best-effort value of an exhausted sub-step search).
     ///
     /// # Panics
     ///
@@ -217,33 +217,6 @@ impl SnapshotEvaluator {
             basis.vectors(),
             &self.weights[start * m..end * m],
             end - start,
-            pool,
-            out,
-        );
-    }
-
-    /// Combines a single batch column `j` (the best-effort acceptance
-    /// path of an exhausted sub-step search).
-    ///
-    /// # Panics
-    ///
-    /// As [`SnapshotEvaluator::combine_into`].
-    pub fn combine_one(
-        &self,
-        basis: &KrylovBasis,
-        j: usize,
-        pool: Option<&ParPool>,
-        out: &mut [f64],
-    ) {
-        let m = basis.m();
-        assert!(
-            (j + 1) * m <= self.weights.len(),
-            "combine_one: column {j} not computed"
-        );
-        combine_slice(
-            basis.vectors(),
-            &self.weights[j * m..(j + 1) * m],
-            1,
             pool,
             out,
         );

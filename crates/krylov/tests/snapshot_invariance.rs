@@ -149,7 +149,7 @@ proptest! {
                         "estimate diverged at h = {}",
                         h
                     );
-                    ev.combine_one(&basis, j, None, &mut x);
+                    ev.combine_range(&basis, j, j + 1, None, &mut x);
                     prop_assert_eq!(
                         bits(&x),
                         bits(&per_call_combination(&basis, &col)),
