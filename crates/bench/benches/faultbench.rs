@@ -9,8 +9,8 @@
 //!
 //! 1. *Distributed recovery*: `run_distributed` under injected node
 //!    panics (`"dist.node"`) and solver `NotFinite` failures
-//!    (`"core.solver.run"`). The supervisor re-dispatches failed node
-//!    groups to surviving workers; the superposed waveform must equal
+//!    (`"core.solver.run"`). A failed node retries in place on the
+//!    worker that ran it; the superposed waveform must equal
 //!    the fault-free run bit for bit. The same schedule then hits a
 //!    `ScenarioEngine` backed by a store whose reads and writes fail
 //!    half the time: retry + quarantine + compute-through must again

@@ -153,16 +153,15 @@ fn main() {
         );
         // Fig. 13-style per-node decomposition: the snapshot phase's
         // T_H (small expm) vs T_e (basis combination) split, straight
-        // from each node's RunStats record.
-        let (th_sum, te_sum, th_max, te_max) = run.stats.groups.iter().fold(
+        // from each node's solver stats.
+        let (th_sum, te_sum, th_max, te_max) = run.nodes.iter().fold(
             (0.0_f64, 0.0_f64, 0.0_f64, 0.0_f64),
-            |(ts, es, tm, em), g| {
-                (
-                    ts + g.expm_time.as_secs_f64(),
-                    es + g.combine_time.as_secs_f64(),
-                    tm.max(g.expm_time.as_secs_f64()),
-                    em.max(g.combine_time.as_secs_f64()),
-                )
+            |(ts, es, tm, em), n| {
+                let (th, te) = (
+                    n.stats.expm_time.as_secs_f64(),
+                    n.stats.combine_time.as_secs_f64(),
+                );
+                (ts + th, es + te, tm.max(th), em.max(te))
             },
         );
         eprintln!(

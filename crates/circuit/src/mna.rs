@@ -250,15 +250,6 @@ impl MnaSystem {
         self.sources.iter().map(|s| s.waveform.value(t)).collect()
     }
 
-    /// Evaluates `u(t)` with only the listed source columns active; all
-    /// other entries are zero. This is the superposition mask used by
-    /// distributed MATEX subtasks.
-    pub fn input_masked_at(&self, t: f64, members: &[usize]) -> Vec<f64> {
-        let mut u = vec![0.0; self.sources.len()];
-        self.input_masked_into(t, members, &mut u);
-        u
-    }
-
     /// Allocation-free variant of [`MnaSystem::input_at`].
     ///
     /// # Panics
@@ -271,7 +262,9 @@ impl MnaSystem {
         }
     }
 
-    /// Allocation-free variant of [`MnaSystem::input_masked_at`].
+    /// Evaluates `u(t)` into `u` with only the listed source columns
+    /// active; all other entries are zero. This is the superposition mask
+    /// used by distributed MATEX subtasks.
     ///
     /// # Panics
     ///
@@ -802,7 +795,9 @@ mod tests {
         nl.add_resistor("r", a, Netlist::ground(), 1.0).unwrap();
         let sys = MnaSystem::assemble(&nl).unwrap();
         assert_eq!(sys.input_at(0.0), vec![1.0, 2.0]);
-        assert_eq!(sys.input_masked_at(0.0, &[1]), vec![0.0, 2.0]);
+        let mut u = vec![7.0; 2];
+        sys.input_masked_into(0.0, &[1], &mut u);
+        assert_eq!(u, vec![0.0, 2.0]);
     }
 
     #[test]

@@ -15,6 +15,18 @@ use matex_waveform::{Pulse, Waveform};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Every `FAST_PERIOD`-th node of an [`RcMeshBuilder`] mesh (a quarter of
+/// them) gets the fast (small) capacitance.
+const FAST_PERIOD: usize = 4;
+
+/// Every `DECAP_EVERY`-th fine-grid node of a [`PdnBuilder`] grid receives
+/// a 30× decap cluster.
+const DECAP_EVERY: usize = 23;
+
+/// The [`PdnBuilder`] strap pitch: a layer-2 node every `STRAP_EVERY`
+/// fine-grid points.
+const STRAP_EVERY: usize = 4;
+
 /// Builder for the stiff RC meshes of the paper's Table 1.
 ///
 /// An `nx × ny` grid of nodes with resistors between neighbours, a
@@ -43,7 +55,6 @@ pub struct RcMeshBuilder {
     r_ohms: f64,
     c_farads: f64,
     stiffness_ratio: f64,
-    fast_fraction: f64,
     pad_ohms: f64,
 }
 
@@ -57,7 +68,6 @@ impl RcMeshBuilder {
             r_ohms: 1.0,
             c_farads: 1e-15,
             stiffness_ratio: 1.0,
-            fast_fraction: 0.25,
             pad_ohms: 0.01,
         }
     }
@@ -82,12 +92,6 @@ impl RcMeshBuilder {
         self
     }
 
-    /// Fraction of nodes given the fast (small) capacitance.
-    pub fn fast_fraction(mut self, f: f64) -> Self {
-        self.fast_fraction = f.clamp(0.0, 1.0);
-        self
-    }
-
     /// Builds the netlist.
     ///
     /// # Errors
@@ -99,15 +103,10 @@ impl RcMeshBuilder {
         let name = |x: usize, y: usize| format!("n1_{x}_{y}");
         // Nodes and caps. Deterministic fast/slow assignment.
         let ratio = self.stiffness_ratio.sqrt();
-        let period = if self.fast_fraction > 0.0 {
-            (1.0 / self.fast_fraction).round().max(1.0) as usize
-        } else {
-            usize::MAX
-        };
         for y in 0..self.ny {
             for x in 0..self.nx {
                 let n = nl.node(&name(x, y));
-                let fast = period != usize::MAX && (x + y * self.nx) % period == period - 1;
+                let fast = (x + y * self.nx) % FAST_PERIOD == FAST_PERIOD - 1;
                 let c = if fast {
                     self.c_farads / ratio
                 } else {
@@ -164,7 +163,7 @@ impl RcMeshBuilder {
 ///
 /// * layer 1 (`n1_x_y`): fine `nx × ny` mesh, segment resistance
 ///   `r_wire`, per-node decap `c_node`, current-source loads,
-/// * layer 2 (`n2_x_y`): straps every `strap_every` grid points with a
+/// * layer 2 (`n2_x_y`): straps every four grid points with a
 ///   quarter of the wire resistance, connected by `r_via` vias,
 /// * VDD pads: voltage sources behind `r_pad` at the strap corners.
 ///
@@ -175,7 +174,6 @@ impl RcMeshBuilder {
 pub struct PdnBuilder {
     nx: usize,
     ny: usize,
-    strap_every: usize,
     r_wire: f64,
     r_via: f64,
     r_pad: f64,
@@ -187,7 +185,6 @@ pub struct PdnBuilder {
     window: f64,
     seed: u64,
     cap_spread: f64,
-    decap_every: usize,
     pad_inductance: Option<f64>,
 }
 
@@ -198,7 +195,6 @@ impl PdnBuilder {
         PdnBuilder {
             nx: nx.max(2),
             ny: ny.max(2),
-            strap_every: 4,
             r_wire: 0.02,
             r_via: 0.05,
             r_pad: 0.005,
@@ -210,7 +206,6 @@ impl PdnBuilder {
             window: 1e-8,
             seed: 42,
             cap_spread: 6.0,
-            decap_every: 23,
             pad_inductance: None,
         }
     }
@@ -223,23 +218,11 @@ impl PdnBuilder {
         self
     }
 
-    /// Every `k`-th fine-grid node receives a 30× decap cluster.
-    pub fn decap_every(mut self, k: usize) -> Self {
-        self.decap_every = k.max(1);
-        self
-    }
-
     /// Adds package inductance in series with every VDD pad (makes `C`
     /// singular via the branch rows — the regularization-free path of
     /// Sec. 3.3.3 then matters).
     pub fn pad_inductance(mut self, henries: f64) -> Self {
         self.pad_inductance = Some(henries);
-        self
-    }
-
-    /// Sets the strap pitch (layer-2 node every `k` fine-grid points).
-    pub fn strap_every(mut self, k: usize) -> Self {
-        self.strap_every = k.max(2);
         self
     }
 
@@ -322,7 +305,7 @@ impl PdnBuilder {
                 } else {
                     1.0
                 };
-                let decap = if (x + y * self.nx) % self.decap_every == self.decap_every - 1 {
+                let decap = if (x + y * self.nx) % DECAP_EVERY == DECAP_EVERY - 1 {
                     30.0
                 } else {
                     1.0
@@ -344,9 +327,9 @@ impl PdnBuilder {
             }
         }
         // Layer 2 straps + vias.
-        let sxs: Vec<usize> = (0..self.nx).step_by(self.strap_every).collect();
-        let sys_: Vec<usize> = (0..self.ny).step_by(self.strap_every).collect();
-        let r_strap = self.r_wire * 0.25 * self.strap_every as f64;
+        let sxs: Vec<usize> = (0..self.nx).step_by(STRAP_EVERY).collect();
+        let sys_: Vec<usize> = (0..self.ny).step_by(STRAP_EVERY).collect();
+        let r_strap = self.r_wire * 0.25 * STRAP_EVERY as f64;
         for (yi, &y) in sys_.iter().enumerate() {
             for (xi, &x) in sxs.iter().enumerate() {
                 let top = nl.node(&n2(x, y));
@@ -459,6 +442,50 @@ mod tests {
         let cmax = caps.iter().cloned().fold(0.0_f64, f64::max);
         let cmin = caps.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(cmax / cmin > 1e7, "cap ratio {} too small", cmax / cmin);
+    }
+
+    #[test]
+    fn rc_mesh_gives_every_fourth_node_the_fast_cap() {
+        let sys = RcMeshBuilder::new(4, 4)
+            .stiffness_ratio(1e8)
+            .build()
+            .unwrap();
+        for r in 0..sys.num_nodes() {
+            let name = sys.row_name(r);
+            let (x, y) = grid_coords(name);
+            let fast = (x + 4 * y) % 4 == 3;
+            let expected = if fast { 1e-15 / 1e4 } else { 1e-15 * 1e4 };
+            assert_eq!(sys.c().get(r, r), expected, "{name}");
+        }
+    }
+
+    /// `(x, y)` of a grid node named `n<layer>_<x>_<y>`.
+    fn grid_coords(name: &str) -> (usize, usize) {
+        let mut parts = name.split('_').skip(1).map(|p| p.parse().unwrap());
+        (parts.next().unwrap(), parts.next().unwrap())
+    }
+
+    #[test]
+    fn pdn_decaps_every_23rd_node_and_straps_every_4th() {
+        let sys = PdnBuilder::new(9, 9).cap_spread(1.0).build().unwrap();
+        let mut straps = Vec::new();
+        for r in 0..sys.num_nodes() {
+            let name = sys.row_name(r);
+            if name.starts_with("n1_") {
+                let (x, y) = grid_coords(name);
+                let decap = if (x + 9 * y) % 23 == 22 { 30.0 } else { 1.0 };
+                assert_eq!(sys.c().get(r, r), 1e-14 * decap, "{name}");
+            } else if name.starts_with("n2_") {
+                straps.push(grid_coords(name));
+            }
+        }
+        straps.sort_unstable();
+        let pitch = [0, 4, 8];
+        let expected: Vec<(usize, usize)> = pitch
+            .iter()
+            .flat_map(|&x| pitch.iter().map(move |&y| (x, y)))
+            .collect();
+        assert_eq!(straps, expected);
     }
 
     #[test]

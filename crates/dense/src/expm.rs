@@ -584,33 +584,6 @@ pub fn expm_col0_ladder(
     Ok(lowest)
 }
 
-/// The phi-1 function `φ₁(A) = A⁻¹(e^A − I)`, evaluated stably via an
-/// augmented-matrix trick: `expm([[A, I], [0, 0]])` has `φ₁(A)` in its upper
-/// right block. Useful for exponential integrators with constant inputs and
-/// for validating the closed-form PWL update.
-///
-/// # Errors
-///
-/// Same as [`expm`].
-pub fn phi1(a: &DMat) -> Result<DMat> {
-    let n = a.nrows();
-    if !a.is_square() {
-        return Err(DenseError::NotSquare {
-            rows: a.nrows(),
-            cols: a.ncols(),
-        });
-    }
-    let mut aug = DMat::zeros(2 * n, 2 * n);
-    for i in 0..n {
-        for j in 0..n {
-            aug[(i, j)] = a[(i, j)];
-        }
-        aug[(i, n + i)] = 1.0;
-    }
-    let e = expm(&aug)?;
-    Ok(DMat::from_fn(n, n, |i, j| e[(i, n + j)]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -767,23 +740,6 @@ mod tests {
         assert_eq!(lowest, 2);
         assert!(out[2 * 2..].iter().all(|v| v.is_finite()));
         assert!(out[..2 * 2].iter().all(|v| v.is_nan()));
-    }
-
-    #[test]
-    fn phi1_of_zero_is_identity() {
-        // φ₁(0) = I
-        let p = phi1(&DMat::zeros(3, 3)).unwrap();
-        assert!(p.max_abs_diff(&DMat::identity(3)) < 1e-14);
-    }
-
-    #[test]
-    fn phi1_satisfies_definition() {
-        // A φ₁(A) = e^A − I
-        let a = DMat::from_rows(&[&[0.5, 0.2], &[-0.1, 0.8]]);
-        let p = phi1(&a).unwrap();
-        let lhs = a.matmul(&p).unwrap();
-        let rhs = &expm(&a).unwrap() - &DMat::identity(2);
-        assert!(lhs.max_abs_diff(&rhs) < 1e-12);
     }
 
     #[test]

@@ -42,7 +42,7 @@ mod vector;
 pub mod eig;
 
 pub use error::DenseError;
-pub use expm::{expm, expm_col0, expm_col0_into, expm_col0_ladder, phi1, ExpmScratch};
+pub use expm::{expm, expm_col0, expm_col0_into, expm_col0_ladder, ExpmScratch};
 pub use lu::DenseLu;
 pub use matrix::DMat;
 pub use vector::{

@@ -187,23 +187,6 @@ impl DMat {
         y
     }
 
-    /// Transposed matrix-vector product `Aᵀ x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != nrows`.
-    pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.nrows, "matvec_t: length mismatch");
-        let mut y = vec![0.0; self.ncols];
-        for i in 0..self.nrows {
-            let row = &self.data[i * self.ncols..(i + 1) * self.ncols];
-            for (yj, a) in y.iter_mut().zip(row) {
-                *yj += a * x[i];
-            }
-        }
-        y
-    }
-
     /// Matrix product `A B`.
     ///
     /// # Errors
@@ -506,13 +489,6 @@ mod tests {
     fn transpose_involution() {
         let a = DMat::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
-    fn matvec_t_matches_transpose_matvec() {
-        let a = DMat::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        let x = vec![1.0, -1.0];
-        assert_eq!(a.matvec_t(&x), a.transpose().matvec(&x));
     }
 
     #[test]

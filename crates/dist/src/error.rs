@@ -5,7 +5,8 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum DistError {
-    /// A node's solver failed; carries the first failure in group order.
+    /// A node's solver failed, retry budget exhausted; carries the first
+    /// terminal failure to reach the master.
     Node {
         /// Group id of the failing subtask.
         group: usize,
@@ -22,7 +23,7 @@ pub enum DistError {
     /// system, spec, or grouping strategy.
     Plan(String),
     /// The run's cancel token was tripped; workers stopped between node
-    /// runs and in-flight nodes gave up at a transient-step boundary.
+    /// attempts and in-flight nodes gave up at a transient-step boundary.
     Cancelled,
 }
 

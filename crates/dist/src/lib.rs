@@ -15,22 +15,25 @@
 //!   factorization each of `G` and `C + γG`, side by side when the run
 //!   has two workers, and no symbolic analysis; the node matrices are
 //!   identical, so no node ever factors), schedule onto a
-//!   worker pool (longest-processing-time order over a
-//!   [`std::thread::scope`]; each node runs serially on its worker —
-//!   the workers are the only parallelism), run one masked solver per
+//!   worker pool (workers of a [`std::thread::scope`] take
+//!   longest-processing-time positions from one shared cursor; each
+//!   node runs serially on its worker — the workers are the only
+//!   parallelism — and a failed node retries in place on the worker
+//!   that ran it), run one masked solver per
 //!   group against the shared immutable system and setup, and
 //!   **stream** each finished node's samples into the combined result
 //!   in the fixed, worker-independent schedule order — numerics bitwise
 //!   independent of the worker count, peak memory independent of the
 //!   group count,
-//! * [`DistributedRun`] — the combined result plus per-node accounting
-//!   ([`NodeRun`]) and the paper's one-instance-per-node makespan
+//! * [`DistributedRun`] — the combined result plus one record per node
+//!   ([`NodeRun`]: LTS count, wall time, solver stats with the `T_H` /
+//!   `T_e` split) and the paper's one-instance-per-node makespan
 //!   emulation, matching Table 3's `trmatex` / `tr_total` columns
 //!   (`emulated_transient` is the slowest node's march;
 //!   `emulated_total` adds the run's one preparation and that node's DC
 //!   — one factorization per machine),
-//! * [`RunStats`] — per-group predicted-vs-measured scheduling costs
-//!   (the LTS-count proxy against `NodeRun::wall`), with
+//! * [`RunStats`] — the LTS-count proxy's worst share error against
+//!   `NodeRun::wall`, and the preparation time, with
 //!   [`list_schedule_makespan`] to bound the proxy's scheduling error,
 //! * [`SpeedupModel`] — the Sec. 3.4 analytic model (Eqs. (11)–(12)).
 //!
@@ -71,5 +74,5 @@ pub use error::DistError;
 pub use options::DistributedOptions;
 pub use plan::{plan_groups, GroupPlan, PlanJob};
 pub use run::{run_distributed, DistributedRun, NodeRun};
-pub use schedule::{list_schedule_makespan, GroupCost, RunStats};
+pub use schedule::{list_schedule_makespan, RunStats};
 pub use speedup::SpeedupModel;

@@ -22,8 +22,8 @@ pub struct DistributedOptions {
     /// Solver options handed to every node (the paper runs R-MATEX nodes;
     /// that is [`MatexOptions::default`]). Their fault hook and recorder
     /// serve the master too: it consults `matex.faults` at `"dist.node"`
-    /// once per node dispatch (including retries), and records its
-    /// `dist.prepare` span and one `dist.node` span per dispatch
+    /// once per node attempt (retries included), and records its
+    /// `dist.prepare` span and one `dist.node` span per attempt
     /// (labeled group / worker / retry) through `matex.obs`.
     pub matex: MatexOptions,
     /// How to partition the sources into subtasks (default: by bump
@@ -56,17 +56,17 @@ pub struct DistributedOptions {
     /// [`crate::DistError::Plan`].
     pub plan: Option<Arc<GroupPlan>>,
     /// A cooperative cancellation token. `None` (default) runs to
-    /// completion. When tripped, workers stop dispatching further nodes
-    /// and every in-flight node solver gives up at its next
+    /// completion. When tripped, workers stop taking further nodes and
+    /// retries, and every in-flight node solver gives up at its next
     /// transient-step boundary; the run returns
     /// [`crate::DistError::Cancelled`]. Tokens never corrupt shared
     /// artifacts — nodes only read the shared setup.
     pub cancel: Option<CancelToken>,
     /// Per-node retry budget: a node group whose solver fails or panics
-    /// is re-dispatched to a surviving worker up to this many times
-    /// before the run aborts with [`crate::DistError::Node`]. Retried
-    /// nodes replay the identical pure computation against the shared
-    /// read-only artifacts and superpose at their original schedule
+    /// is retried at once, on the worker that ran it, up to this many
+    /// times before the run aborts with [`crate::DistError::Node`]. A
+    /// retry replays the identical pure computation against the shared
+    /// read-only artifacts and superposes at the node's schedule
     /// position, so recovery never changes the waveform. Default 1.
     /// Cancellations are never retried.
     pub max_node_retries: usize,

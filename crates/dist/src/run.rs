@@ -1,7 +1,7 @@
 //! The master node: grouping, scheduling, execution, superposition.
 
 use crate::plan::{plan_groups, GroupPlan, PlanJob};
-use crate::schedule::{NodeMeasurement, RunStats};
+use crate::schedule::RunStats;
 use crate::{DistError, DistributedOptions};
 use matex_circuit::MnaSystem;
 use matex_core::{
@@ -10,7 +10,8 @@ use matex_core::{
 };
 use matex_waveform::SpotSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// One slave node's completed subtask (accounting only — the node's
@@ -43,8 +44,8 @@ pub struct DistributedRun {
     pub nodes: Vec<NodeRun>,
     /// Global transition spots (union of all LTS).
     pub gts: SpotSet,
-    /// Scheduling accounting: per-group predicted-vs-measured cost and
-    /// the master's preparation time.
+    /// Scheduling accounting: the LTS proxy's worst share error and the
+    /// master's preparation time.
     pub stats: RunStats,
     /// Makespan of the pure transient phase: the *maximum* node transient
     /// time, per the paper's one-instance-per-node accounting (Table 3's
@@ -60,9 +61,10 @@ pub struct DistributedRun {
     /// Actual wall time of the whole distributed run on this machine
     /// (contended when several workers share cores).
     pub wall_time: Duration,
-    /// Node re-dispatches performed after solver failures or panics
-    /// (0 on a healthy run). Each retry replays the identical pure
-    /// computation, so a non-zero count never changes the waveform.
+    /// Node retries performed after solver failures or panics, summed
+    /// over the nodes (0 on a healthy run). Each retry replays the
+    /// identical pure computation on the worker that ran the failed
+    /// attempt, so a non-zero count never changes the waveform.
     pub node_retries: usize,
 }
 
@@ -73,17 +75,8 @@ impl DistributedRun {
     }
 }
 
-/// What a worker hands the master per finished node.
+/// The outcome of one node attempt; a worker hands the master the last.
 type NodeOutcome = Result<(NodeRun, TransientResult), CoreError>;
-
-/// Shared dispatch state: the LPT cursor plus the master's retry queue.
-/// Workers drain retries before fresh schedule positions so a recovered
-/// group lands while its superposition slot is still the drain frontier.
-struct WorkQueue {
-    next: usize,
-    retry: Vec<usize>,
-    done: bool,
-}
 
 /// Streaming accumulator: superposes node results **in LPT schedule
 /// order** as they arrive, buffering only out-of-order completions, so
@@ -165,29 +158,29 @@ impl Superposer {
 /// workers. The width never moves a bit: each factor is a pure function
 /// of its matrix.
 /// Subtasks are scheduled onto a scoped worker
-/// pool in longest-processing-time order (cost estimate: LTS count) and
-/// every finished node's samples are immediately superposed into the
+/// pool in longest-processing-time order (cost estimate: LTS count):
+/// each worker takes the next schedule position from one shared cursor.
+/// Every finished node's samples are immediately superposed into the
 /// combined result in that same fixed, worker-independent schedule
 /// order, so the numerics are bitwise independent of `opts.workers`
 /// while peak memory stays at one full series plus the in-flight
 /// stragglers.
 ///
-/// Workers are **supervised**: a node that panics or fails is
-/// re-dispatched to a surviving worker up to `opts.max_node_retries`
-/// times before the run aborts. A retried node replays the identical
-/// pure computation against the shared read-only artifacts and
-/// superposes at its original schedule position, so recovered runs are
-/// bitwise-identical to fault-free ones ([`DistributedRun::node_retries`]
-/// counts the re-dispatches).
+/// Workers are **supervised**: a node that panics or fails is retried at
+/// once, on the worker that ran it, up to `opts.max_node_retries` times
+/// before the run aborts. A retry replays the identical pure computation
+/// against the shared read-only artifacts and superposes at the node's
+/// schedule position, so recovered runs are bitwise-identical to
+/// fault-free ones ([`DistributedRun::node_retries`] counts the retries).
 ///
 /// # Errors
 ///
 /// Returns [`DistError::Analyze`] when the master's preparation fails
 /// (`G`'s error when both factorizations do), [`DistError::Node`]
-/// carrying the first terminal node failure (retry budget exhausted;
-/// panics arrive as [`CoreError::Panicked`]), or
-/// [`DistError::Superposition`] if result grids mismatch (internal
-/// invariant violation).
+/// carrying the terminal node failure (retry budget exhausted; panics
+/// arrive as [`CoreError::Panicked`]), [`DistError::Cancelled`] when
+/// `opts.cancel` trips, or [`DistError::Superposition`] if result grids
+/// mismatch (internal invariant violation).
 pub fn run_distributed(
     sys: &MnaSystem,
     spec: &TransientSpec,
@@ -228,157 +221,77 @@ pub fn run_distributed(
 
     let setup = prepare(sys, opts, workers)?;
 
-    // rank[job] = position in the schedule (and summation) order.
-    let mut rank = vec![0usize; jobs.len()];
-    for (k, &j) in order.iter().enumerate() {
-        rank[j] = k;
-    }
-
-    // Worker pool: a shared queue draining the LPT order (retries first);
-    // finished subtasks stream back to the master, which superposes them
-    // in group order and is the sole arbiter of failure: a failed or
-    // panicked node is pushed back onto the queue for a surviving worker
-    // (its retry replays the identical pure computation and superposes at
-    // the original schedule position, so recovery is bitwise-invisible)
-    // until its attempt budget runs out, at which point `done` stops the
-    // pool from simulating groups whose results would be discarded.
-    let work = (
-        Mutex::new(WorkQueue {
-            next: 0,
-            retry: Vec::new(),
-            done: false,
-        }),
-        Condvar::new(),
-    );
-    let (tx, rx) = mpsc::channel::<(usize, NodeOutcome)>();
+    // Worker pool: one cursor over the schedule order. A worker runs the
+    // node at the position it takes to a final outcome — retrying a
+    // failed or panicked attempt in place while the budget lasts — and
+    // streams that outcome with its retry count to the master, which
+    // superposes in schedule order and stops the pool at the first
+    // terminal failure. `stop` (or a tripped cancel token) ends dispatch
+    // before the next node and before the next retry; a worker also
+    // exits once the cursor runs past the schedule. Both atomics are
+    // `Relaxed`: neither publishes other data (outcomes travel on the
+    // channel, and the schedule is immutable).
+    let cursor = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let stopped =
+        || stop.load(Ordering::Relaxed) || opts.cancel.as_ref().is_some_and(|c| c.is_cancelled());
+    let (tx, rx) = mpsc::channel::<(usize, usize, NodeOutcome)>();
     let mut sup = Superposer::new(jobs.len());
-    let mut failures: Vec<(usize, CoreError)> = Vec::new();
-    let mut attempts = vec![0usize; jobs.len()];
+    let mut failure: Option<(usize, CoreError)> = None;
     let mut node_retries = 0usize;
     std::thread::scope(|scope| {
-        let (work, setup) = (&work, &setup);
         for w in 0..workers {
-            let tx = tx.clone();
+            let (tx, cursor, stopped, setup) = (tx.clone(), &cursor, &stopped, &setup);
             scope.spawn(move || {
-                let (queue, available) = work;
-                loop {
-                    // Take a retry if one is queued, else advance the LPT
-                    // cursor, else wait for the master to queue a retry or
-                    // declare the run over. Cooperative cancellation:
-                    // stop dispatching the moment the token trips
-                    // (running nodes give up at their own step boundaries
-                    // via `with_cancel`).
-                    let j = {
-                        let mut q = queue.lock().expect("work queue poisoned");
-                        loop {
-                            if q.done || opts.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                                break None;
+                while !stopped() {
+                    let pos = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(&j) = order.get(pos) else { break };
+                    let mut retries = 0;
+                    let outcome = loop {
+                        match run_node(sys, spec, opts, &jobs[j], setup, w, retries > 0) {
+                            Err(e)
+                                if !matches!(e, CoreError::Cancelled)
+                                    && retries < opts.max_node_retries =>
+                            {
+                                if stopped() {
+                                    return;
+                                }
+                                retries += 1;
                             }
-                            if let Some(j) = q.retry.pop() {
-                                break Some((j, true));
-                            }
-                            if let Some(&j) = order.get(q.next) {
-                                q.next += 1;
-                                break Some((j, false));
-                            }
-                            // Short timeout: the condvar has no waker for
-                            // an externally tripped cancel token.
-                            q = available
-                                .wait_timeout(q, Duration::from_millis(5))
-                                .expect("work queue poisoned")
-                                .0;
+                            outcome => break outcome,
                         }
                     };
-                    let Some((j, was_retry)) = j else { break };
-                    // One span per dispatch: the timeline shows which
-                    // worker ran which group, and whether the dispatch
-                    // was a retry of a failed node.
-                    let mut node_span = opts.matex.obs.span("dist.node");
-                    if node_span.is_armed() {
-                        node_span.label("group", jobs[j].group.to_string());
-                        node_span.label("worker", w.to_string());
-                        node_span.label("retry", if was_retry { "1" } else { "0" });
-                    }
-                    // Supervision: a panicking node unwinds into a node
-                    // error (payload message preserved) instead of
-                    // poisoning the scope and aborting the process.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        match opts.matex.faults.check("dist.node") {
-                            Some(FaultKind::Panic) => {
-                                panic!("injected fault: dist.node (group {})", jobs[j].group)
-                            }
-                            Some(FaultKind::Error) => {
-                                return Err(CoreError::Injected {
-                                    site: "dist.node".to_string(),
-                                })
-                            }
-                            None => {}
-                        }
-                        run_node(sys, spec, opts, &jobs[j], setup.clone())
-                    }))
-                    .unwrap_or_else(|payload| Err(CoreError::Panicked(panic_message(&*payload))));
-                    node_span.label("ok", if outcome.is_ok() { "1" } else { "0" });
-                    drop(node_span);
-                    opts.matex.obs.add_labeled(
-                        "dist_nodes_total",
-                        &[("outcome", if outcome.is_ok() { "ok" } else { "err" })],
-                        1,
-                    );
-                    if tx.send((j, outcome)).is_err() {
-                        break; // master gone (superposition error): stop
-                    }
+                    tx.send((pos, retries, outcome))
+                        .expect("the master holds the receiver until the pool exits");
                 }
             });
         }
         drop(tx);
-        // The master thread superposes while workers keep producing, and
-        // decides per failure: re-queue (budget remaining) or abort.
-        while let Ok((j, outcome)) = rx.recv() {
-            match outcome {
-                Ok(payload) => {
-                    if let Err(e) = sup.push(rank[j], payload) {
-                        failures.push((j, e));
-                        break;
-                    }
-                    if sup.next == jobs.len() {
-                        break; // all drained; idle workers hold senders
-                    }
-                }
-                Err(e) => {
-                    let retryable =
-                        !matches!(e, CoreError::Cancelled) && attempts[j] < opts.max_node_retries;
-                    if retryable {
-                        attempts[j] += 1;
-                        node_retries += 1;
-                        opts.matex.obs.add("dist_node_retries_total", 1);
-                        let (queue, available) = &work;
-                        queue.lock().expect("work queue poisoned").retry.push(j);
-                        available.notify_all();
-                    } else {
-                        failures.push((j, e));
-                        break;
-                    }
-                }
+        // The master superposes while workers keep producing; the loop
+        // ends when every worker has exited, or at a terminal failure.
+        while let Ok((pos, retries, outcome)) = rx.recv() {
+            if retries > 0 {
+                node_retries += retries;
+                opts.matex
+                    .obs
+                    .add("dist_node_retries_total", retries as u64);
+            }
+            if let Err(e) = outcome.and_then(|payload| sup.push(pos, payload)) {
+                failure = Some((jobs[order[pos]].group, e));
+                break;
             }
         }
-        // Whatever ended the drain — completion, terminal failure or a
-        // superposition mismatch — wake every waiting worker to exit.
-        let (queue, available) = &work;
-        queue.lock().expect("work queue poisoned").done = true;
-        available.notify_all();
+        stop.store(true, Ordering::Relaxed);
     });
 
-    if let Some((j, source)) = failures.into_iter().min_by_key(|&(j, _)| j) {
-        // First completed failure in group order. Distinguish internal
-        // superposition mismatches from node solver failures, and fold
-        // per-node cancellations into the run-level verdict.
+    if let Some((group, source)) = failure {
+        // Distinguish internal superposition mismatches from node solver
+        // failures, and fold per-node cancellations into the run-level
+        // verdict.
         return Err(match source {
             CoreError::Cancelled => DistError::Cancelled,
             CoreError::Incomparable(_) => DistError::Superposition(source),
-            _ => DistError::Node {
-                group: jobs[j].group,
-                source,
-            },
+            _ => DistError::Node { group, source },
         });
     }
     if sup.next != jobs.len() {
@@ -409,19 +322,7 @@ pub fn run_distributed(
     // Drained in schedule order; the public accounting is group order.
     nodes.sort_by_key(|n| n.group);
 
-    let run_stats = RunStats::from_measurements(
-        &nodes
-            .iter()
-            .map(|n| NodeMeasurement {
-                group: n.group,
-                num_lts: n.num_lts,
-                wall: n.wall,
-                expm_time: n.stats.expm_time,
-                combine_time: n.stats.combine_time,
-            })
-            .collect::<Vec<_>>(),
-        setup.factor_time(),
-    );
+    let run_stats = RunStats::new(&nodes, setup.factor_time());
     let emulated_transient = nodes
         .iter()
         .map(|n| n.stats.transient_time)
@@ -481,41 +382,74 @@ fn prepare(
     Ok(Arc::new(setup))
 }
 
-/// Runs one group's masked solver (one slave node of Fig. 4) from the
-/// run's shared preparation.
+/// One attempt at one group's masked solver (one slave node of Fig. 4)
+/// from the run's shared preparation, on worker `worker`. The attempt
+/// consults the `"dist.node"` fault site, runs under its own panic
+/// boundary — a panicking node unwinds into a node error, payload
+/// message preserved, instead of poisoning the scope and aborting the
+/// process — and records one `dist.node` span, so the timeline shows
+/// which worker ran which group and whether the attempt was a retry.
 fn run_node(
     sys: &MnaSystem,
     spec: &TransientSpec,
     opts: &DistributedOptions,
     job: &PlanJob,
-    setup: Arc<MatexSetup>,
+    setup: &Arc<MatexSetup>,
+    worker: usize,
+    retry: bool,
 ) -> NodeOutcome {
-    let t0 = Instant::now();
-    let mut solver = MatexSolver::new(opts.matex.clone())
-        .with_source_mask(job.members.clone())
-        .with_lts(job.lts.clone())
-        .with_setup(setup);
-    if let Some(token) = &opts.cancel {
-        solver = solver.with_cancel(token.clone());
+    let mut span = opts.matex.obs.span("dist.node");
+    if span.is_armed() {
+        span.label("group", job.group.to_string());
+        span.label("worker", worker.to_string());
+        span.label("retry", if retry { "1" } else { "0" });
     }
-    let result = solver.run(sys, spec)?;
-    Ok((
-        NodeRun {
-            group: job.group,
-            num_sources: job.members.len(),
-            num_lts: job.lts.len(),
-            wall: t0.elapsed(),
-            stats: result.stats.clone(),
-        },
-        result,
-    ))
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        match opts.matex.faults.check("dist.node") {
+            Some(FaultKind::Panic) => panic!("injected fault: dist.node (group {})", job.group),
+            Some(FaultKind::Error) => {
+                return Err(CoreError::Injected {
+                    site: "dist.node".to_string(),
+                })
+            }
+            None => {}
+        }
+        let t0 = Instant::now();
+        let mut solver = MatexSolver::new(opts.matex.clone())
+            .with_source_mask(job.members.clone())
+            .with_lts(job.lts.clone())
+            .with_setup(setup.clone());
+        if let Some(token) = &opts.cancel {
+            solver = solver.with_cancel(token.clone());
+        }
+        let result = solver.run(sys, spec)?;
+        Ok((
+            NodeRun {
+                group: job.group,
+                num_sources: job.members.len(),
+                num_lts: job.lts.len(),
+                wall: t0.elapsed(),
+                stats: result.stats.clone(),
+            },
+            result,
+        ))
+    }))
+    .unwrap_or_else(|payload| Err(CoreError::Panicked(panic_message(&*payload))));
+    span.label("ok", if outcome.is_ok() { "1" } else { "0" });
+    drop(span);
+    opts.matex.obs.add_labeled(
+        "dist_nodes_total",
+        &[("outcome", if outcome.is_ok() { "ok" } else { "err" })],
+        1,
+    );
+    outcome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use matex_circuit::{Netlist, PdnBuilder};
-    use matex_core::MatexOptions;
+    use matex_core::{CancelToken, MatexOptions};
     use matex_waveform::{GroupingStrategy, Pulse, Waveform};
 
     fn small_grid() -> MnaSystem {
@@ -668,22 +602,21 @@ mod tests {
     }
 
     #[test]
-    fn run_stats_cover_every_group() {
+    fn node_records_carry_the_scheduling_accounting() {
         let sys = small_grid();
         let spec = TransientSpec::new(0.0, 1e-9, 2e-11).unwrap();
         let run = run_distributed(&sys, &spec, &DistributedOptions::default()).unwrap();
-        assert_eq!(run.stats.groups.len(), run.num_groups());
-        let p: f64 = run.stats.groups.iter().map(|g| g.predicted_share).sum();
-        let m: f64 = run.stats.groups.iter().map(|g| g.measured_share).sum();
-        assert!((p - 1.0).abs() < 1e-9 && (m - 1.0).abs() < 1e-9);
-        for (g, n) in run.stats.groups.iter().zip(&run.nodes) {
-            assert_eq!(g.group, n.group);
-            assert_eq!(g.num_lts, n.num_lts);
-            assert_eq!(g.wall, n.wall);
+        assert_eq!(
+            run.stats.proxy_max_error.to_bits(),
+            RunStats::new(&run.nodes, run.stats.prepare_time)
+                .proxy_max_error
+                .to_bits()
+        );
+        assert!((0.0..=1.0).contains(&run.stats.proxy_max_error));
+        for n in &run.nodes {
             // The Fig. 13-style T_H / T_e split rides along per node.
-            assert_eq!(g.expm_time, n.stats.expm_time);
-            assert_eq!(g.combine_time, n.stats.combine_time);
-            assert!(g.expm_time + g.combine_time <= n.stats.transient_time);
+            assert!(n.stats.expm_time + n.stats.combine_time <= n.stats.transient_time);
+            assert!(n.wall >= n.stats.transient_time);
         }
     }
 
@@ -830,8 +763,8 @@ mod tests {
     #[test]
     fn panicked_and_failed_nodes_recover_bitwise() {
         // Two injected faults — one panic, one error — on different node
-        // dispatches: both groups are re-dispatched and the recovered
-        // waveform must be bitwise-identical to the fault-free run.
+        // attempts: both groups retry and the recovered waveform must be
+        // bitwise-identical to the fault-free run.
         use matex_core::{FaultHook, FaultKind, FaultPlan};
         let sys = small_grid();
         let spec = TransientSpec::new(0.0, 1e-9, 2e-11).unwrap();
@@ -847,8 +780,8 @@ mod tests {
                     ..MatexOptions::default()
                 },
                 workers,
-                // Budget 2: with retries interleaving into the occurrence
-                // stream, both entries may land on the same group.
+                // Budget 2: at three workers, both entries may land on
+                // the same group.
                 max_node_retries: 2,
                 ..DistributedOptions::default()
             };
@@ -867,7 +800,7 @@ mod tests {
     #[test]
     fn solver_level_faults_recover_through_node_retry() {
         // Faults injected *inside* the node's solver (via MatexOptions)
-        // surface as node failures and heal through the same re-dispatch.
+        // surface as node failures and heal through the same retry.
         use matex_core::{FaultHook, FaultKind, FaultPlan};
         let sys = small_grid();
         let spec = TransientSpec::new(0.0, 1e-9, 2e-11).unwrap();
@@ -951,7 +884,7 @@ mod tests {
     #[test]
     fn master_records_through_the_node_recorder() {
         // One recorder for the whole run: the master's preparation and
-        // per-dispatch spans land beside the nodes' solver phases. There
+        // per-attempt spans land beside the nodes' solver phases. There
         // is no analysis to record.
         let sys = small_grid();
         let spec = TransientSpec::new(0.0, 1e-9, 2e-11).unwrap();
@@ -1047,5 +980,130 @@ mod tests {
         let b_run = run_distributed(&sys, &spec, &opts).unwrap();
         assert_eq!(a_run.result.series(), b_run.result.series());
         assert_eq!(a_run.num_groups(), 2);
+    }
+
+    /// `(group, retry)` labels of a run's `dist.node` spans, in the order
+    /// they closed.
+    fn node_spans(obs: &matex_obs::Obs) -> Vec<(String, String)> {
+        let label = |event: &str, key: &str| {
+            let key = format!("\"{key}\":\"");
+            let at = event.find(&key).expect("label recorded") + key.len();
+            event[at..]
+                .split('"')
+                .next()
+                .unwrap_or_default()
+                .to_string()
+        };
+        obs.chrome_trace_events()
+            .split("{\"name\":")
+            .filter(|event| event.starts_with("\"dist.node\""))
+            .map(|event| (label(event, "group"), label(event, "retry")))
+            .collect()
+    }
+
+    #[test]
+    fn a_failed_node_retries_next_on_its_own_worker() {
+        // At one worker, the retry of a failed node is the very next
+        // attempt, and the recovered waveform is the fault-free one.
+        use matex_core::{FaultHook, FaultKind, FaultPlan};
+        let sys = small_grid();
+        let spec = TransientSpec::new(0.0, 1e-9, 2e-11).unwrap();
+        let one = DistributedOptions {
+            workers: Some(1),
+            ..DistributedOptions::default()
+        };
+        let reference = run_distributed(&sys, &spec, &one).unwrap();
+        let opts = DistributedOptions {
+            matex: MatexOptions {
+                faults: FaultHook::new(FaultPlan::new().fail_at("dist.node", 0, FaultKind::Error)),
+                obs: matex_obs::Obs::enabled(),
+                ..MatexOptions::default()
+            },
+            max_node_retries: 1,
+            ..one
+        };
+        let run = run_distributed(&sys, &spec, &opts).unwrap();
+        assert_eq!(run.node_retries, 1);
+        let plan = crate::plan_groups(&sys, &spec, opts.strategy);
+        let first = plan.jobs()[plan.order()[0]].group.to_string();
+        let spans = node_spans(&opts.matex.obs);
+        assert_eq!(spans.len(), run.num_groups() + 1);
+        assert_eq!(spans[0], (first.clone(), "0".to_string()));
+        assert_eq!(spans[1], (first, "1".to_string()));
+        assert!(spans[2..].iter().all(|(_, retry)| retry == "0"));
+        assert!(opts
+            .matex
+            .obs
+            .prometheus_text()
+            .contains("matex_dist_node_retries_total 1"));
+        assert_eq!(reference.result.series(), run.result.series());
+        assert_eq!(reference.result.final_state(), run.result.final_state());
+    }
+
+    #[test]
+    fn a_cancel_token_tripped_before_the_call_runs_no_node() {
+        let sys = small_grid();
+        let spec = TransientSpec::new(0.0, 1e-9, 2e-11).unwrap();
+        let token = CancelToken::new();
+        token.cancel();
+        let opts = DistributedOptions {
+            matex: MatexOptions {
+                obs: matex_obs::Obs::enabled(),
+                ..MatexOptions::default()
+            },
+            workers: Some(2),
+            cancel: Some(token),
+            ..DistributedOptions::default()
+        };
+        assert!(matches!(
+            run_distributed(&sys, &spec, &opts),
+            Err(DistError::Cancelled)
+        ));
+        assert!(node_spans(&opts.matex.obs).is_empty());
+    }
+
+    #[test]
+    fn a_cancel_token_tripped_mid_run_stops_every_worker() {
+        // Nine groups on one worker; a watcher trips the token once the
+        // run has recorded its first span. The call returning at all
+        // means every worker exited, and the nodes after the cut never ran.
+        // Nothing in a run can wait on the test, so a margin orders the
+        // two: at 10,000 samples the uncut nodes march for far longer
+        // (~0.1 s optimized) than the watcher takes to wake.
+        let sys = PdnBuilder::new(8, 8)
+            .num_loads(16)
+            .num_features(8)
+            .window(1e-9)
+            .build()
+            .expect("grid builds");
+        let spec = TransientSpec::new(0.0, 1e-9, 1e-13).unwrap();
+        let token = CancelToken::new();
+        let opts = DistributedOptions {
+            matex: MatexOptions {
+                obs: matex_obs::Obs::enabled(),
+                ..MatexOptions::default()
+            },
+            workers: Some(1),
+            cancel: Some(token.clone()),
+            ..DistributedOptions::default()
+        };
+        let groups = crate::plan_groups(&sys, &spec, opts.strategy).num_jobs();
+        assert_eq!(groups, 9);
+        let recorder = opts.matex.obs.recorder().expect("enabled").clone();
+        let outcome = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while recorder.span_count() == 0 {
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+                token.cancel();
+            });
+            run_distributed(&sys, &spec, &opts)
+        });
+        assert!(
+            matches!(outcome, Err(DistError::Cancelled)),
+            "{:?}",
+            outcome.map(|run| run.num_groups())
+        );
+        assert!(node_spans(&opts.matex.obs).len() < groups);
     }
 }

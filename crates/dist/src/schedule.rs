@@ -5,9 +5,10 @@
 //! dominated by its Krylov generations, one per local transition spot.
 //! This module holds the order itself, a list-scheduling simulator used
 //! to bound the proxy's scheduling error against measured wall times
-//! (see `tests/scheduler.rs`), and the per-group predicted-vs-actual
-//! record published on every [`DistributedRun`](crate::DistributedRun).
+//! (see `tests/scheduler.rs`), and the proxy's worst share error
+//! published on every [`DistributedRun`](crate::DistributedRun).
 
+use crate::NodeRun;
 use std::time::Duration;
 
 /// LPT order over job costs: indices sorted by descending cost, ties
@@ -45,35 +46,16 @@ pub fn list_schedule_makespan(order: &[usize], costs: &[f64], workers: usize) ->
     load.iter().cloned().fold(0.0, f64::max)
 }
 
-/// One group's predicted-vs-measured scheduling cost.
-#[derive(Debug, Clone)]
-pub struct GroupCost {
-    /// Group id.
-    pub group: usize,
-    /// The scheduler's cost proxy: LTS count.
-    pub num_lts: usize,
-    /// Proxy cost as a share of the total proxy cost.
-    pub predicted_share: f64,
-    /// Measured wall time as a share of the total wall time.
-    pub measured_share: f64,
-    /// Measured wall time of the node run.
-    pub wall: Duration,
-    /// Of the node's transient time, the small-expm share (`T_H`: the
-    /// per-snapshot `e^{h·Hm}e₁` columns and the sub-step ladder).
-    pub expm_time: Duration,
-    /// Of the node's transient time, the basis-combination share
-    /// (`T_e`) including output recording.
-    pub combine_time: Duration,
-}
-
-/// Scheduling accounting for one distributed run: the per-group
-/// predicted-vs-actual record and the proxy's worst share error.
+/// Scheduling accounting for one distributed run. The per-node record
+/// — LTS count, wall time and the solver's `T_H` / `T_e` split — is
+/// [`DistributedRun::nodes`](crate::DistributedRun::nodes).
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
-    /// Per-group costs, ascending group order.
-    pub groups: Vec<GroupCost>,
-    /// `max_g |predicted_share − measured_share|` — 0 means the LTS
-    /// proxy ranked the work exactly like the wall clock did.
+    /// `max_g |predicted_share − measured_share|` over the nodes, where
+    /// a node's predicted share is its LTS count over the run's total and
+    /// its measured share is its wall time over the run's total (an even
+    /// share when a total is zero). 0 means the LTS proxy ranked the work
+    /// exactly like the wall clock did.
     pub proxy_max_error: f64,
     /// Wall time of the run's one preparation — the factorizations of
     /// `G` and the variant's `X1` every node marches from, side by side
@@ -83,56 +65,29 @@ pub struct RunStats {
     pub prepare_time: Duration,
 }
 
-/// One node's raw scheduling measurement, fed to
-/// [`RunStats::from_measurements`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct NodeMeasurement {
-    pub group: usize,
-    pub num_lts: usize,
-    pub wall: Duration,
-    /// The node solver's `T_H` wall time (`SolveStats::expm_time`).
-    pub expm_time: Duration,
-    /// The node solver's `T_e` wall time (`SolveStats::combine_time`).
-    pub combine_time: Duration,
-}
-
 impl RunStats {
-    /// Builds the record from per-node measurements.
-    pub(crate) fn from_measurements(
-        measurements: &[NodeMeasurement],
-        prepare_time: Duration,
-    ) -> RunStats {
-        let total_lts: usize = measurements.iter().map(|m| m.num_lts).sum();
-        let total_wall: f64 = measurements.iter().map(|m| m.wall.as_secs_f64()).sum();
-        let even = 1.0 / measurements.len().max(1) as f64;
-        let mut proxy_max_error = 0.0_f64;
-        let groups = measurements
+    /// Builds the record from the node records, in ascending group order.
+    pub(crate) fn new(nodes: &[NodeRun], prepare_time: Duration) -> RunStats {
+        let total_lts: usize = nodes.iter().map(|n| n.num_lts).sum();
+        let total_wall: f64 = nodes.iter().map(|n| n.wall.as_secs_f64()).sum();
+        let even = 1.0 / nodes.len().max(1) as f64;
+        let proxy_max_error = nodes
             .iter()
-            .map(|m| {
+            .map(|n| {
                 let predicted_share = if total_lts == 0 {
                     even
                 } else {
-                    m.num_lts as f64 / total_lts as f64
+                    n.num_lts as f64 / total_lts as f64
                 };
                 let measured_share = if total_wall <= 0.0 {
                     even
                 } else {
-                    m.wall.as_secs_f64() / total_wall
+                    n.wall.as_secs_f64() / total_wall
                 };
-                proxy_max_error = proxy_max_error.max((predicted_share - measured_share).abs());
-                GroupCost {
-                    group: m.group,
-                    num_lts: m.num_lts,
-                    predicted_share,
-                    measured_share,
-                    wall: m.wall,
-                    expm_time: m.expm_time,
-                    combine_time: m.combine_time,
-                }
+                (predicted_share - measured_share).abs()
             })
-            .collect();
+            .fold(0.0_f64, f64::max);
         RunStats {
-            groups,
             proxy_max_error,
             prepare_time,
         }
@@ -164,63 +119,77 @@ mod tests {
         assert_eq!(list_schedule_makespan(&order, &costs, 5), 5.0);
     }
 
-    fn m(group: usize, num_lts: usize, wall: Duration) -> NodeMeasurement {
-        NodeMeasurement {
+    fn node(group: usize, num_lts: usize, wall: Duration) -> NodeRun {
+        NodeRun {
             group,
+            num_sources: 1,
             num_lts,
             wall,
-            ..NodeMeasurement::default()
+            stats: matex_core::SolveStats::default(),
         }
     }
 
-    #[test]
-    fn run_stats_shares_sum_to_one() {
-        let m = [
-            m(0, 0, Duration::from_millis(10)),
-            m(1, 6, Duration::from_millis(50)),
-            m(2, 3, Duration::from_millis(40)),
-        ];
-        let stats = RunStats::from_measurements(&m, Duration::ZERO);
-        let p: f64 = stats.groups.iter().map(|g| g.predicted_share).sum();
-        let w: f64 = stats.groups.iter().map(|g| g.measured_share).sum();
-        assert!((p - 1.0).abs() < 1e-12);
-        assert!((w - 1.0).abs() < 1e-12);
-        assert!(stats.proxy_max_error <= 1.0);
-    }
-
-    #[test]
-    fn group_costs_carry_the_node_splits() {
-        // The per-node T_H/T_e measurements survive into the per-group
-        // records.
-        let m = [
-            NodeMeasurement {
-                group: 0,
-                num_lts: 2,
-                wall: Duration::from_millis(30),
-                expm_time: Duration::from_micros(1_500),
-                combine_time: Duration::from_micros(700),
-            },
-            NodeMeasurement {
-                group: 1,
-                num_lts: 4,
-                wall: Duration::from_millis(60),
-                expm_time: Duration::from_micros(2_500),
-                combine_time: Duration::from_micros(1_300),
-            },
-        ];
-        let stats = RunStats::from_measurements(&m, Duration::ZERO);
-        assert_eq!(stats.groups[0].expm_time, Duration::from_micros(1_500));
-        assert_eq!(stats.groups[1].combine_time, Duration::from_micros(1_300));
-    }
-
-    #[test]
-    fn degenerate_measurements_fall_back_to_even_shares() {
-        let m = [m(0, 0, Duration::ZERO), m(1, 0, Duration::ZERO)];
-        let stats = RunStats::from_measurements(&m, Duration::ZERO);
-        for g in &stats.groups {
-            assert_eq!(g.predicted_share, 0.5);
-            assert_eq!(g.measured_share, 0.5);
+    /// The proxy error as the per-group share records computed it: every
+    /// share, then the running maximum of their differences.
+    fn share_table_error(nodes: &[NodeRun]) -> f64 {
+        let total_lts: usize = nodes.iter().map(|n| n.num_lts).sum();
+        let total_wall: f64 = nodes.iter().map(|n| n.wall.as_secs_f64()).sum();
+        let even = 1.0 / nodes.len().max(1) as f64;
+        let mut shares = Vec::new();
+        for n in nodes {
+            let predicted = if total_lts == 0 {
+                even
+            } else {
+                n.num_lts as f64 / total_lts as f64
+            };
+            let measured = if total_wall <= 0.0 {
+                even
+            } else {
+                n.wall.as_secs_f64() / total_wall
+            };
+            shares.push((predicted, measured));
         }
-        assert_eq!(stats.proxy_max_error, 0.0);
+        let mut max_error = 0.0_f64;
+        for (predicted, measured) in shares {
+            max_error = max_error.max((predicted - measured).abs());
+        }
+        max_error
+    }
+
+    #[test]
+    fn proxy_error_is_the_share_formula_bit_for_bit() {
+        let ms = Duration::from_millis;
+        let us = Duration::from_micros;
+        let cases = [
+            vec![node(0, 0, ms(10)), node(1, 6, ms(50)), node(2, 3, ms(40))],
+            vec![node(0, 2, us(30_017)), node(1, 4, us(61_003))],
+            vec![
+                node(0, 0, us(1_234)),
+                node(1, 7, us(98_765)),
+                node(2, 7, us(97_531)),
+                node(3, 1, us(4_321)),
+                node(4, 12, us(150_001)),
+            ],
+            vec![node(0, 5, ms(3))],
+        ];
+        for nodes in &cases {
+            let stats = RunStats::new(nodes, ms(7));
+            assert_eq!(
+                stats.proxy_max_error.to_bits(),
+                share_table_error(nodes).to_bits()
+            );
+            assert!((0.0..=1.0).contains(&stats.proxy_max_error));
+            assert_eq!(stats.prepare_time, ms(7));
+        }
+        // Shares 0 / 2/3 / 1/3 against 0.1 / 0.5 / 0.4: group 1 is off by 1/6.
+        let error = RunStats::new(&cases[0], Duration::ZERO).proxy_max_error;
+        assert!((error - 1.0 / 6.0).abs() < 1e-12, "{error}");
+    }
+
+    #[test]
+    fn degenerate_nodes_fall_back_to_even_shares() {
+        let nodes = [node(0, 0, Duration::ZERO), node(1, 0, Duration::ZERO)];
+        assert_eq!(RunStats::new(&nodes, Duration::ZERO).proxy_max_error, 0.0);
+        assert_eq!(RunStats::new(&[], Duration::ZERO).proxy_max_error, 0.0);
     }
 }

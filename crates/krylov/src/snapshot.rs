@@ -292,13 +292,6 @@ impl SnapshotEvaluator {
         Ok(())
     }
 
-    /// Per-rung posterior estimates of the last ladder (`∞` for rungs
-    /// the early exit never computed), indexed by `s` (rung `s`
-    /// evaluates `h/2^s`).
-    pub fn ladder_estimates(&self) -> &[f64] {
-        &self.ladder_estimates
-    }
-
     /// The longest step of the last ladder whose estimate passes `tol`:
     /// the smallest rung index `s` with `estimate ≤ tol`.
     pub fn best_rung(&self, tol: f64) -> Option<usize> {
@@ -453,7 +446,7 @@ mod tests {
                 assert!((p - q).abs() <= 1e-11 * scale, "rung {s}: {p} vs {q}");
             }
             // And the rung estimate tracks the one-snapshot estimate.
-            let lest = ev.ladder_estimates()[s];
+            let lest = ev.ladder_estimates[s];
             assert!(
                 (est - lest).abs() <= 1e-6 * est.max(1e-300) + 1e-300,
                 "rung {s}: estimate {lest:.3e} vs per-call {est:.3e}"
@@ -468,7 +461,7 @@ mod tests {
         // Threshold below every estimate: the ascent stops right above
         // the deepest rung.
         ev.eval_ladder(&b, 0.4, 6, -1.0).unwrap();
-        let ests = ev.ladder_estimates();
+        let ests = &ev.ladder_estimates;
         assert!(ests[6].is_finite());
         assert!(ests[..6].iter().all(|e| e.is_infinite()));
         assert_eq!(ev.best_rung(1e300), Some(6));
