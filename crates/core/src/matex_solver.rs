@@ -448,9 +448,6 @@ enum Weights {
 /// [`March::land`] and accepts them with [`March::accept`], the one
 /// place a point is recorded.
 struct March<'a> {
-    sys: &'a MnaSystem,
-    setup: &'a MatexSetup,
-    input: InputEval<'a>,
     op: Box<dyn KrylovOp + 'a>,
     opts: &'a MatexOptions,
     lts: SpotSet,
@@ -462,10 +459,11 @@ struct March<'a> {
     anchor_x: Vec<f64>,
     /// End of the input-linearity window the anchor opens.
     win_end: f64,
-    /// `F` and `P` of `[anchor_t, win_end]`, valid until the anchor
-    /// moves. They and the scratch below keep the march allocation-free
-    /// after warm-up (see fp_terms.rs and tests/alloc_free.rs).
-    terms: IntervalTerms,
+    /// The run's input columns, and from them `F` and `P` of
+    /// `[anchor_t, win_end]`, valid until the anchor moves. They and the
+    /// scratch below keep the march allocation-free after warm-up (see
+    /// fp_terms.rs and tests/alloc_free.rs).
+    terms: IntervalTerms<'a>,
     terms_valid: bool,
     /// The subspace built at the anchor, reused for every point of the
     /// window until the anchor moves.
@@ -513,11 +511,17 @@ impl<'a> March<'a> {
         let mut rec = Recorder::new(spec, n)?;
         ensure_finite(t_start, &x0)?;
         rec.record(0, &x0);
-        Ok(March {
+        let mut stats = SolveStats::default();
+        let terms = IntervalTerms::new(
             sys,
-            setup,
-            terms: IntervalTerms::new(n, sys.num_sources()),
-            input: solver.input(sys),
+            &solver.input(sys),
+            setup.lu_g(),
+            setup.smw_g(),
+            (t_start, t_stop),
+            &mut stats,
+        );
+        Ok(March {
+            terms,
             op,
             opts: &solver.opts,
             win_end: next_window_end(&lts, t_start, t_stop),
@@ -530,7 +534,7 @@ impl<'a> March<'a> {
             terms_valid: false,
             basis: None,
             rec,
-            stats: SolveStats::default(),
+            stats,
             evaluator: SnapshotEvaluator::new(),
             hs: Vec::new(),
             xs: Vec::new(),
@@ -553,15 +557,8 @@ impl<'a> March<'a> {
         }
         let h = te - self.anchor_t;
         if !self.terms_valid {
-            self.terms.recompute_corrected(
-                self.sys,
-                self.setup.lu_g(),
-                &self.input,
-                self.anchor_t,
-                self.win_end,
-                &mut self.stats,
-                self.setup.smw_g(),
-            );
+            self.terms
+                .recompute(self.anchor_t, self.win_end, &mut self.stats);
             self.terms_valid = true;
         }
         if self.basis.is_none() {

@@ -16,7 +16,11 @@ pub struct SolveStats {
     /// Of those, how many were cheap numeric refactorizations replaying
     /// a shared symbolic analysis (two-phase LU fast path).
     pub refactorizations: usize,
-    /// Pairs of forward/backward substitutions (the `T_bs` unit).
+    /// Pairs of forward/backward substitutions (the `T_bs` unit). A
+    /// MATEX run counts one per Arnoldi step, one for the DC solve
+    /// unless one is injected, and its input columns once per run —
+    /// `g₀` plus two per load shape — and, when it has non-pulse
+    /// sources, one or three per input window (see `fp_terms`).
     pub substitution_pairs: usize,
     /// Accepted time steps (fixed-step engines) or evaluation points
     /// (MATEX).

@@ -1,7 +1,7 @@
 //! Counting-allocator proof that the substitution hot path is
 //! allocation-free: after warm-up, [`IntervalTerms::recompute`] must
-//! perform **zero** heap allocations per invocation (ISSUE 1 acceptance
-//! criterion).
+//! perform **zero** heap allocations per invocation, on the column sums
+//! and on the per-window residual solves alike.
 //!
 //! The counter is thread-local so the test is immune to other test
 //! threads allocating concurrently.
@@ -10,7 +10,7 @@ use matex_circuit::{MnaSystem, Netlist};
 use matex_core::{InputEval, IntervalTerms, Recorder, SolveStats, TransientSpec};
 use matex_krylov::{build_basis_multi, ExpmParams, RationalOp, SnapshotEvaluator};
 use matex_sparse::{CsrMatrix, LuOptions, SparseLu};
-use matex_waveform::{Pulse, Waveform};
+use matex_waveform::{Pulse, Pwl, Waveform};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -45,15 +45,12 @@ fn allocations_so_far() -> u64 {
     ALLOC_COUNT.with(|c| c.get())
 }
 
-/// A two-node RC with one pulse load: exercises both the sloped (3-pair)
-/// and flat (1-pair) recompute paths.
-fn pulsed_rc() -> MnaSystem {
+/// A two-node RC with one load of waveform `load`.
+fn rc_with(load: Waveform) -> MnaSystem {
     let mut nl = Netlist::new();
     let a = nl.node("a");
     let b = nl.node("b");
-    let p = Pulse::new(0.0, 1e-3, 1e-10, 5e-11, 2e-10, 5e-11).unwrap();
-    nl.add_isource("i", Netlist::ground(), a, Waveform::Pulse(p))
-        .unwrap();
+    nl.add_isource("i", Netlist::ground(), a, load).unwrap();
     nl.add_resistor("r1", a, b, 500.0).unwrap();
     nl.add_resistor("r2", b, Netlist::ground(), 500.0).unwrap();
     nl.add_capacitor("ca", a, Netlist::ground(), 1e-13).unwrap();
@@ -61,42 +58,78 @@ fn pulsed_rc() -> MnaSystem {
     MnaSystem::assemble(&nl).unwrap()
 }
 
-#[test]
-fn interval_terms_recompute_is_allocation_free_after_warmup() {
-    let sys = pulsed_rc();
+/// The RC with one pulse load: its terms come from one class's columns.
+fn pulsed_rc() -> MnaSystem {
+    let p = Pulse::new(0.0, 1e-3, 1e-10, 5e-11, 2e-10, 5e-11).unwrap();
+    rc_with(Waveform::Pulse(p))
+}
+
+/// The same load as a PWL source: the per-window residual path, sloped
+/// (3-pair) and flat (1-pair).
+fn pwl_rc() -> MnaSystem {
+    let points = vec![(1e-10, 0.0), (1.5e-10, 1e-3), (3.5e-10, 1e-3), (4e-10, 0.0)];
+    rc_with(Waveform::Pwl(Pwl::new(points).unwrap()))
+}
+
+/// 100 warm recomputes alternating a sloped interval (inside the
+/// 1.0–1.5e-10 rise ramp) and a flat one (post-pulse), each followed by
+/// `F` and `P`: returns the allocations they made, the substitution
+/// pairs the run's columns cost and the pairs the 100 windows spent.
+fn warm_recomputes(sys: &MnaSystem) -> (u64, usize, usize) {
     let lu_g = SparseLu::factor(sys.g(), &LuOptions::default()).unwrap();
-    let input = InputEval::new(&sys);
+    let input = InputEval::new(sys);
     let mut stats = SolveStats::default();
-    let mut terms = IntervalTerms::new(sys.dim(), input.num_sources());
+    let mut terms = IntervalTerms::new(sys, &input, &lu_g, None, (0.0, 1e-9), &mut stats);
+    let columns = stats.substitution_pairs;
     let mut out = vec![0.0; sys.dim()];
 
     // Warm-up: touch every path once (sloped interval, flat interval,
     // f_into/p_into) so lazy TLS and buffer setup are behind us.
-    terms.recompute(&sys, &lu_g, &input, 1.1e-10, 1.4e-10, &mut stats);
-    terms.recompute(&sys, &lu_g, &input, 5e-10, 6e-10, &mut stats);
+    terms.recompute(1.1e-10, 1.4e-10, &mut stats);
+    terms.recompute(5e-10, 6e-10, &mut stats);
     terms.f_into(&mut out);
     terms.p_into(2e-11, &mut out);
 
+    let pairs = stats.substitution_pairs;
     let before = allocations_so_far();
     for k in 0..100 {
-        // Alternate sloped (inside the 1.0–1.5e-10 rise ramp) and flat
-        // (post-pulse) intervals.
         let (t0, t1) = if k % 2 == 0 {
             (1.05e-10, 1.45e-10)
         } else {
             (6e-10, 8e-10)
         };
-        terms.recompute(&sys, &lu_g, &input, t0, t1, &mut stats);
+        terms.recompute(t0, t1, &mut stats);
         terms.f_into(&mut out);
         terms.p_into(1e-11, &mut out);
     }
-    let allocated = allocations_so_far() - before;
+    (
+        allocations_so_far() - before,
+        columns,
+        stats.substitution_pairs - pairs,
+    )
+}
+
+#[test]
+fn interval_terms_recompute_is_allocation_free_after_warmup() {
+    let (allocated, columns, pairs) = warm_recomputes(&pulsed_rc());
     assert_eq!(
         allocated, 0,
-        "substitution hot path allocated {allocated} times in 100 warm recomputes"
+        "input-term hot path allocated {allocated} times in 100 warm recomputes"
     );
-    // Sanity: the loop really did the work it claims.
-    assert!(stats.substitution_pairs >= 100);
+    // The pulse's class is solved once per run (2 pairs; b₀ is zero, so
+    // no g₀): the windows only sum columns.
+    assert_eq!((columns, pairs), (2, 0));
+}
+
+#[test]
+fn residual_recompute_is_allocation_free_after_warmup() {
+    let (allocated, columns, pairs) = warm_recomputes(&pwl_rc());
+    assert_eq!(
+        allocated, 0,
+        "residual substitution path allocated {allocated} times in 100 warm recomputes"
+    );
+    // No columns; every window solves, 50 sloped and 50 flat.
+    assert_eq!((columns, pairs), (0, 50 * 3 + 50));
 }
 
 #[test]
@@ -156,12 +189,12 @@ fn masked_recompute_is_also_allocation_free() {
     let members = [0usize];
     let input = InputEval::masked(&sys, &members);
     let mut stats = SolveStats::default();
-    let mut terms = IntervalTerms::new(sys.dim(), input.num_sources());
-    terms.recompute(&sys, &lu_g, &input, 1.1e-10, 1.4e-10, &mut stats);
+    let mut terms = IntervalTerms::new(&sys, &input, &lu_g, None, (0.0, 1e-9), &mut stats);
+    terms.recompute(1.1e-10, 1.4e-10, &mut stats);
 
     let before = allocations_so_far();
     for _ in 0..50 {
-        terms.recompute(&sys, &lu_g, &input, 1.05e-10, 1.45e-10, &mut stats);
+        terms.recompute(1.05e-10, 1.45e-10, &mut stats);
     }
     assert_eq!(allocations_so_far() - before, 0);
 }
