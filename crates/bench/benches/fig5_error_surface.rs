@@ -12,7 +12,7 @@
 use matex_bench::Table;
 use matex_circuit::RcMeshBuilder;
 use matex_dense::{expm, DenseLu};
-use matex_krylov::{Arnoldi, KrylovKind, RationalOp};
+use matex_krylov::{Arnoldi, ArnoldiSpace, KrylovKind, RationalOp};
 use matex_sparse::{CsrMatrix, LuOptions, SparseLu};
 
 fn main() {
@@ -39,7 +39,8 @@ fn main() {
     let v: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 7 % 13) as f64) / 13.0).collect();
     let beta = matex_dense::norm2(&v);
     let m_max = 10usize;
-    let mut arnoldi = Arnoldi::new(&op, &v).expect("nonzero start");
+    let mut space = ArnoldiSpace::new();
+    let mut arnoldi = Arnoldi::new(&op, &v, &mut space).expect("nonzero start");
     for _ in 0..m_max {
         arnoldi.step().expect("arnoldi step");
     }

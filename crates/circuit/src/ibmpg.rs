@@ -134,7 +134,9 @@ impl Solution {
     /// # Errors
     ///
     /// Returns [`CircuitError::Parse`] with line numbers on malformed
-    /// input.
+    /// input, including a time or value that is not a finite number
+    /// (`NaN`, `inf`), and [`CircuitError::InvalidNetlist`] for
+    /// inconsistent shapes ([`Solution::new`]).
     pub fn from_tsv(text: &str) -> Result<Solution, CircuitError> {
         let mut lines = text.lines().enumerate();
         let (_, header) = lines.next().ok_or(CircuitError::Parse {
@@ -156,24 +158,27 @@ impl Solution {
                 continue;
             }
             let mut fields = line.split('\t');
-            let t: f64 = fields
-                .next()
-                .and_then(|f| f.parse().ok())
-                .ok_or(CircuitError::Parse {
+            // Field `col` (0: the time) as a finite number.
+            let mut finite = |col: usize| {
+                let what = || match col {
+                    0 => "time value".to_string(),
+                    k => format!("value for column {k}"),
+                };
+                let field = fields.next().ok_or_else(|| CircuitError::Parse {
                     line: idx + 1,
-                    message: "bad time value".into(),
+                    message: format!("missing {}", what()),
                 })?;
-            times.push(t);
+                match field.parse::<f64>() {
+                    Ok(v) if v.is_finite() => Ok(v),
+                    _ => Err(CircuitError::Parse {
+                        line: idx + 1,
+                        message: format!("bad {}: {field:?} is not a finite number", what()),
+                    }),
+                }
+            };
+            times.push(finite(0)?);
             for (k, series) in data.iter_mut().enumerate() {
-                let v: f64 =
-                    fields
-                        .next()
-                        .and_then(|f| f.parse().ok())
-                        .ok_or(CircuitError::Parse {
-                            line: idx + 1,
-                            message: format!("missing value for column {}", k + 1),
-                        })?;
-                series.push(v);
+                series.push(finite(k + 1)?);
             }
         }
         Solution::new(times, names, data)
@@ -186,8 +191,10 @@ impl Solution {
     ///
     /// # Errors
     ///
-    /// Returns [`CircuitError::InvalidNetlist`] when the time axes differ
-    /// or no series names are shared.
+    /// Returns [`CircuitError::InvalidNetlist`] when the time axes differ,
+    /// no series names are shared, or a shared sample differs by a NaN
+    /// or an infinity (which has no error figure, and must not read as
+    /// a small one).
     pub fn error_vs(&self, reference: &Solution) -> Result<(f64, f64), CircuitError> {
         if self.times.len() != reference.times.len() {
             return Err(CircuitError::InvalidNetlist(format!(
@@ -205,8 +212,17 @@ impl Solution {
                 continue;
             };
             matched += 1;
-            for (a, b) in self.data[k].iter().zip(&reference.data[rk]) {
+            for ((a, b), t) in self.data[k]
+                .iter()
+                .zip(&reference.data[rk])
+                .zip(&self.times)
+            {
                 let e = (a - b).abs();
+                if !e.is_finite() {
+                    return Err(CircuitError::InvalidNetlist(format!(
+                        "solution: series {name} differs by {e} at t = {t:e}"
+                    )));
+                }
                 max_err = max_err.max(e);
                 sum += e;
                 count += 1;
@@ -285,5 +301,82 @@ mod tests {
         assert!(Solution::from_tsv("wrong\theader\n").is_err());
         assert!(Solution::from_tsv("time\tx\nnot_a_number\t1\n").is_err());
         assert!(Solution::from_tsv("time\tx\n0.0\n").is_err()); // missing col
+    }
+
+    #[test]
+    fn non_finite_times_and_values_are_parse_errors() {
+        for bad in ["NaN", "nan", "inf", "-inf", "infinity", "1e999"] {
+            for text in [
+                format!("time\tx\n{bad}\t1\n"),
+                format!("time\tx\n0\t{bad}\n"),
+            ] {
+                let got = Solution::from_tsv(&text);
+                assert!(
+                    matches!(got, Err(CircuitError::Parse { line: 2, .. })),
+                    "{text:?} gave {got:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_difference_is_an_error_not_a_small_one() {
+        let a = Solution::new(vec![0.0, 1.0], vec!["x".into()], vec![vec![1.0, 2.0]]).unwrap();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let b = Solution::new(vec![0.0, 1.0], vec!["x".into()], vec![vec![bad, 2.0]]).unwrap();
+            assert!(
+                matches!(a.error_vs(&b), Err(CircuitError::InvalidNetlist(_))),
+                "{bad} read as {:?}",
+                a.error_vs(&b)
+            );
+            assert!(b.error_vs(&a).is_err());
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_of_an_encoded_solution_is_ok_or_typed() {
+        let s = Solution::new(
+            vec![0.0, 1e-11, 2e-11, 3.5e-11],
+            vec!["n1_0_0".into(), "vdd".into(), "n2_10_20".into()],
+            vec![
+                vec![1.8, 1.79, 1.78, 1.781],
+                vec![1.8, 1.8, 1.8, 1.8],
+                vec![-0.0, 1e-300, -2.5e7, 0.5],
+            ],
+        )
+        .unwrap();
+        let bytes = s.to_tsv().into_bytes();
+        let mut mutants = 0usize;
+        let mut check = |candidate: &[u8]| {
+            let Ok(text) = std::str::from_utf8(candidate) else {
+                return;
+            };
+            mutants += 1;
+            let got = std::panic::catch_unwind(|| Solution::from_tsv(text));
+            match got {
+                Ok(Ok(back)) => {
+                    assert!(back.times.iter().all(|t| t.is_finite()), "{text:?}");
+                    assert!(
+                        back.data.iter().flatten().all(|v| v.is_finite()),
+                        "{text:?}"
+                    );
+                    assert_eq!(back.names.len(), back.data.len());
+                    assert!(back.data.iter().all(|d| d.len() == back.times.len()));
+                }
+                Ok(Err(_)) => {}
+                Err(_) => panic!("from_tsv panicked on {text:?}"),
+            }
+        };
+        for len in 0..=bytes.len() {
+            check(&bytes[..len]);
+        }
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut m = bytes.clone();
+                m[i] ^= 1 << bit;
+                check(&m);
+            }
+        }
+        assert!(mutants > bytes.len() * 5, "only {mutants} UTF-8 mutants");
     }
 }

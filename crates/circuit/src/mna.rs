@@ -12,6 +12,7 @@
 use crate::{CircuitError, Element, Netlist, SourceKind};
 use matex_sparse::{CooMatrix, CsrMatrix, SparseCol};
 use matex_waveform::{Fnv64, Waveform};
+use std::sync::{Arc, OnceLock};
 
 /// Metadata for one input (one column of `B`).
 #[derive(Debug, Clone, PartialEq)]
@@ -45,16 +46,25 @@ pub struct SourceInfo {
 /// # Ok(())
 /// # }
 /// ```
+///
+/// The matrices and row names sit behind [`Arc`]s, so the scenario
+/// copies ([`MnaSystem::with_scaled_sources`] and friends) share
+/// whatever they leave unchanged, and the two matrix fingerprints are
+/// memoized (see [`MnaSystem::pattern_fingerprint`]).
 #[derive(Debug, Clone)]
 pub struct MnaSystem {
-    g: CsrMatrix,
-    c: CsrMatrix,
-    b: CsrMatrix,
+    g: Arc<CsrMatrix>,
+    c: Arc<CsrMatrix>,
+    b: Arc<CsrMatrix>,
     sources: Vec<SourceInfo>,
     num_nodes: usize,
     num_inductors: usize,
     num_vsources: usize,
-    row_names: Vec<String>,
+    row_names: Arc<[String]>,
+    /// [`MnaSystem::pattern_fingerprint`], computed on first use.
+    pattern_fp: OnceLock<u64>,
+    /// [`MnaSystem::value_fingerprint`], computed on first use.
+    value_fp: OnceLock<u64>,
 }
 
 impl MnaSystem {
@@ -184,14 +194,16 @@ impl MnaSystem {
             }
         }
         Ok(MnaSystem {
-            g: g.to_csr(),
-            c: c.to_csr(),
-            b: b.to_csr(),
+            g: Arc::new(g.to_csr()),
+            c: Arc::new(c.to_csr()),
+            b: Arc::new(b.to_csr()),
             sources,
             num_nodes: nv,
             num_inductors: nl_count,
             num_vsources: vs_count,
-            row_names,
+            row_names: row_names.into(),
+            pattern_fp: OnceLock::new(),
+            value_fp: OnceLock::new(),
         })
     }
 
@@ -321,16 +333,23 @@ impl MnaSystem {
     /// symbolic LU analyses and solve schedules — this is the cache key
     /// a scenario engine uses to amortize structural work across jobs
     /// whose element *values* or source waveforms differ.
+    ///
+    /// Memoized: hashed on first use (never by
+    /// [`MnaSystem::assemble`]) and kept for the life of the system.
+    /// The scenario copies inherit it — every copy keeps the pattern —
+    /// so a warm service job hashes nothing.
     pub fn pattern_fingerprint(&self) -> u64 {
-        let mut h = Fnv64::new();
-        h.write_usize(self.num_nodes);
-        h.write_usize(self.num_inductors);
-        h.write_usize(self.num_vsources);
-        h.write_usize(self.sources.len());
-        for m in [&self.g, &self.c, &self.b] {
-            hash_pattern(m, &mut h);
-        }
-        h.finish()
+        *self.pattern_fp.get_or_init(|| {
+            let mut h = Fnv64::new();
+            h.write_usize(self.num_nodes);
+            h.write_usize(self.num_inductors);
+            h.write_usize(self.num_vsources);
+            h.write_usize(self.sources.len());
+            for m in [&*self.g, &*self.c, &*self.b] {
+                hash_pattern(m, &mut h);
+            }
+            h.finish()
+        })
     }
 
     /// Fingerprint of structure *and* numeric content of `G`, `C`, `B`
@@ -339,15 +358,24 @@ impl MnaSystem {
     /// included — factorizations and DC matrices depend only on the
     /// matrices, so scenario overrides that rescale or swap waveforms
     /// keep this fingerprint (see [`MnaSystem::source_fingerprint`]).
+    ///
+    /// Memoized like the pattern fingerprint.
+    /// [`MnaSystem::with_source_waveforms`] and
+    /// [`MnaSystem::with_scaled_sources`] inherit it;
+    /// [`MnaSystem::with_cap_scaled`] and
+    /// [`MnaSystem::with_conductance_delta`] change a value, so their
+    /// copies hash theirs afresh on first use.
     pub fn value_fingerprint(&self) -> u64 {
-        let mut h = Fnv64::new();
-        h.write_u64(self.pattern_fingerprint());
-        for m in [&self.g, &self.c, &self.b] {
-            for r in 0..m.nrows() {
-                h.write_f64s(m.row_values(r));
+        *self.value_fp.get_or_init(|| {
+            let mut h = Fnv64::new();
+            h.write_u64(self.pattern_fingerprint());
+            for m in [&*self.g, &*self.c, &*self.b] {
+                for r in 0..m.nrows() {
+                    h.write_f64s(m.row_values(r));
+                }
             }
-        }
-        h.finish()
+            h.finish()
+        })
     }
 
     /// Fingerprint of the input side: every source's kind and waveform
@@ -370,7 +398,10 @@ impl MnaSystem {
     /// A copy of this system with the source waveforms replaced, column
     /// by column. Matrices, source kinds, and names are untouched, so
     /// the structural and value fingerprints are preserved — the
-    /// scenario-override primitive of the service layer.
+    /// scenario-override primitive of the service layer. Only the
+    /// sources are copied: the matrices and row names are shared, and
+    /// both fingerprints are computed here (once, on `self`) and
+    /// inherited.
     ///
     /// # Errors
     ///
@@ -384,6 +415,8 @@ impl MnaSystem {
                 self.sources.len()
             )));
         }
+        // Hashed once, here, so that the copy inherits both keys.
+        self.value_fingerprint();
         let mut out = self.clone();
         for (s, w) in out.sources.iter_mut().zip(waveforms) {
             s.waveform = w;
@@ -392,7 +425,9 @@ impl MnaSystem {
     }
 
     /// A copy of this system with every source waveform scaled by `k`
-    /// ([`Waveform::scaled`]): the uniform load-scaling scenario.
+    /// ([`Waveform::scaled`]): the uniform load-scaling scenario. Shares
+    /// the matrices and inherits both fingerprints, as
+    /// [`MnaSystem::with_source_waveforms`] does.
     ///
     /// # Errors
     ///
@@ -408,8 +443,10 @@ impl MnaSystem {
     /// A copy of this system with the ground capacitance at `row`
     /// scaled by `factor` — the "tune/add a decap at this node" what-if
     /// edit. Only the `C[row, row]` diagonal changes, so the sparsity
-    /// pattern (and [`MnaSystem::pattern_fingerprint`]) is preserved
-    /// while [`MnaSystem::value_fingerprint`] changes.
+    /// pattern (and [`MnaSystem::pattern_fingerprint`], inherited) is
+    /// preserved while [`MnaSystem::value_fingerprint`] changes (the
+    /// copy hashes its own on first use). `G`, `B` and the row names
+    /// are shared; `C` is copied.
     ///
     /// # Errors
     ///
@@ -428,8 +465,8 @@ impl MnaSystem {
                 self.num_nodes
             )));
         }
-        let mut out = self.clone();
-        match csr_entry_mut(&mut out.c, row, row) {
+        let mut out = self.value_edit();
+        match csr_entry_mut(Arc::make_mut(&mut out.c), row, row) {
             Some(v) if *v != 0.0 => *v *= factor,
             _ => {
                 return Err(CircuitError::InvalidNetlist(format!(
@@ -443,7 +480,9 @@ impl MnaSystem {
     /// A copy of this system with `dg` added to the conductance between
     /// node rows `a` and `b` (ground when `None`) — the "change one R"
     /// what-if edit. All four stamp entries must already exist in `G`'s
-    /// pattern, so the fingerprinted structure is preserved.
+    /// pattern, so the fingerprinted structure is preserved (the pattern
+    /// fingerprint is inherited, the value fingerprint hashed afresh).
+    /// `C`, `B` and the row names are shared; `G` is copied.
     ///
     /// # Errors
     ///
@@ -469,8 +508,9 @@ impl MnaSystem {
                 )));
             }
         }
-        let mut out = self.clone();
-        let mut bump = |r: usize, c: usize, v: f64| match csr_entry_mut(&mut out.g, r, c) {
+        let mut out = self.value_edit();
+        let g = Arc::make_mut(&mut out.g);
+        let mut bump = |r: usize, c: usize, v: f64| match csr_entry_mut(g, r, c) {
             Some(e) => {
                 *e += v;
                 Ok(())
@@ -490,6 +530,17 @@ impl MnaSystem {
             bump(j, i, -dg)?;
         }
         Ok(out)
+    }
+
+    /// A copy about to have a matrix value edited: it shares every
+    /// matrix (the edit copies the one it writes through
+    /// [`Arc::make_mut`]), inherits the pattern fingerprint (hashed here
+    /// if it was not yet) and hashes its value fingerprint afresh.
+    fn value_edit(&self) -> MnaSystem {
+        self.pattern_fingerprint();
+        let mut out = self.clone();
+        out.value_fp = OnceLock::new();
+        out
     }
 
     /// The sparse value edit set turning `base` into `self`, for the

@@ -37,6 +37,14 @@
 //! q0 = g₀ + Σ φ_k(t0)·g_k      qd = Σ s_k·g_k      r = Σ s_k·w_k
 //! ```
 //!
+//! The columns are independent right-hand sides, so they are solved in
+//! two batched passes of
+//! [`SparseLu::solve_many_into`](matex_sparse::SparseLu::solve_many_into)
+//! — `g₀` with every `g_k`, then every `w_k` once the `g_k` are known —
+//! each batch of up to [`SOLVE_BATCH`] columns one sweep over the factor.
+//! Every column is bitwise its own single solve, and each still counts as
+//! one substitution pair.
+//!
 //! A class that is constant over the whole run folds into `b₀`. Sources
 //! of any other shape (PWL) form a per-window residual, solved as
 //! `G⁻¹Bu(t0)`, `G⁻¹Bu̇` and `G⁻¹C·G⁻¹Bu̇` — three pairs, one when the
@@ -56,7 +64,7 @@
 use crate::engine::InputEval;
 use crate::SolveStats;
 use matex_circuit::MnaSystem;
-use matex_sparse::{CsrMatrix, SmwUpdate, SparseLu};
+use matex_sparse::{CsrMatrix, SmwUpdate, SparseLu, SOLVE_BATCH};
 use matex_waveform::{FeatureKey, Pulse, Waveform};
 use std::collections::HashMap;
 
@@ -144,42 +152,58 @@ impl<'a> IntervalTerms<'a> {
             c: sys.c(),
             work: vec![0.0; n],
         };
+        // Classes flat over the run fold into `b₀` here, before `b₀` is
+        // formed.
         let mut shapes = Vec::with_capacity(classes.len());
-        let mut g = Vec::with_capacity(classes.len() * n);
-        let mut w = Vec::with_capacity(classes.len() * n);
-        let (mut rhs, mut gk, mut wk) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        let mut amp = vec![0.0; sys.num_sources()];
-        for (shape, members) in classes {
+        let mut members = Vec::with_capacity(classes.len());
+        for (shape, class) in classes {
             let inside = |&s: &f64| s > t_start && s < t_stop;
             if shape.value(t_start) == shape.value(t_stop)
                 && !shape.transition_spots(t_stop).iter().any(inside)
             {
-                for (c, _) in members {
+                for (c, _) in class {
                     u[c] = sys.sources()[c].waveform.value(t_start);
                 }
                 continue;
             }
-            for &(c, a) in &members {
-                amp[c] = a;
-            }
-            sys.b().matvec_into(&amp, &mut rhs);
-            for &(c, _) in &members {
-                amp[c] = 0.0;
-            }
-            solver.solve_twice(&mut rhs, &mut gk, &mut wk);
-            g.extend_from_slice(&gk);
-            w.extend_from_slice(&wk);
-            stats.substitution_pairs += 2;
             shapes.push(shape);
+            members.push(class);
         }
-        let mut g0 = vec![0.0; n];
-        if residual.is_empty() {
-            sys.b().matvec_into(&u, &mut rhs);
-            if rhs.iter().any(|&v| v != 0.0) {
-                solver.solve(&rhs, &mut g0);
-                stats.substitution_pairs += 1;
-            }
-        }
+        let mut rhs = vec![0.0; n];
+        sys.b().matvec_into(&u, &mut rhs);
+        let with_g0 = residual.is_empty() && rhs.iter().any(|&v| v != 0.0);
+        // One batch solves `g₀` and every `g_k = G⁻¹b̃_k`, a second every
+        // `w_k = G⁻¹C·g_k`.
+        let classes = shapes.len();
+        let (mut g0, mut g, mut w) = (vec![0.0; n], vec![0.0; classes * n], vec![0.0; classes * n]);
+        let mut amp = vec![0.0; sys.num_sources()];
+        let skip = usize::from(with_g0);
+        solver.solve_batched(
+            skip + classes,
+            |i, col| match i.checked_sub(skip) {
+                None => col.copy_from_slice(&rhs),
+                Some(k) => {
+                    for &(c, a) in &members[k] {
+                        amp[c] = a;
+                    }
+                    sys.b().matvec_into(&amp, col);
+                    for &(c, _) in &members[k] {
+                        amp[c] = 0.0;
+                    }
+                }
+            },
+            |i, x| match i.checked_sub(skip) {
+                None => g0.copy_from_slice(x),
+                Some(k) => g[k * n..(k + 1) * n].copy_from_slice(x),
+            },
+            stats,
+        );
+        solver.solve_batched(
+            classes,
+            |k, col| sys.c().matvec_into(&g[k * n..(k + 1) * n], col),
+            |k, x| w[k * n..(k + 1) * n].copy_from_slice(x),
+            stats,
+        );
         IntervalTerms {
             sys,
             solver,
@@ -303,6 +327,42 @@ impl GSolver<'_> {
         self.lu.solve_into(b, out, &mut self.work);
         if let Some(smw) = self.smw {
             smw.correct_in_place(out);
+        }
+    }
+
+    /// Solves `k` columns in batches of [`SOLVE_BATCH`] (one pass over
+    /// the factor per batch, [`SparseLu::solve_many_into`]): `fill(i, b)`
+    /// writes column `i`'s right-hand side, and `sink(i, x)` receives
+    /// its corrected solution — bitwise [`GSolver::solve`]'s. Counts one
+    /// substitution pair per column.
+    fn solve_batched(
+        &mut self,
+        k: usize,
+        mut fill: impl FnMut(usize, &mut [f64]),
+        mut sink: impl FnMut(usize, &[f64]),
+        stats: &mut SolveStats,
+    ) {
+        let n = self.work.len();
+        let width = k.min(SOLVE_BATCH);
+        let (mut b, mut x, mut work) = (
+            vec![0.0; width * n],
+            vec![0.0; width * n],
+            vec![0.0; width * n],
+        );
+        for start in (0..k).step_by(SOLVE_BATCH) {
+            let cols = (k - start).min(SOLVE_BATCH);
+            let (b, x) = (&mut b[..cols * n], &mut x[..cols * n]);
+            for (c, col) in b.chunks_exact_mut(n).enumerate() {
+                fill(start + c, col);
+            }
+            self.lu.solve_many_into(b, x, &mut work);
+            for (c, col) in x.chunks_exact_mut(n).enumerate() {
+                if let Some(smw) = self.smw {
+                    smw.correct_in_place(col);
+                }
+                sink(start + c, col);
+            }
+            stats.substitution_pairs += cols;
         }
     }
 

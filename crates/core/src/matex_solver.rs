@@ -37,7 +37,7 @@ use crate::{
 use matex_circuit::MnaSystem;
 use matex_dense::norm2;
 use matex_krylov::{
-    build_basis_multi, ExpmParams, InvertedOp, KrylovBasis, KrylovError, KrylovKind, KrylovOp,
+    BasisBuilder, ExpmParams, InvertedOp, KrylovBasis, KrylovError, KrylovKind, KrylovOp,
     RationalOp, SnapshotEvaluator, StandardOp,
 };
 use matex_waveform::SpotSet;
@@ -468,6 +468,10 @@ struct March<'a> {
     /// The subspace built at the anchor, reused for every point of the
     /// window until the anchor moves.
     basis: Option<KrylovBasis>,
+    /// The storage every basis is built in; a basis's vectors go back
+    /// to it when the anchor moves, so builds after the first allocate
+    /// nothing per Arnoldi step or operator application.
+    builder: BasisBuilder,
     rec: Recorder,
     x_final: Vec<f64>,
     /// The march's own costs; `run` adds them to the preparation's.
@@ -533,6 +537,7 @@ impl<'a> March<'a> {
             anchor_x: x0,
             terms_valid: false,
             basis: None,
+            builder: BasisBuilder::new(),
             rec,
             stats,
             evaluator: SnapshotEvaluator::new(),
@@ -583,7 +588,9 @@ impl<'a> March<'a> {
             let hw = (self.win_end - self.anchor_t).max(h);
             let checks = [h, hw, hw / 8.0, hw / 64.0];
             let arnoldi_span = self.opts.obs.span("solver.arnoldi");
-            let built = build_basis_multi(&*self.op, &self.v, &checks, &self.opts.expm);
+            let built = self
+                .builder
+                .build(&*self.op, &self.v, &checks, &self.opts.expm);
             drop(arnoldi_span);
             let outcome = built?;
             self.stats.krylov_bases += 1;
@@ -637,7 +644,9 @@ impl<'a> March<'a> {
         self.chunk = 1;
 
         // First rejected time: one squaring ladder, whose intermediates
-        // are exactly the exponentials at the halved trial distances.
+        // are exactly the exponentials at the halved trial distances
+        // h/2, h/4, … (the full step itself is the batch's, just
+        // rejected).
         let te_f = times[accepted];
         let h_f = te_f - self.anchor_t;
         let b = self.basis.as_ref().expect("basis survives a partial batch");
@@ -665,33 +674,29 @@ impl<'a> March<'a> {
             obs.record_span("solver.expm_ladder", obs.job(), t0, d, &[]);
         }
         let t0 = Instant::now();
-        match rung {
-            // The ladder's own full-step value passes: accept it.
-            Some(0) => self.land(Weights::Rung(0, h_f)),
-            Some(s) => {
-                // Re-anchor at the longest passing rung h/2^s (a
-                // pseudo-anchor of Alg. 2) and rebuild there.
-                let hs = h_f * 0.5_f64.powi(s as i32);
-                self.land(Weights::Rung(s, hs));
-                self.stats.combine_time += t0.elapsed();
-                self.move_anchor(self.anchor_t + hs, 0);
-                self.stats.substeps += s;
-                self.rounds += 1;
-                return Ok(accepted);
-            }
-            None => {
-                // No rung passed (or the per-point budget ran out):
-                // accept the best-effort full-step value, or fail if it
-                // never went finite.
-                if !self.evaluator.estimates()[accepted].is_finite() {
-                    return Err(CoreError::Krylov(KrylovError::Dense(
-                        matex_dense::DenseError::NotFinite,
-                    )));
-                }
-                self.stats.best_effort_steps += 1;
-                self.land(Weights::Batch(accepted..accepted + 1));
-            }
+        if let Some(s) = rung {
+            // Re-anchor at the longest passing rung h/2^s (a
+            // pseudo-anchor of Alg. 2) and rebuild there.
+            let hs = h_f * 0.5_f64.powi(s as i32);
+            self.land(Weights::Rung(s, hs));
+            self.stats.combine_time += t0.elapsed();
+            // A pseudo-anchor is a state like any accepted one: a
+            // non-finite one fails the run here, not the next basis.
+            ensure_finite(self.anchor_t + hs, &self.xs[..self.anchor_x.len()])?;
+            self.move_anchor(self.anchor_t + hs, 0);
+            self.stats.substeps += s;
+            self.rounds += 1;
+            return Ok(accepted);
         }
+        // No rung passed (or the per-point budget ran out): accept the
+        // best-effort full-step value, or fail if it never went finite.
+        if !self.evaluator.estimates()[accepted].is_finite() {
+            return Err(CoreError::Krylov(KrylovError::Dense(
+                matex_dense::DenseError::NotFinite,
+            )));
+        }
+        self.stats.best_effort_steps += 1;
+        self.land(Weights::Batch(accepted..accepted + 1));
         self.accept(te_f, samples[accepted], 0)?;
         self.stats.combine_time += t0.elapsed();
         self.rounds = 0;
@@ -768,7 +773,9 @@ impl<'a> March<'a> {
         self.anchor_x
             .copy_from_slice(&self.xs[col * n..(col + 1) * n]);
         self.terms_valid = false;
-        self.basis = None;
+        if let Some(basis) = self.basis.take() {
+            self.builder.recycle(basis);
+        }
     }
 }
 

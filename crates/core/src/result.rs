@@ -92,7 +92,10 @@ impl TransientResult {
     /// # Errors
     ///
     /// Returns [`CoreError::Incomparable`] when the sample times differ
-    /// in any bit or no rows are shared.
+    /// in any bit or no rows are shared, and [`CoreError::NotFinite`]
+    /// (at the first such sample time) when a shared sample differs by a
+    /// NaN or an infinity: a run that went non-finite has no error
+    /// figure, and must not read as a small one.
     pub fn error_vs(&self, reference: &TransientResult) -> Result<(f64, f64), CoreError> {
         self.same_grid(reference)?;
         let mut max_err = 0.0_f64;
@@ -104,8 +107,15 @@ impl TransientResult {
                 continue;
             };
             shared += 1;
-            for (a, b) in self.series[k].iter().zip(&reference.series[rk]) {
+            for ((a, b), &t) in self.series[k]
+                .iter()
+                .zip(&reference.series[rk])
+                .zip(&self.times)
+            {
                 let e = (a - b).abs();
+                if !e.is_finite() {
+                    return Err(CoreError::NotFinite { at: t });
+                }
                 max_err = max_err.max(e);
                 sum += e;
                 count += 1;
@@ -195,6 +205,20 @@ mod tests {
         let (mx, avg) = a.error_vs(&b).unwrap();
         assert_eq!(mx, 0.5);
         assert_eq!(avg, 0.375);
+    }
+
+    #[test]
+    fn a_non_finite_difference_is_an_error_not_a_small_one() {
+        let a = sample(&[1.0, 2.0]);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let b = sample(&[1.5, bad]);
+            assert!(
+                matches!(a.error_vs(&b), Err(CoreError::NotFinite { at }) if at == 1.0),
+                "{bad} read as {:?}",
+                a.error_vs(&b)
+            );
+            assert!(matches!(b.error_vs(&a), Err(CoreError::NotFinite { .. })));
+        }
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! Counting-allocator proof that the substitution hot path is
 //! allocation-free: after warm-up, [`IntervalTerms::recompute`] must
 //! perform **zero** heap allocations per invocation, on the column sums
-//! and on the per-window residual solves alike.
+//! and on the per-window residual solves alike; and a Krylov basis build
+//! allocates nothing per Arnoldi step or operator application.
 //!
 //! The counter is thread-local so the test is immune to other test
 //! threads allocating concurrently.
 
 use matex_circuit::{MnaSystem, Netlist};
 use matex_core::{InputEval, IntervalTerms, Recorder, SolveStats, TransientSpec};
-use matex_krylov::{build_basis_multi, ExpmParams, RationalOp, SnapshotEvaluator};
+use matex_krylov::{
+    build_basis_multi, Arnoldi, ArnoldiSpace, BasisBuilder, ExpmParams, KrylovOp, RationalOp,
+    SnapshotEvaluator,
+};
 use matex_sparse::{CsrMatrix, LuOptions, SparseLu};
 use matex_waveform::{Pulse, Pwl, Waveform};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -179,6 +183,99 @@ fn snapshot_evaluation_hot_path_is_allocation_free_after_warmup() {
     assert_eq!(
         allocated, 0,
         "snapshot-evaluation hot path allocated {allocated} times in 100 warm rounds"
+    );
+}
+
+/// The rational operator of a 60-node RC chain whose values all differ
+/// (an irreducible tridiagonal pencil: distinct eigenvalues, so the
+/// subspace keeps growing) and a start vector.
+fn chain_operator_parts() -> (MnaSystem, SparseLu, Vec<f64>) {
+    let mut nl = Netlist::new();
+    let nodes: Vec<_> = (0..60).map(|i| nl.node(&format!("n{i}"))).collect();
+    nl.add_resistor("rg", nodes[0], Netlist::ground(), 40.0)
+        .unwrap();
+    for (i, pair) in nodes.windows(2).enumerate() {
+        let ohms = 50.0 * (1.0 + ((i * 13) % 7) as f64 + 0.01 * i as f64);
+        nl.add_resistor(&format!("r{i}"), pair[0], pair[1], ohms)
+            .unwrap();
+    }
+    for (i, &node) in nodes.iter().enumerate() {
+        let farads = 1e-13 * (1.0 + ((i * 37) % 11) as f64 + 0.003 * i as f64);
+        nl.add_capacitor(&format!("c{i}"), node, Netlist::ground(), farads)
+            .unwrap();
+    }
+    let sys = MnaSystem::assemble(&nl).unwrap();
+    let shifted = CsrMatrix::linear_combination(1.0, sys.c(), 1e-10, sys.g()).unwrap();
+    let lu = SparseLu::factor(&shifted, &LuOptions::default()).unwrap();
+    let v = (0..sys.dim()).map(|i| 1.0 + (i % 7) as f64).collect();
+    (sys, lu, v)
+}
+
+#[test]
+fn arnoldi_steps_and_operator_applications_are_allocation_free_after_warmup() {
+    let (sys, lu, v) = chain_operator_parts();
+    let op = RationalOp::new(&lu, sys.c(), 1e-10);
+    let n = sys.dim();
+    assert!(n > 40);
+    let mut space = ArnoldiSpace::new();
+    let run = |space: &mut ArnoldiSpace| {
+        let mut ar = Arnoldi::new(&op, &v, space).unwrap();
+        for _ in 0..24 {
+            ar.step().unwrap();
+        }
+        assert_eq!(ar.m(), 24);
+        let basis = ar.into_basis(24);
+        space.recycle(basis);
+    };
+    run(&mut space);
+    let before = allocations_so_far();
+    run(&mut space);
+    let allocated = allocations_so_far() - before;
+    assert_eq!(
+        allocated, 0,
+        "a warm 24-step Arnoldi run allocated {allocated} times"
+    );
+
+    let (mut out, mut scratch) = (vec![0.0; n], vec![0.0; 2 * n]);
+    let before = allocations_so_far();
+    for _ in 0..100 {
+        op.apply(&v, &mut out, &mut scratch);
+    }
+    assert_eq!(allocations_so_far() - before, 0);
+}
+
+#[test]
+fn basis_builds_allocate_nothing_per_step_after_warmup() {
+    // Builds capped at m = 33 and m = 36 make the same 32 convergence
+    // checks (every m ≤ 32, then the cap), so any difference in their
+    // allocation counts would come from the three extra Arnoldi steps.
+    // A tolerance of 0 never converges, so both run to their cap.
+    let (sys, lu, v) = chain_operator_parts();
+    let op = RationalOp::new(&lu, sys.c(), 1e-10);
+    let hs = [2e-11, 1e-10];
+    let params = |m_max| ExpmParams { tol: 0.0, m_max };
+    let mut builder = BasisBuilder::new();
+    let build = |builder: &mut BasisBuilder, m_max: usize| {
+        let before = allocations_so_far();
+        let out = builder.build(&op, &v, &hs, &params(m_max)).unwrap();
+        let allocated = allocations_so_far() - before;
+        assert!(!out.converged, "converged at m = {}", out.basis.m());
+        assert_eq!(out.substitutions, m_max);
+        // Bitwise a one-off build.
+        let fresh = build_basis_multi(&op, &v, &hs, &params(m_max)).unwrap();
+        assert_eq!(out.basis.vectors(), fresh.basis.vectors());
+        assert_eq!(out.basis.hm(), fresh.basis.hm());
+        builder.recycle(out.basis);
+        allocated
+    };
+    build(&mut builder, 36);
+    let short = build(&mut builder, 33);
+    let long = build(&mut builder, 36);
+    assert_eq!(
+        long,
+        short,
+        "three more Arnoldi steps allocated {} times",
+        long as i64 - short as i64
     );
 }
 

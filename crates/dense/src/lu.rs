@@ -159,8 +159,11 @@ impl DenseLu {
             });
         }
         let mut x = DMat::zeros(n, b.ncols());
+        let mut col = vec![0.0; n];
         for j in 0..b.ncols() {
-            let mut col = b.col(j);
+            for (i, c) in col.iter_mut().enumerate() {
+                *c = b[(i, j)];
+            }
             self.solve_in_place(&mut col);
             x.set_col(j, &col);
         }

@@ -6,7 +6,7 @@
 //! for every snapshot time until the next input transition, by only
 //! rescaling `h` (Sec. 2.4 / Alg. 2 line 11).
 
-use crate::{Arnoldi, KrylovError, KrylovKind, KrylovOp, SnapshotEvaluator};
+use crate::{Arnoldi, ArnoldiSpace, KrylovError, KrylovKind, KrylovOp, SnapshotEvaluator};
 use matex_dense::DMat;
 
 /// Parameters for building a Krylov basis.
@@ -189,6 +189,9 @@ const M_MIN: usize = 2;
 /// tolerance at *every* step in `hs` — used when one basis will be reused
 /// across a whole snapshot window (paper Alg. 2 line 11).
 ///
+/// A one-off build; a caller that builds many bases keeps a
+/// [`BasisBuilder`] instead, whose storage outlives the build.
+///
 /// # Errors
 ///
 /// As [`build_basis`].
@@ -198,144 +201,163 @@ pub fn build_basis_multi(
     hs: &[f64],
     params: &ExpmParams,
 ) -> Result<BuildOutcome, KrylovError> {
-    let gamma = op.gamma().unwrap_or(0.0);
-    let kind = op.kind();
-    let mut arnoldi = Arnoldi::new(op, v)?;
-    let beta = arnoldi.beta();
-    let mut ev = SnapshotEvaluator::new();
-    // (m, hm, h_sub, rel_est, inv_last_row, prefactor)
-    #[allow(clippy::type_complexity)]
-    let mut best: Option<(usize, DMat, f64, f64, Option<Vec<f64>>, f64)> = None;
-    let mut steps = 0usize;
-    let mut last_dense_err: Option<KrylovError> = None;
-    // The subspace cannot usefully exceed the state dimension: past it
-    // the basis is numerically dependent and the recurrence degrades.
-    let m_cap = params.m_max.min(op.dim());
-    while arnoldi.m() < m_cap && !arnoldi.broke_down() {
-        arnoldi.step()?;
-        steps += 1;
-        let m = arnoldi.m();
-        // Convergence checks are O(m³); check every step while small,
-        // then stride to amortize (large m only happens for MEXP on
-        // stiff circuits, where per-step checks would dominate).
-        let check = m >= M_MIN && (m <= 32 || m % 4 == 0 || m == m_cap || arnoldi.broke_down());
-        if !check {
-            continue;
-        }
-        let h_hat = arnoldi.h_hat(m);
-        let (hm, inv) = match kind.map_hessenberg_with_inverse(&h_hat, gamma) {
-            Ok(pair) => pair,
-            Err(e) => {
-                last_dense_err = Some(e);
-                continue; // ill-conditioned at this m; extend further
+    BasisBuilder::new().build(op, v, hs, params)
+}
+
+/// The storage of repeated basis builds: the Arnoldi workspace (with the
+/// vectors of the bases handed back through [`BasisBuilder::recycle`])
+/// and the evaluator of the convergence checks.
+///
+/// After a warm-up build of the same state dimension and subspace size
+/// whose basis was handed back, a build allocates nothing per Arnoldi
+/// step or operator application; only the `O(m²)` dense work of each
+/// convergence check (the Hessenberg mapping) allocates. Every build is
+/// bitwise a fresh [`build_basis_multi`].
+#[derive(Debug, Default)]
+pub struct BasisBuilder {
+    space: ArnoldiSpace,
+    ev: SnapshotEvaluator,
+}
+
+impl BasisBuilder {
+    /// An empty builder (buffers are sized on first use).
+    pub fn new() -> BasisBuilder {
+        BasisBuilder::default()
+    }
+
+    /// Hands a basis that is no longer needed back, so that the next
+    /// builds reuse its vectors.
+    pub fn recycle(&mut self, basis: KrylovBasis) {
+        self.space.recycle(basis.vm);
+    }
+
+    /// Builds a basis as [`build_basis_multi`] does, in this builder's
+    /// storage.
+    ///
+    /// # Errors
+    ///
+    /// As [`build_basis`].
+    pub fn build(
+        &mut self,
+        op: &dyn KrylovOp,
+        v: &[f64],
+        hs: &[f64],
+        params: &ExpmParams,
+    ) -> Result<BuildOutcome, KrylovError> {
+        let gamma = op.gamma().unwrap_or(0.0);
+        let kind = op.kind();
+        let mut arnoldi = Arnoldi::new(op, v, &mut self.space)?;
+        let beta = arnoldi.beta();
+        // The checked basis with the lowest estimate so far (without
+        // vectors), and that estimate.
+        let mut best: Option<(KrylovBasis, f64)> = None;
+        let mut steps = 0usize;
+        let mut last_dense_err: Option<KrylovError> = None;
+        // The subspace cannot usefully exceed the state dimension: past it
+        // the basis is numerically dependent and the recurrence degrades.
+        let m_cap = params.m_max.min(op.dim());
+        while arnoldi.m() < m_cap && !arnoldi.broke_down() {
+            arnoldi.step()?;
+            steps += 1;
+            let m = arnoldi.m();
+            // Convergence checks are O(m³); check every step while small,
+            // then stride to amortize (large m only happens for MEXP on
+            // stiff circuits, where per-step checks would dominate).
+            let check = m >= M_MIN && (m <= 32 || m % 4 == 0 || m == m_cap || arnoldi.broke_down());
+            if !check {
+                continue;
             }
-        };
-        let h_sub = arnoldi.subdiag(m);
-        let inv_last_row = inv.map(|i| i.row(m - 1).to_vec());
-        let prefactor = residual_prefactor(kind, &hm, gamma);
-        let basis_probe = KrylovBasis {
-            kind,
-            gamma,
-            beta,
-            vm: Vec::new(), // not needed for the estimate
-            hm: hm.clone(),
-            h_sub,
-            breakdown: arnoldi.broke_down(),
-            inv_last_row: inv_last_row.clone(),
-            prefactor,
-        };
-        let mut est = 0.0_f64;
-        let mut est_failed = false;
-        // After a happy breakdown the projection is exact: estimate 0.
-        if !basis_probe.breakdown {
-            for &h in hs {
-                match ev.estimate_one(&basis_probe, h) {
-                    Ok(e) => est = est.max(e),
-                    Err(e) => {
-                        last_dense_err = Some(e);
-                        est_failed = true;
-                        break;
+            let h_hat = arnoldi.h_hat(m);
+            let (hm, inv) = match kind.map_hessenberg_with_inverse(&h_hat, gamma) {
+                Ok(pair) => pair,
+                Err(e) => {
+                    last_dense_err = Some(e);
+                    continue; // ill-conditioned at this m; extend further
+                }
+            };
+            let prefactor = residual_prefactor(kind, &hm, gamma);
+            let mut probe = KrylovBasis {
+                kind,
+                gamma,
+                beta,
+                vm: Vec::new(), // not needed for the estimate
+                hm,
+                h_sub: arnoldi.subdiag(m),
+                breakdown: arnoldi.broke_down(),
+                inv_last_row: inv.map(|i| i.row(m - 1).to_vec()),
+                prefactor,
+            };
+            let mut est = 0.0_f64;
+            let mut est_failed = false;
+            // After a happy breakdown the projection is exact: estimate 0.
+            if !probe.breakdown {
+                for &h in hs {
+                    match self.ev.estimate_one(&probe, h) {
+                        Ok(e) => est = est.max(e),
+                        Err(e) => {
+                            last_dense_err = Some(e);
+                            est_failed = true;
+                            break;
+                        }
                     }
                 }
             }
+            if est_failed {
+                continue;
+            }
+            let rel = est / beta;
+            if rel <= params.tol {
+                probe.vm = arnoldi.into_basis(m);
+                return Ok(BuildOutcome {
+                    basis: probe,
+                    converged: true,
+                    rel_estimate: rel,
+                    substitutions: steps,
+                });
+            }
+            match &best {
+                Some((_, prev)) if *prev <= rel => {}
+                _ => best = Some((probe, rel)),
+            }
         }
-        if est_failed {
-            continue;
-        }
-        let rel = est / beta;
-        match &best {
-            Some((_, _, _, prev, _, _)) if *prev <= rel => {}
-            _ => best = Some((m, hm.clone(), h_sub, rel, inv_last_row.clone(), prefactor)),
-        }
-        if rel <= params.tol {
-            let vm = arnoldi.basis(m).to_vec();
+        // Breakdown: exact projection at the current dimension.
+        if arnoldi.broke_down() {
+            let m = arnoldi.m();
+            let hm = kind.map_hessenberg(&arnoldi.h_hat(m), gamma)?;
             return Ok(BuildOutcome {
                 basis: KrylovBasis {
                     kind,
                     gamma,
                     beta,
-                    vm,
+                    vm: arnoldi.into_basis(m),
                     hm,
-                    h_sub,
-                    breakdown: arnoldi.broke_down(),
-                    inv_last_row,
-                    prefactor,
+                    h_sub: 0.0,
+                    breakdown: true,
+                    inv_last_row: None,
+                    prefactor: 1.0,
                 },
                 converged: true,
-                rel_estimate: rel,
+                rel_estimate: 0.0,
                 substitutions: steps,
             });
         }
-    }
-    // Breakdown: exact projection at the current dimension.
-    if arnoldi.broke_down() {
-        let m = arnoldi.m();
-        let h_hat = arnoldi.h_hat(m);
-        let hm = kind.map_hessenberg(&h_hat, gamma)?;
-        let vm = arnoldi.basis(m).to_vec();
-        return Ok(BuildOutcome {
-            basis: KrylovBasis {
-                kind,
-                gamma,
-                beta,
-                vm,
-                hm,
-                h_sub: 0.0,
-                breakdown: true,
-                inv_last_row: None,
-                prefactor: 1.0,
-            },
-            converged: true,
-            rel_estimate: 0.0,
-            substitutions: steps,
-        });
-    }
-    // Best effort at m_max.
-    match best {
-        Some((m, hm, h_sub, rel, inv_last_row, prefactor)) => {
-            let vm = arnoldi.basis(m).to_vec();
-            Ok(BuildOutcome {
-                basis: KrylovBasis {
-                    kind,
-                    gamma,
-                    beta,
-                    vm,
-                    hm,
-                    h_sub,
-                    breakdown: false,
-                    inv_last_row,
-                    prefactor,
-                },
-                converged: false,
-                rel_estimate: rel,
-                substitutions: steps,
-            })
+        // Best effort at m_max.
+        match best {
+            Some((mut basis, rel)) => {
+                basis.vm = arnoldi.into_basis(basis.m());
+                Ok(BuildOutcome {
+                    basis,
+                    converged: false,
+                    rel_estimate: rel,
+                    substitutions: steps,
+                })
+            }
+            None => Err(last_dense_err.unwrap_or(KrylovError::NoConvergence {
+                m: arnoldi.m(),
+                estimate: f64::INFINITY,
+                tolerance: params.tol,
+            })),
         }
-        None => Err(last_dense_err.unwrap_or(KrylovError::NoConvergence {
-            m: arnoldi.m(),
-            estimate: f64::INFINITY,
-            tolerance: params.tol,
-        })),
     }
 }
 

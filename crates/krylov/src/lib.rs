@@ -11,7 +11,9 @@
 //! * [`KrylovKind::map_hessenberg`] — `Ĥ → Hm` mappings
 //!   (`Ĥ`, `Ĥ⁻¹`, `(I−Ĥ⁻¹)/γ`),
 //! * [`build_basis`] — tolerance-driven subspace construction with the
-//!   paper's posterior error estimates,
+//!   paper's posterior error estimates; a [`BasisBuilder`] keeps its
+//!   storage (an [`ArnoldiSpace`]) across the builds of a run, so warm
+//!   builds allocate nothing per step,
 //! * [`KrylovBasis`] — `(β, V_m, H_m)`, reused across snapshots,
 //! * [`SnapshotEvaluator`] — the one way to evaluate a basis: batched,
 //!   allocation-free `Vᵀ·W` combination over a whole window of eval
@@ -52,9 +54,11 @@ mod operator;
 mod snapshot;
 mod variant;
 
-pub use arnoldi::Arnoldi;
+pub use arnoldi::{Arnoldi, ArnoldiSpace};
 pub use error::KrylovError;
-pub use expmv::{build_basis, build_basis_multi, BuildOutcome, ExpmParams, KrylovBasis};
+pub use expmv::{
+    build_basis, build_basis_multi, BasisBuilder, BuildOutcome, ExpmParams, KrylovBasis,
+};
 pub use operator::{shifted_system, InvertedOp, KrylovOp, RationalOp, StandardOp};
 pub use snapshot::SnapshotEvaluator;
 pub use variant::KrylovKind;

@@ -16,17 +16,20 @@ use matex_sparse::{CsrMatrix, LuOptions, SmwUpdate, SparseError, SparseLu, Symbo
 ///
 /// Implementations wrap a pre-computed sparse LU of `X1` and a sparse
 /// `X2`; `apply` costs one mat-vec plus one forward/backward substitution
-/// pair (`T_bs`).
+/// pair (`T_bs`), and works in scratch the caller owns (an
+/// [`ArnoldiSpace`](crate::ArnoldiSpace)'s), so it allocates nothing.
 pub trait KrylovOp {
     /// Dimension of the state space.
     fn dim(&self) -> usize;
 
-    /// Computes `out = Op(v)`.
+    /// Computes `out = Op(v)`. `scratch` holds at least `2·dim()`
+    /// entries, whose contents are ignored and overwritten.
     ///
     /// # Panics
     ///
-    /// Panics if slice lengths differ from [`KrylovOp::dim`].
-    fn apply(&self, v: &[f64], out: &mut [f64]);
+    /// Panics if slice lengths differ from [`KrylovOp::dim`] or
+    /// `scratch` is too short.
+    fn apply(&self, v: &[f64], out: &mut [f64], scratch: &mut [f64]);
 
     /// Which variant this operator implements.
     fn kind(&self) -> KrylovKind;
@@ -35,6 +38,19 @@ pub trait KrylovOp {
     fn gamma(&self) -> Option<f64> {
         None
     }
+}
+
+/// The two `n`-vectors of an operator's scratch: the mat-vec product and
+/// the substitution work.
+fn split_scratch(scratch: &mut [f64], n: usize) -> (&mut [f64], &mut [f64]) {
+    assert!(
+        scratch.len() >= 2 * n,
+        "operator scratch holds {} entries, needs {}",
+        scratch.len(),
+        2 * n
+    );
+    let (product, rest) = scratch.split_at_mut(n);
+    (product, &mut rest[..n])
 }
 
 /// Standard-Krylov operator `v ↦ A v = −C⁻¹(G v)` (the MEXP baseline).
@@ -74,11 +90,10 @@ impl KrylovOp for StandardOp<'_> {
         self.g.nrows()
     }
 
-    fn apply(&self, v: &[f64], out: &mut [f64]) {
-        let mut gv = vec![0.0; self.dim()];
-        let mut work = vec![0.0; self.dim()];
-        self.g.matvec_into(v, &mut gv);
-        self.lu_c.solve_into(&gv, out, &mut work);
+    fn apply(&self, v: &[f64], out: &mut [f64], scratch: &mut [f64]) {
+        let (gv, work) = split_scratch(scratch, self.dim());
+        self.g.matvec_into(v, gv);
+        self.lu_c.solve_into(gv, out, work);
         if let Some(smw) = self.smw {
             smw.correct_in_place(out);
         }
@@ -128,11 +143,10 @@ impl KrylovOp for InvertedOp<'_> {
         self.c.nrows()
     }
 
-    fn apply(&self, v: &[f64], out: &mut [f64]) {
-        let mut cv = vec![0.0; self.dim()];
-        let mut work = vec![0.0; self.dim()];
-        self.c.matvec_into(v, &mut cv);
-        self.lu_g.solve_into(&cv, out, &mut work);
+    fn apply(&self, v: &[f64], out: &mut [f64], scratch: &mut [f64]) {
+        let (cv, work) = split_scratch(scratch, self.dim());
+        self.c.matvec_into(v, cv);
+        self.lu_g.solve_into(cv, out, work);
         if let Some(smw) = self.smw {
             smw.correct_in_place(out);
         }
@@ -236,11 +250,10 @@ impl KrylovOp for RationalOp<'_> {
         self.c.nrows()
     }
 
-    fn apply(&self, v: &[f64], out: &mut [f64]) {
-        let mut cv = vec![0.0; self.dim()];
-        let mut work = vec![0.0; self.dim()];
-        self.c.matvec_into(v, &mut cv);
-        self.lu_shift.solve_into(&cv, out, &mut work);
+    fn apply(&self, v: &[f64], out: &mut [f64], scratch: &mut [f64]) {
+        let (cv, work) = split_scratch(scratch, self.dim());
+        self.c.matvec_into(v, cv);
+        self.lu_shift.solve_into(cv, out, work);
         if let Some(smw) = self.smw {
             smw.correct_in_place(out);
         }
@@ -277,7 +290,7 @@ mod tests {
         let lu = SparseLu::factor(&c, &LuOptions::default()).unwrap();
         let op = StandardOp::new(&lu, &g);
         let mut out = vec![0.0; 2];
-        op.apply(&[1.0, 0.0], &mut out);
+        op.apply(&[1.0, 0.0], &mut out, &mut [0.0; 4]);
         // A e1 = -C^{-1} G e1 = -[3, -1/2]
         assert!((out[0] + 3.0).abs() < 1e-12);
         assert!((out[1] - 0.5).abs() < 1e-12);
@@ -294,9 +307,9 @@ mod tests {
         let inv_op = InvertedOp::new(&lu_g, &c);
         let v = vec![0.7, -0.3];
         let mut av = vec![0.0; 2];
-        std_op.apply(&v, &mut av);
+        std_op.apply(&v, &mut av, &mut [0.0; 4]);
         let mut back = vec![0.0; 2];
-        inv_op.apply(&av, &mut back);
+        inv_op.apply(&av, &mut back, &mut [0.0; 4]);
         for (a, b) in back.iter().zip(&v) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -312,7 +325,7 @@ mod tests {
         // (I - γA) out = v  with A = -C^{-1}G  ⇔  (C + γG) out = C v.
         let v = vec![1.0, 1.0];
         let mut out = vec![0.0; 2];
-        op.apply(&v, &mut out);
+        op.apply(&v, &mut out, &mut [0.0; 4]);
         let lhs = shift.matvec(&out);
         let rhs = c.matvec(&v);
         for (a, b) in lhs.iter().zip(&rhs) {
@@ -370,8 +383,9 @@ mod tests {
             out
         };
         let applied = |op: &dyn KrylovOp| {
+            // Stale scratch must not leak into the result.
             let mut out = vec![f64::NAN; n];
-            op.apply(&v, &mut out);
+            op.apply(&v, &mut out, &mut vec![f64::NAN; 2 * n]);
             out
         };
         let bits = |xs: Vec<f64>| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

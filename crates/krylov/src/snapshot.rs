@@ -246,19 +246,26 @@ impl SnapshotEvaluator {
         Ok(())
     }
 
-    /// Squaring-ladder evaluation of `h, h/2, …, h/2^{s_max}` from one
-    /// scaling-and-squaring pass ([`expm_col0_ladder`]).
+    /// Squaring-ladder evaluation of the sub-steps `h/2, …, h/2^{s_max}`
+    /// from one scaling-and-squaring pass ([`expm_col0_ladder`]).
     ///
     /// Rungs are produced bottom-up (deepest first); the ascent stops at
     /// the first rung whose posterior estimate exceeds `stop_above`
-    /// (pass `f64::INFINITY` to force the full ladder). Per-rung
-    /// weights and estimates are kept on the evaluator —
+    /// (pass `f64::INFINITY` to force the full ladder), and in any case
+    /// at rung 1: rung 0, the full step `h`, is what a sub-step search
+    /// starts from — [`SnapshotEvaluator::weights_many`] has evaluated it
+    /// already — so the ladder never pays the last squaring for it.
+    /// Per-rung weights and estimates are kept on the evaluator —
     /// [`SnapshotEvaluator::best_rung`] then picks the longest passing
     /// step and [`SnapshotEvaluator::combine_rung`] materializes it.
     ///
     /// # Errors
     ///
     /// [`KrylovError::Dense`] when the base Padé evaluation fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s_max` is 0 (a ladder without sub-steps).
     pub fn eval_ladder(
         &mut self,
         basis: &KrylovBasis,
@@ -266,6 +273,7 @@ impl SnapshotEvaluator {
         s_max: usize,
         stop_above: f64,
     ) -> Result<(), KrylovError> {
+        assert!(s_max >= 1, "eval_ladder: a ladder needs a sub-step rung");
         let m = basis.m();
         self.ensure_m(m);
         self.ladder_weights.resize((s_max + 1) * m, 0.0);
@@ -281,7 +289,7 @@ impl SnapshotEvaluator {
             |s, col| {
                 let e = basis.estimate_from_col(col);
                 ests[s] = e;
-                e <= stop_above
+                e <= stop_above && s > 1
             },
         )
         .map_err(KrylovError::Dense)?;
@@ -293,9 +301,12 @@ impl SnapshotEvaluator {
     }
 
     /// The longest step of the last ladder whose estimate passes `tol`:
-    /// the smallest rung index `s` with `estimate ≤ tol`.
+    /// the smallest rung index `s` the ascent reached (so at least 1)
+    /// with `estimate ≤ tol`.
     pub fn best_rung(&self, tol: f64) -> Option<usize> {
-        self.ladder_estimates.iter().position(|&e| e <= tol)
+        let lo = self.ladder_lo;
+        let reached = self.ladder_estimates.get(lo..).unwrap_or_default();
+        reached.iter().position(|&e| e <= tol).map(|s| lo + s)
     }
 
     /// Combines ladder rung `s` into a state vector.
@@ -433,11 +444,13 @@ mod tests {
         let h = 0.4;
         let s_max = 4;
         ev.eval_ladder(&b, h, s_max, f64::INFINITY).unwrap();
-        // Every rung passes with an infinite threshold; rung values agree
-        // with the standalone evaluation to rounding.
-        assert_eq!(ev.best_rung(f64::INFINITY), Some(0));
+        // Every rung passes with an infinite threshold, and the ascent
+        // stops below the full step; rung values agree with the
+        // standalone evaluation to rounding.
+        assert_eq!(ev.best_rung(f64::INFINITY), Some(1));
+        assert!(ev.ladder_estimates[0].is_infinite());
         let mut out = vec![0.0; 10];
-        for s in 0..=s_max {
+        for s in 1..=s_max {
             ev.combine_rung(&b, s, None, &mut out);
             let hs = h * 0.5_f64.powi(s as i32);
             let (reference, est) = eval_one(&b, hs);

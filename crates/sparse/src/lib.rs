@@ -63,7 +63,7 @@ pub mod ordering;
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use error::SparseError;
-pub use lu::SparseLu;
+pub use lu::{SparseLu, SOLVE_BATCH};
 pub use options::LuOptions;
 pub use ordering::OrderingKind;
 pub use perm::Permutation;

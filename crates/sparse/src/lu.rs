@@ -173,6 +173,130 @@ impl SparseLu {
             out[oc] = self.cscale[oc] * work[k];
         }
     }
+
+    /// Solves `A x = b` for several right-hand sides in one pass over
+    /// `L` and `U` per batch of up to [`SOLVE_BATCH`] of them.
+    ///
+    /// `b` and `out` hold the `k` columns one after another (column `c`
+    /// in `c·n..(c+1)·n`); `work` needs `min(k, SOLVE_BATCH)·n` entries.
+    /// Inside a batch the right-hand sides are interleaved, so each
+    /// factor entry is loaded once and applied to every column (the
+    /// width is a const generic, so the inner loop is unrolled and
+    /// vectorizable). Column for column the result is bitwise
+    /// [`SparseLu::solve_into`]'s: every column sees the same operations
+    /// in the same order, and the single solve's skip of a column of `L`
+    /// or `U` whose `x_j` is exactly zero is applied per right-hand side
+    /// (subtracting `v·0` could still turn a `−0.0` into `+0.0`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `b` and `out` differ in length, their length is not
+    /// a multiple of the factored dimension, or `work` is too short.
+    pub fn solve_many_into(&self, b: &[f64], out: &mut [f64], work: &mut [f64]) {
+        let n = self.n;
+        assert_eq!(b.len(), out.len(), "solve_many: b/out length mismatch");
+        if n == 0 {
+            return;
+        }
+        assert_eq!(b.len() % n, 0, "solve_many: b is not whole columns");
+        let k = b.len() / n;
+        assert!(
+            work.len() >= k.min(SOLVE_BATCH) * n,
+            "solve_many: work holds {} entries, needs {}",
+            work.len(),
+            k.min(SOLVE_BATCH) * n
+        );
+        let chunk = SOLVE_BATCH * n;
+        for (b, out) in b.chunks(chunk).zip(out.chunks_mut(chunk)) {
+            match b.len() / n {
+                1 => self.solve_interleaved::<1>(b, out, work),
+                2 => self.solve_interleaved::<2>(b, out, work),
+                3 => self.solve_interleaved::<3>(b, out, work),
+                4 => self.solve_interleaved::<4>(b, out, work),
+                5 => self.solve_interleaved::<5>(b, out, work),
+                6 => self.solve_interleaved::<6>(b, out, work),
+                7 => self.solve_interleaved::<7>(b, out, work),
+                _ => self.solve_interleaved::<SOLVE_BATCH>(b, out, work),
+            }
+        }
+    }
+
+    /// [`SparseLu::solve_into`] on `W` right-hand sides, interleaved in
+    /// `work` (entry `i` of column `c` at `i·W + c`).
+    fn solve_interleaved<const W: usize>(&self, b: &[f64], out: &mut [f64], work: &mut [f64]) {
+        let n = self.n;
+        let work = &mut work[..W * n];
+        for i in 0..n {
+            let (p, s) = (self.pinv[i], self.rscale[i]);
+            for c in 0..W {
+                work[p * W + c] = s * b[c * n + i];
+            }
+        }
+        for j in 0..n {
+            let xj: [f64; W] = work[j * W..(j + 1) * W].try_into().expect("W entries");
+            let range = (self.l_colptr[j] + 1)..self.l_colptr[j + 1];
+            scatter(
+                work,
+                &self.l_rowidx[range.clone()],
+                &self.l_values[range],
+                xj,
+            );
+        }
+        for j in (0..n).rev() {
+            let dpos = self.u_colptr[j + 1] - 1;
+            let d = self.u_values[dpos];
+            let mut xj = [0.0; W];
+            for (x, w) in xj.iter_mut().zip(&mut work[j * W..(j + 1) * W]) {
+                *x = *w / d;
+                *w = *x;
+            }
+            let range = self.u_colptr[j]..dpos;
+            scatter(
+                work,
+                &self.u_rowidx[range.clone()],
+                &self.u_values[range],
+                xj,
+            );
+        }
+        for k in 0..n {
+            let oc = self.q.old_of(k);
+            let s = self.cscale[oc];
+            for c in 0..W {
+                out[c * n + oc] = s * work[k * W + c];
+            }
+        }
+    }
+}
+
+/// Widest batch [`SparseLu::solve_many_into`] interleaves in one pass;
+/// wider batches run in chunks of this many right-hand sides.
+pub const SOLVE_BATCH: usize = 8;
+
+/// `work[r] -= v·x_j` over one factor column, for the `W` interleaved
+/// right-hand sides whose `x_j` is not exactly zero.
+fn scatter<const W: usize>(work: &mut [f64], rows: &[usize], vals: &[f64], xj: [f64; W]) {
+    let live = xj.map(|x| x != 0.0);
+    if live == [true; W] {
+        for (&r, &v) in rows.iter().zip(vals) {
+            let row: &mut [f64; W] = (&mut work[r * W..(r + 1) * W])
+                .try_into()
+                .expect("W entries");
+            for (w, x) in row.iter_mut().zip(xj) {
+                *w -= v * x;
+            }
+        }
+    } else if live != [false; W] {
+        for (&r, &v) in rows.iter().zip(vals) {
+            let row: &mut [f64; W] = (&mut work[r * W..(r + 1) * W])
+                .try_into()
+                .expect("W entries");
+            for ((w, x), l) in row.iter_mut().zip(xj).zip(live) {
+                if l {
+                    *w -= v * x;
+                }
+            }
+        }
+    }
 }
 
 /// What the recording instantiation of [`eliminate`] keeps besides the
