@@ -41,7 +41,7 @@ fn main() {
         if g.members.is_empty() {
             continue;
         }
-        let snap = grouping.snapshots(g.id);
+        let snap = grouping.gts.difference(&g.lts);
         table.row(vec![
             format!("{}", g.id),
             format!("{:?}", g.members),

@@ -23,6 +23,20 @@ pub enum CoreError {
         /// Time of the first non-finite state.
         at: f64,
     },
+    /// The march diverged: the projected (dense) computation of a step
+    /// failed, on a start vector that has blown up or degenerated. A
+    /// kernel failure inside the march surfaces as this, never bare.
+    Diverged {
+        /// Time of the anchor the step starts from.
+        at: f64,
+        /// The step from the anchor.
+        h: f64,
+        /// Dimension of the basis the step was evaluated on; `None` when
+        /// building the basis failed.
+        m: Option<usize>,
+        /// The kernel failure.
+        cause: matex_krylov::KrylovError,
+    },
     /// The engine ended its march with output samples unrecorded.
     SamplesUnfilled {
         /// Samples recorded, in order from the first.
@@ -76,6 +90,13 @@ impl fmt::Display for CoreError {
                 write!(f, "adaptive step underflow at t = {at:.3e} (h = {h:.3e})")
             }
             CoreError::NotFinite { at } => write!(f, "non-finite state at t = {at:.3e}"),
+            CoreError::Diverged { at, h, m, cause } => {
+                write!(f, "march diverged at t = {at:.3e}, step {h:.3e}, ")?;
+                match m {
+                    Some(m) => write!(f, "basis dimension {m}: {cause}"),
+                    None => write!(f, "building the basis: {cause}"),
+                }
+            }
             CoreError::SamplesUnfilled { filled, total } => {
                 write!(
                     f,
@@ -99,7 +120,7 @@ impl std::error::Error for CoreError {
         match self {
             CoreError::Circuit(e) => Some(e),
             CoreError::Sparse(e) => Some(e),
-            CoreError::Krylov(e) => Some(e),
+            CoreError::Krylov(e) | CoreError::Diverged { cause: e, .. } => Some(e),
             _ => None,
         }
     }
@@ -134,6 +155,17 @@ mod tests {
         assert!(e.to_string().contains("underflow"));
         let wrapped = CoreError::from(matex_sparse::SparseError::Singular { column: 0 });
         assert!(wrapped.source().is_some());
+        let cause = matex_krylov::KrylovError::Dense(matex_dense::DenseError::NotFinite);
+        let e = CoreError::Diverged {
+            at: 1.5e-10,
+            h: 7e-12,
+            m: Some(4),
+            cause,
+        };
+        let text = e.to_string();
+        assert!(text.contains("t = 1.500e-10") && text.contains("step 7.000e-12"));
+        assert!(text.contains("basis dimension 4"), "{text}");
+        assert!(e.source().is_some());
     }
 
     #[test]

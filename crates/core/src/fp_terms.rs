@@ -45,8 +45,11 @@
 //! Every column is bitwise its own single solve, and each still counts as
 //! one substitution pair.
 //!
-//! A class that is constant over the whole run folds into `b₀`. Sources
-//! of any other shape (PWL) form a per-window residual, solved as
+//! The classes are the run's [`TimingClasses`], which the solver builds
+//! once per run and also reads its LTS from: the `Constant` class, and a
+//! bump class constant over the whole run, fold into `b₀`; every other
+//! bump class is a column pair. The `PwlTimes` classes (PWL sources)
+//! form a per-window residual, solved as
 //! `G⁻¹Bu(t0)`, `G⁻¹Bu̇` and `G⁻¹C·G⁻¹Bu̇` — three pairs, one when the
 //! slope is zero — and `b₀` rides in that solve instead of in `g₀`, so a
 //! netlist without pulses pays exactly the per-window cost and no more.
@@ -61,12 +64,10 @@
 //! A what-if setup's SMW correction follows every column solve, and per
 //! window only the residual's.
 
-use crate::engine::InputEval;
 use crate::SolveStats;
 use matex_circuit::MnaSystem;
 use matex_sparse::{CsrMatrix, SmwUpdate, SparseLu, SOLVE_BATCH};
-use matex_waveform::{FeatureKey, Pulse, Waveform};
-use std::collections::HashMap;
+use matex_waveform::{FeatureKey, Pulse, TimingClasses, Waveform};
 
 /// One run's input columns and the terms they give for one linear
 /// interval `[t0, t1]`, plus the persistent scratch that makes
@@ -99,52 +100,72 @@ pub struct IntervalTerms<'a> {
 }
 
 impl<'a> IntervalTerms<'a> {
-    /// Solves the columns of a run over `[t_start, t_stop]` with the
-    /// (masked) `input`: groups the active sources by [`FeatureKey`],
-    /// folds the classes constant over the run into `b₀`, and solves
-    /// `g_k`, `w_k` and — unless a residual carries it or it is zero —
-    /// `g₀` with `lu_g`. Each solve is followed by the optional
+    /// Solves the columns of a run over `[t_start, t_stop]` whose active
+    /// sources `classes` holds (built from `sys`'s waveforms with
+    /// `t_end = t_stop`): folds the `Constant` class and the bump
+    /// classes constant over the run into `b₀`, makes every other bump
+    /// class a column pair and the rest the residual, and solves `g_k`,
+    /// `w_k` and — unless a residual carries it or it is zero — `g₀`
+    /// with `lu_g`. Each solve is followed by the optional
     /// Sherman–Morrison–Woodbury correction built against `lu_g`, so the
     /// terms come out for the *edited* `G` without refactoring (the
     /// what-if fast path). Counts the solves in `stats`.
     ///
     /// # Panics
     ///
-    /// Panics if `lu_g` or `smw` does not match the system's dimension.
+    /// Panics if `lu_g` or `smw` does not match the system's dimension,
+    /// or a member of a bump class is not a pulse source of `sys`.
     pub fn new(
         sys: &'a MnaSystem,
-        input: &InputEval<'_>,
+        classes: &TimingClasses,
         lu_g: &'a SparseLu,
         smw: Option<&'a SmwUpdate>,
         (t_start, t_stop): (f64, f64),
         stats: &mut SolveStats,
     ) -> Self {
         let n = sys.dim();
+        let sources = sys.sources();
         let mut u = vec![0.0; sys.num_sources()];
         let mut residual = Vec::new();
-        // Each class's unit pulse and its members' amplitudes, in the
-        // order of the classes' first active columns.
-        let mut classes: Vec<(Pulse, Vec<(usize, f64)>)> = Vec::new();
-        let mut class_of = HashMap::new();
-        for c in input.active_columns() {
-            let wf = &sys.sources()[c].waveform;
-            match wf {
-                _ if wf.is_constant() => u[c] = wf.value(t_start),
-                Waveform::Pulse(p) => {
-                    u[c] = p.v1;
-                    let k = *class_of.entry(FeatureKey::of(wf)).or_insert(classes.len());
-                    if k == classes.len() {
-                        let unit = Pulse {
-                            v1: 0.0,
-                            v2: 1.0,
-                            ..*p
-                        };
-                        classes.push((unit, Vec::new()));
-                    }
-                    classes[k].1.push((c, p.v2 - p.v1));
+        // Each column class's unit pulse and its members' amplitudes.
+        let (mut shapes, mut members) = (Vec::new(), Vec::new());
+        for (key, class, spots) in classes.iter() {
+            let unit = match (key, &sources[class[0]].waveform) {
+                (FeatureKey::PwlTimes(_), _) => {
+                    residual.extend_from_slice(class);
+                    continue;
                 }
-                _ => residual.push(c),
-            }
+                (FeatureKey::Bump(_), Waveform::Pulse(p)) => Some(Pulse {
+                    v1: 0.0,
+                    v2: 1.0,
+                    ..*p
+                }),
+                _ => None,
+            };
+            // The constant class, and a bump class flat over the run,
+            // fold into `b₀` at their exact values, before `b₀` is formed.
+            let inside = |&s: &f64| s > t_start && s < t_stop;
+            let varies = |unit: &Pulse| {
+                unit.value(t_start) != unit.value(t_stop) || spots.iter().any(inside)
+            };
+            let Some(unit) = unit.filter(varies) else {
+                for &c in class {
+                    u[c] = sources[c].waveform.value(t_start);
+                }
+                continue;
+            };
+            let amps: Vec<(usize, f64)> = class
+                .iter()
+                .map(|&c| match sources[c].waveform {
+                    Waveform::Pulse(p) => {
+                        u[c] = p.v1;
+                        (c, p.v2 - p.v1)
+                    }
+                    _ => unreachable!("a bump class holds pulses"),
+                })
+                .collect();
+            shapes.push(unit);
+            members.push(amps);
         }
         let mut solver = GSolver {
             lu: lu_g,
@@ -152,23 +173,6 @@ impl<'a> IntervalTerms<'a> {
             c: sys.c(),
             work: vec![0.0; n],
         };
-        // Classes flat over the run fold into `b₀` here, before `b₀` is
-        // formed.
-        let mut shapes = Vec::with_capacity(classes.len());
-        let mut members = Vec::with_capacity(classes.len());
-        for (shape, class) in classes {
-            let inside = |&s: &f64| s > t_start && s < t_stop;
-            if shape.value(t_start) == shape.value(t_stop)
-                && !shape.transition_spots(t_stop).iter().any(inside)
-            {
-                for (c, _) in class {
-                    u[c] = sys.sources()[c].waveform.value(t_start);
-                }
-                continue;
-            }
-            shapes.push(shape);
-            members.push(class);
-        }
         let mut rhs = vec![0.0; n];
         sys.b().matvec_into(&u, &mut rhs);
         let with_g0 = residual.is_empty() && rhs.iter().any(|&v| v != 0.0);
@@ -384,9 +388,17 @@ fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::InputEval;
     use matex_circuit::Netlist;
     use matex_sparse::LuOptions;
-    use matex_waveform::{Pulse, Waveform};
+
+    /// The classes of all of `sys`'s sources over `[0, t_stop]`.
+    fn classes(sys: &MnaSystem, t_stop: f64) -> TimingClasses {
+        TimingClasses::new(
+            sys.sources().iter().map(|s| &s.waveform).enumerate(),
+            t_stop,
+        )
+    }
 
     /// A 0 → 2 mA pulse rising over [0, 1 ns], high until 2 ns, back
     /// down at 3 ns.
@@ -405,12 +417,11 @@ mod tests {
     fn terms<'a>(
         sys: &'a MnaSystem,
         lu_g: &'a SparseLu,
-        input: &InputEval<'_>,
         run: (f64, f64),
         (t0, t1): (f64, f64),
         stats: &mut SolveStats,
     ) -> IntervalTerms<'a> {
-        let mut terms = IntervalTerms::new(sys, input, lu_g, None, run, stats);
+        let mut terms = IntervalTerms::new(sys, &classes(sys, run.1), lu_g, None, run, stats);
         terms.recompute(t0, t1, stats);
         terms
     }
@@ -442,7 +453,7 @@ mod tests {
         let input = InputEval::new(&sys);
         let mut stats = SolveStats::default();
         let span = (0.0, 1e-9);
-        let terms = terms(&sys, &lu_g, &input, span, span, &mut stats);
+        let terms = terms(&sys, &lu_g, span, span, &mut stats);
         let x_dc = lu_g.solve(&input.bu_at(0.0));
         let f = f(&terms);
         for i in 0..sys.dim() {
@@ -461,7 +472,7 @@ mod tests {
         let input = InputEval::new(&sys);
         let mut stats = SolveStats::default();
         let (t0, t1) = (2e-10, 6e-10); // inside the 0..1ns ramp
-        let terms = terms(&sys, &lu_g, &input, (0.0, 4e-9), (t0, t1), &mut stats);
+        let terms = terms(&sys, &lu_g, (0.0, 4e-9), (t0, t1), &mut stats);
         // One class, two columns; b₀ is zero (v1 = 0), so no g₀.
         assert_eq!(stats.substitution_pairs, 2);
         // Manual computation.
@@ -501,7 +512,7 @@ mod tests {
         let input = InputEval::new(&sys);
         let mut stats = SolveStats::default();
         let span = (1.2e-9, 1.8e-9);
-        let terms = terms(&sys, &lu_g, &input, span, span, &mut stats);
+        let terms = terms(&sys, &lu_g, span, span, &mut stats);
         assert_eq!(stats.substitution_pairs, 1);
         let q0 = lu_g.solve(&input.bu_at(span.0));
         assert_eq!(f(&terms), q0.iter().map(|q| -q + 0.0).collect::<Vec<_>>());
@@ -513,13 +524,13 @@ mod tests {
         // gives exactly the same terms as freshly built ones.
         let sys = rc();
         let lu_g = SparseLu::factor(sys.g(), &LuOptions::default()).unwrap();
-        let input = InputEval::new(&sys);
         let mut stats = SolveStats::default();
         let run = (0.0, 4e-9);
-        let mut reused = IntervalTerms::new(&sys, &input, &lu_g, None, run, &mut stats);
+        let mut reused =
+            IntervalTerms::new(&sys, &classes(&sys, run.1), &lu_g, None, run, &mut stats);
         for (t0, t1) in [(0.0, 4e-10), (4e-10, 1e-9), (2.5e-9, 3e-9)] {
             reused.recompute(t0, t1, &mut stats);
-            let fresh = terms(&sys, &lu_g, &input, run, (t0, t1), &mut stats);
+            let fresh = terms(&sys, &lu_g, run, (t0, t1), &mut stats);
             assert_eq!(f(&reused), f(&fresh));
             assert_eq!(p(&reused, 7e-11), p(&fresh, 7e-11));
         }
@@ -530,10 +541,9 @@ mod tests {
     fn negative_step_panics() {
         let sys = rc();
         let lu_g = SparseLu::factor(sys.g(), &LuOptions::default()).unwrap();
-        let input = InputEval::new(&sys);
         let mut stats = SolveStats::default();
         let span = (0.0, 1e-9);
-        let terms = terms(&sys, &lu_g, &input, span, span, &mut stats);
+        let terms = terms(&sys, &lu_g, span, span, &mut stats);
         let _ = p(&terms, -1.0);
     }
 }

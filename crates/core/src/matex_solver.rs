@@ -40,7 +40,7 @@ use matex_krylov::{
     BasisBuilder, ExpmParams, InvertedOp, KrylovBasis, KrylovError, KrylovKind, KrylovOp,
     RationalOp, SnapshotEvaluator, StandardOp,
 };
-use matex_waveform::SpotSet;
+use matex_waveform::{SpotSet, TimingClasses};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -227,8 +227,8 @@ impl MatexSolver {
 impl TransientEngine for MatexSolver {
     fn run(&self, sys: &MnaSystem, spec: &TransientSpec) -> Result<TransientResult, CoreError> {
         // Injected faults fire before any work so a retried run replays
-        // the identical computation from scratch. `Error` takes the
-        // solver's natural numeric-breakdown exit (`NotFinite`);
+        // the identical computation from scratch. `Error` fails the run
+        // with a dense kernel's non-finite result, before any march;
         // `Panic` unwinds to exercise supervision layers above.
         match self.opts.faults.check("core.solver.run") {
             Some(FaultKind::Panic) => panic!("injected fault: core.solver.run"),
@@ -251,20 +251,11 @@ impl TransientEngine for MatexSolver {
         let t_start = spec.t_start();
         let t_stop = spec.t_stop();
 
-        // Local transition spots of the active sources.
-        let lts = match &self.lts_override {
-            Some(s) => s.clip(t_start, t_stop),
-            None => {
-                let sets: Vec<SpotSet> = input
-                    .active_columns()
-                    .iter()
-                    .map(|&c| {
-                        SpotSet::from_times(sys.sources()[c].waveform.transition_spots(t_stop))
-                    })
-                    .collect();
-                SpotSet::union(&sets).clip(t_start, t_stop)
-            }
-        };
+        // The active sources' timing classes: their input columns and
+        // their LTS.
+        let active = input.active_columns();
+        let sources = sys.sources();
+        let classes = TimingClasses::new(active.iter().map(|&c| (c, &sources[c].waveform)), t_stop);
 
         // --- Preparation: factors of G and X1. Either injected
         // ([`MatexSolver::with_setup`] — the scenario-cache fast path) or
@@ -345,9 +336,9 @@ impl TransientEngine for MatexSolver {
             }
         };
 
-        let (times, sample_at) = eval_grid(spec, &lts);
         let tt = Instant::now();
-        let mut march = March::new(self, sys, setup, op, lts, spec, x0)?;
+        let mut march = March::new(self, sys, setup, op, &classes, spec, x0)?;
+        let (times, sample_at) = eval_grid(spec, &march.lts);
         let mut idx = 0;
         while idx < times.len() {
             // Cooperative cancellation: give up between steps, never
@@ -500,25 +491,31 @@ struct March<'a> {
 
 impl<'a> March<'a> {
     /// Starts `solver`'s march at the run's start state `x0`, recorded
-    /// as sample 0.
+    /// as sample 0, with the active sources' timing classes.
     fn new(
         solver: &'a MatexSolver,
         sys: &'a MnaSystem,
         setup: &'a MatexSetup,
         op: Box<dyn KrylovOp + 'a>,
-        lts: SpotSet,
+        classes: &TimingClasses,
         spec: &TransientSpec,
         x0: Vec<f64>,
     ) -> Result<Self, CoreError> {
         let n = sys.dim();
         let (t_start, t_stop) = (spec.t_start(), spec.t_stop());
+        // A distributed node marches on its group's LTS, which the
+        // scheduler hands it.
+        let lts = match &solver.lts_override {
+            Some(s) => s.clip(t_start, t_stop),
+            None => classes.lts(t_start, t_stop),
+        };
         let mut rec = Recorder::new(spec, n)?;
         ensure_finite(t_start, &x0)?;
         rec.record(0, &x0);
         let mut stats = SolveStats::default();
         let terms = IntervalTerms::new(
             sys,
-            &solver.input(sys),
+            classes,
             setup.lu_g(),
             setup.smw_g(),
             (t_start, t_stop),
@@ -592,7 +589,7 @@ impl<'a> March<'a> {
                 .builder
                 .build(&*self.op, &self.v, &checks, &self.opts.expm);
             drop(arnoldi_span);
-            let outcome = built?;
+            let outcome = built.map_err(diverged(self.anchor_t, h, None))?;
             self.stats.krylov_bases += 1;
             self.stats.krylov_dim_sum += outcome.basis.m();
             self.stats.krylov_dim_peak = self.stats.krylov_dim_peak.max(outcome.basis.m());
@@ -615,7 +612,8 @@ impl<'a> March<'a> {
             self.hs.push(h);
         }
         let t0 = Instant::now();
-        self.evaluator.weights_many(b, &self.hs)?;
+        let on_dense = diverged(self.anchor_t, h, Some(b.m()));
+        self.evaluator.weights_many(b, &self.hs).map_err(on_dense)?;
         self.stats.expm_time += t0.elapsed();
         self.stats.expm_evals += self.hs.len();
         let accepted = self
@@ -661,7 +659,10 @@ impl<'a> March<'a> {
             let t0 = Instant::now();
             for depth in [4usize, 12, s_cap] {
                 let depth = depth.min(s_cap);
-                self.evaluator.eval_ladder(b, h_f, depth, tol_abs)?;
+                let on_dense = diverged(self.anchor_t, h_f, Some(b.m()));
+                self.evaluator
+                    .eval_ladder(b, h_f, depth, tol_abs)
+                    .map_err(on_dense)?;
                 self.stats.expm_evals += 1;
                 rung = self.evaluator.best_rung(tol_abs);
                 if rung.is_some() || depth == s_cap {
@@ -691,9 +692,8 @@ impl<'a> March<'a> {
         // No rung passed (or the per-point budget ran out): accept the
         // best-effort full-step value, or fail if it never went finite.
         if !self.evaluator.estimates()[accepted].is_finite() {
-            return Err(CoreError::Krylov(KrylovError::Dense(
-                matex_dense::DenseError::NotFinite,
-            )));
+            let cause = KrylovError::Dense(matex_dense::DenseError::NotFinite);
+            return Err(diverged(self.anchor_t, h_f, Some(b.m()))(cause));
         }
         self.stats.best_effort_steps += 1;
         self.land(Weights::Batch(accepted..accepted + 1));
@@ -776,6 +776,17 @@ impl<'a> March<'a> {
         if let Some(basis) = self.basis.take() {
             self.builder.recycle(basis);
         }
+    }
+}
+
+/// Maps a dense failure of the projected computation on the step `h`
+/// from the anchor at `at` (on a basis of dimension `m`, if one was
+/// built) to [`CoreError::Diverged`]; other kernel errors pass as they
+/// are.
+fn diverged(at: f64, h: f64, m: Option<usize>) -> impl Fn(KrylovError) -> CoreError {
+    move |cause| match cause {
+        KrylovError::Dense(_) => CoreError::Diverged { at, h, m, cause },
+        e => CoreError::Krylov(e),
     }
 }
 

@@ -23,7 +23,7 @@ use crate::engine::{InputEval, Recorder, TransientEngine};
 use crate::{CoreError, SolveStats, TransientResult, TransientSpec};
 use matex_circuit::MnaSystem;
 use matex_sparse::{CsrMatrix, LuOptions, SparseLu, SymbolicLu};
-use matex_waveform::SpotSet;
+use matex_waveform::TimingClasses;
 use std::time::Instant;
 
 /// Adaptive-step trapezoidal engine with LTE control.
@@ -77,12 +77,9 @@ impl TransientEngine for TrapezoidalAdaptive {
         let mut stats = SolveStats::default();
         let input = InputEval::new(sys);
         // Transition spots of the sources: mandatory landing points.
-        let spots: Vec<SpotSet> = sys
-            .sources()
-            .iter()
-            .map(|s| SpotSet::from_times(s.waveform.transition_spots(spec.t_stop())))
-            .collect();
-        let breakpoints = SpotSet::union(&spots).clip(spec.t_start(), spec.t_stop());
+        let waveforms = sys.sources().iter().map(|s| &s.waveform);
+        let breakpoints = TimingClasses::new(waveforms.enumerate(), spec.t_stop())
+            .lts(spec.t_start(), spec.t_stop());
 
         let t0 = Instant::now();
         let lu_g = SparseLu::factor(sys.g(), &LuOptions::default())?;

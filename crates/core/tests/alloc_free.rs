@@ -8,13 +8,13 @@
 //! threads allocating concurrently.
 
 use matex_circuit::{MnaSystem, Netlist};
-use matex_core::{InputEval, IntervalTerms, Recorder, SolveStats, TransientSpec};
+use matex_core::{IntervalTerms, Recorder, SolveStats, TransientSpec};
 use matex_krylov::{
     build_basis_multi, Arnoldi, ArnoldiSpace, BasisBuilder, ExpmParams, KrylovOp, RationalOp,
     SnapshotEvaluator,
 };
 use matex_sparse::{CsrMatrix, LuOptions, SparseLu};
-use matex_waveform::{Pulse, Pwl, Waveform};
+use matex_waveform::{Pulse, Pwl, TimingClasses, Waveform};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -81,9 +81,9 @@ fn pwl_rc() -> MnaSystem {
 /// pairs the run's columns cost and the pairs the 100 windows spent.
 fn warm_recomputes(sys: &MnaSystem) -> (u64, usize, usize) {
     let lu_g = SparseLu::factor(sys.g(), &LuOptions::default()).unwrap();
-    let input = InputEval::new(sys);
+    let classes = TimingClasses::new(sys.sources().iter().map(|s| &s.waveform).enumerate(), 1e-9);
     let mut stats = SolveStats::default();
-    let mut terms = IntervalTerms::new(sys, &input, &lu_g, None, (0.0, 1e-9), &mut stats);
+    let mut terms = IntervalTerms::new(sys, &classes, &lu_g, None, (0.0, 1e-9), &mut stats);
     let columns = stats.substitution_pairs;
     let mut out = vec![0.0; sys.dim()];
 
@@ -283,10 +283,9 @@ fn basis_builds_allocate_nothing_per_step_after_warmup() {
 fn masked_recompute_is_also_allocation_free() {
     let sys = pulsed_rc();
     let lu_g = SparseLu::factor(sys.g(), &LuOptions::default()).unwrap();
-    let members = [0usize];
-    let input = InputEval::masked(&sys, &members);
+    let classes = TimingClasses::new([(0, &sys.sources()[0].waveform)], 1e-9);
     let mut stats = SolveStats::default();
-    let mut terms = IntervalTerms::new(&sys, &input, &lu_g, None, (0.0, 1e-9), &mut stats);
+    let mut terms = IntervalTerms::new(&sys, &classes, &lu_g, None, (0.0, 1e-9), &mut stats);
     terms.recompute(1.1e-10, 1.4e-10, &mut stats);
 
     let before = allocations_so_far();

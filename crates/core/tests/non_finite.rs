@@ -31,38 +31,47 @@ fn run(sys: &MnaSystem, kind: KrylovKind, dt_out: f64) -> Result<usize, CoreErro
         .count())
 }
 
-#[test]
-fn ideal_source_with_fast_edges_never_returns_nan() {
-    let cases = [
-        circuit("1k", "out"),
-        circuit("1", "out"),
-        circuit("1k", "in"),
-    ];
-    for sys in &cases {
+/// Every recipe (load on `out` behind 1 kΩ or 1 Ω, or on the source
+/// node itself), kind and output step, with the run's outcome.
+fn outcomes() -> Vec<(String, Result<usize, CoreError>)> {
+    let mut out = Vec::new();
+    for (r1, node) in [("1k", "out"), ("1", "out"), ("1k", "in")] {
+        let sys = circuit(r1, node);
         for kind in [
             KrylovKind::Rational,
             KrylovKind::Inverted,
             KrylovKind::Standard,
         ] {
             for dt_out in [2e-11, 1e-11, 7e-12] {
-                if let Ok(bad) = run(sys, kind, dt_out) {
-                    assert_eq!(bad, 0, "{kind:?} at dt_out {dt_out:e} returned NaN samples");
-                }
+                let case = format!("r1 = {r1}, load on {node}, {kind:?} at dt_out {dt_out:e}");
+                out.push((case, run(&sys, kind, dt_out)));
             }
+        }
+    }
+    out
+}
+
+#[test]
+fn ideal_source_with_fast_edges_never_returns_nan() {
+    for (case, outcome) in outcomes() {
+        if let Ok(bad) = outcome {
+            assert_eq!(bad, 0, "{case} returned NaN samples");
         }
     }
 }
 
 #[test]
 fn blown_up_state_is_a_typed_error() {
-    let sys = circuit("1k", "out");
-    for kind in [KrylovKind::Rational, KrylovKind::Inverted] {
-        match run(&sys, kind, 2e-11) {
-            Ok(bad) => assert_eq!(bad, 0),
-            Err(e) => assert!(matches!(e, CoreError::NotFinite { .. }), "{kind:?}: {e}"),
+    // A run that blows up says so — non-finite state, or a divergence
+    // naming t, the step and the basis — never a bare kernel error.
+    for (case, outcome) in outcomes() {
+        if let Err(e) = outcome {
+            let typed = matches!(e, CoreError::NotFinite { .. } | CoreError::Diverged { .. });
+            assert!(typed, "{case}: {e}");
         }
     }
     // MEXP works on a regularized `C` and stays finite on every grid.
+    let sys = circuit("1k", "out");
     for dt_out in [2e-11, 1e-11, 7e-12] {
         assert_eq!(run(&sys, KrylovKind::Standard, dt_out).unwrap(), 0);
     }

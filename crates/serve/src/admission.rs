@@ -8,7 +8,7 @@ use crate::stats::Counter;
 use crate::ServeError;
 use matex_core::CancelToken;
 use matex_dist::list_schedule_makespan;
-use matex_waveform::SpotSet;
+use matex_waveform::TimingClasses;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -191,13 +191,9 @@ impl Inner {
     fn predicted_units(&self, job: &JobSpec) -> f64 {
         let t0 = job.spec.t_start();
         let t1 = job.spec.t_stop();
-        let spots: Vec<SpotSet> = job
-            .circuit
-            .sources()
-            .iter()
-            .map(|s| SpotSet::from_times(s.waveform.transition_spots(t1)))
-            .collect();
-        let total = SpotSet::union(&spots).clip(t0, t1).len().max(1) as f64;
+        let waveforms = job.circuit.sources().iter().map(|s| &s.waveform);
+        let lts = TimingClasses::new(waveforms.enumerate(), t1).lts(t0, t1);
+        let total = lts.len().max(1) as f64;
         let ExecutionMode::Distributed { workers, .. } = &job.mode else {
             return total;
         };

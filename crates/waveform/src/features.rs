@@ -4,9 +4,13 @@
 //! per source: pulse sources that share the same
 //! `(t_delay, t_rise, t_fall, t_width, t_period)` tuple produce *identical
 //! transition spots*, so simulating them together costs no extra Krylov
-//! subspace generations (Fig. 3). [`FeatureKey`] is the grouping key.
+//! subspace generations (Fig. 3). [`FeatureKey`] is the grouping key, and
+//! [`TimingClasses`] the one table of a run's classes that every consumer
+//! reads: the solver's LTS and input columns, the distributed groups,
+//! admission's cost and TR's breakpoints.
 
-use crate::Waveform;
+use crate::{SpotSet, Waveform};
+use std::collections::HashMap;
 
 /// A hashable identity of a waveform's *timing shape* (not its amplitude).
 ///
@@ -60,6 +64,77 @@ impl FeatureKey {
                 FeatureKey::PwlTimes(w.points().iter().map(|&(t, _)| t.to_bits()).collect())
             }
         }
+    }
+}
+
+/// A run's sources partitioned by timing shape: per class its
+/// [`FeatureKey`], its member columns and one [`SpotSet`] of transition
+/// spots over `[0, t_end]`.
+///
+/// Members of a class have bit-identical timing (a constant waveform has
+/// no spots at all), so one `transition_spots` call per class gives every
+/// member's spots, and [`TimingClasses::lts`] — the flat union of the
+/// class sets — equals the union over the members bit for bit. Classes
+/// are in order of their first member among the given columns, and each
+/// class lists its members in that order, repeats included.
+///
+/// # Example
+///
+/// ```
+/// use matex_waveform::{FeatureKey, Pulse, TimingClasses, Waveform};
+///
+/// # fn main() -> Result<(), matex_waveform::WaveformError> {
+/// let bump = Pulse::new(0.0, 1.0, 1.0, 1.0, 1.0, 1.0)?;
+/// let sources = [
+///     Waveform::Dc(1.8),
+///     Waveform::Pulse(bump),
+///     Waveform::Pulse(Pulse { v2: 3.0, ..bump }), // same timing
+/// ];
+/// let table = TimingClasses::new(sources.iter().enumerate(), 10.0);
+/// let classes: Vec<_> = table.iter().collect();
+/// assert_eq!(classes.len(), 2);
+/// assert_eq!(classes[0].0, &FeatureKey::Constant);
+/// assert_eq!(classes[1].1, &[1, 2]);
+/// assert_eq!(table.lts(1.5, 10.0).as_slice(), &[2.0, 3.0, 4.0]);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct TimingClasses {
+    classes: Vec<(FeatureKey, Vec<usize>, SpotSet)>,
+}
+
+impl TimingClasses {
+    /// Classifies the `(column, waveform)` pairs of the active sources,
+    /// in order, with spots collected over `[0, t_end]`.
+    pub fn new<'w>(sources: impl IntoIterator<Item = (usize, &'w Waveform)>, t_end: f64) -> Self {
+        let mut classes: Vec<(FeatureKey, Vec<usize>, SpotSet)> = Vec::new();
+        let mut class_of = HashMap::new();
+        for (c, w) in sources {
+            let key = FeatureKey::of(w);
+            let k = match class_of.get(&key) {
+                Some(&k) => k,
+                None => {
+                    class_of.insert(key.clone(), classes.len());
+                    let spots = SpotSet::from_times(w.transition_spots(t_end));
+                    classes.push((key, Vec::new(), spots));
+                    classes.len() - 1
+                }
+            };
+            classes[k].1.push(c);
+        }
+        TimingClasses { classes }
+    }
+
+    /// The classes in order: key, member columns, transition spots.
+    pub fn iter(&self) -> impl Iterator<Item = (&FeatureKey, &[usize], &SpotSet)> {
+        self.classes.iter().map(|(k, m, s)| (k, m.as_slice(), s))
+    }
+
+    /// The local transition spots of all the sources, clipped to
+    /// `[t0, t1]`: the union of the class sets.
+    pub fn lts(&self, t0: f64, t1: f64) -> SpotSet {
+        SpotSet::union(self.classes.iter().map(|(_, _, s)| s)).clip(t0, t1)
     }
 }
 

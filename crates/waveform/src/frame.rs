@@ -7,9 +7,9 @@
 //!
 //! Frames deliberately carry no job id, so two clients streaming the
 //! same waveform can compare frames byte for byte.
-//! [`WaveFrame::content_hash`] feeds the *decoded* content — header
-//! fields and value bits — into an [`Fnv64`], so the hash is a pure
-//! function of the waveform chunk.
+//! [`WaveFrame::feed`] feeds the *decoded* content — header fields and
+//! value bits — into an [`Fnv64`], so the hash is a pure function of the
+//! waveform chunk.
 //!
 //! ```text
 //! [payload_len: u64 LE]
@@ -33,7 +33,7 @@
 //! let (len, rest) = WaveFrame::decode_len(&bytes[..8]).unwrap();
 //! assert_eq!(rest, 0);
 //! let back = WaveFrame::decode_payload(&bytes[8..8 + len]).unwrap();
-//! assert_eq!(back.content_hash(), frame.content_hash());
+//! assert_eq!(back, frame);
 //! ```
 
 use crate::Fnv64;
@@ -168,16 +168,8 @@ impl WaveFrame {
         })
     }
 
-    /// The canonical FNV-1a content hash of the decoded frame: header
-    /// fields, then time and value bit patterns.
-    pub fn content_hash(&self) -> u64 {
-        let mut h = Fnv64::new();
-        self.feed(&mut h);
-        h.finish()
-    }
-
-    /// Feeds the canonical content into an existing hasher (for
-    /// stream-wide running hashes).
+    /// Feeds the canonical content — header fields, then time and value
+    /// bit patterns — into a hasher (for stream-wide running hashes).
     pub fn feed(&self, h: &mut Fnv64) {
         h.write_u64(self.frame);
         h.write_u64(self.start);
@@ -193,6 +185,12 @@ impl WaveFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn content_hash(f: &WaveFrame) -> u64 {
+        let mut h = Fnv64::new();
+        f.feed(&mut h);
+        h.finish()
+    }
 
     fn sample() -> WaveFrame {
         WaveFrame {
@@ -220,7 +218,7 @@ mod tests {
         for (br, fr) in back.series.iter().zip(&f.series) {
             assert!(br.iter().zip(fr).all(|(a, b)| a.to_bits() == b.to_bits()));
         }
-        assert_eq!(back.content_hash(), f.content_hash());
+        assert_eq!(content_hash(&back), content_hash(&f));
     }
 
     #[test]
@@ -304,12 +302,12 @@ mod tests {
     fn content_hash_is_encoding_independent_but_content_sensitive() {
         let f = sample();
         let same = WaveFrame::decode_payload(&f.encode()[8..]).unwrap();
-        assert_eq!(f.content_hash(), same.content_hash());
+        assert_eq!(content_hash(&f), content_hash(&same));
         let mut other = f.clone();
         other.series[1][2] = 0.250000001;
-        assert_ne!(f.content_hash(), other.content_hash());
+        assert_ne!(content_hash(&f), content_hash(&other));
         let mut moved = f.clone();
         moved.start += 1;
-        assert_ne!(f.content_hash(), moved.content_hash());
+        assert_ne!(content_hash(&f), content_hash(&moved));
     }
 }

@@ -1,7 +1,6 @@
 //! Source grouping: partitioning inputs into MATEX subtasks.
 
-use crate::{FeatureKey, SpotSet, Waveform};
-use std::collections::HashMap;
+use crate::{SpotSet, TimingClasses, Waveform};
 
 /// How to partition input sources into subtasks (paper Sec. 3.1–3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -33,11 +32,6 @@ pub struct SourceGroup {
 }
 
 impl SourceGroup {
-    /// Number of member sources.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
     /// `true` when the group has no members.
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
@@ -54,26 +48,13 @@ pub struct Grouping {
     pub gts: SpotSet,
 }
 
-impl Grouping {
-    /// Number of groups (including the constant group 0).
-    pub fn num_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Snapshot set of group `k`: `GTS \ LTS_k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn snapshots(&self, k: usize) -> SpotSet {
-        self.gts.difference(&self.groups[k].lts)
-    }
-}
-
 /// Partitions sources into groups under the given strategy.
 ///
 /// `waveforms[i]` is the waveform of source `i`; spots are collected over
-/// the window `[0, t_end]`.
+/// the window `[0, t_end]`. The groups are read off the sources'
+/// [`TimingClasses`]: group 0 takes the classes with no spots in the
+/// window, every other group is a union of whole classes, and its LTS is
+/// the union of their spot sets. The GTS is the union of the groups' LTS.
 ///
 /// # Example
 ///
@@ -90,130 +71,98 @@ impl Grouping {
 ///     Waveform::Pulse(shape_b),   // group 2
 /// ];
 /// let g = group_sources(&sources, 1e-9, GroupingStrategy::ByBumpFeature);
-/// assert_eq!(g.num_groups(), 3);
+/// assert_eq!(g.groups.len(), 3);
 /// assert_eq!(g.groups[1].members, vec![1, 2]);
 /// # Ok(())
 /// # }
 /// ```
 pub fn group_sources(waveforms: &[Waveform], t_end: f64, strategy: GroupingStrategy) -> Grouping {
-    let lts_of = |idx: &[usize]| -> SpotSet {
-        SpotSet::union(
-            &idx.iter()
-                .map(|&i| SpotSet::from_times(waveforms[i].transition_spots(t_end)))
-                .collect::<Vec<_>>(),
-        )
-    };
-
-    // Split constant sources (no transitions in window) from active ones.
+    let table = TimingClasses::new(waveforms.iter().enumerate(), t_end);
     let mut constant: Vec<usize> = Vec::new();
-    let mut active: Vec<usize> = Vec::new();
-    for (i, w) in waveforms.iter().enumerate() {
-        if w.transition_spots(t_end).is_empty() {
-            constant.push(i);
+    let mut classes: Vec<Bin> = Vec::new();
+    for (_, members, spots) in table.iter() {
+        if spots.is_empty() {
+            constant.extend_from_slice(members);
         } else {
-            active.push(i);
+            classes.push((members.to_vec(), vec![spots]));
         }
     }
+    constant.sort_unstable();
 
-    let mut member_sets: Vec<Vec<usize>> = match strategy {
+    let mut bins: Vec<Bin> = match strategy {
+        GroupingStrategy::Single if classes.is_empty() => Vec::new(),
         GroupingStrategy::Single => {
-            if active.is_empty() {
-                Vec::new()
-            } else {
-                vec![active]
-            }
+            let (members, spots): (Vec<Vec<usize>>, Vec<Vec<&SpotSet>>) =
+                classes.into_iter().unzip();
+            let mut members = members.concat();
+            members.sort_unstable();
+            vec![(members, spots.concat())]
         }
-        GroupingStrategy::BySource => active.into_iter().map(|i| vec![i]).collect(),
-        GroupingStrategy::ByBumpFeature => by_feature(waveforms, &active),
-        GroupingStrategy::MaxGroups(k) => {
-            let by_feat = by_feature(waveforms, &active);
-            merge_balanced(by_feat, k.max(1), waveforms, t_end)
-        }
+        GroupingStrategy::BySource => classes
+            .into_iter()
+            .flat_map(|(members, spots)| members.into_iter().map(move |i| (vec![i], spots.clone())))
+            .collect(),
+        GroupingStrategy::ByBumpFeature => classes,
+        GroupingStrategy::MaxGroups(k) => merge_balanced(classes, k.max(1)),
     };
 
     // Deterministic order: by smallest member index.
-    member_sets.sort_by_key(|m| m.first().copied().unwrap_or(usize::MAX));
+    bins.sort_by_key(|(m, _)| m.first().copied().unwrap_or(usize::MAX));
 
-    let mut groups = Vec::with_capacity(member_sets.len() + 1);
+    let mut groups = Vec::with_capacity(bins.len() + 1);
     groups.push(SourceGroup {
         id: 0,
         members: constant,
         lts: SpotSet::new(),
     });
-    for members in member_sets {
-        let lts = lts_of(&members);
+    for (members, spots) in bins {
         groups.push(SourceGroup {
             id: groups.len(),
             members,
-            lts,
+            lts: SpotSet::union(spots),
         });
     }
-    let gts = SpotSet::union(&groups.iter().map(|g| g.lts.clone()).collect::<Vec<_>>());
+    let gts = SpotSet::union(groups.iter().map(|g| &g.lts));
     Grouping { groups, gts }
 }
 
-/// Groups active sources by their feature key.
-fn by_feature(waveforms: &[Waveform], active: &[usize]) -> Vec<Vec<usize>> {
-    let mut map: HashMap<FeatureKey, Vec<usize>> = HashMap::new();
-    for &i in active {
-        map.entry(FeatureKey::of(&waveforms[i]))
-            .or_default()
-            .push(i);
-    }
-    let mut sets: Vec<Vec<usize>> = map.into_values().collect();
-    sets.sort_by_key(|m| m.first().copied().unwrap_or(usize::MAX));
-    sets
-}
+/// A group in the making: its members and its classes' spot sets.
+type Bin<'a> = (Vec<usize>, Vec<&'a SpotSet>);
 
-/// Greedy balanced merge of feature groups into at most `k` bins,
+/// Greedy balanced merge of feature classes into at most `k` bins,
 /// minimizing the largest per-bin LTS count (the quantity that drives each
 /// node's Krylov-subspace generations).
-fn merge_balanced(
-    sets: Vec<Vec<usize>>,
-    k: usize,
-    waveforms: &[Waveform],
-    t_end: f64,
-) -> Vec<Vec<usize>> {
-    if sets.len() <= k {
-        return sets;
+fn merge_balanced(classes: Vec<Bin<'_>>, k: usize) -> Vec<Bin<'_>> {
+    if classes.len() <= k {
+        return classes;
     }
-    // Weigh each feature group by its LTS count.
-    let mut weighted: Vec<(usize, Vec<usize>)> = sets
-        .into_iter()
-        .map(|m| {
-            let w = SpotSet::union(
-                &m.iter()
-                    .map(|&i| SpotSet::from_times(waveforms[i].transition_spots(t_end)))
-                    .collect::<Vec<_>>(),
-            )
-            .len();
-            (w, m)
-        })
-        .collect();
-    // Largest first into the currently lightest bin.
+    // Weigh each class by its LTS count; largest first into the
+    // currently lightest bin.
+    let mut weighted: Vec<(usize, Bin)> = classes.into_iter().map(|c| (c.1[0].len(), c)).collect();
     weighted.sort_by_key(|&(w, _)| std::cmp::Reverse(w));
-    let mut bins: Vec<(usize, Vec<usize>)> = vec![(0, Vec::new()); k];
-    for (w, mut m) in weighted {
+    let mut bins: Vec<(usize, Bin)> = vec![(0, (Vec::new(), Vec::new())); k];
+    for (w, (mut members, spots)) in weighted {
         let lightest = bins
             .iter_mut()
             .min_by_key(|(bw, _)| *bw)
             .expect("k >= 1 bins");
         lightest.0 += w;
-        lightest.1.append(&mut m);
+        lightest.1 .0.append(&mut members);
+        lightest.1 .1.extend(spots);
     }
     bins.into_iter()
-        .map(|(_, mut m)| {
-            m.sort_unstable();
-            m
+        .map(|(_, (mut members, spots))| {
+            members.sort_unstable();
+            (members, spots)
         })
-        .filter(|m| !m.is_empty())
+        .filter(|(members, _)| !members.is_empty())
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Pulse;
+    use crate::{Pulse, Pwl};
 
     fn pulse(delay: f64) -> Waveform {
         Waveform::Pulse(Pulse::new(0.0, 1.0, delay, 1.0, 1.0, 1.0).unwrap())
@@ -224,7 +173,7 @@ mod tests {
         let src = vec![pulse(1.0), pulse(2.0), pulse(1.0), Waveform::Dc(5.0)];
         let g = group_sources(&src, 100.0, GroupingStrategy::ByBumpFeature);
         // group 0 = constants, then {0, 2}, {1}
-        assert_eq!(g.num_groups(), 3);
+        assert_eq!(g.groups.len(), 3);
         assert_eq!(g.groups[0].members, vec![3]);
         assert_eq!(g.groups[1].members, vec![0, 2]);
         assert_eq!(g.groups[2].members, vec![1]);
@@ -235,18 +184,10 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_are_gts_minus_lts() {
-        let src = vec![pulse(1.0), pulse(10.0)];
-        let g = group_sources(&src, 100.0, GroupingStrategy::ByBumpFeature);
-        let snap = g.snapshots(1);
-        assert_eq!(snap.as_slice(), &[10.0, 11.0, 12.0, 13.0]);
-    }
-
-    #[test]
     fn by_source_isolates_each() {
         let src = vec![pulse(1.0), pulse(1.0)];
         let g = group_sources(&src, 100.0, GroupingStrategy::BySource);
-        assert_eq!(g.num_groups(), 3);
+        assert_eq!(g.groups.len(), 3);
         assert_eq!(g.groups[1].members, vec![0]);
         assert_eq!(g.groups[2].members, vec![1]);
     }
@@ -255,7 +196,7 @@ mod tests {
     fn single_strategy_one_active_group() {
         let src = vec![pulse(1.0), pulse(5.0), Waveform::Dc(2.0)];
         let g = group_sources(&src, 100.0, GroupingStrategy::Single);
-        assert_eq!(g.num_groups(), 2);
+        assert_eq!(g.groups.len(), 2);
         assert_eq!(g.groups[1].members, vec![0, 1]);
         assert_eq!(g.groups[1].lts.len(), 8);
     }
@@ -264,7 +205,7 @@ mod tests {
     fn max_groups_caps_count() {
         let src: Vec<Waveform> = (0..10).map(|i| pulse(i as f64)).collect();
         let g = group_sources(&src, 100.0, GroupingStrategy::MaxGroups(3));
-        assert!(g.num_groups() <= 4); // 3 active + constants
+        assert!(g.groups.len() <= 4); // 3 active + constants
                                       // All sources still covered exactly once.
         let mut seen: Vec<usize> = g.groups.iter().flat_map(|g| g.members.clone()).collect();
         seen.sort_unstable();
@@ -274,9 +215,30 @@ mod tests {
     #[test]
     fn empty_input_yields_constant_group_only() {
         let g = group_sources(&[], 1.0, GroupingStrategy::ByBumpFeature);
-        assert_eq!(g.num_groups(), 1);
+        assert_eq!(g.groups.len(), 1);
         assert!(g.groups[0].is_empty());
         assert!(g.gts.is_empty());
+    }
+
+    #[test]
+    fn constant_pulses_and_one_point_pwls_join_group_0() {
+        // A pulse scaled by 0 and a one-point PWL never change: no spots,
+        // so no group (and no distributed node) of their own.
+        let flat = pulse(3.0).scaled(0.0).unwrap();
+        let point = Waveform::Pwl(Pwl::new(vec![(2.0, 1e-3)]).unwrap());
+        let src = vec![pulse(1.0), flat, point, Waveform::Dc(1.8)];
+        for strategy in [
+            GroupingStrategy::ByBumpFeature,
+            GroupingStrategy::BySource,
+            GroupingStrategy::Single,
+            GroupingStrategy::MaxGroups(1),
+        ] {
+            let g = group_sources(&src, 100.0, strategy);
+            assert_eq!(g.groups.len(), 2, "{strategy:?}");
+            assert_eq!(g.groups[0].members, vec![1, 2, 3], "{strategy:?}");
+            assert_eq!(g.groups[1].members, vec![0], "{strategy:?}");
+            assert_eq!(g.gts.as_slice(), &[1.0, 2.0, 3.0, 4.0], "{strategy:?}");
+        }
     }
 
     #[test]
@@ -284,7 +246,7 @@ mod tests {
         let src = vec![pulse(50.0)];
         let g = group_sources(&src, 10.0, GroupingStrategy::ByBumpFeature);
         // Pulse entirely after the window: treated as constant.
-        assert_eq!(g.num_groups(), 1);
+        assert_eq!(g.groups.len(), 1);
         assert_eq!(g.groups[0].members, vec![0]);
     }
 }

@@ -6,10 +6,11 @@
 //! these inputs:
 //!
 //! * each waveform contributes *local transition spots* ([`Waveform::transition_spots`]),
-//! * their union is the *global transition spots* set,
-//! * sources sharing a timing shape ([`FeatureKey`]) are grouped into one
-//!   subtask ([`group_sources`]), whose snapshot points
-//!   ([`Grouping::snapshots`]) can reuse Krylov subspaces.
+//! * sources sharing a timing shape ([`FeatureKey`]) form one class of
+//!   the run's [`TimingClasses`], with one spot set per class,
+//! * the union of the spots is the *global transition spots* set,
+//! * classes are grouped into subtasks ([`group_sources`]), whose
+//!   snapshot points (GTS minus the group's LTS) reuse Krylov subspaces.
 //!
 //! # Example
 //!
@@ -26,7 +27,7 @@
 //!     Waveform::Pulse(early), // same shape as #0
 //! ];
 //! let grouping = group_sources(&sources, 1e-9, GroupingStrategy::ByBumpFeature);
-//! assert_eq!(grouping.num_groups(), 3); // constants + 2 shapes
+//! assert_eq!(grouping.groups.len(), 3); // constants + 2 shapes
 //! assert_eq!(grouping.gts.len(), 8);    // 4 spots per distinct shape
 //! # Ok(())
 //! # }
@@ -46,7 +47,7 @@ mod spots;
 mod waveform;
 
 pub use error::WaveformError;
-pub use features::FeatureKey;
+pub use features::{FeatureKey, TimingClasses};
 pub use fingerprint::Fnv64;
 pub use frame::{FrameError, WaveFrame};
 pub use grouping::{group_sources, Grouping, GroupingStrategy, SourceGroup};

@@ -166,7 +166,7 @@ impl Pulse {
     /// These are the *local transition spots* (LTS) the paper assigns to
     /// each subtask: `{td, td+tr, td+tr+tw, td+tr+tw+tf}` for every period
     /// instance that intersects the window.
-    pub fn transition_spots(&self, t_end: f64) -> Vec<f64> {
+    pub(crate) fn transition_spots(&self, t_end: f64) -> Vec<f64> {
         let mut out = Vec::new();
         if t_end <= 0.0 {
             return out;

@@ -89,7 +89,7 @@ impl Pwl {
     }
 
     /// Transition spots (slope breakpoints) within `[0, t_end]`, sorted.
-    pub fn transition_spots(&self, t_end: f64) -> Vec<f64> {
+    pub(crate) fn transition_spots(&self, t_end: f64) -> Vec<f64> {
         self.points
             .iter()
             .map(|&(t, _)| t)

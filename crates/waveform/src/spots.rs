@@ -77,24 +77,14 @@ impl SpotSet {
 
     /// `true` if `t` is in the set (within tolerance).
     pub fn contains(&self, t: f64) -> bool {
-        self.position(t).is_some()
-    }
-
-    /// Index of `t` in the set, if present (within tolerance).
-    pub fn position(&self, t: f64) -> Option<usize> {
         match self
             .times
             .binary_search_by(|x| x.partial_cmp(&t).expect("finite"))
         {
-            Ok(i) => Some(i),
+            Ok(_) => true,
             Err(i) => {
-                if i < self.times.len() && same_spot(self.times[i], t) {
-                    Some(i)
-                } else if i > 0 && same_spot(self.times[i - 1], t) {
-                    Some(i - 1)
-                } else {
-                    None
-                }
+                (i < self.times.len() && same_spot(self.times[i], t))
+                    || (i > 0 && same_spot(self.times[i - 1], t))
             }
         }
     }
@@ -120,8 +110,11 @@ impl SpotSet {
     }
 
     /// Union of several spot sets.
-    pub fn union(sets: &[SpotSet]) -> SpotSet {
-        let mut all: Vec<f64> = sets.iter().flat_map(|s| s.times.iter().copied()).collect();
+    pub fn union<'a>(sets: impl IntoIterator<Item = &'a SpotSet>) -> SpotSet {
+        let mut all: Vec<f64> = sets
+            .into_iter()
+            .flat_map(|s| s.times.iter().copied())
+            .collect();
         all.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         all.dedup_by(|a, b| same_spot(*a, *b));
         SpotSet { times: all }
@@ -150,33 +143,6 @@ impl SpotSet {
                 .filter(|&t| t >= t0 && t <= t1)
                 .collect(),
         }
-    }
-
-    /// Inserts a spot (keeping order, ignoring near-duplicates).
-    pub fn insert(&mut self, t: f64) {
-        if !t.is_finite() || self.contains(t) {
-            return;
-        }
-        let idx = self
-            .times
-            .binary_search_by(|x| x.partial_cmp(&t).expect("finite"))
-            .unwrap_err();
-        self.times.insert(idx, t);
-    }
-}
-
-impl FromIterator<f64> for SpotSet {
-    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        SpotSet::from_times(iter.into_iter().collect())
-    }
-}
-
-impl<'a> IntoIterator for &'a SpotSet {
-    type Item = &'a f64;
-    type IntoIter = std::slice::Iter<'a, f64>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.times.iter()
     }
 }
 
@@ -228,15 +194,6 @@ mod tests {
     fn clip_window() {
         let s = SpotSet::from_times(vec![0.0, 1.0, 2.0, 3.0]);
         assert_eq!(s.clip(0.5, 2.5).as_slice(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn insert_keeps_invariants() {
-        let mut s = SpotSet::from_times(vec![1.0, 3.0]);
-        s.insert(2.0);
-        s.insert(2.0); // duplicate ignored
-        s.insert(f64::NAN); // ignored
-        assert_eq!(s.as_slice(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -32,11 +32,6 @@ pub enum Waveform {
 }
 
 impl Waveform {
-    /// Constant-zero waveform (used to mask sources out of a subtask).
-    pub fn zero() -> Self {
-        Waveform::Dc(0.0)
-    }
-
     /// Value at time `t`.
     pub fn value(&self, t: f64) -> f64 {
         match self {
@@ -48,22 +43,17 @@ impl Waveform {
 
     /// Time points in `[0, t_end]` at which the slope changes, sorted.
     ///
-    /// These are the waveform's *local transition spots* (LTS). A DC
-    /// waveform has none.
+    /// These are the waveform's *local transition spots* (LTS). A
+    /// constant waveform ([`Waveform::is_constant`]: DC, a pulse with
+    /// `v1 == v2`, a one-point PWL) has none.
     pub fn transition_spots(&self, t_end: f64) -> Vec<f64> {
+        if self.is_constant() {
+            return Vec::new();
+        }
         match self {
             Waveform::Dc(_) => Vec::new(),
             Waveform::Pulse(p) => p.transition_spots(t_end),
             Waveform::Pwl(w) => w.transition_spots(t_end),
-        }
-    }
-
-    /// `true` if the waveform is identically zero.
-    pub fn is_zero(&self) -> bool {
-        match self {
-            Waveform::Dc(v) => *v == 0.0,
-            Waveform::Pulse(p) => p.v1 == 0.0 && p.v2 == 0.0,
-            Waveform::Pwl(w) => w.points().iter().all(|&(_, v)| v == 0.0),
         }
     }
 
@@ -78,10 +68,11 @@ impl Waveform {
 
     /// The waveform scaled by `k` in value: `w'(t) = k · w(t)`.
     ///
-    /// Timing (and therefore every transition spot) is unchanged, which
-    /// is what makes scaled-source scenarios structure-preserving: a
-    /// scenario engine can replay the same grouping and factorization
-    /// artifacts under any load scaling.
+    /// Timing is unchanged, and for `k ≠ 0` so is every transition spot,
+    /// which is what makes scaled-source scenarios structure-preserving:
+    /// a scenario engine can replay the same grouping and factorization
+    /// artifacts under any non-zero load scaling. `k = 0` makes a pulse
+    /// constant, and a constant waveform has no spots.
     ///
     /// # Errors
     ///
@@ -168,7 +159,7 @@ impl Waveform {
 
 impl Default for Waveform {
     fn default() -> Self {
-        Waveform::zero()
+        Waveform::Dc(0.0)
     }
 }
 
@@ -201,14 +192,18 @@ mod tests {
         assert_eq!(w.value(1e9), 1.8);
         assert!(w.transition_spots(1.0).is_empty());
         assert!(w.is_constant());
-        assert!(!w.is_zero());
     }
 
     #[test]
-    fn zero_detection() {
-        assert!(Waveform::zero().is_zero());
-        assert!(Waveform::Pulse(Pulse::new(0.0, 0.0, 0.0, 0.0, 1.0, 0.0).unwrap()).is_zero());
-        assert!(!Waveform::Dc(0.1).is_zero());
+    fn constant_waveforms_have_no_spots() {
+        let p = Waveform::Pulse(Pulse::new(0.0, 2.0, 1.0, 1.0, 2.0, 1.0).unwrap());
+        assert_eq!(p.transition_spots(10.0).len(), 4);
+        let flat = p.scaled(0.0).unwrap();
+        assert!(flat.is_constant());
+        assert!(flat.transition_spots(10.0).is_empty());
+        let point = Waveform::Pwl(Pwl::new(vec![(1.0, 3.0)]).unwrap());
+        assert!(point.is_constant());
+        assert!(point.transition_spots(10.0).is_empty());
     }
 
     #[test]
@@ -223,7 +218,7 @@ mod tests {
 
     #[test]
     fn default_is_zero() {
-        assert!(Waveform::default().is_zero());
+        assert_eq!(Waveform::default(), Waveform::Dc(0.0));
     }
 
     #[test]
@@ -244,7 +239,7 @@ mod tests {
         assert!(p.scaled(f64::NAN).is_err());
         // Scaling to zero flattens the pulse without a validation trip
         // (v1 == v2 == 0 permits the zero-length ramps).
-        assert!(p.scaled(0.0).unwrap().is_zero());
+        assert_eq!(p.scaled(0.0).unwrap().value(2.5), 0.0);
     }
 
     #[test]

@@ -115,7 +115,7 @@ proptest! {
         }
         // Snapshots are disjoint from the group's own LTS.
         for gr in &g.groups {
-            let snap = g.snapshots(gr.id);
+            let snap = g.gts.difference(&gr.lts);
             for &t in snap.iter() {
                 prop_assert!(!gr.lts.contains(t));
             }
