@@ -33,23 +33,13 @@ use matex_sparse::{LuOptions, SparseError, SparseLu};
 /// # }
 /// ```
 pub fn dc_operating_point(sys: &MnaSystem) -> Result<Vec<f64>, CircuitError> {
-    let lu = factor_g(sys)?;
-    Ok(lu.solve(&sys.bu_at(0.0)))
-}
-
-/// Factors `G` once for repeated DC-like solves (also used by the MATEX
-/// input-term computation, which needs `G⁻¹` applications).
-///
-/// # Errors
-///
-/// As [`dc_operating_point`].
-pub fn factor_g(sys: &MnaSystem) -> Result<SparseLu, CircuitError> {
-    SparseLu::factor(sys.g(), &LuOptions::default()).map_err(|e| match e {
+    let lu = SparseLu::factor(sys.g(), &LuOptions::default()).map_err(|e| match e {
         SparseError::Singular { column } => CircuitError::SingularSystem(format!(
             "G is singular at pivot column {column}; check for nodes with no DC path to ground"
         )),
         other => CircuitError::Solver(other),
-    })
+    })?;
+    Ok(lu.solve(&sys.bu_at(0.0)))
 }
 
 #[cfg(test)]

@@ -42,7 +42,7 @@ mod regularize;
 
 pub mod ibmpg;
 
-pub use dc::{dc_operating_point, factor_g};
+pub use dc::dc_operating_point;
 pub use elements::{Element, Node, SourceKind};
 pub use error::CircuitError;
 pub use mna::{MnaSystem, SourceInfo, ValueDiff};

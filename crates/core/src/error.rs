@@ -24,8 +24,11 @@ pub enum CoreError {
         at: f64,
     },
     /// The march diverged: the projected (dense) computation of a step
-    /// failed, on a start vector that has blown up or degenerated. A
-    /// kernel failure inside the march surfaces as this, never bare.
+    /// failed, on a start vector that has blown up or degenerated, or a
+    /// step no sub-step could rescue carried an error estimate far over
+    /// the tolerance (`cause` is then
+    /// [`KrylovError::NoConvergence`](matex_krylov::KrylovError::NoConvergence)).
+    /// A kernel failure inside the march surfaces as this, never bare.
     Diverged {
         /// Time of the anchor the step starts from.
         at: f64,
@@ -93,8 +96,14 @@ impl fmt::Display for CoreError {
             CoreError::Diverged { at, h, m, cause } => {
                 write!(f, "march diverged at t = {at:.3e}, step {h:.3e}, ")?;
                 match m {
-                    Some(m) => write!(f, "basis dimension {m}: {cause}"),
-                    None => write!(f, "building the basis: {cause}"),
+                    Some(m) => write!(f, "basis dimension {m}: {cause}")?,
+                    None => write!(f, "building the basis: {cause}")?,
+                }
+                match cause {
+                    matex_krylov::KrylovError::NoConvergence { .. } => {
+                        write!(f, " (try a larger m_max or a smaller dt_out)")
+                    }
+                    _ => Ok(()),
                 }
             }
             CoreError::SamplesUnfilled { filled, total } => {

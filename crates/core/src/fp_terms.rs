@@ -61,12 +61,13 @@
 //! [`SparseLu::solve_into`](matex_sparse::SparseLu::solve_into) and the
 //! `B·u` and `C·qd` products through `matvec_into` on reused buffers
 //! (verified by the counting-allocator tests in `tests/alloc_free.rs`).
-//! A what-if setup's SMW correction follows every column solve, and per
-//! window only the residual's.
+//! Every solve goes through the run's [`FactorRef`] of `G`; a what-if
+//! setup's factor carries its correction, so the columns come out for
+//! the edited `G` without this module knowing.
 
 use crate::SolveStats;
 use matex_circuit::MnaSystem;
-use matex_sparse::{CsrMatrix, SmwUpdate, SparseLu, SOLVE_BATCH};
+use matex_sparse::{CsrMatrix, FactorRef, SOLVE_BATCH};
 use matex_waveform::{FeatureKey, Pulse, TimingClasses, Waveform};
 
 /// One run's input columns and the terms they give for one linear
@@ -106,20 +107,16 @@ impl<'a> IntervalTerms<'a> {
     /// classes constant over the run into `b₀`, makes every other bump
     /// class a column pair and the rest the residual, and solves `g_k`,
     /// `w_k` and — unless a residual carries it or it is zero — `g₀`
-    /// with `lu_g`. Each solve is followed by the optional
-    /// Sherman–Morrison–Woodbury correction built against `lu_g`, so the
-    /// terms come out for the *edited* `G` without refactoring (the
-    /// what-if fast path). Counts the solves in `stats`.
+    /// with `lu_g`. Counts the solves in `stats`.
     ///
     /// # Panics
     ///
-    /// Panics if `lu_g` or `smw` does not match the system's dimension,
-    /// or a member of a bump class is not a pulse source of `sys`.
+    /// Panics if `lu_g` does not match the system's dimension, or a
+    /// member of a bump class is not a pulse source of `sys`.
     pub fn new(
         sys: &'a MnaSystem,
         classes: &TimingClasses,
-        lu_g: &'a SparseLu,
-        smw: Option<&'a SmwUpdate>,
+        lu_g: impl Into<FactorRef<'a>>,
         (t_start, t_stop): (f64, f64),
         stats: &mut SolveStats,
     ) -> Self {
@@ -168,8 +165,7 @@ impl<'a> IntervalTerms<'a> {
             members.push(amps);
         }
         let mut solver = GSolver {
-            lu: lu_g,
-            smw,
+            lu: lu_g.into(),
             c: sys.c(),
             work: vec![0.0; n],
         };
@@ -314,14 +310,12 @@ impl<'a> IntervalTerms<'a> {
     }
 }
 
-/// Substitutions with the factored `G`, each followed by the optional
-/// correction to the edited `G`, and their scratch.
+/// Substitutions with the factored `G`, and their scratch.
 #[derive(Debug, Clone)]
 struct GSolver<'a> {
-    lu: &'a SparseLu,
-    smw: Option<&'a SmwUpdate>,
+    lu: FactorRef<'a>,
     c: &'a CsrMatrix,
-    /// Substitution scratch for [`SparseLu::solve_into`].
+    /// Substitution scratch for [`FactorRef::solve_into`].
     work: Vec<f64>,
 }
 
@@ -329,15 +323,12 @@ impl GSolver<'_> {
     /// `out = G⁻¹b`: one substitution pair.
     fn solve(&mut self, b: &[f64], out: &mut [f64]) {
         self.lu.solve_into(b, out, &mut self.work);
-        if let Some(smw) = self.smw {
-            smw.correct_in_place(out);
-        }
     }
 
     /// Solves `k` columns in batches of [`SOLVE_BATCH`] (one pass over
-    /// the factor per batch, [`SparseLu::solve_many_into`]): `fill(i, b)`
+    /// the factor per batch, [`FactorRef::solve_many_into`]): `fill(i, b)`
     /// writes column `i`'s right-hand side, and `sink(i, x)` receives
-    /// its corrected solution — bitwise [`GSolver::solve`]'s. Counts one
+    /// its solution — bitwise [`GSolver::solve`]'s. Counts one
     /// substitution pair per column.
     fn solve_batched(
         &mut self,
@@ -360,10 +351,7 @@ impl GSolver<'_> {
                 fill(start + c, col);
             }
             self.lu.solve_many_into(b, x, &mut work);
-            for (c, col) in x.chunks_exact_mut(n).enumerate() {
-                if let Some(smw) = self.smw {
-                    smw.correct_in_place(col);
-                }
+            for (c, col) in x.chunks_exact(n).enumerate() {
                 sink(start + c, col);
             }
             stats.substitution_pairs += cols;
@@ -390,7 +378,7 @@ mod tests {
     use super::*;
     use crate::engine::InputEval;
     use matex_circuit::Netlist;
-    use matex_sparse::LuOptions;
+    use matex_sparse::{LuOptions, SparseLu};
 
     /// The classes of all of `sys`'s sources over `[0, t_stop]`.
     fn classes(sys: &MnaSystem, t_stop: f64) -> TimingClasses {
@@ -421,7 +409,7 @@ mod tests {
         (t0, t1): (f64, f64),
         stats: &mut SolveStats,
     ) -> IntervalTerms<'a> {
-        let mut terms = IntervalTerms::new(sys, &classes(sys, run.1), lu_g, None, run, stats);
+        let mut terms = IntervalTerms::new(sys, &classes(sys, run.1), lu_g, run, stats);
         terms.recompute(t0, t1, stats);
         terms
     }
@@ -526,8 +514,7 @@ mod tests {
         let lu_g = SparseLu::factor(sys.g(), &LuOptions::default()).unwrap();
         let mut stats = SolveStats::default();
         let run = (0.0, 4e-9);
-        let mut reused =
-            IntervalTerms::new(&sys, &classes(&sys, run.1), &lu_g, None, run, &mut stats);
+        let mut reused = IntervalTerms::new(&sys, &classes(&sys, run.1), &lu_g, run, &mut stats);
         for (t0, t1) in [(0.0, 4e-10), (4e-10, 1e-9), (2.5e-9, 3e-9)] {
             reused.recompute(t0, t1, &mut stats);
             let fresh = terms(&sys, &lu_g, run, (t0, t1), &mut stats);

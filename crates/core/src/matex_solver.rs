@@ -309,31 +309,16 @@ impl TransientEngine for MatexSolver {
         }
 
         let op: Box<dyn KrylovOp + '_> = match self.opts.kind {
-            KrylovKind::Standard => {
-                let mut op = StandardOp::new(setup.lu_x1().expect("lu(C) present"), sys.g());
-                if let Some(smw) = setup.smw_x1() {
-                    op = op.with_correction(smw);
-                }
-                Box::new(op)
-            }
-            KrylovKind::Inverted => {
-                let mut op = InvertedOp::new(setup.lu_g(), sys.c());
-                if let Some(smw) = setup.smw_g() {
-                    op = op.with_correction(smw);
-                }
-                Box::new(op)
-            }
-            KrylovKind::Rational => {
-                let mut op = RationalOp::new(
-                    setup.lu_x1().expect("lu(C+γG) present"),
-                    sys.c(),
-                    self.opts.gamma,
-                );
-                if let Some(smw) = setup.smw_x1() {
-                    op = op.with_correction(smw);
-                }
-                Box::new(op)
-            }
+            KrylovKind::Standard => Box::new(StandardOp::new(
+                setup.lu_x1().expect("lu(C) present"),
+                sys.g(),
+            )),
+            KrylovKind::Inverted => Box::new(InvertedOp::new(setup.lu_g(), sys.c())),
+            KrylovKind::Rational => Box::new(RationalOp::new(
+                setup.lu_x1().expect("lu(C+γG) present"),
+                sys.c(),
+                self.opts.gamma,
+            )),
         };
 
         let tt = Instant::now();
@@ -395,6 +380,13 @@ impl TransientEngine for MatexSolver {
         }
     }
 }
+
+/// How far over the tolerance a best-effort value's error estimate may
+/// be for the march to accept it. On a starved stiff grid (`m_max` 6,
+/// `tol` 1e-8), R- and I-MATEX's harmless best-effort steps carry
+/// estimates of 1.2–9.7× the tolerance, and MEXP's divergent ones
+/// 1.2e5× and up.
+const BEST_EFFORT_BOUND: f64 = 100.0;
 
 /// Widest snapshot batch one weight/combination round may cover: bounds
 /// the `n × MAX_BATCH` output staging buffer while keeping the
@@ -513,14 +505,7 @@ impl<'a> March<'a> {
         ensure_finite(t_start, &x0)?;
         rec.record(0, &x0);
         let mut stats = SolveStats::default();
-        let terms = IntervalTerms::new(
-            sys,
-            classes,
-            setup.lu_g(),
-            setup.smw_g(),
-            (t_start, t_stop),
-            &mut stats,
-        );
+        let terms = IntervalTerms::new(sys, classes, setup.lu_g(), (t_start, t_stop), &mut stats);
         Ok(March {
             terms,
             op,
@@ -690,10 +675,23 @@ impl<'a> March<'a> {
             return Ok(accepted);
         }
         // No rung passed (or the per-point budget ran out): accept the
-        // best-effort full-step value, or fail if it never went finite.
-        if !self.evaluator.estimates()[accepted].is_finite() {
-            let cause = KrylovError::Dense(matex_dense::DenseError::NotFinite);
-            return Err(diverged(self.anchor_t, h_f, Some(b.m()))(cause));
+        // best-effort full-step value only while its estimate stays
+        // within `BEST_EFFORT_BOUND` of the tolerance; past it (or never
+        // finite) the march has diverged.
+        let estimate = self.evaluator.estimates()[accepted];
+        if !estimate.is_finite() || estimate > BEST_EFFORT_BOUND * tol_abs {
+            let m = b.m();
+            let cause = if estimate.is_finite() {
+                KrylovError::NoConvergence {
+                    m,
+                    estimate,
+                    tolerance: tol_abs,
+                }
+            } else {
+                KrylovError::Dense(matex_dense::DenseError::NotFinite)
+            };
+            let (at, h, m) = (self.anchor_t, h_f, Some(m));
+            return Err(CoreError::Diverged { at, h, m, cause });
         }
         self.stats.best_effort_steps += 1;
         self.land(Weights::Batch(accepted..accepted + 1));

@@ -21,11 +21,21 @@
 //! Injection never changes the numerics: the factors (and therefore
 //! every substitution of the run) are the same objects a fresh
 //! preparation would produce.
+//!
+//! A what-if setup ([`MatexSetup::correct`]) is a setup whose factors
+//! carry their correction: it shares its base's factors (`Arc`s) and
+//! adds the Sherman–Morrison–Woodbury update each one needs for the
+//! edited system. It hands out the same [`FactorRef`]s as any other
+//! setup, whose solves apply the correction, so the DC solve, the
+//! input columns and the Krylov operator serve the edited circuit
+//! without knowing it was edited.
 
 use crate::{CoreError, MatexOptions, MatexSymbolic};
 use matex_circuit::{regularize_c, MnaSystem, ValueDiff};
 use matex_krylov::{shifted_system, KrylovKind};
-use matex_sparse::{LuOptions, SmwOptions, SmwRejection, SmwUpdate, SparseLu};
+use matex_sparse::{
+    FactorRef, LuOptions, SmwOptions, SmwRejection, SmwUpdate, SparseCol, SparseLu,
+};
 use matex_sparse::{WireError, WireReader, WireWriter};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -59,23 +69,13 @@ pub struct MatexSetup {
     gamma: f64,
     regularize_eps: f64,
     dim: usize,
-    /// `None` only for corrected setups, which delegate to `base`.
-    lu_g: Option<SparseLu>,
-    /// The variant's `X1` factorization; `None` for I-MATEX, which
-    /// reuses `lu_g`, and for corrected setups.
-    lu_x1: Option<SparseLu>,
-    /// The uncorrected setup this one wraps (what-if fast path): all
-    /// factors come from here, with the SMW corrections
-    /// below turning its solves into edited-system solves.
-    base: Option<Arc<MatexSetup>>,
-    /// Correction turning `base`'s `lu_g` solves into `G_new` solves.
-    smw_g: Option<SmwUpdate>,
-    /// Correction for the variant's `X1` solves (`C + γG` for R-MATEX,
-    /// the regularized `C` for MEXP).
-    smw_x1: Option<SmwUpdate>,
-    /// Touched-row rank of the edit this setup corrects for (0 when
-    /// uncorrected).
-    whatif_rank: usize,
+    /// The factor of `G`.
+    g: Factor,
+    /// The variant's `X1` factor; `None` for I-MATEX, which reuses `g`.
+    x1: Option<Factor>,
+    /// Touched-row rank of the edit the factors are corrected for;
+    /// `None` when the setup is uncorrected.
+    whatif_rank: Option<usize>,
     factorizations: usize,
     refactorizations: usize,
     factor_time: Duration,
@@ -195,30 +195,29 @@ impl MatexSetup {
             regularize_eps: opts.regularize_eps,
             dim: sys.dim(),
             factorizations: 1 + usize::from(lu_x1.is_some()),
-            lu_g: Some(lu_g),
-            lu_x1,
-            base: None,
-            smw_g: None,
-            smw_x1: None,
-            whatif_rank: 0,
+            g: Factor::exact(lu_g),
+            x1: lu_x1.map(Factor::exact),
+            whatif_rank: None,
             refactorizations,
             factor_time: t0.elapsed(),
         }
     }
 
-    /// Wraps `base` with Sherman–Morrison–Woodbury corrections for the
-    /// value edit `diff` (produced by
+    /// The setup of an edited system, served from `base`'s factors by
+    /// Sherman–Morrison–Woodbury corrections for the value edit `diff`
+    /// (produced by
     /// [`MnaSystem::value_diff`](matex_circuit::MnaSystem::value_diff)
     /// between the edited system and the system `base` was prepared
-    /// for). Every solve through the returned setup — DC, input terms,
-    /// and the variant's Krylov operator — then produces
-    /// edited-system solutions without any refactorization: the what-if
-    /// fast path.
+    /// for): the what-if fast path. It shares `base`'s factors, and
+    /// each factor the edit touches carries its correction, so every
+    /// solve through the returned setup — DC, input terms, and the
+    /// variant's Krylov operator — produces edited-system solutions
+    /// without any refactorization.
     ///
     /// Costs `O(rank)` substitution pairs against `base`'s cached
-    /// factors plus one `rank × rank` dense factorization; evaluation
-    /// order is fixed, so corrected solves are bitwise-deterministic
-    /// across repeat runs.
+    /// factors plus one `rank × rank` dense factorization per touched
+    /// factor; evaluation order is fixed, so corrected solves are
+    /// bitwise-deterministic across repeat runs.
     ///
     /// # Errors
     ///
@@ -247,45 +246,22 @@ impl MatexSetup {
             "edit set dimension disagrees with the base setup"
         );
         let t0 = Instant::now();
-        let rank = diff.rank();
-        let smw_g = if diff.rank_g() > 0 {
-            let (u, v) = diff.g_update();
-            Some(SmwUpdate::build(base.lu_g(), &u, &v, opts)?)
-        } else {
-            None
-        };
-        let smw_x1 = match base.kind {
-            KrylovKind::Inverted => None,
-            KrylovKind::Rational => {
-                let (u, v) = diff.shifted_update(base.gamma);
-                if u.is_empty() {
-                    None
-                } else {
-                    let lu = base.lu_x1().expect("rational base holds lu(C+γG)");
-                    Some(SmwUpdate::build(lu, &u, &v, opts)?)
-                }
-            }
-            KrylovKind::Standard => {
-                if diff.rank_c() > 0 {
-                    let (u, v) = diff.c_update();
-                    let lu = base.lu_x1().expect("standard base holds lu(C)");
-                    Some(SmwUpdate::build(lu, &u, &v, opts)?)
-                } else {
-                    None
-                }
-            }
-        };
+        let g = base.g.corrected(diff.g_update(), opts)?;
+        let x1 = base.x1.as_ref().map(|x1| {
+            let edit = match base.kind {
+                KrylovKind::Standard => diff.c_update(),
+                _ => diff.shifted_update(base.gamma),
+            };
+            x1.corrected(edit, opts)
+        });
         Ok(MatexSetup {
             kind: base.kind,
             gamma: base.gamma,
             regularize_eps: base.regularize_eps,
             dim: base.dim,
-            lu_g: None,
-            lu_x1: None,
-            base: Some(base),
-            smw_g,
-            smw_x1,
-            whatif_rank: rank,
+            g,
+            x1: x1.transpose()?,
+            whatif_rank: Some(diff.rank()),
             factorizations: 0,
             refactorizations: 0,
             factor_time: t0.elapsed(),
@@ -346,58 +322,34 @@ impl MatexSetup {
         self.dim
     }
 
-    /// The `G` factorization (DC condition and input terms). For a
-    /// corrected setup this is the **base** factorization — pair its
-    /// solves with [`MatexSetup::smw_g`] (or use
-    /// [`MatexSetup::solve_g`]) to get edited-system solutions.
-    pub fn lu_g(&self) -> &SparseLu {
-        match &self.base {
-            Some(b) => b.lu_g(),
-            None => self.lu_g.as_ref().expect("uncorrected setup holds lu_g"),
-        }
+    /// The `G` factor (DC condition, input terms and I-MATEX's
+    /// operator). A corrected setup's solves through it are the edited
+    /// system's.
+    pub fn lu_g(&self) -> FactorRef<'_> {
+        self.g.solver()
     }
 
-    /// The variant's `X1` factorization (`None` for I-MATEX); the base
-    /// factorization for corrected setups, as with
-    /// [`MatexSetup::lu_g`].
-    pub fn lu_x1(&self) -> Option<&SparseLu> {
-        match &self.base {
-            Some(b) => b.lu_x1(),
-            None => self.lu_x1.as_ref(),
-        }
+    /// The variant's `X1` factor (`None` for I-MATEX), corrected as
+    /// [`MatexSetup::lu_g`] is.
+    pub fn lu_x1(&self) -> Option<FactorRef<'_>> {
+        self.x1.as_ref().map(Factor::solver)
     }
 
-    /// Whether this setup wraps a base with what-if corrections.
+    /// Whether this setup's factors carry a what-if correction.
     pub fn is_corrected(&self) -> bool {
-        self.base.is_some()
+        self.whatif_rank.is_some()
     }
 
     /// Touched-row rank of the edit this setup corrects for (0 when
     /// uncorrected).
     pub fn whatif_rank(&self) -> usize {
-        self.whatif_rank
+        self.whatif_rank.unwrap_or(0)
     }
 
-    /// The SMW correction for `lu_g` solves, when present.
-    pub fn smw_g(&self) -> Option<&SmwUpdate> {
-        self.smw_g.as_ref()
-    }
-
-    /// The SMW correction for `lu_x1` solves, when present.
-    pub fn smw_x1(&self) -> Option<&SmwUpdate> {
-        self.smw_x1.as_ref()
-    }
-
-    /// Solves `G_eff x = b` — the (possibly corrected) solve backing
-    /// the DC condition: base substitution pair plus the `smw_g`
-    /// correction when present. Uncorrected setups get exactly
-    /// `lu_g().solve(b)`, bit for bit.
+    /// Solves `G x = b`, the solve backing the DC condition: one
+    /// substitution pair through [`MatexSetup::lu_g`].
     pub fn solve_g(&self, b: &[f64]) -> Vec<f64> {
-        let mut x = self.lu_g().solve(b);
-        if let Some(smw) = &self.smw_g {
-            smw.correct_in_place(&mut x);
-        }
-        x
+        self.lu_g().solve(b)
     }
 
     /// Factorizations the preparation performed (full or replay).
@@ -435,11 +387,10 @@ impl MatexSetup {
         w.f64(self.gamma);
         w.f64(self.regularize_eps);
         w.usize(self.dim);
-        let lu_g = self.lu_g.as_ref().expect("uncorrected setup holds lu_g");
-        lu_g.wire_encode(w);
-        w.u8(self.lu_x1.is_some() as u8);
-        if let Some(lu) = &self.lu_x1 {
-            lu.wire_encode(w);
+        self.g.lu.wire_encode(w);
+        w.u8(self.x1.is_some() as u8);
+        if let Some(x1) = &self.x1 {
+            x1.lu.wire_encode(w);
         }
         Ok(())
     }
@@ -493,16 +444,54 @@ impl MatexSetup {
             gamma,
             regularize_eps,
             dim,
-            lu_g: Some(lu_g),
-            lu_x1,
-            base: None,
-            smw_g: None,
-            smw_x1: None,
-            whatif_rank: 0,
+            g: Factor::exact(lu_g),
+            x1: lu_x1.map(Factor::exact),
+            whatif_rank: None,
             factorizations: 0,
             refactorizations: 0,
             factor_time: Duration::ZERO,
         })
+    }
+}
+
+/// A setup's factor: the factorization, shared by every setup corrected
+/// from it, and the correction that makes its solves this setup's.
+#[derive(Debug)]
+struct Factor {
+    lu: Arc<SparseLu>,
+    smw: Option<SmwUpdate>,
+}
+
+impl Factor {
+    /// A factor of the system itself.
+    fn exact(lu: SparseLu) -> Self {
+        Factor {
+            lu: Arc::new(lu),
+            smw: None,
+        }
+    }
+
+    /// This factor, sharing its factorization, corrected for the edit
+    /// columns `(u, v)` (none when the edit leaves the matrix alone).
+    fn corrected(
+        &self,
+        (u, v): (Vec<SparseCol>, Vec<SparseCol>),
+        opts: &SmwOptions,
+    ) -> Result<Factor, SmwRejection> {
+        let smw = if u.is_empty() {
+            None
+        } else {
+            Some(SmwUpdate::build(&self.lu, &u, &v, opts)?)
+        };
+        Ok(Factor {
+            lu: Arc::clone(&self.lu),
+            smw,
+        })
+    }
+
+    /// The handle every solve with this factor goes through.
+    fn solver(&self) -> FactorRef<'_> {
+        FactorRef::new(&self.lu, self.smw.as_ref())
     }
 }
 
@@ -700,14 +689,14 @@ mod tests {
     fn corrected_solve_g_matches_edited_factorization() {
         let (base_sys, edited) = pdn_pair();
         // A pure-C edit leaves G untouched: solve_g must match the base
-        // solve bit for bit (no smw_g built at all).
+        // solve bit for bit (its G factor carries no correction).
         let opts = MatexOptions::default();
         let base = Arc::new(MatexSetup::prepare(&base_sys, &opts, None, false).unwrap());
         let diff = edited.value_diff(&base_sys).unwrap();
         assert_eq!(diff.rank_g(), 0);
         let corrected =
             MatexSetup::correct(Arc::clone(&base), &diff, &SmwOptions::default()).unwrap();
-        assert!(corrected.smw_g().is_none());
+        assert!(corrected.g.smw.is_none());
         let b: Vec<f64> = (0..base_sys.dim()).map(|i| (i % 7) as f64 - 3.0).collect();
         assert_eq!(corrected.solve_g(&b), base.solve_g(&b));
         // A G edit routes solve_g through the correction and agrees with
@@ -726,12 +715,37 @@ mod tests {
         let diff = g_edit.value_diff(&base_sys).unwrap();
         assert!(diff.rank_g() > 0);
         let corrected = MatexSetup::correct(base, &diff, &SmwOptions::default()).unwrap();
-        assert!(corrected.smw_g().is_some());
+        assert!(corrected.g.smw.is_some());
         let exact = SparseLu::factor(g_edit.g(), &LuOptions::default())
             .unwrap()
             .solve(&b);
         for (a, e) in corrected.solve_g(&b).iter().zip(&exact) {
             assert!((a - e).abs() <= 1e-10 * e.abs().max(1.0));
+        }
+    }
+
+    #[test]
+    fn a_corrected_setup_shares_its_base_factors() {
+        // A cap edit leaves G alone: the corrected setup's G factor is
+        // the base's own, uncorrected; its X1 factor is the base's too,
+        // carrying the correction.
+        let (base_sys, edited) = pdn_pair();
+        let diff = edited.value_diff(&base_sys).unwrap();
+        for kind in KINDS {
+            let opts = MatexOptions::new(kind);
+            let base = Arc::new(MatexSetup::prepare(&base_sys, &opts, None, false).unwrap());
+            let corrected =
+                MatexSetup::correct(Arc::clone(&base), &diff, &SmwOptions::default()).unwrap();
+            assert!(Arc::ptr_eq(&corrected.g.lu, &base.g.lu), "{kind:?}");
+            assert!(corrected.g.smw.is_none(), "{kind:?}");
+            match (&corrected.x1, &base.x1) {
+                (Some(x1), Some(base_x1)) => {
+                    assert!(Arc::ptr_eq(&x1.lu, &base_x1.lu), "{kind:?}");
+                    assert!(x1.smw.is_some(), "{kind:?}");
+                }
+                (None, None) => assert_eq!(kind, KrylovKind::Inverted),
+                _ => panic!("{kind:?}: X1 presence differs from the base's"),
+            }
         }
     }
 

@@ -10,8 +10,7 @@
 use matex_circuit::{MnaSystem, Netlist};
 use matex_core::{IntervalTerms, Recorder, SolveStats, TransientSpec};
 use matex_krylov::{
-    build_basis_multi, Arnoldi, ArnoldiSpace, BasisBuilder, ExpmParams, KrylovOp, RationalOp,
-    SnapshotEvaluator,
+    Arnoldi, ArnoldiSpace, BasisBuilder, ExpmParams, KrylovOp, RationalOp, SnapshotEvaluator,
 };
 use matex_sparse::{CsrMatrix, LuOptions, SparseLu};
 use matex_waveform::{Pulse, Pwl, TimingClasses, Waveform};
@@ -83,7 +82,7 @@ fn warm_recomputes(sys: &MnaSystem) -> (u64, usize, usize) {
     let lu_g = SparseLu::factor(sys.g(), &LuOptions::default()).unwrap();
     let classes = TimingClasses::new(sys.sources().iter().map(|s| &s.waveform).enumerate(), 1e-9);
     let mut stats = SolveStats::default();
-    let mut terms = IntervalTerms::new(sys, &classes, &lu_g, None, (0.0, 1e-9), &mut stats);
+    let mut terms = IntervalTerms::new(sys, &classes, &lu_g, (0.0, 1e-9), &mut stats);
     let columns = stats.substitution_pairs;
     let mut out = vec![0.0; sys.dim()];
 
@@ -150,7 +149,8 @@ fn snapshot_evaluation_hot_path_is_allocation_free_after_warmup() {
     let n = sys.dim();
     let v: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
     let hs = [2e-11, 5e-11, 1e-10, 2e-10];
-    let basis = build_basis_multi(&op, &v, &hs, &ExpmParams::with_tol(1e-10))
+    let basis = BasisBuilder::new()
+        .build(&op, &v, &hs, &ExpmParams::with_tol(1e-10))
         .unwrap()
         .basis;
 
@@ -262,7 +262,9 @@ fn basis_builds_allocate_nothing_per_step_after_warmup() {
         assert!(!out.converged, "converged at m = {}", out.basis.m());
         assert_eq!(out.substitutions, m_max);
         // Bitwise a one-off build.
-        let fresh = build_basis_multi(&op, &v, &hs, &params(m_max)).unwrap();
+        let fresh = BasisBuilder::new()
+            .build(&op, &v, &hs, &params(m_max))
+            .unwrap();
         assert_eq!(out.basis.vectors(), fresh.basis.vectors());
         assert_eq!(out.basis.hm(), fresh.basis.hm());
         builder.recycle(out.basis);
@@ -285,7 +287,7 @@ fn masked_recompute_is_also_allocation_free() {
     let lu_g = SparseLu::factor(sys.g(), &LuOptions::default()).unwrap();
     let classes = TimingClasses::new([(0, &sys.sources()[0].waveform)], 1e-9);
     let mut stats = SolveStats::default();
-    let mut terms = IntervalTerms::new(&sys, &classes, &lu_g, None, (0.0, 1e-9), &mut stats);
+    let mut terms = IntervalTerms::new(&sys, &classes, &lu_g, (0.0, 1e-9), &mut stats);
     terms.recompute(1.1e-10, 1.4e-10, &mut stats);
 
     let before = allocations_so_far();

@@ -12,7 +12,7 @@ use matex_core::{
     KrylovKind, MatexOptions, MatexSetup, MatexSolver, MatexSymbolic, TransientEngine,
     TransientSpec,
 };
-use matex_sparse::{WireError, WireReader, WireWriter};
+use matex_sparse::{CsrMatrix, LuOptions, SparseLu, WireError, WireReader, WireWriter};
 use std::sync::Arc;
 
 fn mesh() -> MnaSystem {
@@ -34,6 +34,14 @@ fn mutations(bytes: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
         b
     });
     cuts.chain(flips)
+}
+
+/// The record of the factor of `a`, as a setup stores it.
+fn encoded_factor(a: &CsrMatrix) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    let lu = SparseLu::factor(a, &LuOptions::default()).unwrap();
+    lu.wire_encode(&mut w);
+    w.into_bytes()
 }
 
 fn encoded_setup(sys: &MnaSystem, opts: &MatexOptions) -> Vec<u8> {
@@ -103,10 +111,7 @@ fn a_setup_missing_its_x1_factor_is_a_wire_error() {
     // The R-MATEX record's X1 presence byte follows the `G` factor.
     let sys = mesh();
     let opts = MatexOptions::new(KrylovKind::Rational);
-    let setup = MatexSetup::prepare(&sys, &opts, None, false).unwrap();
-    let mut w = WireWriter::new();
-    setup.lu_g().wire_encode(&mut w);
-    let presence = 1 + 8 + 8 + 8 + w.into_bytes().len();
+    let presence = 1 + 8 + 8 + 8 + encoded_factor(sys.g()).len();
     let mut bytes = encoded_setup(&sys, &opts);
     assert_eq!(bytes[presence], 1);
     bytes[presence] = 0;
@@ -119,9 +124,7 @@ fn a_setup_missing_its_x1_factor_is_a_wire_error() {
     let mut bytes = encoded_setup(&sys, &inverted);
     assert_eq!(bytes.pop(), Some(0));
     bytes.push(1);
-    let mut w = WireWriter::new();
-    setup.lu_g().wire_encode(&mut w);
-    bytes.extend(w.into_bytes());
+    bytes.extend(encoded_factor(sys.g()));
     assert!(matches!(
         MatexSetup::wire_decode(&mut WireReader::new(&bytes)),
         Err(WireError::Invalid(_))
@@ -134,17 +137,12 @@ fn a_factor_of_another_dimension_is_a_wire_error() {
     // factor is valid on its own, the setup is not.
     let sys = mesh();
     let opts = MatexOptions::new(KrylovKind::Rational);
-    let setup = MatexSetup::prepare(&sys, &opts, None, false).unwrap();
     let bigger = RcMeshBuilder::new(4, 4).build().unwrap();
-    let other = MatexSetup::prepare(&bigger, &opts, None, false).unwrap();
-    let mut w = WireWriter::new();
-    setup.lu_g().wire_encode(&mut w);
-    let presence = 1 + 8 + 8 + 8 + w.into_bytes().len();
+    let presence = 1 + 8 + 8 + 8 + encoded_factor(sys.g()).len();
     let mut bytes = encoded_setup(&sys, &opts);
     bytes.truncate(presence + 1);
-    let mut w = WireWriter::new();
-    other.lu_x1().unwrap().wire_encode(&mut w);
-    bytes.extend(w.into_bytes());
+    let shifted = CsrMatrix::linear_combination(1.0, bigger.c(), opts.gamma, bigger.g()).unwrap();
+    bytes.extend(encoded_factor(&shifted));
     assert!(matches!(
         MatexSetup::wire_decode(&mut WireReader::new(&bytes)),
         Err(WireError::Invalid(_))

@@ -287,28 +287,6 @@ impl DMat {
         }
     }
 
-    /// Applies `f` to every entry, returning a new matrix.
-    pub fn map<F: FnMut(f64) -> f64>(&self, mut f: F) -> DMat {
-        DMat {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            data: self.data.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
-    /// Leading principal `m × m` submatrix.
-    ///
-    /// Used to truncate an Arnoldi Hessenberg matrix to the converged
-    /// dimension.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` exceeds either dimension.
-    pub fn principal(&self, m: usize) -> DMat {
-        assert!(m <= self.nrows && m <= self.ncols, "principal: m too large");
-        DMat::from_fn(m, m, |i, j| self.data[i * self.ncols + j])
-    }
-
     /// One-norm (maximum absolute column sum).
     pub fn norm_one(&self) -> f64 {
         let mut best = 0.0_f64;
@@ -496,13 +474,6 @@ mod tests {
         let a = DMat::from_rows(&[&[1.0, -2.0], &[-3.0, 4.0]]);
         assert_eq!(a.norm_one(), 6.0); // col 1: 1+3=4, col 2: 2+4=6
         assert_eq!(a.norm_inf(), 7.0); // row 2: 3+4=7
-    }
-
-    #[test]
-    fn principal_truncates() {
-        let a = DMat::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0], &[7.0, 8.0, 9.0]]);
-        let p = a.principal(2);
-        assert_eq!(p, DMat::from_rows(&[&[1.0, 2.0], &[4.0, 5.0]]));
     }
 
     #[test]

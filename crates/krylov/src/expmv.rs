@@ -54,11 +54,13 @@ pub struct KrylovBasis {
     breakdown: bool,
     /// Last row of `Ĥm⁻¹` (inverted/rational variants): the residual
     /// estimates of Eqs. (8)/(10) weight the exponential column with it.
+    /// The true inverted/rational residual also carries a
+    /// `‖A v_{m+1}‖`-type factor; for dissipative circuits the decaying
+    /// error propagator `∫ e^{(h−s)A} r(s) ds` compensates it, so
+    /// multiplying it in wildly over-estimates on stiff systems. The
+    /// estimates leave it out, as the paper uses these formulas: as
+    /// step-acceptance heuristics against ε.
     inv_last_row: Option<Vec<f64>>,
-    /// Residual prefactor: 1 for the standard variant (Eq. (7) is the
-    /// exact residual norm); a surrogate for `‖A v_{m+1}‖` (inverted,
-    /// Eq. (8)) resp. `‖(I−γA)v_{m+1}‖/γ` (rational, Eq. (10)) otherwise.
-    prefactor: f64,
 }
 
 impl KrylovBasis {
@@ -95,15 +97,6 @@ impl KrylovBasis {
         &self.vm
     }
 
-    /// State dimension `n` of the basis vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an estimate-only probe basis (no vectors).
-    pub fn dim(&self) -> usize {
-        self.vm[0].len()
-    }
-
     /// Posterior error estimate (paper Eqs. (7)/(8)/(10),
     /// regularization-free form of Sec. 3.3.3) from a **raw** (not
     /// β-scaled) `e^{h·Hm} e₁` column:
@@ -125,24 +118,7 @@ impl KrylovBasis {
             None => col[self.m() - 1],
             Some(row) => row.iter().zip(col).map(|(r, c)| r * c).sum::<f64>(),
         };
-        self.beta * self.prefactor * (self.h_sub * weighted).abs()
-    }
-}
-
-/// Residual prefactor for the Eq. (8)/(10)-style estimates.
-///
-/// Eq. (7) is the exact residual norm for the standard variant
-/// (`‖v_{m+1}‖ = 1`). For inverted/rational the true residual carries a
-/// `‖A v_{m+1}‖`-type factor; for dissipative circuits that factor is
-/// compensated by the decaying error propagator `∫ e^{(h−s)A} r(s) ds`,
-/// so multiplying it in wildly over-estimates on stiff systems. We keep
-/// the `e_mᵀ Ĥ⁻¹ …` weighting (which already contains the restriction's
-/// magnitude) and a unit prefactor — matching the paper's practical use
-/// of these formulas as step-acceptance heuristics against ε.
-fn residual_prefactor(kind: KrylovKind, hm: &DMat, gamma: f64) -> f64 {
-    let _ = (hm, gamma);
-    match kind {
-        KrylovKind::Standard | KrylovKind::Inverted | KrylovKind::Rational => 1.0,
+        self.beta * (self.h_sub * weighted).abs()
     }
 }
 
@@ -179,30 +155,11 @@ pub fn build_basis(
     h: f64,
     params: &ExpmParams,
 ) -> Result<BuildOutcome, KrylovError> {
-    build_basis_multi(op, v, &[h], params)
+    BasisBuilder::new().build(op, v, &[h], params)
 }
 
 /// Minimum subspace dimension before convergence checks begin.
 const M_MIN: usize = 2;
-
-/// Like [`build_basis`] but requires the posterior estimate to meet the
-/// tolerance at *every* step in `hs` — used when one basis will be reused
-/// across a whole snapshot window (paper Alg. 2 line 11).
-///
-/// A one-off build; a caller that builds many bases keeps a
-/// [`BasisBuilder`] instead, whose storage outlives the build.
-///
-/// # Errors
-///
-/// As [`build_basis`].
-pub fn build_basis_multi(
-    op: &dyn KrylovOp,
-    v: &[f64],
-    hs: &[f64],
-    params: &ExpmParams,
-) -> Result<BuildOutcome, KrylovError> {
-    BasisBuilder::new().build(op, v, hs, params)
-}
 
 /// The storage of repeated basis builds: the Arnoldi workspace (with the
 /// vectors of the bases handed back through [`BasisBuilder::recycle`])
@@ -212,7 +169,7 @@ pub fn build_basis_multi(
 /// whose basis was handed back, a build allocates nothing per Arnoldi
 /// step or operator application; only the `O(m²)` dense work of each
 /// convergence check (the Hessenberg mapping) allocates. Every build is
-/// bitwise a fresh [`build_basis_multi`].
+/// bitwise a fresh builder's.
 #[derive(Debug, Default)]
 pub struct BasisBuilder {
     space: ArnoldiSpace,
@@ -231,8 +188,10 @@ impl BasisBuilder {
         self.space.recycle(basis.vm);
     }
 
-    /// Builds a basis as [`build_basis_multi`] does, in this builder's
-    /// storage.
+    /// Builds a basis for `e^{hA} v` as [`build_basis`] does, but
+    /// requires the posterior estimate to meet the tolerance at *every*
+    /// step in `hs` — used when one basis will be reused across a whole
+    /// snapshot window (paper Alg. 2 line 11).
     ///
     /// # Errors
     ///
@@ -275,7 +234,6 @@ impl BasisBuilder {
                     continue; // ill-conditioned at this m; extend further
                 }
             };
-            let prefactor = residual_prefactor(kind, &hm, gamma);
             let mut probe = KrylovBasis {
                 kind,
                 gamma,
@@ -285,7 +243,6 @@ impl BasisBuilder {
                 h_sub: arnoldi.subdiag(m),
                 breakdown: arnoldi.broke_down(),
                 inv_last_row: inv.map(|i| i.row(m - 1).to_vec()),
-                prefactor,
             };
             let mut est = 0.0_f64;
             let mut est_failed = false;
@@ -334,7 +291,6 @@ impl BasisBuilder {
                     h_sub: 0.0,
                     breakdown: true,
                     inv_last_row: None,
-                    prefactor: 1.0,
                 },
                 converged: true,
                 rel_estimate: 0.0,
@@ -370,7 +326,7 @@ mod tests {
 
     /// `e^{hA} v` from `basis` through a fresh evaluator.
     fn eval(basis: &KrylovBasis, h: f64) -> Vec<f64> {
-        let mut x = vec![0.0; basis.dim()];
+        let mut x = vec![0.0; basis.vectors()[0].len()];
         SnapshotEvaluator::new()
             .eval_many_into(basis, &[h], None, &mut x)
             .unwrap();

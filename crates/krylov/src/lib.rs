@@ -56,9 +56,7 @@ mod variant;
 
 pub use arnoldi::{Arnoldi, ArnoldiSpace};
 pub use error::KrylovError;
-pub use expmv::{
-    build_basis, build_basis_multi, BasisBuilder, BuildOutcome, ExpmParams, KrylovBasis,
-};
+pub use expmv::{build_basis, BasisBuilder, BuildOutcome, ExpmParams, KrylovBasis};
 pub use operator::{shifted_system, InvertedOp, KrylovOp, RationalOp, StandardOp};
 pub use snapshot::SnapshotEvaluator;
 pub use variant::KrylovKind;

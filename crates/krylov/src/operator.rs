@@ -10,7 +10,7 @@
 //! | rational | `(I−γA)⁻¹ v = (C+γG)⁻¹ (C v)`        | `C + γG`    | `C`  |
 
 use crate::KrylovKind;
-use matex_sparse::{CsrMatrix, LuOptions, SmwUpdate, SparseError, SparseLu, SymbolicLu};
+use matex_sparse::{CsrMatrix, FactorRef, LuOptions, SparseError, SparseLu, SymbolicLu};
 
 /// One application of the Arnoldi iteration matrix.
 ///
@@ -18,6 +18,8 @@ use matex_sparse::{CsrMatrix, LuOptions, SmwUpdate, SparseError, SparseLu, Symbo
 /// `X2`; `apply` costs one mat-vec plus one forward/backward substitution
 /// pair (`T_bs`), and works in scratch the caller owns (an
 /// [`ArnoldiSpace`](crate::ArnoldiSpace)'s), so it allocates nothing.
+/// The factor is a [`FactorRef`]: a what-if setup's factor carries its
+/// own correction, and the operator never sees it.
 pub trait KrylovOp {
     /// Dimension of the state space.
     fn dim(&self) -> usize;
@@ -59,9 +61,8 @@ fn split_scratch(scratch: &mut [f64], n: usize) -> (&mut [f64], &mut [f64]) {
 /// cap-less nodes (see `matex_circuit::regularize_c`).
 #[derive(Debug)]
 pub struct StandardOp<'a> {
-    lu_c: &'a SparseLu,
+    lu_c: FactorRef<'a>,
     g: &'a CsrMatrix,
-    smw: Option<&'a SmwUpdate>,
 }
 
 impl<'a> StandardOp<'a> {
@@ -70,18 +71,10 @@ impl<'a> StandardOp<'a> {
     /// # Panics
     ///
     /// Panics if dimensions disagree.
-    pub fn new(lu_c: &'a SparseLu, g: &'a CsrMatrix) -> Self {
+    pub fn new(lu_c: impl Into<FactorRef<'a>>, g: &'a CsrMatrix) -> Self {
+        let lu_c = lu_c.into();
         assert_eq!(lu_c.dim(), g.nrows(), "dimension mismatch");
-        StandardOp { lu_c, g, smw: None }
-    }
-
-    /// Applies a Sherman–Morrison–Woodbury correction (built against
-    /// `lu_c`) after every substitution pair: the operator then acts
-    /// for the *edited* `C` without refactoring (what-if fast path).
-    pub fn with_correction(mut self, smw: &'a SmwUpdate) -> Self {
-        assert_eq!(smw.dim(), self.lu_c.dim(), "correction dimension mismatch");
-        self.smw = Some(smw);
-        self
+        StandardOp { lu_c, g }
     }
 }
 
@@ -94,9 +87,6 @@ impl KrylovOp for StandardOp<'_> {
         let (gv, work) = split_scratch(scratch, self.dim());
         self.g.matvec_into(v, gv);
         self.lu_c.solve_into(gv, out, work);
-        if let Some(smw) = self.smw {
-            smw.correct_in_place(out);
-        }
         for x in out.iter_mut() {
             *x = -*x;
         }
@@ -112,9 +102,8 @@ impl KrylovOp for StandardOp<'_> {
 /// Works with singular `C`: only `G` is factored (Sec. 3.3.3).
 #[derive(Debug)]
 pub struct InvertedOp<'a> {
-    lu_g: &'a SparseLu,
+    lu_g: FactorRef<'a>,
     c: &'a CsrMatrix,
-    smw: Option<&'a SmwUpdate>,
 }
 
 impl<'a> InvertedOp<'a> {
@@ -123,18 +112,10 @@ impl<'a> InvertedOp<'a> {
     /// # Panics
     ///
     /// Panics if dimensions disagree.
-    pub fn new(lu_g: &'a SparseLu, c: &'a CsrMatrix) -> Self {
+    pub fn new(lu_g: impl Into<FactorRef<'a>>, c: &'a CsrMatrix) -> Self {
+        let lu_g = lu_g.into();
         assert_eq!(lu_g.dim(), c.nrows(), "dimension mismatch");
-        InvertedOp { lu_g, c, smw: None }
-    }
-
-    /// Applies a Sherman–Morrison–Woodbury correction (built against
-    /// `lu_g`) after every substitution pair: the operator then acts
-    /// for the *edited* `G` without refactoring (what-if fast path).
-    pub fn with_correction(mut self, smw: &'a SmwUpdate) -> Self {
-        assert_eq!(smw.dim(), self.lu_g.dim(), "correction dimension mismatch");
-        self.smw = Some(smw);
-        self
+        InvertedOp { lu_g, c }
     }
 }
 
@@ -147,9 +128,6 @@ impl KrylovOp for InvertedOp<'_> {
         let (cv, work) = split_scratch(scratch, self.dim());
         self.c.matvec_into(v, cv);
         self.lu_g.solve_into(cv, out, work);
-        if let Some(smw) = self.smw {
-            smw.correct_in_place(out);
-        }
         for x in out.iter_mut() {
             *x = -*x;
         }
@@ -166,10 +144,9 @@ impl KrylovOp for InvertedOp<'_> {
 /// Works with singular `C`: only `C + γG` is factored.
 #[derive(Debug)]
 pub struct RationalOp<'a> {
-    lu_shift: &'a SparseLu,
+    lu_shift: FactorRef<'a>,
     c: &'a CsrMatrix,
     gamma: f64,
-    smw: Option<&'a SmwUpdate>,
 }
 
 impl<'a> RationalOp<'a> {
@@ -179,33 +156,14 @@ impl<'a> RationalOp<'a> {
     ///
     /// Panics if dimensions disagree or `gamma` is not a positive finite
     /// number.
-    pub fn new(lu_shift: &'a SparseLu, c: &'a CsrMatrix, gamma: f64) -> Self {
+    pub fn new(lu_shift: impl Into<FactorRef<'a>>, c: &'a CsrMatrix, gamma: f64) -> Self {
+        let lu_shift = lu_shift.into();
         assert_eq!(lu_shift.dim(), c.nrows(), "dimension mismatch");
         assert!(
             gamma.is_finite() && gamma > 0.0,
             "gamma must be positive and finite"
         );
-        RationalOp {
-            lu_shift,
-            c,
-            gamma,
-            smw: None,
-        }
-    }
-
-    /// Applies a Sherman–Morrison–Woodbury correction (built against
-    /// `lu_shift`) after every substitution pair: the operator then
-    /// acts for the *edited* `C + γG` without refactoring — the
-    /// rational-Krylov inner solves of the what-if fast path. `C` must
-    /// already be the edited system's `C`.
-    pub fn with_correction(mut self, smw: &'a SmwUpdate) -> Self {
-        assert_eq!(
-            smw.dim(),
-            self.lu_shift.dim(),
-            "correction dimension mismatch"
-        );
-        self.smw = Some(smw);
-        self
+        RationalOp { lu_shift, c, gamma }
     }
 }
 
@@ -254,9 +212,6 @@ impl KrylovOp for RationalOp<'_> {
         let (cv, work) = split_scratch(scratch, self.dim());
         self.c.matvec_into(v, cv);
         self.lu_shift.solve_into(cv, out, work);
-        if let Some(smw) = self.smw {
-            smw.correct_in_place(out);
-        }
     }
 
     fn kind(&self) -> KrylovKind {

@@ -38,7 +38,7 @@ use matex_par::ParPool;
 /// # Example
 ///
 /// ```
-/// use matex_krylov::{build_basis_multi, ExpmParams, SnapshotEvaluator, StandardOp};
+/// use matex_krylov::{BasisBuilder, ExpmParams, SnapshotEvaluator, StandardOp};
 /// use matex_sparse::{CsrMatrix, LuOptions, SparseLu};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -47,7 +47,7 @@ use matex_par::ParPool;
 /// let lu = SparseLu::factor(&c, &LuOptions::default())?;
 /// let op = StandardOp::new(&lu, &g);
 /// let hs = [0.05, 0.1, 0.2];
-/// let out = build_basis_multi(&op, &[1.0, 0.5], &hs, &ExpmParams::with_tol(1e-12))?;
+/// let out = BasisBuilder::new().build(&op, &[1.0, 0.5], &hs, &ExpmParams::with_tol(1e-12))?;
 ///
 /// let mut ev = SnapshotEvaluator::new();
 /// let mut batch = vec![0.0; 2 * hs.len()];
@@ -358,7 +358,7 @@ fn combine_slice(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_basis_multi, ExpmParams, RationalOp};
+    use crate::{BasisBuilder, ExpmParams, RationalOp};
     use matex_sparse::{CsrMatrix, LuOptions, SparseLu};
 
     fn basis(n: usize, hs: &[f64]) -> (KrylovBasis, SparseLu, CsrMatrix) {
@@ -383,14 +383,14 @@ mod tests {
             tol: 1e-11,
             m_max: n,
         };
-        let out = build_basis_multi(&op, &v, hs, &params).unwrap();
+        let out = BasisBuilder::new().build(&op, &v, hs, &params).unwrap();
         (out.basis, lu, c)
     }
 
     /// One snapshot through a fresh evaluator: `(e^{hA}v, estimate)`.
     fn eval_one(b: &KrylovBasis, h: f64) -> (Vec<f64>, f64) {
         let mut ev = SnapshotEvaluator::new();
-        let mut x = vec![0.0; b.dim()];
+        let mut x = vec![0.0; b.vectors()[0].len()];
         ev.eval_many_into(b, &[h], None, &mut x).unwrap();
         (x, ev.estimates()[0])
     }

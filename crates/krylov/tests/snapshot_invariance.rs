@@ -8,7 +8,7 @@
 //! `matex-core` against the Trapezoidal reference instead.
 
 use matex_dense::expm;
-use matex_krylov::{build_basis_multi, ExpmParams, KrylovBasis, RationalOp, SnapshotEvaluator};
+use matex_krylov::{BasisBuilder, ExpmParams, KrylovBasis, RationalOp, SnapshotEvaluator};
 use matex_par::ParPool;
 use matex_sparse::{CsrMatrix, LuOptions, SparseLu};
 use proptest::prelude::*;
@@ -42,7 +42,10 @@ fn capped_basis(n: usize, cap_spread: f64, coupling: f64, hs: &[f64], m_max: usi
     let op = RationalOp::new(&lu, &c, gamma);
     let v: Vec<f64> = (0..n).map(|i| ((i * 11 % 23) as f64) - 11.0).collect();
     let params = ExpmParams { tol: 1e-8, m_max };
-    build_basis_multi(&op, &v, hs, &params).unwrap().basis
+    BasisBuilder::new()
+        .build(&op, &v, hs, &params)
+        .unwrap()
+        .basis
 }
 
 fn bits(xs: &[f64]) -> Vec<u64> {
@@ -52,7 +55,7 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 /// The per-call reference: the first column of one allocating full
 /// `expm(h·Hm)`, combined as `x += (β·cᵢ)·vᵢ` in basis order.
 fn per_call_combination(basis: &KrylovBasis, col: &[f64]) -> Vec<f64> {
-    let mut x = vec![0.0; basis.dim()];
+    let mut x = vec![0.0; basis.vectors()[0].len()];
     for (c, v) in col.iter().zip(basis.vectors()) {
         let w = basis.beta() * c;
         if w == 0.0 {
@@ -67,7 +70,7 @@ fn per_call_combination(basis: &KrylovBasis, col: &[f64]) -> Vec<f64> {
 
 /// One snapshot through a fresh evaluator, on the inline pool.
 fn eval_one(basis: &KrylovBasis, h: f64) -> Vec<f64> {
-    let mut x = vec![0.0; basis.dim()];
+    let mut x = vec![0.0; basis.vectors()[0].len()];
     SnapshotEvaluator::new()
         .eval_many_into(basis, &[h], None, &mut x)
         .unwrap();

@@ -68,7 +68,7 @@ pub use options::LuOptions;
 pub use ordering::OrderingKind;
 pub use perm::Permutation;
 pub use scaling::equilibrate;
-pub use smw::{SmwOptions, SmwRejection, SmwUpdate, SparseCol};
+pub use smw::{FactorRef, SmwOptions, SmwRejection, SmwUpdate, SparseCol};
 pub use symbolic::SymbolicLu;
 pub use wire::{WireError, WireReader, WireWriter};
 

@@ -20,6 +20,12 @@
 //! costs one cached substitution pair ([`SparseLu::solve_into`]) plus
 //! the `O(nk)` dense work of [`SmwUpdate::correct_in_place`].
 //!
+//! Callers solve through a [`FactorRef`]: a factor and its optional
+//! correction, whose solves run the substitution and then the
+//! correction. It is the one place a correction is applied, so a solver
+//! that takes a `FactorRef` serves the edited matrix without knowing it
+//! was edited.
+//!
 //! # Determinism
 //!
 //! Every floating-point reduction here runs in a fixed order — `W`
@@ -287,6 +293,102 @@ impl SmwUpdate {
                 *yi -= wi * tj;
             }
         }
+    }
+}
+
+/// A factor as its callers solve with it: a borrowed [`SparseLu`] and,
+/// for a value edit, the [`SmwUpdate`] built against it. Every solve
+/// runs the substitution, then the correction, so it serves the edited
+/// matrix; without a correction it is the factor's own solve, bit for
+/// bit.
+///
+/// # Example
+///
+/// ```
+/// use matex_sparse::{CsrMatrix, FactorRef, LuOptions, SmwOptions, SmwUpdate, SparseLu};
+///
+/// # fn main() -> Result<(), matex_sparse::SparseError> {
+/// let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 4.0), (0, 1, 1.0), (1, 1, 2.0)]);
+/// let lu = SparseLu::factor(&a, &LuOptions::default())?;
+/// let upd = SmwUpdate::build(&lu, &[vec![(0, 1.0)]], &[vec![(0, 1.0)]], &SmwOptions::default())
+///     .expect("rank-1 edit accepted");
+/// assert_eq!(FactorRef::from(&lu).solve(&[10.0, 4.0]), lu.solve(&[10.0, 4.0]));
+/// // The edited matrix [[5, 1], [0, 2]]: x = (1.6, 2).
+/// let x = FactorRef::new(&lu, Some(&upd)).solve(&[10.0, 4.0]);
+/// assert!((x[0] - 1.6).abs() < 1e-12 && (x[1] - 2.0).abs() < 1e-12);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct FactorRef<'a> {
+    lu: &'a SparseLu,
+    smw: Option<&'a SmwUpdate>,
+}
+
+impl<'a> FactorRef<'a> {
+    /// `lu`, corrected by `smw` when one is given.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `smw`'s dimension differs from `lu`'s.
+    pub fn new(lu: &'a SparseLu, smw: Option<&'a SmwUpdate>) -> Self {
+        if let Some(smw) = smw {
+            assert_eq!(smw.dim(), lu.dim(), "correction dimension mismatch");
+        }
+        FactorRef { lu, smw }
+    }
+
+    /// Dimension of the factored matrix.
+    pub fn dim(&self) -> usize {
+        self.lu.dim()
+    }
+
+    /// Solves `A x = b` with a fresh result and scratch:
+    /// [`FactorRef::solve_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` differs from [`FactorRef::dim`].
+    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+        let n = self.dim();
+        let (mut out, mut work) = (vec![0.0; n], vec![0.0; n]);
+        self.solve_into(b, &mut out, &mut work);
+        out
+    }
+
+    /// [`SparseLu::solve_into`], then the correction.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any length mismatch.
+    pub fn solve_into(&self, b: &[f64], out: &mut [f64], work: &mut [f64]) {
+        self.lu.solve_into(b, out, work);
+        if let Some(smw) = self.smw {
+            smw.correct_in_place(out);
+        }
+    }
+
+    /// [`SparseLu::solve_many_into`], then the correction of each
+    /// column in turn: column for column bitwise
+    /// [`FactorRef::solve_into`].
+    ///
+    /// # Panics
+    ///
+    /// As [`SparseLu::solve_many_into`].
+    pub fn solve_many_into(&self, b: &[f64], out: &mut [f64], work: &mut [f64]) {
+        self.lu.solve_many_into(b, out, work);
+        if let (Some(smw), n @ 1..) = (self.smw, self.dim()) {
+            for col in out.chunks_exact_mut(n) {
+                smw.correct_in_place(col);
+            }
+        }
+    }
+}
+
+impl<'a> From<&'a SparseLu> for FactorRef<'a> {
+    /// The factor's own solves, uncorrected.
+    fn from(lu: &'a SparseLu) -> Self {
+        FactorRef { lu, smw: None }
     }
 }
 
